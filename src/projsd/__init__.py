@@ -9,8 +9,9 @@ with its posterior step size, and a multi-level driver over nested sets.
 
 from .errors import (DegenerateSet, DimensionMismatch, EtaTooLarge,
                      LambdaTooSmall, LinearCaseUnbounded, NonConvergence,
-                     NonpositiveU, NoSuchLevel, ProjSDError, SchemaError,
-                     TauOutOfRange, TransitionInvalid, ZeroGradient)
+                     NonFiniteInput, NonpositiveU, NoSuchLevel, ProjSDError,
+                     SchemaError, TauOutOfRange, TransitionInvalid,
+                     ZeroGradient)
 from .geometry import (DEFAULT_CONSTANTS, SpaceGeometry, bregman_distance,
                        certify_constants, dual_norm, duality_map,
                        inverse_duality_map, lp_space, norm)
@@ -30,7 +31,8 @@ from .solver import (IterationState, RunReport, SolverConfig,
 __version__ = "1.0.0"
 
 __all__ = [
-    "ProjSDError", "DimensionMismatch", "NonConvergence", "EtaTooLarge",
+    "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
+    "EtaTooLarge",
     "LinearCaseUnbounded", "NonpositiveU", "ZeroGradient", "DegenerateSet",
     "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
     "SchemaError",

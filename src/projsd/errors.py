@@ -10,11 +10,18 @@ class DimensionMismatch(ProjSDError, ValueError):
 
 
 class NonConvergence(ProjSDError):
-    """An inner numerical minimizer failed to reach its tolerance.
+    """A bounded search inside a Bregman projection ran out of steps.
 
-    Usually signals a misconfigured geometry rather than a genuinely
-    hard projection problem.
+    Every bracket expansion and scalar root search in ``projsd.sets``
+    stops after a fixed number of steps, about twice the most that any
+    tested finite input has needed.  This is raised when a search reaches
+    that cap, or when the norm of the projection would leave the
+    floating-point range.
     """
+
+
+class NonFiniteInput(ProjSDError, ValueError):
+    """A vector holds NaN or +-inf where finite values are required."""
 
 
 class EtaTooLarge(ProjSDError):

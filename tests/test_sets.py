@@ -1,9 +1,15 @@
 """Tests of convex sets and the Bregman projection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from projsd import (Ball, Box, CoordinateSubspace, WholeSpace,
+import projsd.sets
+from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
+                    NonConvergence, ProjSDError, WholeSpace,
                     bregman_distance, bregman_project,
                     check_total_nonexpansiveness, lp_space, norm)
 
@@ -145,3 +151,158 @@ class TestProjectionProperties:
                 y = bregman_project(space, cset, x)
                 assert cset.contains(space, y, tol=1e-8), \
                     (type(cset).__name__, r, p)
+
+
+# Geometries of the exact-projection tests: (r, p, weights).  Weighted
+# spaces and p != r outside the shipped table take explicit constants,
+# which the projection does not read.
+EXACT_GEOMETRIES = [
+    (1.5, 2.0, None),
+    (1.5, 1.5, None),
+    (3.0, 3.0, None),
+    (4.0, 4.0, None),
+    (3.0, 2.0, None),
+    (2.0, 2.0, [0.5, 2.0, 1.0, 3.0]),
+    (1.5, 2.0, [0.5, 2.0, 1.0, 3.0]),
+    (4.0, 4.0, [0.5, 2.0, 1.0, 3.0]),
+]
+
+
+def exact_space(r, p, weights):
+    if weights is None and (r, p) in DEFAULT_CONSTANTS:
+        return lp_space(4, r=r, p=p)
+    return lp_space(4, r=r, p=p, weights=weights, Cp=0.1, Gq=10.0)
+
+
+def exact_sets():
+    """Sets whose projections the centred-ball suite above never takes:
+    an off-centre ball, a box away from the origin, a subspace."""
+    return [
+        Ball(np.array([0.6, -0.4, 0.2, 0.9]), 0.7),
+        Box([0.2, -1.0, -0.3, 0.5], [1.0, -0.4, 0.3, 1.5]),
+        CoordinateSubspace([1, 3]),
+    ]
+
+
+def members_near(cset, space, rng, y, n):
+    """Set members: n spread over the set and n within 1e-3 of y, where a
+    suboptimal y shows first."""
+    if isinstance(cset, Box):
+        far = rng.uniform(cset.lower, cset.upper, (n, space.dim))
+    else:
+        far = np.array([sample_member(cset, space, rng) for _ in range(n)])
+    near = y + 1e-3 * rng.standard_normal((n, space.dim))
+    if isinstance(cset, Box):
+        near = np.clip(near, cset.lower, cset.upper)
+    elif isinstance(cset, Ball):
+        dist = norm(space, near - cset.center)
+        shrink = np.minimum(1.0, cset.radius / dist)[:, None]
+        near = cset.center + shrink * (near - cset.center)
+    else:
+        near = np.where(cset.mask(space.dim), near, 0.0)
+    return np.vstack([far, near])
+
+
+def assert_exact_projection(space, cset, x, rng):
+    """Membership, brute-force minimality, the three-point law at 1e-12
+    relative, and idempotence."""
+    y = bregman_project(space, cset, x)
+    assert cset.contains(space, y, tol=1e-12)
+    zs = members_near(cset, space, rng, y, 200)
+    n_z = len(zs)
+    d_x_y = float(bregman_distance(space, x, y))
+    d_x_z = bregman_distance(space, np.repeat(x[None], n_z, 0), zs)
+    slack = 1e-12 * (1.0 + d_x_z)
+    assert np.all(d_x_y <= d_x_z + slack)
+    d_y_z = bregman_distance(space, np.repeat(y[None], n_z, 0), zs)
+    assert np.all(d_y_z + d_x_y <= d_x_z + slack)
+    assert float(norm(space, bregman_project(space, cset, y) - y)) <= 1e-12
+    return y
+
+
+class TestExactProjections:
+    @pytest.mark.parametrize("r,p,weights", EXACT_GEOMETRIES)
+    def test_exact_for_every_set(self, r, p, weights):
+        space = exact_space(r, p, weights)
+        rng = np.random.default_rng(6)
+        for cset in exact_sets():
+            for _ in range(5):
+                x = 2.0 * rng.standard_normal(4)
+                if not cset.contains(space, x, tol=0.0):
+                    assert_exact_projection(space, cset, x, rng)
+
+    def test_weighted_l2_closed_forms(self):
+        # r = p = 2 with weights is the weighted Euclidean metric
+        # projection: a clamp, a radial shrink toward the center, and a
+        # truncation.
+        w = np.array([0.5, 2.0, 1.0, 3.0])
+        space = lp_space(4, r=2.0, p=2.0, weights=w, Cp=0.1, Gq=10.0)
+        x = np.array([1.5, -2.0, 0.1, 2.5])
+        ball, box, sub = exact_sets()
+        np.testing.assert_array_equal(bregman_project(space, box, x),
+                                      np.clip(x, box.lower, box.upper))
+        gap = x - ball.center
+        np.testing.assert_allclose(
+            bregman_project(space, ball, x),
+            ball.center + ball.radius * gap / np.sqrt(np.sum(w * gap ** 2)),
+            rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(bregman_project(space, sub, x),
+                                      [0.0, -2.0, 0.0, 2.5])
+
+    @pytest.mark.parametrize("r,p,weights", EXACT_GEOMETRIES)
+    def test_origin_projects_to_minimum_norm_point(self, r, p, weights):
+        # At x = 0 the distance is ||y||**p / p, and the rescaling formula,
+        # which divides by ||x||, does not apply.
+        space = exact_space(r, p, weights)
+        rng = np.random.default_rng(7)
+        x = np.zeros(4)
+        for cset in exact_sets()[:2]:
+            y = assert_exact_projection(space, cset, x, rng)
+            zs = members_near(cset, space, rng, y, 500)
+            assert np.all(float(norm(space, y))
+                          <= norm(space, zs) * (1.0 + 1e-12))
+        box = exact_sets()[1]
+        np.testing.assert_array_equal(bregman_project(space, box, x),
+                                      np.clip(x, box.lower, box.upper))
+
+    def test_repeat_calls_are_bit_identical(self):
+        space = lp_space(4, r=1.5, p=2.0)
+        x = np.array([2.0, -1.5, 0.3, 2.2])
+        for cset in exact_sets():
+            first = bregman_project(space, cset, x)
+            bregman_project(space, cset, -x)
+            assert first.tobytes() == bregman_project(space, cset, x).tobytes()
+
+    def test_point_on_the_sphere_terminates(self):
+        space = lp_space(4, r=1.5, p=2.0)
+        ball = exact_sets()[0]
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            v = rng.standard_normal(4)
+            x = ball.center + ball.radius * v / float(norm(space, v))
+            y = bregman_project(space, ball, x)
+            assert float(norm(space, y - x)) <= 1e-12
+
+    def test_step_cap_raises_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(projsd.sets, "_MAX_STEPS", 1)
+        space = lp_space(4, r=1.5, p=2.0)
+        with pytest.raises(NonConvergence):
+            bregman_project(space, exact_sets()[0], np.full(4, 3.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        space = lp_space(4, r=1.5, p=2.0)
+        x = np.array([0.5, bad, 0.1, 2.0])
+        for cset in [WholeSpace()] + exact_sets():
+            with pytest.raises(ProjSDError):
+                bregman_project(space, cset, x)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(projsd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, projsd; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
