@@ -7,47 +7,18 @@ known constants, the single-level projected steepest descent iteration
 with its posterior step size, and a multi-level driver over nested sets.
 """
 
-from .errors import (DegenerateSet, DimensionMismatch, EtaTooLarge,
-                     LambdaTooSmall, LinearCaseUnbounded, NonConvergence,
-                     NonFiniteInput, NonpositiveU, NoSuchLevel, ProjSDError,
-                     SchemaError, TauOutOfRange, TransitionInvalid,
-                     ZeroGradient)
-from .geometry import (DEFAULT_CONSTANTS, SpaceGeometry, bregman_distance,
-                       certify_constants, dual_norm, duality_map,
-                       inverse_duality_map, lp_space, norm)
-from .models import (DiagonalLinearModel, ForwardModel, LinearModel,
-                     NoisyData, QuadraticModel, adjoint_check, data_norm,
-                     estimate_stability_constant, fd_derivative_check)
-from .multilevel import (Level, MultiLevelReport, Schedule, example_schedule,
-                         run_multi_level, select_final_level,
-                         validate_schedule, validate_transition)
-from .sets import (Ball, Box, ConvexSet, CoordinateSubspace, WholeSpace,
-                   bregman_project, check_total_nonexpansiveness)
-from .solver import (IterationState, RunReport, SolverConfig,
-                     check_starting_point, compute_ctilde,
-                     convergence_radius, run_algorithm1, sd_step,
-                     step_quantities)
+from . import errors, geometry, models, multilevel, sets, solver
+from .errors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .geometry import DEFAULT_CONSTANTS
+from .models import *  # noqa: F401,F403
+from .multilevel import *  # noqa: F401,F403
+from .sets import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
-    "EtaTooLarge",
-    "LinearCaseUnbounded", "NonpositiveU", "ZeroGradient", "DegenerateSet",
-    "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
-    "SchemaError",
-    "SpaceGeometry", "lp_space", "norm", "dual_norm", "duality_map",
-    "inverse_duality_map", "bregman_distance", "certify_constants",
-    "DEFAULT_CONSTANTS",
-    "ConvexSet", "WholeSpace", "Box", "Ball", "CoordinateSubspace",
-    "bregman_project", "check_total_nonexpansiveness",
-    "ForwardModel", "LinearModel", "DiagonalLinearModel", "QuadraticModel",
-    "NoisyData", "data_norm", "fd_derivative_check", "adjoint_check",
-    "estimate_stability_constant",
-    "SolverConfig", "IterationState", "RunReport", "compute_ctilde",
-    "convergence_radius", "step_quantities", "sd_step", "run_algorithm1",
-    "check_starting_point",
-    "Level", "Schedule", "MultiLevelReport", "validate_transition",
-    "validate_schedule", "select_final_level", "run_multi_level",
-    "example_schedule",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = (errors.__all__ + geometry.__all__ + ["DEFAULT_CONSTANTS"]
+           + sets.__all__ + models.__all__ + solver.__all__
+           + multilevel.__all__)

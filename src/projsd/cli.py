@@ -3,35 +3,36 @@
 Parses a YAML run configuration, constructs the geometry, model, set or
 level schedule, executes a single-level or multi-level run (or validates
 a schedule without running), and writes a per-iteration CSV trace plus a
-YAML summary.  All file writes are atomic (temp file + rename) and the
-trace format is deterministic: identical config and seed produce
-byte-identical files.
+YAML summary.  All file writes are atomic (temp file + rename).  The
+solver is deterministic, so an identical config produces byte-identical
+files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
+summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
-failure, 4 I/O error.
+failure, 4 I/O error.  Input that cannot run (mismatched lengths,
+non-finite vectors, a nonlinear model without ``cstab``) is a validation
+failure found while parsing, before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
-from .errors import (EtaTooLarge, LambdaTooSmall, LinearCaseUnbounded,
-                     NonConvergence, NoSuchLevel, ProjSDError, SchemaError,
-                     TauOutOfRange, TransitionInvalid)
+from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel, ProjSDError,
+                     SchemaError, TauOutOfRange, TransitionInvalid)
 from .geometry import SpaceGeometry, lp_space
 from .models import (DiagonalLinearModel, LinearModel, NoisyData,
                      QuadraticModel)
 from .multilevel import (Level, Schedule, example_schedule, run_multi_level,
-                         select_final_level, validate_schedule,
-                         validate_transition)
+                         validate_schedule, validate_transition)
 from .sets import Ball, Box, CoordinateSubspace, WholeSpace
 from .solver import SolverConfig, run_algorithm1
 
@@ -56,11 +57,8 @@ _SCHEDULE_KEYS = {"lam", "tau", "etaHat", "maxLevels"}
 _MODES = {"single", "multilevel", "validate", "example-schedule"}
 
 
-class RunConfig:
+class RunConfig(SimpleNamespace):
     """Parsed and validated run configuration (attribute bag)."""
-
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
 
 
 def _check_mapping(node, allowed, path, errors):
@@ -107,6 +105,32 @@ def _vector(node, path, errors, required=False):
         errors.append(f"{path}: expected a flat list of numbers")
         return None
     return arr
+
+
+def _finite_vector(node, path, errors, required=False):
+    arr = _vector(node, path, errors, required)
+    if arr is not None and not np.all(np.isfinite(arr)):
+        errors.append(f"{path}: expected finite numbers")
+        return None
+    return arr
+
+
+def _check_length(arr, space, path, errors):
+    if arr is not None and space is not None and arr.shape != (space.dim,):
+        errors.append(f"{path}: expected {space.dim} entries (space.dim), "
+                      f"got {arr.size}")
+
+
+def _check_problem(space, model, data, path, errors):
+    """`model` must act on `space` and match the length of `data`."""
+    if model is None:
+        return
+    if space is not None and model.in_dim != space.dim:
+        errors.append(f"{path}model: takes {model.in_dim} inputs, "
+                      f"space.dim is {space.dim}")
+    if data is not None and data.ydelta.shape != (model.out_dim,):
+        errors.append(f"{path}data: ydelta has {data.ydelta.size} entries, "
+                      f"the model has {model.out_dim} outputs")
 
 
 def _matrix_from(node, path, errors, base_dir):
@@ -242,16 +266,14 @@ def _parse_data(node, path, errors, base_dir, default_eta):
     if ydelta is None and fname is None:
         errors.append(f"{path}: needs either ydelta or ydeltaFile")
         return None
-    if ydelta is not None:
-        arr = _vector(ydelta, f"{path}.ydelta", errors, required=True)
-    else:
+    if ydelta is None:
         full = fname if os.path.isabs(fname) else os.path.join(base_dir,
                                                                fname)
         try:
-            arr = np.atleast_1d(np.loadtxt(full, delimiter=","))
+            ydelta = np.atleast_1d(np.loadtxt(full, delimiter=","))
         except (OSError, ValueError) as exc:
             errors.append(f"{path}.ydeltaFile: cannot read {full}: {exc}")
-            arr = None
+    arr = _finite_vector(ydelta, f"{path}.ydelta", errors)
     eta = _number(node.get("eta"), f"{path}.eta", errors,
                   default=default_eta, minimum=0.0)
     if arr is None or eta is None:
@@ -279,7 +301,7 @@ def _parse_level(node, idx, errors, s, base_dir):
     if node.get("data") is not None:
         data = _parse_data(node["data"], f"{path}.data", errors, base_dir,
                            default_eta=eta)
-    ref = _vector(node.get("reference"), f"{path}.reference", errors)
+    ref = _finite_vector(node.get("reference"), f"{path}.reference", errors)
     if eta is None or C is None or L is None or Lhat is None:
         return None
     return Level(index=idx, eta=eta, C=C, L=L, Lhat=Lhat, cset=cset,
@@ -342,8 +364,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     diag = _check_mapping(raw.get("diagnostics"), _DIAG_KEYS,
                           "diagnostics", errors)
-    reference = _vector(diag.get("referenceSolution"),
-                        "diagnostics.referenceSolution", errors)
+    reference = _finite_vector(diag.get("referenceSolution"),
+                               "diagnostics.referenceSolution", errors)
     check_theorems = diag.get("checkTheorems", False)
     if not isinstance(check_theorems, bool):
         errors.append("diagnostics.checkTheorems: expected a boolean")
@@ -358,10 +380,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     sched_node = _check_mapping(raw.get("schedule"), _SCHEDULE_KEYS,
                                 "schedule", errors)
 
+    if mode in ("single", "multilevel") or raw.get("space") is not None:
+        space = _parse_space(raw.get("space"), errors)
     if mode in ("single", "multilevel"):
-        space = _parse_space(raw.get("space"), errors)
-    elif raw.get("space") is not None:
-        space = _parse_space(raw.get("space"), errors)
+        x0 = _finite_vector(raw.get("x0"), "x0", errors, required=True)
+        _check_length(x0, space, "x0", errors)
+    if eta_hat is None and mode != "example-schedule" \
+            and not (mode == "validate" and sched_node):
+        errors.append("solver.etaHat: missing required value")
 
     if mode == "single":
         if raw.get("set") is None:
@@ -378,10 +404,16 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         else:
             data = _parse_data(raw["data"], "data", errors, base_dir,
                                default_eta=eta)
-        x0 = _vector(raw.get("x0"), "x0", errors, required=True)
-        if eta_hat is None:
-            errors.append("solver.etaHat: missing required value")
-        elif not eta_hat > 3.0 * eta:
+        _check_length(reference, space, "diagnostics.referenceSolution",
+                      errors)
+        _check_problem(space, model, data, "", errors)
+        if model is not None and model.lip != 0.0 and model.cstab is None:
+            errors.append("model.cstab: a nonlinear model needs a "
+                          "stability constant")
+        if check_theorems and reference is None:
+            errors.append("diagnostics.checkTheorems: needs "
+                          "diagnostics.referenceSolution")
+        if eta_hat is not None and not eta_hat > 3.0 * eta:
             errors.append("solver.etaHat: the discrepancy threshold must "
                           "satisfy etaHat > 3 * eta")
 
@@ -398,10 +430,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                     levels.append(lv)
             if len(levels) == len(lv_raw):
                 _check_nesting(levels, errors)
-        if eta_hat is None and not (mode == "validate" and sched_node):
-            errors.append("solver.etaHat: missing required value")
         if mode == "multilevel":
-            x0 = _vector(raw.get("x0"), "x0", errors, required=True)
+            for lv in levels:
+                path = f"levels[{lv.index}]."
+                _check_problem(space, lv.model, lv.data, path, errors)
+                _check_length(lv.reference, space, path + "reference",
+                              errors)
 
     if mode == "example-schedule" or (mode == "validate" and sched_node):
         if not sched_node:
@@ -433,6 +467,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                      trace_path=out.get("tracePath"),
                      summary_path=out.get("summaryPath"),
                      schedule_path=out.get("schedulePath"))
+
+
+def _fail(quiet: bool, message: str, code: int) -> int:
+    """Report a failure on stderr and return its exit code."""
+    if not quiet:
+        print(message, file=sys.stderr)
+    return code
 
 
 def _fmt(x) -> str:
@@ -494,10 +535,8 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
     try:
         report = run_algorithm1(cfg.space, cfg.cset, cfg.model, cfg.data,
                                 cfg.x0, solver_cfg)
-    except (NonConvergence, ProjSDError) as exc:
-        if not quiet:
-            print(f"solver abort: {exc}", file=sys.stderr)
-        return 2
+    except ProjSDError as exc:
+        return _fail(quiet, f"solver abort: {exc}", 2)
     summary = {
         "mode": "single",
         "stopReason": report.stop_reason,
@@ -508,7 +547,7 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
     }
     if report.rho is not None:
         summary["rho"] = float(report.rho)
-    if cfg.check_theorems and cfg.reference is not None:
+    if cfg.check_theorems:
         summary["theoremChecks"] = _theorem_tally(report)
     if cfg.trace_path:
         _write_trace(cfg.trace_path, _trace_rows(0, report))
@@ -531,13 +570,9 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
         report = run_multi_level(cfg.space, schedule, cfg.x0,
                                  max_iterations_per_level=cfg.max_iterations)
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
-        if not quiet:
-            print(f"schedule invalid: {exc}", file=sys.stderr)
-        return 3
-    except (NonConvergence, ProjSDError) as exc:
-        if not quiet:
-            print(f"solver abort: {exc}", file=sys.stderr)
-        return 2
+        return _fail(quiet, f"schedule invalid: {exc}", 3)
+    except ProjSDError as exc:
+        return _fail(quiet, f"solver abort: {exc}", 2)
     rows = []
     per_level = []
     for idx, k, res, rep in report.per_level:
@@ -575,34 +610,22 @@ def _schedule_from_cfg(cfg: RunConfig) -> Schedule:
     return _build_schedule(cfg)
 
 
-def _run_validate(cfg: RunConfig, quiet: bool) -> int:
-    try:
-        schedule = _schedule_from_cfg(cfg)
-    except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
-        if not quiet:
-            print(f"invalid schedule parameters: {exc}", file=sys.stderr)
-        return 3
+def _run_validate(cfg: RunConfig, schedule: Schedule, quiet: bool) -> int:
+    # Every pair is listed, also the ones after a failing pair.
     pairs = []
-    valid = True
-    reason = "valid"
+    for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
+        try:
+            lhs, rhs, ok = validate_transition(cfg.space, lv, nxt,
+                                               schedule.epsilon)
+            pairs.append({"level": lv.index, "lhs": float(lhs),
+                          "rhs": float(rhs), "ok": bool(ok)})
+        except EtaTooLarge:
+            pairs.append({"level": lv.index, "ok": False})
+    valid, reason, final = True, "valid", None
     try:
-        transitions, final = validate_schedule(cfg.space, schedule)
-        for n, lhs, rhs, ok in transitions:
-            pairs.append({"level": n, "lhs": float(lhs), "rhs": float(rhs),
-                          "ok": bool(ok)})
+        _, final = validate_schedule(cfg.space, schedule)
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
-        valid = False
-        reason = str(exc)
-        final = None
-        # Re-evaluate pairwise for the summary even when invalid.
-        for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
-            try:
-                lhs, rhs, ok = validate_transition(cfg.space, lv, nxt,
-                                                   schedule.epsilon)
-                pairs.append({"level": lv.index, "lhs": float(lhs),
-                              "rhs": float(rhs), "ok": bool(ok)})
-            except EtaTooLarge:
-                pairs.append({"level": lv.index, "ok": False})
+        valid, reason = False, str(exc)
     summary = {
         "mode": "validate",
         "valid": valid,
@@ -636,13 +659,8 @@ def serialize_schedule(schedule: Schedule, space: SpaceGeometry) -> str:
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 
-def _run_example_schedule(cfg: RunConfig, quiet: bool) -> int:
-    try:
-        schedule = _schedule_from_cfg(cfg)
-    except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
-        if not quiet:
-            print(f"invalid schedule parameters: {exc}", file=sys.stderr)
-        return 3
+def _run_example_schedule(cfg: RunConfig, schedule: Schedule,
+                          quiet: bool) -> int:
     text = serialize_schedule(schedule, cfg.space)
     if cfg.schedule_path:
         _atomic_write(cfg.schedule_path, text)
@@ -667,13 +685,15 @@ def execute(cfg: RunConfig, quiet: bool = False) -> int:
             return _run_single(cfg, quiet)
         if cfg.mode == "multilevel":
             return _run_multilevel(cfg, quiet)
+        try:
+            schedule = _schedule_from_cfg(cfg)
+        except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
+            return _fail(quiet, f"invalid schedule parameters: {exc}", 3)
         if cfg.mode == "validate":
-            return _run_validate(cfg, quiet)
-        return _run_example_schedule(cfg, quiet)
+            return _run_validate(cfg, schedule, quiet)
+        return _run_example_schedule(cfg, schedule, quiet)
     except OSError as exc:
-        if not quiet:
-            print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(quiet, f"I/O error: {exc}", 4)
 
 
 def main(argv=None) -> int:
@@ -686,7 +706,8 @@ def main(argv=None) -> int:
     run.add_argument("config", help="path to the YAML config file")
     run.add_argument("--trace", help="override output.tracePath")
     run.add_argument("--summary", help="override output.summaryPath")
-    run.add_argument("--seed", type=int, help="override solver.seed")
+    run.add_argument("--seed", type=int,
+                     help="override solver.seed (metadata only)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress console output")
     args = parser.parse_args(argv)
@@ -695,17 +716,13 @@ def main(argv=None) -> int:
         with io.open(args.config, "r") as fh:
             text = fh.read()
     except OSError as exc:
-        if not args.quiet:
-            print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(args.quiet, f"I/O error: {exc}", 4)
     try:
         cfg = parse_config(text, base_dir=os.path.dirname(
             os.path.abspath(args.config)))
     except SchemaError as exc:
-        if not args.quiet:
-            for msg in exc.errors:
-                print(f"config error: {msg}", file=sys.stderr)
-        return 3
+        return _fail(args.quiet, "\n".join(f"config error: {msg}"
+                                           for msg in exc.errors), 3)
     if args.trace:
         cfg.trace_path = args.trace
     if args.summary:

@@ -1,5 +1,13 @@
 """Exception hierarchy shared by all solver components."""
 
+__all__ = [
+    "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
+    "EtaTooLarge", "LinearCaseUnbounded", "NonpositiveU", "ZeroGradient",
+    "MissingStabilityConstant", "StepIdentityViolated", "DegenerateSet",
+    "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
+    "SchemaError",
+]
+
 
 class ProjSDError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,6 +53,15 @@ class NonpositiveU(ProjSDError):
 
 class ZeroGradient(ProjSDError):
     """Gradient vanished while the residual is still above the threshold."""
+
+
+class MissingStabilityConstant(ProjSDError, ValueError):
+    """A nonlinear model has no conditional stability constant ``cstab``."""
+
+
+class StepIdentityViolated(ProjSDError):
+    """The two algebraic identities behind the step size failed to hold to
+    round-off; the geometry constants are corrupt."""
 
 
 class DegenerateSet(ProjSDError):

@@ -11,7 +11,8 @@ are mapped elementwise over the leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,11 @@ class SpaceGeometry:
 
     def dual(self) -> "SpaceGeometry":
         """The dual space: exponent r/(r-1), reciprocal-type weights,
-        and the conjugate gauge."""
+        and the conjugate gauge.  Built once per space."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "SpaceGeometry":
         rp = self.r / (self.r - 1.0)
         return SpaceGeometry(
             dim=self.dim,
@@ -213,25 +218,19 @@ def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,
     suffice.
     """
     rng = np.random.default_rng(seed)
-    d = space.dim
 
-    x = rng.standard_normal((n_samples, d))
-    xt = rng.standard_normal((n_samples, d))
-    # Near-parallel pairs probe the flattest directions of the ball.
-    half = n_samples // 2
-    xt[:half] = x[:half] * rng.uniform(-2.0, 2.0, (half, 1))
+    def ratios(sp):
+        """``p * breg / ||x - xt||**p`` over fresh sample pairs of `sp`."""
+        x = rng.standard_normal((n_samples, sp.dim))
+        xt = rng.standard_normal((n_samples, sp.dim))
+        # Near-parallel pairs probe the flattest directions of the ball.
+        half = n_samples // 2
+        xt[:half] = x[:half] * rng.uniform(-2.0, 2.0, (half, 1))
+        breg = bregman_distance(sp, x, xt)
+        gap = norm(sp, x - xt)
+        keep = gap > 1e-12
+        return sp.p * breg[keep] / gap[keep] ** sp.p
 
-    breg = bregman_distance(space, x, xt)
-    gap = norm(space, x - xt)
-    keep = gap > 1e-12
-    cp_bound = float(np.min(space.p * breg[keep] / gap[keep] ** space.p))
-
-    dual = space.dual()
-    xs = rng.standard_normal((n_samples, d))
-    xts = rng.standard_normal((n_samples, d))
-    xts[:half] = xs[:half] * rng.uniform(-2.0, 2.0, (half, 1))
-    breg_d = bregman_distance(dual, xs, xts)
-    gap_d = norm(dual, xs - xts)
-    keep = gap_d > 1e-12
-    gq_bound = float(np.max(dual.p * breg_d[keep] / gap_d[keep] ** dual.p))
+    cp_bound = float(np.min(ratios(space)))
+    gq_bound = float(np.max(ratios(space.dual())))
     return cp_bound, gq_bound

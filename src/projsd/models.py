@@ -24,7 +24,7 @@ __all__ = [
     "DiagonalLinearModel",
     "QuadraticModel",
     "NoisyData",
-    "data_norm",
+    "data_space",
     "fd_derivative_check",
     "adjoint_check",
     "estimate_stability_constant",
@@ -52,8 +52,6 @@ class ForwardModel:
     lip: float = 0.0
     lhat: float = 0.0
     cstab: float | None = None
-    domain_radius: float | None = None
-    domain_center: np.ndarray | None = None
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -160,7 +158,6 @@ class QuadraticModel(ForwardModel):
         self.s = float(s)
         self.lip = 2.0 * self.eps
         self.cstab = cstab
-        self.domain_radius = rho_domain
         if lhat is not None:
             self.lhat = float(lhat)
         else:
@@ -201,9 +198,11 @@ class NoisyData:
         return f"NoisyData(eta={self.eta})"
 
 
-def data_norm(model: ForwardModel, v):
-    """Norm of the data space l^s attached to the model."""
-    return np.sum(np.abs(v) ** model.s, axis=-1) ** (1.0 / model.s)
+def data_space(model: ForwardModel, p: float = 2.0) -> SpaceGeometry:
+    """The data space l^s of the model, unweighted, with gauge exponent
+    ``p``.  Its norm does not depend on ``p``; the solver passes the gauge
+    of X so that the duality mapping on the data has the same form."""
+    return SpaceGeometry(dim=model.out_dim, r=model.s, p=p)
 
 
 def fd_derivative_check(model: ForwardModel, x, h, step: float = 1e-3):
@@ -216,8 +215,9 @@ def fd_derivative_check(model: ForwardModel, x, h, step: float = 1e-3):
     h = np.asarray(h, dtype=float)
     fd = (model.eval(x + step * h) - model.eval(x - step * h)) / (2.0 * step)
     dfh = model.apply_derivative(x, h)
-    return float(data_norm(model, fd - dfh)
-                 / max(1.0, float(data_norm(model, dfh))))
+    y_space = data_space(model)
+    return float(norm(y_space, fd - dfh)
+                 / max(1.0, float(norm(y_space, dfh))))
 
 
 def adjoint_check(model: ForwardModel, x, h, ystar):
@@ -269,7 +269,7 @@ def estimate_stability_constant(model: ForwardModel, cset: ConvexSet,
     rng = np.random.default_rng(seed)
     x = _sample_in_set(cset, space, rng, n_samples, radius, center)
     xt = _sample_in_set(cset, space, rng, n_samples, radius, center)
-    gap = data_norm(model, model.eval(x) - model.eval(xt))
+    gap = norm(data_space(model), model.eval(x) - model.eval(xt))
     keep = gap > 1e-14
     if not np.any(keep):
         raise DegenerateSet("all sampled pairs map to the same image")

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel,
+from .errors import (LambdaTooSmall, LinearCaseUnbounded, NoSuchLevel,
                      TauOutOfRange, TransitionInvalid)
-from .geometry import SpaceGeometry, bregman_distance
+from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet, bregman_project
-from .solver import RunReport, SolverConfig, run_algorithm1
+from .solver import (RunReport, SolverConfig, _curvature_weight,
+                     _radius_bracket, check_starting_point,
+                     convergence_radius, run_algorithm1)
 
 __all__ = [
     "Level",
@@ -56,22 +58,15 @@ class Level:
     reference: np.ndarray | None = None
 
     def ctilde(self, space: SpaceGeometry) -> float:
-        return 0.5 * (space.Cp / space.p) ** (-2.0 / space.p) \
-            * self.L * self.C ** 2
+        return _curvature_weight(space, self.L) * self.C ** 2
 
     def rho(self, space: SpaceGeometry) -> float:
         """Level convergence radius; infinite when the level is linear."""
-        ct = self.ctilde(space)
-        if ct == 0.0:
+        try:
+            return convergence_radius(space, self.Lhat, self.ctilde(space),
+                                      self.eta)
+        except LinearCaseUnbounded:
             return math.inf
-        disc = 1.0 - 8.0 * ct * self.eta
-        if disc <= 0.0:
-            raise EtaTooLarge(
-                f"level {self.index}: 8 * ctilde * eta = "
-                f"{8 * ct * self.eta} >= 1")
-        bracket = (1.0 + math.sqrt(disc)) / (2.0 * ct) - 2.0 * self.eta
-        return (space.Cp / space.p) * self.Lhat ** (-space.p) \
-            * bracket ** space.p
 
 
 @dataclass
@@ -115,17 +110,8 @@ def validate_transition(space: SpaceGeometry, level_n: Level,
     ``rhs`` is the next level's admissible-start budget; ``ok`` requires
     strict inequality.
     """
-    ct = level_next.ctilde(space)
     eta1 = level_next.eta
-    if ct == 0.0:
-        bracket = math.inf
-    else:
-        disc = 1.0 - 8.0 * ct * eta1
-        if disc <= 0.0:
-            raise EtaTooLarge(
-                f"level {level_next.index}: 8 * ctilde * eta = "
-                f"{8 * ct * eta1} >= 1")
-        bracket = (1.0 + math.sqrt(disc)) / (2.0 * ct) - 2.0 * eta1
+    bracket = _radius_bracket(level_next.ctilde(space), eta1)
     lhs = (3.0 + epsilon) * level_n.eta
     rhs = (space.Cp / space.p) ** (1.0 / space.p) \
         / (level_next.Lhat * level_next.C) * bracket - eta1
@@ -157,15 +143,13 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
     the schedule does not end exactly at the selected final level.
     """
     transitions = []
-    ok_all = True
     for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
         lhs, rhs, ok = validate_transition(space, lv, nxt, schedule.epsilon)
         transitions.append((lv.index, lhs, rhs, ok))
-        ok_all &= ok
     final = select_final_level(schedule.etas, schedule.epsilon,
                                schedule.eta_hat)
-    if not ok_all:
-        bad = [n for n, _, _, ok in transitions if not ok]
+    bad = [n for n, _, _, ok in transitions if not ok]
+    if bad:
         raise TransitionInvalid(f"transition check failed at levels {bad}")
     if final != len(schedule.levels) - 1:
         raise TransitionInvalid(
@@ -203,12 +187,9 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         # arithmetic; it only repairs floating-point membership drift.
         if not lv.cset.contains(space, x, tol=1e-12):
             x = bregman_project(space, lv.cset, x)
-        if lv.reference is not None:
-            radius_ok.append(
-                float(bregman_distance(space, x, lv.reference))
-                < lv.rho(space))
-        else:
-            radius_ok.append(None)
+        radius_ok.append(None if lv.reference is None else
+                         check_starting_point(space, x, lv.reference,
+                                              lv.rho(space)))
         # Final level: the selection rule guarantees (3+eps)*eta_N <=
         # eta_hat, so stopping at the target residual is at least as
         # strict a result and stays well defined when eta_N == 0.

@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EtaTooLarge, LinearCaseUnbounded, NonpositiveU,
-                     ZeroGradient)
+from .errors import (DimensionMismatch, EtaTooLarge, LinearCaseUnbounded,
+                     MissingStabilityConstant, NonpositiveU,
+                     StepIdentityViolated, ZeroGradient)
 from .geometry import (SpaceGeometry, bregman_distance, dual_norm,
-                       duality_map, inverse_duality_map)
-from .models import ForwardModel, NoisyData, data_norm
+                       duality_map, inverse_duality_map, norm)
+from .models import ForwardModel, NoisyData, data_space
 from .sets import ConvexSet, bregman_project
 
 __all__ = [
@@ -72,23 +73,23 @@ class IterationState:
     Tk: np.ndarray
     rk: float
     tk: float
-    that_k: float
-    uk: float
-    vk: float
-    wk: float
-    muk: float
-    ctilde_used: float
+    that_k: float = math.nan
+    uk: float = math.nan
+    vk: float = math.nan
+    wk: float = math.nan
+    muk: float = math.nan
     bregman_to_ref: float | None = None
     radius_ok: bool | None = None
     monotone_ok: bool | None = None
     strict_bound_ok: bool | None = None
     xtilde: np.ndarray | None = None
-    p_used: float = math.nan
 
 
 @dataclass
 class RunReport:
-    """Outcome of a single-level run."""
+    """Outcome of a single-level run.  ``descent_sum`` adds up the
+    per-step strict-descent amounts, bounded by the initial Bregman
+    distance to the reference."""
 
     stopped_at_k: int
     final_residual: float
@@ -98,29 +99,43 @@ class RunReport:
     monotonicity_violations: int = 0
     projected_start: bool = False
     rho: float | None = None
-    reference_center: str | None = None
     failure: Exception | None = None
+    descent_sum: float = 0.0
 
-    @property
-    def descent_sum(self) -> float:
-        """Sum of the per-step strict-descent amounts; bounded by the
-        initial Bregman distance to the reference."""
-        total = 0.0
-        for st in self.iterations:
-            p = st.p_used
-            total += (1.0 / p) * st.that_k ** (-(p - 1.0)) \
-                * st.uk ** p * st.rk ** (p * p - p)
-        return total
+
+def _curvature_weight(space: SpaceGeometry, lip: float) -> float:
+    """``(1/2) (Cp/p)**(-2/p) L``: the curvature product without its
+    stability factor, and the coefficient of ``w_k``."""
+    return 0.5 * (space.Cp / space.p) ** (-2.0 / space.p) * lip
 
 
 def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
-    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``."""
+    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``.
+
+    Raises
+    ------
+    MissingStabilityConstant
+        If the model is nonlinear and carries no ``cstab``.
+    """
     if model.lip == 0.0:
         return 0.0
     if model.cstab is None:
-        raise ValueError("a nonlinear model needs a stability constant")
-    return 0.5 * (space.Cp / space.p) ** (-2.0 / space.p) \
-        * model.lip * model.cstab ** 2
+        raise MissingStabilityConstant(
+            "a nonlinear model needs a stability constant")
+    return _curvature_weight(space, model.lip) * model.cstab ** 2
+
+
+def _radius_bracket(ctilde: float, eta: float) -> float:
+    """``(1 + sqrt(1 - 8 ctilde eta)) / (2 ctilde) - 2 eta``, behind the
+    convergence radius and the level transition; infinite when
+    ``ctilde == 0``.  Raises EtaTooLarge if ``8 * ctilde * eta >= 1``."""
+    if ctilde == 0.0:
+        return math.inf
+    disc = 1.0 - 8.0 * ctilde * eta
+    if disc <= 0.0:
+        raise EtaTooLarge(
+            f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
+    return (1.0 + math.sqrt(disc)) / (2.0 * ctilde) - 2.0 * eta
 
 
 def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
@@ -137,12 +152,8 @@ def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
     """
     if ctilde == 0.0:
         raise LinearCaseUnbounded("zero curvature constant: infinite radius")
-    disc = 1.0 - 8.0 * ctilde * eta
-    if disc <= 0.0:
-        raise EtaTooLarge(f"8 * ctilde * eta = {8 * ctilde * eta} >= 1")
-    p = space.p
-    bracket = 1.0 + math.sqrt(disc) - 4.0 * eta * ctilde
-    return (space.Cp / p) * (2.0 * ctilde * lhat) ** (-p) * bracket ** p
+    return (space.Cp / space.p) \
+        * (_radius_bracket(ctilde, eta) / lhat) ** space.p
 
 
 def _u_value(ctilde, eta, rk):
@@ -171,6 +182,10 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel,
     NonpositiveU
         If the step numerator is nonpositive, i.e. the convergence
         preconditions are violated.
+    MissingStabilityConstant
+        If the model is nonlinear and carries no ``cstab``.
+    StepIdentityViolated
+        If the two step-size identities fail beyond round-off.
     """
     p, q, Gq = space.p, space.q, space.Gq
     rk, tk = state.rk, state.tk
@@ -184,9 +199,10 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel,
     that = Gq * tk ** q
     pm1 = p - 1.0  # equals 1 / (q - 1)
     pref = that ** (-pm1) * uk ** pm1 * rk ** (p * p - p)
-    vk = pref * (rk - eta) - (1.0 / q) * that ** (-pm1) * uk ** p \
-        * rk ** (p * p - p)
-    wk = 0.5 * model.lip * (space.Cp / p) ** (-2.0 / p) * pref
+    # Equals (Gq/q) mu_k**q t_k**q, the second identity checked below.
+    gain = (1.0 / q) * that ** (-pm1) * uk ** p * rk ** (p * p - p)
+    vk = pref * (rk - eta) - gain
+    wk = _curvature_weight(space, model.lip) * pref
     muk = that ** (-pm1) * uk ** pm1 * rk ** (pm1 * pm1)
 
     # The two algebraic identities behind the step-size choice must hold
@@ -194,19 +210,17 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel,
     lhs1 = muk * rk ** pm1
     scale1 = max(1.0, abs(lhs1), abs(pref))
     lhs2 = (Gq / q) * muk ** q * tk ** q
-    rhs2 = (1.0 / q) * that ** (-pm1) * uk ** p * rk ** (p * p - p)
-    scale2 = max(1.0, abs(lhs2), abs(rhs2))
+    scale2 = max(1.0, abs(lhs2), abs(gain))
     if abs(lhs1 - pref) > _SELF_CHECK_TOL * scale1 \
-            or abs(lhs2 - rhs2) > _SELF_CHECK_TOL * scale2:
-        raise AssertionError("step-size identities violated beyond 1e-9")
+            or abs(lhs2 - gain) > _SELF_CHECK_TOL * scale2:
+        raise StepIdentityViolated(
+            f"step-size identities violated beyond 1e-9 at k = {state.k}")
 
     state.that_k = that
     state.uk = uk
     state.vk = vk
     state.wk = wk
     state.muk = muk
-    state.ctilde_used = ctilde
-    state.p_used = p
     return state
 
 
@@ -227,12 +241,6 @@ def check_starting_point(space: SpaceGeometry, x0, zdag, rho) -> bool:
     return float(bregman_distance(space, x0, zdag)) < rho
 
 
-def _y_geometry(space: SpaceGeometry, model: ForwardModel) -> SpaceGeometry:
-    # Data space l^s with the gauge exponent inherited from X; the duality
-    # selection there is then single valued with the same closed form.
-    return SpaceGeometry(dim=model.out_dim, r=model.s, p=space.p)
-
-
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                    model: ForwardModel, data: NoisyData, x0,
                    config: SolverConfig) -> RunReport:
@@ -243,20 +251,27 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     report).  With a diagnostic reference the trace additionally carries
     the Bregman distance to the reference, the radius invariance flag and
     the two per-step descent inequalities.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``x0`` does not match the space or ``data.ydelta`` is not of
+        shape ``(model.out_dim,)``.
     """
     x = space.check_dim(np.asarray(x0, dtype=float)).copy()
+    if data.ydelta.shape != (model.out_dim,):
+        raise DimensionMismatch(
+            f"ydelta has shape {data.ydelta.shape}, expected "
+            f"({model.out_dim},)")
     projected_start = False
     if not cset.contains(space, x, tol=1e-12):
         x = bregman_project(space, cset, x)
         projected_start = True
 
-    y_space = _y_geometry(space, model)
-    ref = config.diagnostic_reference
+    y_space = data_space(model, space.p)
+    ref, rho = config.diagnostic_reference, None
     if ref is not None:
         ref = space.check_dim(np.asarray(ref, dtype=float))
-
-    rho = None
-    if ref is not None:
         try:
             rho = convergence_radius(space, model.lhat,
                                      compute_ctilde(space, model),
@@ -266,15 +281,14 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
 
     report = RunReport(stopped_at_k=0, final_residual=math.nan,
                        x_final=x, stop_reason="MaxIterations",
-                       projected_start=projected_start, rho=rho,
-                       reference_center="diagnostic_reference"
-                       if ref is not None else None)
+                       projected_start=projected_start, rho=rho)
 
     breg = float(bregman_distance(space, x, ref)) if ref is not None else None
+    p = space.p
     k = 0
     while True:
         Rk = model.eval(x) - data.ydelta
-        rk = float(data_norm(model, Rk))
+        rk = float(norm(y_space, Rk))
         if rk <= config.eta_hat:
             report.stop_reason = "DiscrepancyMet"
             break
@@ -284,10 +298,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
 
         Tk = model.apply_adjoint(x, duality_map(y_space, Rk))
         tk = float(dual_norm(space, Tk))
-        state = IterationState(k=k, x=x, Rk=Rk, Tk=Tk, rk=rk, tk=tk,
-                               that_k=math.nan, uk=math.nan, vk=math.nan,
-                               wk=math.nan, muk=math.nan,
-                               ctilde_used=math.nan)
+        state = IterationState(k=k, x=x, Rk=Rk, Tk=Tk, rk=rk, tk=tk)
         try:
             state = step_quantities(space, model, state, config.eta)
             x_next, xtilde = sd_step(space, cset, x, Tk, state.muk)
@@ -301,14 +312,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             state.bregman_to_ref = breg
             state.radius_ok = breg < rho
             breg_next = float(bregman_distance(space, x_next, ref))
-            bound = breg + state.wk * breg ** (2.0 / space.p) - state.vk
-            state.monotone_ok = breg_next <= bound + 1e-10
             descent = state.wk * breg ** (2.0 / space.p) - state.vk
+            state.monotone_ok = breg_next <= breg + descent + 1e-10
             state.strict_bound_ok = descent < 0.0
             if not state.monotone_ok:
                 report.monotonicity_violations += 1
             breg = breg_next
 
+        report.descent_sum += (1.0 / p) * state.that_k ** (-(p - 1.0)) \
+            * state.uk ** p * state.rk ** (p * p - p)
         report.iterations.append(state)
         x = x_next
         k += 1

@@ -286,3 +286,77 @@ class TestValidateAndExampleSchedule:
         }
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path, "--quiet"]) == 3
+
+
+class TestParseTimeInputContract:
+    """Bad input is rejected while parsing, with exit code 3 and the path
+    of the offending field, before any solver work."""
+
+    def run_bad(self, tmp_path, capsys, path_prefix, **overrides):
+        # A small iteration cap bounds the run if the input slips through.
+        overrides.setdefault("solver", {"etaHat": 1.0e-8,
+                                        "maxIterations": 50})
+        path = single_config(tmp_path, **overrides)
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {path_prefix}" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_nonlinear_model_without_cstab(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "model.cstab:",
+                     model={"kind": "quadratic", "eps": 0.1,
+                            "matrix": [[2.0, 0.0], [0.0, 3.0]]})
+
+    def test_x0_length(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "x0:", x0=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("ydelta", [[1.0], [1.0, 1.0, 1.0]])
+    def test_ydelta_length(self, tmp_path, capsys, ydelta):
+        self.run_bad(tmp_path, capsys, "data:", data={"ydelta": ydelta})
+
+    def test_model_input_length(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "model:",
+                     model={"kind": "linear",
+                            "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
+
+    def test_non_finite_x0(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "x0:", x0=[float("nan"), 0.0])
+
+    def test_non_finite_ydelta(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "data.ydelta:",
+                     data={"ydelta": [float("inf"), 1.0]})
+
+    def test_non_finite_reference(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "diagnostics.referenceSolution:",
+                     diagnostics={"referenceSolution": [float("nan"), 0.0],
+                                  "checkTheorems": True})
+
+    def test_check_theorems_needs_reference(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "diagnostics.checkTheorems:",
+                     diagnostics={"checkTheorems": True})
+
+    def test_box_bounds_keep_infinity(self, tmp_path):
+        path = single_config(tmp_path, set={"kind": "box",
+                                            "lower": [float("-inf"), 0.0],
+                                            "upper": [float("inf"), 1.0]})
+        assert main(["run", path, "--quiet"]) == 0
+
+    def test_multilevel_level_data_length(self, tmp_path, capsys):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][1]["data"]["ydelta"] = [1.0, 2.0]
+        doc["levels"][2]["reference"] = [0.0]
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert "config error: levels[1].data:" in err
+        assert "config error: levels[2].reference:" in err
+
+
+def test_step_identity_violation_exits_two(tmp_path, monkeypatch, capsys):
+    # A negative tolerance makes the round-off check fail on any step.
+    import projsd.solver
+    monkeypatch.setattr(projsd.solver, "_SELF_CHECK_TOL", -1.0)
+    path = single_config(tmp_path)
+    assert main(["run", path]) == 2
+    assert "solver abort: step-size identities" in capsys.readouterr().err

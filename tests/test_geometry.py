@@ -170,3 +170,10 @@ class TestCertifyConstants:
                                                seed=0)
         assert cp_bound == pytest.approx(1.0, rel=1e-6)
         assert gq_bound == pytest.approx(1.0, rel=1e-6)
+
+
+class TestDualCache:
+    def test_dual_is_built_once(self):
+        space = SpaceGeometry(dim=3, r=3.0, p=3.0, weights=[1.0, 2.0, 3.0],
+                              Cp=0.5, Gq=1.4)
+        assert space.dual() is space.dual()

@@ -5,9 +5,9 @@ import pytest
 
 from projsd import (Ball, CoordinateSubspace, DegenerateSet,
                     DiagonalLinearModel, LinearModel, NoisyData,
-                    QuadraticModel, WholeSpace, adjoint_check, data_norm,
+                    QuadraticModel, WholeSpace, adjoint_check, data_space,
                     estimate_stability_constant, fd_derivative_check,
-                    lp_space)
+                    lp_space, norm)
 
 
 class TestLinearModel:
@@ -122,9 +122,11 @@ class TestDataNorm:
     def test_lr_norms(self):
         model = LinearModel(np.eye(2), s=3.0)
         v = np.array([1.0, 1.0])
-        assert float(data_norm(model, v)) == pytest.approx(2.0 ** (1 / 3.0))
+        assert float(norm(data_space(model), v)) \
+            == pytest.approx(2.0 ** (1 / 3.0))
         model2 = LinearModel(np.eye(2), s=2.0)
-        assert float(data_norm(model2, [3.0, 4.0])) == pytest.approx(5.0)
+        assert float(norm(data_space(model2), [3.0, 4.0])) \
+            == pytest.approx(5.0)
 
 
 class TestCertification:

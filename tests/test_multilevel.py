@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from projsd import (CoordinateSubspace, DiagonalLinearModel, LambdaTooSmall,
-                    Level, NoisyData, NoSuchLevel, Schedule, TauOutOfRange,
-                    TransitionInvalid, example_schedule, lp_space,
+from projsd import (CoordinateSubspace, DiagonalLinearModel, EtaTooLarge,
+                    LambdaTooSmall, Level, NoisyData, NoSuchLevel, Schedule,
+                    TauOutOfRange, TransitionInvalid, compute_ctilde,
+                    convergence_radius, example_schedule, lp_space,
                     run_multi_level, select_final_level, validate_schedule,
                     validate_transition)
 
@@ -163,3 +164,62 @@ class TestRunMultiLevel:
         sched = Schedule(levels=levels, epsilon=1.0, eta_hat=0.05)
         with pytest.raises(TransitionInvalid):
             run_multi_level(space, sched, np.zeros(2))
+
+
+def random_level(rng, space, index=1):
+    """A level with random constants and 8 * ctilde * eta in (0, 0.9)."""
+    C, L, Lhat = rng.uniform(0.2, 4.0, 3)
+    ct = Level(index=index, eta=0.0, C=C, L=L, Lhat=Lhat).ctilde(space)
+    return Level(index=index, eta=rng.uniform(0.0, 0.9) / (8.0 * ct),
+                 C=C, L=L, Lhat=Lhat)
+
+
+def random_space(rng):
+    return lp_space(2, r=2.0, p=rng.uniform(1.2, 5.0),
+                    Cp=rng.uniform(0.1, 1.0), Gq=1.0)
+
+
+class TestOneHomeFormulas:
+    """The level constants go through the same curvature, radius and
+    bracket formulas as the single-level solver."""
+
+    def test_level_rho_is_convergence_radius(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            space = random_space(rng)
+            lv = random_level(rng, space)
+            model = DiagonalLinearModel([1.0, 1.0]).with_constants(
+                lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
+            ctilde = compute_ctilde(space, model)
+            assert lv.ctilde(space) == ctilde
+            assert lv.rho(space) == convergence_radius(
+                space, lv.Lhat, ctilde, lv.eta)
+
+    def test_level_rho_infinite_when_linear(self):
+        rng = np.random.default_rng(32)
+        space = random_space(rng)
+        lv = Level(index=0, eta=10.0, C=3.0, L=0.0, Lhat=2.0)
+        assert lv.rho(space) == math.inf
+
+    def test_transition_rhs_is_radius_budget(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            space = random_space(rng)
+            nxt = random_level(rng, space)
+            first = Level(index=0, eta=10 * nxt.eta, C=1.0, L=0.0, Lhat=1.0)
+            _, rhs, _ = validate_transition(space, first, nxt, 1.0)
+            rho = nxt.rho(space)
+            expected = rho ** (1.0 / space.p) / nxt.C - nxt.eta
+            assert rhs == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_eta_too_large_through_every_caller(self):
+        space = lp_space(2)
+        bad = Level(index=1, eta=0.2, C=1.0, L=1.0, Lhat=1.0)
+        assert 8.0 * bad.ctilde(space) * bad.eta >= 1.0
+        good = Level(index=0, eta=0.01, C=1.0, L=0.0, Lhat=1.0)
+        with pytest.raises(EtaTooLarge):
+            convergence_radius(space, bad.Lhat, bad.ctilde(space), bad.eta)
+        with pytest.raises(EtaTooLarge):
+            bad.rho(space)
+        with pytest.raises(EtaTooLarge):
+            validate_transition(space, good, bad, 1.0)

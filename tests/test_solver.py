@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from projsd import (Box, EtaTooLarge, LinearCaseUnbounded, LinearModel,
-                    NoisyData, QuadraticModel, SolverConfig, WholeSpace,
-                    bregman_distance, compute_ctilde, convergence_radius,
-                    lp_space, run_algorithm1)
+import projsd.solver as solver_module
+from projsd import (Box, DimensionMismatch, EtaTooLarge, LinearCaseUnbounded,
+                    LinearModel, MissingStabilityConstant, NoisyData,
+                    ProjSDError, QuadraticModel, SolverConfig,
+                    StepIdentityViolated, WholeSpace, bregman_distance,
+                    compute_ctilde, convergence_radius, lp_space,
+                    run_algorithm1)
 
 
 def spd_matrix(dim, seed):
@@ -189,3 +192,31 @@ class TestRunBehaviour:
         assert report.stop_reason == "DiscrepancyMet"
         residuals = [st.rk for st in report.iterations]
         assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))
+
+
+class TestTypedErrors:
+    def test_missing_cstab_is_typed(self):
+        model = QuadraticModel(np.eye(2), eps=0.1)
+        with pytest.raises(MissingStabilityConstant) as exc:
+            compute_ctilde(lp_space(2), model)
+        assert isinstance(exc.value, ProjSDError)
+        assert isinstance(exc.value, ValueError)
+
+    def test_step_identity_violation_is_typed(self, monkeypatch):
+        # A negative tolerance makes the round-off check fail on any step.
+        monkeypatch.setattr(solver_module, "_SELF_CHECK_TOL", -1.0)
+        space = lp_space(2)
+        data = NoisyData([1.0, 1.0], 0.0)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8)
+        with pytest.raises(StepIdentityViolated) as exc:
+            run_algorithm1(space, WholeSpace(), LinearModel(np.eye(2)),
+                           data, np.zeros(2), cfg)
+        assert isinstance(exc.value, ProjSDError)
+
+    @pytest.mark.parametrize("ydelta", [[1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]]])
+    def test_ydelta_shape_must_match_outputs(self, ydelta):
+        model = LinearModel(np.ones((3, 2)))
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=5)
+        with pytest.raises(DimensionMismatch):
+            run_algorithm1(lp_space(2), WholeSpace(), model,
+                           NoisyData(ydelta, 0.0), np.zeros(2), cfg)
