@@ -9,9 +9,10 @@ files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
 summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
-failure, 4 I/O error.  Input that cannot run (mismatched lengths,
-non-finite vectors, a nonlinear model without ``cstab``) is a validation
-failure found while parsing, before anything runs.
+failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
+parameters that do not fit ``space.dim``, non-finite vectors, a
+nonpositive ``solver.etaHat``, a nonlinear model without ``cstab``) is a
+validation failure found while parsing, before anything runs.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _parse_space(node, errors):
         return None
 
 
-def _parse_set(node, path, errors):
+def _parse_set(node, path, errors, space):
     node = _check_mapping(node, _SET_KEYS, path, errors)
     kind = node.get("kind")
     if kind == "wholespace":
@@ -195,6 +196,8 @@ def _parse_set(node, path, errors):
                      required=True)
         if lo is None or hi is None:
             return None
+        _check_length(lo, space, f"{path}.lower", errors)
+        _check_length(hi, space, f"{path}.upper", errors)
         try:
             return Box(lo, hi)
         except ValueError as exc:
@@ -207,14 +210,16 @@ def _parse_set(node, path, errors):
                       required=True, minimum=0.0, strict_min=True)
         if c is None or rad is None:
             return None
+        _check_length(c, space, f"{path}.center", errors)
         return Ball(c, rad)
     if kind == "subspace":
         sup = node.get("support")
+        dim = float("inf") if space is None else space.dim
         if not isinstance(sup, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) and i >= 0
-                for i in sup) or not sup:
+                isinstance(i, int) and not isinstance(i, bool)
+                and 0 <= i < dim for i in sup) or not sup:
             errors.append(f"{path}.support: expected a nonempty list of "
-                          "nonnegative integers")
+                          "integers in [0, space.dim)")
             return None
         return CoordinateSubspace(sup)
     errors.append(f"{path}.kind: expected one of wholespace, box, ball, "
@@ -281,7 +286,7 @@ def _parse_data(node, path, errors, base_dir, default_eta):
     return NoisyData(arr, eta)
 
 
-def _parse_level(node, idx, errors, s, base_dir):
+def _parse_level(node, idx, errors, s, base_dir, space):
     path = f"levels[{idx}]"
     node = _check_mapping(node, _LEVEL_KEYS, path, errors)
     eta = _number(node.get("eta"), f"{path}.eta", errors, required=True,
@@ -294,7 +299,7 @@ def _parse_level(node, idx, errors, s, base_dir):
                    minimum=0.0, strict_min=True)
     cset = model = data = None
     if node.get("set") is not None:
-        cset = _parse_set(node["set"], f"{path}.set", errors)
+        cset = _parse_set(node["set"], f"{path}.set", errors, space)
     if node.get("model") is not None:
         model = _parse_model(node["model"], f"{path}.model", errors, s,
                              base_dir)
@@ -302,6 +307,8 @@ def _parse_level(node, idx, errors, s, base_dir):
         data = _parse_data(node["data"], f"{path}.data", errors, base_dir,
                            default_eta=eta)
     ref = _finite_vector(node.get("reference"), f"{path}.reference", errors)
+    _check_problem(space, model, data, f"{path}.", errors)
+    _check_length(ref, space, f"{path}.reference", errors)
     if eta is None or C is None or L is None or Lhat is None:
         return None
     return Level(index=idx, eta=eta, C=C, L=L, Lhat=Lhat, cset=cset,
@@ -348,10 +355,15 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     s = _number(ds.get("s"), "dataSpace.s", errors, default=2.0,
                 minimum=1.0, strict_min=True)
 
+    sched_node = _check_mapping(raw.get("schedule"), _SCHEDULE_KEYS,
+                                "schedule", errors)
     sol = _check_mapping(raw.get("solver"), _SOLVER_KEYS, "solver", errors)
     eta = _number(sol.get("eta"), "solver.eta", errors, default=0.0,
                   minimum=0.0)
-    eta_hat = _number(sol.get("etaHat"), "solver.etaHat", errors)
+    eta_hat = _number(sol.get("etaHat"), "solver.etaHat", errors,
+                      required=mode in ("single", "multilevel")
+                      or (mode == "validate" and not sched_node),
+                      minimum=0.0, strict_min=True)
     max_iter = sol.get("maxIterations", 10 ** 6)
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) \
             or max_iter < 1:
@@ -377,23 +389,18 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     levels: list[Level] = []
     epsilon = _number(raw.get("epsilon"), "epsilon", errors, default=1.0,
                       minimum=0.0, strict_min=True)
-    sched_node = _check_mapping(raw.get("schedule"), _SCHEDULE_KEYS,
-                                "schedule", errors)
 
     if mode in ("single", "multilevel") or raw.get("space") is not None:
         space = _parse_space(raw.get("space"), errors)
     if mode in ("single", "multilevel"):
         x0 = _finite_vector(raw.get("x0"), "x0", errors, required=True)
         _check_length(x0, space, "x0", errors)
-    if eta_hat is None and mode != "example-schedule" \
-            and not (mode == "validate" and sched_node):
-        errors.append("solver.etaHat: missing required value")
 
     if mode == "single":
         if raw.get("set") is None:
             errors.append("set: missing required section for single mode")
         else:
-            cset = _parse_set(raw["set"], "set", errors)
+            cset = _parse_set(raw["set"], "set", errors, space)
         if raw.get("model") is None:
             errors.append("model: missing required section for single mode")
         else:
@@ -425,17 +432,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             errors.append("levels: expected a nonempty list")
         else:
             for i, node in enumerate(lv_raw):
-                lv = _parse_level(node, i, errors, s, base_dir)
+                lv = _parse_level(node, i, errors, s, base_dir, space)
                 if lv is not None:
                     levels.append(lv)
             if len(levels) == len(lv_raw):
                 _check_nesting(levels, errors)
-        if mode == "multilevel":
-            for lv in levels:
-                path = f"levels[{lv.index}]."
-                _check_problem(space, lv.model, lv.data, path, errors)
-                _check_length(lv.reference, space, path + "reference",
-                              errors)
 
     if mode == "example-schedule" or (mode == "validate" and sched_node):
         if not sched_node:

@@ -11,7 +11,7 @@ reproduces the exponential constant models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,9 @@ from .errors import (LambdaTooSmall, LinearCaseUnbounded, NoSuchLevel,
                      TauOutOfRange, TransitionInvalid)
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
-from .sets import ConvexSet, bregman_project
+from .sets import ConvexSet
 from .solver import (RunReport, SolverConfig, _curvature_weight,
-                     _radius_bracket, check_starting_point,
-                     convergence_radius, run_algorithm1)
+                     _radius_bracket, convergence_radius, run_algorithm1)
 
 __all__ = [
     "Level",
@@ -95,11 +94,20 @@ class MultiLevelReport:
     per_level: list[tuple[int, int, float, RunReport]]
     x_final: np.ndarray | None
     stop_reason: str
-    start_radius_ok: list[bool | None] = field(default_factory=list)
 
     @property
     def final_residual(self) -> float:
         return self.per_level[-1][2] if self.per_level else math.nan
+
+    @property
+    def start_radius_ok(self) -> list[bool | None]:
+        """Each run level's ``RunReport.start_radius_ok``."""
+        return [rep.start_radius_ok for *_, rep in self.per_level]
+
+
+def _level_threshold(epsilon: float, eta: float) -> float:
+    """Discrepancy threshold ``(3 + eps) * eta_n`` of a level."""
+    return (3.0 + epsilon) * eta
 
 
 def validate_transition(space: SpaceGeometry, level_n: Level,
@@ -112,7 +120,7 @@ def validate_transition(space: SpaceGeometry, level_n: Level,
     """
     eta1 = level_next.eta
     bracket = _radius_bracket(level_next.ctilde(space), eta1)
-    lhs = (3.0 + epsilon) * level_n.eta
+    lhs = _level_threshold(epsilon, level_n.eta)
     rhs = (space.Cp / space.p) ** (1.0 / space.p) \
         / (level_next.Lhat * level_next.C) * bracket - eta1
     return lhs, rhs, lhs < rhs
@@ -128,7 +136,7 @@ def select_final_level(eta_sequence, epsilon: float, eta_hat: float) -> int:
         If the sequence never gets small enough.
     """
     for n, eta in enumerate(eta_sequence):
-        if (3.0 + epsilon) * eta <= eta_hat:
+        if _level_threshold(epsilon, eta) <= eta_hat:
             return n
     raise NoSuchLevel(
         f"no level with ({3 + epsilon}) * eta <= {eta_hat} in "
@@ -165,9 +173,9 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
 
     Each level runs the single-level iteration with its own discrepancy
     threshold ``(3 + eps) * eta_n`` and hands the stopped iterate to the
-    next level; since the sets are nested no projection is needed, but a
-    numerical membership check with corrective projection is applied as
-    floating-point hygiene.
+    next level as its start.  The sets are nested, so the hand-off is
+    feasible; the level's run makes its usual membership test on entry
+    and records its start-radius check in its report.
     """
     validate_schedule(space, schedule)
     for lv in schedule.levels:
@@ -175,26 +183,17 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
             raise TransitionInvalid(
                 f"level {lv.index} has no concrete set/model/data to run")
 
-    x = space.check_dim(np.asarray(x00, dtype=float)).copy()
-    eps = schedule.epsilon
+    x = x00
     per_level: list[tuple[int, int, float, RunReport]] = []
-    radius_ok: list[bool | None] = []
     stop_reason = "DiscrepancyMet"
     last_index = schedule.levels[-1].index
     for lv in schedule.levels:
         model = lv.model.with_constants(lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
-        # The sets are nested, so this projection is a no-op in exact
-        # arithmetic; it only repairs floating-point membership drift.
-        if not lv.cset.contains(space, x, tol=1e-12):
-            x = bregman_project(space, lv.cset, x)
-        radius_ok.append(None if lv.reference is None else
-                         check_starting_point(space, x, lv.reference,
-                                              lv.rho(space)))
         # Final level: the selection rule guarantees (3+eps)*eta_N <=
         # eta_hat, so stopping at the target residual is at least as
         # strict a result and stays well defined when eta_N == 0.
         threshold = schedule.eta_hat if lv.index == last_index \
-            else (3.0 + eps) * lv.eta
+            else _level_threshold(schedule.epsilon, lv.eta)
         config = SolverConfig(eta=lv.eta, eta_hat=threshold,
                               max_iterations=max_iterations_per_level,
                               diagnostic_reference=lv.reference)
@@ -206,12 +205,10 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
             stop_reason = report.stop_reason
             break
     else:
-        final_res = per_level[-1][2]
-        if not final_res <= schedule.eta_hat:
+        if not report.final_residual <= schedule.eta_hat:
             stop_reason = "TargetResidualMissed"
     return MultiLevelReport(per_level=per_level, x_final=x,
-                            stop_reason=stop_reason,
-                            start_radius_ok=radius_ok)
+                            stop_reason=stop_reason)
 
 
 def example_schedule(lam: float, tau: float, space: SpaceGeometry,

@@ -32,7 +32,6 @@ __all__ = [
     "step_quantities",
     "sd_step",
     "run_algorithm1",
-    "check_starting_point",
 ]
 
 # Internal consistency tolerance for the two step-size identities.
@@ -65,31 +64,31 @@ class SolverConfig:
 
 @dataclass
 class IterationState:
-    """Snapshot of one executed iteration."""
+    """One executed iteration: the iterate, its unprojected update and the
+    step's scalars; the diagnostic fields are None without a reference."""
 
     k: int
     x: np.ndarray
-    Rk: np.ndarray
-    Tk: np.ndarray
+    xtilde: np.ndarray
     rk: float
     tk: float
-    that_k: float = math.nan
-    uk: float = math.nan
-    vk: float = math.nan
-    wk: float = math.nan
-    muk: float = math.nan
+    that_k: float
+    uk: float
+    vk: float
+    wk: float
+    muk: float
     bregman_to_ref: float | None = None
     radius_ok: bool | None = None
     monotone_ok: bool | None = None
     strict_bound_ok: bool | None = None
-    xtilde: np.ndarray | None = None
 
 
 @dataclass
 class RunReport:
     """Outcome of a single-level run.  ``descent_sum`` adds up the
     per-step strict-descent amounts, bounded by the initial Bregman
-    distance to the reference."""
+    distance to the reference; ``start_radius_ok`` (set also at K = 0)
+    says whether the start lies strictly inside the radius-``rho`` ball."""
 
     stopped_at_k: int
     final_residual: float
@@ -101,6 +100,7 @@ class RunReport:
     rho: float | None = None
     failure: Exception | None = None
     descent_sum: float = 0.0
+    start_radius_ok: bool | None = None
 
 
 def _curvature_weight(space: SpaceGeometry, lip: float) -> float:
@@ -125,17 +125,27 @@ def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
     return _curvature_weight(space, model.lip) * model.cstab ** 2
 
 
+def _u_roots(ctilde: float, eta: float):
+    """``disc = 1 - 8 ctilde eta`` and, unless negative, the roots
+    ``(1 -+ sqrt(disc)) / (2 ctilde)`` of u and the radius bracket."""
+    disc = 1.0 - 8.0 * ctilde * eta
+    if disc < 0.0:
+        return disc, None, None
+    sq = math.sqrt(disc)
+    return disc, (1.0 - sq) / (2.0 * ctilde), (1.0 + sq) / (2.0 * ctilde)
+
+
 def _radius_bracket(ctilde: float, eta: float) -> float:
     """``(1 + sqrt(1 - 8 ctilde eta)) / (2 ctilde) - 2 eta``, behind the
     convergence radius and the level transition; infinite when
     ``ctilde == 0``.  Raises EtaTooLarge if ``8 * ctilde * eta >= 1``."""
     if ctilde == 0.0:
         return math.inf
-    disc = 1.0 - 8.0 * ctilde * eta
+    disc, _, hi = _u_roots(ctilde, eta)
     if disc <= 0.0:
         raise EtaTooLarge(
             f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
-    return (1.0 + math.sqrt(disc)) / (2.0 * ctilde) - 2.0 * eta
+    return hi - 2.0 * eta
 
 
 def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
@@ -159,20 +169,21 @@ def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
 def _u_value(ctilde, eta, rk):
     if ctilde == 0.0:
         return rk - eta
-    disc = 1.0 - 8.0 * ctilde * eta
+    disc, lo, hi = _u_roots(ctilde, eta)
     if disc >= 0.0:
         # Factored form from the two roots; better conditioned near them.
-        sq = math.sqrt(disc)
-        a = (1.0 - sq) / (2.0 * ctilde) - eta
-        b = (1.0 + sq) / (2.0 * ctilde) - eta
-        return -ctilde * (rk - a) * (rk - b)
+        return -ctilde * (rk - (lo - eta)) * (rk - (hi - eta))
     return -ctilde * rk ** 2 + (1.0 - 2.0 * ctilde * eta) * rk \
         - eta - ctilde * eta ** 2
 
 
-def step_quantities(space: SpaceGeometry, model: ForwardModel,
-                    state: IterationState, eta: float) -> IterationState:
-    """Fill in the posterior step-size scalars for the current iterate.
+def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
+                    k: int, rk: float, tk: float, eta: float):
+    """Posterior step-size scalars of iteration ``k`` from the norms ``rk``
+    and ``tk``; ``ctilde`` is the run's ``compute_ctilde(space, model)``.
+
+    Returns ``(that_k, u_k, v_k, w_k, mu_k, gain)``, with ``gain`` equal
+    to ``(Gq/q) mu_k**q t_k**q``.
 
     Raises
     ------
@@ -182,20 +193,16 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel,
     NonpositiveU
         If the step numerator is nonpositive, i.e. the convergence
         preconditions are violated.
-    MissingStabilityConstant
-        If the model is nonlinear and carries no ``cstab``.
     StepIdentityViolated
         If the two step-size identities fail beyond round-off.
     """
     p, q, Gq = space.p, space.q, space.Gq
-    rk, tk = state.rk, state.tk
     if tk == 0.0:
-        raise ZeroGradient(f"t_{state.k} = 0 with residual {rk}")
-    ctilde = compute_ctilde(space, model)
+        raise ZeroGradient(f"t_{k} = 0 with residual {rk}")
     uk = _u_value(ctilde, eta, rk)
     if uk <= 0.0:
         raise NonpositiveU(
-            f"u_{state.k} = {uk} <= 0 (residual {rk}, eta {eta})")
+            f"u_{k} = {uk} <= 0 (residual {rk}, eta {eta})")
     that = Gq * tk ** q
     pm1 = p - 1.0  # equals 1 / (q - 1)
     pref = that ** (-pm1) * uk ** pm1 * rk ** (p * p - p)
@@ -214,14 +221,8 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel,
     if abs(lhs1 - pref) > _SELF_CHECK_TOL * scale1 \
             or abs(lhs2 - gain) > _SELF_CHECK_TOL * scale2:
         raise StepIdentityViolated(
-            f"step-size identities violated beyond 1e-9 at k = {state.k}")
-
-    state.that_k = that
-    state.uk = uk
-    state.vk = vk
-    state.wk = wk
-    state.muk = muk
-    return state
+            f"step-size identities violated beyond 1e-9 at k = {k}")
+    return that, uk, vk, wk, muk, gain
 
 
 def sd_step(space: SpaceGeometry, cset: ConvexSet, x, Tk, muk):
@@ -232,13 +233,6 @@ def sd_step(space: SpaceGeometry, cset: ConvexSet, x, Tk, muk):
     """
     xtilde = inverse_duality_map(space, duality_map(space, x) - muk * Tk)
     return bregman_project(space, cset, xtilde), xtilde
-
-
-def check_starting_point(space: SpaceGeometry, x0, zdag, rho) -> bool:
-    """Whether the starting point lies strictly inside the convergence
-    ball around the reference solution (duality map at the first
-    argument)."""
-    return float(bregman_distance(space, x0, zdag)) < rho
 
 
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
@@ -257,6 +251,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     DimensionMismatch
         If ``x0`` does not match the space or ``data.ydelta`` is not of
         shape ``(model.out_dim,)``.
+    MissingStabilityConstant
+        On entry, if the model is nonlinear and carries no ``cstab``.
     """
     x = space.check_dim(np.asarray(x0, dtype=float)).copy()
     if data.ydelta.shape != (model.out_dim,):
@@ -269,22 +265,24 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         projected_start = True
 
     y_space = data_space(model, space.p)
-    ref, rho = config.diagnostic_reference, None
+    ctilde = compute_ctilde(space, model)
+    ref = config.diagnostic_reference
+    rho = breg = start_radius_ok = None
     if ref is not None:
         ref = space.check_dim(np.asarray(ref, dtype=float))
         try:
-            rho = convergence_radius(space, model.lhat,
-                                     compute_ctilde(space, model),
-                                     config.eta)
+            rho = convergence_radius(space, model.lhat, ctilde, config.eta)
         except LinearCaseUnbounded:
             rho = math.inf
+        breg = float(bregman_distance(space, x, ref))
+        start_radius_ok = breg < rho
 
     report = RunReport(stopped_at_k=0, final_residual=math.nan,
                        x_final=x, stop_reason="MaxIterations",
-                       projected_start=projected_start, rho=rho)
+                       projected_start=projected_start, rho=rho,
+                       start_radius_ok=start_radius_ok)
 
-    breg = float(bregman_distance(space, x, ref)) if ref is not None else None
-    p = space.p
+    q_over_p = space.q / space.p
     k = 0
     while True:
         Rk = model.eval(x) - data.ydelta
@@ -298,30 +296,33 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
 
         Tk = model.apply_adjoint(x, duality_map(y_space, Rk))
         tk = float(dual_norm(space, Tk))
-        state = IterationState(k=k, x=x, Rk=Rk, Tk=Tk, rk=rk, tk=tk)
         try:
-            state = step_quantities(space, model, state, config.eta)
-            x_next, xtilde = sd_step(space, cset, x, Tk, state.muk)
+            that, uk, vk, wk, muk, gain = step_quantities(
+                space, model, ctilde, k, rk, tk, config.eta)
         except (ZeroGradient, NonpositiveU) as exc:
             report.stop_reason = "StepDegenerate"
             report.failure = exc
             break
-        state.xtilde = xtilde
+        x_next, xtilde = sd_step(space, cset, x, Tk, muk)
 
+        breg_k, radius_ok, monotone_ok, strict_ok = breg, None, None, None
         if ref is not None:
-            state.bregman_to_ref = breg
-            state.radius_ok = breg < rho
-            breg_next = float(bregman_distance(space, x_next, ref))
-            descent = state.wk * breg ** (2.0 / space.p) - state.vk
-            state.monotone_ok = breg_next <= breg + descent + 1e-10
-            state.strict_bound_ok = descent < 0.0
-            if not state.monotone_ok:
+            breg = float(bregman_distance(space, x_next, ref))
+            descent = wk * breg_k ** (2.0 / space.p) - vk
+            radius_ok = breg_k < rho
+            monotone_ok = breg <= breg_k + descent + 1e-10
+            strict_ok = descent < 0.0
+            if not monotone_ok:
                 report.monotonicity_violations += 1
-            breg = breg_next
 
-        report.descent_sum += (1.0 / p) * state.that_k ** (-(p - 1.0)) \
-            * state.uk ** p * state.rk ** (p * p - p)
-        report.iterations.append(state)
+        # The strict-descent amount of the step is the gain with 1/p in
+        # place of 1/q.
+        report.descent_sum += q_over_p * gain
+        report.iterations.append(IterationState(
+            k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
+            vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
+            radius_ok=radius_ok, monotone_ok=monotone_ok,
+            strict_bound_ok=strict_ok))
         x = x_next
         k += 1
 

@@ -352,6 +352,35 @@ class TestParseTimeInputContract:
         assert "config error: levels[1].data:" in err
         assert "config error: levels[2].reference:" in err
 
+    @pytest.mark.parametrize("cset, field", [
+        ({"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3}, "lower"),
+        ({"kind": "ball", "center": [0.0] * 3, "radius": 1.0}, "center"),
+        ({"kind": "subspace", "support": [0, 5]}, "support"),
+    ])
+    def test_set_parameters_fit_space(self, tmp_path, capsys, cset, field):
+        self.run_bad(tmp_path, capsys, f"set.{field}:", set=cset)
+
+    def test_level_set_fits_space(self, tmp_path, capsys):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][3]["set"]["support"] = list(range(9))
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert "config error: levels[3].set.support:" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["multilevel", "validate"])
+    @pytest.mark.parametrize("eta_hat", [-1.0, 0.0])
+    def test_nonpositive_eta_hat(self, tmp_path, capsys, mode, eta_hat):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["mode"] = mode
+        doc["solver"]["etaHat"] = eta_hat
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert "config error: solver.etaHat:" in capsys.readouterr().err
+        assert not (tmp_path / "ml.csv").exists()
+
 
 def test_step_identity_violation_exits_two(tmp_path, monkeypatch, capsys):
     # A negative tolerance makes the round-off check fail on any step.

@@ -151,6 +151,15 @@ class TestRunMultiLevel:
         assert all(k >= 1 for _, k, _, _ in report.per_level)
         assert all(flag for flag in report.start_radius_ok)
 
+    def test_level_started_inside_threshold_keeps_radius_flag(self):
+        # Starting at level 0's reference meets its threshold at K = 0.
+        space, sched = diagonal_schedule()
+        report = run_multi_level(space, sched, sched.levels[0].reference)
+        assert report.stop_reason == "DiscrepancyMet"
+        assert report.per_level[0][1] == 0
+        assert len(report.start_radius_ok) == len(report.per_level)
+        assert all(flag is True for flag in report.start_radius_ok)
+
     def test_handoff_stays_feasible(self):
         space, sched = diagonal_schedule()
         report = run_multi_level(space, sched, np.zeros(space.dim))

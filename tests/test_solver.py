@@ -109,6 +109,20 @@ class TestRunBehaviour:
         assert report.stop_reason == "MaxIterations"
         assert len(report.iterations) == 5
 
+    def test_ctilde_computed_once_per_run(self, monkeypatch):
+        calls = []
+        real = solver_module.compute_ctilde
+        monkeypatch.setattr(solver_module, "compute_ctilde",
+                            lambda *args: calls.append(args) or real(*args))
+        space = lp_space(3)
+        model = QuadraticModel(np.eye(3), eps=0.01, cstab=1.0)
+        data = NoisyData([1.0, 2.0, 3.0], 0.0)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=5)
+        report = run_algorithm1(space, WholeSpace(), model, data,
+                                np.zeros(3), cfg)
+        assert report.stopped_at_k == 5
+        assert len(calls) == 1
+
     def test_infeasible_start_is_projected(self):
         space = lp_space(2)
         model = LinearModel(np.eye(2))
@@ -201,6 +215,16 @@ class TestTypedErrors:
             compute_ctilde(lp_space(2), model)
         assert isinstance(exc.value, ProjSDError)
         assert isinstance(exc.value, ValueError)
+
+    def test_missing_cstab_raised_on_entry(self):
+        # x0 already meets the discrepancy, so the run takes no step; the
+        # per-run constant is still computed, and fails, on entry.
+        model = QuadraticModel(np.eye(2), eps=0.1)
+        data = NoisyData(model(np.zeros(2)), 0.0)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8)
+        with pytest.raises(MissingStabilityConstant):
+            run_algorithm1(lp_space(2), WholeSpace(), model, data,
+                           np.zeros(2), cfg)
 
     def test_step_identity_violation_is_typed(self, monkeypatch):
         # A negative tolerance makes the round-off check fail on any step.
