@@ -528,6 +528,14 @@ def _theorem_tally(report):
     }
 
 
+def _add_failure(entry, report):
+    """Name the error a run stopped on (StepDegenerate) in its summary
+    entry; successful runs get no key."""
+    if report.failure is not None:
+        entry["failure"] = (f"{type(report.failure).__name__}: "
+                            f"{report.failure}")
+
+
 def _run_single(cfg: RunConfig, quiet: bool) -> int:
     solver_cfg = SolverConfig(eta=cfg.eta, eta_hat=cfg.eta_hat,
                               max_iterations=cfg.max_iterations,
@@ -546,6 +554,7 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
         "projectedStart": report.projected_start,
         "seed": cfg.seed,
     }
+    _add_failure(summary, report)
     if report.rho is not None:
         summary["rho"] = float(report.rho)
     if cfg.check_theorems:
@@ -578,9 +587,10 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
     per_level = []
     for idx, k, res, rep in report.per_level:
         rows.extend(_trace_rows(idx, rep))
-        per_level.append({"level": idx, "K": k,
-                          "finalResidual": float(res),
-                          "stopReason": rep.stop_reason})
+        entry = {"level": idx, "K": k, "finalResidual": float(res),
+                 "stopReason": rep.stop_reason}
+        _add_failure(entry, rep)
+        per_level.append(entry)
     summary = {
         "mode": "multilevel",
         "stopReason": report.stop_reason,
@@ -611,22 +621,26 @@ def _schedule_from_cfg(cfg: RunConfig) -> Schedule:
     return _build_schedule(cfg)
 
 
+def _pair_entry(n, lhs, rhs, ok):
+    return {"level": n, "lhs": float(lhs), "rhs": float(rhs),
+            "ok": bool(ok)}
+
+
 def _run_validate(cfg: RunConfig, schedule: Schedule, quiet: bool) -> int:
-    # Every pair is listed, also the ones after a failing pair.
-    pairs = []
-    for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
-        try:
-            lhs, rhs, ok = validate_transition(cfg.space, lv, nxt,
-                                               schedule.epsilon)
-            pairs.append({"level": lv.index, "lhs": float(lhs),
-                          "rhs": float(rhs), "ok": bool(ok)})
-        except EtaTooLarge:
-            pairs.append({"level": lv.index, "ok": False})
     valid, reason, final = True, "valid", None
     try:
-        _, final = validate_schedule(cfg.space, schedule)
+        transitions, final = validate_schedule(cfg.space, schedule)
+        pairs = [_pair_entry(*t) for t in transitions]
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
         valid, reason = False, str(exc)
+        # Every pair is listed, also the ones after a failing pair.
+        pairs = []
+        for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
+            try:
+                pairs.append(_pair_entry(lv.index, *validate_transition(
+                    cfg.space, lv, nxt, schedule.epsilon)))
+            except EtaTooLarge:
+                pairs.append({"level": lv.index, "ok": False})
     summary = {
         "mode": "validate",
         "valid": valid,

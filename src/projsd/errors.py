@@ -3,6 +3,7 @@
 __all__ = [
     "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
     "EtaTooLarge", "LinearCaseUnbounded", "NonpositiveU", "ZeroGradient",
+    "NonFiniteStep",
     "MissingStabilityConstant", "StepIdentityViolated", "DegenerateSet",
     "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
     "SchemaError",
@@ -23,8 +24,8 @@ class NonConvergence(ProjSDError):
     Every bracket expansion and scalar root search in ``projsd.sets``
     stops after a fixed number of steps, about twice the most that any
     tested finite input has needed.  This is raised when a search reaches
-    that cap, or when the norm of the projection would leave the
-    floating-point range.
+    that cap, when its root lies where its rescaling would overflow, or
+    when the norm of the projection would leave the floating-point range.
     """
 
 
@@ -53,6 +54,11 @@ class NonpositiveU(ProjSDError):
 
 class ZeroGradient(ProjSDError):
     """Gradient vanished while the residual is still above the threshold."""
+
+
+class NonFiniteStep(ProjSDError):
+    """The residual norm r_k or the gradient norm t_k of a step is NaN or
+    +-inf, e.g. because the model returned a non-finite value."""
 
 
 class MissingStabilityConstant(ProjSDError, ValueError):

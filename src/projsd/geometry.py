@@ -153,11 +153,47 @@ def lp_space(dim, r=2.0, p=None, weights=None, Cp=None, Gq=None):
                          Cp=float(Cp), Gq=float(Gq))
 
 
+# Each formula below has one private home that takes a checked input and
+# the pieces its caller already holds (``||x||``, ``J_p(x)``); the public
+# functions check their input and delegate.  ``np.add.reduce`` is the
+# pairwise sum that ``np.sum`` runs, without its wrapper.
+
+def _norm(space: SpaceGeometry, x: np.ndarray):
+    """The norm of a checked x."""
+    return np.add.reduce(space.weights * np.abs(x) ** space.r,
+                         axis=-1) ** (1.0 / space.r)
+
+
+def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm):
+    """The duality mapping of a checked x with ``nrm = ||x||``."""
+    phi = space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x)
+    # 0**(p-r) is an indeterminate 0*inf shape when p < r; the only
+    # norm-consistent value at the origin is 0.
+    if x.ndim == 1:
+        # One vector: the batch branch's operations without np.where, whose
+        # cost on 0-d operands exceeds the rest at small dim.  The power
+        # stays a 0-d array operation: numpy's scalar power may round
+        # differently.
+        if not nrm > 0.0:
+            return 0.0 * phi
+        return float(np.asarray(nrm) ** (space.p - space.r)) * phi
+    scale = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
+    scale = np.where(nrm > 0.0, scale, 0.0)
+    return scale[..., np.newaxis] * phi
+
+
+def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, np_xt):
+    """The Bregman distance from x to a checked xt, given ``nrm = ||x||``,
+    ``jx = J_p(x)`` and ``np_xt = ||xt||**p``."""
+    np_x = nrm ** space.p
+    val = np_xt / space.p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
+    floor = -1e-9 * (1.0 + np_x + np_xt)
+    return np.where((val < 0.0) & (val > floor), 0.0, val)
+
+
 def norm(space: SpaceGeometry, x: np.ndarray):
     """Weighted l^r norm, ``(sum_i w_i |x_i|**r) ** (1/r)``."""
-    x = space.check_dim(x)
-    s = np.sum(space.weights * np.abs(x) ** space.r, axis=-1)
-    return s ** (1.0 / space.r)
+    return _norm(space, space.check_dim(x))
 
 
 def dual_norm(space: SpaceGeometry, xstar: np.ndarray):
@@ -173,13 +209,7 @@ def duality_map(space: SpaceGeometry, x: np.ndarray):
     ``x*_i = ||x||**(p-r) w_i |x_i|**(r-1) sign(x_i)``, with 0 mapped to 0.
     """
     x = space.check_dim(x)
-    nrm = norm(space, x)
-    # 0**(p-r) is an indeterminate 0*inf shape when p < r; the only
-    # norm-consistent value at the origin is 0.
-    scale = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
-    scale = np.where(nrm > 0.0, scale, 0.0)
-    phi = space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x)
-    return scale[..., np.newaxis] * phi
+    return _duality_map(space, x, _norm(space, x))
 
 
 def inverse_duality_map(space: SpaceGeometry, xstar: np.ndarray):
@@ -197,13 +227,9 @@ def bregman_distance(space: SpaceGeometry, x: np.ndarray, xt: np.ndarray):
     """
     x = space.check_dim(x)
     xt = space.check_dim(xt)
-    p = space.p
-    np_x = norm(space, x) ** p
-    np_xt = norm(space, xt) ** p
-    val = np_xt / p + np_x / space.q - np.sum(duality_map(space, x) * xt,
-                                              axis=-1)
-    floor = -1e-9 * (1.0 + np_x + np_xt)
-    return np.where((val < 0.0) & (val > floor), 0.0, val)
+    nrm = _norm(space, x)
+    return _bregman_distance(space, nrm, _duality_map(space, x, nrm), xt,
+                             _norm(space, xt) ** space.p)
 
 
 def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,

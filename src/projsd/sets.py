@@ -59,6 +59,10 @@ __all__ = [
 # took more than 100 steps.
 _MAX_STEPS = 200
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Largest exponent a search passes to exp or expm1, below the overflow
+# at ~709.78.
+_EXP_MAX = 700.0
 
 
 class ConvexSet:
@@ -209,8 +213,12 @@ def _gauge_p_projection(space, project_r, x):
     The projection is unique and every root of g gives an optimal point,
     so g has one sign change: positive below the root, negative above.
     ``g(0) = log(||P_r(x)|| / ||x||)``, and when ``||P_r(alpha x)||`` grows
-    like a power ``alpha**gamma`` the root is ``g(0) / (1 - gamma beta)``;
-    the search starts from gamma = 1, exact when the set is a cone.
+    like a power ``alpha**gamma`` the root is ``g(0) / (1 - gamma beta)``.
+    The search starts from the smaller guess: gamma = 1 (exact when the
+    set is a cone) when beta < 0, gamma = 0 (exact where P_r is constant
+    along the ray) when beta > 0.  For gamma in [0, 1] the root lies
+    beyond it, so the walk does not overshoot the root to where powers of
+    the rescaled point overflow or underflow.
     """
     r, p = space.r, space.p
     y0 = project_r(x)
@@ -229,13 +237,15 @@ def _gauge_p_projection(space, project_r, x):
     beta = (r - p) / (r - 1.0)
 
     def g(t):
-        if abs(beta * t) > 700.0:
-            raise NonConvergence("rescaling outside floating-point range")
         y = project_r(math.exp(beta * t) * x)
-        return _log(float(norm(space, y)) / nx) - t, y
+        return _log_ratio(space, y, nx) - t, y
 
+    # The walk goes toward the root, the sign of g0.  Only a rescaling
+    # that overflows bounds it; one that underflows to 0 is the origin
+    # case, where P_r(0) projects every point that small, to rounding.
     g0 = _log(n0 / nx)
-    return _finite(_root(g, g0, y0, g0 / (1.0 - beta))[1])
+    limit = _EXP_MAX / abs(beta) if beta * g0 > 0.0 else math.inf
+    return _finite(_root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
 
 
 def _finite(y):
@@ -250,19 +260,33 @@ def _log(v):
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _root(g, g0, y0, t):
+def _log_ratio(space, y, n):
+    """``log(||y|| / n)``.  When ``sum_i w_i |y_i|**r`` leaves the normal
+    range, ``||y||`` loses its precision or underflows to 0, so a y that
+    tiny is first scaled to ``max |y_i| = 1``."""
+    ny = float(norm(space, y))
+    if ny >= _TINY ** (1.0 / space.r):
+        return _log(ny / n)
+    m = float(np.max(np.abs(y)))
+    if m == 0.0:
+        return -math.inf
+    return math.log(m) + math.log(float(norm(space, y / m))) - math.log(n)
+
+
+def _root(g, g0, y0, t, limit):
     """Root of g, which is positive below its root and negative above.
 
     ``g(0) = g0``, paired with the point y0, is known, and t is the first
     trial, on the side of the root.  The trial doubles until g changes
-    sign; then regula falsi with the Anderson-Bjorck rescaling of the end
-    that stays closes the bracket.  g returns ``(value, point)``; the
-    result is ``(t, point)`` at the bracket end of smaller ``|g|``.
+    sign, but never past ``|t| = limit``, where g would leave the
+    floating-point range; then regula falsi with the Anderson-Bjorck
+    rescaling of the end that stays closes the bracket.  g returns
+    ``(value, point)``; the result is ``(t, point)`` at the bracket end of
+    smaller ``|g|``.
     """
     t_old = 0.0
+    t = math.copysign(min(abs(t), limit), t)
     for _ in range(_MAX_STEPS):
-        if abs(t) > 700.0:
-            raise NonConvergence("root outside floating-point range")
         gt, yt = g(t)
         if abs(gt) <= 8.0 * _EPS:
             return t, yt
@@ -270,8 +294,10 @@ def _root(g, g0, y0, t):
             raise NonConvergence("root search met a NaN")
         if (gt > 0.0) != (g0 > 0.0):
             break
+        if abs(t) >= limit:
+            raise NonConvergence("root outside floating-point range")
         t_old, g0, y0 = t, gt, yt
-        t *= 2.0
+        t = math.copysign(min(2.0 * abs(t), limit), t)
     else:
         raise NonConvergence("no sign change within the step cap")
     if t > t_old:
@@ -323,7 +349,7 @@ def _ball_search(space, c, radius, z, s, y):
         y = _solve_coordinates(z, c, math.expm1(s), r, y)
         return _log(float(norm(space, y - c)) / radius), y
 
-    return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0)
+    return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0, _EXP_MAX)
 
 
 def _solve_coordinates(z, c, lam, r, y):
@@ -352,7 +378,7 @@ def _solve_coordinates(z, c, lam, r, y):
     y = np.clip(y, lo, hi)
     done = np.zeros(y.shape, dtype=bool)
     f_prev = np.full_like(y, np.inf)     # finite after a Newton step only
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             gap = y - c
             abs_y, abs_gap = np.abs(y), np.abs(gap)
@@ -360,7 +386,9 @@ def _solve_coordinates(z, c, lam, r, y):
             f = (np.copysign(pow_y, y) + lam * np.copysign(pow_gap, gap)
                  - b)
             abs_f = np.abs(f)
-            tol = 4.0 * _EPS * (abs_y + abs_gap)
+            # Floored at the smallest normal number: in subnormals the
+            # relative tolerance underflows to 0.
+            tol = np.maximum(4.0 * _EPS * (abs_y + abs_gap), _TINY)
             done |= ((abs_f <= 4.0 * _EPS * (pow_y + lam * pow_gap + abs_b))
                      | (hi - lo <= tol))
             if np.all(done):

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, EtaTooLarge, LinearCaseUnbounded,
-                     MissingStabilityConstant, NonpositiveU,
+                     MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      StepIdentityViolated, ZeroGradient)
-from .geometry import (SpaceGeometry, bregman_distance, dual_norm,
-                       duality_map, inverse_duality_map, norm)
+from .geometry import (SpaceGeometry, _bregman_distance, _duality_map, _norm,
+                       dual_norm, duality_map, inverse_duality_map, norm)
 from .models import ForwardModel, NoisyData, data_space
 from .sets import ConvexSet, bregman_project
 
@@ -88,7 +88,9 @@ class RunReport:
     """Outcome of a single-level run.  ``descent_sum`` adds up the
     per-step strict-descent amounts, bounded by the initial Bregman
     distance to the reference; ``start_radius_ok`` (set also at K = 0)
-    says whether the start lies strictly inside the radius-``rho`` ball."""
+    says whether the start lies strictly inside the radius-``rho`` ball.
+    ``failure`` is the error a StepDegenerate stop caught: NonFiniteStep,
+    ZeroGradient or NonpositiveU."""
 
     stopped_at_k: int
     final_residual: float
@@ -187,6 +189,8 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
 
     Raises
     ------
+    NonFiniteStep
+        If the gradient norm is NaN or infinite.
     ZeroGradient
         If the gradient norm vanishes while the residual is above the
         threshold (stationary nonconvergent point).
@@ -197,6 +201,8 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
         If the two step-size identities fail beyond round-off.
     """
     p, q, Gq = space.p, space.q, space.Gq
+    if not math.isfinite(tk):
+        raise NonFiniteStep(f"t_{k} = {tk} is not finite (residual {rk})")
     if tk == 0.0:
         raise ZeroGradient(f"t_{k} = 0 with residual {rk}")
     uk = _u_value(ctilde, eta, rk)
@@ -225,14 +231,22 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     return that, uk, vk, wk, muk, gain
 
 
-def sd_step(space: SpaceGeometry, cset: ConvexSet, x, Tk, muk):
-    """One dual-space update followed by the Bregman projection.
+def sd_step(space: SpaceGeometry, cset: ConvexSet, xstar, Tk, muk):
+    """One dual-space update from ``xstar = J_p(x)`` followed by the
+    Bregman projection.
 
     Returns ``(x_next, x_tilde)`` where ``x_tilde`` is the unprojected
     iterate, retained for diagnostics.
     """
-    xtilde = inverse_duality_map(space, duality_map(space, x) - muk * Tk)
+    xtilde = inverse_duality_map(space, xstar - muk * Tk)
     return bregman_project(space, cset, xtilde), xtilde
+
+
+def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_np):
+    """``(breg(x, ref), J_p(x))`` given ``ref_np = ||ref||**p``."""
+    nrm = norm(space, x)
+    xstar = _duality_map(space, x, nrm)
+    return float(_bregman_distance(space, nrm, xstar, ref, ref_np)), xstar
 
 
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
@@ -244,7 +258,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     Starting points outside the set are projected in (recorded in the
     report).  With a diagnostic reference the trace additionally carries
     the Bregman distance to the reference, the radius invariance flag and
-    the two per-step descent inequalities.
+    the two per-step descent inequalities.  A step whose residual or
+    gradient norm is not finite, whose gradient vanishes or whose step
+    numerator is not positive stops the run as StepDegenerate, with the
+    error in ``report.failure``.
 
     Raises
     ------
@@ -267,14 +284,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     y_space = data_space(model, space.p)
     ctilde = compute_ctilde(space, model)
     ref = config.diagnostic_reference
-    rho = breg = start_radius_ok = None
+    rho = breg = start_radius_ok = ref_np = xstar = None
     if ref is not None:
         ref = space.check_dim(np.asarray(ref, dtype=float))
+        ref_np = _norm(space, ref) ** space.p
         try:
             rho = convergence_radius(space, model.lhat, ctilde, config.eta)
         except LinearCaseUnbounded:
             rho = math.inf
-        breg = float(bregman_distance(space, x, ref))
+        breg, xstar = _bregman_to_ref(space, x, ref, ref_np)
         start_radius_ok = breg < rho
 
     report = RunReport(stopped_at_k=0, final_residual=math.nan,
@@ -282,6 +300,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                        projected_start=projected_start, rho=rho,
                        start_radius_ok=start_radius_ok)
 
+    # Each step carries x with J_p(x) when the diagnostics of the step
+    # before computed it (xstar), and otherwise computes J_p(x) once.
     q_over_p = space.q / space.p
     k = 0
     while True:
@@ -290,24 +310,30 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         if rk <= config.eta_hat:
             report.stop_reason = "DiscrepancyMet"
             break
+        if not math.isfinite(rk):
+            report.stop_reason = "StepDegenerate"
+            report.failure = NonFiniteStep(f"r_{k} = {rk} is not finite")
+            break
         if k >= config.max_iterations:
             report.stop_reason = "MaxIterations"
             break
 
-        Tk = model.apply_adjoint(x, duality_map(y_space, Rk))
+        Tk = model.apply_adjoint(x, _duality_map(y_space, Rk, rk))
         tk = float(dual_norm(space, Tk))
         try:
             that, uk, vk, wk, muk, gain = step_quantities(
                 space, model, ctilde, k, rk, tk, config.eta)
-        except (ZeroGradient, NonpositiveU) as exc:
+        except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
             report.stop_reason = "StepDegenerate"
             report.failure = exc
             break
-        x_next, xtilde = sd_step(space, cset, x, Tk, muk)
+        x_next, xtilde = sd_step(
+            space, cset, duality_map(space, x) if xstar is None else xstar,
+            Tk, muk)
 
         breg_k, radius_ok, monotone_ok, strict_ok = breg, None, None, None
         if ref is not None:
-            breg = float(bregman_distance(space, x_next, ref))
+            breg, xstar = _bregman_to_ref(space, x_next, ref, ref_np)
             descent = wk * breg_k ** (2.0 / space.p) - vk
             radius_ok = breg_k < rho
             monotone_ok = breg <= breg_k + descent + 1e-10

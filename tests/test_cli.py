@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from projsd import SchemaError
+from projsd import LinearModel, SchemaError
 from projsd.cli import TRACE_HEADER, main, parse_config
 
 MINIMAL_SINGLE = """
@@ -389,3 +389,59 @@ def test_step_identity_violation_exits_two(tmp_path, monkeypatch, capsys):
     path = single_config(tmp_path)
     assert main(["run", path]) == 2
     assert "solver abort: step-size identities" in capsys.readouterr().err
+
+
+class TestStepFailureInSummary:
+    """A run that stops with StepDegenerate names its error in the
+    summary; successful runs have no failure key."""
+
+    def summary(self, tmp_path, name="summary.yaml"):
+        return yaml.safe_load((tmp_path / name).read_text())
+
+    def test_non_finite_residual(self, tmp_path, monkeypatch):
+        # A model output holding NaN stops the step typed, before the
+        # projection would reject the NaN update.
+        real_eval = LinearModel.eval
+
+        def spoiled(model, x):
+            v = real_eval(model, x).copy()
+            v[0] = np.nan
+            return v
+
+        monkeypatch.setattr(LinearModel, "eval", spoiled)
+        assert main(["run", single_config(tmp_path), "--quiet"]) == 2
+        summary = self.summary(tmp_path)
+        assert summary["stopReason"] == "StepDegenerate"
+        assert summary["failure"] == "NonFiniteStep: r_0 = nan is not finite"
+
+    def test_single_mode(self, tmp_path):
+        # A^T R_0 = 0 while the residual is sqrt(2).
+        path = single_config(tmp_path,
+                             model={"kind": "linear",
+                                    "matrix": [[1.0, 0.0], [-1.0, 0.0]]})
+        assert main(["run", path, "--quiet"]) == 2
+        summary = self.summary(tmp_path)
+        assert summary["stopReason"] == "StepDegenerate"
+        assert summary["failure"] == \
+            "ZeroGradient: t_0 = 0 with residual 1.4142135623730951"
+
+    def test_multilevel_mode(self, tmp_path):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][0]["model"]["sigma"] = [0.0] * 8
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path, "--quiet"]) == 2
+        summary = self.summary(tmp_path, "ml.yaml")
+        assert summary["stopReason"] == "StepDegenerate"
+        assert "failure" not in summary
+        (level,) = summary["perLevel"]
+        assert level["stopReason"] == "StepDegenerate"
+        assert level["failure"].startswith("ZeroGradient: t_0 = 0 ")
+
+    def test_absent_on_success(self, tmp_path):
+        assert main(["run", single_config(tmp_path), "--quiet"]) == 0
+        assert "failure" not in self.summary(tmp_path)
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        assert main(["run", path, "--quiet"]) == 0
+        summary = self.summary(tmp_path, "ml.yaml")
+        assert all("failure" not in lv for lv in summary["perLevel"])

@@ -1,12 +1,12 @@
 """Property tests over dimension, weights and exponents: the duality
 round trip, Bregman nonnegativity and the three-point law of every set.
 
-Entries, weights and exponents are bounded so that no power overflows.
-Nonzero entries are at least 1e-3 in size: the projection for p != r
-rescales x by ``(s / ||x||) ** ((r - p) / (r - 1))``, which leaves the
-floating-point range (``NonConvergence``) when ``||x||`` is ~1e-150 of
-the set's scale.  The examples are derandomized, so every run checks the
-same cases.
+Entries, weights and exponents are bounded above so that no power
+overflows.  Nonzero entries are either of order one (1e-3 to the bound)
+or tiny (1e-300 to 1e-3, log-uniform).  Tiny points are where the
+projection for p != r rescales x by ``(s / ||x||) ** ((r - p) / (r - 1))``
+past the floating-point range: a rescaling that underflows is the origin
+case.  The examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
@@ -25,9 +25,10 @@ exponents = st.floats(1.25, 4.0)
 
 
 def vectors(dim, bound=3.0):
+    size = st.floats(1e-3, bound) | st.floats(-300.0, -3.0).map(
+        lambda exponent: 10.0 ** exponent)
     entry = st.just(0.0) | st.builds(
-        lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
-        st.floats(1e-3, bound))
+        lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), size)
     return st.lists(entry, min_size=dim, max_size=dim).map(np.array)
 
 

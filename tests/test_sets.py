@@ -283,6 +283,66 @@ class TestExactProjections:
             y = bregman_project(space, ball, x)
             assert float(norm(space, y - x)) <= 1e-12
 
+    @pytest.mark.parametrize("r,p", [(1.25, 2.0), (2.0, 1.5)])
+    def test_tiny_point_with_p_not_r(self, r, p):
+        # ||x|| is ~1e-154 of the box's scale.  For r < p the rescaling of
+        # x underflows, which is the origin case; for r > p the search
+        # variable passes |t| = 700 while exp(beta t) is in range.  The
+        # projection is P(0) to rounding.
+        space = lp_space(4, r=r, p=p, Cp=0.1, Gq=10.0)
+        box = Box([0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 2.0])
+        x = np.array([0.0, 0.0, 0.0, 2.77e-154])
+        y = assert_exact_projection(space, box, x, np.random.default_rng(9))
+        np.testing.assert_array_equal(
+            y, bregman_project(space, box, np.zeros(4)))
+
+    def test_root_search_stops_at_its_overflow_limit(self):
+        # r = 1.25, p = 4: the root of the rescaling search is at
+        # beta t = 633, in range, and its doubling walk would next try
+        # beta t = 844, where exp overflows; the walk stops at its limit.
+        space = lp_space(5, r=1.25, p=4.0, Cp=0.1, Gq=10.0)
+        box = Box([0.0, 0.0, 0.0, 0.0, -1e-25], np.ones(5))
+        x = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
+        rng = np.random.default_rng(10)
+        y = assert_exact_projection(space, box, x, rng)
+        np.testing.assert_array_equal(y, [0.0, 0.0, 0.0, 0.0, -1e-25])
+
+    def test_root_search_starts_below_the_root(self):
+        # r = 3.5, p = 1.25 (beta = 0.9): the cone guess g(0) / (1 - beta)
+        # is ten times the root here and rescales x to where |y_i|**r
+        # overflows; the search starts from g(0) instead.
+        space = lp_space(2, r=3.5, p=1.25, Cp=0.1, Gq=10.0)
+        ball = Ball(np.array([0.5, 0.5]), 0.3)
+        x = np.array([1e-20, 0.0])
+        assert_exact_projection(space, ball, x, np.random.default_rng(13))
+
+    def test_root_of_a_tiny_projection(self):
+        # r = 4, p = 2: P(x) = (0, x_2**3, 0) = (0, 1e-96, 0), whose
+        # sum_i |y_i|**4 is far below the normal range, so the search
+        # takes ||y|| from y scaled to max |y_i| = 1.
+        space = lp_space(3, r=4.0, p=2.0, Cp=0.1, Gq=10.0)
+        box = Box([0.0, -0.5, 0.0], [0.1, 0.7, 1.0])
+        x = np.array([0.0, 1e-32, -1.0])
+        y = assert_exact_projection(space, box, x, np.random.default_rng(12))
+        np.testing.assert_allclose(y, [0.0, 1e-96, 0.0], rtol=1e-12, atol=0)
+
+    def test_subnormal_coordinate(self):
+        # In subnormals the coordinate solve's relative tolerance
+        # underflows to 0, so only a floor on it ends the bisection.
+        space = lp_space(3, r=1.5, p=1.5, Cp=0.1, Gq=10.0)
+        ball = Ball(np.array([0.0, 0.3, 0.2]), 1.0)
+        x = np.array([1e-320, 2.0, -3.0])
+        assert_exact_projection(space, ball, x, np.random.default_rng(11))
+
+    def test_tiny_coordinate_raises_no_overflow_warning(self):
+        # The slope ratio of a coordinate at 1e-211 next to a center entry
+        # of order one is subnormal, and its unused reciprocal overflows;
+        # the test settings turn a RuntimeWarning into an error.
+        space = lp_space(2, r=3.5, p=3.5, Cp=0.1, Gq=10.0)
+        ball = Ball(np.array([0.5, 0.0]), 1.0)
+        x = np.array([1e-211, 3.0])
+        assert_exact_projection(space, ball, x, np.random.default_rng(14))
+
     def test_step_cap_raises_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(projsd.sets, "_MAX_STEPS", 1)
         space = lp_space(4, r=1.5, p=2.0)

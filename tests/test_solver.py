@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import projsd.geometry as geometry_module
 import projsd.solver as solver_module
-from projsd import (Box, DimensionMismatch, EtaTooLarge, LinearCaseUnbounded,
-                    LinearModel, MissingStabilityConstant, NoisyData,
+from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
+                    EtaTooLarge, LinearCaseUnbounded, LinearModel,
+                    MissingStabilityConstant, NoisyData, NonFiniteStep,
                     ProjSDError, QuadraticModel, SolverConfig,
                     StepIdentityViolated, WholeSpace, bregman_distance,
-                    compute_ctilde, convergence_radius, lp_space,
-                    run_algorithm1)
+                    bregman_project, compute_ctilde, convergence_radius,
+                    data_space, duality_map, inverse_duality_map, lp_space,
+                    norm, run_algorithm1, step_quantities)
 
 
 def spd_matrix(dim, seed):
@@ -244,3 +247,154 @@ class TestTypedErrors:
         with pytest.raises(DimensionMismatch):
             run_algorithm1(lp_space(2), WholeSpace(), model,
                            NoisyData(ydelta, 0.0), np.zeros(2), cfg)
+
+
+def reference_iteration(space, cset, model, data, x0, cfg):
+    """The step written out plainly through the public geometry and
+    projection functions, with every norm and duality image computed
+    afresh.  Returns ``[(x, xtilde, rk, tk, muk, bregman_to_ref)]`` and
+    the last iterate."""
+    x = np.asarray(x0, dtype=float)
+    if not cset.contains(space, x, tol=1e-12):
+        x = bregman_project(space, cset, x)
+    y_space = data_space(model, space.p)
+    ctilde = compute_ctilde(space, model)
+    ref = cfg.diagnostic_reference
+    states = []
+    for k in range(cfg.max_iterations):
+        R = model.eval(x) - data.ydelta
+        rk = float(norm(y_space, R))
+        if rk <= cfg.eta_hat:
+            break
+        T = model.apply_adjoint(x, duality_map(y_space, R))
+        tk = float(norm(space.dual(), T))
+        muk = step_quantities(space, model, ctilde, k, rk, tk, cfg.eta)[4]
+        xtilde = inverse_duality_map(space, duality_map(space, x) - muk * T)
+        breg = None if ref is None else float(bregman_distance(space, x, ref))
+        states.append((x, xtilde, rk, tk, muk, breg))
+        x = bregman_project(space, cset, xtilde)
+    return states, x
+
+
+KERNEL_SETS = {
+    "wholespace": WholeSpace(),
+    "box": Box([-0.2, -1.0, 0.1, -1.0], [1.0, 0.3, 1.0, 1.0]),
+    "ball": Ball(np.array([0.2, -0.1, 0.3, 0.0]), 0.6),
+    "subspace": CoordinateSubspace([0, 2, 3]),
+}
+
+
+def kernel_problem(r, p, quadratic):
+    space = lp_space(4, r=r, p=p)
+    rng = np.random.default_rng(21)
+    if quadratic:
+        A = np.diag([2.0, 2.5, 3.0, 3.5])
+        model = QuadraticModel(A, eps=0.01, cstab=0.5, lhat=3.52)
+    else:
+        model = LinearModel(np.eye(4) + 0.3 * rng.standard_normal((4, 4)))
+    truth = np.array([0.4, -0.2, 0.5, 0.1])
+    return space, model, truth, model(truth) + 1e-3 * rng.standard_normal(4)
+
+
+class TestKernelMatchesReference:
+    """run_algorithm1 reuses norms and duality images within and across
+    steps; every iterate must equal the plain transcription bit for bit."""
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
+    @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_exact_equality(self, r, p, kind, with_ref, quadratic):
+        space, model, truth, ydelta = kernel_problem(r, p, quadratic)
+        cset = KERNEL_SETS[kind]
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
+                           diagnostic_reference=truth if with_ref else None)
+        x0 = np.array([0.9, 0.8, -0.7, 0.6])  # outside every set but X
+        data = NoisyData(ydelta, 0.0)
+        report = run_algorithm1(space, cset, model, data, x0, cfg)
+        states, x_last = reference_iteration(space, cset, model, data, x0,
+                                             cfg)
+        assert report.stop_reason == "MaxIterations"
+        assert len(report.iterations) == len(states) == 12
+        for st, (x, xtilde, rk, tk, muk, breg) in zip(report.iterations,
+                                                     states):
+            assert st.x.tobytes() == x.tobytes()
+            assert st.xtilde.tobytes() == xtilde.tobytes()
+            assert (st.rk, st.tk, st.muk) == (rk, tk, muk)
+            assert st.bregman_to_ref == breg
+        assert report.x_final.tobytes() == x_last.tobytes()
+
+
+def test_norm_of_reference_once_and_three_duality_maps_per_step(
+        monkeypatch):
+    """With a reference, ||ref|| is computed once per run and each step
+    evaluates at most three duality maps: J_y(R_k), J*_q of the dual
+    update and J_p(x_{k+1}), which the next step reuses."""
+    space = lp_space(3, r=3.0)
+    model = LinearModel(np.diag([2.0, 3.0, 4.0]))
+    ref = np.array([0.5, 1.0 / 3.0, 0.25])
+    data = NoisyData(model(ref), 0.0)
+    ref_norms, duality_maps = [], []
+    real_norm = geometry_module._norm
+    real_map = geometry_module._duality_map
+
+    def counting_norm(sp, x):
+        if x.shape == ref.shape and np.array_equal(x, ref):
+            ref_norms.append(1)
+        return real_norm(sp, x)
+
+    def counting_map(*args):
+        duality_maps.append(1)
+        return real_map(*args)
+
+    for module in (geometry_module, solver_module):
+        monkeypatch.setattr(module, "_norm", counting_norm)
+        monkeypatch.setattr(module, "_duality_map", counting_map)
+    cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=20,
+                       diagnostic_reference=ref)
+    report = run_algorithm1(space, WholeSpace(), model, data,
+                            np.full(3, 0.1), cfg)
+    assert report.stopped_at_k == 20
+    assert len(ref_norms) == 1
+    # One more for J_p(x_0), computed with the start's Bregman distance.
+    assert len(duality_maps) <= 3 * 20 + 1
+
+
+class NaNAfter(LinearModel):
+    """A linear model whose evaluation (or adjoint) puts NaN in its first
+    entry from call number ``after`` on."""
+
+    def __init__(self, matrix, after, adjoint=False):
+        super().__init__(matrix)
+        self.after, self.adjoint, self.calls = after, adjoint, 0
+
+    def _spoil(self, v):
+        self.calls += 1
+        if self.calls > self.after:
+            v = v.copy()
+            v[0] = np.nan
+        return v
+
+    def eval(self, x):
+        v = super().eval(x)
+        return v if self.adjoint else self._spoil(v)
+
+    def apply_adjoint(self, x, ystar):
+        v = super().apply_adjoint(x, ystar)
+        return self._spoil(v) if self.adjoint else v
+
+
+class TestNonFiniteStep:
+    @pytest.mark.parametrize("adjoint,name", [(False, "r_2"), (True, "t_2")])
+    def test_stops_typed_naming_k(self, adjoint, name):
+        model = NaNAfter(np.diag([2.0, 3.0]), after=2, adjoint=adjoint)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=50)
+        report = run_algorithm1(lp_space(2), Box([-2.0, -2.0], [2.0, 2.0]),
+                                model, NoisyData([1.0, 1.0], 0.0),
+                                np.zeros(2), cfg)
+        assert report.stop_reason == "StepDegenerate"
+        assert report.stopped_at_k == 2
+        assert isinstance(report.failure, NonFiniteStep)
+        assert isinstance(report.failure, ProjSDError)
+        assert str(report.failure).startswith(f"{name} = nan")
+        assert math.isnan(report.final_residual) != adjoint
