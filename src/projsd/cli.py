@@ -10,9 +10,10 @@ summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
 failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
-parameters that do not fit ``space.dim``, non-finite vectors, a
-nonpositive ``solver.etaHat``, a nonlinear model without ``cstab``) is a
-validation failure found while parsing, before anything runs.
+parameters that do not fit ``space.dim``, non-finite vectors or model
+coefficients, a nonpositive ``solver.etaHat``, a nonlinear model without
+``cstab``) is a validation failure found while parsing, before anything
+runs.
 """
 
 from __future__ import annotations
@@ -144,20 +145,28 @@ def _matrix_from(node, path, errors, base_dir):
         errors.append(f"{path}: matrix and matrixFile are exclusive")
         return None
     if inline is not None:
+        field = f"{path}.matrix"
         try:
             arr = np.atleast_2d(np.asarray(inline, dtype=float))
         except (TypeError, ValueError):
-            errors.append(f"{path}.matrix: expected rows of numbers")
+            errors.append(f"{field}: expected rows of numbers")
             return None
-        return arr
-    full = fname if os.path.isabs(fname) else os.path.join(base_dir, fname)
-    try:
-        return np.atleast_2d(np.loadtxt(full, delimiter=",", ndmin=2))
-    except OSError as exc:
-        errors.append(f"{path}.matrixFile: cannot read {full}: {exc}")
-    except ValueError as exc:
-        errors.append(f"{path}.matrixFile: bad CSV in {full}: {exc}")
-    return None
+    else:
+        field = f"{path}.matrixFile"
+        full = fname if os.path.isabs(fname) else os.path.join(base_dir,
+                                                               fname)
+        try:
+            arr = np.atleast_2d(np.loadtxt(full, delimiter=",", ndmin=2))
+        except OSError as exc:
+            errors.append(f"{field}: cannot read {full}: {exc}")
+            return None
+        except ValueError as exc:
+            errors.append(f"{field}: bad CSV in {full}: {exc}")
+            return None
+    if not np.all(np.isfinite(arr)):
+        errors.append(f"{field}: expected finite numbers")
+        return None
+    return arr
 
 
 def _parse_space(node, errors):
@@ -238,8 +247,8 @@ def _parse_model(node, path, errors, s, base_dir, space=None):
             return None
         return LinearModel(mat, s=s, cstab=cstab)
     if kind == "diagonal":
-        sigma = _vector(node.get("sigma"), f"{path}.sigma", errors,
-                        required=True)
+        sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors,
+                               required=True)
         if sigma is None:
             return None
         return DiagonalLinearModel(sigma, s=s, cstab=cstab)

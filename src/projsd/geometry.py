@@ -11,7 +11,7 @@ are mapped elementwise over the leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +61,11 @@ class SpaceGeometry:
         Constant of the lower Bregman-to-norm comparison.
     Gq : float
         Constant of the upper (dual) Bregman-to-norm comparison.
+
+    Attributes
+    ----------
+    is_hilbert : bool
+        ``r = p = 2`` with unit weights; set at construction.
     """
 
     dim: int
@@ -69,6 +74,8 @@ class SpaceGeometry:
     weights: np.ndarray | None = None
     Cp: float = 1.0
     Gq: float = 1.0
+    is_hilbert: bool = field(init=False, repr=False)
+    _unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -89,6 +96,10 @@ class SpaceGeometry:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        unit = bool(np.all(w == 1.0))
+        object.__setattr__(self, "_unit_weights", unit)
+        object.__setattr__(self, "is_hilbert",
+                           unit and self.r == 2.0 and self.p == 2.0)
         if self.is_hilbert and (self.Cp != 1.0 or self.Gq != 1.0):
             raise ValueError(
                 "the Hilbert configuration (r=2, p=2, unit weights) "
@@ -98,11 +109,6 @@ class SpaceGeometry:
     def q(self) -> float:
         """Conjugate exponent of the gauge, 1/p + 1/q = 1."""
         return self.p / (self.p - 1.0)
-
-    @property
-    def is_hilbert(self) -> bool:
-        return self.r == 2.0 and self.p == 2.0 and bool(
-            np.all(self.weights == 1.0))
 
     def dual(self) -> "SpaceGeometry":
         """The dual space: exponent r/(r-1), reciprocal-type weights,
@@ -157,16 +163,41 @@ def lp_space(dim, r=2.0, p=None, weights=None, Cp=None, Gq=None):
 # the pieces its caller already holds (``||x||``, ``J_p(x)``); the public
 # functions check their input and delegate.  ``np.add.reduce`` is the
 # pairwise sum that ``np.sum`` runs, without its wrapper.
+#
+# The homes take shortcuts where the exponents allow, each giving the bits
+# of the general formula:
+# - r = 2: ``x * x`` is the square that numpy runs for ``|x| ** 2.0``, and
+#   unit weights skip the multiply by 1.0.
+# - r = p: the scale ``||x||**(p-r)`` is 1.0, so the duality mapping needs
+#   no norm.  The general formula maps an x whose norm is 0 to 0, so the
+#   one difference is a nonzero x whose norm underflows to 0: it maps to
+#   ``w |x|**(r-1) sign(x)``, the image of the unrounded norm.
+# - Hilbert (r = p = 2, unit weights): ``|x|**1 sign(x)`` is x, and
+#   ``x + 0.0`` is a fresh array that turns -0.0 into +0.0, as
+#   ``np.sign(-0.0) = +0.0`` does.
 
 def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x."""
-    return np.add.reduce(space.weights * np.abs(x) ** space.r,
-                         axis=-1) ** (1.0 / space.r)
+    r = space.r
+    powers = x * x if r == 2.0 else np.abs(x) ** r
+    if not space._unit_weights:
+        powers = space.weights * powers
+    return np.add.reduce(powers, axis=-1) ** (1.0 / r)
 
 
-def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm):
-    """The duality mapping of a checked x with ``nrm = ||x||``."""
-    phi = space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x)
+def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
+    """The duality mapping of a checked x.  ``nrm = ||x||`` is computed
+    here when not given, and only when p != r."""
+    if space.is_hilbert:
+        return x + 0.0
+    phi = np.abs(x) ** (space.r - 1.0)
+    if not space._unit_weights:
+        phi = space.weights * phi
+    phi *= np.sign(x)
+    if space.r == space.p:
+        return phi
+    if nrm is None:
+        nrm = _norm(space, x)
     # 0**(p-r) is an indeterminate 0*inf shape when p < r; the only
     # norm-consistent value at the origin is 0.
     if x.ndim == 1:
@@ -188,6 +219,10 @@ def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, np_xt):
     np_x = nrm ** space.p
     val = np_xt / space.p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
     floor = -1e-9 * (1.0 + np_x + np_xt)
+    if val.ndim == 0:
+        # One pair: the batch branch without np.where, as in _duality_map,
+        # and the same 0-d array result.
+        return np.asarray(0.0 if floor < val < 0.0 else val)
     return np.where((val < 0.0) & (val > floor), 0.0, val)
 
 
@@ -208,8 +243,7 @@ def duality_map(space: SpaceGeometry, x: np.ndarray):
     ``||x*|| = ||x||**(p-1)``; in coordinates
     ``x*_i = ||x||**(p-r) w_i |x_i|**(r-1) sign(x_i)``, with 0 mapped to 0.
     """
-    x = space.check_dim(x)
-    return _duality_map(space, x, _norm(space, x))
+    return _duality_map(space, space.check_dim(x))
 
 
 def inverse_duality_map(space: SpaceGeometry, xstar: np.ndarray):

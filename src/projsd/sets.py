@@ -241,11 +241,25 @@ def _gauge_p_projection(space, project_r, x):
         return _log_ratio(space, y, nx) - t, y
 
     # The walk goes toward the root, the sign of g0.  Only a rescaling
-    # that overflows bounds it; one that underflows to 0 is the origin
-    # case, where P_r(0) projects every point that small, to rounding.
+    # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.
+    # One that underflows to 0 is the origin case, where P_r(0) projects
+    # every point that small, to rounding.
     g0 = _log(n0 / nx)
-    limit = _EXP_MAX / abs(beta) if beta * g0 > 0.0 else math.inf
-    return _finite(_root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
+    limit = math.inf
+    if beta * g0 > 0.0:
+        log_max = max(math.log(float(np.max(np.abs(x)))), 0.0)
+        limit = max(_EXP_MAX - log_max, 0.0) / abs(beta)
+    try:
+        return _finite(
+            _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
+    except NonConvergence:
+        # P_r can be constant along the ray from x on, as a box's clamp is
+        # once every moving coordinate sits at a bound.  Then g(t) = g0 - t
+        # and P_p(x) = y0, even when the root lies beyond exp's range.
+        if 0.0 < limit < math.inf and np.array_equal(
+                g(math.copysign(limit, g0))[1], y0):
+            return y0
+        raise
 
 
 def _finite(y):

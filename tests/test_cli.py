@@ -331,6 +331,32 @@ class TestParseTimeInputContract:
                      diagnostics={"referenceSolution": [float("nan"), 0.0],
                                   "checkTheorems": True})
 
+    def test_non_finite_matrix(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "model.matrix:",
+                     model={"kind": "linear",
+                            "matrix": [[float("nan"), 0.0], [0.0, 1.0]]})
+
+    def test_non_finite_matrix_file(self, tmp_path, capsys):
+        (tmp_path / "A.csv").write_text("2.0,0.0\n0.0,inf\n")
+        self.run_bad(tmp_path, capsys, "model.matrixFile:",
+                     model={"kind": "quadratic", "eps": 0.1, "cstab": 1.0,
+                            "matrixFile": str(tmp_path / "A.csv")})
+
+    def test_non_finite_sigma(self, tmp_path, capsys):
+        self.run_bad(tmp_path, capsys, "model.sigma:",
+                     model={"kind": "diagonal",
+                            "sigma": [float("inf"), 1.0]})
+
+    def test_non_finite_level_sigma(self, tmp_path, capsys):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][2]["model"]["sigma"][3] = float("nan")
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert "config error: levels[2].model.sigma:" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "ml.csv").exists()
+
     def test_check_theorems_needs_reference(self, tmp_path, capsys):
         self.run_bad(tmp_path, capsys, "diagnostics.checkTheorems:",
                      diagnostics={"checkTheorems": True})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import projsd.geometry as geometry_module
 from projsd import (DEFAULT_CONSTANTS, DimensionMismatch, SpaceGeometry,
                     bregman_distance, certify_constants, dual_norm,
                     duality_map, inverse_duality_map, lp_space, norm)
@@ -125,7 +126,139 @@ class TestDualityMap:
         np.testing.assert_allclose(back, x, atol=1e-10)
 
 
+def general_norm(space, x):
+    """``(sum_i w_i |x_i|**r) ** (1/r)`` as written."""
+    return np.sum(space.weights * np.abs(x) ** space.r,
+                  axis=-1) ** (1.0 / space.r)
+
+
+def general_duality_map(space, x):
+    """``||x||**(p-r) w |x|**(r-1) sign(x)`` as written, with every x of
+    norm 0 mapped to 0."""
+    nrm = general_norm(space, x)
+    scale = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
+    scale = np.where(nrm > 0.0, scale, 0.0)
+    return scale[..., np.newaxis] * (
+        space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x))
+
+
+# Each kernel shortcut, and the general path as a control.
+KERNEL_SPACES = {
+    "hilbert": lp_space(4),
+    "weighted-l2": lp_space(4, weights=[0.5, 2.0, 1.0, 3.0], Cp=1.0,
+                            Gq=1.0),
+    "r3": lp_space(4, r=3.0),
+    "weighted-r3": lp_space(4, r=3.0, weights=[0.5, 2.0, 1.0, 3.0],
+                            Cp=0.1, Gq=10.0),
+    "r1.5-p2": lp_space(4, r=1.5),
+}
+
+# Signed zeros, subnormals next to normal entries, entries whose powers
+# are near or past overflow, and an all-zero row of each sign.
+KERNEL_INPUTS = np.array([
+    [-0.0, 0.0, 1.5, -2.0],
+    [5e-324, -2.2e-310, 1.0, -3.0],
+    [1e-160, -0.0, 7e-200, 0.25],
+    [1.3e102, -9.9e101, 0.5, -0.0],
+    [1.3e154, -1.1e154, 3.0, 1e-300],
+    [1.7e308, -1.0, 0.0, 2.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [-0.0, -0.0, -0.0, -0.0],
+])
+
+
+class TestSpecialisedKernels:
+    """The Hilbert and r = p shortcuts of the duality map and the r = 2
+    norm give the bits of the general formulas.  The reference iteration
+    of the solver tests runs through the same code, so only these tests
+    compare against the formulas themselves."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    def test_norm_matches_general_formula(self, name):
+        space = KERNEL_SPACES[name]
+        # A row is compared with the formula on that row: numpy's power of
+        # a 0-d result may round differently from its array power.
+        with np.errstate(over="ignore", under="ignore"):
+            expected = general_norm(space, KERNEL_INPUTS)
+            assert norm(space, KERNEL_INPUTS).tobytes() == expected.tobytes()
+            for x in KERNEL_INPUTS:
+                assert norm(space, x).tobytes() == \
+                    general_norm(space, x).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    def test_duality_map_matches_general_formula(self, name):
+        space = KERNEL_SPACES[name]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert duality_map(space, KERNEL_INPUTS).tobytes() == \
+                general_duality_map(space, KERNEL_INPUTS).tobytes()
+            for x in KERNEL_INPUTS:
+                assert duality_map(space, x).tobytes() == \
+                    general_duality_map(space, x).tobytes()
+
+    def test_hilbert_map_is_a_fresh_array_without_negative_zeros(self):
+        space = KERNEL_SPACES["hilbert"]
+        x = np.array([-0.0, 1.0, -2.0, 0.0])
+        jx = duality_map(space, x)
+        assert jx is not x and not np.shares_memory(jx, x)
+        assert not np.signbit(jx[0])
+
+    @pytest.mark.parametrize("name,scale", [
+        ("hilbert", 1e-170), ("weighted-l2", 1e-170), ("r3", 1e-120)])
+    def test_underflowing_norm_maps_to_the_image(self, name, scale):
+        # With r = p the map needs no norm, so a nonzero x whose norm
+        # underflows to 0 keeps its image w |x|**(r-1) sign(x), where the
+        # general formula gives 0.
+        space = KERNEL_SPACES[name]
+        x = scale * np.array([1.0, -0.3, 0.0, 2.0])
+        assert norm(space, x) == 0.0
+        np.testing.assert_array_equal(
+            duality_map(space, x),
+            space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x))
+
+    @pytest.mark.parametrize("name,norms", [
+        ("hilbert", 0), ("weighted-l2", 0), ("r3", 0), ("weighted-r3", 0),
+        ("r1.5-p2", 1)])
+    def test_inverse_map_computes_a_norm_only_when_p_differs_from_r(
+            self, monkeypatch, name, norms):
+        calls = []
+        real_norm = geometry_module._norm
+
+        def counting_norm(sp, x):
+            calls.append(1)
+            return real_norm(sp, x)
+
+        monkeypatch.setattr(geometry_module, "_norm", counting_norm)
+        inverse_duality_map(KERNEL_SPACES[name], KERNEL_INPUTS[0])
+        assert len(calls) == norms
+
+    def test_hilbert_flag(self):
+        assert KERNEL_SPACES["hilbert"].is_hilbert
+        assert KERNEL_SPACES["hilbert"].dual().is_hilbert
+        assert not KERNEL_SPACES["weighted-l2"].is_hilbert
+        assert not KERNEL_SPACES["r3"].is_hilbert
+
+
 class TestBregmanDistance:
+    def test_one_pair_keeps_the_formula_type_and_clipping(self):
+        # The single-pair branch against the formula with np.where, on the
+        # same pieces: value, 0-d array type and the clipping of round-off
+        # below 0 (x == xt).
+        rng = np.random.default_rng(7)
+        for space in KERNEL_SPACES.values():
+            x = rng.standard_normal((6, space.dim))
+            xt = rng.standard_normal((6, space.dim))
+            xt[:3] = x[:3] * np.array([[1.0], [1.0 + 1e-15], [-1.0]])
+            for xi, xti in zip(x, xt):
+                np_x = norm(space, xi) ** space.p
+                np_xt = norm(space, xti) ** space.p
+                val = np_xt / space.p + np_x / space.q - np.add.reduce(
+                    duality_map(space, xi) * xti, axis=-1)
+                floor = -1e-9 * (1.0 + np_x + np_xt)
+                expected = np.where((val < 0.0) & (val > floor), 0.0, val)
+                one = bregman_distance(space, xi, xti)
+                assert type(one) is type(expected)
+                assert one.tobytes() == expected.tobytes()
+
     def test_hilbert_is_half_squared_distance(self):
         space = lp_space(4)
         rng = np.random.default_rng(4)

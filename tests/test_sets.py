@@ -307,6 +307,26 @@ class TestExactProjections:
         y = assert_exact_projection(space, box, x, rng)
         np.testing.assert_array_equal(y, [0.0, 0.0, 0.0, 0.0, -1e-25])
 
+    @pytest.mark.parametrize("r,p,weights,lower,upper,x", [
+        (1.454, 3.277, [0.444, 1.373], [3.13e-218, 0.0], [1.92, 0.292],
+         [-2.55, 0.0]),
+        (1.44, 2.5, [1.73, 1.54, 1.51], [0.0, 1.29e-226, 1.45e-131],
+         [1.05, 0.391, 1.18], [-8562.5, -19093.4, -1626.6]),
+    ])
+    def test_projection_constant_along_the_ray(self, r, p, weights, lower,
+                                               upper, x):
+        # Clamping x and every larger multiple of it gives the lower
+        # corner, so P_p(x) = P_r(x).  The tiny lower bound puts g(0) near
+        # -500 and the root of the rescaling search beyond exp's range.  In
+        # the second case the walk's last trial would overflow in e**(beta
+        # t) x, though not in e**(beta t).
+        space = lp_space(len(x), r=r, p=p, weights=weights, Cp=0.1,
+                         Gq=10.0)
+        box = Box(lower, upper)
+        y = assert_exact_projection(space, box, np.array(x),
+                                    np.random.default_rng(15))
+        np.testing.assert_array_equal(y, lower)
+
     def test_root_search_starts_below_the_root(self):
         # r = 3.5, p = 1.25 (beta = 0.9): the cone guess g(0) / (1 - beta)
         # is ten times the root here and rescales x to where |y_i|**r

@@ -284,8 +284,7 @@ KERNEL_SETS = {
 }
 
 
-def kernel_problem(r, p, quadratic):
-    space = lp_space(4, r=r, p=p)
+def kernel_problem(quadratic):
     rng = np.random.default_rng(21)
     if quadratic:
         A = np.diag([2.0, 2.5, 3.0, 3.5])
@@ -293,7 +292,7 @@ def kernel_problem(r, p, quadratic):
     else:
         model = LinearModel(np.eye(4) + 0.3 * rng.standard_normal((4, 4)))
     truth = np.array([0.4, -0.2, 0.5, 0.1])
-    return space, model, truth, model(truth) + 1e-3 * rng.standard_normal(4)
+    return model, truth, model(truth) + 1e-3 * rng.standard_normal(4)
 
 
 class TestKernelMatchesReference:
@@ -305,7 +304,19 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_exact_equality(self, r, p, kind, with_ref, quadratic):
-        space, model, truth, ydelta = kernel_problem(r, p, quadratic)
+        self.check(lp_space(4, r=r, p=p), kind, with_ref, quadratic)
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_exact_equality_weighted_l2(self, kind, with_ref, quadratic):
+        # r = p = 2 with weights: the r = 2 norm and the r = p duality
+        # map without the Hilbert identity.
+        space = lp_space(4, weights=[0.5, 2.0, 1.0, 3.0], Cp=1.0, Gq=1.0)
+        self.check(space, kind, with_ref, quadratic)
+
+    def check(self, space, kind, with_ref, quadratic):
+        model, truth, ydelta = kernel_problem(quadratic)
         cset = KERNEL_SETS[kind]
         cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
                            diagnostic_reference=truth if with_ref else None)
