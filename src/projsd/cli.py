@@ -10,10 +10,10 @@ summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
 failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
-parameters that do not fit ``space.dim``, non-finite vectors or model
-coefficients, a nonpositive ``solver.etaHat``, a nonlinear model without
-``cstab``) is a validation failure found while parsing, before anything
-runs.
+parameters that do not fit ``space.dim``, non-finite numbers other than
+open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
+without ``cstab``, keys the run would not read) is a validation failure
+found while parsing, before anything runs.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ _SET_KEYS = {"kind", "lower", "upper", "center", "radius", "support"}
 _SOLVER_KEYS = {"eta", "etaHat", "maxIterations", "seed"}
 _DIAG_KEYS = {"referenceSolution", "checkTheorems"}
 _OUTPUT_KEYS = {"tracePath", "summaryPath", "schedulePath"}
-_DATA_KEYS = {"ydelta", "ydeltaFile", "eta"}
+_DATA_KEYS = {"ydelta", "ydeltaFile"}
 _LEVEL_KEYS = {"eta", "C", "L", "Lhat", "model", "set", "data", "reference"}
+# Level model keys refused: the run sets them from the level's C and Lhat.
+_LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat", "rhoDomain": "Lhat"}
 _SCHEDULE_KEYS = {"lam", "tau", "etaHat", "maxLevels"}
 _MODES = {"single", "multilevel", "validate", "example-schedule"}
 
@@ -77,6 +79,8 @@ def _check_mapping(node, allowed, path, errors):
 
 def _number(node, path, errors, default=None, required=False,
             minimum=None, strict_min=False):
+    """The finite number at `node`; `default` when it is absent or
+    invalid, with the error recorded."""
     if node is None:
         if required:
             errors.append(f"{path}: missing required value")
@@ -85,11 +89,16 @@ def _number(node, path, errors, default=None, required=False,
         errors.append(f"{path}: expected a number")
         return default
     v = float(node)
+    if not np.isfinite(v):
+        errors.append(f"{path}: expected a finite number")
+        return default
     if minimum is not None:
         if strict_min and not v > minimum:
             errors.append(f"{path}: must be > {minimum}")
+            return default
         if not strict_min and not v >= minimum:
             errors.append(f"{path}: must be >= {minimum}")
+            return default
     return v
 
 
@@ -179,7 +188,7 @@ def _parse_space(node, errors):
                 minimum=1.0, strict_min=True)
     p = _number(node.get("p"), "space.p", errors, minimum=1.0,
                 strict_min=True)
-    weights = _vector(node.get("weights"), "space.weights", errors)
+    weights = _finite_vector(node.get("weights"), "space.weights", errors)
     cp = _number(node.get("Cp"), "space.Cp", errors, minimum=0.0,
                  strict_min=True)
     gq = _number(node.get("Gq"), "space.Gq", errors, minimum=0.0,
@@ -213,14 +222,18 @@ def _parse_set(node, path, errors, space):
             errors.append(f"{path}: {exc}")
             return None
     if kind == "ball":
-        c = _vector(node.get("center"), f"{path}.center", errors,
-                    required=True)
+        c = _finite_vector(node.get("center"), f"{path}.center", errors,
+                           required=True)
         rad = _number(node.get("radius"), f"{path}.radius", errors,
                       required=True, minimum=0.0, strict_min=True)
         if c is None or rad is None:
             return None
         _check_length(c, space, f"{path}.center", errors)
-        return Ball(c, rad)
+        try:
+            return Ball(c, rad)
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+            return None
     if kind == "subspace":
         sup = node.get("support")
         dim = float("inf") if space is None else space.dim
@@ -274,7 +287,8 @@ def _parse_model(node, path, errors, s, base_dir, space=None):
     return None
 
 
-def _parse_data(node, path, errors, base_dir, default_eta):
+def _parse_data(node, path, errors, base_dir, eta):
+    """Data with the noise level `eta` that the run uses."""
     node = _check_mapping(node, _DATA_KEYS, path, errors)
     ydelta, fname = node.get("ydelta"), node.get("ydeltaFile")
     if ydelta is None and fname is None:
@@ -288,8 +302,6 @@ def _parse_data(node, path, errors, base_dir, default_eta):
         except (OSError, ValueError) as exc:
             errors.append(f"{path}.ydeltaFile: cannot read {full}: {exc}")
     arr = _finite_vector(ydelta, f"{path}.ydelta", errors)
-    eta = _number(node.get("eta"), f"{path}.eta", errors,
-                  default=default_eta, minimum=0.0)
     if arr is None or eta is None:
         return None
     return NoisyData(arr, eta)
@@ -309,12 +321,17 @@ def _parse_level(node, idx, errors, s, base_dir, space):
     cset = model = data = None
     if node.get("set") is not None:
         cset = _parse_set(node["set"], f"{path}.set", errors, space)
+    if isinstance(node.get("model"), dict):
+        for key, home in _LEVEL_MODEL_CONSTANTS.items():
+            if node["model"].pop(key, None) is not None:
+                errors.append(f"{path}.model.{key}: a level's constants are "
+                              f"its C, L and Lhat; set {path}.{home}")
     if node.get("model") is not None:
         model = _parse_model(node["model"], f"{path}.model", errors, s,
                              base_dir)
     if node.get("data") is not None:
         data = _parse_data(node["data"], f"{path}.data", errors, base_dir,
-                           default_eta=eta)
+                           eta)
     ref = _finite_vector(node.get("reference"), f"{path}.reference", errors)
     _check_problem(space, model, data, f"{path}.", errors)
     _check_length(ref, space, f"{path}.reference", errors)
@@ -418,8 +435,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if raw.get("data") is None:
             errors.append("data: missing required section for single mode")
         else:
-            data = _parse_data(raw["data"], "data", errors, base_dir,
-                               default_eta=eta)
+            data = _parse_data(raw["data"], "data", errors, base_dir, eta)
         _check_length(reference, space, "diagnostics.referenceSolution",
                       errors)
         _check_problem(space, model, data, "", errors)

@@ -2,7 +2,7 @@
 
 __all__ = [
     "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
-    "EtaTooLarge", "LinearCaseUnbounded", "NonpositiveU", "ZeroGradient",
+    "EtaTooLarge", "NonpositiveU", "ZeroGradient",
     "NonFiniteStep",
     "MissingStabilityConstant", "StepIdentityViolated", "DegenerateSet",
     "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
@@ -35,13 +35,6 @@ class NonFiniteInput(ProjSDError, ValueError):
 
 class EtaTooLarge(ProjSDError):
     """The noise level violates ``8 * ctilde * eta < 1``."""
-
-
-class LinearCaseUnbounded(ProjSDError):
-    """Convergence radius is infinite because the curvature constant is zero.
-
-    Callers may treat any starting point as admissible.
-    """
 
 
 class NonpositiveU(ProjSDError):

@@ -91,8 +91,8 @@ class SpaceGeometry:
         if w.shape != (self.dim,):
             raise DimensionMismatch(
                 f"weights have shape {w.shape}, expected ({self.dim},)")
-        if np.any(w <= 0):
-            raise ValueError("all weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("all weights must be positive and finite")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

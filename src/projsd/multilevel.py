@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LambdaTooSmall, LinearCaseUnbounded, NoSuchLevel,
-                     TauOutOfRange, TransitionInvalid)
+from .errors import (LambdaTooSmall, NoSuchLevel, TauOutOfRange,
+                     TransitionInvalid)
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
@@ -61,11 +61,8 @@ class Level:
 
     def rho(self, space: SpaceGeometry) -> float:
         """Level convergence radius; infinite when the level is linear."""
-        try:
-            return convergence_radius(space, self.Lhat, self.ctilde(space),
-                                      self.eta)
-        except LinearCaseUnbounded:
-            return math.inf
+        return convergence_radius(space, self.Lhat, self.ctilde(space),
+                                  self.eta)
 
 
 @dataclass

@@ -68,7 +68,7 @@ _EXP_MAX = 700.0
 class ConvexSet:
     """Base class.  Subclasses implement membership and either
     ``_project_r`` or, where the gauge-p projection has a shortcut,
-    ``_project``."""
+    ``_project``, each mapping a member to itself as a new array."""
 
     def contains(self, space: SpaceGeometry, x, tol: float = 1e-10) -> bool:
         raise NotImplementedError
@@ -78,7 +78,7 @@ class ConvexSet:
         raise NotImplementedError
 
     def _project(self, space: SpaceGeometry, x):
-        """Bregman projection of x, a point outside the set."""
+        """Bregman projection of x, any finite point of the space."""
         return _gauge_p_projection(
             space, lambda z: self._project_r(space, z), x)
 
@@ -90,20 +90,29 @@ class WholeSpace(ConvexSet):
         space.check_dim(x)
         return True
 
+    def _project(self, space, x):
+        return x.copy()
+
     def __repr__(self):
         return "WholeSpace()"
 
 
 class Box(ConvexSet):
-    """Coordinate box [lower_i, upper_i], with +-inf bounds allowed."""
+    """Coordinate box [lower_i, upper_i]; a bound of -inf (lower) or +inf
+    (upper) leaves its side open."""
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must have the same shape")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper in every coordinate")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ValueError("box has an empty coordinate: lower = +inf or "
+                             "upper = -inf")
 
     def contains(self, space, x, tol=1e-10):
         x = space.check_dim(x)
@@ -121,9 +130,11 @@ class Ball(ConvexSet):
     """Norm ball {y : ||y - center|| <= radius} in the space norm."""
 
     def __init__(self, center, radius):
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         self.center = np.asarray(center, dtype=float)
+        if not np.isfinite(self.center).all():
+            raise ValueError("center must be finite")
         self.radius = float(radius)
 
     def contains(self, space, x, tol=1e-10):
@@ -138,6 +149,7 @@ class Ball(ConvexSet):
         return self.center + (self.radius / dist) * (z - self.center)
 
     def _project(self, space, x):
+        x = x.copy()  # each path returns a point inside the ball as z itself
         if not np.any(self.center):
             # Centred: by symmetry the radial shrink is the projection for
             # every gauge.
@@ -432,9 +444,9 @@ def _solve_coordinates(z, c, lam, r, y):
 
 
 def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
-    """Bregman projection of x onto the set.
+    """Bregman projection of x onto the set, as a new array.
 
-    Membership of x short-circuits to x itself; the minimizer is unique by
+    Each set maps its members to themselves; the minimizer is unique by
     strict convexity, so no tie-breaking is needed.  The projection is
     exact for every exponent pair and any positive weights; with r = p = 2
     it is the metric projection of the weighted Euclidean norm.
@@ -451,8 +463,6 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
     x = space.check_dim(x)
     if not np.isfinite(x).all():
         raise NonFiniteInput("cannot project a vector holding NaN or inf")
-    if isinstance(cset, WholeSpace) or cset.contains(space, x, tol=0.0):
-        return np.asarray(x, dtype=float).copy()
     return cset._project(space, x)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EtaTooLarge, LinearCaseUnbounded,
-                     MissingStabilityConstant, NonFiniteStep, NonpositiveU,
-                     StepIdentityViolated, ZeroGradient)
+from .errors import (DimensionMismatch, EtaTooLarge, MissingStabilityConstant,
+                     NonFiniteStep, NonpositiveU, StepIdentityViolated,
+                     ZeroGradient)
 from .geometry import (SpaceGeometry, _bregman_distance, _duality_map, _norm,
                        dual_norm, duality_map, inverse_duality_map, norm)
 from .models import ForwardModel, NoisyData, data_space
@@ -152,18 +152,16 @@ def _radius_bracket(ctilde: float, eta: float) -> float:
 
 def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
                        eta: float) -> float:
-    """Radius of the Bregman ball of admissible starting points.
+    """Radius of the Bregman ball of admissible starting points; infinite
+    when ``ctilde == 0`` (F linear), where every start is admissible.
 
     Raises
     ------
-    LinearCaseUnbounded
-        If ``ctilde == 0``; the radius is infinite and callers may treat
-        any starting point as admissible.
     EtaTooLarge
         If ``8 * ctilde * eta >= 1``.
     """
     if ctilde == 0.0:
-        raise LinearCaseUnbounded("zero curvature constant: infinite radius")
+        return math.inf
     return (space.Cp / space.p) \
         * (_radius_bracket(ctilde, eta) / lhat) ** space.p
 
@@ -288,10 +286,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     if ref is not None:
         ref = space.check_dim(np.asarray(ref, dtype=float))
         ref_np = _norm(space, ref) ** space.p
-        try:
-            rho = convergence_radius(space, model.lhat, ctilde, config.eta)
-        except LinearCaseUnbounded:
-            rho = math.inf
+        rho = convergence_radius(space, model.lhat, ctilde, config.eta)
         breg, xstar = _bregman_to_ref(space, x, ref, ref_np)
         start_radius_ok = breg < rho
 

@@ -200,7 +200,7 @@ class TestExecuteMultilevel:
                 "Lhat": 1.0,
                 "set": {"kind": "subspace", "support": sup},
                 "model": {"kind": "diagonal", "sigma": sigma.tolist()},
-                "data": {"ydelta": ydelta, "eta": eta},
+                "data": {"ydelta": ydelta},
             })
         doc = {
             "mode": "multilevel",
@@ -355,6 +355,74 @@ class TestParseTimeInputContract:
         assert main(["run", path]) == 3
         assert "config error: levels[2].model.sigma:" \
             in capsys.readouterr().err
+        assert not (tmp_path / "ml.csv").exists()
+
+    @pytest.mark.parametrize("message, overrides", [
+        pytest.param("space.weights:",
+                     {"space": {"dim": 2, "weights": [np.inf, 1.0],
+                                "Cp": 1.0, "Gq": 1.0}}, id="weights"),
+        pytest.param("set: box bounds must not be NaN",
+                     {"set": {"kind": "box", "lower": [np.nan, 0.0],
+                              "upper": [1.0, 1.0]}}, id="box-nan"),
+        pytest.param("set: box has an empty coordinate",
+                     {"set": {"kind": "box", "lower": [np.inf, 0.0],
+                              "upper": [np.inf, 1.0]}}, id="box-empty"),
+        pytest.param("set.center:",
+                     {"set": {"kind": "ball", "center": [np.inf, 0.0],
+                              "radius": 1.0}}, id="ball-center"),
+        pytest.param("set.radius: expected a finite number",
+                     {"set": {"kind": "ball", "center": [0.0, 0.0],
+                              "radius": np.inf}}, id="ball-radius"),
+        pytest.param("dataSpace.s: expected a finite number",
+                     {"dataSpace": {"s": np.inf}}, id="scalar"),
+        pytest.param("model.eps: expected a finite number",
+                     {"model": {"kind": "quadratic", "eps": np.inf,
+                                "cstab": 1.0, "matrix": [[2.0, 0.0],
+                                                         [0.0, 3.0]]}},
+                     id="model-eps"),
+        pytest.param("model.cstab: expected a finite number",
+                     {"model": {"kind": "quadratic", "eps": 0.1,
+                                "cstab": np.inf, "matrix": [[2.0, 0.0],
+                                                            [0.0, 3.0]]}},
+                     id="model-cstab"),
+    ])
+    def test_non_finite_parameters(self, tmp_path, capsys, message,
+                                   overrides):
+        self.run_bad(tmp_path, capsys, message, **overrides)
+
+    @pytest.mark.parametrize("message, overrides", [
+        pytest.param("solver.eta: must be >= 0.0",
+                     {"solver": {"eta": -1.0, "etaHat": 1.0e-8}},
+                     id="solver-eta"),
+        pytest.param("set.radius: must be > 0.0",
+                     {"set": {"kind": "ball", "center": [0.0, 0.0],
+                              "radius": -1.0}}, id="ball-radius"),
+    ])
+    def test_rejected_number_builds_nothing(self, tmp_path, capsys, message,
+                                            overrides):
+        # A rejected value must not reach a constructor, whose ValueError
+        # would escape as a traceback.
+        self.run_bad(tmp_path, capsys, message, **overrides)
+
+    def test_data_eta_refused(self, tmp_path, capsys):
+        # The run's noise level is solver.eta; data.eta was never read.
+        self.run_bad(tmp_path, capsys, "data.eta:",
+                     data={"ydelta": [1.0, 1.0], "eta": 0.4})
+
+    @pytest.mark.parametrize("section, key, home", [
+        ("data", "eta", None), ("model", "cstab", "C"),
+        ("model", "lhat", "Lhat"), ("model", "rhoDomain", "Lhat")])
+    def test_level_keys_the_run_overrides(self, tmp_path, capsys, section,
+                                          key, home):
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][1][section][key] = 1000.0
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: levels[1].{section}.{key}:" in err
+        if section == "model":
+            assert f"set levels[1].{home}" in err
         assert not (tmp_path / "ml.csv").exists()
 
     def test_check_theorems_needs_reference(self, tmp_path, capsys):

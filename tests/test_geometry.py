@@ -49,8 +49,9 @@ class TestConstruction:
             SpaceGeometry(dim=2, r=1.0)
         with pytest.raises(ValueError):
             SpaceGeometry(dim=2, p=1.0)
-        with pytest.raises(ValueError):
-            SpaceGeometry(dim=2, weights=[1.0, -1.0])
+        for bad in (-1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                SpaceGeometry(dim=2, weights=[1.0, bad])
         with pytest.raises(DimensionMismatch):
             SpaceGeometry(dim=2, weights=[1.0, 1.0, 1.0])
 

@@ -43,10 +43,18 @@ class TestSetBasics:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
+        # NaN bounds and empty coordinates; -inf and +inf stay open sides.
+        for lower, upper in [(np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
+                             (-np.inf, -np.inf)]:
+            with pytest.raises(ValueError):
+                Box([lower, 0.0], [upper, 1.0])
+        Box([-np.inf, 0.0], [np.inf, 1.0])
 
     def test_ball_validation(self):
-        with pytest.raises(ValueError):
-            Ball([0.0], 0.0)
+        for center, radius in [(0.0, 0.0), (0.0, np.nan), (np.inf, 1.0),
+                               (np.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                Ball([center, 0.0], radius)
 
     def test_subspace_validation(self):
         with pytest.raises(ValueError):
@@ -99,12 +107,15 @@ class TestHilbertClosedForms:
 class TestProjectionProperties:
     @pytest.mark.parametrize("r,p", GEOMETRIES)
     def test_membership_short_circuit(self, r, p):
+        # Each set maps its members to themselves, as a new array.  The
+        # off-centre ball takes the multiplier search when r != 2.
         space = lp_space(4, r=r, p=p)
         rng = np.random.default_rng(1)
-        for cset in make_sets(4):
+        for cset in make_sets(4) + [Ball(np.full(4, 0.3), 0.75)]:
             z = sample_member(cset, space, rng)
-            np.testing.assert_array_equal(
-                bregman_project(space, cset, z), z)
+            y = bregman_project(space, cset, z)
+            assert y is not z
+            np.testing.assert_array_equal(y, z)
 
     @pytest.mark.parametrize("r,p", GEOMETRIES)
     def test_total_nonexpansiveness(self, r, p):

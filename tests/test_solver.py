@@ -8,7 +8,7 @@ import pytest
 import projsd.geometry as geometry_module
 import projsd.solver as solver_module
 from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
-                    EtaTooLarge, LinearCaseUnbounded, LinearModel,
+                    EtaTooLarge, LinearModel,
                     MissingStabilityConstant, NoisyData, NonFiniteStep,
                     ProjSDError, QuadraticModel, SolverConfig,
                     StepIdentityViolated, WholeSpace, bregman_distance,
@@ -39,8 +39,11 @@ class TestSolverConfig:
 
 class TestConvergenceRadius:
     def test_linear_case_unbounded(self):
-        with pytest.raises(LinearCaseUnbounded):
-            convergence_radius(lp_space(2), lhat=1.0, ctilde=0.0, eta=0.0)
+        # A linear F has an infinite radius: every start is admissible,
+        # also with a zero derivative bound.
+        for lhat in (1.0, 0.0):
+            assert convergence_radius(lp_space(2), lhat=lhat, ctilde=0.0,
+                                      eta=0.0) == math.inf
 
     def test_eta_too_large(self):
         with pytest.raises(EtaTooLarge):
@@ -369,6 +372,28 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
     assert len(ref_norms) == 1
     # One more for J_p(x_0), computed with the start's Bregman distance.
     assert len(duality_maps) <= 3 * 20 + 1
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
+def test_membership_tested_once_per_run(monkeypatch, kind):
+    """The run tests its start for membership; every projection after it
+    decides membership itself."""
+    cset = KERNEL_SETS[kind]
+    real_contains = type(cset).contains
+    calls = []
+
+    def counting_contains(*args, **kwargs):
+        calls.append(1)
+        return real_contains(*args, **kwargs)
+
+    monkeypatch.setattr(type(cset), "contains", counting_contains)
+    model, _, ydelta = kernel_problem(False)
+    cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12)
+    report = run_algorithm1(lp_space(4, r=3.0), cset, model,
+                            NoisyData(ydelta, 0.0),
+                            np.array([0.9, 0.8, -0.7, 0.6]), cfg)
+    assert report.stopped_at_k == 12
+    assert len(calls) == 1
 
 
 class NaNAfter(LinearModel):
