@@ -12,8 +12,9 @@ Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
 failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
 parameters that do not fit ``space.dim``, non-finite numbers other than
 open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
-without ``cstab``, keys the run would not read) is a validation failure
-found while parsing, before anything runs.
+without ``cstab``, or without ``lhat`` under ``checkTheorems``, keys the
+run would not read) is a validation failure found while parsing, before
+anything runs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _TOP_KEYS = {"mode", "space", "dataSpace", "model", "set", "levels",
              "schedule"}
 _SPACE_KEYS = {"dim", "r", "p", "weights", "Cp", "Gq"}
 _MODEL_KEYS = {"kind", "matrix", "matrixFile", "sigma", "eps", "cstab",
-               "lhat", "rhoDomain"}
+               "lhat"}
 _SET_KEYS = {"kind", "lower", "upper", "center", "radius", "support"}
 _SOLVER_KEYS = {"eta", "etaHat", "maxIterations", "seed"}
 _DIAG_KEYS = {"referenceSolution", "checkTheorems"}
@@ -56,7 +57,7 @@ _OUTPUT_KEYS = {"tracePath", "summaryPath", "schedulePath"}
 _DATA_KEYS = {"ydelta", "ydeltaFile"}
 _LEVEL_KEYS = {"eta", "C", "L", "Lhat", "model", "set", "data", "reference"}
 # Level model keys refused: the run sets them from the level's C and Lhat.
-_LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat", "rhoDomain": "Lhat"}
+_LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat"}
 _SCHEDULE_KEYS = {"lam", "tau", "etaHat", "maxLevels"}
 _MODES = {"single", "multilevel", "validate", "example-schedule"}
 
@@ -249,7 +250,7 @@ def _parse_set(node, path, errors, space):
     return None
 
 
-def _parse_model(node, path, errors, s, base_dir, space=None):
+def _parse_model(node, path, errors, s, base_dir):
     node = _check_mapping(node, _MODEL_KEYS, path, errors)
     kind = node.get("kind")
     cstab = _number(node.get("cstab"), f"{path}.cstab", errors,
@@ -271,14 +272,10 @@ def _parse_model(node, path, errors, s, base_dir, space=None):
                       required=True, minimum=0.0)
         lhat = _number(node.get("lhat"), f"{path}.lhat", errors,
                        minimum=0.0, strict_min=True)
-        rho_dom = _number(node.get("rhoDomain"), f"{path}.rhoDomain",
-                          errors, minimum=0.0, strict_min=True)
         if mat is None or eps is None:
             return None
         try:
-            return QuadraticModel(mat, eps, s=s, cstab=cstab,
-                                  rho_domain=rho_dom, lhat=lhat,
-                                  space=space)
+            return QuadraticModel(mat, eps, s=s, cstab=cstab, lhat=lhat)
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
             return None
@@ -430,8 +427,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if raw.get("model") is None:
             errors.append("model: missing required section for single mode")
         else:
-            model = _parse_model(raw["model"], "model", errors, s,
-                                 base_dir, space=space)
+            model = _parse_model(raw["model"], "model", errors, s, base_dir)
         if raw.get("data") is None:
             errors.append("data: missing required section for single mode")
         else:
@@ -439,9 +435,14 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         _check_length(reference, space, "diagnostics.referenceSolution",
                       errors)
         _check_problem(space, model, data, "", errors)
-        if model is not None and model.lip != 0.0 and model.cstab is None:
-            errors.append("model.cstab: a nonlinear model needs a "
-                          "stability constant")
+        # A constant the node holds but that was rejected has its error.
+        if model is not None and model.lip != 0.0:
+            if raw["model"].get("cstab") is None:
+                errors.append("model.cstab: a nonlinear model needs a "
+                              "stability constant")
+            if check_theorems and raw["model"].get("lhat") is None:
+                errors.append("model.lhat: checkTheorems on a nonlinear "
+                              "model needs a derivative bound")
         if check_theorems and reference is None:
             errors.append("diagnostics.checkTheorems: needs "
                           "diagnostics.referenceSolution")

@@ -34,14 +34,19 @@ class NonFiniteInput(ProjSDError, ValueError):
 
 
 class EtaTooLarge(ProjSDError):
-    """The noise level violates ``8 * ctilde * eta < 1``."""
+    """The noise level violates ``8 * ctilde * eta < 1``.
+
+    Checked on entry to every nonlinear run, with or without a reference,
+    and by the radius and level-transition formulas.
+    """
 
 
 class NonpositiveU(ProjSDError):
     """Step-size numerator became nonpositive.
 
-    The theoretical preconditions are violated: either the starting point
-    lies outside the convergence radius or the noise level is too large.
+    With ``8 * ctilde * eta < 1`` checked on entry, this means the
+    residual lies at or beyond the larger root of u: the iterate is
+    outside the convergence radius.
     """
 
 
@@ -55,7 +60,9 @@ class NonFiniteStep(ProjSDError):
 
 
 class MissingStabilityConstant(ProjSDError, ValueError):
-    """A nonlinear model has no conditional stability constant ``cstab``."""
+    """A nonlinear model does not state a constant the analysis reads: its
+    conditional stability constant ``cstab`` (on entry to every run) or,
+    for the convergence radius, its derivative bound ``lhat``."""
 
 
 class StepIdentityViolated(ProjSDError):

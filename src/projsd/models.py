@@ -43,14 +43,16 @@ class ForwardModel:
     - ``cstab``: conditional stability constant on the working set,
     - ``s``: the data-space norm exponent (data live in l^s).
 
-    ``cstab`` may be None for models where no stability certificate is
-    available; runs then treat it as asserted by the user.
+    ``cstab`` and ``lhat`` are stated by the caller, never derived; None
+    means not stated.  A linear model (``lip == 0``) needs neither.  A
+    nonlinear run raises MissingStabilityConstant on entry without
+    ``cstab``, and, with a diagnostic reference, without ``lhat``.
     """
 
     out_dim: int
     s: float = 2.0
     lip: float = 0.0
-    lhat: float = 0.0
+    lhat: float | None = None
     cstab: float | None = None
 
     def eval(self, x: np.ndarray) -> np.ndarray:
@@ -91,7 +93,6 @@ class LinearModel(ForwardModel):
         self.in_dim = self.matrix.shape[1]
         self.s = float(s)
         self.lip = 0.0
-        self.lhat = float(np.linalg.norm(self.matrix, 2))
         self.cstab = cstab
 
     def eval(self, x):
@@ -139,14 +140,12 @@ class QuadraticModel(ForwardModel):
     """F_i(x) = (A x)_i + eps * x_i**2.
 
     The minimal model with a nonzero derivative Lipschitz constant:
-    lip = 2 eps in the Hilbert configuration.  The derivative bound on a
-    Bregman ball of radius rho is ``||A|| + 2 eps R`` with
-    ``R = (p rho / Cp)**(1/p)``; pass ``lhat`` to override when the ball
-    is not centered at the origin.
+    lip = 2 eps in the Hilbert configuration.  The derivative bound
+    ``lhat`` >= ||A + 2 eps diag(x)|| over the domain depends on that
+    domain, so the caller states it (None: not stated).
     """
 
-    def __init__(self, matrix, eps, s=2.0, cstab=None, space=None,
-                 rho_domain=None, lhat=None):
+    def __init__(self, matrix, eps, s=2.0, cstab=None, lhat=None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("quadratic model needs a square matrix")
@@ -158,17 +157,7 @@ class QuadraticModel(ForwardModel):
         self.s = float(s)
         self.lip = 2.0 * self.eps
         self.cstab = cstab
-        if lhat is not None:
-            self.lhat = float(lhat)
-        else:
-            anorm = float(np.linalg.norm(self.matrix, 2))
-            if rho_domain is not None:
-                if space is None:
-                    raise ValueError("rho_domain needs the space geometry")
-                radius = (space.p * rho_domain / space.Cp) ** (1.0 / space.p)
-                self.lhat = anorm + 2.0 * self.eps * radius
-            else:
-                self.lhat = anorm
+        self.lhat = None if lhat is None else float(lhat)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)

@@ -128,13 +128,15 @@ def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
 
 
 def _u_roots(ctilde: float, eta: float):
-    """``disc = 1 - 8 ctilde eta`` and, unless negative, the roots
-    ``(1 -+ sqrt(disc)) / (2 ctilde)`` of u and the radius bracket."""
+    """The roots ``(1 -+ sqrt(1 - 8 ctilde eta)) / (2 ctilde)`` of u and
+    the radius bracket, for ``ctilde > 0``.  Raises EtaTooLarge unless
+    ``8 * ctilde * eta < 1``; otherwise u <= 0 at every residual."""
     disc = 1.0 - 8.0 * ctilde * eta
-    if disc < 0.0:
-        return disc, None, None
+    if disc <= 0.0:
+        raise EtaTooLarge(
+            f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
     sq = math.sqrt(disc)
-    return disc, (1.0 - sq) / (2.0 * ctilde), (1.0 + sq) / (2.0 * ctilde)
+    return (1.0 - sq) / (2.0 * ctilde), (1.0 + sq) / (2.0 * ctilde)
 
 
 def _radius_bracket(ctilde: float, eta: float) -> float:
@@ -143,25 +145,28 @@ def _radius_bracket(ctilde: float, eta: float) -> float:
     ``ctilde == 0``.  Raises EtaTooLarge if ``8 * ctilde * eta >= 1``."""
     if ctilde == 0.0:
         return math.inf
-    disc, _, hi = _u_roots(ctilde, eta)
-    if disc <= 0.0:
-        raise EtaTooLarge(
-            f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
-    return hi - 2.0 * eta
+    return _u_roots(ctilde, eta)[1] - 2.0 * eta
 
 
-def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
-                       eta: float) -> float:
-    """Radius of the Bregman ball of admissible starting points; infinite
-    when ``ctilde == 0`` (F linear), where every start is admissible.
+def convergence_radius(space: SpaceGeometry, lhat: float | None,
+                       ctilde: float, eta: float) -> float:
+    """Radius ``(Cp/p) (bracket / lhat)**p`` of the Bregman ball of
+    admissible starting points; infinite when ``ctilde == 0`` (F linear),
+    where every start is admissible and ``lhat`` is not read.
 
     Raises
     ------
+    MissingStabilityConstant
+        If ``ctilde > 0`` and ``lhat`` is None (not stated).
     EtaTooLarge
         If ``8 * ctilde * eta >= 1``.
     """
     if ctilde == 0.0:
         return math.inf
+    if lhat is None:
+        raise MissingStabilityConstant(
+            "a nonlinear model needs a derivative bound lhat for its "
+            "convergence radius")
     return (space.Cp / space.p) \
         * (_radius_bracket(ctilde, eta) / lhat) ** space.p
 
@@ -169,12 +174,9 @@ def convergence_radius(space: SpaceGeometry, lhat: float, ctilde: float,
 def _u_value(ctilde, eta, rk):
     if ctilde == 0.0:
         return rk - eta
-    disc, lo, hi = _u_roots(ctilde, eta)
-    if disc >= 0.0:
-        # Factored form from the two roots; better conditioned near them.
-        return -ctilde * (rk - (lo - eta)) * (rk - (hi - eta))
-    return -ctilde * rk ** 2 + (1.0 - 2.0 * ctilde * eta) * rk \
-        - eta - ctilde * eta ** 2
+    lo, hi = _u_roots(ctilde, eta)
+    # Factored form from the two roots; better conditioned near them.
+    return -ctilde * (rk - (lo - eta)) * (rk - (hi - eta))
 
 
 def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
@@ -192,9 +194,11 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     ZeroGradient
         If the gradient norm vanishes while the residual is above the
         threshold (stationary nonconvergent point).
+    EtaTooLarge
+        If ``ctilde > 0`` and ``8 * ctilde * eta >= 1``.
     NonpositiveU
-        If the step numerator is nonpositive, i.e. the convergence
-        preconditions are violated.
+        If the step numerator is nonpositive: the residual lies at or
+        beyond the larger root of u, outside the convergence radius.
     StepIdentityViolated
         If the two step-size identities fail beyond round-off.
     """
@@ -267,7 +271,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         If ``x0`` does not match the space or ``data.ydelta`` is not of
         shape ``(model.out_dim,)``.
     MissingStabilityConstant
-        On entry, if the model is nonlinear and carries no ``cstab``.
+        On entry, if the model is nonlinear and carries no ``cstab``, or,
+        with a diagnostic reference, no ``lhat``.
+    EtaTooLarge
+        On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
     x = space.check_dim(np.asarray(x0, dtype=float)).copy()
     if data.ydelta.shape != (model.out_dim,):
@@ -281,6 +288,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
 
     y_space = data_space(model, space.p)
     ctilde = compute_ctilde(space, model)
+    if ctilde > 0.0:
+        _u_roots(ctilde, config.eta)  # EtaTooLarge unless 8 ctilde eta < 1
     ref = config.diagnostic_reference
     rho = breg = start_radius_ok = ref_np = xstar = None
     if ref is not None:

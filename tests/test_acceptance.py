@@ -6,19 +6,24 @@ well under a minute on one core.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 import yaml
 
 from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
-                    Level, LinearModel, NoisyData, QuadraticModel, Schedule,
-                    SolverConfig, WholeSpace, bregman_distance,
+                    Level, LinearModel, NoisyData, NonpositiveU,
+                    QuadraticModel, Schedule, SolverConfig,
+                    TransitionInvalid, WholeSpace, bregman_distance,
                     bregman_project, convergence_radius, adjoint_check,
                     duality_map, example_schedule, fd_derivative_check,
                     inverse_duality_map, lp_space, norm, run_algorithm1,
                     run_multi_level, select_final_level, validate_schedule)
 from projsd.cli import main as cli_main
+from projsd.cli import parse_config
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
 
 def test_criterion_1_hilbert_linear_reduction():
@@ -301,3 +306,112 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert first == second and len(first) > 0
     print("PASS criterion 9: two CLI invocations with identical config "
           "and seed produced byte-identical trace CSVs")
+
+
+def nonlinear_schedule(eps):
+    """Nested boxes for F_i(x) = sigma_i x_i + eps x_i**2 at d = 8, with
+    sigma_i = exp(-i/2).  Level m = 1..8 is the box [-1, 1] on the first
+    m coordinates and {0} on the rest; its reference is the truth
+    x_i = 0.8 exp(-0.3 i) truncated to that support, and its constants
+    are true bounds for this separable model on the box:
+    C_m = 1 / min_{i<m} (sigma_i - 2 eps), L = 2 eps and
+    Lhat = max_i (sigma_i + 2 eps).  The model states no constant; the
+    run sets each level's on it."""
+    d = 8
+    i = np.arange(d)
+    sigma = np.exp(-i / 2.0)
+    model = QuadraticModel(np.diag(sigma), eps)
+    truth = 0.8 * np.exp(-0.3 * i)
+    g = np.random.default_rng(0).standard_normal(d)
+    ydelta = model(truth) + 1e-4 * g / np.linalg.norm(g)
+    levels = []
+    for m in range(1, d + 1):
+        inside = i < m
+        ref = np.where(inside, truth, 0.0)
+        eta = float(np.linalg.norm(model(ref) - ydelta))
+        levels.append(Level(
+            index=m - 1, eta=eta,
+            C=float(1.0 / np.min(sigma[:m] - 2.0 * eps)), L=2.0 * eps,
+            Lhat=float(np.max(sigma + 2.0 * eps)),
+            cset=Box(np.where(inside, -1.0, 0.0), np.where(inside, 1.0, 0.0)),
+            model=model, data=NoisyData(ydelta, eta), reference=ref))
+    return lp_space(d), Schedule(levels=levels, epsilon=1.0,
+                                 eta_hat=4.0 * levels[-1].eta)
+
+
+@pytest.mark.parametrize("eps, ks, single_k", [
+    (3e-4, [0, 1, 0, 2, 4, 4, 4, 111], 111),
+    (5e-4, [0, 1, 0, 2, 4, 4, 9, 99], None),
+])
+def test_criterion_10_nonlinear_multilevel(eps, ks, single_k):
+    """Nonlinear F over nested boxes: the multi-level run meets the
+    discrepancy from admissible starts, also where the single-level run
+    on the finest set starts outside its radius and stops at k = 0."""
+    space, sched = nonlinear_schedule(eps)
+    report = run_multi_level(space, sched, np.zeros(space.dim))
+    assert report.stop_reason == "DiscrepancyMet"
+    assert report.final_residual <= sched.eta_hat
+    assert [k for _, k, _, _ in report.per_level] == ks
+    assert all(report.start_radius_ok)
+    assert sum(rep.monotonicity_violations
+               for *_, rep in report.per_level) == 0
+
+    # The single-level run on the finest box, with its constants.
+    lv = sched.levels[-1]
+    model = lv.model.with_constants(lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
+    cfg = SolverConfig(eta=lv.eta, eta_hat=sched.eta_hat,
+                       diagnostic_reference=lv.reference)
+    single = run_algorithm1(space, lv.cset, model, lv.data,
+                            np.zeros(space.dim), cfg)
+    if single_k is not None:
+        assert single.stop_reason == "DiscrepancyMet"
+        assert single.stopped_at_k == single_k
+        assert single.start_radius_ok
+    else:
+        assert single.stop_reason == "StepDegenerate"
+        assert single.stopped_at_k == 0
+        assert isinstance(single.failure, NonpositiveU)
+        assert str(single.failure).startswith("u_0 = -0.0459")
+        assert single.rho == pytest.approx(0.3623, abs=1e-4)
+        assert single.start_radius_ok is False
+    print(f"PASS criterion 10: eps = {eps}: multi-level K={ks}; "
+          f"single-level {single.stop_reason} at k={single.stopped_at_k}")
+
+
+def test_criterion_10_transition_fails_at_stronger_nonlinearity():
+    """At eps = 1e-3 the coupling from level 6 into level 7 fails."""
+    space, sched = nonlinear_schedule(1e-3)
+    with pytest.raises(TransitionInvalid, match=r"at levels \[6\]$"):
+        run_multi_level(space, sched, np.zeros(space.dim))
+    print("PASS criterion 10: eps = 1e-3 fails the transition at level 6")
+
+
+def test_criterion_11_nonlinear_example_config(tmp_path):
+    """The shipped nonlinear multi-level config holds the eps = 5e-4
+    schedule, and the CLI runs it byte-stably with the library's K."""
+    path = os.path.join(EXAMPLES, "nonlinear_multilevel.yaml")
+    space, sched = nonlinear_schedule(5e-4)
+    with open(path) as fh:
+        cfg = parse_config(fh.read())
+    assert cfg.eta_hat == sched.eta_hat
+    for got, want in zip(cfg.levels, sched.levels, strict=True):
+        assert (got.eta, got.C, got.L, got.Lhat) \
+            == (want.eta, want.C, want.L, want.Lhat)
+        assert np.array_equal(got.reference, want.reference)
+        assert np.array_equal(got.data.ydelta, want.data.ydelta)
+        assert np.array_equal(got.cset.lower, want.cset.lower)
+        assert np.array_equal(got.cset.upper, want.cset.upper)
+
+    outputs = []
+    for n in range(2):
+        trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+        assert cli_main(["run", path, "--quiet", "--trace", str(trace),
+                         "--summary", str(summary)]) == 0
+        outputs.append((trace.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+    per_level = yaml.safe_load(outputs[0][1])["perLevel"]
+    library = run_multi_level(space, sched, np.zeros(space.dim))
+    assert [lv["K"] for lv in per_level] \
+        == [k for _, k, _, _ in library.per_level]
+    print("PASS criterion 11: nonlinear example config matches the "
+          "eps = 5e-4 schedule; two CLI runs byte-identical")

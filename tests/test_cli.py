@@ -301,11 +301,33 @@ class TestParseTimeInputContract:
         err = capsys.readouterr().err
         assert f"config error: {path_prefix}" in err
         assert not (tmp_path / "trace.csv").exists()
+        return err
 
     def test_nonlinear_model_without_cstab(self, tmp_path, capsys):
         self.run_bad(tmp_path, capsys, "model.cstab:",
                      model={"kind": "quadratic", "eps": 0.1,
                             "matrix": [[2.0, 0.0], [0.0, 3.0]]})
+
+    def test_nonlinear_model_without_lhat(self, tmp_path, capsys):
+        # The theorem checks read the radius, which needs a stated lhat;
+        # nothing derives one (||A|| = 0 here, not a bound once eps > 0).
+        self.run_bad(tmp_path, capsys, "model.lhat:",
+                     model={"kind": "quadratic", "eps": 0.1, "cstab": 1.0,
+                            "matrix": [[0.0, 0.0], [0.0, 0.0]]},
+                     diagnostics={"referenceSolution": [0.0, 0.0],
+                                  "checkTheorems": True})
+
+    @pytest.mark.parametrize("key", ["cstab", "lhat"])
+    def test_rejected_constant_reported_once(self, tmp_path, capsys, key):
+        # A constant the node holds but that was rejected is not also
+        # reported as missing.
+        model = {"kind": "quadratic", "eps": 0.1, "cstab": 1.0, "lhat": 3.0,
+                 "matrix": [[2.0, 0.0], [0.0, 3.0]], key: np.inf}
+        err = self.run_bad(tmp_path, capsys,
+                           f"model.{key}: expected a finite", model=model,
+                           diagnostics={"referenceSolution": [0.0, 0.0],
+                                        "checkTheorems": True})
+        assert err.count("config error") == 1, err
 
     def test_x0_length(self, tmp_path, capsys):
         self.run_bad(tmp_path, capsys, "x0:", x0=[0.0, 0.0, 0.0])
@@ -411,7 +433,7 @@ class TestParseTimeInputContract:
 
     @pytest.mark.parametrize("section, key, home", [
         ("data", "eta", None), ("model", "cstab", "C"),
-        ("model", "lhat", "Lhat"), ("model", "rhoDomain", "Lhat")])
+        ("model", "lhat", "Lhat")])
     def test_level_keys_the_run_overrides(self, tmp_path, capsys, section,
                                           key, home):
         TestExecuteMultilevel().make_config(tmp_path)
@@ -424,6 +446,23 @@ class TestParseTimeInputContract:
         if section == "model":
             assert f"set levels[1].{home}" in err
         assert not (tmp_path / "ml.csv").exists()
+
+    @pytest.mark.parametrize("where", ["single", "level"])
+    def test_rho_domain_is_unknown(self, tmp_path, capsys, where):
+        # The model states lhat; nothing derives it from a domain radius.
+        if where == "single":
+            self.run_bad(tmp_path, capsys, "model.rhoDomain: unknown key",
+                         model={"kind": "quadratic", "eps": 0.1,
+                                "cstab": 1.0, "rhoDomain": 0.5,
+                                "matrix": [[2.0, 0.0], [0.0, 3.0]]})
+            return
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][1]["model"]["rhoDomain"] = 0.5
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert "config error: levels[1].model.rhoDomain: unknown key" \
+            in capsys.readouterr().err
 
     def test_check_theorems_needs_reference(self, tmp_path, capsys):
         self.run_bad(tmp_path, capsys, "diagnostics.checkTheorems:",

@@ -22,7 +22,7 @@ class TestLinearModel:
         A = np.diag([3.0, 1.0])
         model = LinearModel(A)
         assert model.lip == 0.0
-        assert model.lhat == pytest.approx(3.0)
+        assert model.lhat is None  # stated, never derived
 
     def test_batched_eval(self):
         A = np.eye(2)
@@ -88,17 +88,10 @@ class TestQuadraticModel:
             assert diff <= 2.0 * eps * np.linalg.norm(x - xt) + 1e-10
         assert model.lip == pytest.approx(2.0 * eps)
 
-    def test_lhat_on_domain_ball(self):
-        space = lp_space(3)
-        A = 2.0 * np.eye(3)
-        rho = 0.5
-        model = QuadraticModel(A, eps=0.25, space=space, rho_domain=rho)
-        radius = (space.p * rho / space.Cp) ** (1.0 / space.p)
-        assert model.lhat == pytest.approx(2.0 + 0.5 * radius)
-
     def test_lhat_override(self):
         model = QuadraticModel(np.eye(2), eps=0.1, lhat=7.0)
         assert model.lhat == 7.0
+        assert QuadraticModel(np.eye(2), eps=0.1).lhat is None
 
     def test_with_constants_copy(self):
         model = QuadraticModel(np.eye(2), eps=0.1)

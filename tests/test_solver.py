@@ -232,6 +232,33 @@ class TestTypedErrors:
             run_algorithm1(lp_space(2), WholeSpace(), model, data,
                            np.zeros(2), cfg)
 
+    def test_missing_lhat_with_reference(self):
+        # Only the convergence radius reads lhat; a run without a
+        # reference does not need it.
+        model = QuadraticModel(np.eye(2), eps=0.1, cstab=1.0)
+        data = NoisyData([1.0, 1.0], 0.0)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=5,
+                           diagnostic_reference=np.ones(2))
+        with pytest.raises(MissingStabilityConstant, match="lhat"):
+            run_algorithm1(lp_space(2), WholeSpace(), model, data,
+                           np.zeros(2), cfg)
+        cfg.diagnostic_reference = None
+        assert run_algorithm1(lp_space(2), WholeSpace(), model, data,
+                              np.zeros(2), cfg).stop_reason \
+            == "DiscrepancyMet"
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_eta_too_large_on_entry(self, with_ref):
+        # ctilde = 4 in Hilbert space, so 8 ctilde eta = 6.4: u is
+        # negative for every residual, with or without a reference.
+        model = QuadraticModel(np.eye(2), eps=0.5, cstab=2.0, lhat=3.0)
+        assert compute_ctilde(lp_space(2), model) == 4.0
+        cfg = SolverConfig(eta=0.2, eta_hat=0.7, diagnostic_reference=(
+            np.ones(2) if with_ref else None))
+        with pytest.raises(EtaTooLarge):
+            run_algorithm1(lp_space(2), WholeSpace(), model,
+                           NoisyData([1.0, 1.0], 0.2), np.zeros(2), cfg)
+
     def test_step_identity_violation_is_typed(self, monkeypatch):
         # A negative tolerance makes the round-off check fail on any step.
         monkeypatch.setattr(solver_module, "_SELF_CHECK_TOL", -1.0)
