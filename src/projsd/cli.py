@@ -4,22 +4,26 @@ Parses a YAML run configuration, constructs the geometry, model, set or
 level schedule, executes a single-level or multi-level run (or validates
 a schedule without running), and writes a per-iteration CSV trace plus a
 YAML summary.  All file writes are atomic (temp file + rename).  The
-solver is deterministic, so an identical config produces byte-identical
-files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
-summary and feeds no randomness.
+trace is streamed: the run hands each iteration to the library's
+``on_iteration`` hook, which writes its row to the temp file, and the
+file is renamed into place when the run ends, so a run holds one
+iteration at a time.  The solver is deterministic, so an identical
+config produces byte-identical files; ``solver.seed`` (or ``--seed``) is
+metadata echoed into the summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
 failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
 parameters that do not fit ``space.dim``, non-finite numbers other than
 open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
 without ``cstab``, or without ``lhat`` under ``checkTheorems``, keys the
-run would not read) is a validation failure found while parsing, before
-anything runs.
+run would not read, such as a model key its kind ignores) is a
+validation failure found while parsing, before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -50,6 +54,10 @@ _TOP_KEYS = {"mode", "space", "dataSpace", "model", "set", "levels",
 _SPACE_KEYS = {"dim", "r", "p", "weights", "Cp", "Gq"}
 _MODEL_KEYS = {"kind", "matrix", "matrixFile", "sigma", "eps", "cstab",
                "lhat"}
+# Model keys refused per kind: the run would not read them.
+_MODEL_UNREAD = {"linear": ("sigma", "eps", "lhat"),
+                 "diagonal": ("matrix", "matrixFile", "eps", "lhat"),
+                 "quadratic": ("sigma",)}
 _SET_KEYS = {"kind", "lower", "upper", "center", "radius", "support"}
 _SOLVER_KEYS = {"eta", "etaHat", "maxIterations", "seed"}
 _DIAG_KEYS = {"referenceSolution", "checkTheorems"}
@@ -253,6 +261,11 @@ def _parse_set(node, path, errors, space):
 def _parse_model(node, path, errors, s, base_dir):
     node = _check_mapping(node, _MODEL_KEYS, path, errors)
     kind = node.get("kind")
+    if isinstance(kind, str):
+        for key in _MODEL_UNREAD.get(kind, ()):
+            if key in node:
+                errors.append(f"{path}.{key}: a {kind} model does not "
+                              "read it")
     cstab = _number(node.get("cstab"), f"{path}.cstab", errors,
                     minimum=0.0, strict_min=True)
     if kind == "linear":
@@ -318,13 +331,18 @@ def _parse_level(node, idx, errors, s, base_dir, space):
     cset = model = data = None
     if node.get("set") is not None:
         cset = _parse_set(node["set"], f"{path}.set", errors, space)
-    if isinstance(node.get("model"), dict):
+    model_node = node.get("model")
+    if isinstance(model_node, dict):
+        # The node may be shared with other levels through a YAML alias,
+        # so it is read, never changed.
         for key, home in _LEVEL_MODEL_CONSTANTS.items():
-            if node["model"].pop(key, None) is not None:
+            if model_node.get(key) is not None:
                 errors.append(f"{path}.model.{key}: a level's constants are "
                               f"its C, L and Lhat; set {path}.{home}")
-    if node.get("model") is not None:
-        model = _parse_model(node["model"], f"{path}.model", errors, s,
+        model_node = {key: val for key, val in model_node.items()
+                      if key not in _LEVEL_MODEL_CONSTANTS}
+    if model_node is not None:
+        model = _parse_model(model_node, f"{path}.model", errors, s,
                              base_dir)
     if node.get("data") is not None:
         data = _parse_data(node["data"], f"{path}.data", errors, base_dir,
@@ -503,16 +521,15 @@ def _fail(quiet: bool, message: str, code: int) -> int:
     return code
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _atomic_write(path: str, content: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file open for writing at a temp path beside `path`, renamed
+    over `path` when the block ends and removed if it raises."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-projsd-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -520,21 +537,35 @@ def _atomic_write(path: str, content: str):
         raise
 
 
-def _trace_rows(level: int, report) -> list[str]:
-    rows = []
-    for st in report.iterations:
-        breg = "" if st.bregman_to_ref is None else _fmt(st.bregman_to_ref)
-        rok = "" if st.radius_ok is None else str(bool(st.radius_ok)).lower()
-        rows.append(",".join([
-            str(level), str(st.k), _fmt(st.rk), _fmt(st.tk),
-            _fmt(st.that_k), _fmt(st.uk), _fmt(st.vk), _fmt(st.wk),
-            _fmt(st.muk), breg, rok]))
-    return rows
+def _atomic_write(path: str, content: str):
+    with _atomic_file(path) as fh:
+        fh.write(content)
 
 
-def _write_trace(path, rows):
-    _atomic_write(path, TRACE_HEADER + "\n" + "\n".join(rows)
-                  + ("\n" if rows else ""))
+# One trace row; %s renders a float as repr() does.
+_TRACE_ROW = "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+_FLAG = {None: "", True: "true", False: "false"}
+
+
+@contextlib.contextmanager
+def _trace_writer(path):
+    """An observer ``(level, state)`` that streams one CSV row per
+    iteration to `path`, renamed into place when the block ends (see
+    `_atomic_file`); without a path it writes nothing."""
+    if not path:
+        yield lambda level, st: None
+        return
+    with _atomic_file(path) as fh:
+        fh.write(TRACE_HEADER + "\n")
+        write = fh.write
+
+        def row(level, st):
+            breg = st.bregman_to_ref
+            write(_TRACE_ROW % (level, st.k, st.rk, st.tk, st.that_k, st.uk,
+                                st.vk, st.wk, st.muk,
+                                "" if breg is None else breg,
+                                _FLAG[st.radius_ok]))
+        yield row
 
 
 def _write_summary(path, summary):
@@ -542,16 +573,28 @@ def _write_summary(path, summary):
                                        default_flow_style=False))
 
 
-def _theorem_tally(report):
-    its = report.iterations
-    return {
-        "iterations": len(its),
-        "monotonicityViolations": report.monotonicity_violations,
-        "radiusOkAll": all(st.radius_ok for st in its
-                           if st.radius_ok is not None),
-        "strictBoundOkAll": all(st.strict_bound_ok for st in its
-                                if st.strict_bound_ok is not None),
-    }
+class _TheoremTally:
+    """``theoremChecks`` of a single-level run, counted as its iterations
+    stream past; a flag that is None (no reference) does not count."""
+
+    def __init__(self):
+        self.iterations = 0
+        self.radius_ok_all = self.strict_bound_ok_all = True
+
+    def add(self, st):
+        self.iterations += 1
+        if st.radius_ok is not None and not st.radius_ok:
+            self.radius_ok_all = False
+        if st.strict_bound_ok is not None and not st.strict_bound_ok:
+            self.strict_bound_ok_all = False
+
+    def summary(self, report):
+        return {
+            "iterations": self.iterations,
+            "monotonicityViolations": report.monotonicity_violations,
+            "radiusOkAll": self.radius_ok_all,
+            "strictBoundOkAll": self.strict_bound_ok_all,
+        }
 
 
 def _add_failure(entry, report):
@@ -567,9 +610,15 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
                               max_iterations=cfg.max_iterations,
                               diagnostic_reference=cfg.reference
                               if cfg.check_theorems else None)
+    tally = _TheoremTally()
     try:
-        report = run_algorithm1(cfg.space, cfg.cset, cfg.model, cfg.data,
-                                cfg.x0, solver_cfg)
+        with _trace_writer(cfg.trace_path) as write_row:
+            def observe(st):
+                write_row(0, st)
+                tally.add(st)
+            report = run_algorithm1(cfg.space, cfg.cset, cfg.model,
+                                    cfg.data, cfg.x0, solver_cfg,
+                                    on_iteration=observe)
     except ProjSDError as exc:
         return _fail(quiet, f"solver abort: {exc}", 2)
     summary = {
@@ -584,9 +633,7 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
     if report.rho is not None:
         summary["rho"] = float(report.rho)
     if cfg.check_theorems:
-        summary["theoremChecks"] = _theorem_tally(report)
-    if cfg.trace_path:
-        _write_trace(cfg.trace_path, _trace_rows(0, report))
+        summary["theoremChecks"] = tally.summary(report)
     if cfg.summary_path:
         _write_summary(cfg.summary_path, summary)
     if not quiet:
@@ -603,16 +650,17 @@ def _build_schedule(cfg: RunConfig) -> Schedule:
 def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
     schedule = _build_schedule(cfg)
     try:
-        report = run_multi_level(cfg.space, schedule, cfg.x0,
-                                 max_iterations_per_level=cfg.max_iterations)
+        with _trace_writer(cfg.trace_path) as write_row:
+            report = run_multi_level(
+                cfg.space, schedule, cfg.x0,
+                max_iterations_per_level=cfg.max_iterations,
+                on_iteration=write_row)
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
         return _fail(quiet, f"schedule invalid: {exc}", 3)
     except ProjSDError as exc:
         return _fail(quiet, f"solver abort: {exc}", 2)
-    rows = []
     per_level = []
     for idx, k, res, rep in report.per_level:
-        rows.extend(_trace_rows(idx, rep))
         entry = {"level": idx, "K": k, "finalResidual": float(res),
                  "stopReason": rep.stop_reason}
         _add_failure(entry, rep)
@@ -624,8 +672,6 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
         "perLevel": per_level,
         "seed": cfg.seed,
     }
-    if cfg.trace_path:
-        _write_trace(cfg.trace_path, rows)
     if cfg.summary_path:
         _write_summary(cfg.summary_path, summary)
     ok = report.stop_reason == "DiscrepancyMet"

@@ -12,6 +12,8 @@ input arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSet
@@ -29,6 +31,18 @@ __all__ = [
     "adjoint_check",
     "estimate_stability_constant",
 ]
+
+
+def _stated(name, value):
+    """A stated constant as a float, or None when not stated.  Raises
+    ValueError unless it is positive and finite: lhat divides the
+    radius, and cstab = 0 would give a nonlinear model c-tilde = 0."""
+    if value is None:
+        return None
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} = {value} must be positive and finite")
+    return v
 
 
 class ForwardModel:
@@ -71,16 +85,18 @@ class ForwardModel:
         """Shallow copy with overridden analysis constants.
 
         Used by the multi-level driver, where each level carries its own
-        certified constants for the restricted operator.
+        certified constants for the restricted operator.  Raises
+        ValueError if a given ``lhat`` or ``cstab`` is not positive and
+        finite.
         """
         import copy
         m = copy.copy(self)
         if lip is not None:
             m.lip = float(lip)
         if lhat is not None:
-            m.lhat = float(lhat)
+            m.lhat = _stated("lhat", lhat)
         if cstab is not None:
-            m.cstab = float(cstab)
+            m.cstab = _stated("cstab", cstab)
         return m
 
 
@@ -142,7 +158,8 @@ class QuadraticModel(ForwardModel):
     The minimal model with a nonzero derivative Lipschitz constant:
     lip = 2 eps in the Hilbert configuration.  The derivative bound
     ``lhat`` >= ||A + 2 eps diag(x)|| over the domain depends on that
-    domain, so the caller states it (None: not stated).
+    domain, so the caller states it (None: not stated).  A stated
+    ``lhat`` or ``cstab`` must be positive and finite (ValueError).
     """
 
     def __init__(self, matrix, eps, s=2.0, cstab=None, lhat=None):
@@ -156,8 +173,8 @@ class QuadraticModel(ForwardModel):
         self.eps = float(eps)
         self.s = float(s)
         self.lip = 2.0 * self.eps
-        self.cstab = cstab
-        self.lhat = None if lhat is None else float(lhat)
+        self.cstab = _stated("cstab", cstab)
+        self.lhat = _stated("lhat", lhat)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,6 +56,18 @@ class Level:
     model: ForwardModel | None = None
     data: NoisyData | None = None
     reference: np.ndarray | None = None
+
+    def __post_init__(self):
+        # C and Lhat divide the transition budget and the radius.
+        for name, positive in (("eta", False), ("C", True), ("L", False),
+                               ("Lhat", True)):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and (v > 0.0 if positive
+                                          else v >= 0.0)):
+                raise ValueError(
+                    f"level {self.index}: {name} = {v} must be "
+                    f"{'positive' if positive else 'nonnegative'} and "
+                    "finite")
 
     def ctilde(self, space: SpaceGeometry) -> float:
         return _curvature_weight(space, self.L) * self.C ** 2
@@ -164,8 +177,8 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
 
 
 def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
-                    max_iterations_per_level: int = 10 ** 6
-                    ) -> MultiLevelReport:
+                    max_iterations_per_level: int = 10 ** 6,
+                    on_iteration=None) -> MultiLevelReport:
     """Run the schedule level by level.
 
     Each level runs the single-level iteration with its own discrepancy
@@ -173,6 +186,10 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     next level as its start.  The sets are nested, so the hand-off is
     feasible; the level's run makes its usual membership test on entry
     and records its start-radius check in its report.
+
+    ``on_iteration(level_index, state)`` receives every executed step of
+    every level as it completes (see ``run_algorithm1``); with a hook the
+    level reports keep no history and their ``iterations`` stay empty.
     """
     validate_schedule(space, schedule)
     for lv in schedule.levels:
@@ -194,7 +211,10 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         config = SolverConfig(eta=lv.eta, eta_hat=threshold,
                               max_iterations=max_iterations_per_level,
                               diagnostic_reference=lv.reference)
-        report = run_algorithm1(space, lv.cset, model, lv.data, x, config)
+        report = run_algorithm1(
+            space, lv.cset, model, lv.data, x, config,
+            on_iteration=None if on_iteration is None
+            else partial(on_iteration, lv.index))
         per_level.append((lv.index, report.stopped_at_k,
                           report.final_residual, report))
         x = report.x_final

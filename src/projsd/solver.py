@@ -85,7 +85,9 @@ class IterationState:
 
 @dataclass
 class RunReport:
-    """Outcome of a single-level run.  ``descent_sum`` adds up the
+    """Outcome of a single-level run.  ``iterations`` is the history of
+    executed steps; it stays empty when the run streamed its steps to an
+    ``on_iteration`` hook instead.  ``descent_sum`` adds up the
     per-step strict-descent amounts, bounded by the initial Bregman
     distance to the reference; ``start_radius_ok`` (set also at K = 0)
     says whether the start lies strictly inside the radius-``rho`` ball.
@@ -253,9 +255,15 @@ def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_np):
 
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                    model: ForwardModel, data: NoisyData, x0,
-                   config: SolverConfig) -> RunReport:
+                   config: SolverConfig, on_iteration=None) -> RunReport:
     """Run the projected steepest descent iteration to the discrepancy
     threshold.
+
+    Each executed step is handed as an ``IterationState`` to
+    ``on_iteration``, in order, as soon as it is complete; the hook holds
+    what it needs and the run keeps no history, so ``report.iterations``
+    stays empty and memory does not grow with the step count.  Without a
+    hook the states are kept in ``report.iterations``.
 
     Starting points outside the set are projected in (recorded in the
     report).  With a diagnostic reference the trace additionally carries
@@ -304,6 +312,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                        projected_start=projected_start, rho=rho,
                        start_radius_ok=start_radius_ok)
 
+    emit = report.iterations.append if on_iteration is None \
+        else on_iteration
     # Each step carries x with J_p(x) when the diagnostics of the step
     # before computed it (xstar), and otherwise computes J_p(x) once.
     q_over_p = space.q / space.p
@@ -348,7 +358,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         # The strict-descent amount of the step is the gain with 1/p in
         # place of 1/q.
         report.descent_sum += q_over_p * gain
-        report.iterations.append(IterationState(
+        emit(IterationState(
             k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
             vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
             radius_ok=radius_ok, monotone_ok=monotone_ok,

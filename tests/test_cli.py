@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 import yaml
 
-from projsd import LinearModel, SchemaError
+from projsd import (LinearModel, NonConvergence, Schedule, SchemaError,
+                    SolverConfig, run_algorithm1, run_multi_level)
 from projsd.cli import TRACE_HEADER, main, parse_config
+
+EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                       "nonlinear_multilevel.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -464,6 +468,65 @@ class TestParseTimeInputContract:
         assert "config error: levels[1].model.rhoDomain: unknown key" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("linear", "eps", 0.3), ("linear", "lhat", 0.001),
+        ("linear", "sigma", [2.0, 3.0]), ("diagonal", "eps", 0.3),
+        ("diagonal", "lhat", 0.001),
+        ("diagonal", "matrix", [[1.0, 0.0], [0.0, 1.0]]),
+        ("diagonal", "matrixFile", "A.csv"),
+        ("quadratic", "sigma", [2.0, 3.0])])
+    def test_model_key_its_kind_does_not_read(self, tmp_path, capsys, kind,
+                                              key, value):
+        model = {"kind": kind, "cstab": 1.0, key: value}
+        if kind == "diagonal":
+            model.setdefault("sigma", [2.0, 3.0])
+        else:
+            model.setdefault("matrix", [[2.0, 0.0], [0.0, 3.0]])
+        if kind == "quadratic":
+            model["eps"] = 0.1
+        err = self.run_bad(tmp_path, capsys,
+                           f"model.{key}: a {kind} model does not read it",
+                           model=model)
+        assert err.count("config error") == 1, err
+
+    def test_level_model_key_its_kind_does_not_read(self, tmp_path, capsys):
+        # lhat has its own message on a level model, and only that one.
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][2]["model"].update(eps=0.3, lhat=2.0)
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert "config error: levels[2].model.eps: a diagonal model does " \
+            "not read it" in err
+        assert "config error: levels[2].model.lhat: a level's constants" \
+            in err
+        assert err.count("config error") == 2, err
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "linear", "matrix": [[2.0, 0.0], [0.0, 3.0]]},
+        {"kind": "diagonal", "sigma": [2.0, 3.0]}])
+    def test_cstab_allowed_on_every_kind(self, tmp_path, model):
+        model["cstab"] = 2.0
+        path = single_config(tmp_path, model=model)
+        assert main(["run", path, "--quiet"]) == 0
+
+    def test_aliased_level_model_reported_per_level(self, tmp_path, capsys):
+        # Every level of the example shares one model through a YAML
+        # alias; a constant under the anchor is a fault of each level.
+        with open(EXAMPLE) as fh:
+            text = fh.read()
+        anchor = "    model: &model\n"
+        assert text.count(anchor) == 1
+        text = text.replace(anchor, anchor + "      cstab: 3.0\n")
+        path = write(tmp_path, "aliased.yaml", text)
+        assert main(["run", path, "--trace", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        for n in range(8):
+            assert f"config error: levels[{n}].model.cstab:" in err, err
+        assert err.count("config error") == 8, err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_check_theorems_needs_reference(self, tmp_path, capsys):
         self.run_bad(tmp_path, capsys, "diagnostics.checkTheorems:",
                      diagnostics={"checkTheorems": True})
@@ -578,3 +641,148 @@ class TestStepFailureInSummary:
         assert main(["run", path, "--quiet"]) == 0
         summary = self.summary(tmp_path, "ml.yaml")
         assert all("failure" not in lv for lv in summary["perLevel"])
+
+
+def trace_from_history(runs):
+    """The trace of ``[(level, report)]`` from the reports' histories,
+    one value at a time, as the CLI wrote it before it streamed rows."""
+    def fmt(v):
+        return repr(float(v))
+    rows = [TRACE_HEADER]
+    for level, rep in runs:
+        for st in rep.iterations:
+            rows.append(",".join(
+                [str(level), str(st.k)]
+                + [fmt(v) for v in (st.rk, st.tk, st.that_k, st.uk, st.vk,
+                                    st.wk, st.muk)]
+                + ["" if st.bregman_to_ref is None
+                   else fmt(st.bregman_to_ref),
+                   "" if st.radius_ok is None
+                   else str(bool(st.radius_ok)).lower()]))
+    return "\n".join(rows) + "\n"
+
+
+def dump(summary):
+    return yaml.safe_dump(summary, sort_keys=True, default_flow_style=False)
+
+
+class TestStreamedOutputs:
+    """The CLI streams trace rows and theorem counts from the run; its
+    files equal those built from a library run that kept its history."""
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="linear"),
+        # The reference is no solution, so the strict bound fails.
+        pytest.param({"model": {"kind": "quadratic", "eps": 0.05,
+                                "cstab": 0.5, "lhat": 3.5,
+                                "matrix": [[2.0, 0.0], [0.0, 3.0]]},
+                      "set": {"kind": "box", "lower": [0.0, 0.0],
+                              "upper": [1.0, 1.0]},
+                      "solver": {"etaHat": 1e-6},
+                      "diagnostics": {"referenceSolution": [0.45, 0.3],
+                                      "checkTheorems": True}},
+                     id="quadratic-flags-fail"),
+        pytest.param({"model": {"kind": "linear",
+                                "matrix": [[1.0, 0.0], [1.0, 0.0]]},
+                      "data": {"ydelta": [0.0, 1.0]},
+                      "solver": {"etaHat": 1e-8, "maxIterations": 50}},
+                     id="max-iterations"),
+    ])
+    def test_single_mode(self, tmp_path, overrides):
+        overrides.setdefault("diagnostics", {
+            "referenceSolution": [0.5, 1.0 / 3.0], "checkTheorems": True})
+        path = single_config(tmp_path, **overrides)
+        code = main(["run", path, "--quiet"])
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        rep = run_algorithm1(cfg.space, cfg.cset, cfg.model, cfg.data,
+                             cfg.x0, SolverConfig(
+                                 eta=cfg.eta, eta_hat=cfg.eta_hat,
+                                 max_iterations=cfg.max_iterations,
+                                 diagnostic_reference=cfg.reference))
+        its = rep.iterations
+        assert code == (0 if rep.stop_reason == "DiscrepancyMet" else 2)
+        assert len(its) == rep.stopped_at_k > 0
+        summary = {
+            "mode": "single", "stopReason": rep.stop_reason,
+            "stoppedAtK": rep.stopped_at_k,
+            "finalResidual": float(rep.final_residual),
+            "projectedStart": rep.projected_start, "seed": 0,
+            "rho": float(rep.rho),
+            "theoremChecks": {
+                "iterations": len(its),
+                "monotonicityViolations": rep.monotonicity_violations,
+                "radiusOkAll": all(st.radius_ok for st in its),
+                "strictBoundOkAll": all(st.strict_bound_ok for st in its)},
+        }
+        assert (tmp_path / "trace.csv").read_text() \
+            == trace_from_history([(0, rep)])
+        assert (tmp_path / "summary.yaml").read_text() == dump(summary)
+
+    def test_multilevel_mode(self, tmp_path):
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        assert main(["run", path, "--quiet"]) == 0
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        report = run_multi_level(cfg.space, Schedule(
+            levels=cfg.levels, epsilon=cfg.epsilon, eta_hat=cfg.eta_hat),
+            cfg.x0)
+        summary = {
+            "mode": "multilevel", "stopReason": report.stop_reason,
+            "finalResidual": float(report.final_residual), "seed": 0,
+            "perLevel": [{"level": n, "K": k, "finalResidual": float(res),
+                          "stopReason": rep.stop_reason}
+                         for n, k, res, rep in report.per_level],
+        }
+        assert (tmp_path / "ml.csv").read_text() == trace_from_history(
+            [(n, rep) for n, _, _, rep in report.per_level])
+        assert (tmp_path / "ml.yaml").read_text() == dump(summary)
+
+    def test_raising_run_leaves_no_files(self, tmp_path, monkeypatch,
+                                         capsys):
+        # The third level's projection fails after two levels streamed
+        # their rows: the trace at the path keeps its old content, and no
+        # temp file stays behind.
+        import projsd.solver
+        real = projsd.solver.bregman_project
+        calls = []
+
+        def failing(space, cset, x):
+            if len(cset.support) == 6:
+                calls.append(1)
+                if len(calls) == 3:
+                    raise NonConvergence("bounded search ran out of steps")
+            return real(space, cset, x)
+
+        monkeypatch.setattr(projsd.solver, "bregman_project", failing)
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        (tmp_path / "ml.csv").write_text("old trace\n")
+        assert main(["run", path]) == 2
+        assert "solver abort: bounded search" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert (tmp_path / "ml.csv").read_text() == "old trace\n"
+        assert not (tmp_path / "ml.yaml").exists()
+        assert not [f for f in os.listdir(tmp_path)
+                    if f.startswith(".tmp-projsd-")]
+
+    def test_peak_memory_does_not_grow_with_k(self, tmp_path):
+        import tracemalloc
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["solver"]["maxIterations"] = 200
+        capped = write(tmp_path, "capped.cfg", yaml.safe_dump(doc))
+
+        def peak(cfg_path, code):
+            tracemalloc.start()
+            try:
+                assert main(["run", cfg_path, "--quiet"]) == code
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["run", capped, "--quiet"])  # warm-up outside the measure
+        short = peak(capped, 2)
+        full = peak(path, 0)
+        summary = yaml.safe_load((tmp_path / "ml.yaml").read_text())
+        assert sum(lv["K"] for lv in summary["perLevel"]) == 4607
+        assert full < 1.5 * short, (full, short)

@@ -93,6 +93,19 @@ class TestQuadraticModel:
         assert model.lhat == 7.0
         assert QuadraticModel(np.eye(2), eps=0.1).lhat is None
 
+    @pytest.mark.parametrize("key", ["lhat", "cstab"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_stated_constant_positive_and_finite(self, key, value):
+        # lhat = 0 used to end a run with a reference in a division by 0.
+        with pytest.raises(ValueError, match=f"{key} = "):
+            QuadraticModel(np.eye(2), eps=0.1, **{key: value})
+
+    @pytest.mark.parametrize("key", ["lhat", "cstab"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_with_constants_positive_and_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} = "):
+            DiagonalLinearModel([1.0, 2.0]).with_constants(**{key: value})
+
     def test_with_constants_copy(self):
         model = QuadraticModel(np.eye(2), eps=0.1)
         other = model.with_constants(lip=0.5, lhat=3.0, cstab=2.0)

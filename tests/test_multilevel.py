@@ -37,6 +37,17 @@ class TestLevel:
         # Hilbert unit case: radius 1/2.
         assert lv.rho(space) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("name, value", [
+        ("C", 0.0), ("C", -1.0), ("C", math.inf), ("Lhat", 0.0),
+        ("Lhat", math.nan), ("eta", -0.1), ("eta", math.inf), ("L", -1.0),
+        ("L", math.nan)])
+    def test_constants_checked(self, name, value):
+        # Lhat = 0 used to reach validate_transition as a division by 0.
+        constants = dict(eta=0.01, C=1.0, L=0.5, Lhat=1.0)
+        constants[name] = value
+        with pytest.raises(ValueError, match=f"{name} = "):
+            Level(index=1, **constants)
+
 
 class TestSelectFinalLevel:
     def test_first_hit(self):
@@ -159,6 +170,23 @@ class TestRunMultiLevel:
         assert report.per_level[0][1] == 0
         assert len(report.start_radius_ok) == len(report.per_level)
         assert all(flag is True for flag in report.start_radius_ok)
+
+    def test_on_iteration_gets_each_level_index(self):
+        space, sched = diagonal_schedule()
+        history = run_multi_level(space, sched, np.zeros(space.dim))
+        seen = []
+        streamed = run_multi_level(space, sched, np.zeros(space.dim),
+                                   on_iteration=lambda n, st:
+                                   seen.append((n, st.k, st.x.tobytes(),
+                                                st.rk, st.bregman_to_ref)))
+        assert seen == [(n, st.k, st.x.tobytes(), st.rk, st.bregman_to_ref)
+                        for n, _, _, rep in history.per_level
+                        for st in rep.iterations]
+        assert {n for n, *_ in seen} == {0, 1, 2, 3}
+        assert all(rep.iterations == [] for *_, rep in streamed.per_level)
+        assert [k for _, k, _, _ in streamed.per_level] \
+            == [k for _, k, _, _ in history.per_level]
+        assert streamed.x_final.tobytes() == history.x_final.tobytes()
 
     def test_handoff_stays_feasible(self):
         space, sched = diagonal_schedule()

@@ -461,3 +461,40 @@ class TestNonFiniteStep:
         assert isinstance(report.failure, ProjSDError)
         assert str(report.failure).startswith(f"{name} = nan")
         assert math.isnan(report.final_residual) != adjoint
+
+
+def state_fields(st):
+    """Every field of an IterationState, arrays as bytes."""
+    return (st.k, st.x.tobytes(), st.xtilde.tobytes(), st.rk, st.tk,
+            st.that_k, st.uk, st.vk, st.wk, st.muk, st.bregman_to_ref,
+            st.radius_ok, st.monotone_ok, st.strict_bound_ok)
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+@pytest.mark.parametrize("max_iterations", [12, 10 ** 4])
+def test_on_iteration_streams_the_history(with_ref, max_iterations):
+    # The hook sees every state the default history would hold, in
+    # order and bit for bit, and the report then keeps none of them.
+    model, truth, ydelta = kernel_problem(quadratic=True)
+    eta = float(np.linalg.norm(model(truth) - ydelta))
+    cfg = SolverConfig(eta=eta, eta_hat=3.5 * eta,
+                       max_iterations=max_iterations,
+                       diagnostic_reference=truth if with_ref else None)
+    args = (lp_space(4, r=3.0, p=3.0), KERNEL_SETS["box"], model,
+            NoisyData(ydelta, eta), np.array([0.9, 0.8, -0.7, 0.6]), cfg)
+    history = run_algorithm1(*args)
+    seen = []
+    streamed = run_algorithm1(*args, on_iteration=seen.append)
+    assert streamed.iterations == []
+    assert len(seen) == streamed.stopped_at_k == history.stopped_at_k
+    assert [st.k for st in seen] == list(range(len(seen)))
+    assert [state_fields(st) for st in seen] \
+        == [state_fields(st) for st in history.iterations]
+    for rep in (history, streamed):
+        assert rep.stop_reason == ("MaxIterations" if max_iterations == 12
+                                   else "DiscrepancyMet")
+    assert streamed.x_final.tobytes() == history.x_final.tobytes()
+    assert (streamed.final_residual, streamed.descent_sum,
+            streamed.monotonicity_violations, streamed.rho) \
+        == (history.final_residual, history.descent_sum,
+            history.monotonicity_violations, history.rho)
