@@ -379,8 +379,12 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         With the full list of path-to-field messages.
     """
     errors: list[str] = []
+    # libyaml's parser, when PyYAML was built with it, feeds the same
+    # SafeConstructor and so gives the same objects, in a fraction of the
+    # pure-Python parser's time.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise SchemaError([f"config: invalid YAML: {exc}"])
     if not isinstance(raw, dict):

@@ -61,6 +61,12 @@ class ForwardModel:
     means not stated.  A linear model (``lip == 0``) needs neither.  A
     nonlinear run raises MissingStabilityConstant on entry without
     ``cstab``, and, with a diagnostic reference, without ``lhat``.
+
+    Output shapes: for one iterate ``x`` of shape ``(d,)``, ``eval(x)``
+    returns shape ``(out_dim,)`` and ``apply_adjoint(x, ystar)`` shape
+    ``(d,)``.  ``run_algorithm1`` checks both on every call and raises
+    DimensionMismatch, naming the method and the shape, for any other
+    shape, a scalar or ``(1,)`` included.
     """
 
     out_dim: int
@@ -134,6 +140,18 @@ class DiagonalLinearModel(LinearModel):
         sigma = np.asarray(sigma, dtype=float)
         super().__init__(np.diag(sigma), s=s, cstab=cstab)
         self.sigma = sigma
+
+    # For finite input the products below equal the dense products with
+    # ``matrix``, whose off-diagonal terms add zeros, bit for bit up to
+    # the sign of a zero entry.
+    def eval(self, x):
+        return self.sigma * x
+
+    def apply_derivative(self, x, h):
+        return self.sigma * h
+
+    def apply_adjoint(self, x, ystar):
+        return ystar * self.sigma
 
     def best_subspace_solution(self, ydelta, support):
         """Minimizer of ||F(z) - ydelta|| over the coordinate subspace and

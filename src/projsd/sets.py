@@ -19,7 +19,7 @@ Each set therefore implements only ``P_r``, whose objective
 ``(1/r) sum_i w_i |y_i|**r - <J_r(z), y>`` separates by coordinate, and
 one shared scalar root finds ``s`` when ``p != r``:
 
-- ``Box``: ``P_r`` is ``np.clip``, for any weights.
+- ``Box``: ``P_r`` is the coordinate clamp, for any weights.
 - ``CoordinateSubspace``: ``P_r`` is truncation.  The subspace is a cone,
   so ``s`` has a closed form as well.
 - ``Ball``: a radial shrink when the center is 0 (for every gauge) or
@@ -120,7 +120,8 @@ class Box(ConvexSet):
         return norm(space, gap) <= tol
 
     def _project_r(self, space, z):
-        return np.clip(z, self.lower, self.upper)
+        # np.clip's bits, signed zeros included, without its wrapper.
+        return np.minimum(np.maximum(z, self.lower), self.upper)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -461,7 +462,7 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
         range.
     """
     x = space.check_dim(x)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonFiniteInput("cannot project a vector holding NaN or inf")
     return cset._project(space, x)
 

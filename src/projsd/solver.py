@@ -18,8 +18,7 @@ import numpy as np
 from .errors import (DimensionMismatch, EtaTooLarge, MissingStabilityConstant,
                      NonFiniteStep, NonpositiveU, StepIdentityViolated,
                      ZeroGradient)
-from .geometry import (SpaceGeometry, _bregman_distance, _duality_map, _norm,
-                       dual_norm, duality_map, inverse_duality_map, norm)
+from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
 from .models import ForwardModel, NoisyData, data_space
 from .sets import ConvexSet, bregman_project
 
@@ -62,7 +61,7 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationState:
     """One executed iteration: the iterate, its unprojected update and the
     step's scalars; the diagnostic fields are None without a reference."""
@@ -173,12 +172,61 @@ def convergence_radius(space: SpaceGeometry, lhat: float | None,
         * (_radius_bracket(ctilde, eta) / lhat) ** space.p
 
 
-def _u_value(ctilde, eta, rk):
-    if ctilde == 0.0:
-        return rk - eta
-    lo, hi = _u_roots(ctilde, eta)
-    # Factored form from the two roots; better conditioned near them.
-    return -ctilde * (rk - (lo - eta)) * (rk - (hi - eta))
+def _step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
+               eta: float):
+    """The step formula of ``step_quantities`` with the run's constants
+    (exponents, curvature weight, roots of u) computed once: returns
+    ``rule(k, rk, tk)``.  Raises EtaTooLarge if ``ctilde > 0`` and
+    ``8 * ctilde * eta >= 1``."""
+    p, q, Gq = space.p, space.q, space.Gq
+    pm1 = p - 1.0  # equals 1 / (q - 1)
+    neg_pm1, r_exp, mu_exp = -pm1, p * p - p, pm1 * pm1
+    inv_q, gq_over_q = 1.0 / q, Gq / q
+    weight = _curvature_weight(space, model.lip)
+    if ctilde != 0.0:
+        lo, hi = _u_roots(ctilde, eta)
+        # Factored form from the two roots; better conditioned near them.
+        lo_shift, hi_shift = lo - eta, hi - eta
+
+    def rule(k, rk, tk):
+        if not math.isfinite(tk):
+            raise NonFiniteStep(
+                f"t_{k} = {tk} is not finite (residual {rk})")
+        if tk == 0.0:
+            raise ZeroGradient(f"t_{k} = 0 with residual {rk}")
+        if ctilde == 0.0:
+            uk = rk - eta
+        else:
+            uk = -ctilde * (rk - lo_shift) * (rk - hi_shift)
+        if uk <= 0.0:
+            raise NonpositiveU(
+                f"u_{k} = {uk} <= 0 (residual {rk}, eta {eta})")
+        tq = tk ** q
+        that = Gq * tq
+        that_pow = that ** neg_pm1
+        rk_pow = rk ** r_exp
+        pref_u = that_pow * uk ** pm1
+        pref = pref_u * rk_pow
+        # Equals (Gq/q) mu_k**q t_k**q, the second identity checked below.
+        gain = inv_q * that_pow * uk ** p * rk_pow
+        vk = pref * (rk - eta) - gain
+        wk = weight * pref
+        muk = pref_u * rk ** mu_exp
+
+        # The two algebraic identities behind the step-size choice must
+        # hold to round-off; a violation means the geometry constants are
+        # corrupt.
+        lhs1 = muk * rk ** pm1
+        scale1 = max(1.0, abs(lhs1), abs(pref))
+        lhs2 = gq_over_q * muk ** q * tq
+        scale2 = max(1.0, abs(lhs2), abs(gain))
+        if abs(lhs1 - pref) > _SELF_CHECK_TOL * scale1 \
+                or abs(lhs2 - gain) > _SELF_CHECK_TOL * scale2:
+            raise StepIdentityViolated(
+                f"step-size identities violated beyond 1e-9 at k = {k}")
+        return that, uk, vk, wk, muk, gain
+
+    return rule
 
 
 def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
@@ -204,51 +252,33 @@ def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     StepIdentityViolated
         If the two step-size identities fail beyond round-off.
     """
-    p, q, Gq = space.p, space.q, space.Gq
-    if not math.isfinite(tk):
-        raise NonFiniteStep(f"t_{k} = {tk} is not finite (residual {rk})")
-    if tk == 0.0:
-        raise ZeroGradient(f"t_{k} = 0 with residual {rk}")
-    uk = _u_value(ctilde, eta, rk)
-    if uk <= 0.0:
-        raise NonpositiveU(
-            f"u_{k} = {uk} <= 0 (residual {rk}, eta {eta})")
-    that = Gq * tk ** q
-    pm1 = p - 1.0  # equals 1 / (q - 1)
-    pref = that ** (-pm1) * uk ** pm1 * rk ** (p * p - p)
-    # Equals (Gq/q) mu_k**q t_k**q, the second identity checked below.
-    gain = (1.0 / q) * that ** (-pm1) * uk ** p * rk ** (p * p - p)
-    vk = pref * (rk - eta) - gain
-    wk = _curvature_weight(space, model.lip) * pref
-    muk = that ** (-pm1) * uk ** pm1 * rk ** (pm1 * pm1)
-
-    # The two algebraic identities behind the step-size choice must hold
-    # to round-off; a violation means the geometry constants are corrupt.
-    lhs1 = muk * rk ** pm1
-    scale1 = max(1.0, abs(lhs1), abs(pref))
-    lhs2 = (Gq / q) * muk ** q * tk ** q
-    scale2 = max(1.0, abs(lhs2), abs(gain))
-    if abs(lhs1 - pref) > _SELF_CHECK_TOL * scale1 \
-            or abs(lhs2 - gain) > _SELF_CHECK_TOL * scale2:
-        raise StepIdentityViolated(
-            f"step-size identities violated beyond 1e-9 at k = {k}")
-    return that, uk, vk, wk, muk, gain
+    return _step_rule(space, model, ctilde, eta)(k, rk, tk)
 
 
 def sd_step(space: SpaceGeometry, cset: ConvexSet, xstar, Tk, muk):
     """One dual-space update from ``xstar = J_p(x)`` followed by the
-    Bregman projection.
+    Bregman projection.  ``xstar`` and ``Tk`` are arrays of the space's
+    shape; the projection checks the update's.
 
     Returns ``(x_next, x_tilde)`` where ``x_tilde`` is the unprojected
     iterate, retained for diagnostics.
     """
-    xtilde = inverse_duality_map(space, xstar - muk * Tk)
+    xtilde = _duality_map(space.dual(), xstar - muk * Tk)
     return bregman_project(space, cset, xtilde), xtilde
+
+
+def _exact(value, shape, what):
+    """``value`` as a float array, which must have exactly ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise DimensionMismatch(
+            f"{what} has shape {value.shape}, expected {shape}")
+    return value
 
 
 def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_np):
     """``(breg(x, ref), J_p(x))`` given ``ref_np = ||ref||**p``."""
-    nrm = norm(space, x)
+    nrm = _norm(space, x)
     xstar = _duality_map(space, x, nrm)
     return float(_bregman_distance(space, nrm, xstar, ref, ref_np)), xstar
 
@@ -276,34 +306,37 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     Raises
     ------
     DimensionMismatch
-        If ``x0`` does not match the space or ``data.ydelta`` is not of
-        shape ``(model.out_dim,)``.
+        If ``x0`` or the diagnostic reference is not of shape
+        ``(space.dim,)``, if ``data.ydelta`` is not of shape
+        ``(model.out_dim,)``, or if a call of ``model.eval`` or
+        ``model.apply_adjoint`` returns an array of another shape than
+        ``(model.out_dim,)`` or ``(space.dim,)``.
     MissingStabilityConstant
         On entry, if the model is nonlinear and carries no ``cstab``, or,
         with a diagnostic reference, no ``lhat``.
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
-    x = space.check_dim(np.asarray(x0, dtype=float)).copy()
-    if data.ydelta.shape != (model.out_dim,):
-        raise DimensionMismatch(
-            f"ydelta has shape {data.ydelta.shape}, expected "
-            f"({model.out_dim},)")
+    x_shape, y_shape = (space.dim,), (model.out_dim,)
+    x = _exact(x0, x_shape, "x0").copy()
+    ydelta = _exact(data.ydelta, y_shape, "ydelta")
     projected_start = False
     if not cset.contains(space, x, tol=1e-12):
         x = bregman_project(space, cset, x)
         projected_start = True
 
-    y_space = data_space(model, space.p)
+    y_space, dual = data_space(model, space.p), space.dual()
+    eta, eta_hat = config.eta, config.eta_hat
+    max_iterations = config.max_iterations
     ctilde = compute_ctilde(space, model)
-    if ctilde > 0.0:
-        _u_roots(ctilde, config.eta)  # EtaTooLarge unless 8 ctilde eta < 1
+    # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
+    step_rule = _step_rule(space, model, ctilde, eta)
     ref = config.diagnostic_reference
     rho = breg = start_radius_ok = ref_np = xstar = None
     if ref is not None:
-        ref = space.check_dim(np.asarray(ref, dtype=float))
+        ref = _exact(ref, x_shape, "diagnostic_reference")
         ref_np = _norm(space, ref) ** space.p
-        rho = convergence_radius(space, model.lhat, ctilde, config.eta)
+        rho = convergence_radius(space, model.lhat, ctilde, eta)
         breg, xstar = _bregman_to_ref(space, x, ref, ref_np)
         start_radius_ok = breg < rho
 
@@ -315,34 +348,36 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     emit = report.iterations.append if on_iteration is None \
         else on_iteration
     # Each step carries x with J_p(x) when the diagnostics of the step
-    # before computed it (xstar), and otherwise computes J_p(x) once.
+    # before computed it (xstar), and otherwise computes J_p(x) once.  The
+    # loop's own arrays have the shapes of the space, so the geometry
+    # runs unchecked; only the model's outputs are checked.
     q_over_p = space.q / space.p
     k = 0
     while True:
-        Rk = model.eval(x) - data.ydelta
-        rk = float(norm(y_space, Rk))
-        if rk <= config.eta_hat:
+        Rk = _exact(model.eval(x), y_shape, "model.eval(x)") - ydelta
+        rk = float(_norm(y_space, Rk))
+        if rk <= eta_hat:
             report.stop_reason = "DiscrepancyMet"
             break
         if not math.isfinite(rk):
             report.stop_reason = "StepDegenerate"
             report.failure = NonFiniteStep(f"r_{k} = {rk} is not finite")
             break
-        if k >= config.max_iterations:
+        if k >= max_iterations:
             report.stop_reason = "MaxIterations"
             break
 
-        Tk = model.apply_adjoint(x, _duality_map(y_space, Rk, rk))
-        tk = float(dual_norm(space, Tk))
+        Tk = _exact(model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
+                    x_shape, "model.apply_adjoint(x, ystar)")
+        tk = float(_norm(dual, Tk))
         try:
-            that, uk, vk, wk, muk, gain = step_quantities(
-                space, model, ctilde, k, rk, tk, config.eta)
+            that, uk, vk, wk, muk, gain = step_rule(k, rk, tk)
         except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
             report.stop_reason = "StepDegenerate"
             report.failure = exc
             break
         x_next, xtilde = sd_step(
-            space, cset, duality_map(space, x) if xstar is None else xstar,
+            space, cset, _duality_map(space, x) if xstar is None else xstar,
             Tk, muk)
 
         breg_k, radius_ok, monotone_ok, strict_ok = breg, None, None, None

@@ -105,10 +105,92 @@ x0: [0.0, 0.0, 0.0, 0.0]
         with pytest.raises(SchemaError):
             parse_config("mode: [unterminated")
 
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    def test_invalid_yaml_exits_three_under_both_loaders(
+            self, tmp_path, monkeypatch, capsys, loader):
+        use_loader(monkeypatch, loader)
+        path = write(tmp_path, "bad.yaml", "mode: [unterminated\n")
+        assert main(["run", path]) == 3
+        assert "config error: config: invalid YAML" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["example", "minimal", "quadratic",
+                                        "multilevel", "schedule"])
+    def test_both_loaders_give_equal_configs(self, tmp_path, monkeypatch,
+                                             config):
+        text = loader_config_text(tmp_path, config)
+        use_loader(monkeypatch, "libyaml")
+        fast = parse_config(text, base_dir=str(tmp_path))
+        monkeypatch.undo()
+        use_loader(monkeypatch, "python")
+        plain = parse_config(text, base_dir=str(tmp_path))
+        assert structure(fast) == structure(plain)
+
     def test_bad_mode(self):
         with pytest.raises(SchemaError) as exc:
             parse_config("mode: nosuch")
         assert any("mode" in m for m in exc.value.errors)
+
+
+# Single-mode overrides of a quadratic run on a box; the reference is no
+# solution, so the strict bound fails.
+QUADRATIC_FLAGS_FAIL = {
+    "model": {"kind": "quadratic", "eps": 0.05, "cstab": 0.5, "lhat": 3.5,
+              "matrix": [[2.0, 0.0], [0.0, 3.0]]},
+    "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "solver": {"etaHat": 1e-6},
+    "diagnostics": {"referenceSolution": [0.45, 0.3],
+                    "checkTheorems": True},
+}
+
+
+def use_loader(monkeypatch, loader):
+    """Check that parse_config loads with libyaml's loader when PyYAML has
+    it, or remove that loader so that PyYAML's own parser runs."""
+    if loader == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        expected = yaml.SafeLoader
+    elif hasattr(yaml, "CSafeLoader"):
+        expected = yaml.CSafeLoader
+    else:
+        pytest.skip("PyYAML is built without libyaml")
+    real_load = yaml.load
+
+    def load(stream, Loader):
+        assert Loader is expected
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", load)
+
+
+def structure(obj):
+    """Nested plain values of a parsed config: arrays as bytes, objects as
+    their type name and attributes."""
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        return [structure(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: structure(v) for k, v in obj.items()}
+    if hasattr(obj, "__dict__"):
+        return (type(obj).__name__, structure(vars(obj)))
+    return obj
+
+
+def loader_config_text(tmp_path, config):
+    if config == "example":
+        with open(EXAMPLE) as fh:
+            return fh.read()
+    if config == "multilevel":
+        path = TestExecuteMultilevel().make_config(tmp_path)
+    elif config == "schedule":
+        path = TestValidateAndExampleSchedule().schedule_config(tmp_path)
+    elif config == "quadratic":
+        path = single_config(tmp_path, **QUADRATIC_FLAGS_FAIL)
+    else:
+        return MINIMAL_SINGLE
+    with open(path) as fh:
+        return fh.read()
 
 
 def write(tmp_path, name, text):
@@ -187,7 +269,7 @@ class TestExecuteSingle:
 
 
 class TestExecuteMultilevel:
-    def make_config(self, tmp_path):
+    def make_config(self, tmp_path, dense=False):
         dim = 8
         sigma = np.exp(-np.arange(dim))
         ydelta = sigma.tolist()
@@ -203,7 +285,9 @@ class TestExecuteMultilevel:
                 "L": 0.0,
                 "Lhat": 1.0,
                 "set": {"kind": "subspace", "support": sup},
-                "model": {"kind": "diagonal", "sigma": sigma.tolist()},
+                "model": ({"kind": "linear",
+                           "matrix": np.diag(sigma).tolist()} if dense
+                          else {"kind": "diagonal", "sigma": sigma.tolist()}),
                 "data": {"ydelta": ydelta},
             })
         doc = {
@@ -228,6 +312,15 @@ class TestExecuteMultilevel:
         lines = (tmp_path / "ml.csv").read_text().splitlines()
         levels_seen = {line.split(",")[0] for line in lines[1:]}
         assert levels_seen == {"0", "1", "2", "3"}
+
+    def test_diagonal_and_dense_models_give_the_same_bytes(self, tmp_path):
+        outputs = []
+        for dense in (False, True):
+            path = self.make_config(tmp_path, dense=dense)
+            assert main(["run", path, "--quiet"]) == 0
+            outputs.append(((tmp_path / "ml.csv").read_bytes(),
+                            (tmp_path / "ml.yaml").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestValidateAndExampleSchedule:
@@ -672,16 +765,7 @@ class TestStreamedOutputs:
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="linear"),
-        # The reference is no solution, so the strict bound fails.
-        pytest.param({"model": {"kind": "quadratic", "eps": 0.05,
-                                "cstab": 0.5, "lhat": 3.5,
-                                "matrix": [[2.0, 0.0], [0.0, 3.0]]},
-                      "set": {"kind": "box", "lower": [0.0, 0.0],
-                              "upper": [1.0, 1.0]},
-                      "solver": {"etaHat": 1e-6},
-                      "diagnostics": {"referenceSolution": [0.45, 0.3],
-                                      "checkTheorems": True}},
-                     id="quadratic-flags-fail"),
+        pytest.param(QUADRATIC_FLAGS_FAIL, id="quadratic-flags-fail"),
         pytest.param({"model": {"kind": "linear",
                                 "matrix": [[1.0, 0.0], [1.0, 0.0]]},
                       "data": {"ydelta": [0.0, 1.0]},

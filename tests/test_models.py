@@ -65,6 +65,24 @@ class TestDiagonalLinearModel:
         # And it comes close, so the bound is not vacuous.
         assert est > 0.9 * exact
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_matches_dense_diagonal(self, batch):
+        # The elementwise products equal the dense product with the
+        # diagonal matrix, on inputs with zero and negative entries.
+        rng = np.random.default_rng(3)
+        sigma = rng.standard_normal(6)
+        sigma[[1, 4]] = [0.0, -0.0]
+        diag, dense = DiagonalLinearModel(sigma), LinearModel(np.diag(sigma))
+        x, h, ystar = (rng.standard_normal(batch + (6,)) for _ in range(3))
+        for v in (x, h, ystar):
+            v[..., [0, 3]] = [0.0, -0.0]
+        assert np.array_equal(diag.eval(x), dense.eval(x))
+        assert np.array_equal(diag.apply_derivative(x, h),
+                              dense.apply_derivative(x, h))
+        assert np.array_equal(diag.apply_adjoint(x, ystar),
+                              dense.apply_adjoint(x, ystar))
+        assert diag.matrix.tobytes() == dense.matrix.tobytes()
+
 
 class TestQuadraticModel:
     def test_eval(self):

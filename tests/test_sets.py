@@ -9,7 +9,7 @@ import pytest
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
-                    NonConvergence, ProjSDError, WholeSpace,
+                    NonConvergence, NonFiniteInput, WholeSpace,
                     bregman_distance, bregman_project,
                     check_total_nonexpansiveness, lp_space, norm)
 
@@ -49,6 +49,16 @@ class TestSetBasics:
             with pytest.raises(ValueError):
                 Box([lower, 0.0], [upper, 1.0])
         Box([-np.inf, 0.0], [np.inf, 1.0])
+
+    def test_box_clamp_is_clip(self):
+        # Every pair of z and bound among signed zeros, +-1 and +-inf,
+        # with both sides open or closed: the clamp gives np.clip's bytes.
+        vals = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        z, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals))
+        keep = (lo <= hi) & (lo < np.inf) & (hi > -np.inf)
+        z, lo, hi = z[keep], lo[keep], hi[keep]
+        got = Box(lo, hi)._project_r(lp_space(z.size), z)
+        assert got.tobytes() == np.clip(z, lo, hi).tobytes()
 
     def test_ball_validation(self):
         for center, radius in [(0.0, 0.0), (0.0, np.nan), (np.inf, 1.0),
@@ -383,10 +393,12 @@ class TestExactProjections:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_rejected(self, bad):
         space = lp_space(4, r=1.5, p=2.0)
-        x = np.array([0.5, bad, 0.1, 2.0])
-        for cset in [WholeSpace()] + exact_sets():
-            with pytest.raises(ProjSDError):
-                bregman_project(space, cset, x)
+        for pos in (0, 1, 3):
+            x = np.array([0.5, 0.3, 0.1, 2.0])
+            x[pos] = bad
+            for cset in [WholeSpace()] + exact_sets():
+                with pytest.raises(NonFiniteInput):
+                    bregman_project(space, cset, x)
 
 
 def test_import_loads_no_scipy():

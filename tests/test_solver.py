@@ -1,6 +1,7 @@
 """Tests of the single-level projected steepest descent iteration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,55 @@ class TestTypedErrors:
         with pytest.raises(DimensionMismatch):
             run_algorithm1(lp_space(2), WholeSpace(), model,
                            NoisyData(ydelta, 0.0), np.zeros(2), cfg)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
+    @pytest.mark.parametrize("what", ["x0", "diagnostic_reference"])
+    def test_vector_shape_must_match_space(self, what, shape):
+        vectors = {"x0": np.zeros(2), "diagnostic_reference": np.ones(2)}
+        vectors[what] = np.full(shape, 0.5)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=5,
+                           diagnostic_reference=vectors[
+                               "diagnostic_reference"])
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"{what} has shape {shape}")):
+            run_algorithm1(lp_space(2), WholeSpace(),
+                           LinearModel(np.eye(2)), NoisyData([1.0, 1.0], 0.0),
+                           vectors["x0"], cfg)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 3)],
+                             ids=["scalar", "one", "batch"])
+    @pytest.mark.parametrize("method", ["eval", "apply_adjoint"])
+    def test_model_output_shape_checked(self, method, shape):
+        # An output of another shape would broadcast against the data or
+        # end in a TypeError; it fails typed, naming method and shape.
+        model = WrongShape(np.diag([2.0, 3.0, 4.0]), method, shape)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=50)
+        with pytest.raises(DimensionMismatch) as exc:
+            run_algorithm1(lp_space(3), WholeSpace(), model,
+                           NoisyData([1.0, 1.0, 1.0], 0.0), np.zeros(3), cfg)
+        assert f"model.{method}(" in str(exc.value)
+        assert f"has shape {shape}, expected (3,)" in str(exc.value)
+
+
+class WrongShape(LinearModel):
+    """A linear model whose ``method`` returns its value reshaped to
+    ``shape``, as a Python float for ``()``."""
+
+    def __init__(self, matrix, method, shape):
+        super().__init__(matrix)
+        self.method, self.shape = method, shape
+
+    def _reshape(self, v, method):
+        if method != self.method:
+            return v
+        return float(v[0]) if self.shape == () else np.resize(v, self.shape)
+
+    def eval(self, x):
+        return self._reshape(super().eval(x), "eval")
+
+    def apply_adjoint(self, x, ystar):
+        return self._reshape(super().apply_adjoint(x, ystar),
+                             "apply_adjoint")
 
 
 def reference_iteration(space, cset, model, data, x0, cfg):
