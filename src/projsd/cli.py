@@ -7,17 +7,22 @@ YAML summary.  All file writes are atomic (temp file + rename).  The
 trace is streamed: the run hands each iteration to the library's
 ``on_iteration`` hook, which writes its row to the temp file, and the
 file is renamed into place when the run ends, so a run holds one
-iteration at a time.  The solver is deterministic, so an identical
-config produces byte-identical files; ``solver.seed`` (or ``--seed``) is
-metadata echoed into the summary and feeds no randomness.
+iteration at a time.  Under ``diagnostics.checkTheorems`` the summary's
+``theoremChecks`` (top level in single mode, in each ``perLevel`` entry
+in multilevel mode) are the tallies of the run's ``RunReport``.  The
+solver is deterministic, so an identical config produces byte-identical
+files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
+summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
 failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
 parameters that do not fit ``space.dim``, non-finite numbers other than
 open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
-without ``cstab``, or without ``lhat`` under ``checkTheorems``, keys the
-run would not read, such as a model key its kind ignores) is a
-validation failure found while parsing, before anything runs.
+without ``cstab``, or without ``lhat`` under ``checkTheorems``,
+``checkTheorems`` without a reference for every run, keys the run would
+not read, such as a model key its kind ignores or a ``diagnostics`` key
+of another mode) is a validation failure found while parsing, before
+anything runs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import io
 import os
 import sys
 import tempfile
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,8 +427,19 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     diag = _check_mapping(raw.get("diagnostics"), _DIAG_KEYS,
                           "diagnostics", errors)
-    reference = _finite_vector(diag.get("referenceSolution"),
-                               "diagnostics.referenceSolution", errors)
+    # Single mode reads both keys; multilevel levels carry their own
+    # references, and the other modes run nothing.
+    if mode in ("validate", "example-schedule"):
+        for key in sorted(_DIAG_KEYS & diag.keys()):
+            errors.append(f"diagnostics.{key}: {mode} mode runs nothing "
+                          "and does not read it")
+    elif mode == "multilevel" and "referenceSolution" in diag:
+        errors.append("diagnostics.referenceSolution: multilevel mode "
+                      "does not read it; set levels[i].reference")
+    reference = None
+    if mode == "single":
+        reference = _finite_vector(diag.get("referenceSolution"),
+                                   "diagnostics.referenceSolution", errors)
     check_theorems = diag.get("checkTheorems", False)
     if not isinstance(check_theorems, bool):
         errors.append("diagnostics.checkTheorems: expected a boolean")
@@ -468,6 +485,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if check_theorems and reference is None:
             errors.append("diagnostics.checkTheorems: needs "
                           "diagnostics.referenceSolution")
+        if not check_theorems and "referenceSolution" in diag:
+            errors.append("diagnostics.referenceSolution: read only under "
+                          "diagnostics.checkTheorems: true")
         if eta_hat is not None and not eta_hat > 3.0 * eta:
             errors.append("solver.etaHat: the discrepancy threshold must "
                           "satisfy etaHat > 3 * eta")
@@ -483,6 +503,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 lv = _parse_level(node, i, errors, s, base_dir, space)
                 if lv is not None:
                     levels.append(lv)
+                if mode == "multilevel" and check_theorems \
+                        and isinstance(node, dict) \
+                        and node.get("reference") is None:
+                    errors.append(f"levels[{i}].reference: checkTheorems "
+                                  "needs a reference on every level")
             if len(levels) == len(lv_raw):
                 _check_nesting(levels, errors)
 
@@ -577,28 +602,15 @@ def _write_summary(path, summary):
                                        default_flow_style=False))
 
 
-class _TheoremTally:
-    """``theoremChecks`` of a single-level run, counted as its iterations
-    stream past; a flag that is None (no reference) does not count."""
-
-    def __init__(self):
-        self.iterations = 0
-        self.radius_ok_all = self.strict_bound_ok_all = True
-
-    def add(self, st):
-        self.iterations += 1
-        if st.radius_ok is not None and not st.radius_ok:
-            self.radius_ok_all = False
-        if st.strict_bound_ok is not None and not st.strict_bound_ok:
-            self.strict_bound_ok_all = False
-
-    def summary(self, report):
-        return {
-            "iterations": self.iterations,
-            "monotonicityViolations": report.monotonicity_violations,
-            "radiusOkAll": self.radius_ok_all,
-            "strictBoundOkAll": self.strict_bound_ok_all,
-        }
+def _theorem_checks(report):
+    """``theoremChecks`` of one run with a reference: its report's
+    tallies."""
+    return {
+        "iterations": report.stopped_at_k,
+        "monotonicityViolations": report.monotonicity_violations,
+        "radiusOkAll": report.radius_violations == 0,
+        "strictBoundOkAll": report.strict_bound_violations == 0,
+    }
 
 
 def _add_failure(entry, report):
@@ -612,17 +624,12 @@ def _add_failure(entry, report):
 def _run_single(cfg: RunConfig, quiet: bool) -> int:
     solver_cfg = SolverConfig(eta=cfg.eta, eta_hat=cfg.eta_hat,
                               max_iterations=cfg.max_iterations,
-                              diagnostic_reference=cfg.reference
-                              if cfg.check_theorems else None)
-    tally = _TheoremTally()
+                              diagnostic_reference=cfg.reference)
     try:
         with _trace_writer(cfg.trace_path) as write_row:
-            def observe(st):
-                write_row(0, st)
-                tally.add(st)
             report = run_algorithm1(cfg.space, cfg.cset, cfg.model,
                                     cfg.data, cfg.x0, solver_cfg,
-                                    on_iteration=observe)
+                                    on_iteration=partial(write_row, 0))
     except ProjSDError as exc:
         return _fail(quiet, f"solver abort: {exc}", 2)
     summary = {
@@ -637,7 +644,7 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
     if report.rho is not None:
         summary["rho"] = float(report.rho)
     if cfg.check_theorems:
-        summary["theoremChecks"] = tally.summary(report)
+        summary["theoremChecks"] = _theorem_checks(report)
     if cfg.summary_path:
         _write_summary(cfg.summary_path, summary)
     if not quiet:
@@ -668,6 +675,8 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
         entry = {"level": idx, "K": k, "finalResidual": float(res),
                  "stopReason": rep.stop_reason}
         _add_failure(entry, rep)
+        if cfg.check_theorems:
+            entry["theoremChecks"] = _theorem_checks(rep)
         per_level.append(entry)
     summary = {
         "mode": "multilevel",

@@ -21,8 +21,8 @@ from .errors import (LambdaTooSmall, NoSuchLevel, TauOutOfRange,
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
-from .solver import (RunReport, SolverConfig, _curvature_weight,
-                     _radius_bracket, convergence_radius, run_algorithm1)
+from .solver import (RunReport, SolverConfig, _ctilde, _radius_bracket,
+                     convergence_radius, run_algorithm1)
 
 __all__ = [
     "Level",
@@ -70,7 +70,7 @@ class Level:
                     "finite")
 
     def ctilde(self, space: SpaceGeometry) -> float:
-        return _curvature_weight(space, self.L) * self.C ** 2
+        return _ctilde(space, self.L, self.C)
 
     def rho(self, space: SpaceGeometry) -> float:
         """Level convergence radius; infinite when the level is linear."""
@@ -145,12 +145,13 @@ def select_final_level(eta_sequence, epsilon: float, eta_hat: float) -> int:
     NoSuchLevel
         If the sequence never gets small enough.
     """
+    n = -1  # counted while iterating: an iterator is used up by then
     for n, eta in enumerate(eta_sequence):
         if _level_threshold(epsilon, eta) <= eta_hat:
             return n
     raise NoSuchLevel(
-        f"no level with ({3 + epsilon}) * eta <= {eta_hat} in "
-        f"{len(list(eta_sequence))} levels")
+        f"no level with ({3 + epsilon}) * eta <= {eta_hat} in {n + 1} "
+        "levels")
 
 
 def validate_schedule(space: SpaceGeometry, schedule: Schedule):

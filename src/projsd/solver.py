@@ -78,27 +78,30 @@ class IterationState:
     muk: float
     bregman_to_ref: float | None = None
     radius_ok: bool | None = None
-    monotone_ok: bool | None = None
-    strict_bound_ok: bool | None = None
 
 
 @dataclass
 class RunReport:
     """Outcome of a single-level run.  ``iterations`` is the history of
     executed steps; it stays empty when the run streamed its steps to an
-    ``on_iteration`` hook instead.  ``descent_sum`` adds up the
-    per-step strict-descent amounts, bounded by the initial Bregman
-    distance to the reference; ``start_radius_ok`` (set also at K = 0)
-    says whether the start lies strictly inside the radius-``rho`` ball.
-    ``failure`` is the error a StepDegenerate stop caught: NonFiniteStep,
-    ZeroGradient or NonpositiveU."""
+    ``on_iteration`` hook instead.  With a diagnostic reference the
+    report tallies the theorem checks: the iterates outside the
+    radius-``rho`` ball, the steps above the monotone-descent bound and
+    those whose descent bound is not negative (0 without a reference).
+    ``descent_sum`` adds up the per-step strict-descent amounts, bounded
+    by the initial Bregman distance to the reference; ``start_radius_ok``
+    (set also at K = 0) says whether the start lies strictly inside the
+    radius-``rho`` ball.  ``failure`` is the error a StepDegenerate stop
+    caught: NonFiniteStep, ZeroGradient or NonpositiveU."""
 
     stopped_at_k: int
     final_residual: float
     x_final: np.ndarray
     stop_reason: str  # DiscrepancyMet | MaxIterations | StepDegenerate
     iterations: list[IterationState] = field(default_factory=list)
+    radius_violations: int = 0
     monotonicity_violations: int = 0
+    strict_bound_violations: int = 0
     projected_start: bool = False
     rho: float | None = None
     failure: Exception | None = None
@@ -110,6 +113,11 @@ def _curvature_weight(space: SpaceGeometry, lip: float) -> float:
     """``(1/2) (Cp/p)**(-2/p) L``: the curvature product without its
     stability factor, and the coefficient of ``w_k``."""
     return 0.5 * (space.Cp / space.p) ** (-2.0 / space.p) * lip
+
+
+def _ctilde(space: SpaceGeometry, lip: float, cstab: float) -> float:
+    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``."""
+    return _curvature_weight(space, lip) * cstab ** 2
 
 
 def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
@@ -125,7 +133,7 @@ def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
     if model.cstab is None:
         raise MissingStabilityConstant(
             "a nonlinear model needs a stability constant")
-    return _curvature_weight(space, model.lip) * model.cstab ** 2
+    return _ctilde(space, model.lip, model.cstab)
 
 
 def _u_roots(ctilde: float, eta: float):
@@ -296,8 +304,9 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     hook the states are kept in ``report.iterations``.
 
     Starting points outside the set are projected in (recorded in the
-    report).  With a diagnostic reference the trace additionally carries
-    the Bregman distance to the reference, the radius invariance flag and
+    report).  With a diagnostic reference each state additionally carries
+    the Bregman distance to the reference and the radius invariance flag,
+    and the report counts the steps that break the radius invariance and
     the two per-step descent inequalities.  A step whose residual or
     gradient norm is not finite, whose gradient vanishes or whose step
     numerator is not positive stops the run as StepDegenerate, with the
@@ -380,15 +389,17 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             space, cset, _duality_map(space, x) if xstar is None else xstar,
             Tk, muk)
 
-        breg_k, radius_ok, monotone_ok, strict_ok = breg, None, None, None
+        breg_k, radius_ok = breg, None
         if ref is not None:
             breg, xstar = _bregman_to_ref(space, x_next, ref, ref_np)
             descent = wk * breg_k ** (2.0 / space.p) - vk
             radius_ok = breg_k < rho
-            monotone_ok = breg <= breg_k + descent + 1e-10
-            strict_ok = descent < 0.0
-            if not monotone_ok:
+            if not radius_ok:
+                report.radius_violations += 1
+            if not breg <= breg_k + descent + 1e-10:
                 report.monotonicity_violations += 1
+            if not descent < 0.0:
+                report.strict_bound_violations += 1
 
         # The strict-descent amount of the step is the gain with 1/p in
         # place of 1/q.
@@ -396,8 +407,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         emit(IterationState(
             k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
             vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
-            radius_ok=radius_ok, monotone_ok=monotone_ok,
-            strict_bound_ok=strict_ok))
+            radius_ok=radius_ok))
         x = x_next
         k += 1
 

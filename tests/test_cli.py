@@ -7,11 +7,14 @@ import pytest
 import yaml
 
 from projsd import (LinearModel, NonConvergence, Schedule, SchemaError,
-                    SolverConfig, run_algorithm1, run_multi_level)
+                    SolverConfig, bregman_distance, run_algorithm1,
+                    run_multi_level)
 from projsd.cli import TRACE_HEADER, main, parse_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
                        "nonlinear_multilevel.yaml")
+SINGLE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
+                              "quadratic_single.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -267,6 +270,25 @@ class TestExecuteSingle:
         assert main(["run", path, "--trace", other, "--quiet"]) == 0
         assert os.path.exists(other)
 
+    def test_nonlinear_example_checks_theorems(self, tmp_path):
+        # The committed single-level example: c~ > 0, so the radius is
+        # finite, and every theorem check holds.
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", SINGLE_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        with open(SINGLE_EXAMPLE) as fh:
+            cfg = parse_config(fh.read())
+        assert cfg.model.lip > 0.0 and cfg.check_theorems
+        summary = yaml.safe_load(outputs[0][1])
+        assert 0.0 < summary["rho"] < float("inf")
+        assert summary["theoremChecks"] == {
+            "iterations": summary["stoppedAtK"], "monotonicityViolations": 0,
+            "radiusOkAll": True, "strictBoundOkAll": True}
+
 
 class TestExecuteMultilevel:
     def make_config(self, tmp_path, dense=False):
@@ -312,6 +334,29 @@ class TestExecuteMultilevel:
         lines = (tmp_path / "ml.csv").read_text().splitlines()
         levels_seen = {line.split(",")[0] for line in lines[1:]}
         assert levels_seen == {"0", "1", "2", "3"}
+
+    def test_example_reads_check_theorems(self, tmp_path):
+        # checkTheorems adds each level's theoremChecks to the summary and
+        # leaves the trace and every other summary value as they were.
+        with open(EXAMPLE) as fh:
+            text = fh.read()
+        outputs = []
+        checked = "diagnostics: {checkTheorems: true}\n"
+        for name, extra in (("plain", ""), ("checked", checked)):
+            path = write(tmp_path, f"{name}.yaml", text + extra)
+            trace, summary = tmp_path / f"{name}.csv", tmp_path / "s.yaml"
+            assert main(["run", path, "--quiet", "--trace", str(trace),
+                         "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(),
+                            yaml.safe_load(summary.read_text())))
+        (plain_trace, plain), (checked_trace, checked) = outputs
+        assert checked_trace == plain_trace
+        for lv in checked["perLevel"]:
+            assert lv.pop("theoremChecks") == {
+                "iterations": lv["K"], "monotonicityViolations": 0,
+                "radiusOkAll": True, "strictBoundOkAll": True}
+        assert checked == plain
+        assert all("theoremChecks" not in lv for lv in plain["perLevel"])
 
     def test_diagonal_and_dense_models_give_the_same_bytes(self, tmp_path):
         outputs = []
@@ -624,6 +669,69 @@ class TestParseTimeInputContract:
         self.run_bad(tmp_path, capsys, "diagnostics.checkTheorems:",
                      diagnostics={"checkTheorems": True})
 
+    @pytest.mark.parametrize("diagnostics", [
+        {"referenceSolution": [0.5, 1.0 / 3.0]},
+        {"referenceSolution": [0.5, 1.0 / 3.0], "checkTheorems": False}])
+    def test_reference_read_only_under_check_theorems(self, tmp_path, capsys,
+                                                      diagnostics):
+        err = self.run_bad(tmp_path, capsys, "diagnostics.referenceSolution:",
+                           diagnostics=diagnostics)
+        assert err.count("config error") == 1, err
+
+    def multilevel_bad(self, tmp_path, capsys, edit):
+        """Run the multilevel config after ``edit(doc)``: exit 3, no
+        trace; returns the config errors."""
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        edit(doc)
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert not (tmp_path / "ml.csv").exists()
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("config error: ")]
+
+    @staticmethod
+    def add_references(doc, skip=()):
+        for n, lv in enumerate(doc["levels"]):
+            if n not in skip:
+                lv["reference"] = [0.0] * 8
+
+    def test_multilevel_refuses_reference_solution(self, tmp_path, capsys):
+        # Levels carry their own references; the top-level one is not read.
+        def edit(doc):
+            self.add_references(doc)
+            doc["diagnostics"] = {"referenceSolution": [0.0] * 8,
+                                  "checkTheorems": True}
+        errors = self.multilevel_bad(tmp_path, capsys, edit)
+        assert len(errors) == 1, errors
+        assert errors[0].startswith(
+            "config error: diagnostics.referenceSolution:")
+
+    def test_multilevel_check_theorems_needs_every_reference(self, tmp_path,
+                                                             capsys):
+        def edit(doc):
+            self.add_references(doc, skip=(0, 2))
+            doc["diagnostics"] = {"checkTheorems": True}
+        errors = self.multilevel_bad(tmp_path, capsys, edit)
+        assert [e.split(":")[1] for e in errors] \
+            == [" levels[0].reference", " levels[2].reference"], errors
+
+    @pytest.mark.parametrize("mode", ["validate", "example-schedule"])
+    @pytest.mark.parametrize("key, value", [
+        ("checkTheorems", True), ("checkTheorems", False),
+        ("referenceSolution", [0.0, 0.0])])
+    def test_modes_without_a_run_refuse_diagnostics(self, tmp_path, capsys,
+                                                    mode, key, value):
+        TestValidateAndExampleSchedule().schedule_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ex.yaml").read_text())
+        doc["mode"] = mode
+        doc["diagnostics"] = {key: value}
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: diagnostics.{key}:" in err
+        assert err.count("config error") == 1, err
+
     def test_box_bounds_keep_infinity(self, tmp_path):
         path = single_config(tmp_path, set={"kind": "box",
                                             "lower": [float("-inf"), 0.0],
@@ -759,9 +867,48 @@ def dump(summary):
     return yaml.safe_dump(summary, sort_keys=True, default_flow_style=False)
 
 
+def report_tallies(rep):
+    """The theorem tallies a run's report carries."""
+    return (rep.radius_violations, rep.monotonicity_violations,
+            rep.strict_bound_violations)
+
+
+def tallies_from_history(space, reference, rep):
+    """The report's tallies worked out again from the run's history: the
+    Bregman distances to the reference (the last one of x_K) and each
+    step's descent bound ``w_k D_k**(2/p) - v_k``."""
+    bregs = [st.bregman_to_ref for st in rep.iterations] \
+        + [float(bregman_distance(space, rep.x_final, reference))]
+    descents = [st.wk * b ** (2.0 / space.p) - st.vk
+                for st, b in zip(rep.iterations, bregs)]
+    return (sum(not b < rep.rho for b in bregs[:-1]),
+            sum(not b1 <= b0 + d + 1e-10
+                for b0, b1, d in zip(bregs, bregs[1:], descents)),
+            sum(not d < 0.0 for d in descents))
+
+
+def theorem_checks(rep, tallies):
+    """The ``theoremChecks`` of a run with the given tallies."""
+    radius, monotonicity, strict = tallies
+    return {"iterations": len(rep.iterations),
+            "monotonicityViolations": monotonicity,
+            "radiusOkAll": radius == 0, "strictBoundOkAll": strict == 0}
+
+
 class TestStreamedOutputs:
-    """The CLI streams trace rows and theorem counts from the run; its
-    files equal those built from a library run that kept its history."""
+    """The CLI streams trace rows from the run and takes theorem counts
+    from its report; its files equal those built from a library run that
+    kept its history."""
+
+    @staticmethod
+    def library_single(path):
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        return cfg, run_algorithm1(
+            cfg.space, cfg.cset, cfg.model, cfg.data, cfg.x0, SolverConfig(
+                eta=cfg.eta, eta_hat=cfg.eta_hat,
+                max_iterations=cfg.max_iterations,
+                diagnostic_reference=cfg.reference))
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="linear"),
@@ -777,50 +924,82 @@ class TestStreamedOutputs:
             "referenceSolution": [0.5, 1.0 / 3.0], "checkTheorems": True})
         path = single_config(tmp_path, **overrides)
         code = main(["run", path, "--quiet"])
-        with open(path) as fh:
-            cfg = parse_config(fh.read())
-        rep = run_algorithm1(cfg.space, cfg.cset, cfg.model, cfg.data,
-                             cfg.x0, SolverConfig(
-                                 eta=cfg.eta, eta_hat=cfg.eta_hat,
-                                 max_iterations=cfg.max_iterations,
-                                 diagnostic_reference=cfg.reference))
+        cfg, rep = self.library_single(path)
         its = rep.iterations
         assert code == (0 if rep.stop_reason == "DiscrepancyMet" else 2)
         assert len(its) == rep.stopped_at_k > 0
+        tallies = tallies_from_history(cfg.space, cfg.reference, rep)
+        assert report_tallies(rep) == tallies
+        assert tallies[0] == sum(not st.radius_ok for st in its)
         summary = {
             "mode": "single", "stopReason": rep.stop_reason,
             "stoppedAtK": rep.stopped_at_k,
             "finalResidual": float(rep.final_residual),
             "projectedStart": rep.projected_start, "seed": 0,
             "rho": float(rep.rho),
-            "theoremChecks": {
-                "iterations": len(its),
-                "monotonicityViolations": rep.monotonicity_violations,
-                "radiusOkAll": all(st.radius_ok for st in its),
-                "strictBoundOkAll": all(st.strict_bound_ok for st in its)},
+            "theoremChecks": theorem_checks(rep, tallies),
         }
         assert (tmp_path / "trace.csv").read_text() \
             == trace_from_history([(0, rep)])
         assert (tmp_path / "summary.yaml").read_text() == dump(summary)
 
+    @pytest.mark.parametrize("reference, expected", [
+        pytest.param([0.45, 0.3], (0, 15, 6), id="descent-fails"),
+        pytest.param([20.0, 20.0], (15, 0, 15), id="radius-fails"),
+    ])
+    def test_report_tallies_count_failures(self, tmp_path, reference,
+                                           expected):
+        # The reference is no solution, so the tallies are nonzero; each
+        # equals the count worked out from the history.
+        overrides = dict(QUADRATIC_FLAGS_FAIL, diagnostics={
+            "referenceSolution": reference, "checkTheorems": True})
+        path = single_config(tmp_path, **overrides)
+        main(["run", path, "--quiet"])
+        cfg, rep = self.library_single(path)
+        assert report_tallies(rep) == expected
+        assert tallies_from_history(cfg.space, cfg.reference, rep) \
+            == expected
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert summary["theoremChecks"] == theorem_checks(rep, expected)
+
     def test_multilevel_mode(self, tmp_path):
-        path = TestExecuteMultilevel().make_config(tmp_path)
-        assert main(["run", path, "--quiet"]) == 0
-        with open(path) as fh:
-            cfg = parse_config(fh.read())
-        report = run_multi_level(cfg.space, Schedule(
-            levels=cfg.levels, epsilon=cfg.epsilon, eta_hat=cfg.eta_hat),
-            cfg.x0)
-        summary = {
-            "mode": "multilevel", "stopReason": report.stop_reason,
-            "finalResidual": float(report.final_residual), "seed": 0,
-            "perLevel": [{"level": n, "K": k, "finalResidual": float(res),
-                          "stopReason": rep.stop_reason}
-                         for n, k, res, rep in report.per_level],
-        }
-        assert (tmp_path / "ml.csv").read_text() == trace_from_history(
-            [(n, rep) for n, _, _, rep in report.per_level])
-        assert (tmp_path / "ml.yaml").read_text() == dump(summary)
+        # Without checkTheorems the summary has no theoremChecks; with it,
+        # each level's entry has its report's tallies.
+        for check_theorems in (False, True):
+            path = TestExecuteMultilevel().make_config(tmp_path)
+            if check_theorems:
+                # The data are sigma, so each level's best solution is 1
+                # on its support.
+                doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+                for lv in doc["levels"]:
+                    m = len(lv["set"]["support"])
+                    lv["reference"] = [1.0] * m + [0.0] * (8 - m)
+                doc["diagnostics"] = {"checkTheorems": True}
+                path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+            assert main(["run", path, "--quiet"]) == 0
+            with open(path) as fh:
+                cfg = parse_config(fh.read())
+            report = run_multi_level(cfg.space, Schedule(
+                levels=cfg.levels, epsilon=cfg.epsilon,
+                eta_hat=cfg.eta_hat), cfg.x0)
+            per_level = []
+            for (n, k, res, rep), lv in zip(report.per_level, cfg.levels):
+                entry = {"level": n, "K": k, "finalResidual": float(res),
+                         "stopReason": rep.stop_reason}
+                if check_theorems:
+                    tallies = tallies_from_history(cfg.space, lv.reference,
+                                                   rep)
+                    assert report_tallies(rep) == tallies
+                    entry["theoremChecks"] = theorem_checks(rep, tallies)
+                per_level.append(entry)
+            summary = {
+                "mode": "multilevel", "stopReason": report.stop_reason,
+                "finalResidual": float(report.final_residual), "seed": 0,
+                "perLevel": per_level,
+            }
+            assert (tmp_path / "ml.csv").read_text() == trace_from_history(
+                [(n, rep) for n, _, _, rep in report.per_level])
+            assert (tmp_path / "ml.yaml").read_text() == dump(summary)
 
     def test_raising_run_leaves_no_files(self, tmp_path, monkeypatch,
                                          capsys):

@@ -57,6 +57,14 @@ class TestSelectFinalLevel:
         with pytest.raises(NoSuchLevel):
             select_final_level([0.4, 0.2], 1.0, 0.1)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda etas: iter(etas), id="iterator"),
+        pytest.param(lambda etas: (eta for eta in etas), id="generator")])
+    def test_one_pass_sequences(self, make):
+        assert select_final_level(make([0.4, 0.1, 0.01]), 1.0, 0.5) == 1
+        with pytest.raises(NoSuchLevel, match=r" in 2 levels$"):
+            select_final_level(make([1.0, 0.5]), 1.0, 1e-9)
+
 
 class TestTransitions:
     def test_linear_next_level_always_passes(self):

@@ -158,7 +158,7 @@ class TestRunBehaviour:
         # precision once the distance is ~1e-16.
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bregs, bregs[1:]))
         assert bregs[-1] < 1e-8 * bregs[0]
-        assert all(st.strict_bound_ok for st in report.iterations)
+        assert report.strict_bound_violations == 0
 
     def test_descent_sum_bounded_by_initial_distance(self):
         dim = 4
@@ -517,7 +517,7 @@ def state_fields(st):
     """Every field of an IterationState, arrays as bytes."""
     return (st.k, st.x.tobytes(), st.xtilde.tobytes(), st.rk, st.tk,
             st.that_k, st.uk, st.vk, st.wk, st.muk, st.bregman_to_ref,
-            st.radius_ok, st.monotone_ok, st.strict_bound_ok)
+            st.radius_ok)
 
 
 @pytest.mark.parametrize("with_ref", [False, True])
@@ -544,7 +544,9 @@ def test_on_iteration_streams_the_history(with_ref, max_iterations):
         assert rep.stop_reason == ("MaxIterations" if max_iterations == 12
                                    else "DiscrepancyMet")
     assert streamed.x_final.tobytes() == history.x_final.tobytes()
-    assert (streamed.final_residual, streamed.descent_sum,
-            streamed.monotonicity_violations, streamed.rho) \
-        == (history.final_residual, history.descent_sum,
-            history.monotonicity_violations, history.rho)
+    assert (streamed.final_residual, streamed.descent_sum, streamed.rho,
+            streamed.radius_violations, streamed.monotonicity_violations,
+            streamed.strict_bound_violations) \
+        == (history.final_residual, history.descent_sum, history.rho,
+            history.radius_violations, history.monotonicity_violations,
+            history.strict_bound_violations)
