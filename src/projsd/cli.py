@@ -20,9 +20,9 @@ parameters that do not fit ``space.dim``, non-finite numbers other than
 open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
 without ``cstab``, or without ``lhat`` under ``checkTheorems``,
 ``checkTheorems`` without a reference for every run, keys the run would
-not read, such as a model key its kind ignores or a ``diagnostics`` key
-of another mode) is a validation failure found while parsing, before
-anything runs.
+not read, such as a model key its kind ignores, a ``diagnostics`` key
+of another mode or a level ``reference`` in validate mode) is a
+validation failure found while parsing, before anything runs.
 """
 
 from __future__ import annotations
@@ -508,6 +508,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                         and node.get("reference") is None:
                     errors.append(f"levels[{i}].reference: checkTheorems "
                                   "needs a reference on every level")
+                if mode == "validate" and isinstance(node, dict) \
+                        and "reference" in node:
+                    errors.append(f"levels[{i}].reference: validate mode "
+                                  "runs nothing and does not read it")
             if len(levels) == len(lv_raw):
                 _check_nesting(levels, errors)
 
@@ -604,11 +608,13 @@ def _write_summary(path, summary):
 
 def _theorem_checks(report):
     """``theoremChecks`` of one run with a reference: its report's
-    tallies."""
+    tallies.  A run that stops at K = 0 tallies no step, so its start's
+    radius check counts on its own."""
     return {
         "iterations": report.stopped_at_k,
         "monotonicityViolations": report.monotonicity_violations,
-        "radiusOkAll": report.radius_violations == 0,
+        "radiusOkAll": (report.radius_violations == 0
+                        and report.start_radius_ok is not False),
         "strictBoundOkAll": report.strict_bound_violations == 0,
     }
 

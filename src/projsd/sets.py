@@ -27,7 +27,12 @@ one shared scalar root finds ``s`` when ``p != r``:
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
   coordinate solves ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)``,
   ``phi(t) = |t|**(r-1) sign(t)``, by Newton's method inside a bisection
-  bracket.
+  bracket.  With p != r that nests the search for lam inside the search
+  for s, so an off-centre ball first runs one joint Newton search in
+  ``(log(1 + lam), log(alpha))``: one coordinate solve per trial, and a
+  2x2 Jacobian from implicit differentiation of the coordinate
+  equations.  When it misses twice in a row or runs out of trials, the
+  nested searches project the point from scratch, as if it had not run.
 
 Every bracket expansion and scalar search stops after a fixed number of
 steps and raises ``NonConvergence`` if it has not converged by then.  No
@@ -63,6 +68,9 @@ _TINY = float(np.finfo(float).tiny)
 # Largest exponent a search passes to exp or expm1, below the overflow
 # at ~709.78.
 _EXP_MAX = 700.0
+# Trials of the joint Newton search of an off-centre ball projection with
+# p != r before the nested root searches take the projection over.
+_JOINT_TRIALS = 12
 
 
 class ConvexSet:
@@ -158,6 +166,16 @@ class Ball(ConvexSet):
         if space.r == 2.0:
             return _gauge_p_projection(
                 space, lambda z: self._shrink(space, z), x)
+        if space.p != space.r:
+            # Outside the ball and away from the origin, one joint search
+            # first; the nested searches below take what it cannot solve.
+            nx = float(norm(space, x))
+            g1 = _log(float(norm(space, x - self.center)) / self.radius)
+            if nx > 0.0 and g1 > 0.0:
+                y = _joint_ball_search(space, self.center, self.radius, x,
+                                       nx, g1)
+                if y is not None:
+                    return _finite(y)
         # Successive P_r solves of this call start from the last multiplier
         # and point found; nothing outlives the call.
         s, y = 0.0, None
@@ -377,6 +395,112 @@ def _ball_search(space, c, radius, z, s, y):
         return _log(float(norm(space, y - c)) / radius), y
 
     return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0, _EXP_MAX)
+
+
+def _joint_ball_search(space, c, radius, x, nx, g1):
+    """Gauge-p projection of x onto the ball for p != r, r != 2, or None.
+
+    x is nonzero and outside the ball by ``g1 = log(||x - c|| / radius)``.
+    ``P_p(x) = P_r(alpha x)`` with a multiplier lam, so one Newton search
+    in ``sigma = log(1 + lam)`` and ``tau = log(alpha)`` replaces the root
+    search in t around the root search in lam.  A trial solves the
+    coordinates once, warm-started, for the residuals
+    ``G1 = log(||y - c|| / radius)`` and
+    ``G2 = log(||y|| / ||x||) - tau / beta``, ``beta = (r - p) / (r - 1)``.
+    The start ``(0, 0)``, where y = x, needs no solve.
+
+    A trial is kept only if it lowers ``max(|G1|, |G2|)``; otherwise the
+    step is halved once, and a second miss ends the search.  The search
+    stops when both residuals are within their rounding.  Far from the
+    ball, with x near the origin, the Newton model is poor; None after a
+    second miss or ``_JOINT_TRIALS`` trials hands the projection to the
+    nested searches.
+    """
+    r = space.r
+    beta = (r - space.p) / (r - 1.0)
+    # tau stays where alpha x and every power ||y||**r of a point between
+    # it and c is finite.
+    tau_max = max(min(_EXP_MAX / r - math.log(float(np.max(np.abs(x)))),
+                      _EXP_MAX), 0.0)
+    log_radius, log_nx = math.log(radius), math.log(nx)
+    sigma, tau, y, g2 = 0.0, 0.0, x, 0.0
+    err, step = g1, None
+    for _ in range(min(_JOINT_TRIALS, _MAX_STEPS)):
+        if step is None:
+            newton = _newton_step(space, c, x, y, sigma, tau, beta, g1, g2)
+            if newton is None:
+                return None
+            d_sigma, d_tau, e1, e2 = newton
+            # A residual within its rounding counts as zero: 8 eps per
+            # log term, as in _root, plus what y's tolerance in the
+            # coordinate solve moves it by.
+            if (abs(g1) <= 8.0 * _EPS * (1.0 + abs(log_radius)) + e1
+                    and abs(g2) <= (8.0 * _EPS * (1.0 + abs(log_nx)
+                                                  + abs(tau / beta)) + e2)):
+                return y
+            step, halved = (d_sigma, d_tau), False
+        s_new = min(max(sigma + step[0], 0.0), _EXP_MAX)
+        t_new = min(max(tau + step[1], -_EXP_MAX), tau_max)
+        try:
+            y_new = _solve_coordinates(math.exp(t_new) * x, c,
+                                       math.expm1(s_new), r, y)
+        except NonConvergence:
+            y_new = None
+        if y_new is not None:
+            h1 = _log(float(norm(space, y_new - c)) / radius)
+            h2 = _log_ratio(space, y_new, nx) - t_new / beta
+            if max(abs(h1), abs(h2)) < err:
+                sigma, tau, y, g1, g2 = s_new, t_new, y_new, h1, h2
+                err = max(abs(g1), abs(g2))
+                if err <= 8.0 * _EPS:
+                    return y
+                step = None
+                continue
+        if halved:
+            return None
+        step, halved = (0.5 * (s_new - sigma), 0.5 * (t_new - tau)), True
+    return None
+
+
+def _newton_step(space, c, x, y, sigma, tau, beta, g1, g2):
+    """``(d sigma, d tau, e1, e2)``: the Newton step of the joint ball
+    search at a solved point y, and the changes of G1 and G2 that y's
+    tolerance in the coordinate solve allows; None where the Jacobian is
+    singular or not finite.
+
+    Differentiating ``phi(y_i) + lam phi(y_i - c_i) = phi(alpha x_i)``
+    with ``D_i = (r - 1)(|y_i|**(r-2) + lam |y_i - c_i|**(r-2))`` gives
+    ``dy_i/dlam = -phi(y_i - c_i) / D_i`` and
+    ``dy_i/dtau = (r - 1) phi(alpha x_i) / D_i``, both taken as 0 where
+    D_i is 0 or infinite, and ``d log ||v|| = sum_i w_i phi(v_i) dv_i /
+    ||v||**r``.  The sigma-derivatives carry the factor ``1 + lam``.
+    """
+    r, w = space.r, space.weights
+    lam = math.expm1(sigma)
+    z = math.exp(tau) * x
+    gap = y - c
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        abs_y, abs_gap = np.abs(y), np.abs(gap)
+        d = (r - 1.0) * (abs_y ** (r - 2.0) + lam * abs_gap ** (r - 2.0))
+        inv_d = np.where((d > 0.0) & (d < np.inf), 1.0 / d, 0.0)
+        pow_y, pow_gap = abs_y ** (r - 1.0), abs_gap ** (r - 1.0)
+        dy_lam = -np.copysign(pow_gap, gap) * inv_d
+        dy_tau = ((r - 1.0) * np.copysign(np.abs(z) ** (r - 1.0), z)
+                  * inv_d)
+        a_gap = w * np.copysign(pow_gap, gap) / np.dot(w, pow_gap * abs_gap)
+        a_y = w * np.copysign(pow_y, y) / np.dot(w, pow_y * abs_y)
+        j11 = (1.0 + lam) * np.dot(a_gap, dy_lam)
+        j12 = np.dot(a_gap, dy_tau)
+        j21 = (1.0 + lam) * np.dot(a_y, dy_lam)
+        j22 = np.dot(a_y, dy_tau) - 1.0 / beta
+        det = j11 * j22 - j12 * j21
+        d_sigma = (g2 * j12 - g1 * j22) / det
+        d_tau = (g1 * j21 - g2 * j11) / det
+    if not (math.isfinite(d_sigma) and math.isfinite(d_tau)):
+        return None
+    tol = 4.0 * _EPS * (abs_y + abs_gap)
+    return (d_sigma, d_tau, float(np.dot(np.abs(a_gap), tol)),
+            float(np.dot(np.abs(a_y), tol)))
 
 
 def _solve_coordinates(z, c, lam, r, y):

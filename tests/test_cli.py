@@ -15,6 +15,7 @@ EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
                        "nonlinear_multilevel.yaml")
 SINGLE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                               "quadratic_single.yaml")
+BALL_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE), "offcentre_ball.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -288,6 +289,31 @@ class TestExecuteSingle:
         assert summary["theoremChecks"] == {
             "iterations": summary["stoppedAtK"], "monotonicityViolations": 0,
             "radiusOkAll": True, "strictBoundOkAll": True}
+
+    def test_offcentre_ball_example(self, tmp_path, monkeypatch):
+        # The committed off-centre ball example (r = 1.5, p = 2) runs to
+        # exit 0 with repeatable bytes, and the joint search, not the
+        # nested searches, projects each of the 40 points that leave the
+        # ball.
+        import projsd.sets
+        joint = projsd.sets._joint_ball_search
+        found = []
+
+        def recording(*args):
+            y = joint(*args)
+            found.append(y is not None)
+            return y
+
+        monkeypatch.setattr(projsd.sets, "_joint_ball_search", recording)
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", BALL_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert yaml.safe_load(outputs[0][1])["stoppedAtK"] == 42
+        assert found == [True] * 80
 
 
 class TestExecuteMultilevel:
@@ -732,6 +758,24 @@ class TestParseTimeInputContract:
         assert f"config error: diagnostics.{key}:" in err
         assert err.count("config error") == 1, err
 
+    def test_validate_refuses_level_reference(self, tmp_path, capsys):
+        # Validate mode runs nothing, so it reads no level reference.
+        doc = {
+            "mode": "validate",
+            "space": {"dim": 2},
+            "levels": [{"eta": 0.01, "C": 1.0, "L": 0.0, "Lhat": 1.0,
+                        "reference": [5.0, 5.0]}],
+            "solver": {"etaHat": 0.05},
+        }
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert "config error: levels[0].reference:" in err
+        assert err.count("config error") == 1, err
+        del doc["levels"][0]["reference"]
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path, "--quiet"]) == 0
+
     def test_box_bounds_keep_infinity(self, tmp_path):
         path = single_config(tmp_path, set={"kind": "box",
                                             "lower": [float("-inf"), 0.0],
@@ -961,6 +1005,22 @@ class TestStreamedOutputs:
             == expected
         summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
         assert summary["theoremChecks"] == theorem_checks(rep, expected)
+
+    def test_start_outside_radius_at_k_zero(self, tmp_path):
+        # x0 meets the discrepancy, so no step is tallied; the start lies
+        # outside rho, and that check alone makes radiusOkAll false.
+        overrides = dict(QUADRATIC_FLAGS_FAIL, solver={"etaHat": 10.0},
+                         diagnostics={"referenceSolution": [20.0, 20.0],
+                                      "checkTheorems": True})
+        path = single_config(tmp_path, **overrides)
+        assert main(["run", path, "--quiet"]) == 0
+        cfg, rep = self.library_single(path)
+        assert rep.stopped_at_k == 0 and report_tallies(rep) == (0, 0, 0)
+        assert rep.start_radius_ok is False
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert summary["theoremChecks"] == {
+            "iterations": 0, "monotonicityViolations": 0,
+            "radiusOkAll": False, "strictBoundOkAll": True}
 
     def test_multilevel_mode(self, tmp_path):
         # Without checkTheorems the summary has no theoremChecks; with it,

@@ -186,6 +186,12 @@ EXACT_GEOMETRIES = [
     (2.0, 2.0, [0.5, 2.0, 1.0, 3.0]),
     (1.5, 2.0, [0.5, 2.0, 1.0, 3.0]),
     (4.0, 4.0, [0.5, 2.0, 1.0, 3.0]),
+    (1.1, 2.0, None),
+    (1.25, 2.0, None),
+    (4.0, 2.0, None),
+    (6.0, 2.0, None),
+    (2.5, 4.0, None),
+    (3.5, 1.25, None),
 ]
 
 
@@ -251,6 +257,17 @@ class TestExactProjections:
                 x = 2.0 * rng.standard_normal(4)
                 if not cset.contains(space, x, tol=0.0):
                     assert_exact_projection(space, cset, x, rng)
+        # Off-centre balls of scale 0.1 to 10 and points of scale 1e-4 to
+        # 1e5.  With p != r the joint search projects most of them; the
+        # nested searches take the points near the origin.
+        rng = np.random.default_rng(16)
+        for _ in range(8):
+            scale = 10.0 ** rng.uniform(-1.0, 1.0)
+            ball = Ball(scale * rng.standard_normal(4),
+                        scale * rng.uniform(0.1, 1.5))
+            x = 10.0 ** rng.uniform(-4.0, 5.0) * rng.standard_normal(4)
+            if not ball.contains(space, x, tol=0.0):
+                assert_exact_projection(space, ball, x, rng)
 
     def test_weighted_l2_closed_forms(self):
         # r = p = 2 with weights is the weighted Euclidean metric
@@ -383,6 +400,30 @@ class TestExactProjections:
         ball = Ball(np.array([0.5, 0.0]), 1.0)
         x = np.array([1e-211, 3.0])
         assert_exact_projection(space, ball, x, np.random.default_rng(14))
+
+    def test_joint_search_solves_few_coordinate_systems(self, monkeypatch):
+        # Points just outside an off-centre ball in 32 dimensions, r = 1.5,
+        # p = 2, as the iterates of a projected descent are.  The nested
+        # searches alone make 30.4 coordinate solves per projection here,
+        # the joint search 3.7.
+        space = lp_space(32, r=1.5, p=2.0)
+        rng = np.random.default_rng(17)
+        solve = projsd.sets._solve_coordinates
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(projsd.sets, "_solve_coordinates", counting)
+        n = 20
+        for _ in range(n):
+            ball = Ball(0.3 * rng.standard_normal(32), 1.0)
+            v = rng.standard_normal(32)
+            gap = rng.uniform(1.02, 1.3) / float(norm(space, v))
+            y = bregman_project(space, ball, ball.center + gap * v)
+            assert abs(float(norm(space, y - ball.center)) - 1.0) <= 1e-14
+        assert len(calls) / n <= 8.0
 
     def test_step_cap_raises_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(projsd.sets, "_MAX_STEPS", 1)
