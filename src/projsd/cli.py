@@ -20,9 +20,9 @@ parameters that do not fit ``space.dim``, non-finite numbers other than
 open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
 without ``cstab``, or without ``lhat`` under ``checkTheorems``,
 ``checkTheorems`` without a reference for every run, keys the run would
-not read, such as a model key its kind ignores, a ``diagnostics`` key
-of another mode or a level ``reference`` in validate mode) is a
-validation failure found while parsing, before anything runs.
+not read, such as a model key its kind ignores, a section or key of
+another mode (``_MODE_UNREAD``) or a level ``reference`` in validate
+mode) is a validation failure found while parsing, before anything runs.
 """
 
 from __future__ import annotations
@@ -74,6 +74,21 @@ _LEVEL_KEYS = {"eta", "C", "L", "Lhat", "model", "set", "data", "reference"}
 _LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat"}
 _SCHEDULE_KEYS = {"lam", "tau", "etaHat", "maxLevels"}
 _MODES = {"single", "multilevel", "validate", "example-schedule"}
+# Sections and keys refused per mode: the mode would not read them.
+_RUNS_NOTHING = ("data", "model", "set", "x0", "diagnostics.checkTheorems",
+                 "diagnostics.referenceSolution", "solver.eta",
+                 "solver.maxIterations", "solver.seed", "output.tracePath")
+_WITH_SCHEDULE = _RUNS_NOTHING + ("dataSpace", "epsilon", "levels",
+                                  "solver.etaHat")
+_MODE_UNREAD = {
+    "single mode": ("epsilon", "levels", "schedule", "output.schedulePath"),
+    "multilevel mode": ("data", "model", "schedule", "set", "solver.eta",
+                        "diagnostics.referenceSolution",
+                        "output.schedulePath"),
+    "validate mode": _RUNS_NOTHING + ("output.schedulePath",),
+    "validate mode with a schedule": _WITH_SCHEDULE + ("output.schedulePath",),
+    "example-schedule mode": _WITH_SCHEDULE,
+}
 
 
 class RunConfig(SimpleNamespace):
@@ -409,6 +424,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     sched_node = _check_mapping(raw.get("schedule"), _SCHEDULE_KEYS,
                                 "schedule", errors)
     sol = _check_mapping(raw.get("solver"), _SOLVER_KEYS, "solver", errors)
+    what = f"{mode} mode" + (" with a schedule" if mode == "validate"
+                             and sched_node else "")
+    for key in _MODE_UNREAD[what]:
+        section, _, sub = key.partition(".")
+        node = raw.get(section) if sub else raw
+        if isinstance(node, dict) and (sub or section) in node:
+            errors.append(f"{key}: {what} does not read it")
     eta = _number(sol.get("eta"), "solver.eta", errors, default=0.0,
                   minimum=0.0)
     eta_hat = _number(sol.get("etaHat"), "solver.etaHat", errors,
@@ -427,15 +449,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     diag = _check_mapping(raw.get("diagnostics"), _DIAG_KEYS,
                           "diagnostics", errors)
-    # Single mode reads both keys; multilevel levels carry their own
-    # references, and the other modes run nothing.
-    if mode in ("validate", "example-schedule"):
-        for key in sorted(_DIAG_KEYS & diag.keys()):
-            errors.append(f"diagnostics.{key}: {mode} mode runs nothing "
-                          "and does not read it")
-    elif mode == "multilevel" and "referenceSolution" in diag:
-        errors.append("diagnostics.referenceSolution: multilevel mode "
-                      "does not read it; set levels[i].reference")
     reference = None
     if mode == "single":
         reference = _finite_vector(diag.get("referenceSolution"),
@@ -494,7 +507,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     if mode in ("multilevel", "validate"):
         lv_raw = raw.get("levels")
-        if mode == "validate" and lv_raw is None and sched_node:
+        if mode == "validate" and sched_node:
             pass  # validate a closed-form schedule instead of levels
         elif not isinstance(lv_raw, list) or not lv_raw:
             errors.append("levels: expected a nonempty list")

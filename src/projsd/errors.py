@@ -1,10 +1,10 @@
-"""Exception hierarchy shared by all solver components."""
+"""Exception hierarchy shared by all solver components and the CLI."""
 
 __all__ = [
     "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
     "EtaTooLarge", "NonpositiveU", "ZeroGradient",
     "NonFiniteStep",
-    "MissingStabilityConstant", "StepIdentityViolated", "DegenerateSet",
+    "MissingStabilityConstant", "StepIdentityViolated",
     "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
     "SchemaError",
 ]
@@ -68,10 +68,6 @@ class MissingStabilityConstant(ProjSDError, ValueError):
 class StepIdentityViolated(ProjSDError):
     """The two algebraic identities behind the step size failed to hold to
     round-off; the geometry constants are corrupt."""
-
-
-class DegenerateSet(ProjSDError):
-    """All sampled pairs were skipped during constant estimation."""
 
 
 class NoSuchLevel(ProjSDError):

@@ -1,10 +1,10 @@
 """Nonlinear forward operators with analytically known constants.
 
 Ships a linear model, a diagonal linear model with closed-form best
-approximations, and a componentwise-quadratic model, plus the
-certification helpers (finite-difference derivative check, adjoint check,
-sampling-based stability-constant estimation) used to falsify claimed
-constants.
+approximations and stability constant, and a componentwise-quadratic
+model, plus two certification helpers (finite-difference derivative
+check, adjoint check).  The analysis constants are stated by the caller;
+nothing here estimates them.
 
 Evaluation is batch friendly: all maps act on the last axis of their
 input arrays.
@@ -16,9 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSet
-from .geometry import SpaceGeometry, bregman_distance, norm
-from .sets import Ball, Box, ConvexSet, CoordinateSubspace, WholeSpace
+from .geometry import SpaceGeometry, norm
 
 __all__ = [
     "ForwardModel",
@@ -29,7 +27,6 @@ __all__ = [
     "data_space",
     "fd_derivative_check",
     "adjoint_check",
-    "estimate_stability_constant",
 ]
 
 
@@ -165,7 +162,8 @@ class DiagonalLinearModel(LinearModel):
 
     def subspace_stability_constant(self, support):
         """Exact constant of the stability inequality on the subspace,
-        ``2**(-1/2) / min sigma_i`` over the supported coordinates."""
+        ``2**(-1/2) / min |sigma_i|`` over the supported coordinates; in
+        the Hilbert space it is attained on the axis of that sigma_i."""
         idx = np.asarray(list(support), dtype=int)
         return float(2.0 ** -0.5 / np.min(np.abs(self.sigma[idx])))
 
@@ -249,54 +247,3 @@ def adjoint_check(model: ForwardModel, x, h, ystar):
     lhs = float(np.dot(model.apply_derivative(x, h), ystar))
     rhs = float(np.dot(h, model.apply_adjoint(x, ystar)))
     return abs(lhs - rhs)
-
-
-def _sample_in_set(cset: ConvexSet, space: SpaceGeometry, rng, n,
-                   radius, center):
-    d = space.dim
-    base = center + radius * rng.uniform(-1.0, 1.0, (n, d))
-    if isinstance(cset, WholeSpace):
-        return base
-    if isinstance(cset, Box):
-        lo = np.maximum(cset.lower, center - radius)
-        hi = np.minimum(cset.upper, center + radius)
-        hi = np.maximum(hi, lo)
-        return lo + (hi - lo) * rng.uniform(0.0, 1.0, (n, d))
-    if isinstance(cset, Ball):
-        dy = base - cset.center
-        dist = norm(space, dy)
-        scale = np.where(dist > cset.radius, cset.radius / np.maximum(
-            dist, 1e-300), 1.0)
-        return cset.center + scale[:, None] * dy
-    if isinstance(cset, CoordinateSubspace):
-        return np.where(cset.mask(d), base, 0.0)
-    raise NotImplementedError(f"no sampler for {type(cset).__name__}")
-
-
-def estimate_stability_constant(model: ForwardModel, cset: ConvexSet,
-                                space: SpaceGeometry, n_samples: int = 1000,
-                                seed: int = 0, radius: float = 1.0,
-                                center=None):
-    """Sampled lower bound for the conditional stability constant.
-
-    Draws pairs in the set (restricted to a sampling ball for unbounded
-    sets) and returns the maximum of ``breg(x, xt)**(1/p) / ||F(x)-F(xt)||``.
-    Any claimed constant below this value is falsified.
-
-    Raises
-    ------
-    DegenerateSet
-        If every sampled pair has numerically identical images.
-    """
-    if center is None:
-        center = np.zeros(space.dim)
-    rng = np.random.default_rng(seed)
-    x = _sample_in_set(cset, space, rng, n_samples, radius, center)
-    xt = _sample_in_set(cset, space, rng, n_samples, radius, center)
-    gap = norm(data_space(model), model.eval(x) - model.eval(xt))
-    keep = gap > 1e-14
-    if not np.any(keep):
-        raise DegenerateSet("all sampled pairs map to the same image")
-    breg = bregman_distance(space, x[keep], xt[keep])
-    ratios = breg ** (1.0 / space.p) / gap[keep]
-    return float(np.max(ratios))

@@ -230,8 +230,7 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
 
 
 def example_schedule(lam: float, tau: float, space: SpaceGeometry,
-                     eta_hat: float, max_levels: int = 64,
-                     allow_small_lambda: bool = False) -> Schedule:
+                     eta_hat: float, max_levels: int = 64) -> Schedule:
     """Closed-form exponential schedule with provably valid transitions.
 
     Constant models per level index ``a``::
@@ -250,8 +249,8 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     Raises
     ------
     LambdaTooSmall
-        If ``lam < 100 * eta_hat`` (unless ``allow_small_lambda``); small
-        initial errors defeat the purpose of a coarse first level.
+        If ``lam < 100 * eta_hat``; small initial errors defeat the
+        purpose of a coarse first level.
     TauOutOfRange
         If ``tau`` violates its admissibility bound.
     NoSuchLevel
@@ -259,7 +258,7 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     """
     if eta_hat <= 0:
         raise ValueError("eta_hat must be positive")
-    if lam < 100.0 * eta_hat and not allow_small_lambda:
+    if lam < 100.0 * eta_hat:
         raise LambdaTooSmall(
             f"lam = {lam} < 100 * eta_hat = {100 * eta_hat}")
     tau_max = (space.Cp / space.p) ** (3.0 / space.p) \

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergence, NonFiniteInput
+from .errors import DimensionMismatch, NonConvergence, NonFiniteInput
 from .geometry import SpaceGeometry, bregman_distance, norm
 
 __all__ = [
@@ -80,6 +80,10 @@ class ConvexSet:
 
     def contains(self, space: SpaceGeometry, x, tol: float = 1e-10) -> bool:
         raise NotImplementedError
+
+    def _check_fits(self, space: SpaceGeometry):
+        """Raise DimensionMismatch unless every vector parameter of the set
+        has the shape ``(space.dim,)``; a set with none always fits."""
 
     def _project_r(self, space: SpaceGeometry, z):
         """Bregman projection of z with the gauge set to r."""
@@ -122,8 +126,15 @@ class Box(ConvexSet):
             raise ValueError("box has an empty coordinate: lower = +inf or "
                              "upper = -inf")
 
+    def _check_fits(self, space):
+        if self.lower.shape != (space.dim,):
+            raise DimensionMismatch(
+                f"Box lower and upper have shape {self.lower.shape}, the "
+                f"space needs ({space.dim},)")
+
     def contains(self, space, x, tol=1e-10):
         x = space.check_dim(x)
+        self._check_fits(space)
         gap = np.maximum(self.lower - x, 0.0) + np.maximum(x - self.upper, 0.0)
         return norm(space, gap) <= tol
 
@@ -146,8 +157,15 @@ class Ball(ConvexSet):
             raise ValueError("center must be finite")
         self.radius = float(radius)
 
+    def _check_fits(self, space):
+        if self.center.shape != (space.dim,):
+            raise DimensionMismatch(
+                f"Ball center has shape {self.center.shape}, the space "
+                f"needs ({space.dim},)")
+
     def contains(self, space, x, tol=1e-10):
         x = space.check_dim(x)
+        self._check_fits(space)
         return norm(space, x - self.center) <= self.radius + tol
 
     def _shrink(self, space, z):
@@ -521,7 +539,10 @@ def _solve_coordinates(z, c, lam, r, y):
     or a second Newton step in a row halves the residual and moves it by
     less than the tolerance.  A step that short without that evidence is
     lengthened to the tolerance, so that it crosses the root and closes
-    the bracket.
+    the bracket.  For r < 2, phi is infinitely steep at 0, and ``J_r(y)``
+    needs ``phi(y_i)`` also where the root is near 0; so there a bracket
+    must be within a few ulps of its end nearer 0, which never holds for
+    a bracket around 0.
     """
     abs_b = np.abs(z) ** (r - 1.0)
     b = np.copysign(abs_b, z)
@@ -540,8 +561,13 @@ def _solve_coordinates(z, c, lam, r, y):
             # Floored at the smallest normal number: in subnormals the
             # relative tolerance underflows to 0.
             tol = np.maximum(4.0 * _EPS * (abs_y + abs_gap), _TINY)
+            # For r < 2, max(lo, -hi) is the distance of the bracket from
+            # 0, negative around 0; as y lies in the bracket, a width
+            # within a few ulps of it is also within tol.
+            width = tol if r >= 2.0 else np.maximum(
+                4.0 * _EPS * np.maximum(lo, -hi), _TINY)
             done |= ((abs_f <= 4.0 * _EPS * (pow_y + lam * pow_gap + abs_b))
-                     | (hi - lo <= tol))
+                     | (hi - lo <= width))
             if np.all(done):
                 return y
             lo = np.where(f < 0.0, y, lo)
@@ -578,6 +604,9 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
 
     Raises
     ------
+    DimensionMismatch
+        If x or a vector parameter of the set does not have the space's
+        dimension.
     NonFiniteInput
         If x holds NaN or +-inf.
     NonConvergence
@@ -586,6 +615,7 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
         range.
     """
     x = space.check_dim(x)
+    cset._check_fits(space)
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonFiniteInput("cannot project a vector holding NaN or inf")
     return cset._project(space, x)

@@ -748,9 +748,8 @@ class TestParseTimeInputContract:
         ("referenceSolution", [0.0, 0.0])])
     def test_modes_without_a_run_refuse_diagnostics(self, tmp_path, capsys,
                                                     mode, key, value):
-        TestValidateAndExampleSchedule().schedule_config(tmp_path)
-        doc = yaml.safe_load((tmp_path / "ex.yaml").read_text())
-        doc["mode"] = mode
+        doc = self.mode_config(tmp_path, {"validate": "validate-schedule"}
+                               .get(mode, mode))
         doc["diagnostics"] = {key: value}
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path]) == 3
@@ -773,6 +772,87 @@ class TestParseTimeInputContract:
         assert "config error: levels[0].reference:" in err
         assert err.count("config error") == 1, err
         del doc["levels"][0]["reference"]
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path, "--quiet"]) == 0
+
+    @staticmethod
+    def mode_config(tmp_path, base):
+        """A config that runs to exit 0 in one mode; validate-schedule is
+        validate mode with a schedule in place of levels."""
+        if base == "single":
+            return yaml.safe_load(MINIMAL_SINGLE)
+        if base == "multilevel":
+            TestExecuteMultilevel().make_config(tmp_path)
+            return yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        if base == "validate":
+            return {"mode": "validate", "space": {"dim": 2},
+                    "solver": {"etaHat": 0.05},
+                    "levels": [{"eta": 0.01, "C": 1.0, "L": 0.0,
+                                "Lhat": 1.0}]}
+        TestValidateAndExampleSchedule().schedule_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ex.yaml").read_text())
+        if base == "validate-schedule":
+            doc["mode"] = "validate"
+            del doc["output"]["schedulePath"]
+        return doc
+
+    @pytest.mark.parametrize("base, key", [
+        ("single", "epsilon"), ("single", "levels"), ("single", "schedule"),
+        ("single", "output.schedulePath"),
+        ("multilevel", "data"), ("multilevel", "model"),
+        ("multilevel", "schedule"), ("multilevel", "set"),
+        ("multilevel", "solver.eta"), ("multilevel", "output.schedulePath"),
+        ("validate", "data"), ("validate", "model"), ("validate", "set"),
+        ("validate", "x0"), ("validate", "solver.eta"),
+        ("validate", "solver.maxIterations"), ("validate", "solver.seed"),
+        ("validate", "output.tracePath"), ("validate", "output.schedulePath"),
+        ("validate-schedule", "epsilon"),
+        ("validate-schedule", "solver.etaHat"),
+        ("validate-schedule", "dataSpace"), ("validate-schedule", "x0"),
+        ("validate-schedule", "output.schedulePath"),
+        ("example-schedule", "data"), ("example-schedule", "dataSpace"),
+        ("example-schedule", "epsilon"), ("example-schedule", "levels"),
+        ("example-schedule", "model"), ("example-schedule", "set"),
+        ("example-schedule", "solver.etaHat"), ("example-schedule", "x0"),
+        ("example-schedule", "output.tracePath")])
+    def test_key_the_mode_does_not_read(self, tmp_path, capsys, base, key):
+        # Each used to pass silently, e.g. multilevel mode ran with a
+        # solver.eta of 123 and a top-level model, set and data.
+        values = {
+            "data": {"ydelta": [1.0, 1.0]}, "dataSpace": {"s": 2.0},
+            "epsilon": 1.0, "model": {"kind": "diagonal",
+                                      "sigma": [2.0, 3.0]},
+            "levels": [{"eta": 0.01, "C": 1.0, "L": 0.0, "Lhat": 1.0}],
+            "schedule": {"lam": 0.1, "tau": 1e-3, "etaHat": 1e-3},
+            "set": {"kind": "wholespace"}, "x0": [0.0, 0.0],
+            "solver.eta": 123.0, "solver.etaHat": 0.05,
+            "solver.maxIterations": 10, "solver.seed": 1,
+            "output.tracePath": str(tmp_path / "t.csv"),
+            "output.schedulePath": str(tmp_path / "s.yaml")}
+        doc = self.mode_config(tmp_path, base)
+        section, _, sub = key.partition(".")
+        if sub:
+            doc.setdefault(section, {})[sub] = values[key]
+        else:
+            doc[section] = values[key]
+        path = write(tmp_path, "mode.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and "does not read it" in err
+        assert err.count("config error") == 1, err
+
+    def test_validate_reads_levels_or_a_schedule(self, tmp_path, capsys):
+        # With both, validate mode checked the schedule, ignored the
+        # levels and exited 0 ("schedule valid").
+        doc = self.mode_config(tmp_path, "validate-schedule")
+        doc["levels"] = [{"eta": 0.01, "C": 1.0, "L": 0.0, "Lhat": 1.0}]
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert "config error: levels: validate mode with a schedule does " \
+            "not read it" in err
+        assert err.count("config error") == 1, err
+        del doc["levels"]
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path, "--quiet"]) == 0
 

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from projsd import (Ball, CoordinateSubspace, DegenerateSet,
-                    DiagonalLinearModel, LinearModel, NoisyData,
-                    QuadraticModel, WholeSpace, adjoint_check, data_space,
-                    estimate_stability_constant, fd_derivative_check,
-                    lp_space, norm)
+from projsd import (DiagonalLinearModel, LinearModel, NoisyData,
+                    QuadraticModel, adjoint_check, bregman_distance,
+                    data_space, fd_derivative_check, lp_space, norm)
 
 
 class TestLinearModel:
@@ -50,20 +48,34 @@ class TestDiagonalLinearModel:
         assert model.subspace_stability_constant([0, 1]) == pytest.approx(
             2.0 ** -0.5 / 0.5)
 
-    def test_stability_constant_certifies(self):
-        # The sampled estimate must not exceed the closed-form constant.
-        dim = 5
-        sigma = np.exp(-np.arange(dim))
+    def test_stability_constant_is_attained_on_the_subspace(self):
+        # In the Hilbert space, for x - xt = h in S, the stability ratio
+        # breg(x, xt)**(1/2) / ||F(x) - F(xt)|| is 2**(-1/2) ||h|| /
+        # ||sigma * h||.  Its supremum over S, the stated constant, is
+        # attained at h = e_i for the smallest |sigma_i| in S; the
+        # smaller |sigma_3| lies outside S.
+        sigma = np.array([2.0, -0.3, 4.0, 0.1, 0.7])
         model = DiagonalLinearModel(sigma)
-        space = lp_space(dim)
+        space = lp_space(5)
         sup = [0, 1, 2]
-        cset = CoordinateSubspace(sup)
-        est = estimate_stability_constant(model, cset, space,
-                                          n_samples=2000, seed=0)
         exact = model.subspace_stability_constant(sup)
-        assert est <= exact + 1e-12
-        # And it comes close, so the bound is not vacuous.
-        assert est > 0.9 * exact
+
+        def ratio(x, xt):
+            gap = norm(data_space(model), model.eval(x) - model.eval(xt))
+            return bregman_distance(space, x, xt) ** 0.5 / gap
+
+        e1 = np.eye(5)[1]
+        for x, xt in [(e1, np.zeros(5)), (3.0 * e1, -2.0 * e1)]:
+            assert ratio(x, xt) == pytest.approx(exact, rel=1e-15, abs=0)
+        rng = np.random.default_rng(0)
+        mask = np.isin(np.arange(5), sup)
+        xt = np.where(mask, rng.standard_normal((200, 5)), 0.0)
+        h = np.where(mask, rng.standard_normal((200, 5)), 0.0)
+        got = ratio(xt + h, xt)
+        want = (2.0 ** -0.5 * np.linalg.norm(h, axis=1)
+                / np.linalg.norm(sigma * h, axis=1))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all(got < exact)
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_matches_dense_diagonal(self, batch):
@@ -180,21 +192,3 @@ class TestCertification:
                 h = rng.standard_normal(d_in)
                 ystar = rng.standard_normal(d_out)
                 assert adjoint_check(model, x, h, ystar) < 1e-10
-
-    def test_underclaimed_constant_is_falsified(self):
-        dim = 4
-        model = DiagonalLinearModel(np.exp(-np.arange(dim)))
-        space = lp_space(dim)
-        cset = WholeSpace()
-        est = estimate_stability_constant(model, cset, space,
-                                          n_samples=500, seed=0)
-        claimed = 0.5 * est
-        assert claimed < est  # configuration with this claim is rejected
-
-    def test_degenerate_set(self):
-        # A model constant on the sampled set has no stability constant.
-        model = LinearModel(np.zeros((2, 2)))
-        space = lp_space(2)
-        with pytest.raises(DegenerateSet):
-            estimate_stability_constant(model, Ball([0.0, 0.0], 1.0),
-                                        space, n_samples=50, seed=0)

@@ -136,12 +136,6 @@ class TestExampleSchedule:
         assert final == len(sched.levels) - 1
         assert all(ok for *_, ok in transitions)
 
-    def test_allow_small_lambda(self):
-        space = lp_space(2)
-        sched = example_schedule(lam=0.01, tau=0.5 * hilbert_tau_bound(
-            0.01), space=space, eta_hat=1e-3, allow_small_lambda=True)
-        assert sched.levels
-
 
 def diagonal_schedule(eta_hat=5e-3):
     dim = 8

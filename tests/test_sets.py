@@ -9,8 +9,8 @@ import pytest
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
-                    NonConvergence, NonFiniteInput, WholeSpace,
-                    bregman_distance, bregman_project,
+                    DimensionMismatch, NonConvergence, NonFiniteInput,
+                    WholeSpace, bregman_distance, bregman_project,
                     check_total_nonexpansiveness, lp_space, norm)
 
 GEOMETRIES = [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)]
@@ -73,6 +73,26 @@ class TestSetBasics:
             CoordinateSubspace([-1])
         with pytest.raises(ValueError):
             CoordinateSubspace([5]).mask(3)
+
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_parameter_of_wrong_length_is_rejected(self, kind, length):
+        # No broadcast: in l^2 of dimension 3, Box([0], [1]) acted as the
+        # cube [0, 1]^3 and Ball([0.5], 0.3) as a ball around (0.5, 0.5,
+        # 0.5); bounds of length 2 ended in numpy's own ValueError.
+        space = lp_space(3)
+        if kind == "box":
+            cset = Box(np.zeros(length), np.ones(length))
+            match = rf"Box lower and upper have shape \({length},\)"
+        else:
+            cset = Ball(np.full(length, 0.5), 0.3)
+            match = rf"Ball center has shape \({length},\)"
+        match += r", the space needs \(3,\)"
+        for x in ([0.5, 0.5, 0.5], [2.0, 2.0, 2.0]):
+            with pytest.raises(DimensionMismatch, match=match):
+                cset.contains(space, x)
+            with pytest.raises(DimensionMismatch, match=match):
+                bregman_project(space, cset, x)
 
     def test_membership(self):
         space = lp_space(2)
@@ -195,6 +215,16 @@ EXACT_GEOMETRIES = [
 ]
 
 
+# Projections, by geometry, that once broke the three-point law: here
+# P(x)_4 is ~3e-21, and a bracket of width ~1e-15 around it left phi of it
+# unresolved.
+EXACT_HARD_CASES = [
+    ((1.1, 2.0, None),
+     Ball([6.7335752, 6.2123949, 4.03914337, -6.01092915], 9.95245001584504),
+     [20.01582521, 41.67739505, 26.04249067, 7.31573147]),
+]
+
+
 def exact_space(r, p, weights):
     if weights is None and (r, p) in DEFAULT_CONSTANTS:
         return lp_space(4, r=r, p=p)
@@ -268,6 +298,9 @@ class TestExactProjections:
             x = 10.0 ** rng.uniform(-4.0, 5.0) * rng.standard_normal(4)
             if not ball.contains(space, x, tol=0.0):
                 assert_exact_projection(space, ball, x, rng)
+        for geometry, cset, x in EXACT_HARD_CASES:
+            if geometry == (r, p, weights):
+                assert_exact_projection(space, cset, np.array(x), rng)
 
     def test_weighted_l2_closed_forms(self):
         # r = p = 2 with weights is the weighted Euclidean metric
