@@ -15,14 +15,16 @@ files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
 summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
-failure, 4 I/O error.  Input that cannot run (mismatched lengths, set
-parameters that do not fit ``space.dim``, non-finite numbers other than
-open box bounds, a nonpositive ``solver.etaHat``, a nonlinear model
-without ``cstab``, or without ``lhat`` under ``checkTheorems``,
-``checkTheorems`` without a reference for every run, keys the run would
-not read, such as a model key its kind ignores, a section or key of
-another mode (``_MODE_UNREAD``) or a level ``reference`` in validate
-mode) is a validation failure found while parsing, before anything runs.
+failure, 4 I/O error.  Every mapping of the config is read through one
+table, ``_READS``, which lists the keys each mode (or model or set kind)
+reads and requires; a key the run would not read, and a missing key it
+needs, are validation failures.  So is other input that cannot run
+(mismatched lengths, set parameters that do not fit ``space.dim``,
+non-finite numbers other than open box bounds, a nonpositive
+``solver.etaHat``, a nonlinear model without ``cstab``, or without
+``lhat`` under ``checkTheorems``, ``checkTheorems`` without a reference
+for every run, example-schedule parameters the generator refuses).  All
+of it is found while parsing, before anything runs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import io
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from functools import partial
 from types import SimpleNamespace
 
@@ -54,66 +57,131 @@ __all__ = ["main", "parse_config", "execute"]
 TRACE_HEADER = ("level,k,r_k,t_k,tHat_k,u_k,v_k,w_k,mu_k,"
                 "bregman_to_ref,radius_ok")
 
-_TOP_KEYS = {"mode", "space", "dataSpace", "model", "set", "levels",
-             "epsilon", "solver", "diagnostics", "output", "data", "x0",
-             "schedule"}
-_SPACE_KEYS = {"dim", "r", "p", "weights", "Cp", "Gq"}
-_MODEL_KEYS = {"kind", "matrix", "matrixFile", "sigma", "eps", "cstab",
-               "lhat"}
-# Model keys refused per kind: the run would not read them.
-_MODEL_UNREAD = {"linear": ("sigma", "eps", "lhat"),
-                 "diagonal": ("matrix", "matrixFile", "eps", "lhat"),
-                 "quadratic": ("sigma",)}
-_SET_KEYS = {"kind", "lower", "upper", "center", "radius", "support"}
-_SOLVER_KEYS = {"eta", "etaHat", "maxIterations", "seed"}
-_DIAG_KEYS = {"referenceSolution", "checkTheorems"}
-_OUTPUT_KEYS = {"tracePath", "summaryPath", "schedulePath"}
-_DATA_KEYS = {"ydelta", "ydeltaFile"}
-_LEVEL_KEYS = {"eta", "C", "L", "Lhat", "model", "set", "data", "reference"}
+_MODES = ("single", "multilevel", "validate", "example-schedule")
+
+_Context = namedtuple("_Context", "name reads required pairs")
+
+
+def _table(spec, name="{}"):
+    """Compile ``{context: "key key! a|b ..."}``: ``!`` marks a required
+    key and ``a|b`` a pair of which exactly one is required."""
+    table = {}
+    for context, keys in spec.items():
+        words = keys.split()
+        table[context] = _Context(
+            name.format(context),
+            frozenset(k for w in words for k in w.rstrip("!").split("|")),
+            tuple(w[:-1] for w in words if w.endswith("!")),
+            tuple(tuple(w.split("|")) for w in words if "|" in w))
+    return table
+
+
+# The keys each config mapping reads, per context: the mode for the top
+# level and for solver, diagnostics, output and levels[i]; the kind for
+# model and set.  A validate config with a schedule reads what
+# example-schedule mode reads, but for output.schedulePath.
+_READS = {
+    "config": _table({
+        "single mode": "mode space! dataSpace model! set! data! x0! solver! "
+                       "diagnostics output",
+        "multilevel mode": "mode space! dataSpace levels! epsilon x0! "
+                           "solver! diagnostics output",
+        "validate mode": "mode space! dataSpace levels! epsilon solver! "
+                         "diagnostics output",
+        "validate mode with a schedule": "mode space! schedule! solver "
+                                         "diagnostics output",
+        "example-schedule mode": "mode space! schedule! solver diagnostics "
+                                 "output"}),
+    "solver": _table({
+        "single mode": "eta etaHat! maxIterations seed",
+        "multilevel mode": "etaHat! maxIterations seed",
+        "validate mode": "etaHat!", "validate mode with a schedule": "",
+        "example-schedule mode": ""}),
+    "diagnostics": _table({
+        "single mode": "referenceSolution checkTheorems",
+        "multilevel mode": "checkTheorems", "validate mode": "",
+        "validate mode with a schedule": "", "example-schedule mode": ""}),
+    "output": _table({
+        "single mode": "tracePath summaryPath",
+        "multilevel mode": "tracePath summaryPath",
+        "validate mode": "summaryPath",
+        "validate mode with a schedule": "summaryPath",
+        "example-schedule mode": "schedulePath summaryPath"}),
+    "levels[i]": _table({
+        "multilevel mode": "eta! C! L! Lhat! model! set! data! reference",
+        "validate mode": "eta! C! L! Lhat! model set data"}),
+    "model": _table({
+        "linear": "kind matrix|matrixFile cstab",
+        "diagonal": "kind sigma! cstab",
+        "quadratic": "kind matrix|matrixFile eps! cstab lhat"},
+        "a {} model"),
+    "set": _table({"wholespace": "kind", "box": "kind lower! upper!",
+                   "ball": "kind center! radius!",
+                   "subspace": "kind support!"}, "a {} set"),
+    "space": _table({"the space": "dim! r p weights Cp Gq"}),
+    "dataSpace": _table({"the data space": "s"}),
+    "data": _table({"the data": "ydelta|ydeltaFile"}),
+    "schedule": _table({"the schedule": "lam! tau! etaHat! maxLevels"}),
+}
 # Level model keys refused: the run sets them from the level's C and Lhat.
 _LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat"}
-_SCHEDULE_KEYS = {"lam", "tau", "etaHat", "maxLevels"}
-_MODES = {"single", "multilevel", "validate", "example-schedule"}
-# Sections and keys refused per mode: the mode would not read them.
-_RUNS_NOTHING = ("data", "model", "set", "x0", "diagnostics.checkTheorems",
-                 "diagnostics.referenceSolution", "solver.eta",
-                 "solver.maxIterations", "solver.seed", "output.tracePath")
-_WITH_SCHEDULE = _RUNS_NOTHING + ("dataSpace", "epsilon", "levels",
-                                  "solver.etaHat")
-_MODE_UNREAD = {
-    "single mode": ("epsilon", "levels", "schedule", "output.schedulePath"),
-    "multilevel mode": ("data", "model", "schedule", "set", "solver.eta",
-                        "diagnostics.referenceSolution",
-                        "output.schedulePath"),
-    "validate mode": _RUNS_NOTHING + ("output.schedulePath",),
-    "validate mode with a schedule": _WITH_SCHEDULE + ("output.schedulePath",),
-    "example-schedule mode": _WITH_SCHEDULE,
-}
 
 
 class RunConfig(SimpleNamespace):
     """Parsed and validated run configuration (attribute bag)."""
 
 
-def _check_mapping(node, allowed, path, errors):
+def _read(node, table, context, path, errors):
+    """`node` narrowed to the keys that `context` of `table` reads.
+
+    Records a key that only another context reads, a key that no context
+    reads, and each missing required key.  A null value counts as absent
+    and a pair that breaks its exactly-one rule is dropped, so every key
+    left is one to parse.  An absent node reads as empty: where it is
+    required, its parent reported it."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         errors.append(f"{path}: expected a mapping")
         return {}
+    ctx, prefix = table[context], f"{path}." if path else ""
     for key in node:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
-    return node
+        if key in ctx.reads:
+            continue
+        if any(key in c.reads for c in table.values()):
+            errors.append(f"{prefix}{key}: {ctx.name} does not read it")
+        else:
+            errors.append(f"{path or 'config'}.{key}: unknown key")
+    out = {k: v for k, v in node.items() if k in ctx.reads and v is not None}
+    for key in ctx.required:
+        if key not in out:
+            errors.append(f"{prefix}{key}: {ctx.name} needs it")
+    for a, b in ctx.pairs:
+        if (a in out) == (b in out):
+            errors.append(f"{path}: {ctx.name} needs exactly one of {a} "
+                          f"and {b}")
+            out.pop(a, None)
+            out.pop(b, None)
+    return out
 
 
-def _number(node, path, errors, default=None, required=False,
-            minimum=None, strict_min=False):
+def _read_kind(node, table, path, errors):
+    """`node` read in the context its ``kind`` names; None when it is
+    absent or, with the error recorded, when its kind names none."""
+    if node is None:
+        return None
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if isinstance(kind, str) and kind in table:
+        return _read(node, table, kind, path, errors)
+    errors.append(f"{path}.kind: expected one of {', '.join(table)}")
+    return None
+
+
+def _number(node, path, errors, default=None, minimum=None,
+            strict_min=False):
     """The finite number at `node`; `default` when it is absent or
     invalid, with the error recorded."""
     if node is None:
-        if required:
-            errors.append(f"{path}: missing required value")
         return default
     if not isinstance(node, (int, float)) or isinstance(node, bool):
         errors.append(f"{path}: expected a number")
@@ -132,10 +200,21 @@ def _number(node, path, errors, default=None, required=False,
     return v
 
 
-def _vector(node, path, errors, required=False):
+def _integer(node, path, errors, default, minimum):
+    """The integer at `node`, at least `minimum`; `default` when it is
+    absent or invalid, with the error recorded."""
     if node is None:
-        if required:
-            errors.append(f"{path}: missing required value")
+        return default
+    if not isinstance(node, int) or isinstance(node, bool) \
+            or node < minimum:
+        errors.append(f"{path}: expected a "
+                      f"{'positive' if minimum else 'nonnegative'} integer")
+        return default
+    return node
+
+
+def _vector(node, path, errors):
+    if node is None:
         return None
     try:
         arr = np.asarray(node, dtype=float)
@@ -148,8 +227,8 @@ def _vector(node, path, errors, required=False):
     return arr
 
 
-def _finite_vector(node, path, errors, required=False):
-    arr = _vector(node, path, errors, required)
+def _finite_vector(node, path, errors):
+    arr = _vector(node, path, errors)
     if arr is not None and not np.all(np.isfinite(arr)):
         errors.append(f"{path}: expected finite numbers")
         return None
@@ -174,26 +253,22 @@ def _check_problem(space, model, data, path, errors):
                       f"the model has {model.out_dim} outputs")
 
 
+def _sidecar(fname, base_dir):
+    return fname if os.path.isabs(fname) else os.path.join(base_dir, fname)
+
+
 def _matrix_from(node, path, errors, base_dir):
     """Inline list-of-rows or a sidecar CSV referenced by matrixFile."""
-    inline, fname = node.get("matrix"), node.get("matrixFile")
-    if inline is None and fname is None:
-        errors.append(f"{path}: needs either matrix or matrixFile")
-        return None
-    if inline is not None and fname is not None:
-        errors.append(f"{path}: matrix and matrixFile are exclusive")
-        return None
-    if inline is not None:
+    if "matrix" in node:
         field = f"{path}.matrix"
         try:
-            arr = np.atleast_2d(np.asarray(inline, dtype=float))
+            arr = np.atleast_2d(np.asarray(node["matrix"], dtype=float))
         except (TypeError, ValueError):
             errors.append(f"{field}: expected rows of numbers")
             return None
-    else:
+    elif "matrixFile" in node:
         field = f"{path}.matrixFile"
-        full = fname if os.path.isabs(fname) else os.path.join(base_dir,
-                                                               fname)
+        full = _sidecar(node["matrixFile"], base_dir)
         try:
             arr = np.atleast_2d(np.loadtxt(full, delimiter=",", ndmin=2))
         except OSError as exc:
@@ -202,6 +277,8 @@ def _matrix_from(node, path, errors, base_dir):
         except ValueError as exc:
             errors.append(f"{field}: bad CSV in {full}: {exc}")
             return None
+    else:
+        return None
     if not np.all(np.isfinite(arr)):
         errors.append(f"{field}: expected finite numbers")
         return None
@@ -209,8 +286,10 @@ def _matrix_from(node, path, errors, base_dir):
 
 
 def _parse_space(node, errors):
-    node = _check_mapping(node, _SPACE_KEYS, "space", errors)
+    node = _read(node, _READS["space"], "the space", "space", errors)
     dim = node.get("dim")
+    if dim is None:
+        return None
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         errors.append("space.dim: expected a positive integer")
         return None
@@ -233,15 +312,15 @@ def _parse_space(node, errors):
 
 
 def _parse_set(node, path, errors, space):
-    node = _check_mapping(node, _SET_KEYS, path, errors)
-    kind = node.get("kind")
+    node = _read_kind(node, _READS["set"], path, errors)
+    if node is None:
+        return None
+    kind = node["kind"]
     if kind == "wholespace":
         return WholeSpace()
     if kind == "box":
-        lo = _vector(node.get("lower"), f"{path}.lower", errors,
-                     required=True)
-        hi = _vector(node.get("upper"), f"{path}.upper", errors,
-                     required=True)
+        lo = _vector(node.get("lower"), f"{path}.lower", errors)
+        hi = _vector(node.get("upper"), f"{path}.upper", errors)
         if lo is None or hi is None:
             return None
         _check_length(lo, space, f"{path}.lower", errors)
@@ -252,82 +331,61 @@ def _parse_set(node, path, errors, space):
             errors.append(f"{path}: {exc}")
             return None
     if kind == "ball":
-        c = _finite_vector(node.get("center"), f"{path}.center", errors,
-                           required=True)
+        c = _finite_vector(node.get("center"), f"{path}.center", errors)
         rad = _number(node.get("radius"), f"{path}.radius", errors,
-                      required=True, minimum=0.0, strict_min=True)
+                      minimum=0.0, strict_min=True)
         if c is None or rad is None:
             return None
         _check_length(c, space, f"{path}.center", errors)
-        try:
-            return Ball(c, rad)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    if kind == "subspace":
-        sup = node.get("support")
-        dim = float("inf") if space is None else space.dim
-        if not isinstance(sup, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool)
-                and 0 <= i < dim for i in sup) or not sup:
-            errors.append(f"{path}.support: expected a nonempty list of "
-                          "integers in [0, space.dim)")
-            return None
-        return CoordinateSubspace(sup)
-    errors.append(f"{path}.kind: expected one of wholespace, box, ball, "
-                  "subspace")
-    return None
+        return Ball(c, rad)
+    sup = node.get("support")
+    if sup is None:
+        return None
+    dim = float("inf") if space is None else space.dim
+    if not isinstance(sup, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool)
+            and 0 <= i < dim for i in sup) or not sup:
+        errors.append(f"{path}.support: expected a nonempty list of "
+                      "integers in [0, space.dim)")
+        return None
+    return CoordinateSubspace(sup)
 
 
 def _parse_model(node, path, errors, s, base_dir):
-    node = _check_mapping(node, _MODEL_KEYS, path, errors)
-    kind = node.get("kind")
-    if isinstance(kind, str):
-        for key in _MODEL_UNREAD.get(kind, ()):
-            if key in node:
-                errors.append(f"{path}.{key}: a {kind} model does not "
-                              "read it")
+    node = _read_kind(node, _READS["model"], path, errors)
+    if node is None:
+        return None
+    kind = node["kind"]
     cstab = _number(node.get("cstab"), f"{path}.cstab", errors,
                     minimum=0.0, strict_min=True)
-    if kind == "linear":
-        mat = _matrix_from(node, path, errors, base_dir)
-        if mat is None:
-            return None
-        return LinearModel(mat, s=s, cstab=cstab)
     if kind == "diagonal":
-        sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors,
-                               required=True)
+        sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors)
         if sigma is None:
             return None
         return DiagonalLinearModel(sigma, s=s, cstab=cstab)
-    if kind == "quadratic":
-        mat = _matrix_from(node, path, errors, base_dir)
-        eps = _number(node.get("eps"), f"{path}.eps", errors,
-                      required=True, minimum=0.0)
-        lhat = _number(node.get("lhat"), f"{path}.lhat", errors,
-                       minimum=0.0, strict_min=True)
-        if mat is None or eps is None:
+    mat = _matrix_from(node, path, errors, base_dir)
+    if kind == "linear":
+        if mat is None:
             return None
-        try:
-            return QuadraticModel(mat, eps, s=s, cstab=cstab, lhat=lhat)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    errors.append(f"{path}.kind: expected one of linear, diagonal, "
-                  "quadratic")
-    return None
+        return LinearModel(mat, s=s, cstab=cstab)
+    eps = _number(node.get("eps"), f"{path}.eps", errors, minimum=0.0)
+    lhat = _number(node.get("lhat"), f"{path}.lhat", errors, minimum=0.0,
+                   strict_min=True)
+    if mat is None or eps is None:
+        return None
+    try:
+        return QuadraticModel(mat, eps, s=s, cstab=cstab, lhat=lhat)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
 
 
 def _parse_data(node, path, errors, base_dir, eta):
     """Data with the noise level `eta` that the run uses."""
-    node = _check_mapping(node, _DATA_KEYS, path, errors)
-    ydelta, fname = node.get("ydelta"), node.get("ydeltaFile")
-    if ydelta is None and fname is None:
-        errors.append(f"{path}: needs either ydelta or ydeltaFile")
-        return None
-    if ydelta is None:
-        full = fname if os.path.isabs(fname) else os.path.join(base_dir,
-                                                               fname)
+    node = _read(node, _READS["data"], "the data", path, errors)
+    ydelta = node.get("ydelta")
+    if "ydeltaFile" in node:
+        full = _sidecar(node["ydeltaFile"], base_dir)
         try:
             ydelta = np.atleast_1d(np.loadtxt(full, delimiter=","))
         except (OSError, ValueError) as exc:
@@ -338,20 +396,16 @@ def _parse_data(node, path, errors, base_dir, eta):
     return NoisyData(arr, eta)
 
 
-def _parse_level(node, idx, errors, s, base_dir, space):
+def _parse_level(node, idx, context, errors, s, base_dir, space,
+                 check_theorems):
     path = f"levels[{idx}]"
-    node = _check_mapping(node, _LEVEL_KEYS, path, errors)
-    eta = _number(node.get("eta"), f"{path}.eta", errors, required=True,
-                  minimum=0.0)
-    C = _number(node.get("C"), f"{path}.C", errors, required=True,
-                minimum=0.0, strict_min=True)
-    L = _number(node.get("L"), f"{path}.L", errors, required=True,
-                minimum=0.0)
-    Lhat = _number(node.get("Lhat"), f"{path}.Lhat", errors, required=True,
-                   minimum=0.0, strict_min=True)
-    cset = model = data = None
-    if node.get("set") is not None:
-        cset = _parse_set(node["set"], f"{path}.set", errors, space)
+    node = _read(node, _READS["levels[i]"], context, path, errors)
+    eta = _number(node.get("eta"), f"{path}.eta", errors, minimum=0.0)
+    C = _number(node.get("C"), f"{path}.C", errors, minimum=0.0,
+                strict_min=True)
+    L = _number(node.get("L"), f"{path}.L", errors, minimum=0.0)
+    Lhat = _number(node.get("Lhat"), f"{path}.Lhat", errors, minimum=0.0,
+                   strict_min=True)
     model_node = node.get("model")
     if isinstance(model_node, dict):
         # The node may be shared with other levels through a YAML alias,
@@ -362,13 +416,14 @@ def _parse_level(node, idx, errors, s, base_dir, space):
                               f"its C, L and Lhat; set {path}.{home}")
         model_node = {key: val for key, val in model_node.items()
                       if key not in _LEVEL_MODEL_CONSTANTS}
-    if model_node is not None:
-        model = _parse_model(model_node, f"{path}.model", errors, s,
-                             base_dir)
-    if node.get("data") is not None:
-        data = _parse_data(node["data"], f"{path}.data", errors, base_dir,
-                           eta)
+    cset = _parse_set(node.get("set"), f"{path}.set", errors, space)
+    model = _parse_model(model_node, f"{path}.model", errors, s, base_dir)
+    data = _parse_data(node.get("data"), f"{path}.data", errors, base_dir,
+                       eta)
     ref = _finite_vector(node.get("reference"), f"{path}.reference", errors)
+    if check_theorems and "reference" not in node:
+        errors.append(f"{path}.reference: checkTheorems needs a reference "
+                      "on every level")
     _check_problem(space, model, data, f"{path}.", errors)
     _check_length(ref, space, f"{path}.reference", errors)
     if eta is None or C is None or L is None or Lhat is None:
@@ -386,6 +441,28 @@ def _check_nesting(levels, errors):
             errors.append(
                 f"levels[{n}].set: subspace supports must be nested, "
                 f"support of level {n} is not contained in level {n + 1}")
+
+
+def _parse_example_schedule(node, space, errors):
+    """The closed-form example schedule the `schedule` section states;
+    the generator's refusals are errors at the parameter they name."""
+    node = _read(node, _READS["schedule"], "the schedule", "schedule",
+                 errors)
+    lam, tau, eta_hat = (
+        _number(node.get(key), f"schedule.{key}", errors, minimum=0.0,
+                strict_min=True) for key in ("lam", "tau", "etaHat"))
+    max_levels = _integer(node.get("maxLevels", 64), "schedule.maxLevels",
+                          errors, None, 1)
+    if space is None or None in (lam, tau, eta_hat, max_levels):
+        return None
+    try:
+        return example_schedule(lam=lam, tau=tau, space=space,
+                                eta_hat=eta_hat, max_levels=max_levels)
+    except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
+        key = {LambdaTooSmall: "lam", TauOutOfRange: "tau"}.get(
+            type(exc), "maxLevels")
+        errors.append(f"schedule.{key}: {exc}")
+        return None
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -410,151 +487,85 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise SchemaError([f"config: invalid YAML: {exc}"])
     if not isinstance(raw, dict):
         raise SchemaError(["config: top level must be a mapping"])
-    _check_mapping(raw, _TOP_KEYS, "config", errors)
-
     mode = raw.get("mode")
     if mode not in _MODES:
-        errors.append(f"mode: expected one of {sorted(_MODES)}")
-        raise SchemaError(errors)
-
-    ds = _check_mapping(raw.get("dataSpace"), {"s"}, "dataSpace", errors)
+        raise SchemaError([f"mode: expected one of {sorted(_MODES)}"])
+    context = f"{mode} mode"
+    if mode == "validate" and raw.get("schedule") is not None:
+        context += " with a schedule"
+    top = _read(raw, _READS["config"], context, "", errors)
+    sol, diag, out = (_read(top.get(key), _READS[key], context, key, errors)
+                      for key in ("solver", "diagnostics", "output"))
+    ds = _read(top.get("dataSpace"), _READS["dataSpace"], "the data space",
+               "dataSpace", errors)
     s = _number(ds.get("s"), "dataSpace.s", errors, default=2.0,
                 minimum=1.0, strict_min=True)
-
-    sched_node = _check_mapping(raw.get("schedule"), _SCHEDULE_KEYS,
-                                "schedule", errors)
-    sol = _check_mapping(raw.get("solver"), _SOLVER_KEYS, "solver", errors)
-    what = f"{mode} mode" + (" with a schedule" if mode == "validate"
-                             and sched_node else "")
-    for key in _MODE_UNREAD[what]:
-        section, _, sub = key.partition(".")
-        node = raw.get(section) if sub else raw
-        if isinstance(node, dict) and (sub or section) in node:
-            errors.append(f"{key}: {what} does not read it")
     eta = _number(sol.get("eta"), "solver.eta", errors, default=0.0,
                   minimum=0.0)
     eta_hat = _number(sol.get("etaHat"), "solver.etaHat", errors,
-                      required=mode in ("single", "multilevel")
-                      or (mode == "validate" and not sched_node),
                       minimum=0.0, strict_min=True)
-    max_iter = sol.get("maxIterations", 10 ** 6)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) \
-            or max_iter < 1:
-        errors.append("solver.maxIterations: expected a positive integer")
-        max_iter = 10 ** 6
-    seed = sol.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("solver.seed: expected a nonnegative integer")
-        seed = 0
-
-    diag = _check_mapping(raw.get("diagnostics"), _DIAG_KEYS,
-                          "diagnostics", errors)
-    reference = None
-    if mode == "single":
-        reference = _finite_vector(diag.get("referenceSolution"),
-                                   "diagnostics.referenceSolution", errors)
+    max_iter = _integer(sol.get("maxIterations"), "solver.maxIterations",
+                        errors, 10 ** 6, 1)
+    seed = _integer(sol.get("seed"), "solver.seed", errors, 0, 0)
+    reference = _finite_vector(diag.get("referenceSolution"),
+                               "diagnostics.referenceSolution", errors)
     check_theorems = diag.get("checkTheorems", False)
     if not isinstance(check_theorems, bool):
         errors.append("diagnostics.checkTheorems: expected a boolean")
         check_theorems = False
-
-    out = _check_mapping(raw.get("output"), _OUTPUT_KEYS, "output", errors)
-
-    space = cset = model = data = x0 = None
-    levels: list[Level] = []
-    epsilon = _number(raw.get("epsilon"), "epsilon", errors, default=1.0,
+    epsilon = _number(top.get("epsilon"), "epsilon", errors, default=1.0,
                       minimum=0.0, strict_min=True)
 
-    if mode in ("single", "multilevel") or raw.get("space") is not None:
-        space = _parse_space(raw.get("space"), errors)
-    if mode in ("single", "multilevel"):
-        x0 = _finite_vector(raw.get("x0"), "x0", errors, required=True)
-        _check_length(x0, space, "x0", errors)
+    space = _parse_space(top.get("space"), errors)
+    x0 = _finite_vector(top.get("x0"), "x0", errors)
+    _check_length(x0, space, "x0", errors)
+    cset = _parse_set(top.get("set"), "set", errors, space)
+    model = _parse_model(top.get("model"), "model", errors, s, base_dir)
+    data = _parse_data(top.get("data"), "data", errors, base_dir, eta)
+    _check_length(reference, space, "diagnostics.referenceSolution", errors)
+    _check_problem(space, model, data, "", errors)
+    # A constant the node holds but that was rejected has its error.
+    if model is not None and model.lip != 0.0:
+        if top["model"].get("cstab") is None:
+            errors.append("model.cstab: a nonlinear model needs a "
+                          "stability constant")
+        if check_theorems and top["model"].get("lhat") is None:
+            errors.append("model.lhat: checkTheorems on a nonlinear "
+                          "model needs a derivative bound")
+    if mode == "single" and check_theorems and reference is None:
+        errors.append("diagnostics.checkTheorems: needs "
+                      "diagnostics.referenceSolution")
+    if not check_theorems and "referenceSolution" in diag:
+        errors.append("diagnostics.referenceSolution: read only under "
+                      "diagnostics.checkTheorems: true")
+    if eta_hat is not None and not eta_hat > 3.0 * eta:
+        errors.append("solver.etaHat: the discrepancy threshold must "
+                      "satisfy etaHat > 3 * eta")
 
-    if mode == "single":
-        if raw.get("set") is None:
-            errors.append("set: missing required section for single mode")
-        else:
-            cset = _parse_set(raw["set"], "set", errors, space)
-        if raw.get("model") is None:
-            errors.append("model: missing required section for single mode")
-        else:
-            model = _parse_model(raw["model"], "model", errors, s, base_dir)
-        if raw.get("data") is None:
-            errors.append("data: missing required section for single mode")
-        else:
-            data = _parse_data(raw["data"], "data", errors, base_dir, eta)
-        _check_length(reference, space, "diagnostics.referenceSolution",
-                      errors)
-        _check_problem(space, model, data, "", errors)
-        # A constant the node holds but that was rejected has its error.
-        if model is not None and model.lip != 0.0:
-            if raw["model"].get("cstab") is None:
-                errors.append("model.cstab: a nonlinear model needs a "
-                              "stability constant")
-            if check_theorems and raw["model"].get("lhat") is None:
-                errors.append("model.lhat: checkTheorems on a nonlinear "
-                              "model needs a derivative bound")
-        if check_theorems and reference is None:
-            errors.append("diagnostics.checkTheorems: needs "
-                          "diagnostics.referenceSolution")
-        if not check_theorems and "referenceSolution" in diag:
-            errors.append("diagnostics.referenceSolution: read only under "
-                          "diagnostics.checkTheorems: true")
-        if eta_hat is not None and not eta_hat > 3.0 * eta:
-            errors.append("solver.etaHat: the discrepancy threshold must "
-                          "satisfy etaHat > 3 * eta")
-
-    if mode in ("multilevel", "validate"):
-        lv_raw = raw.get("levels")
-        if mode == "validate" and sched_node:
-            pass  # validate a closed-form schedule instead of levels
-        elif not isinstance(lv_raw, list) or not lv_raw:
+    levels: list[Level] = []
+    if "levels" in top:
+        lv_raw = top["levels"]
+        if not isinstance(lv_raw, list) or not lv_raw:
             errors.append("levels: expected a nonempty list")
         else:
             for i, node in enumerate(lv_raw):
-                lv = _parse_level(node, i, errors, s, base_dir, space)
+                lv = _parse_level(node, i, context, errors, s, base_dir,
+                                  space, check_theorems)
                 if lv is not None:
                     levels.append(lv)
-                if mode == "multilevel" and check_theorems \
-                        and isinstance(node, dict) \
-                        and node.get("reference") is None:
-                    errors.append(f"levels[{i}].reference: checkTheorems "
-                                  "needs a reference on every level")
-                if mode == "validate" and isinstance(node, dict) \
-                        and "reference" in node:
-                    errors.append(f"levels[{i}].reference: validate mode "
-                                  "runs nothing and does not read it")
             if len(levels) == len(lv_raw):
                 _check_nesting(levels, errors)
 
-    if mode == "example-schedule" or (mode == "validate" and sched_node):
-        if not sched_node:
-            errors.append("schedule: missing required section for "
-                          "example-schedule mode")
-        else:
-            _number(sched_node.get("lam"), "schedule.lam", errors,
-                    required=True, minimum=0.0, strict_min=True)
-            _number(sched_node.get("tau"), "schedule.tau", errors,
-                    required=True, minimum=0.0, strict_min=True)
-            _number(sched_node.get("etaHat"), "schedule.etaHat", errors,
-                    required=True, minimum=0.0, strict_min=True)
-            ml = sched_node.get("maxLevels", 64)
-            if not isinstance(ml, int) or isinstance(ml, bool) or ml < 1:
-                errors.append("schedule.maxLevels: expected a positive "
-                              "integer")
-        if raw.get("space") is None:
-            errors.append("space: missing required section (constants "
-                          "enter the schedule bounds)")
-
+    schedule = _parse_example_schedule(top.get("schedule"), space, errors)
     if errors:
         raise SchemaError(errors)
+    if levels:  # multilevel mode, or validate mode with levels
+        schedule = Schedule(levels=levels, epsilon=epsilon, eta_hat=eta_hat)
     return RunConfig(mode=mode, space=space, s=s, cset=cset, model=model,
                      data=data, x0=x0, levels=levels, epsilon=epsilon,
                      eta=eta, eta_hat=eta_hat, max_iterations=max_iter,
                      seed=seed, reference=reference,
-                     check_theorems=check_theorems,
-                     schedule=dict(sched_node) if sched_node else None,
+                     check_theorems=check_theorems, schedule=schedule,
                      trace_path=out.get("tracePath"),
                      summary_path=out.get("summaryPath"),
                      schedule_path=out.get("schedulePath"))
@@ -672,17 +683,11 @@ def _run_single(cfg: RunConfig, quiet: bool) -> int:
     return 0 if report.stop_reason == "DiscrepancyMet" else 2
 
 
-def _build_schedule(cfg: RunConfig) -> Schedule:
-    return Schedule(levels=cfg.levels, epsilon=cfg.epsilon,
-                    eta_hat=cfg.eta_hat)
-
-
 def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
-    schedule = _build_schedule(cfg)
     try:
         with _trace_writer(cfg.trace_path) as write_row:
             report = run_multi_level(
-                cfg.space, schedule, cfg.x0,
+                cfg.space, cfg.schedule, cfg.x0,
                 max_iterations_per_level=cfg.max_iterations,
                 on_iteration=write_row)
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
@@ -714,23 +719,13 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
     return 0 if ok else 2
 
 
-def _schedule_from_cfg(cfg: RunConfig) -> Schedule:
-    if cfg.schedule:
-        return example_schedule(lam=float(cfg.schedule["lam"]),
-                                tau=float(cfg.schedule["tau"]),
-                                space=cfg.space,
-                                eta_hat=float(cfg.schedule["etaHat"]),
-                                max_levels=int(cfg.schedule.get(
-                                    "maxLevels", 64)))
-    return _build_schedule(cfg)
-
-
 def _pair_entry(n, lhs, rhs, ok):
     return {"level": n, "lhs": float(lhs), "rhs": float(rhs),
             "ok": bool(ok)}
 
 
-def _run_validate(cfg: RunConfig, schedule: Schedule, quiet: bool) -> int:
+def _run_validate(cfg: RunConfig, quiet: bool) -> int:
+    schedule = cfg.schedule
     valid, reason, final = True, "valid", None
     try:
         transitions, final = validate_schedule(cfg.space, schedule)
@@ -778,8 +773,8 @@ def serialize_schedule(schedule: Schedule, space: SpaceGeometry) -> str:
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 
-def _run_example_schedule(cfg: RunConfig, schedule: Schedule,
-                          quiet: bool) -> int:
+def _run_example_schedule(cfg: RunConfig, quiet: bool) -> int:
+    schedule = cfg.schedule
     text = serialize_schedule(schedule, cfg.space)
     if cfg.schedule_path:
         _atomic_write(cfg.schedule_path, text)
@@ -804,13 +799,9 @@ def execute(cfg: RunConfig, quiet: bool = False) -> int:
             return _run_single(cfg, quiet)
         if cfg.mode == "multilevel":
             return _run_multilevel(cfg, quiet)
-        try:
-            schedule = _schedule_from_cfg(cfg)
-        except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
-            return _fail(quiet, f"invalid schedule parameters: {exc}", 3)
         if cfg.mode == "validate":
-            return _run_validate(cfg, schedule, quiet)
-        return _run_example_schedule(cfg, schedule, quiet)
+            return _run_validate(cfg, quiet)
+        return _run_example_schedule(cfg, quiet)
     except OSError as exc:
         return _fail(quiet, f"I/O error: {exc}", 4)
 

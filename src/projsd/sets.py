@@ -42,6 +42,7 @@ state survives a call, so equal inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,9 +60,13 @@ __all__ = [
 ]
 
 # Step cap of every bracket expansion and scalar search.  A bisection
-# needs ~60 halvings from its first bracket down to rounding; on random
-# sets, exponents r in [1.1, 6] and inputs of size 1e-4 to 1e5 no search
-# took more than 100 steps.
+# needs ~60 halvings from its first bracket down to rounding, and on
+# random sets, exponents r in [1.1, 6] and inputs of size 1e-4 to 1e5
+# the searches stay below 100 steps.  The cap is reached by a joint-search
+# trial at a multiplier near exp(700) on a ball whose centre has a zero
+# entry: its coordinate solve bisects toward a root below the subnormals
+# until the cap raises NonConvergence, which the joint search counts as a
+# missed trial.
 _MAX_STEPS = 200
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -222,20 +227,30 @@ class CoordinateSubspace(ConvexSet):
         if np.any(self.support < 0):
             raise ValueError("support indices must be nonnegative")
 
+    def _check_fits(self, space):
+        if self.support[-1] >= space.dim:
+            raise DimensionMismatch(
+                f"CoordinateSubspace support {self.support.tolist()} has "
+                f"an index >= {space.dim}, the space dimension")
+
     def mask(self, dim: int) -> np.ndarray:
-        if self.support[-1] >= dim:
-            raise ValueError("support index exceeds the space dimension")
+        """The support as booleans over `dim` coordinates."""
+        self._check_fits(SimpleNamespace(dim=dim))
         m = np.zeros(dim, dtype=bool)
         m[self.support] = True
         return m
 
     def contains(self, space, x, tol=1e-10):
         x = space.check_dim(x)
-        off = np.where(self.mask(space.dim), 0.0, x)
+        self._check_fits(space)
+        off = x.copy()
+        off[self.support] = 0.0
         return norm(space, off) <= tol
 
     def _project_r(self, space, z):
-        return np.where(self.mask(space.dim), z, 0.0)
+        y = np.zeros_like(z)
+        y[self.support] = z[self.support]
+        return y
 
     def _project(self, space, x):
         # P_r is 1-homogeneous, so s = ||P_r(alpha x)|| = alpha ||x_S|| and

@@ -856,6 +856,68 @@ class TestParseTimeInputContract:
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path, "--quiet"]) == 0
 
+    def test_validate_needs_space(self, tmp_path, capsys):
+        # Without a space, validate mode with levels ended in a traceback.
+        doc = self.mode_config(tmp_path, "validate")
+        del doc["space"]
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert "config error: space: validate mode needs it" in err
+        assert err.count("config error") == 1, err
+
+    @pytest.mark.parametrize("cset, key", [
+        ({"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+          "center": [0.0, 0.0]}, "center"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0,
+          "lower": [0.0, 0.0]}, "lower"),
+        ({"kind": "subspace", "support": [0, 1], "radius": 1.0}, "radius"),
+        ({"kind": "wholespace", "lower": [0.0, 0.0]}, "lower")],
+        ids=["box", "ball", "subspace", "wholespace"])
+    def test_set_key_its_kind_does_not_read(self, tmp_path, capsys, cset,
+                                            key):
+        # Each ran with exit 0 and the key ignored.
+        err = self.run_bad(tmp_path, capsys,
+                           f"set.{key}: a {cset['kind']} set does not read "
+                           "it", set=cset)
+        assert err.count("config error") == 1, err
+
+    def test_data_reads_one_of_ydelta_and_its_file(self, tmp_path, capsys):
+        # With both, the run read ydelta and ignored the file.
+        (tmp_path / "y.csv").write_text("5.0,5.0\n")
+        err = self.run_bad(tmp_path, capsys, "data: the data needs exactly "
+                           "one of ydelta and ydeltaFile",
+                           data={"ydelta": [1.0, 1.0],
+                                 "ydeltaFile": str(tmp_path / "y.csv")})
+        assert err.count("config error") == 1, err
+
+    @pytest.mark.parametrize("key", ["model", "set", "data"])
+    def test_multilevel_level_needs_its_problem(self, tmp_path, capsys, key):
+        # A level without one passed parsing and was refused only at run
+        # time, as "schedule invalid".
+        def edit(doc):
+            del doc["levels"][1][key]
+        errors = self.multilevel_bad(tmp_path, capsys, edit)
+        assert errors == [f"config error: levels[1].{key}: multilevel mode "
+                          "needs it"], errors
+
+    @pytest.mark.parametrize("mode", ["validate", "example-schedule"])
+    @pytest.mark.parametrize("key, value", [
+        ("lam", 0.05), ("tau", 100.0), ("maxLevels", 2)])
+    def test_schedule_parameters_refused_while_parsing(self, tmp_path, capsys,
+                                                       mode, key, value):
+        # The generator's refusals name the parameter, and no output is
+        # written.
+        doc = self.mode_config(tmp_path, {"validate": "validate-schedule"}
+                               .get(mode, mode))
+        doc["schedule"][key] = value
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: schedule.{key}: " in err
+        assert err.count("config error") == 1, err
+        assert not (tmp_path / "gs.yaml").exists()
+
     def test_box_bounds_keep_infinity(self, tmp_path):
         path = single_config(tmp_path, set={"kind": "box",
                                             "lower": [float("-inf"), 0.0],

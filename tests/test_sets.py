@@ -75,19 +75,24 @@ class TestSetBasics:
             CoordinateSubspace([5]).mask(3)
 
     @pytest.mark.parametrize("length", [1, 2])
-    @pytest.mark.parametrize("kind", ["box", "ball"])
+    @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
     def test_parameter_of_wrong_length_is_rejected(self, kind, length):
         # No broadcast: in l^2 of dimension 3, Box([0], [1]) acted as the
         # cube [0, 1]^3 and Ball([0.5], 0.3) as a ball around (0.5, 0.5,
-        # 0.5); bounds of length 2 ended in numpy's own ValueError.
+        # 0.5); bounds of length 2 ended in numpy's own ValueError, and a
+        # subspace support index >= 3 in a bare ValueError.
         space = lp_space(3)
         if kind == "box":
             cset = Box(np.zeros(length), np.ones(length))
             match = rf"Box lower and upper have shape \({length},\)"
-        else:
+        elif kind == "ball":
             cset = Ball(np.full(length, 0.5), 0.3)
             match = rf"Ball center has shape \({length},\)"
-        match += r", the space needs \(3,\)"
+        else:
+            cset = CoordinateSubspace([0, 2 + length])
+            match = rf"CoordinateSubspace support \[0, {2 + length}\]"
+        match += (r" has an index >= 3, the space dimension"
+                  if kind == "subspace" else r", the space needs \(3,\)")
         for x in ([0.5, 0.5, 0.5], [2.0, 2.0, 2.0]):
             with pytest.raises(DimensionMismatch, match=match):
                 cset.contains(space, x)
