@@ -190,13 +190,11 @@ def _number(node, path, errors, default=None, minimum=None,
     if not np.isfinite(v):
         errors.append(f"{path}: expected a finite number")
         return default
-    if minimum is not None:
-        if strict_min and not v > minimum:
-            errors.append(f"{path}: must be > {minimum}")
-            return default
-        if not strict_min and not v >= minimum:
-            errors.append(f"{path}: must be >= {minimum}")
-            return default
+    if minimum is not None and not (v > minimum if strict_min
+                                    else v >= minimum):
+        errors.append(f"{path}: must be {'>' if strict_min else '>='} "
+                      f"{minimum}")
+        return default
     return v
 
 
@@ -253,8 +251,21 @@ def _check_problem(space, model, data, path, errors):
                       f"the model has {model.out_dim} outputs")
 
 
-def _sidecar(fname, base_dir):
-    return fname if os.path.isabs(fname) else os.path.join(base_dir, fname)
+def _load_csv(fname, field, errors, base_dir, ndmin):
+    """The numbers of the sidecar CSV file `fname` names, relative to the
+    config's directory; None, with the error recorded, when it cannot be
+    read."""
+    if not isinstance(fname, str):
+        errors.append(f"{field}: expected a file name")
+        return None
+    full = fname if os.path.isabs(fname) else os.path.join(base_dir, fname)
+    try:
+        return np.loadtxt(full, delimiter=",", ndmin=ndmin)
+    except OSError as exc:
+        errors.append(f"{field}: cannot read {full}: {exc}")
+    except ValueError as exc:
+        errors.append(f"{field}: bad CSV in {full}: {exc}")
+    return None
 
 
 def _matrix_from(node, path, errors, base_dir):
@@ -268,14 +279,8 @@ def _matrix_from(node, path, errors, base_dir):
             return None
     elif "matrixFile" in node:
         field = f"{path}.matrixFile"
-        full = _sidecar(node["matrixFile"], base_dir)
-        try:
-            arr = np.atleast_2d(np.loadtxt(full, delimiter=",", ndmin=2))
-        except OSError as exc:
-            errors.append(f"{field}: cannot read {full}: {exc}")
-            return None
-        except ValueError as exc:
-            errors.append(f"{field}: bad CSV in {full}: {exc}")
+        arr = _load_csv(node["matrixFile"], field, errors, base_dir, 2)
+        if arr is None:
             return None
     else:
         return None
@@ -286,6 +291,7 @@ def _matrix_from(node, path, errors, base_dir):
 
 
 def _parse_space(node, errors):
+    before = len(errors)
     node = _read(node, _READS["space"], "the space", "space", errors)
     dim = node.get("dim")
     if dim is None:
@@ -302,7 +308,7 @@ def _parse_space(node, errors):
                  strict_min=True)
     gq = _number(node.get("Gq"), "space.Gq", errors, minimum=0.0,
                  strict_min=True)
-    if errors:
+    if len(errors) > before:
         return None
     try:
         return lp_space(dim, r=r, p=p, weights=weights, Cp=cp, Gq=gq)
@@ -385,11 +391,8 @@ def _parse_data(node, path, errors, base_dir, eta):
     node = _read(node, _READS["data"], "the data", path, errors)
     ydelta = node.get("ydelta")
     if "ydeltaFile" in node:
-        full = _sidecar(node["ydeltaFile"], base_dir)
-        try:
-            ydelta = np.atleast_1d(np.loadtxt(full, delimiter=","))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{path}.ydeltaFile: cannot read {full}: {exc}")
+        ydelta = _load_csv(node["ydeltaFile"], f"{path}.ydeltaFile", errors,
+                           base_dir, 1)
     arr = _finite_vector(ydelta, f"{path}.ydelta", errors)
     if arr is None or eta is None:
         return None
@@ -399,6 +402,9 @@ def _parse_data(node, path, errors, base_dir, eta):
 def _parse_level(node, idx, context, errors, s, base_dir, space,
                  check_theorems):
     path = f"levels[{idx}]"
+    if not isinstance(node, dict):
+        errors.append(f"{path}: expected a mapping")
+        return None
     node = _read(node, _READS["levels[i]"], context, path, errors)
     eta = _number(node.get("eta"), f"{path}.eta", errors, minimum=0.0)
     C = _number(node.get("C"), f"{path}.C", errors, minimum=0.0,

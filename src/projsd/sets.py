@@ -42,7 +42,6 @@ state survives a call, so equal inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -234,8 +233,8 @@ class CoordinateSubspace(ConvexSet):
                 f"an index >= {space.dim}, the space dimension")
 
     def mask(self, dim: int) -> np.ndarray:
-        """The support as booleans over `dim` coordinates."""
-        self._check_fits(SimpleNamespace(dim=dim))
+        if self.support[-1] >= dim:
+            raise ValueError("support index exceeds the space dimension")
         m = np.zeros(dim, dtype=bool)
         m[self.support] = True
         return m

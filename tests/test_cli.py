@@ -901,6 +901,46 @@ class TestParseTimeInputContract:
         assert errors == [f"config error: levels[1].{key}: multilevel mode "
                           "needs it"], errors
 
+    @pytest.mark.parametrize("mode", ["multilevel", "validate"])
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_null_level_is_refused(self, tmp_path, capsys, mode, head):
+        # A null entry (a stray "-" in YAML) is one error at its own path,
+        # never a level fewer or a run without levels.
+        doc = self.mode_config(tmp_path, mode)
+        doc["levels"] = doc["levels"][:head] + [None]
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error: ")]
+        assert errors == [f"config error: levels[{head}]: expected a "
+                          "mapping"], errors
+
+    def test_space_checks_follow_other_errors(self, tmp_path, capsys):
+        # An error found before the space was parsed hid the x0 length.
+        doc = yaml.safe_load(MINIMAL_SINGLE)
+        del doc["data"]
+        doc["solver"]["etaHat"] = -1.0
+        doc["x0"] = [0.0, 0.0, 0.0]
+        path = write(tmp_path, "cfg.yaml", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error: ")]
+        assert errors == [
+            "config error: data: single mode needs it",
+            "config error: solver.etaHat: must be > 0.0",
+            "config error: x0: expected 2 entries (space.dim), got 3"], errors
+
+    @pytest.mark.parametrize("section, node", [
+        ("data", {"ydeltaFile": 5}),
+        ("model", {"kind": "linear", "matrixFile": 5})])
+    def test_file_name_is_a_string(self, tmp_path, capsys, section, node):
+        # A number in place of the file name ended in a traceback.
+        key = next(k for k in node if k.endswith("File"))
+        err = self.run_bad(tmp_path, capsys,
+                           f"{section}.{key}: expected a file name",
+                           **{section: node})
+        assert err.count("config error") == 1, err
+
     @pytest.mark.parametrize("mode", ["validate", "example-schedule"])
     @pytest.mark.parametrize("key, value", [
         ("lam", 0.05), ("tau", 100.0), ("maxLevels", 2)])
