@@ -185,8 +185,8 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     Each level runs the single-level iteration with its own discrepancy
     threshold ``(3 + eps) * eta_n`` and hands the stopped iterate to the
     next level as its start.  The sets are nested, so the hand-off is
-    feasible; the level's run makes its usual membership test on entry
-    and records its start-radius check in its report.
+    feasible; the level's run projects its start like every iterate and
+    records its start-radius check in its report.
 
     ``on_iteration(level_index, state)`` receives every executed step of
     every level as it completes (see ``run_algorithm1``); with a hook the

@@ -78,9 +78,8 @@ _JOINT_TRIALS = 12
 
 
 class ConvexSet:
-    """Base class.  Subclasses implement membership and either
-    ``_project_r`` or, where the gauge-p projection has a shortcut,
-    ``_project``, each mapping a member to itself as a new array."""
+    """Base class.  Subclasses implement membership and ``_project``,
+    which maps a member to itself as a new array."""
 
     def contains(self, space: SpaceGeometry, x, tol: float = 1e-10) -> bool:
         raise NotImplementedError
@@ -89,14 +88,9 @@ class ConvexSet:
         """Raise DimensionMismatch unless every vector parameter of the set
         has the shape ``(space.dim,)``; a set with none always fits."""
 
-    def _project_r(self, space: SpaceGeometry, z):
-        """Bregman projection of z with the gauge set to r."""
-        raise NotImplementedError
-
     def _project(self, space: SpaceGeometry, x):
         """Bregman projection of x, any finite point of the space."""
-        return _gauge_p_projection(
-            space, lambda z: self._project_r(space, z), x)
+        raise NotImplementedError
 
 
 class WholeSpace(ConvexSet):
@@ -142,9 +136,12 @@ class Box(ConvexSet):
         gap = np.maximum(self.lower - x, 0.0) + np.maximum(x - self.upper, 0.0)
         return norm(space, gap) <= tol
 
-    def _project_r(self, space, z):
-        # np.clip's bits, signed zeros included, without its wrapper.
-        return np.minimum(np.maximum(z, self.lower), self.upper)
+    def _project(self, space, x):
+        # P_r is the clamp: np.clip's bits, signed zeros included, without
+        # its wrapper.
+        return _gauge_p_projection(
+            space, lambda z: np.minimum(np.maximum(z, self.lower),
+                                        self.upper), x)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -232,13 +229,6 @@ class CoordinateSubspace(ConvexSet):
                 f"CoordinateSubspace support {self.support.tolist()} has "
                 f"an index >= {space.dim}, the space dimension")
 
-    def mask(self, dim: int) -> np.ndarray:
-        if self.support[-1] >= dim:
-            raise ValueError("support index exceeds the space dimension")
-        m = np.zeros(dim, dtype=bool)
-        m[self.support] = True
-        return m
-
     def contains(self, space, x, tol=1e-10):
         x = space.check_dim(x)
         self._check_fits(space)
@@ -246,16 +236,12 @@ class CoordinateSubspace(ConvexSet):
         off[self.support] = 0.0
         return norm(space, off) <= tol
 
-    def _project_r(self, space, z):
-        y = np.zeros_like(z)
-        y[self.support] = z[self.support]
-        return y
-
     def _project(self, space, x):
-        # P_r is 1-homogeneous, so s = ||P_r(alpha x)|| = alpha ||x_S|| and
-        # the rescaling has the closed form alpha = (||x_S|| / ||x||) **
-        # ((r - p) / (p - 1)).
-        xs = self._project_r(space, x)
+        # P_r is the truncation x_S.  It is 1-homogeneous, so
+        # s = ||P_r(alpha x)|| = alpha ||x_S|| and the rescaling has the
+        # closed form alpha = (||x_S|| / ||x||) ** ((r - p) / (p - 1)).
+        xs = np.zeros_like(x)
+        xs[self.support] = x[self.support]
         if space.p == space.r:
             return xs
         ns = float(norm(space, xs))

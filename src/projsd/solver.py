@@ -28,8 +28,7 @@ __all__ = [
     "RunReport",
     "compute_ctilde",
     "convergence_radius",
-    "step_quantities",
-    "sd_step",
+    "step_rule",
     "run_algorithm1",
 ]
 
@@ -180,12 +179,33 @@ def convergence_radius(space: SpaceGeometry, lhat: float | None,
         * (_radius_bracket(ctilde, eta) / lhat) ** space.p
 
 
-def _step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
-               eta: float):
-    """The step formula of ``step_quantities`` with the run's constants
-    (exponents, curvature weight, roots of u) computed once: returns
-    ``rule(k, rk, tk)``.  Raises EtaTooLarge if ``ctilde > 0`` and
-    ``8 * ctilde * eta >= 1``."""
+def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
+              eta: float):
+    """Posterior step-size rule of a run, with its constants (exponents,
+    curvature weight, roots of u) computed once; ``ctilde`` is the run's
+    ``compute_ctilde(space, model)``.
+
+    Returns ``rule(k, rk, tk)``, which maps the residual and gradient
+    norms of iteration ``k`` to ``(that_k, u_k, v_k, w_k, mu_k, gain)``,
+    with ``gain`` equal to ``(Gq/q) mu_k**q t_k**q``.
+
+    Raises
+    ------
+    EtaTooLarge
+        On the call, if ``ctilde > 0`` and ``8 * ctilde * eta >= 1``.
+    NonFiniteStep
+        From the rule, if the gradient norm is NaN or infinite.
+    ZeroGradient
+        From the rule, if the gradient norm vanishes while the residual
+        is above the threshold (stationary nonconvergent point).
+    NonpositiveU
+        From the rule, if the step numerator is nonpositive: the residual
+        lies at or beyond the larger root of u, outside the convergence
+        radius.
+    StepIdentityViolated
+        From the rule, if the two step-size identities fail beyond
+        round-off.
+    """
     p, q, Gq = space.p, space.q, space.Gq
     pm1 = p - 1.0  # equals 1 / (q - 1)
     neg_pm1, r_exp, mu_exp = -pm1, p * p - p, pm1 * pm1
@@ -237,44 +257,6 @@ def _step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     return rule
 
 
-def step_quantities(space: SpaceGeometry, model: ForwardModel, ctilde: float,
-                    k: int, rk: float, tk: float, eta: float):
-    """Posterior step-size scalars of iteration ``k`` from the norms ``rk``
-    and ``tk``; ``ctilde`` is the run's ``compute_ctilde(space, model)``.
-
-    Returns ``(that_k, u_k, v_k, w_k, mu_k, gain)``, with ``gain`` equal
-    to ``(Gq/q) mu_k**q t_k**q``.
-
-    Raises
-    ------
-    NonFiniteStep
-        If the gradient norm is NaN or infinite.
-    ZeroGradient
-        If the gradient norm vanishes while the residual is above the
-        threshold (stationary nonconvergent point).
-    EtaTooLarge
-        If ``ctilde > 0`` and ``8 * ctilde * eta >= 1``.
-    NonpositiveU
-        If the step numerator is nonpositive: the residual lies at or
-        beyond the larger root of u, outside the convergence radius.
-    StepIdentityViolated
-        If the two step-size identities fail beyond round-off.
-    """
-    return _step_rule(space, model, ctilde, eta)(k, rk, tk)
-
-
-def sd_step(space: SpaceGeometry, cset: ConvexSet, xstar, Tk, muk):
-    """One dual-space update from ``xstar = J_p(x)`` followed by the
-    Bregman projection.  ``xstar`` and ``Tk`` are arrays of the space's
-    shape; the projection checks the update's.
-
-    Returns ``(x_next, x_tilde)`` where ``x_tilde`` is the unprojected
-    iterate, retained for diagnostics.
-    """
-    xtilde = _duality_map(space.dual(), xstar - muk * Tk)
-    return bregman_project(space, cset, xtilde), xtilde
-
-
 def _exact(value, shape, what):
     """``value`` as a float array, which must have exactly ``shape``."""
     value = np.asarray(value, dtype=float)
@@ -303,8 +285,9 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     stays empty and memory does not grow with the step count.  Without a
     hook the states are kept in ``report.iterations``.
 
-    Starting points outside the set are projected in (recorded in the
-    report).  With a diagnostic reference each state additionally carries
+    The start is projected like every iterate, which maps a member of the
+    set to itself; ``report.projected_start`` says whether the projection
+    moved it.  With a diagnostic reference each state additionally carries
     the Bregman distance to the reference and the radius invariance flag,
     and the report counts the steps that break the radius invariance and
     the two per-step descent inequalities.  A step whose residual or
@@ -320,6 +303,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         ``(model.out_dim,)``, or if a call of ``model.eval`` or
         ``model.apply_adjoint`` returns an array of another shape than
         ``(model.out_dim,)`` or ``(space.dim,)``.
+    NonFiniteInput
+        On entry, if ``x0`` holds NaN or +-inf.
     MissingStabilityConstant
         On entry, if the model is nonlinear and carries no ``cstab``, or,
         with a diagnostic reference, no ``lhat``.
@@ -327,19 +312,17 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
     x_shape, y_shape = (space.dim,), (model.out_dim,)
-    x = _exact(x0, x_shape, "x0").copy()
+    x0 = _exact(x0, x_shape, "x0")
     ydelta = _exact(data.ydelta, y_shape, "ydelta")
-    projected_start = False
-    if not cset.contains(space, x, tol=1e-12):
-        x = bregman_project(space, cset, x)
-        projected_start = True
+    x = bregman_project(space, cset, x0)
+    projected_start = not np.array_equal(x, x0)
 
     y_space, dual = data_space(model, space.p), space.dual()
     eta, eta_hat = config.eta, config.eta_hat
     max_iterations = config.max_iterations
     ctilde = compute_ctilde(space, model)
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
-    step_rule = _step_rule(space, model, ctilde, eta)
+    rule = step_rule(space, model, ctilde, eta)
     ref = config.diagnostic_reference
     rho = breg = start_radius_ok = ref_np = xstar = None
     if ref is not None:
@@ -380,14 +363,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                     x_shape, "model.apply_adjoint(x, ystar)")
         tk = float(_norm(dual, Tk))
         try:
-            that, uk, vk, wk, muk, gain = step_rule(k, rk, tk)
+            that, uk, vk, wk, muk, gain = rule(k, rk, tk)
         except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
             report.stop_reason = "StepDegenerate"
             report.failure = exc
             break
-        x_next, xtilde = sd_step(
-            space, cset, _duality_map(space, x) if xstar is None else xstar,
-            Tk, muk)
+        if ref is None:
+            xstar = _duality_map(space, x)
+        xtilde = _duality_map(dual, xstar - muk * Tk)
+        x_next = bregman_project(space, cset, xtilde)
 
         breg_k, radius_ok = breg, None
         if ref is not None:

@@ -132,7 +132,7 @@ def _members(cset, space, rng, n):
                          cset.radius / np.maximum(dist, 1e-300), 1.0)
         return cset.center + scale[:, None] * (x - cset.center)
     if isinstance(cset, CoordinateSubspace):
-        return np.where(cset.mask(d), x, 0.0)
+        return np.where(np.isin(np.arange(d), cset.support), x, 0.0)
     return x
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import projsd.cli as cli_module
 from projsd import (LinearModel, NonConvergence, Schedule, SchemaError,
                     SolverConfig, bregman_distance, run_algorithm1,
                     run_multi_level)
@@ -35,7 +36,7 @@ class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(MINIMAL_SINGLE)
         assert cfg.mode == "single"
-        assert cfg.s == 2.0
+        assert cfg.model.s == 2.0
         assert cfg.space.r == 2.0
         assert cfg.max_iterations == 10 ** 6
         assert cfg.eta == 0.0
@@ -1068,6 +1069,54 @@ class TestStepFailureInSummary:
         assert main(["run", path, "--quiet"]) == 0
         summary = self.summary(tmp_path, "ml.yaml")
         assert all("failure" not in lv for lv in summary["perLevel"])
+
+
+def test_summaries_match_the_pure_python_emitter(tmp_path, monkeypatch):
+    """Every document the CLI writes, one of each summary shape and a
+    generated schedule, has the bytes that yaml.SafeDumper gives it."""
+    docs = []
+    real_dump = cli_module._dump
+
+    def recording_dump(doc):
+        docs.append(doc)
+        return real_dump(doc)
+
+    monkeypatch.setattr(cli_module, "_dump", recording_dump)
+    # Single mode stopped on ZeroGradient, with theorem checks and an
+    # infinite rho.
+    single = single_config(
+        tmp_path, model={"kind": "linear",
+                         "matrix": [[1.0, 0.0], [-1.0, 0.0]]},
+        diagnostics={"referenceSolution": [0.5, 0.5], "checkTheorems": True})
+    assert main(["run", single, "--quiet"]) == 2
+    assert main(["run", TestExecuteMultilevel().make_config(tmp_path),
+                 "--quiet"]) == 0
+    # The second level's 8 ctilde eta is 8, so its pair has no lhs or rhs.
+    validate = write(tmp_path, "v.cfg", yaml.safe_dump({
+        "mode": "validate", "space": {"dim": 2}, "epsilon": 1.0,
+        "levels": [{"eta": 1.0, "C": 1.0, "L": 0.5, "Lhat": 1.0},
+                   {"eta": 0.01, "C": 1.0, "L": 100.0, "Lhat": 1.0}],
+        "solver": {"etaHat": 0.05},
+        "output": {"summaryPath": str(tmp_path / "v.yaml")}}))
+    assert main(["run", validate, "--quiet"]) == 3
+    example = TestValidateAndExampleSchedule().schedule_config(tmp_path)
+    assert main(["run", example, "--quiet"]) == 0
+    single_doc, multi_doc, validate_doc, schedule_doc, example_doc = docs
+    assert single_doc["failure"].startswith("ZeroGradient: ")
+    assert "theoremChecks" in single_doc and single_doc["rho"] == np.inf
+    assert multi_doc["mode"] == "multilevel"
+    assert validate_doc["transitions"] == [{"level": 0, "ok": False}]
+    assert schedule_doc["mode"] == "validate"
+    assert example_doc["mode"] == "example-schedule"
+    # A failure message longer than a line, infinities, NaN and -0.0.
+    docs.append({"failure": "NonpositiveU: u_12 = -3.469446951953614e-18 "
+                            "<= 0 (residual 0.0030100000000000005, eta "
+                            "0.0010000000000001655)",
+                 "values": [np.inf, -np.inf, np.nan, -0.0, 5e-324]})
+    for doc in docs:
+        assert real_dump(doc) == yaml.dump(
+            doc, Dumper=yaml.SafeDumper, sort_keys=True,
+            default_flow_style=False)
 
 
 def trace_from_history(runs):

@@ -70,7 +70,8 @@ def set_problems(draw):
         return space, Ball(center, radius), x, z
     support = draw(st.sets(st.integers(0, d - 1), min_size=1))
     cset = CoordinateSubspace(sorted(support))
-    return space, cset, x, np.where(cset.mask(d), u, 0.0)
+    return space, cset, x, np.where(np.isin(np.arange(d), cset.support), u,
+                                     0.0)
 
 
 @PROPERTY_SETTINGS

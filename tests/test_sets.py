@@ -35,7 +35,7 @@ def sample_member(cset, space, rng):
             x = cset.center + (cset.radius / d) * (x - cset.center)
         return x
     if isinstance(cset, CoordinateSubspace):
-        return np.where(cset.mask(space.dim), x, 0.0)
+        return np.where(np.isin(np.arange(space.dim), cset.support), x, 0.0)
     return x
 
 
@@ -57,7 +57,7 @@ class TestSetBasics:
         z, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals))
         keep = (lo <= hi) & (lo < np.inf) & (hi > -np.inf)
         z, lo, hi = z[keep], lo[keep], hi[keep]
-        got = Box(lo, hi)._project_r(lp_space(z.size), z)
+        got = Box(lo, hi)._project(lp_space(z.size), z)
         assert got.tobytes() == np.clip(z, lo, hi).tobytes()
 
     def test_ball_validation(self):
@@ -71,8 +71,6 @@ class TestSetBasics:
             CoordinateSubspace([])
         with pytest.raises(ValueError):
             CoordinateSubspace([-1])
-        with pytest.raises(ValueError):
-            CoordinateSubspace([5]).mask(3)
 
     @pytest.mark.parametrize("length", [1, 2])
     @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
@@ -261,7 +259,8 @@ def members_near(cset, space, rng, y, n):
         shrink = np.minimum(1.0, cset.radius / dist)[:, None]
         near = cset.center + shrink * (near - cset.center)
     else:
-        near = np.where(cset.mask(space.dim), near, 0.0)
+        near = np.where(np.isin(np.arange(space.dim), cset.support), near,
+                        0.0)
     return np.vstack([far, near])
 
 

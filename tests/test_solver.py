@@ -10,12 +10,12 @@ import projsd.geometry as geometry_module
 import projsd.solver as solver_module
 from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
                     EtaTooLarge, LinearModel,
-                    MissingStabilityConstant, NoisyData, NonFiniteStep,
-                    ProjSDError, QuadraticModel, SolverConfig,
+                    MissingStabilityConstant, NoisyData, NonFiniteInput,
+                    NonFiniteStep, ProjSDError, QuadraticModel, SolverConfig,
                     StepIdentityViolated, WholeSpace, bregman_distance,
                     bregman_project, compute_ctilde, convergence_radius,
                     data_space, duality_map, inverse_duality_map, lp_space,
-                    norm, run_algorithm1, step_quantities)
+                    norm, run_algorithm1, step_rule)
 
 
 def spd_matrix(dim, seed):
@@ -334,11 +334,9 @@ def reference_iteration(space, cset, model, data, x0, cfg):
     projection functions, with every norm and duality image computed
     afresh.  Returns ``[(x, xtilde, rk, tk, muk, bregman_to_ref)]`` and
     the last iterate."""
-    x = np.asarray(x0, dtype=float)
-    if not cset.contains(space, x, tol=1e-12):
-        x = bregman_project(space, cset, x)
+    x = bregman_project(space, cset, x0)
     y_space = data_space(model, space.p)
-    ctilde = compute_ctilde(space, model)
+    rule = step_rule(space, model, compute_ctilde(space, model), cfg.eta)
     ref = cfg.diagnostic_reference
     states = []
     for k in range(cfg.max_iterations):
@@ -348,7 +346,7 @@ def reference_iteration(space, cset, model, data, x0, cfg):
             break
         T = model.apply_adjoint(x, duality_map(y_space, R))
         tk = float(norm(space.dual(), T))
-        muk = step_quantities(space, model, ctilde, k, rk, tk, cfg.eta)[4]
+        muk = rule(k, rk, tk)[4]
         xtilde = inverse_duality_map(space, duality_map(space, x) - muk * T)
         breg = None if ref is None else float(bregman_distance(space, x, ref))
         states.append((x, xtilde, rk, tk, muk, breg))
@@ -452,9 +450,9 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
-def test_membership_tested_once_per_run(monkeypatch, kind):
-    """The run tests its start for membership; every projection after it
-    decides membership itself."""
+def test_run_makes_no_membership_test(monkeypatch, kind):
+    """The projection decides membership for the start as for every
+    iterate; a run never calls ``contains``."""
     cset = KERNEL_SETS[kind]
     real_contains = type(cset).contains
     calls = []
@@ -470,7 +468,31 @@ def test_membership_tested_once_per_run(monkeypatch, kind):
                             NoisyData(ydelta, 0.0),
                             np.array([0.9, 0.8, -0.7, 0.6]), cfg)
     assert report.stopped_at_k == 12
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_start_just_outside_is_projected():
+    # 1e-13 outside the box: the start is projected like every iterate,
+    # with no tolerance that would let it run from an infeasible point.
+    model = LinearModel(np.diag([2.0, 3.0, 4.0]))
+    cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=1)
+    report = run_algorithm1(lp_space(3), Box(np.zeros(3), np.ones(3)),
+                            model, NoisyData(np.ones(3), 0.0),
+                            np.array([-1e-13, 0.5, 0.5]), cfg)
+    assert report.projected_start
+    assert report.iterations[0].x[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
+def test_nonfinite_start_is_rejected(kind):
+    # The NaN sits on coordinate 0, which every set of KERNEL_SETS
+    # supports; the other coordinates lie in each box and subspace.
+    model, _, ydelta = kernel_problem(False)
+    cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12)
+    with pytest.raises(NonFiniteInput):
+        run_algorithm1(lp_space(4, r=3.0), KERNEL_SETS[kind], model,
+                       NoisyData(ydelta, 0.0),
+                       np.array([np.nan, 0.0, 0.2, 0.1]), cfg)
 
 
 class NaNAfter(LinearModel):
