@@ -22,7 +22,6 @@ __all__ = [
     "SpaceGeometry",
     "lp_space",
     "norm",
-    "dual_norm",
     "duality_map",
     "inverse_duality_map",
     "bregman_distance",
@@ -49,18 +48,20 @@ class SpaceGeometry:
     Parameters
     ----------
     dim : int
-        Dimension of the space.
+        Dimension of the space, an integer >= 1.
     r : float
         Norm exponent, in (1, inf).
     p : float
-        Gauge exponent of the duality mapping, > 1. The conjugate ``q``
-        is always derived from ``p``.
+        Gauge exponent of the duality mapping, in (1, inf). The
+        conjugate ``q`` is always derived from ``p``.
     weights : array or None
         Positive weight per coordinate; defaults to all ones.
     Cp : float
-        Constant of the lower Bregman-to-norm comparison.
+        Constant of the lower Bregman-to-norm comparison, positive and
+        finite.
     Gq : float
-        Constant of the upper (dual) Bregman-to-norm comparison.
+        Constant of the upper (dual) Bregman-to-norm comparison, positive
+        and finite.
 
     Attributes
     ----------
@@ -78,14 +79,15 @@ class SpaceGeometry:
     _unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
+        if isinstance(self.dim, bool) or not (
+                isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
-        if not self.r > 1:
+        if not 1.0 < self.r < np.inf:
             raise ValueError("norm exponent r must lie in (1, inf)")
-        if not self.p > 1:
-            raise ValueError("gauge exponent p must be > 1")
-        if self.Cp <= 0 or self.Gq <= 0:
-            raise ValueError("Cp and Gq must be positive")
+        if not 1.0 < self.p < np.inf:
+            raise ValueError("gauge exponent p must lie in (1, inf)")
+        if not (0.0 < self.Cp < np.inf and 0.0 < self.Gq < np.inf):
+            raise ValueError("Cp and Gq must be positive and finite")
         w = self.weights
         w = np.ones(self.dim) if w is None else np.asarray(w, dtype=float)
         if w.shape != (self.dim,):
@@ -229,11 +231,6 @@ def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, np_xt):
 def norm(space: SpaceGeometry, x: np.ndarray):
     """Weighted l^r norm, ``(sum_i w_i |x_i|**r) ** (1/r)``."""
     return _norm(space, space.check_dim(x))
-
-
-def dual_norm(space: SpaceGeometry, xstar: np.ndarray):
-    """Norm of the dual space of `space`."""
-    return norm(space.dual(), xstar)
 
 
 def duality_map(space: SpaceGeometry, x: np.ndarray):

@@ -2,8 +2,8 @@
 
 Ships a linear model, a diagonal linear model with closed-form best
 approximations and stability constant, and a componentwise-quadratic
-model, plus two certification helpers (finite-difference derivative
-check, adjoint check).  The analysis constants are stated by the caller;
+model.  The iteration calls only the evaluation ``F(x)`` and the adjoint
+action ``DF(x)* y*``.  The analysis constants are stated by the caller;
 nothing here estimates them.
 
 Evaluation is batch friendly: all maps act on the last axis of their
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .geometry import SpaceGeometry, norm
+from .geometry import SpaceGeometry
 
 __all__ = [
     "ForwardModel",
@@ -25,29 +25,30 @@ __all__ = [
     "QuadraticModel",
     "NoisyData",
     "data_space",
-    "fd_derivative_check",
-    "adjoint_check",
 ]
 
 
-def _stated(name, value):
+def _stated(name, value, positive=True):
     """A stated constant as a float, or None when not stated.  Raises
-    ValueError unless it is positive and finite: lhat divides the
-    radius, and cstab = 0 would give a nonlinear model c-tilde = 0."""
+    ValueError unless it is finite and positive (nonnegative with
+    ``positive=False``): lhat divides the radius, and cstab = 0 would
+    give a nonlinear model c-tilde = 0."""
     if value is None:
         return None
     v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"{name} = {value} must be positive and finite")
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        raise ValueError(f"{name} = {value} must be "
+                         f"{'positive' if positive else 'nonnegative'} "
+                         "and finite")
     return v
 
 
 class ForwardModel:
     """Interface of the forward operator F.
 
-    Subclasses provide the evaluation, the derivative action
-    ``DF(x) h`` and the adjoint action ``DF(x)* y*``, together with the
-    constants entering the convergence analysis:
+    Subclasses provide the evaluation ``F(x)`` and the adjoint action
+    ``DF(x)* y*``, together with the constants entering the convergence
+    analysis:
 
     - ``lhat``: bound on the operator norm of DF over the domain ball,
     - ``lip``: Lipschitz constant of ``x -> DF(x)``,
@@ -75,27 +76,21 @@ class ForwardModel:
     def eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_derivative(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def apply_adjoint(self, x: np.ndarray, ystar: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def with_constants(self, lip=None, lhat=None, cstab=None):
         """Shallow copy with overridden analysis constants.
 
         Used by the multi-level driver, where each level carries its own
         certified constants for the restricted operator.  Raises
-        ValueError if a given ``lhat`` or ``cstab`` is not positive and
-        finite.
+        ValueError if a given ``lip`` is negative or not finite, or a
+        given ``lhat`` or ``cstab`` is not positive and finite.
         """
         import copy
         m = copy.copy(self)
         if lip is not None:
-            m.lip = float(lip)
+            m.lip = _stated("lip", lip, positive=False)
         if lhat is not None:
             m.lhat = _stated("lhat", lhat)
         if cstab is not None:
@@ -116,9 +111,6 @@ class LinearModel(ForwardModel):
 
     def eval(self, x):
         return np.asarray(x, dtype=float) @ self.matrix.T
-
-    def apply_derivative(self, x, h):
-        return np.asarray(h, dtype=float) @ self.matrix.T
 
     def apply_adjoint(self, x, ystar):
         return np.asarray(ystar, dtype=float) @ self.matrix
@@ -143,9 +135,6 @@ class DiagonalLinearModel(LinearModel):
     # the sign of a zero entry.
     def eval(self, x):
         return self.sigma * x
-
-    def apply_derivative(self, x, h):
-        return self.sigma * h
 
     def apply_adjoint(self, x, ystar):
         return ystar * self.sigma
@@ -174,8 +163,9 @@ class QuadraticModel(ForwardModel):
     The minimal model with a nonzero derivative Lipschitz constant:
     lip = 2 eps in the Hilbert configuration.  The derivative bound
     ``lhat`` >= ||A + 2 eps diag(x)|| over the domain depends on that
-    domain, so the caller states it (None: not stated).  A stated
-    ``lhat`` or ``cstab`` must be positive and finite (ValueError).
+    domain, so the caller states it (None: not stated).  ``eps`` must be
+    nonnegative and finite, a stated ``lhat`` or ``cstab`` positive and
+    finite (ValueError).
     """
 
     def __init__(self, matrix, eps, s=2.0, cstab=None, lhat=None):
@@ -184,9 +174,7 @@ class QuadraticModel(ForwardModel):
             raise ValueError("quadratic model needs a square matrix")
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
-        if eps < 0:
-            raise ValueError("nonlinearity weight must be nonnegative")
-        self.eps = float(eps)
+        self.eps = _stated("eps", eps, positive=False)
         self.s = float(s)
         self.lip = 2.0 * self.eps
         self.cstab = _stated("cstab", cstab)
@@ -195,11 +183,6 @@ class QuadraticModel(ForwardModel):
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         return x @ self.matrix.T + self.eps * x ** 2
-
-    def apply_derivative(self, x, h):
-        x = np.asarray(x, dtype=float)
-        h = np.asarray(h, dtype=float)
-        return h @ self.matrix.T + 2.0 * self.eps * x * h
 
     def apply_adjoint(self, x, ystar):
         x = np.asarray(x, dtype=float)
@@ -226,24 +209,3 @@ def data_space(model: ForwardModel, p: float = 2.0) -> SpaceGeometry:
     of X so that the duality mapping on the data has the same form."""
     return SpaceGeometry(dim=model.out_dim, r=model.s, p=p)
 
-
-def fd_derivative_check(model: ForwardModel, x, h, step: float = 1e-3):
-    """Relative gap between a central difference of F and DF(x) h.
-
-    Exact (up to round-off) for linear and quadratic models since the
-    central difference of a quadratic has no truncation error.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    fd = (model.eval(x + step * h) - model.eval(x - step * h)) / (2.0 * step)
-    dfh = model.apply_derivative(x, h)
-    y_space = data_space(model)
-    return float(norm(y_space, fd - dfh)
-                 / max(1.0, float(norm(y_space, dfh))))
-
-
-def adjoint_check(model: ForwardModel, x, h, ystar):
-    """Absolute gap ``|<DF(x) h, y*> - <h, DF(x)* y*>|``."""
-    lhs = float(np.dot(model.apply_derivative(x, h), ystar))
-    rhs = float(np.dot(h, model.apply_adjoint(x, ystar)))
-    return abs(lhs - rhs)

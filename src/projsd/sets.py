@@ -78,11 +78,9 @@ _JOINT_TRIALS = 12
 
 
 class ConvexSet:
-    """Base class.  Subclasses implement membership and ``_project``,
-    which maps a member to itself as a new array."""
-
-    def contains(self, space: SpaceGeometry, x, tol: float = 1e-10) -> bool:
-        raise NotImplementedError
+    """Base class.  Subclasses implement ``_project``, which maps a member
+    to itself as a new array, and ``_check_fits`` when the set has a
+    vector parameter."""
 
     def _check_fits(self, space: SpaceGeometry):
         """Raise DimensionMismatch unless every vector parameter of the set
@@ -95,10 +93,6 @@ class ConvexSet:
 
 class WholeSpace(ConvexSet):
     """Z = X; the projection is the identity."""
-
-    def contains(self, space, x, tol=1e-10):
-        space.check_dim(x)
-        return True
 
     def _project(self, space, x):
         return x.copy()
@@ -130,12 +124,6 @@ class Box(ConvexSet):
                 f"Box lower and upper have shape {self.lower.shape}, the "
                 f"space needs ({space.dim},)")
 
-    def contains(self, space, x, tol=1e-10):
-        x = space.check_dim(x)
-        self._check_fits(space)
-        gap = np.maximum(self.lower - x, 0.0) + np.maximum(x - self.upper, 0.0)
-        return norm(space, gap) <= tol
-
     def _project(self, space, x):
         # P_r is the clamp: np.clip's bits, signed zeros included, without
         # its wrapper.
@@ -163,11 +151,6 @@ class Ball(ConvexSet):
             raise DimensionMismatch(
                 f"Ball center has shape {self.center.shape}, the space "
                 f"needs ({space.dim},)")
-
-    def contains(self, space, x, tol=1e-10):
-        x = space.check_dim(x)
-        self._check_fits(space)
-        return norm(space, x - self.center) <= self.radius + tol
 
     def _shrink(self, space, z):
         """Radial shrink of z onto the ball, toward the center."""
@@ -217,6 +200,9 @@ class CoordinateSubspace(ConvexSet):
     """Span of a subset of coordinate axes."""
 
     def __init__(self, support):
+        support = list(support)
+        if not all(float(i).is_integer() for i in support):
+            raise ValueError(f"support indices {support} must be integers")
         self.support = np.array(sorted(set(int(i) for i in support)))
         if self.support.size == 0:
             raise ValueError("support must be nonempty")
@@ -228,13 +214,6 @@ class CoordinateSubspace(ConvexSet):
             raise DimensionMismatch(
                 f"CoordinateSubspace support {self.support.tolist()} has "
                 f"an index >= {space.dim}, the space dimension")
-
-    def contains(self, space, x, tol=1e-10):
-        x = space.check_dim(x)
-        self._check_fits(space)
-        off = x.copy()
-        off[self.support] = 0.0
-        return norm(space, off) <= tol
 
     def _project(self, space, x):
         # P_r is the truncation x_S.  It is 1-homogeneous, so

@@ -11,15 +11,16 @@ import os
 import numpy as np
 import pytest
 import yaml
+from oracles import adjoint_gap
 
 from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
                     Level, LinearModel, NoisyData, NonpositiveU,
                     QuadraticModel, Schedule, SolverConfig,
                     TransitionInvalid, WholeSpace, bregman_distance,
-                    bregman_project, convergence_radius, adjoint_check,
-                    duality_map, example_schedule, fd_derivative_check,
-                    inverse_duality_map, lp_space, norm, run_algorithm1,
-                    run_multi_level, select_final_level, validate_schedule)
+                    bregman_project, convergence_radius, duality_map,
+                    example_schedule, inverse_duality_map, lp_space, norm,
+                    run_algorithm1, run_multi_level, select_final_level,
+                    validate_schedule)
 from projsd.cli import main as cli_main
 from projsd.cli import parse_config
 
@@ -93,8 +94,9 @@ def test_criterion_3_monotonicity_quadratic():
     cstab = 2.0 ** -0.5 / float(np.min(a))
     lhat = float(np.max(a)) + 2.0 * eps
     model = QuadraticModel(np.diag(a), eps=eps, cstab=cstab, lhat=lhat)
-    ydelta = model(zdag) + eta * u
-    assert float(np.linalg.norm(model(zdag) - ydelta)) == pytest.approx(eta)
+    ydelta = model.eval(zdag) + eta * u
+    assert float(np.linalg.norm(model.eval(zdag) - ydelta)) \
+        == pytest.approx(eta)
     data = NoisyData(ydelta, eta)
 
     x0 = np.zeros(dim)
@@ -259,7 +261,9 @@ def test_criterion_7_end_to_end_multilevel():
 
 
 def test_criterion_8_derivative_and_adjoint_certification():
-    """Finite-difference and adjoint checks below 1e-10 on all models."""
+    """Each model's adjoint matches a central difference of its evaluation:
+    ``|<(F(x+sh) - F(x-sh))/(2s), y*> - <h, DF(x)* y*>| < 1e-10`` at
+    s = 1e-3, where the difference is exact for linear and quadratic F."""
     rng = np.random.default_rng(80)
     models = [
         LinearModel(rng.standard_normal((5, 4))),
@@ -272,10 +276,9 @@ def test_criterion_8_derivative_and_adjoint_certification():
             x = rng.standard_normal(d_in)
             h = rng.standard_normal(d_in)
             ystar = rng.standard_normal(model.out_dim)
-            assert fd_derivative_check(model, x, h) < 1e-10
-            assert adjoint_check(model, x, h, ystar) < 1e-10
-    print("PASS criterion 8: derivative and adjoint checks < 1e-10 on "
-          "100 probes for each shipped model")
+            assert adjoint_gap(model, x, h, ystar) < 1e-10
+    print("PASS criterion 8: adjoint against a central difference of eval "
+          "< 1e-10 on 100 probes for each shipped model")
 
 
 def test_criterion_9_cli_determinism(tmp_path):
@@ -323,12 +326,12 @@ def nonlinear_schedule(eps):
     model = QuadraticModel(np.diag(sigma), eps)
     truth = 0.8 * np.exp(-0.3 * i)
     g = np.random.default_rng(0).standard_normal(d)
-    ydelta = model(truth) + 1e-4 * g / np.linalg.norm(g)
+    ydelta = model.eval(truth) + 1e-4 * g / np.linalg.norm(g)
     levels = []
     for m in range(1, d + 1):
         inside = i < m
         ref = np.where(inside, truth, 0.0)
-        eta = float(np.linalg.norm(model(ref) - ydelta))
+        eta = float(np.linalg.norm(model.eval(ref) - ydelta))
         levels.append(Level(
             index=m - 1, eta=eta,
             C=float(1.0 / np.min(sigma[:m] - 2.0 * eps)), L=2.0 * eps,

@@ -5,8 +5,8 @@ import pytest
 
 import projsd.geometry as geometry_module
 from projsd import (DEFAULT_CONSTANTS, DimensionMismatch, SpaceGeometry,
-                    bregman_distance, certify_constants, dual_norm,
-                    duality_map, inverse_duality_map, lp_space, norm)
+                    bregman_distance, certify_constants, duality_map,
+                    inverse_duality_map, lp_space, norm)
 
 GEOMETRIES = [(2.0, 2.0), (1.5, 2.0), (3.0, 3.0), (4.0, 4.0)]
 
@@ -54,6 +54,30 @@ class TestConstruction:
                 SpaceGeometry(dim=2, weights=[1.0, bad])
         with pytest.raises(DimensionMismatch):
             SpaceGeometry(dim=2, weights=[1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"dim": 2.5}, "dim"),
+        ({"dim": 3.0}, "dim"),
+        ({"dim": True}, "dim"),
+        ({"dim": np.int64(0)}, "dim"),
+        ({"dim": 2, "r": np.inf}, "r must"),
+        ({"dim": 2, "r": np.nan}, "r must"),
+        ({"dim": 2, "p": np.inf}, "p must"),
+        ({"dim": 2, "p": np.nan}, "p must"),
+        ({"dim": 2, "r": 1.5, "Cp": np.inf}, "Cp and Gq"),
+        ({"dim": 2, "r": 1.5, "Cp": np.nan}, "Cp and Gq"),
+        ({"dim": 2, "r": 1.5, "Gq": np.inf}, "Cp and Gq"),
+        ({"dim": 2, "r": 1.5, "Gq": np.nan}, "Cp and Gq"),
+    ])
+    def test_non_finite_or_non_integer_parameters(self, kwargs, match):
+        # Each was accepted: Cp = inf at r = 1.5 made c-tilde 0, as if F
+        # were linear, p = inf gave q = nan, and a dim of 2.5 ended in
+        # numpy's TypeError.
+        with pytest.raises(ValueError, match=match):
+            SpaceGeometry(**kwargs)
+
+    def test_numpy_integer_dim(self):
+        assert SpaceGeometry(dim=np.int64(3)).dim == 3
 
     def test_weights_are_immutable(self):
         space = lp_space(3)
@@ -107,7 +131,7 @@ class TestDualityMap:
             x = rng.standard_normal(space.dim)
             jx = duality_map(space, x)
             nx = float(norm(space, x))
-            njx = float(dual_norm(space, jx))
+            njx = float(norm(space.dual(), jx))
             assert njx == pytest.approx(nx ** (space.p - 1.0), rel=1e-12)
             assert float(np.dot(x, jx)) == pytest.approx(nx * njx, rel=1e-12)
 

@@ -1,20 +1,20 @@
-"""Tests of the forward models and their certification helpers."""
+"""Tests of the forward models and of their adjoints."""
 
 import numpy as np
 import pytest
+from oracles import adjoint_gap
 
 from projsd import (DiagonalLinearModel, LinearModel, NoisyData,
-                    QuadraticModel, adjoint_check, bregman_distance,
-                    data_space, fd_derivative_check, lp_space, norm)
+                    QuadraticModel, bregman_distance, data_space, lp_space,
+                    norm)
 
 
 class TestLinearModel:
-    def test_eval_and_derivative(self):
+    def test_eval(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         model = LinearModel(A)
         x = np.array([1.0, -1.0])
-        np.testing.assert_allclose(model(x), A @ x)
-        np.testing.assert_allclose(model.apply_derivative(x, x), A @ x)
+        np.testing.assert_allclose(model.eval(x), A @ x)
 
     def test_constants(self):
         A = np.diag([3.0, 1.0])
@@ -26,7 +26,7 @@ class TestLinearModel:
         A = np.eye(2)
         model = LinearModel(A)
         xs = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(model(xs), xs)
+        np.testing.assert_allclose(model.eval(xs), xs)
 
 
 class TestDiagonalLinearModel:
@@ -85,12 +85,10 @@ class TestDiagonalLinearModel:
         sigma = rng.standard_normal(6)
         sigma[[1, 4]] = [0.0, -0.0]
         diag, dense = DiagonalLinearModel(sigma), LinearModel(np.diag(sigma))
-        x, h, ystar = (rng.standard_normal(batch + (6,)) for _ in range(3))
-        for v in (x, h, ystar):
+        x, ystar = (rng.standard_normal(batch + (6,)) for _ in range(2))
+        for v in (x, ystar):
             v[..., [0, 3]] = [0.0, -0.0]
         assert np.array_equal(diag.eval(x), dense.eval(x))
-        assert np.array_equal(diag.apply_derivative(x, h),
-                              dense.apply_derivative(x, h))
         assert np.array_equal(diag.apply_adjoint(x, ystar),
                               dense.apply_adjoint(x, ystar))
         assert diag.matrix.tobytes() == dense.matrix.tobytes()
@@ -100,11 +98,17 @@ class TestQuadraticModel:
     def test_eval(self):
         A = np.eye(2)
         model = QuadraticModel(A, eps=0.5)
-        np.testing.assert_allclose(model([2.0, -2.0]), [4.0, 0.0])
+        np.testing.assert_allclose(model.eval([2.0, -2.0]), [4.0, 0.0])
 
     def test_requires_square_matrix(self):
         with pytest.raises(ValueError):
             QuadraticModel(np.ones((2, 3)), eps=0.1)
+
+    @pytest.mark.parametrize("eps", [-0.1, np.inf, -np.inf, np.nan])
+    def test_eps_nonnegative_and_finite(self, eps):
+        # eps = nan gave lip = nan.
+        with pytest.raises(ValueError, match="eps = "):
+            QuadraticModel(np.eye(2), eps=eps)
 
     def test_lipschitz_constant_of_derivative(self):
         # ||DF(x) - DF(xt)|| / ||x - xt|| <= 2 eps, sampled.
@@ -135,6 +139,13 @@ class TestQuadraticModel:
     def test_with_constants_positive_and_finite(self, key, value):
         with pytest.raises(ValueError, match=f"{key} = "):
             DiagonalLinearModel([1.0, 2.0]).with_constants(**{key: value})
+
+    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+    def test_with_constants_lip_nonnegative_and_finite(self, value):
+        # lip = -1 ran with c-tilde = -1; lip = nan ended in NonFiniteInput
+        # from the projection.
+        with pytest.raises(ValueError, match="lip = "):
+            QuadraticModel(np.eye(2), eps=0.1).with_constants(lip=value)
 
     def test_with_constants_copy(self):
         model = QuadraticModel(np.eye(2), eps=0.1)
@@ -174,21 +185,24 @@ class TestCertification:
             QuadraticModel(rng.standard_normal((3, 3)), eps=0.2),
         ]
 
-    def test_fd_derivative_check(self):
-        rng = np.random.default_rng(2)
-        for model in self.all_models():
-            d = model.matrix.shape[1]
-            for _ in range(20):
-                x, h = rng.standard_normal((2, d))
-                assert fd_derivative_check(model, x, h) < 1e-10
-
     def test_adjoint_check(self):
         rng = np.random.default_rng(3)
         for model in self.all_models():
             d_in = model.matrix.shape[1]
-            d_out = model.out_dim
             for _ in range(20):
-                x = rng.standard_normal(d_in)
-                h = rng.standard_normal(d_in)
-                ystar = rng.standard_normal(d_out)
-                assert adjoint_check(model, x, h, ystar) < 1e-10
+                x, h = rng.standard_normal((2, d_in))
+                ystar = rng.standard_normal(model.out_dim)
+                assert adjoint_gap(model, x, h, ystar) < 1e-10
+
+    def test_wrong_adjoint_fails(self):
+        # The adjoint without the 2 eps x term of the quadratic part.
+        class WrongAdjoint(QuadraticModel):
+            def apply_adjoint(self, x, ystar):
+                return np.asarray(ystar, dtype=float) @ self.matrix
+
+        rng = np.random.default_rng(80)
+        model = WrongAdjoint(rng.standard_normal((4, 4)), eps=0.3)
+        gaps = [adjoint_gap(model, *rng.standard_normal((3, 4)))
+                for _ in range(100)]
+        # The check catches the wrong adjoint on every probe.
+        assert min(gaps) > 1e-10

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import member
 
 from projsd import (CoordinateSubspace, DiagonalLinearModel, EtaTooLarge,
                     LambdaTooSmall, Level, NoisyData, NoSuchLevel, Schedule,
@@ -194,7 +195,7 @@ class TestRunMultiLevel:
         space, sched = diagonal_schedule()
         report = run_multi_level(space, sched, np.zeros(space.dim))
         for (idx, _, _, rep), lv in zip(report.per_level, sched.levels):
-            assert lv.cset.contains(space, rep.x_final, tol=1e-8)
+            assert member(space, lv.cset, rep.x_final, tol=1e-8)
 
     def test_constants_only_levels_cannot_run(self):
         space = lp_space(2)

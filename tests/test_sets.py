@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import member
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
@@ -71,6 +72,12 @@ class TestSetBasics:
             CoordinateSubspace([])
         with pytest.raises(ValueError):
             CoordinateSubspace([-1])
+        # [1.5, 2.9] silently became [1, 2].
+        for support in ([1.5, 2.9], [0, np.nan], [0, np.inf]):
+            with pytest.raises(ValueError, match="must be integers"):
+                CoordinateSubspace(support)
+        assert CoordinateSubspace([2.0, np.int64(0)]).support.tolist() \
+            == [0, 2]
 
     @pytest.mark.parametrize("length", [1, 2])
     @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
@@ -93,18 +100,20 @@ class TestSetBasics:
                   if kind == "subspace" else r", the space needs \(3,\)")
         for x in ([0.5, 0.5, 0.5], [2.0, 2.0, 2.0]):
             with pytest.raises(DimensionMismatch, match=match):
-                cset.contains(space, x)
+                member(space, cset, x)
             with pytest.raises(DimensionMismatch, match=match):
                 bregman_project(space, cset, x)
 
     def test_membership(self):
         space = lp_space(2)
-        assert Box([0.0, 0.0], [1.0, 1.0]).contains(space, [0.5, 0.5])
-        assert not Box([0.0, 0.0], [1.0, 1.0]).contains(space, [2.0, 0.5])
-        assert Ball([0.0, 0.0], 1.0).contains(space, [0.6, 0.8])
-        assert not Ball([0.0, 0.0], 1.0).contains(space, [1.0, 1.0])
-        assert CoordinateSubspace([0]).contains(space, [3.0, 0.0])
-        assert not CoordinateSubspace([0]).contains(space, [3.0, 0.1])
+        box, ball = Box([0.0, 0.0], [1.0, 1.0]), Ball([0.0, 0.0], 1.0)
+        subspace = CoordinateSubspace([0])
+        assert member(space, box, [0.5, 0.5])
+        assert not member(space, box, [2.0, 0.5])
+        assert member(space, ball, [0.6, 0.8])
+        assert not member(space, ball, [1.0, 1.0])
+        assert member(space, subspace, [3.0, 0.0])
+        assert not member(space, subspace, [3.0, 0.1])
 
 
 class TestHilbertClosedForms:
@@ -193,7 +202,7 @@ class TestProjectionProperties:
             for cset in make_sets(4):
                 x = 3.0 * rng.standard_normal(4)
                 y = bregman_project(space, cset, x)
-                assert cset.contains(space, y, tol=1e-8), \
+                assert member(space, cset, y, tol=1e-8), \
                     (type(cset).__name__, r, p)
 
 
@@ -268,7 +277,7 @@ def assert_exact_projection(space, cset, x, rng):
     """Membership, brute-force minimality, the three-point law at 1e-12
     relative, and idempotence."""
     y = bregman_project(space, cset, x)
-    assert cset.contains(space, y, tol=1e-12)
+    assert member(space, cset, y, tol=1e-12)
     zs = members_near(cset, space, rng, y, 200)
     n_z = len(zs)
     d_x_y = float(bregman_distance(space, x, y))
@@ -289,7 +298,7 @@ class TestExactProjections:
         for cset in exact_sets():
             for _ in range(5):
                 x = 2.0 * rng.standard_normal(4)
-                if not cset.contains(space, x, tol=0.0):
+                if not member(space, cset, x, tol=0.0):
                     assert_exact_projection(space, cset, x, rng)
         # Off-centre balls of scale 0.1 to 10 and points of scale 1e-4 to
         # 1e5.  With p != r the joint search projects most of them; the
@@ -300,7 +309,7 @@ class TestExactProjections:
             ball = Ball(scale * rng.standard_normal(4),
                         scale * rng.uniform(0.1, 1.5))
             x = 10.0 ** rng.uniform(-4.0, 5.0) * rng.standard_normal(4)
-            if not ball.contains(space, x, tol=0.0):
+            if not member(space, ball, x, tol=0.0):
                 assert_exact_projection(space, ball, x, rng)
         for geometry, cset, x in EXACT_HARD_CASES:
             if geometry == (r, p, weights):

@@ -190,7 +190,7 @@ class TestRunBehaviour:
         ztrue = 0.5 * np.ones(dim)
         eta = 1e-3
         noise = np.full(dim, eta / math.sqrt(dim))
-        data = NoisyData(model(ztrue) + noise, eta)
+        data = NoisyData(model.eval(ztrue) + noise, eta)
         cfg = SolverConfig(eta=eta, eta_hat=3.01 * eta,
                            diagnostic_reference=ztrue)
         report = run_algorithm1(space, WholeSpace(), model, data,
@@ -227,7 +227,7 @@ class TestTypedErrors:
         # x0 already meets the discrepancy, so the run takes no step; the
         # per-run constant is still computed, and fails, on entry.
         model = QuadraticModel(np.eye(2), eps=0.1)
-        data = NoisyData(model(np.zeros(2)), 0.0)
+        data = NoisyData(model.eval(np.zeros(2)), 0.0)
         cfg = SolverConfig(eta=0.0, eta_hat=1e-8)
         with pytest.raises(MissingStabilityConstant):
             run_algorithm1(lp_space(2), WholeSpace(), model, data,
@@ -370,7 +370,8 @@ def kernel_problem(quadratic):
     else:
         model = LinearModel(np.eye(4) + 0.3 * rng.standard_normal((4, 4)))
     truth = np.array([0.4, -0.2, 0.5, 0.1])
-    return model, truth, model(truth) + 1e-3 * rng.standard_normal(4)
+    ydelta = model.eval(truth) + 1e-3 * rng.standard_normal(4)
+    return model, truth, ydelta
 
 
 class TestKernelMatchesReference:
@@ -422,7 +423,7 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
     space = lp_space(3, r=3.0)
     model = LinearModel(np.diag([2.0, 3.0, 4.0]))
     ref = np.array([0.5, 1.0 / 3.0, 0.25])
-    data = NoisyData(model(ref), 0.0)
+    data = NoisyData(model.eval(ref), 0.0)
     ref_norms, duality_maps = [], []
     real_norm = geometry_module._norm
     real_map = geometry_module._duality_map
@@ -447,28 +448,6 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
     assert len(ref_norms) == 1
     # One more for J_p(x_0), computed with the start's Bregman distance.
     assert len(duality_maps) <= 3 * 20 + 1
-
-
-@pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
-def test_run_makes_no_membership_test(monkeypatch, kind):
-    """The projection decides membership for the start as for every
-    iterate; a run never calls ``contains``."""
-    cset = KERNEL_SETS[kind]
-    real_contains = type(cset).contains
-    calls = []
-
-    def counting_contains(*args, **kwargs):
-        calls.append(1)
-        return real_contains(*args, **kwargs)
-
-    monkeypatch.setattr(type(cset), "contains", counting_contains)
-    model, _, ydelta = kernel_problem(False)
-    cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12)
-    report = run_algorithm1(lp_space(4, r=3.0), cset, model,
-                            NoisyData(ydelta, 0.0),
-                            np.array([0.9, 0.8, -0.7, 0.6]), cfg)
-    assert report.stopped_at_k == 12
-    assert calls == []
 
 
 def test_start_just_outside_is_projected():
@@ -548,7 +527,7 @@ def test_on_iteration_streams_the_history(with_ref, max_iterations):
     # The hook sees every state the default history would hold, in
     # order and bit for bit, and the report then keeps none of them.
     model, truth, ydelta = kernel_problem(quadratic=True)
-    eta = float(np.linalg.norm(model(truth) - ydelta))
+    eta = float(np.linalg.norm(model.eval(truth) - ydelta))
     cfg = SolverConfig(eta=eta, eta_hat=3.5 * eta,
                        max_iterations=max_iterations,
                        diagnostic_reference=truth if with_ref else None)
