@@ -174,9 +174,11 @@ def lp_space(dim, r=2.0, p=None, weights=None, Cp=None, Gq=None):
 #   no norm.  The general formula maps an x whose norm is 0 to 0, so the
 #   one difference is a nonzero x whose norm underflows to 0: it maps to
 #   ``w |x|**(r-1) sign(x)``, the image of the unrounded norm.
-# - Hilbert (r = p = 2, unit weights): ``|x|**1 sign(x)`` is x, and
-#   ``x + 0.0`` is a fresh array that turns -0.0 into +0.0, as
-#   ``np.sign(-0.0) = +0.0`` does.
+# - r = 2 with unit weights, so also Hilbert (r = p = 2): ``|x|**1.0
+#   sign(x)`` is x, as pow(a, 1) = a exactly, and ``x + 0.0`` is a fresh
+#   array that turns -0.0 into +0.0, as ``np.sign(-0.0) = +0.0`` does.
+#   The data space has r = s = 2 unless a model states another s, and
+#   the gauge of X, so the case runs on every step also when p != 2.
 
 def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x."""
@@ -190,12 +192,13 @@ def _norm(space: SpaceGeometry, x: np.ndarray):
 def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     """The duality mapping of a checked x.  ``nrm = ||x||`` is computed
     here when not given, and only when p != r."""
-    if space.is_hilbert:
-        return x + 0.0
-    phi = np.abs(x) ** (space.r - 1.0)
-    if not space._unit_weights:
-        phi = space.weights * phi
-    phi *= np.sign(x)
+    if space.r == 2.0 and space._unit_weights:
+        phi = x + 0.0
+    else:
+        phi = np.abs(x) ** (space.r - 1.0)
+        if not space._unit_weights:
+            phi = space.weights * phi
+        phi *= np.sign(x)
     if space.r == space.p:
         return phi
     if nrm is None:

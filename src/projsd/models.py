@@ -43,6 +43,15 @@ def _stated(name, value, positive=True):
     return v
 
 
+def _data_exponent(s):
+    """The data exponent s as a float.  Raises ValueError unless it lies
+    in (1, inf), the range of a norm exponent of the data space."""
+    v = float(s)
+    if not 1.0 < v < math.inf:
+        raise ValueError(f"data exponent s = {s} must lie in (1, inf)")
+    return v
+
+
 class ForwardModel:
     """Interface of the forward operator F.
 
@@ -53,7 +62,8 @@ class ForwardModel:
     - ``lhat``: bound on the operator norm of DF over the domain ball,
     - ``lip``: Lipschitz constant of ``x -> DF(x)``,
     - ``cstab``: conditional stability constant on the working set,
-    - ``s``: the data-space norm exponent (data live in l^s).
+    - ``s``: the data-space norm exponent (data live in l^s), in
+      (1, inf); the shipped models raise ValueError for any other.
 
     ``cstab`` and ``lhat`` are stated by the caller, never derived; None
     means not stated.  A linear model (``lip == 0``) needs neither.  A
@@ -105,7 +115,7 @@ class LinearModel(ForwardModel):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
-        self.s = float(s)
+        self.s = _data_exponent(s)
         self.lip = 0.0
         self.cstab = cstab
 
@@ -139,21 +149,32 @@ class DiagonalLinearModel(LinearModel):
     def apply_adjoint(self, x, ystar):
         return ystar * self.sigma
 
+    def _support(self, support):
+        """The support as an index array.  Raises ValueError where a
+        supported sigma is 0: F does not see that coordinate, so neither
+        quantity below exists."""
+        idx = np.asarray(list(support), dtype=int)
+        if not np.all(self.sigma[idx]):
+            raise ValueError(
+                f"sigma is 0 at a supported coordinate of {idx.tolist()}")
+        return idx
+
     def best_subspace_solution(self, ydelta, support):
         """Minimizer of ||F(z) - ydelta|| over the coordinate subspace and
         the attained distance (the exact approximation error eta)."""
         ydelta = np.asarray(ydelta, dtype=float)
-        mask = np.zeros(self.in_dim, dtype=bool)
-        mask[np.asarray(list(support), dtype=int)] = True
-        zdag = np.where(mask, ydelta / self.sigma, 0.0)
-        eta = float(np.linalg.norm(np.where(mask, 0.0, ydelta)))
-        return zdag, eta
+        idx = self._support(support)
+        zdag = np.zeros(self.in_dim)
+        zdag[idx] = ydelta[idx] / self.sigma[idx]
+        rest = ydelta.copy()
+        rest[idx] = 0.0
+        return zdag, float(np.linalg.norm(rest))
 
     def subspace_stability_constant(self, support):
         """Exact constant of the stability inequality on the subspace,
         ``2**(-1/2) / min |sigma_i|`` over the supported coordinates; in
         the Hilbert space it is attained on the axis of that sigma_i."""
-        idx = np.asarray(list(support), dtype=int)
+        idx = self._support(support)
         return float(2.0 ** -0.5 / np.min(np.abs(self.sigma[idx])))
 
 
@@ -175,7 +196,7 @@ class QuadraticModel(ForwardModel):
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
         self.eps = _stated("eps", eps, positive=False)
-        self.s = float(s)
+        self.s = _data_exponent(s)
         self.lip = 2.0 * self.eps
         self.cstab = _stated("cstab", cstab)
         self.lhat = _stated("lhat", lhat)
@@ -191,11 +212,12 @@ class QuadraticModel(ForwardModel):
 
 
 class NoisyData:
-    """Observed data together with its approximation-error level."""
+    """Observed data together with its approximation-error level ``eta``,
+    nonnegative and finite (ValueError)."""
 
     def __init__(self, ydelta, eta):
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (math.isfinite(eta) and eta >= 0.0):
+            raise ValueError(f"eta = {eta} must be nonnegative and finite")
         self.ydelta = np.asarray(ydelta, dtype=float)
         self.eta = float(eta)
 

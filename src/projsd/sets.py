@@ -124,12 +124,15 @@ class Box(ConvexSet):
                 f"Box lower and upper have shape {self.lower.shape}, the "
                 f"space needs ({space.dim},)")
 
+    def _clamp(self, z):
+        """P_r: np.clip's bits, signed zeros included, without its
+        wrapper."""
+        return np.minimum(np.maximum(z, self.lower), self.upper)
+
     def _project(self, space, x):
-        # P_r is the clamp: np.clip's bits, signed zeros included, without
-        # its wrapper.
-        return _gauge_p_projection(
-            space, lambda z: np.minimum(np.maximum(z, self.lower),
-                                        self.upper), x)
+        if space.p == space.r:
+            return self._clamp(x)
+        return _gauge_p_projection(space, self._clamp, x)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -219,7 +222,7 @@ class CoordinateSubspace(ConvexSet):
         # P_r is the truncation x_S.  It is 1-homogeneous, so
         # s = ||P_r(alpha x)|| = alpha ||x_S|| and the rescaling has the
         # closed form alpha = (||x_S|| / ||x||) ** ((r - p) / (p - 1)).
-        xs = np.zeros_like(x)
+        xs = np.zeros(x.shape)
         xs[self.support] = x[self.support]
         if space.p == space.r:
             return xs
@@ -574,18 +577,22 @@ def _solve_coordinates(z, c, lam, r, y):
 
 
 def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
-    """Bregman projection of x onto the set, as a new array.
+    """Bregman projection of x, one vector of shape ``(space.dim,)``, onto
+    the set, as a new array.
 
     Each set maps its members to themselves; the minimizer is unique by
     strict convexity, so no tie-breaking is needed.  The projection is
     exact for every exponent pair and any positive weights; with r = p = 2
     it is the metric projection of the weighted Euclidean norm.
 
+    x is finite when ``<x, x>`` is; only when that sum is not finite, as
+    for entries near 1e200, is every entry tested.
+
     Raises
     ------
     DimensionMismatch
-        If x or a vector parameter of the set does not have the space's
-        dimension.
+        If x is not of shape ``(space.dim,)`` (a batch included), or a
+        vector parameter of the set does not have the space's dimension.
     NonFiniteInput
         If x holds NaN or +-inf.
     NonConvergence
@@ -593,9 +600,14 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
         floating-point range; both take values near the end of that
         range.
     """
-    x = space.check_dim(x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.dim,):
+        raise DimensionMismatch(
+            f"cannot project an array of shape {x.shape}, one vector of "
+            f"shape ({space.dim},) expected")
     cset._check_fits(space)
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+    if not (math.isfinite(np.vdot(x, x))
+            or np.logical_and.reduce(np.isfinite(x), axis=None)):
         raise NonFiniteInput("cannot project a vector holding NaN or inf")
     return cset._project(space, x)
 

@@ -34,15 +34,20 @@ __all__ = [
 
 # Internal consistency tolerance for the two step-size identities.
 _SELF_CHECK_TOL = 1e-9
+# The native float64 dtype; an identity test costs less than ``==``.
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass
 class SolverConfig:
     """Run parameters of the single-level iteration.
 
-    ``eta_hat`` is the discrepancy threshold and must exceed ``3 * eta``.
-    ``diagnostic_reference`` enables per-iteration Bregman-distance
-    bookkeeping against a known solution.
+    ``eta`` must be nonnegative and finite, and ``eta_hat``, the
+    discrepancy threshold, finite and above ``3 * eta``.
+    ``max_iterations`` is an integer >= 1 (numpy integers included, bool
+    refused).  ``diagnostic_reference`` enables per-iteration
+    Bregman-distance bookkeeping against a known solution.  Raises
+    ValueError, naming the field, otherwise.
     """
 
     eta: float
@@ -51,13 +56,19 @@ class SolverConfig:
     diagnostic_reference: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError(
+                f"eta = {self.eta} must be nonnegative and finite")
+        if not math.isfinite(self.eta_hat):
+            raise ValueError(f"eta_hat = {self.eta_hat} must be finite")
         if not self.eta_hat > 3.0 * self.eta:
             raise ValueError("discrepancy threshold must satisfy "
                              "eta_hat > 3 * eta")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        m = self.max_iterations
+        if isinstance(m, bool) or not (isinstance(m, (int, np.integer))
+                                       and m >= 1):
+            raise ValueError(
+                f"max_iterations = {m!r} must be an integer >= 1")
 
 
 @dataclass(slots=True)
@@ -258,8 +269,10 @@ def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
 
 
 def _exact(value, shape, what):
-    """``value`` as a float array, which must have exactly ``shape``."""
-    value = np.asarray(value, dtype=float)
+    """``value`` as a float array, which must have exactly ``shape``.  A
+    float64 ndarray is its own ``np.asarray``, so it skips the call."""
+    if not (type(value) is np.ndarray and value.dtype is _FLOAT64):
+        value = np.asarray(value, dtype=float)
     if value.shape != shape:
         raise DimensionMismatch(
             f"{what} has shape {value.shape}, expected {shape}")

@@ -176,24 +176,31 @@ KERNEL_SPACES = {
     "weighted-r3": lp_space(4, r=3.0, weights=[0.5, 2.0, 1.0, 3.0],
                             Cp=0.1, Gq=10.0),
     "r1.5-p2": lp_space(4, r=1.5),
+    # The data space of every model: r = 2, unit weights and the gauge
+    # of X.
+    "l2-p1.5": lp_space(4, r=2.0, p=1.5, Cp=0.1, Gq=10.0),
+    "l2-p3": lp_space(4, r=2.0, p=3.0, Cp=0.1, Gq=10.0),
 }
 
 # Signed zeros, subnormals next to normal entries, entries whose powers
-# are near or past overflow, and an all-zero row of each sign.
-KERNEL_INPUTS = np.array([
+# are near or past overflow, an all-zero row of each sign, and random
+# draws of scale 1e-8 to 1e8.
+_RNG = np.random.default_rng(17)
+KERNEL_INPUTS = np.concatenate([[
     [-0.0, 0.0, 1.5, -2.0],
     [5e-324, -2.2e-310, 1.0, -3.0],
     [1e-160, -0.0, 7e-200, 0.25],
     [1.3e102, -9.9e101, 0.5, -0.0],
     [1.3e154, -1.1e154, 3.0, 1e-300],
+    [1e300, -1e300, -0.0, 2.5e-320],
     [1.7e308, -1.0, 0.0, 2.0],
     [0.0, 0.0, 0.0, 0.0],
     [-0.0, -0.0, -0.0, -0.0],
-])
+], _RNG.standard_normal((20, 4)) * 10.0 ** _RNG.uniform(-8, 8, (20, 1))])
 
 
 class TestSpecialisedKernels:
-    """The Hilbert and r = p shortcuts of the duality map and the r = 2
+    """The r = 2 and r = p shortcuts of the duality map and the r = 2
     norm give the bits of the general formulas.  The reference iteration
     of the solver tests runs through the same code, so only these tests
     compare against the formulas themselves."""

@@ -48,6 +48,20 @@ class TestDiagonalLinearModel:
         assert model.subspace_stability_constant([0, 1]) == pytest.approx(
             2.0 ** -0.5 / 0.5)
 
+    def test_zero_sigma_on_the_support_is_refused(self):
+        # Both quantities divided by the zero sigma: a RuntimeWarning and
+        # an infinite or NaN result.  A zero sigma off the support is
+        # allowed.
+        model = DiagonalLinearModel([2.0, 0.0, 4.0])
+        with pytest.raises(ValueError, match="sigma is 0"):
+            model.best_subspace_solution([1.0, 1.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="sigma is 0"):
+            model.subspace_stability_constant([1, 2])
+        zdag, eta = model.best_subspace_solution([2.0, 1.0, 8.0], [0, 2])
+        np.testing.assert_array_equal(zdag, [1.0, 0.0, 2.0])
+        assert eta == 1.0
+        assert model.subspace_stability_constant([0, 2]) == 2.0 ** -0.5 / 2
+
     def test_stability_constant_is_attained_on_the_subspace(self):
         # In the Hilbert space, for x - xt = h in S, the stability ratio
         # breg(x, xt)**(1/2) / ||F(x) - F(xt)|| is 2**(-1/2) ||h|| /
@@ -92,6 +106,19 @@ class TestDiagonalLinearModel:
         assert np.array_equal(diag.apply_adjoint(x, ystar),
                               dense.apply_adjoint(x, ystar))
         assert diag.matrix.tobytes() == dense.matrix.tobytes()
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, -2.0, np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda s: LinearModel(np.eye(2), s=s),
+    lambda s: DiagonalLinearModel([1.0, 2.0], s=s),
+    lambda s: QuadraticModel(np.eye(2), eps=0.1, s=s)],
+    ids=["linear", "diagonal", "quadratic"])
+def test_data_exponent_in_open_interval(make, s):
+    # LinearModel(eye(2), s=1.0) constructed, and its run then failed
+    # with "norm exponent r must lie in (1, inf)".
+    with pytest.raises(ValueError, match="data exponent s = "):
+        make(s)
 
 
 class TestQuadraticModel:
@@ -156,8 +183,10 @@ class TestQuadraticModel:
 
 class TestNoisyData:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NoisyData([1.0], -0.1)
+        # eta = nan and inf were accepted.
+        for eta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta = "):
+                NoisyData([1.0], eta)
 
     def test_fields(self):
         data = NoisyData([1.0, 2.0], 0.5)

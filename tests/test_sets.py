@@ -54,12 +54,14 @@ class TestSetBasics:
     def test_box_clamp_is_clip(self):
         # Every pair of z and bound among signed zeros, +-1 and +-inf,
         # with both sides open or closed: the clamp gives np.clip's bytes.
+        # With p = r it is the projection, also where r != 2.
         vals = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
         z, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals))
         keep = (lo <= hi) & (lo < np.inf) & (hi > -np.inf)
         z, lo, hi = z[keep], lo[keep], hi[keep]
-        got = Box(lo, hi)._project(lp_space(z.size), z)
-        assert got.tobytes() == np.clip(z, lo, hi).tobytes()
+        for r in (2.0, 3.0):
+            got = Box(lo, hi)._project(lp_space(z.size, r=r), z)
+            assert got.tobytes() == np.clip(z, lo, hi).tobytes()
 
     def test_ball_validation(self):
         for center, radius in [(0.0, 0.0), (0.0, np.nan), (np.inf, 1.0),
@@ -479,13 +481,63 @@ class TestExactProjections:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_rejected(self, bad):
-        space = lp_space(4, r=1.5, p=2.0)
-        for pos in (0, 1, 3):
-            x = np.array([0.5, 0.3, 0.1, 2.0])
-            x[pos] = bad
-            for cset in [WholeSpace()] + exact_sets():
-                with pytest.raises(NonFiniteInput):
-                    bregman_project(space, cset, x)
+        # At every position, with the clamp as the projection (r = p) and
+        # not (r != p).
+        for r in (1.5, 3.0):
+            space = lp_space(4, r=r)
+            for pos in range(4):
+                x = np.array([0.5, 0.3, 0.1, 2.0])
+                x[pos] = bad
+                for cset in [WholeSpace()] + exact_sets():
+                    with pytest.raises(NonFiniteInput):
+                        bregman_project(space, cset, x)
+
+    def test_finite_input_whose_square_overflows_projects(self):
+        # <x, x> is inf for entries of 1e200, so the entries are tested
+        # one by one: finite, and x projects.
+        space = lp_space(4)
+        x = np.array([1e200, -1e200, 0.5, -0.0])
+        box, sub = exact_sets()[1:]
+        np.testing.assert_array_equal(bregman_project(space, WholeSpace(), x),
+                                      x)
+        assert bregman_project(space, box, x).tobytes() == \
+            np.clip(x, box.lower, box.upper).tobytes()
+        np.testing.assert_array_equal(bregman_project(space, sub, x),
+                                      [0.0, -1e200, 0.0, -0.0])
+
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
+                             ids=["2x4", "1x4", "4x1", "scalar"])
+    @pytest.mark.parametrize("kind", ["wholespace", "box", "ball",
+                                      "subspace"])
+    def test_only_one_vector_projects(self, kind, shape):
+        # A batch of shape (2, 4) at r = 1.5 ended in numpy's TypeError
+        # for Box, Ball and CoordinateSubspace; WholeSpace, and Box with
+        # p = r, returned a batch.
+        sets = dict(zip(["wholespace", "ball", "box", "subspace"],
+                        [WholeSpace()] + exact_sets()))
+        for r in (1.5, 3.0):
+            with pytest.raises(DimensionMismatch,
+                               match=r"one vector of shape \(4,\)"):
+                bregman_project(lp_space(4, r=r), sets[kind],
+                                np.full(shape, 0.7))
+
+    @pytest.mark.parametrize("r,p", GEOMETRIES)
+    def test_subspace_output_is_float64_with_positive_zeros(self, r, p):
+        # np.zeros(x.shape) gives the bits of np.zeros_like(x): +0.0 off
+        # the support, whatever the sign of the entry there.
+        space = lp_space(4, r=r, p=p)
+        x = np.array([-0.0, -1.5, -2.0, 3.0])
+        for given in (x, [0, -3, -2, 3]):
+            y = bregman_project(space, CoordinateSubspace([1, 3]), given)
+            assert y.dtype == np.float64
+            assert y[[0, 2]].tobytes() == np.zeros(2).tobytes()
+        y = bregman_project(space, CoordinateSubspace([1, 3]), x)
+        expected = np.zeros_like(x)
+        expected[[1, 3]] = x[[1, 3]]
+        if p != r:
+            ratio = float(norm(space, expected)) / float(norm(space, x))
+            expected = ratio ** ((r - p) / (p - 1.0)) * expected
+        assert y.tobytes() == expected.tobytes()
 
 
 def test_import_loads_no_scipy():

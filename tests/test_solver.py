@@ -36,6 +36,25 @@ class TestSolverConfig:
     def test_valid(self):
         cfg = SolverConfig(eta=0.1, eta_hat=0.301)
         assert cfg.max_iterations == 10 ** 6
+        assert SolverConfig(eta=0.1, eta_hat=0.301,
+                            max_iterations=np.int64(5)).max_iterations == 5
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 3.0, math.nan, math.inf,
+                                       True, "10"])
+    def test_max_iterations_is_an_integer_at_least_1(self, value):
+        # nan was accepted, and k >= nan never holds, so the run could
+        # not stop at MaxIterations; 2.5, inf and True were accepted too.
+        with pytest.raises(ValueError, match="max_iterations = "):
+            SolverConfig(eta=0.1, eta_hat=0.301, max_iterations=value)
+
+    @pytest.mark.parametrize("eta,eta_hat,field", [
+        (math.nan, 1.0, "eta"), (math.inf, 1.0, "eta"),
+        (-math.inf, 1.0, "eta"), (0.1, math.nan, "eta_hat"),
+        (0.1, math.inf, "eta_hat")])
+    def test_eta_and_eta_hat_finite(self, eta, eta_hat, field):
+        # eta = nan was refused only as a threshold below 3 * eta.
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            SolverConfig(eta=eta, eta_hat=eta_hat)
 
 
 class TestConvergenceRadius:
