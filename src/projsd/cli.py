@@ -23,8 +23,10 @@ needs, are validation failures.  So is other input that cannot run
 non-finite numbers other than open box bounds, a nonpositive
 ``solver.etaHat``, a nonlinear model without ``cstab``, or without
 ``lhat`` under ``checkTheorems``, ``checkTheorems`` without a reference
-for every run, example-schedule parameters the generator refuses).  All
-of it is found while parsing, before anything runs.
+for every run, example-schedule parameters the generator refuses, an
+output path that is not a file name, a negative ``--seed``).  All of it
+is found while parsing, before anything runs.  A level's index in the
+trace and the summary is its position in ``levels``.
 """
 
 from __future__ import annotations
@@ -293,11 +295,8 @@ def _matrix_from(node, path, errors, base_dir):
 def _parse_space(node, errors):
     before = len(errors)
     node = _read(node, _READS["space"], "the space", "space", errors)
-    dim = node.get("dim")
+    dim = _integer(node.get("dim"), "space.dim", errors, None, 1)
     if dim is None:
-        return None
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        errors.append("space.dim: expected a positive integer")
         return None
     r = _number(node.get("r"), "space.r", errors, default=2.0,
                 minimum=1.0, strict_min=True)
@@ -434,8 +433,8 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
     _check_length(ref, space, f"{path}.reference", errors)
     if eta is None or C is None or L is None or Lhat is None:
         return None
-    return Level(index=idx, eta=eta, C=C, L=L, Lhat=Lhat, cset=cset,
-                 model=model, data=data, reference=ref)
+    return Level(eta=eta, C=C, L=L, Lhat=Lhat, cset=cset, model=model,
+                 data=data, reference=ref)
 
 
 def _check_nesting(levels, errors):
@@ -502,6 +501,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     top = _read(raw, _READS["config"], context, "", errors)
     sol, diag, out = (_read(top.get(key), _READS[key], context, key, errors)
                       for key in ("solver", "diagnostics", "output"))
+    for key, fname in out.items():
+        if not isinstance(fname, str):
+            errors.append(f"output.{key}: expected a file name")
     ds = _read(top.get("dataSpace"), _READS["dataSpace"], "the data space",
                "dataSpace", errors)
     s = _number(ds.get("s"), "dataSpace.s", errors, default=2.0,
@@ -733,27 +735,23 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
     return 0 if ok else 2
 
 
-def _pair_entry(n, lhs, rhs, ok):
-    return {"level": n, "lhs": float(lhs), "rhs": float(rhs),
-            "ok": bool(ok)}
-
-
 def _run_validate(cfg: RunConfig, quiet: bool) -> int:
     schedule = cfg.schedule
     valid, reason, final = True, "valid", None
     try:
-        transitions, final = validate_schedule(cfg.space, schedule)
-        pairs = [_pair_entry(*t) for t in transitions]
+        final = validate_schedule(cfg.space, schedule)[1]
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
         valid, reason = False, str(exc)
-        # Every pair is listed, also the ones after a failing pair.
-        pairs = []
-        for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
-            try:
-                pairs.append(_pair_entry(lv.index, *validate_transition(
-                    cfg.space, lv, nxt, schedule.epsilon)))
-            except EtaTooLarge:
-                pairs.append({"level": lv.index, "ok": False})
+    # Every pair is listed, also the ones after a failing pair.
+    pairs = []
+    for n, (lv, nxt) in enumerate(zip(schedule.levels, schedule.levels[1:])):
+        try:
+            lhs, rhs, ok = validate_transition(cfg.space, lv, nxt,
+                                               schedule.epsilon)
+            pairs.append({"level": n, "lhs": float(lhs), "rhs": float(rhs),
+                          "ok": bool(ok)})
+        except EtaTooLarge:
+            pairs.append({"level": n, "ok": False})
     summary = {
         "mode": "validate",
         "valid": valid,
@@ -841,18 +839,22 @@ def main(argv=None) -> int:
             text = fh.read()
     except OSError as exc:
         return _fail(args.quiet, f"I/O error: {exc}", 4)
+    errors: list[str] = []
+    seed = _integer(args.seed, "--seed", errors, None, 0)
     try:
         cfg = parse_config(text, base_dir=os.path.dirname(
             os.path.abspath(args.config)))
     except SchemaError as exc:
+        errors[:0] = exc.errors
+    if errors:
         return _fail(args.quiet, "\n".join(f"config error: {msg}"
-                                           for msg in exc.errors), 3)
+                                           for msg in errors), 3)
     if args.trace:
         cfg.trace_path = args.trace
     if args.summary:
         cfg.summary_path = args.summary
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if seed is not None:
+        cfg.seed = seed
     return execute(cfg, quiet=args.quiet)
 
 

@@ -5,6 +5,11 @@ inverse (the duality mapping of the dual space), Bregman distances, and
 sampling-based certification of the two norm comparison constants ``Cp``
 and ``Gq``.
 
+A space has one constructor, ``SpaceGeometry`` (also ``lp_space``).  It
+works out the gauge ``p = max(r, 2)`` and, for the unweighted spaces of
+``DEFAULT_CONSTANTS``, the certified ``Cp`` and ``Gq``; any other space
+states both.
+
 All operations are pure and accept batches: arrays of shape ``(..., dim)``
 are mapped elementwise over the leading axes.
 """
@@ -51,17 +56,17 @@ class SpaceGeometry:
         Dimension of the space, an integer >= 1.
     r : float
         Norm exponent, in (1, inf).
-    p : float
-        Gauge exponent of the duality mapping, in (1, inf). The
-        conjugate ``q`` is always derived from ``p``.
+    p : float or None
+        Gauge exponent of the duality mapping, in (1, inf); defaults to
+        ``max(r, 2)``, so that the space is p-convex and its dual
+        q-smooth.  The conjugate ``q`` is always derived from ``p``.
     weights : array or None
         Positive weight per coordinate; defaults to all ones.
-    Cp : float
-        Constant of the lower Bregman-to-norm comparison, positive and
-        finite.
-    Gq : float
-        Constant of the upper (dual) Bregman-to-norm comparison, positive
-        and finite.
+    Cp, Gq : float or None
+        Constants of the lower Bregman-to-norm comparison and of the upper
+        (dual) one, positive and finite.  With unit weights and an
+        ``(r, p)`` of ``DEFAULT_CONSTANTS`` a missing one is its
+        certified value; any other space needs both (ValueError).
 
     Attributes
     ----------
@@ -71,10 +76,10 @@ class SpaceGeometry:
 
     dim: int
     r: float = 2.0
-    p: float = 2.0
+    p: float | None = None
     weights: np.ndarray | None = None
-    Cp: float = 1.0
-    Gq: float = 1.0
+    Cp: float | None = None
+    Gq: float | None = None
     is_hilbert: bool = field(init=False, repr=False)
     _unit_weights: bool = field(init=False, repr=False)
 
@@ -82,12 +87,12 @@ class SpaceGeometry:
         if isinstance(self.dim, bool) or not (
                 isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ValueError("dim must be a positive integer")
-        if not 1.0 < self.r < np.inf:
+        r = float(self.r)
+        if not 1.0 < r < np.inf:
             raise ValueError("norm exponent r must lie in (1, inf)")
-        if not 1.0 < self.p < np.inf:
+        p = max(r, 2.0) if self.p is None else float(self.p)
+        if not 1.0 < p < np.inf:
             raise ValueError("gauge exponent p must lie in (1, inf)")
-        if not (0.0 < self.Cp < np.inf and 0.0 < self.Gq < np.inf):
-            raise ValueError("Cp and Gq must be positive and finite")
         w = self.weights
         w = np.ones(self.dim) if w is None else np.asarray(w, dtype=float)
         if w.shape != (self.dim,):
@@ -97,12 +102,23 @@ class SpaceGeometry:
             raise ValueError("all weights must be positive and finite")
         w = w.copy()
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
         unit = bool(np.all(w == 1.0))
-        object.__setattr__(self, "_unit_weights", unit)
-        object.__setattr__(self, "is_hilbert",
-                           unit and self.r == 2.0 and self.p == 2.0)
-        if self.is_hilbert and (self.Cp != 1.0 or self.Gq != 1.0):
+        cp, gq = self.Cp, self.Gq
+        if cp is None or gq is None:
+            if not unit or (r, p) not in DEFAULT_CONSTANTS:
+                raise ValueError(
+                    "no certified default constants for this configuration; "
+                    "pass Cp and Gq explicitly")
+            cp_d, gq_d = DEFAULT_CONSTANTS[(r, p)]
+            cp, gq = cp_d if cp is None else cp, gq_d if gq is None else gq
+        cp, gq = float(cp), float(gq)
+        if not (0.0 < cp < np.inf and 0.0 < gq < np.inf):
+            raise ValueError("Cp and Gq must be positive and finite")
+        for name, value in (("r", r), ("p", p), ("weights", w), ("Cp", cp),
+                            ("Gq", gq), ("_unit_weights", unit),
+                            ("is_hilbert", unit and r == 2.0 and p == 2.0)):
+            object.__setattr__(self, name, value)
+        if self.is_hilbert and (cp != 1.0 or gq != 1.0):
             raise ValueError(
                 "the Hilbert configuration (r=2, p=2, unit weights) "
                 "forces Cp = Gq = 1")
@@ -137,28 +153,7 @@ class SpaceGeometry:
         return x
 
 
-def lp_space(dim, r=2.0, p=None, weights=None, Cp=None, Gq=None):
-    """Construct a weighted l^r geometry with sane defaults.
-
-    The gauge defaults to ``p = max(r, 2)`` so that the space is p-convex
-    and its dual q-smooth.  For the unweighted exponents shipped in
-    ``DEFAULT_CONSTANTS`` the comparison constants are filled in
-    automatically; any other configuration must supply them explicitly.
-    """
-    if p is None:
-        p = max(float(r), 2.0)
-    unweighted = weights is None
-    if Cp is None or Gq is None:
-        key = (float(r), float(p))
-        if not unweighted or key not in DEFAULT_CONSTANTS:
-            raise ValueError(
-                "no certified default constants for this configuration; "
-                "pass Cp and Gq explicitly")
-        cp_d, gq_d = DEFAULT_CONSTANTS[key]
-        Cp = cp_d if Cp is None else Cp
-        Gq = gq_d if Gq is None else Gq
-    return SpaceGeometry(dim=dim, r=float(r), p=float(p), weights=weights,
-                         Cp=float(Cp), Gq=float(Gq))
+lp_space = SpaceGeometry  # the same constructor, by its shorter name
 
 
 # Each formula below has one private home that takes a checked input and

@@ -117,7 +117,7 @@ class LinearModel(ForwardModel):
         self.in_dim = self.matrix.shape[1]
         self.s = _data_exponent(s)
         self.lip = 0.0
-        self.cstab = cstab
+        self.cstab = _stated("cstab", cstab)
 
     def eval(self, x):
         return np.asarray(x, dtype=float) @ self.matrix.T
@@ -226,8 +226,8 @@ class NoisyData:
 
 
 def data_space(model: ForwardModel, p: float = 2.0) -> SpaceGeometry:
-    """The data space l^s of the model, unweighted, with gauge exponent
-    ``p``.  Its norm does not depend on ``p``; the solver passes the gauge
-    of X so that the duality mapping on the data has the same form."""
-    return SpaceGeometry(dim=model.out_dim, r=model.s, p=p)
+    """The data space l^s of the model, unweighted, with the gauge ``p``
+    of X, so that the duality mapping on the data has the same form.  The
+    run reads its norm and duality map, never its constants, stated as 1."""
+    return SpaceGeometry(dim=model.out_dim, r=model.s, p=p, Cp=1.0, Gq=1.0)
 

@@ -5,7 +5,9 @@ constants grow while the approximation errors shrink, handing the stopped
 iterate of each level to the next as its starting point.  The level
 transitions are validated against the coupling inequality between
 neighboring constants, and the closed-form example schedule generator
-reproduces the exponential constant models.
+reproduces the exponential constant models.  A level's index is its
+position in ``Schedule.levels``, from 0, everywhere: in the transitions,
+the reports and the hook; the last level runs to the target residual.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class Level:
     it enables the starting-radius diagnostics.
     """
 
-    index: int
     eta: float
     C: float
     L: float
@@ -64,10 +65,8 @@ class Level:
             v = getattr(self, name)
             if not (math.isfinite(v) and (v > 0.0 if positive
                                           else v >= 0.0)):
-                raise ValueError(
-                    f"level {self.index}: {name} = {v} must be "
-                    f"{'positive' if positive else 'nonnegative'} and "
-                    "finite")
+                kind = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} = {v} must be {kind} and finite")
 
     def ctilde(self, space: SpaceGeometry) -> float:
         return _ctilde(space, self.L, self.C)
@@ -87,10 +86,10 @@ class Schedule:
     eta_hat: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("tolerance constant epsilon must be positive")
-        if self.eta_hat <= 0:
-            raise ValueError("eta_hat must be positive")
+        for name in ("epsilon", "eta_hat"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} = {v} must be positive and finite")
 
     @property
     def etas(self) -> list[float]:
@@ -99,7 +98,8 @@ class Schedule:
 
 @dataclass
 class MultiLevelReport:
-    """Outcome of a multi-level run."""
+    """Outcome of a multi-level run: ``per_level`` holds
+    ``(index, K, final residual, report)`` for each level run, in order."""
 
     per_level: list[tuple[int, int, float, RunReport]]
     x_final: np.ndarray | None
@@ -162,9 +162,9 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
     the schedule does not end exactly at the selected final level.
     """
     transitions = []
-    for lv, nxt in zip(schedule.levels, schedule.levels[1:]):
+    for n, (lv, nxt) in enumerate(zip(schedule.levels, schedule.levels[1:])):
         lhs, rhs, ok = validate_transition(space, lv, nxt, schedule.epsilon)
-        transitions.append((lv.index, lhs, rhs, ok))
+        transitions.append((n, lhs, rhs, ok))
     final = select_final_level(schedule.etas, schedule.epsilon,
                                schedule.eta_hat)
     bad = [n for n, _, _, ok in transitions if not ok]
@@ -188,26 +188,25 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     feasible; the level's run projects its start like every iterate and
     records its start-radius check in its report.
 
-    ``on_iteration(level_index, state)`` receives every executed step of
-    every level as it completes (see ``run_algorithm1``); with a hook the
-    level reports keep no history and their ``iterations`` stay empty.
+    ``on_iteration(n, state)`` receives every executed step of level n
+    as it completes (see ``run_algorithm1``); with a hook the level
+    reports keep no history and their ``iterations`` stay empty.
     """
     validate_schedule(space, schedule)
-    for lv in schedule.levels:
+    for n, lv in enumerate(schedule.levels):
         if lv.cset is None or lv.model is None or lv.data is None:
             raise TransitionInvalid(
-                f"level {lv.index} has no concrete set/model/data to run")
+                f"level {n} has no concrete set/model/data to run")
 
     x = x00
     per_level: list[tuple[int, int, float, RunReport]] = []
     stop_reason = "DiscrepancyMet"
-    last_index = schedule.levels[-1].index
-    for lv in schedule.levels:
+    for n, lv in enumerate(schedule.levels):
         model = lv.model.with_constants(lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
         # Final level: the selection rule guarantees (3+eps)*eta_N <=
         # eta_hat, so stopping at the target residual is at least as
         # strict a result and stays well defined when eta_N == 0.
-        threshold = schedule.eta_hat if lv.index == last_index \
+        threshold = schedule.eta_hat if n == len(schedule.levels) - 1 \
             else _level_threshold(schedule.epsilon, lv.eta)
         config = SolverConfig(eta=lv.eta, eta_hat=threshold,
                               max_iterations=max_iterations_per_level,
@@ -215,8 +214,8 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         report = run_algorithm1(
             space, lv.cset, model, lv.data, x, config,
             on_iteration=None if on_iteration is None
-            else partial(on_iteration, lv.index))
-        per_level.append((lv.index, report.stopped_at_k,
+            else partial(on_iteration, n))
+        per_level.append((n, report.stopped_at_k,
                           report.final_residual, report))
         x = report.x_final
         if report.stop_reason != "DiscrepancyMet":
@@ -256,8 +255,8 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     NoSuchLevel
         If ``max_levels`` levels do not reach the target residual.
     """
-    if eta_hat <= 0:
-        raise ValueError("eta_hat must be positive")
+    if not (math.isfinite(eta_hat) and eta_hat > 0.0):
+        raise ValueError(f"eta_hat = {eta_hat} must be positive and finite")
     if lam < 100.0 * eta_hat:
         raise LambdaTooSmall(
             f"lam = {lam} < 100 * eta_hat = {100 * eta_hat}")
@@ -271,10 +270,7 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     etas = [lam * math.exp(-a) / (a + 2.0) for a in range(max_levels)]
     final = select_final_level(etas, epsilon, eta_hat)
     levels = [
-        Level(index=a,
-              eta=etas[a],
-              C=2.0 * math.exp(a),
-              L=tau * math.exp(-a),
+        Level(eta=etas[a], C=2.0 * math.exp(a), L=tau * math.exp(-a),
               Lhat=(a + 1.0) * math.exp(-a))
         for a in range(final + 1)
     ]

@@ -156,11 +156,17 @@ class Ball(ConvexSet):
                 f"needs ({space.dim},)")
 
     def _shrink(self, space, z):
-        """Radial shrink of z onto the ball, toward the center."""
-        dist = float(norm(space, z - self.center))
+        """Radial shrink of z onto the ball, toward the center; a z - c
+        whose norm overflows is first scaled to ``max |z_i - c_i| = 1``."""
+        d = z - self.center
+        with np.errstate(over="ignore"):
+            dist = float(norm(space, d))
         if dist <= self.radius:
             return z
-        return self.center + (self.radius / dist) * (z - self.center)
+        if dist == np.inf:
+            d = d / np.max(np.abs(d))
+            dist = float(norm(space, d))
+        return self.center + (self.radius / dist) * d
 
     def _project(self, space, x):
         x = x.copy()  # each path returns a point inside the ball as z itself

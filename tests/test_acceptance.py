@@ -212,8 +212,7 @@ def test_criterion_6_example_schedule_reproduction():
                              eta_hat=eta_hat)
     assert sched.levels[0].eta == lam / 2.0  # exact, no tolerance
     cfac = (space.Cp / space.p)
-    for lv in sched.levels:
-        n = lv.index
+    for n, lv in enumerate(sched.levels):
         expected_ct = 2.0 * tau * cfac ** (-2.0 / space.p) * math.exp(n)
         assert lv.ctilde(space) == pytest.approx(expected_ct, rel=1e-12)
         rho = lv.rho(space)
@@ -241,11 +240,11 @@ def test_criterion_7_end_to_end_multilevel():
     ydelta = sigma.copy()
     eta_hat = 5e-3
     levels = []
-    for n, m in enumerate([2, 4, 6, 8]):
+    for m in [2, 4, 6, 8]:
         sup = list(range(m))
         zdag, eta = model.best_subspace_solution(ydelta, sup)
         levels.append(Level(
-            index=n, eta=eta, C=model.subspace_stability_constant(sup),
+            eta=eta, C=model.subspace_stability_constant(sup),
             L=0.0, Lhat=1.0, cset=CoordinateSubspace(sup), model=model,
             data=NoisyData(ydelta, eta), reference=zdag))
     sched = Schedule(levels=levels, epsilon=1.0, eta_hat=eta_hat)
@@ -333,7 +332,7 @@ def nonlinear_schedule(eps):
         ref = np.where(inside, truth, 0.0)
         eta = float(np.linalg.norm(model.eval(ref) - ydelta))
         levels.append(Level(
-            index=m - 1, eta=eta,
+            eta=eta,
             C=float(1.0 / np.min(sigma[:m] - 2.0 * eps)), L=2.0 * eps,
             Lhat=float(np.max(sigma + 2.0 * eps)),
             cset=Box(np.where(inside, -1.0, 0.0), np.where(inside, 1.0, 0.0)),

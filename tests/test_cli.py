@@ -457,6 +457,62 @@ class TestValidateAndExampleSchedule:
         assert main(["run", path, "--quiet"]) == 3
 
 
+def mode_doc(tmp_path, mode):
+    """A runnable config document of `mode`, with every output key the
+    mode reads."""
+    if mode in ("single", "multilevel"):
+        path = single_config(tmp_path) if mode == "single" \
+            else TestExecuteMultilevel().make_config(tmp_path)
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    with open(TestValidateAndExampleSchedule().schedule_config(tmp_path)) \
+            as fh:
+        doc = yaml.safe_load(fh)
+    if mode == "example-schedule":
+        return doc
+    doc["mode"] = "validate"
+    del doc["output"]["schedulePath"]
+    if mode == "validate":
+        del doc["schedule"]
+        doc.update(epsilon=1.0, solver={"etaHat": 0.05}, levels=[
+            {"eta": 0.1, "C": 1.0, "L": 0.0, "Lhat": 1.0},
+            {"eta": 0.01, "C": 2.0, "L": 0.0, "Lhat": 1.0}])
+    return doc
+
+
+@pytest.mark.parametrize("mode, key", [
+    ("single", "tracePath"), ("single", "summaryPath"),
+    ("multilevel", "tracePath"), ("multilevel", "summaryPath"),
+    ("validate", "summaryPath"), ("validate with a schedule", "summaryPath"),
+    ("example-schedule", "schedulePath"),
+    ("example-schedule", "summaryPath")])
+@pytest.mark.parametrize("value", [5, True, ["x"], {"a": "b"}],
+                         ids=["int", "bool", "list", "mapping"])
+def test_output_path_must_be_a_file_name(tmp_path, capsys, mode, key, value):
+    # tracePath: 5 ended in a TypeError traceback, and summaryPath: [x]
+    # in one at the write, after the whole solve.
+    doc = mode_doc(tmp_path, mode)
+    doc["output"][key] = value
+    path = write(tmp_path, "out.cfg", yaml.safe_dump(doc))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == \
+        f"config error: output.{key}: expected a file name\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_negative_seed_flag_exits_three(tmp_path, capsys):
+    # solver.seed: -1 exited 3, while --seed -5 ran and wrote seed: -5.
+    path = single_config(tmp_path)
+    assert main(["run", path, "--seed", "-5"]) == 3
+    assert capsys.readouterr().err == \
+        "config error: --seed: expected a nonnegative integer\n"
+    assert not (tmp_path / "summary.yaml").exists()
+    assert main(["run", path, "--seed", "5", "--quiet"]) == 0
+    summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+    assert summary["seed"] == 5
+
+
 class TestParseTimeInputContract:
     """Bad input is rejected while parsing, with exit code 3 and the path
     of the offending field, before any solver work."""

@@ -42,6 +42,31 @@ class TestConstruction:
         space = lp_space(3, r=2.5, Cp=0.1, Gq=5.0)
         assert space.Cp == 0.1
 
+    @pytest.mark.parametrize("r,p", GEOMETRIES)
+    def test_one_constructor_with_certified_defaults(self, r, p):
+        # SpaceGeometry(4, r=1.5) used to state p = 2 and Cp = Gq = 1,
+        # which certify_constants refutes.
+        assert lp_space is SpaceGeometry
+        space = SpaceGeometry(6, r)
+        assert (space.p, space.Cp, space.Gq) == (p, *DEFAULT_CONSTANTS[(r, p)])
+        assert all(type(v) is float
+                   for v in (space.r, space.p, space.Cp, space.Gq))
+        cp_bound, gq_bound = certify_constants(space, n_samples=20_000,
+                                               seed=0)
+        assert space.Cp <= cp_bound + 1e-6
+        assert space.Gq >= gq_bound - 1e-6
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r": 2.5}, {"r": 3.0, "p": 2.0}, {"r": 2.0, "p": 3.0},
+        {"weights": [1.0, 2.0, 3.0]},
+        {"weights": [1.0, 2.0, 3.0], "Cp": 1.0},
+        {"r": 1.5, "weights": [0.5, 1.0, 1.0], "Gq": 2.2}])
+    def test_uncertified_space_needs_both_constants(self, kwargs):
+        with pytest.raises(ValueError, match="pass Cp and Gq explicitly"):
+            SpaceGeometry(3, **kwargs)
+        space = SpaceGeometry(3, **dict(kwargs, Cp=0.1, Gq=5.0))
+        assert (space.Cp, space.Gq) == (0.1, 5.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             SpaceGeometry(dim=0)

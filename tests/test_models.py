@@ -28,6 +28,17 @@ class TestLinearModel:
         xs = np.arange(6.0).reshape(3, 2)
         np.testing.assert_allclose(model.eval(xs), xs)
 
+    @pytest.mark.parametrize("make", [
+        lambda cstab: LinearModel(np.eye(2), cstab=cstab),
+        lambda cstab: DiagonalLinearModel([1.0, 2.0], cstab=cstab)],
+        ids=["linear", "diagonal"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan, "x"])
+    def test_linear_cstab_positive_and_finite(self, make, value):
+        # Both linear models stored any cstab, -1.0 and 'x' included.
+        with pytest.raises(ValueError):
+            make(value)
+        assert make(2).cstab == 2.0 and make(None).cstab is None
+
 
 class TestDiagonalLinearModel:
     def test_best_subspace_solution(self):

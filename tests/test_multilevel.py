@@ -23,18 +23,18 @@ def hilbert_tau_bound(lam):
 class TestLevel:
     def test_ctilde(self):
         space = lp_space(2)
-        lv = Level(index=0, eta=0.0, C=2.0, L=0.5, Lhat=1.0)
+        lv = Level(eta=0.0, C=2.0, L=0.5, Lhat=1.0)
         # 0.5 * (1/2)**(-1) * 0.5 * 4 = 2
         assert lv.ctilde(space) == pytest.approx(2.0)
 
     def test_rho_infinite_for_linear(self):
         space = lp_space(2)
-        lv = Level(index=0, eta=0.1, C=2.0, L=0.0, Lhat=1.0)
+        lv = Level(eta=0.1, C=2.0, L=0.0, Lhat=1.0)
         assert lv.rho(space) == math.inf
 
     def test_rho_matches_single_level_at_zero_eta(self):
         space = lp_space(2)
-        lv = Level(index=0, eta=0.0, C=1.0, L=1.0, Lhat=1.0)
+        lv = Level(eta=0.0, C=1.0, L=1.0, Lhat=1.0)
         # Hilbert unit case: radius 1/2.
         assert lv.rho(space) == pytest.approx(0.5, rel=1e-12)
 
@@ -47,7 +47,19 @@ class TestLevel:
         constants = dict(eta=0.01, C=1.0, L=0.5, Lhat=1.0)
         constants[name] = value
         with pytest.raises(ValueError, match=f"{name} = "):
-            Level(index=1, **constants)
+            Level(**constants)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name", ["epsilon", "eta_hat"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_constants_checked(self, name, value):
+        # NaN and inf passed (nan <= 0 is false) and surfaced later as a
+        # misleading NoSuchLevel.
+        constants = dict(epsilon=1.0, eta_hat=0.1)
+        constants[name] = value
+        with pytest.raises(ValueError, match=f"{name} = "):
+            Schedule(levels=[], **constants)
 
 
 class TestSelectFinalLevel:
@@ -70,8 +82,8 @@ class TestSelectFinalLevel:
 class TestTransitions:
     def test_linear_next_level_always_passes(self):
         space = lp_space(2)
-        a = Level(index=0, eta=0.1, C=1.0, L=0.0, Lhat=1.0)
-        b = Level(index=1, eta=0.01, C=2.0, L=0.0, Lhat=1.0)
+        a = Level(eta=0.1, C=1.0, L=0.0, Lhat=1.0)
+        b = Level(eta=0.01, C=2.0, L=0.0, Lhat=1.0)
         lhs, rhs, ok = validate_transition(space, a, b, 1.0)
         assert ok and math.isinf(rhs)
         assert lhs == pytest.approx(0.4)
@@ -79,23 +91,23 @@ class TestTransitions:
     def test_failing_transition(self):
         space = lp_space(2)
         # Huge eta on the coarse level cannot be absorbed downstream.
-        a = Level(index=0, eta=10.0, C=1.0, L=0.5, Lhat=1.0)
-        b = Level(index=1, eta=0.01, C=1.0, L=0.5, Lhat=1.0)
+        a = Level(eta=10.0, C=1.0, L=0.5, Lhat=1.0)
+        b = Level(eta=0.01, C=1.0, L=0.5, Lhat=1.0)
         _, _, ok = validate_transition(space, a, b, 1.0)
         assert not ok
 
     def test_validate_schedule_rejects_bad_pair(self):
         space = lp_space(2)
-        levels = [Level(index=0, eta=10.0, C=1.0, L=0.5, Lhat=1.0),
-                  Level(index=1, eta=0.01, C=1.0, L=0.5, Lhat=1.0)]
+        levels = [Level(eta=10.0, C=1.0, L=0.5, Lhat=1.0),
+                  Level(eta=0.01, C=1.0, L=0.5, Lhat=1.0)]
         sched = Schedule(levels=levels, epsilon=1.0, eta_hat=0.1)
         with pytest.raises(TransitionInvalid):
             validate_schedule(space, sched)
 
     def test_validate_schedule_rejects_overlong_schedule(self):
         space = lp_space(2)
-        levels = [Level(index=0, eta=0.01, C=1.0, L=0.0, Lhat=1.0),
-                  Level(index=1, eta=0.001, C=2.0, L=0.0, Lhat=1.0)]
+        levels = [Level(eta=0.01, C=1.0, L=0.0, Lhat=1.0),
+                  Level(eta=0.001, C=2.0, L=0.0, Lhat=1.0)]
         # eta_hat already met at level 0, so a 2-level schedule is bogus.
         sched = Schedule(levels=levels, epsilon=1.0, eta_hat=0.5)
         with pytest.raises(TransitionInvalid):
@@ -113,6 +125,11 @@ class TestExampleSchedule:
                              eta_hat=1e-3)
         with pytest.raises(TauOutOfRange):
             example_schedule(lam=0.1, tau=0.0, space=space, eta_hat=1e-3)
+        for bad in (0.0, math.nan, math.inf):
+            # A NaN eta_hat passed and ended in NoSuchLevel.
+            with pytest.raises(ValueError, match="eta_hat = "):
+                example_schedule(lam=0.1, tau=1e-4, space=space,
+                                 eta_hat=bad)
 
     def test_constant_models(self):
         space = lp_space(2)
@@ -122,8 +139,7 @@ class TestExampleSchedule:
                                  eta_hat=1e-3)
         assert sched.epsilon == 1.0
         assert sched.levels[0].eta == pytest.approx(lam / 2.0)
-        for lv in sched.levels:
-            a = lv.index
+        for a, lv in enumerate(sched.levels):
             assert lv.C == pytest.approx(2.0 * math.exp(a))
             assert lv.L == pytest.approx(tau * math.exp(-a))
             assert lv.Lhat == pytest.approx((a + 1.0) * math.exp(-a))
@@ -145,11 +161,11 @@ def diagonal_schedule(eta_hat=5e-3):
     model = DiagonalLinearModel(sigma)
     ydelta = sigma.copy()
     levels = []
-    for n, m in enumerate([2, 4, 6, 8]):
+    for m in [2, 4, 6, 8]:
         sup = list(range(m))
         zdag, eta = model.best_subspace_solution(ydelta, sup)
         levels.append(Level(
-            index=n, eta=eta, C=model.subspace_stability_constant(sup),
+            eta=eta, C=model.subspace_stability_constant(sup),
             L=0.0, Lhat=1.0, cset=CoordinateSubspace(sup), model=model,
             data=NoisyData(ydelta, eta), reference=zdag))
     return space, Schedule(levels=levels, epsilon=1.0, eta_hat=eta_hat)
@@ -191,6 +207,36 @@ class TestRunMultiLevel:
             == [k for _, k, _, _ in history.per_level]
         assert streamed.x_final.tobytes() == history.x_final.tobytes()
 
+    def test_index_is_position_and_only_the_last_level_runs_to_eta_hat(
+            self, monkeypatch):
+        # Equal constants on every level: nothing but the position tells
+        # the levels apart.
+        import projsd.multilevel
+        space, sched = diagonal_schedule()
+        c = max(lv.C for lv in sched.levels)
+        for lv in sched.levels:
+            lv.C = c
+        thresholds = []
+        run = projsd.multilevel.run_algorithm1
+
+        def recording(space, cset, model, data, x, config, **kwargs):
+            thresholds.append(config.eta_hat)
+            return run(space, cset, model, data, x, config, **kwargs)
+
+        monkeypatch.setattr(projsd.multilevel, "run_algorithm1", recording)
+        seen = set()
+        report = run_multi_level(space, sched, np.zeros(space.dim),
+                                 on_iteration=lambda n, st: seen.add(n))
+        n_levels = len(sched.levels)
+        assert report.stop_reason == "DiscrepancyMet"
+        assert thresholds == [(3.0 + sched.epsilon) * lv.eta
+                              for lv in sched.levels[:-1]] + [sched.eta_hat]
+        assert [n for n, *_ in report.per_level] == list(range(n_levels))
+        assert seen == set(range(n_levels))
+        transitions, final = validate_schedule(space, sched)
+        assert [n for n, *_ in transitions] == list(range(n_levels - 1))
+        assert final == n_levels - 1
+
     def test_handoff_stays_feasible(self):
         space, sched = diagonal_schedule()
         report = run_multi_level(space, sched, np.zeros(space.dim))
@@ -199,18 +245,18 @@ class TestRunMultiLevel:
 
     def test_constants_only_levels_cannot_run(self):
         space = lp_space(2)
-        levels = [Level(index=0, eta=0.1, C=1.0, L=0.0, Lhat=1.0),
-                  Level(index=1, eta=0.01, C=2.0, L=0.0, Lhat=1.0)]
+        levels = [Level(eta=0.1, C=1.0, L=0.0, Lhat=1.0),
+                  Level(eta=0.01, C=2.0, L=0.0, Lhat=1.0)]
         sched = Schedule(levels=levels, epsilon=1.0, eta_hat=0.05)
         with pytest.raises(TransitionInvalid):
             run_multi_level(space, sched, np.zeros(2))
 
 
-def random_level(rng, space, index=1):
+def random_level(rng, space):
     """A level with random constants and 8 * ctilde * eta in (0, 0.9)."""
     C, L, Lhat = rng.uniform(0.2, 4.0, 3)
-    ct = Level(index=index, eta=0.0, C=C, L=L, Lhat=Lhat).ctilde(space)
-    return Level(index=index, eta=rng.uniform(0.0, 0.9) / (8.0 * ct),
+    ct = Level(eta=0.0, C=C, L=L, Lhat=Lhat).ctilde(space)
+    return Level(eta=rng.uniform(0.0, 0.9) / (8.0 * ct),
                  C=C, L=L, Lhat=Lhat)
 
 
@@ -238,7 +284,7 @@ class TestOneHomeFormulas:
     def test_level_rho_infinite_when_linear(self):
         rng = np.random.default_rng(32)
         space = random_space(rng)
-        lv = Level(index=0, eta=10.0, C=3.0, L=0.0, Lhat=2.0)
+        lv = Level(eta=10.0, C=3.0, L=0.0, Lhat=2.0)
         assert lv.rho(space) == math.inf
 
     def test_transition_rhs_is_radius_budget(self):
@@ -246,7 +292,7 @@ class TestOneHomeFormulas:
         for _ in range(200):
             space = random_space(rng)
             nxt = random_level(rng, space)
-            first = Level(index=0, eta=10 * nxt.eta, C=1.0, L=0.0, Lhat=1.0)
+            first = Level(eta=10 * nxt.eta, C=1.0, L=0.0, Lhat=1.0)
             _, rhs, _ = validate_transition(space, first, nxt, 1.0)
             rho = nxt.rho(space)
             expected = rho ** (1.0 / space.p) / nxt.C - nxt.eta
@@ -254,9 +300,9 @@ class TestOneHomeFormulas:
 
     def test_eta_too_large_through_every_caller(self):
         space = lp_space(2)
-        bad = Level(index=1, eta=0.2, C=1.0, L=1.0, Lhat=1.0)
+        bad = Level(eta=0.2, C=1.0, L=1.0, Lhat=1.0)
         assert 8.0 * bad.ctilde(space) * bad.eta >= 1.0
-        good = Level(index=0, eta=0.01, C=1.0, L=0.0, Lhat=1.0)
+        good = Level(eta=0.01, C=1.0, L=0.0, Lhat=1.0)
         with pytest.raises(EtaTooLarge):
             convergence_radius(space, bad.Lhat, bad.ctilde(space), bad.eta)
         with pytest.raises(EtaTooLarge):

@@ -505,6 +505,23 @@ class TestExactProjections:
         np.testing.assert_array_equal(bregman_project(space, sub, x),
                                       [0.0, -1e200, 0.0, -0.0])
 
+    @pytest.mark.parametrize("r, size, center", [
+        (3.0, 1e150, [0.0, 0.0]), (2.0, 1e200, [0.0, 0.0]),
+        (1.5, 1e300, [0.0, 0.0]), (2.0, 1e200, [0.5, -0.25])])
+    def test_ball_point_whose_norm_overflows_projects_to_the_sphere(
+            self, r, size, center):
+        # ||x - c|| overflowed to inf, so x projected onto the centre.
+        space = lp_space(2, r=r)
+        ball = Ball(center, 0.7)
+        x = np.array([size, -0.5 * size])
+        y = bregman_project(space, ball, x)
+        assert float(norm(space, y - ball.center)) == pytest.approx(
+            0.7, rel=1e-12)
+        d = x - ball.center
+        direction = ball.center + d / np.max(np.abs(d))
+        assert y.tobytes() == bregman_project(space, ball,
+                                              direction).tobytes()
+
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
                              ids=["2x4", "1x4", "4x1", "scalar"])
     @pytest.mark.parametrize("kind", ["wholespace", "box", "ball",
