@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all solver components and the CLI."""
+"""Exception hierarchy shared by all solver components and the CLI, and
+the input rules of README ("Input rules"): each raises ValueError (a
+vector DimensionMismatch) that names the value it refuses."""
+
+import numpy as np
 
 __all__ = [
     "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
@@ -95,3 +99,56 @@ class SchemaError(ProjSDError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+# The native float64 dtype; an identity test costs less than ``==``.
+_FLOAT64 = np.dtype(float)
+# The Python and numpy types of a stated real.
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _number(value, kind):
+    """value, taken out of a 0-d array, if it is of a type of ``kind``;
+    None for anything else, bool included."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return None
+    return value
+
+
+def real(name, value, positive=True, error=ValueError):
+    """A stated real as a float, finite and positive, or nonnegative."""
+    v = _number(value, _REAL)
+    if v is not None and (0.0 < v if positive else 0.0 <= v) and v < np.inf:
+        return float(v)
+    raise error(f"{name} = {value!r} must be "
+                f"{'positive' if positive else 'nonnegative'} and finite")
+
+
+def integer(name, value):
+    """A stated integer as an int >= 1."""
+    v = _number(value, (int, np.integer))
+    if v is not None and v >= 1:
+        return int(v)
+    raise ValueError(f"{name} = {value!r} must be an integer >= 1")
+
+
+def exponent(name, value):
+    """A stated exponent as a float in (1, inf)."""
+    v = _number(value, _REAL)
+    if v is not None and 1.0 < v < np.inf:
+        return float(v)
+    raise ValueError(f"{name} = {value!r} must lie in (1, inf)")
+
+
+def vector(value, shape, what):
+    """``value`` as a float array of exactly ``shape``, one vector's.  A
+    float64 ndarray is its own ``np.asarray``, so it skips the call."""
+    if not (type(value) is np.ndarray and value.dtype is _FLOAT64):
+        value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise DimensionMismatch(
+            f"{what} has shape {value.shape}, expected {shape}: one vector "
+            f"of shape {shape}")
+    return value

@@ -11,7 +11,8 @@ works out the gauge ``p = max(r, 2)`` and, for the unweighted spaces of
 states both.
 
 All operations are pure and accept batches: arrays of shape ``(..., dim)``
-are mapped elementwise over the leading axes.
+are mapped elementwise over the leading axes.  The numbers a space is
+built from follow the input rules of README ("Input rules").
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, exponent, integer, real
 
 __all__ = [
     "SpaceGeometry",
@@ -53,25 +54,20 @@ class SpaceGeometry:
     Parameters
     ----------
     dim : int
-        Dimension of the space, an integer >= 1.
+        Dimension of the space.
     r : float
-        Norm exponent, in (1, inf).
+        Norm exponent.
     p : float or None
-        Gauge exponent of the duality mapping, in (1, inf); defaults to
-        ``max(r, 2)``, so that the space is p-convex and its dual
-        q-smooth.  The conjugate ``q`` is always derived from ``p``.
+        Gauge exponent of the duality mapping; defaults to ``max(r, 2)``,
+        so that the space is p-convex and its dual q-smooth.  The
+        conjugate ``q`` is always derived from ``p``.
     weights : array or None
         Positive weight per coordinate; defaults to all ones.
     Cp, Gq : float or None
         Constants of the lower Bregman-to-norm comparison and of the upper
-        (dual) one, positive and finite.  With unit weights and an
+        (dual) one.  With unit weights and an
         ``(r, p)`` of ``DEFAULT_CONSTANTS`` a missing one is its
         certified value; any other space needs both (ValueError).
-
-    Attributes
-    ----------
-    is_hilbert : bool
-        ``r = p = 2`` with unit weights; set at construction.
     """
 
     dim: int
@@ -80,24 +76,17 @@ class SpaceGeometry:
     weights: np.ndarray | None = None
     Cp: float | None = None
     Gq: float | None = None
-    is_hilbert: bool = field(init=False, repr=False)
     _unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not (
-                isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise ValueError("dim must be a positive integer")
-        r = float(self.r)
-        if not 1.0 < r < np.inf:
-            raise ValueError("norm exponent r must lie in (1, inf)")
-        p = max(r, 2.0) if self.p is None else float(self.p)
-        if not 1.0 < p < np.inf:
-            raise ValueError("gauge exponent p must lie in (1, inf)")
+        dim = integer("dim", self.dim)
+        r = exponent("r", self.r)
+        p = max(r, 2.0) if self.p is None else exponent("p", self.p)
         w = self.weights
-        w = np.ones(self.dim) if w is None else np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
+        w = np.ones(dim) if w is None else np.asarray(w, dtype=float)
+        if w.shape != (dim,):
             raise DimensionMismatch(
-                f"weights have shape {w.shape}, expected ({self.dim},)")
+                f"weights have shape {w.shape}, expected ({dim},)")
         if not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("all weights must be positive and finite")
         w = w.copy()
@@ -111,17 +100,14 @@ class SpaceGeometry:
                     "pass Cp and Gq explicitly")
             cp_d, gq_d = DEFAULT_CONSTANTS[(r, p)]
             cp, gq = cp_d if cp is None else cp, gq_d if gq is None else gq
-        cp, gq = float(cp), float(gq)
-        if not (0.0 < cp < np.inf and 0.0 < gq < np.inf):
-            raise ValueError("Cp and Gq must be positive and finite")
-        for name, value in (("r", r), ("p", p), ("weights", w), ("Cp", cp),
-                            ("Gq", gq), ("_unit_weights", unit),
-                            ("is_hilbert", unit and r == 2.0 and p == 2.0)):
-            object.__setattr__(self, name, value)
-        if self.is_hilbert and (cp != 1.0 or gq != 1.0):
+        cp, gq = real("Cp", cp), real("Gq", gq)
+        if unit and r == p == 2.0 and (cp != 1.0 or gq != 1.0):
             raise ValueError(
                 "the Hilbert configuration (r=2, p=2, unit weights) "
                 "forces Cp = Gq = 1")
+        for name, value in (("dim", dim), ("r", r), ("p", p), ("weights", w),
+                            ("Cp", cp), ("Gq", gq), ("_unit_weights", unit)):
+            object.__setattr__(self, name, value)
 
     @property
     def q(self) -> float:

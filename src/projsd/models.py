@@ -4,7 +4,8 @@ Ships a linear model, a diagonal linear model with closed-form best
 approximations and stability constant, and a componentwise-quadratic
 model.  The iteration calls only the evaluation ``F(x)`` and the adjoint
 action ``DF(x)* y*``.  The analysis constants are stated by the caller;
-nothing here estimates them.
+nothing here estimates them.  Every stated number follows the input
+rules of README ("Input rules").
 
 Evaluation is batch friendly: all maps act on the last axis of their
 input arrays.
@@ -12,10 +13,9 @@ input arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .errors import exponent, real
 from .geometry import SpaceGeometry
 
 __all__ = [
@@ -28,30 +28,6 @@ __all__ = [
 ]
 
 
-def _stated(name, value, positive=True):
-    """A stated constant as a float, or None when not stated.  Raises
-    ValueError unless it is finite and positive (nonnegative with
-    ``positive=False``): lhat divides the radius, and cstab = 0 would
-    give a nonlinear model c-tilde = 0."""
-    if value is None:
-        return None
-    v = float(value)
-    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
-        raise ValueError(f"{name} = {value} must be "
-                         f"{'positive' if positive else 'nonnegative'} "
-                         "and finite")
-    return v
-
-
-def _data_exponent(s):
-    """The data exponent s as a float.  Raises ValueError unless it lies
-    in (1, inf), the range of a norm exponent of the data space."""
-    v = float(s)
-    if not 1.0 < v < math.inf:
-        raise ValueError(f"data exponent s = {s} must lie in (1, inf)")
-    return v
-
-
 class ForwardModel:
     """Interface of the forward operator F.
 
@@ -62,8 +38,7 @@ class ForwardModel:
     - ``lhat``: bound on the operator norm of DF over the domain ball,
     - ``lip``: Lipschitz constant of ``x -> DF(x)``,
     - ``cstab``: conditional stability constant on the working set,
-    - ``s``: the data-space norm exponent (data live in l^s), in
-      (1, inf); the shipped models raise ValueError for any other.
+    - ``s``: the data-space norm exponent (data live in l^s).
 
     ``cstab`` and ``lhat`` are stated by the caller, never derived; None
     means not stated.  A linear model (``lip == 0``) needs neither.  A
@@ -93,18 +68,16 @@ class ForwardModel:
         """Shallow copy with overridden analysis constants.
 
         Used by the multi-level driver, where each level carries its own
-        certified constants for the restricted operator.  Raises
-        ValueError if a given ``lip`` is negative or not finite, or a
-        given ``lhat`` or ``cstab`` is not positive and finite.
+        certified constants for the restricted operator.
         """
         import copy
         m = copy.copy(self)
         if lip is not None:
-            m.lip = _stated("lip", lip, positive=False)
+            m.lip = real("lip", lip, positive=False)
         if lhat is not None:
-            m.lhat = _stated("lhat", lhat)
+            m.lhat = real("lhat", lhat)
         if cstab is not None:
-            m.cstab = _stated("cstab", cstab)
+            m.cstab = real("cstab", cstab)
         return m
 
 
@@ -115,9 +88,9 @@ class LinearModel(ForwardModel):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
-        self.s = _data_exponent(s)
+        self.s = exponent("data exponent s", s)
         self.lip = 0.0
-        self.cstab = _stated("cstab", cstab)
+        self.cstab = None if cstab is None else real("cstab", cstab)
 
     def eval(self, x):
         return np.asarray(x, dtype=float) @ self.matrix.T
@@ -184,9 +157,7 @@ class QuadraticModel(ForwardModel):
     The minimal model with a nonzero derivative Lipschitz constant:
     lip = 2 eps in the Hilbert configuration.  The derivative bound
     ``lhat`` >= ||A + 2 eps diag(x)|| over the domain depends on that
-    domain, so the caller states it (None: not stated).  ``eps`` must be
-    nonnegative and finite, a stated ``lhat`` or ``cstab`` positive and
-    finite (ValueError).
+    domain, so the caller states it (None: not stated).
     """
 
     def __init__(self, matrix, eps, s=2.0, cstab=None, lhat=None):
@@ -195,11 +166,11 @@ class QuadraticModel(ForwardModel):
             raise ValueError("quadratic model needs a square matrix")
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
-        self.eps = _stated("eps", eps, positive=False)
-        self.s = _data_exponent(s)
+        self.eps = real("eps", eps, positive=False)
+        self.s = exponent("data exponent s", s)
         self.lip = 2.0 * self.eps
-        self.cstab = _stated("cstab", cstab)
-        self.lhat = _stated("lhat", lhat)
+        self.cstab = None if cstab is None else real("cstab", cstab)
+        self.lhat = None if lhat is None else real("lhat", lhat)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
@@ -212,14 +183,11 @@ class QuadraticModel(ForwardModel):
 
 
 class NoisyData:
-    """Observed data together with its approximation-error level ``eta``,
-    nonnegative and finite (ValueError)."""
+    """Observed data together with its approximation-error level ``eta``."""
 
     def __init__(self, ydelta, eta):
-        if not (math.isfinite(eta) and eta >= 0.0):
-            raise ValueError(f"eta = {eta} must be nonnegative and finite")
         self.ydelta = np.asarray(ydelta, dtype=float)
-        self.eta = float(eta)
+        self.eta = real("eta", eta, positive=False)
 
     def __repr__(self):
         return f"NoisyData(eta={self.eta})"

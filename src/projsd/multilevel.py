@@ -8,6 +8,8 @@ neighboring constants, and the closed-form example schedule generator
 reproduces the exponential constant models.  A level's index is its
 position in ``Schedule.levels``, from 0, everywhere: in the transitions,
 the reports and the hook; the last level runs to the target residual.
+The constants of a level, a schedule and the example schedule follow the
+input rules of README ("Input rules").
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (LambdaTooSmall, NoSuchLevel, TauOutOfRange,
-                     TransitionInvalid)
+                     TransitionInvalid, integer, real)
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
@@ -60,13 +62,10 @@ class Level:
 
     def __post_init__(self):
         # C and Lhat divide the transition budget and the radius.
-        for name, positive in (("eta", False), ("C", True), ("L", False),
-                               ("Lhat", True)):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and (v > 0.0 if positive
-                                          else v >= 0.0)):
-                kind = "positive" if positive else "nonnegative"
-                raise ValueError(f"{name} = {v} must be {kind} and finite")
+        self.eta = real("eta", self.eta, positive=False)
+        self.C = real("C", self.C)
+        self.L = real("L", self.L, positive=False)
+        self.Lhat = real("Lhat", self.Lhat)
 
     def ctilde(self, space: SpaceGeometry) -> float:
         return _ctilde(space, self.L, self.C)
@@ -86,10 +85,8 @@ class Schedule:
     eta_hat: float
 
     def __post_init__(self):
-        for name in ("epsilon", "eta_hat"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} = {v} must be positive and finite")
+        self.epsilon = real("epsilon", self.epsilon)
+        self.eta_hat = real("eta_hat", self.eta_hat)
 
     @property
     def etas(self) -> list[float]:
@@ -255,14 +252,15 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     NoSuchLevel
         If ``max_levels`` levels do not reach the target residual.
     """
-    if not (math.isfinite(eta_hat) and eta_hat > 0.0):
-        raise ValueError(f"eta_hat = {eta_hat} must be positive and finite")
+    lam, eta_hat = real("lam", lam), real("eta_hat", eta_hat)
+    max_levels = integer("max_levels", max_levels)
     if lam < 100.0 * eta_hat:
         raise LambdaTooSmall(
             f"lam = {lam} < 100 * eta_hat = {100 * eta_hat}")
     tau_max = (space.Cp / space.p) ** (3.0 / space.p) \
         / (16.0 * lam * (4.0 * math.e + 1.0))
-    if not 0.0 < tau < tau_max:
+    tau = real("tau", tau, error=TauOutOfRange)
+    if not tau < tau_max:
         raise TauOutOfRange(
             f"tau = {tau} outside the admissible interval (0, {tau_max})")
 

@@ -36,7 +36,9 @@ one shared scalar root finds ``s`` when ``p != r``:
 
 Every bracket expansion and scalar search stops after a fixed number of
 steps and raises ``NonConvergence`` if it has not converged by then.  No
-state survives a call, so equal inputs give bit-identical outputs.
+state survives a call, so equal inputs give bit-identical outputs.  A
+ball's radius and the point to project follow the input rules of README
+("Input rules").
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NonFiniteInput
+from .errors import (DimensionMismatch, NonConvergence, NonFiniteInput, real,
+                     vector)
 from .geometry import SpaceGeometry, bregman_distance, norm
 
 __all__ = [
@@ -75,6 +78,8 @@ _EXP_MAX = 700.0
 # Trials of the joint Newton search of an off-centre ball projection with
 # p != r before the nested root searches take the projection over.
 _JOINT_TRIALS = 12
+# Round-off allowed in check_total_nonexpansiveness.
+_THREE_POINT_TOL = 1e-10
 
 
 class ConvexSet:
@@ -142,12 +147,10 @@ class Ball(ConvexSet):
     """Norm ball {y : ||y - center|| <= radius} in the space norm."""
 
     def __init__(self, center, radius):
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        self.radius = real("radius", radius)
         self.center = np.asarray(center, dtype=float)
         if not np.isfinite(self.center).all():
             raise ValueError("center must be finite")
-        self.radius = float(radius)
 
     def _check_fits(self, space):
         if self.center.shape != (space.dim,):
@@ -170,23 +173,35 @@ class Ball(ConvexSet):
 
     def _project(self, space, x):
         x = x.copy()  # each path returns a point inside the ball as z itself
-        if not np.any(self.center):
+        if not np.any(self.center) or space.r == space.p == 2.0:
             # Centred: by symmetry the radial shrink is the projection for
-            # every gauge.
+            # every gauge.  At r = p = 2 it is the metric projection.
             return self._shrink(space, x)
+        with np.errstate(over="ignore"):
+            gap = float(norm(space, x - self.center))
+        if gap <= self.radius:
+            return x
         if space.r == 2.0:
-            return _gauge_p_projection(
-                space, lambda z: self._shrink(space, z), x)
-        if space.p != space.r:
-            # Outside the ball and away from the origin, one joint search
-            # first; the nested searches below take what it cannot solve.
-            nx = float(norm(space, x))
-            g1 = _log(float(norm(space, x - self.center)) / self.radius)
-            if nx > 0.0 and g1 > 0.0:
-                y = _joint_ball_search(space, self.center, self.radius, x,
-                                       nx, g1)
-                if y is not None:
-                    return _finite(y)
+            # Where ||x - c|| overflows, so does the ||x|| that the gauge-p
+            # search reads; the shrink scales every point it is given.
+            with np.errstate(over="ignore" if gap == np.inf else None):
+                return _gauge_p_projection(
+                    space, lambda z: self._shrink(space, z), x)
+        if gap == np.inf:
+            raise NonConvergence(
+                "||x - center|| overflows, so the search for the multiplier "
+                "cannot start")
+        if space.p == space.r:
+            return _ball_search(space, self.center, self.radius, x, 0.0,
+                                x)[1]
+        # Away from the origin, one joint search first; the nested searches
+        # below take what it cannot solve.
+        nx = float(norm(space, x))
+        if nx > 0.0:
+            y = _joint_ball_search(space, self.center, self.radius, x, nx,
+                                   math.log(gap / self.radius))
+            if y is not None:
+                return _finite(y)
         # Successive P_r solves of this call start from the last multiplier
         # and point found; nothing outlives the call.
         s, y = 0.0, None
@@ -606,11 +621,7 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
         floating-point range; both take values near the end of that
         range.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.dim,):
-        raise DimensionMismatch(
-            f"cannot project an array of shape {x.shape}, one vector of "
-            f"shape ({space.dim},) expected")
+    x = vector(x, (space.dim,), "x")
     cset._check_fits(space)
     if not (math.isfinite(np.vdot(x, x))
             or np.logical_and.reduce(np.isfinite(x), axis=None)):
@@ -619,15 +630,16 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
 
 
 def check_total_nonexpansiveness(space: SpaceGeometry, cset: ConvexSet,
-                                 x, z, tol: float = 1e-10):
+                                 x, z):
     """Evaluate both sides of the total non-expansiveness inequality with
     the projection as the operator and z in the set as the pole.
 
     Returns ``(lhs, rhs, ok)`` for
-    ``breg(P(x), z) + breg(x, P(x)) <= breg(x, z)``.
+    ``breg(P(x), z) + breg(x, P(x)) <= breg(x, z)``, where ``ok`` allows
+    ``_THREE_POINT_TOL`` of round-off.
     """
     px = bregman_project(space, cset, x)
     lhs = float(bregman_distance(space, px, z)
                 + bregman_distance(space, x, px))
     rhs = float(bregman_distance(space, x, z))
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + _THREE_POINT_TOL

@@ -5,7 +5,8 @@ a closed-form step size, the dual-space update is pulled back through the
 inverse duality mapping and projected onto the constraint set, and the
 run stops at the first iterate whose residual falls below the discrepancy
 threshold.  When a reference solution is available, every inequality of
-the convergence analysis is checked along the trace.
+the convergence analysis is checked along the trace.  The run parameters
+and the vectors follow the input rules of README ("Input rules").
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EtaTooLarge, MissingStabilityConstant,
-                     NonFiniteStep, NonpositiveU, StepIdentityViolated,
-                     ZeroGradient)
+from .errors import (EtaTooLarge, MissingStabilityConstant, NonFiniteStep,
+                     NonpositiveU, StepIdentityViolated, ZeroGradient,
+                     integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
 from .models import ForwardModel, NoisyData, data_space
 from .sets import ConvexSet, bregman_project
@@ -34,20 +35,15 @@ __all__ = [
 
 # Internal consistency tolerance for the two step-size identities.
 _SELF_CHECK_TOL = 1e-9
-# The native float64 dtype; an identity test costs less than ``==``.
-_FLOAT64 = np.dtype(float)
 
 
 @dataclass
 class SolverConfig:
     """Run parameters of the single-level iteration.
 
-    ``eta`` must be nonnegative and finite, and ``eta_hat``, the
-    discrepancy threshold, finite and above ``3 * eta``.
-    ``max_iterations`` is an integer >= 1 (numpy integers included, bool
-    refused).  ``diagnostic_reference`` enables per-iteration
-    Bregman-distance bookkeeping against a known solution.  Raises
-    ValueError, naming the field, otherwise.
+    ``eta_hat``, the discrepancy threshold, must exceed ``3 * eta``
+    (ValueError).  ``diagnostic_reference`` enables per-iteration
+    Bregman-distance bookkeeping against a known solution.
     """
 
     eta: float
@@ -56,19 +52,12 @@ class SolverConfig:
     diagnostic_reference: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValueError(
-                f"eta = {self.eta} must be nonnegative and finite")
-        if not math.isfinite(self.eta_hat):
-            raise ValueError(f"eta_hat = {self.eta_hat} must be finite")
+        self.eta = real("eta", self.eta, positive=False)
+        self.eta_hat = real("eta_hat", self.eta_hat)
         if not self.eta_hat > 3.0 * self.eta:
             raise ValueError("discrepancy threshold must satisfy "
                              "eta_hat > 3 * eta")
-        m = self.max_iterations
-        if isinstance(m, bool) or not (isinstance(m, (int, np.integer))
-                                       and m >= 1):
-            raise ValueError(
-                f"max_iterations = {m!r} must be an integer >= 1")
+        self.max_iterations = integer("max_iterations", self.max_iterations)
 
 
 @dataclass(slots=True)
@@ -268,17 +257,6 @@ def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     return rule
 
 
-def _exact(value, shape, what):
-    """``value`` as a float array, which must have exactly ``shape``.  A
-    float64 ndarray is its own ``np.asarray``, so it skips the call."""
-    if not (type(value) is np.ndarray and value.dtype is _FLOAT64):
-        value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        raise DimensionMismatch(
-            f"{what} has shape {value.shape}, expected {shape}")
-    return value
-
-
 def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_np):
     """``(breg(x, ref), J_p(x))`` given ``ref_np = ||ref||**p``."""
     nrm = _norm(space, x)
@@ -325,8 +303,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
     x_shape, y_shape = (space.dim,), (model.out_dim,)
-    x0 = _exact(x0, x_shape, "x0")
-    ydelta = _exact(data.ydelta, y_shape, "ydelta")
+    x0 = vector(x0, x_shape, "x0")
+    ydelta = vector(data.ydelta, y_shape, "ydelta")
     x = bregman_project(space, cset, x0)
     projected_start = not np.array_equal(x, x0)
 
@@ -339,7 +317,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     ref = config.diagnostic_reference
     rho = breg = start_radius_ok = ref_np = xstar = None
     if ref is not None:
-        ref = _exact(ref, x_shape, "diagnostic_reference")
+        ref = vector(ref, x_shape, "diagnostic_reference")
         ref_np = _norm(space, ref) ** space.p
         rho = convergence_radius(space, model.lhat, ctilde, eta)
         breg, xstar = _bregman_to_ref(space, x, ref, ref_np)
@@ -359,7 +337,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     q_over_p = space.q / space.p
     k = 0
     while True:
-        Rk = _exact(model.eval(x), y_shape, "model.eval(x)") - ydelta
+        Rk = vector(model.eval(x), y_shape, "model.eval(x)") - ydelta
         rk = float(_norm(y_space, Rk))
         if rk <= eta_hat:
             report.stop_reason = "DiscrepancyMet"
@@ -372,7 +350,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             report.stop_reason = "MaxIterations"
             break
 
-        Tk = _exact(model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
+        Tk = vector(model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
                     x_shape, "model.apply_adjoint(x, ystar)")
         tk = float(_norm(dual, Tk))
         try:

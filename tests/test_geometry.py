@@ -85,14 +85,14 @@ class TestConstruction:
         ({"dim": 3.0}, "dim"),
         ({"dim": True}, "dim"),
         ({"dim": np.int64(0)}, "dim"),
-        ({"dim": 2, "r": np.inf}, "r must"),
-        ({"dim": 2, "r": np.nan}, "r must"),
-        ({"dim": 2, "p": np.inf}, "p must"),
-        ({"dim": 2, "p": np.nan}, "p must"),
-        ({"dim": 2, "r": 1.5, "Cp": np.inf}, "Cp and Gq"),
-        ({"dim": 2, "r": 1.5, "Cp": np.nan}, "Cp and Gq"),
-        ({"dim": 2, "r": 1.5, "Gq": np.inf}, "Cp and Gq"),
-        ({"dim": 2, "r": 1.5, "Gq": np.nan}, "Cp and Gq"),
+        ({"dim": 2, "r": np.inf}, "^r = "),
+        ({"dim": 2, "r": np.nan}, "^r = "),
+        ({"dim": 2, "p": np.inf}, "^p = "),
+        ({"dim": 2, "p": np.nan}, "^p = "),
+        ({"dim": 2, "r": 1.5, "Cp": np.inf}, "^Cp = "),
+        ({"dim": 2, "r": 1.5, "Cp": np.nan}, "^Cp = "),
+        ({"dim": 2, "r": 1.5, "Gq": np.inf}, "^Gq = "),
+        ({"dim": 2, "r": 1.5, "Gq": np.nan}, "^Gq = "),
     ])
     def test_non_finite_or_non_integer_parameters(self, kwargs, match):
         # Each was accepted: Cp = inf at r = 1.5 made c-tilde 0, as if F
@@ -289,10 +289,15 @@ class TestSpecialisedKernels:
         assert len(calls) == norms
 
     def test_hilbert_flag(self):
-        assert KERNEL_SPACES["hilbert"].is_hilbert
-        assert KERNEL_SPACES["hilbert"].dual().is_hilbert
-        assert not KERNEL_SPACES["weighted-l2"].is_hilbert
-        assert not KERNEL_SPACES["r3"].is_hilbert
+        # The kernel takes its Hilbert shortcuts from r, p and unit weights.
+        for space in (KERNEL_SPACES["hilbert"],
+                      KERNEL_SPACES["hilbert"].dual()):
+            assert (space.r, space.p, space._unit_weights) == (2.0, 2.0, True)
+        weighted = KERNEL_SPACES["weighted-l2"]
+        for space in (weighted, weighted.dual()):
+            assert (space.r, space.p, space._unit_weights) == (2.0, 2.0, False)
+        for space in (KERNEL_SPACES["r3"], KERNEL_SPACES["r3"].dual()):
+            assert space.r != 2.0 and space.p != 2.0 and space._unit_weights
 
 
 class TestBregmanDistance:

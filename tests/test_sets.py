@@ -522,6 +522,30 @@ class TestExactProjections:
         assert y.tobytes() == bregman_project(space, ball,
                                               direction).tobytes()
 
+    def test_off_centre_ball_far_point_at_r3_raises_without_warning(self):
+        # ||x - c|| overflowed in three RuntimeWarnings before the step cap
+        # of the coordinate solve raised NonConvergence.
+        space = lp_space(2, r=3.0)
+        with pytest.raises(NonConvergence, match="overflows"):
+            bregman_project(space, Ball([1.0, -2.0], 0.5),
+                            np.array([1e200, 1e200]))
+
+    def test_off_centre_ball_far_point_at_r2_p3_projects_without_warning(
+            self):
+        # ||x|| overflowed in a RuntimeWarning; the point was right.
+        space = lp_space(2, r=2.0, p=3.0, Cp=0.5, Gq=1.4)
+        ball = Ball([1.0, -2.0], 0.5)
+        y = bregman_project(space, ball, np.array([1e200, 1e200]))
+        np.testing.assert_allclose(
+            y, ball.center + 0.5 * np.array([1.0, 1.0]) / np.sqrt(2.0),
+            rtol=1e-15)
+
+    def test_off_centre_ball_far_point_at_r15_raises_without_warning(self):
+        space = lp_space(2, r=1.5)
+        with pytest.raises(NonConvergence):
+            bregman_project(space, Ball([1.0, -2.0], 0.5),
+                            np.array([1e200, 1e200]))
+
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
                              ids=["2x4", "1x4", "4x1", "scalar"])
     @pytest.mark.parametrize("kind", ["wholespace", "box", "ball",
