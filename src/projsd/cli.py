@@ -19,9 +19,10 @@ failure, 4 I/O error.  Every mapping of the config is read through one
 table, ``_READS``, which lists the keys each mode (or model or set kind)
 reads and requires; a key the run would not read, and a missing key it
 needs, are validation failures.  So is other input that cannot run
-(mismatched lengths, set parameters that do not fit ``space.dim``,
-non-finite numbers other than open box bounds, a nonpositive
-``solver.etaHat``, a nonlinear model without ``cstab``, or without
+(a number that breaks its input rule of README ("Input rules"),
+mismatched lengths, set parameters that do not fit ``space.dim``,
+non-finite vector entries other than open box bounds, a nonlinear
+model without ``cstab``, or without
 ``lhat`` under ``checkTheorems``, ``checkTheorems`` without a reference
 for every run, example-schedule parameters the generator refuses, an
 output path that is not a file name, a negative ``--seed``).  All of it
@@ -45,7 +46,8 @@ import numpy as np
 import yaml
 
 from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel, ProjSDError,
-                     SchemaError, TauOutOfRange, TransitionInvalid)
+                     SchemaError, TauOutOfRange, TransitionInvalid, exponent,
+                     integer, real)
 from .geometry import SpaceGeometry, lp_space
 from .models import (DiagonalLinearModel, LinearModel, NoisyData,
                      QuadraticModel)
@@ -179,38 +181,27 @@ def _read_kind(node, table, path, errors):
     return None
 
 
-def _number(node, path, errors, default=None, minimum=None,
-            strict_min=False):
-    """The finite number at `node`; `default` when it is absent or
-    invalid, with the error recorded."""
-    if node is None:
-        return default
-    if not isinstance(node, (int, float)) or isinstance(node, bool):
-        errors.append(f"{path}: expected a number")
-        return default
-    v = float(node)
-    if not np.isfinite(v):
-        errors.append(f"{path}: expected a finite number")
-        return default
-    if minimum is not None and not (v > minimum if strict_min
-                                    else v >= minimum):
-        errors.append(f"{path}: must be {'>' if strict_min else '>='} "
-                      f"{minimum}")
-        return default
-    return v
+_nonnegative = partial(real, positive=False)
 
 
-def _integer(node, path, errors, default, minimum):
-    """The integer at `node`, at least `minimum`; `default` when it is
-    absent or invalid, with the error recorded."""
+def _seed(name, value):
+    """The rule of a seed, which is metadata: an int >= 0."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValueError("expected a nonnegative integer")
+
+
+def _scalar(node, path, errors, rule, default=None):
+    """The number at `node` as `rule`, an input rule named by the last
+    key of `path`, returns it; `default` when it is absent or, with the
+    error recorded, refused."""
     if node is None:
         return default
-    if not isinstance(node, int) or isinstance(node, bool) \
-            or node < minimum:
-        errors.append(f"{path}: expected a "
-                      f"{'positive' if minimum else 'nonnegative'} integer")
+    try:
+        return rule(path.rpartition(".")[2], node)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
         return default
-    return node
 
 
 def _vector(node, path, errors):
@@ -218,7 +209,7 @@ def _vector(node, path, errors):
         return None
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append(f"{path}: expected a list of numbers")
         return None
     if arr.ndim != 1:
@@ -276,7 +267,7 @@ def _matrix_from(node, path, errors, base_dir):
         field = f"{path}.matrix"
         try:
             arr = np.atleast_2d(np.asarray(node["matrix"], dtype=float))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append(f"{field}: expected rows of numbers")
             return None
     elif "matrixFile" in node:
@@ -295,19 +286,13 @@ def _matrix_from(node, path, errors, base_dir):
 def _parse_space(node, errors):
     before = len(errors)
     node = _read(node, _READS["space"], "the space", "space", errors)
-    dim = _integer(node.get("dim"), "space.dim", errors, None, 1)
-    if dim is None:
-        return None
-    r = _number(node.get("r"), "space.r", errors, default=2.0,
-                minimum=1.0, strict_min=True)
-    p = _number(node.get("p"), "space.p", errors, minimum=1.0,
-                strict_min=True)
+    dim = _scalar(node.get("dim"), "space.dim", errors, integer)
+    r = _scalar(node.get("r"), "space.r", errors, exponent, 2.0)
+    p = _scalar(node.get("p"), "space.p", errors, exponent)
     weights = _finite_vector(node.get("weights"), "space.weights", errors)
-    cp = _number(node.get("Cp"), "space.Cp", errors, minimum=0.0,
-                 strict_min=True)
-    gq = _number(node.get("Gq"), "space.Gq", errors, minimum=0.0,
-                 strict_min=True)
-    if len(errors) > before:
+    cp = _scalar(node.get("Cp"), "space.Cp", errors, real)
+    gq = _scalar(node.get("Gq"), "space.Gq", errors, real)
+    if dim is None or len(errors) > before:
         return None
     try:
         return lp_space(dim, r=r, p=p, weights=weights, Cp=cp, Gq=gq)
@@ -337,8 +322,7 @@ def _parse_set(node, path, errors, space):
             return None
     if kind == "ball":
         c = _finite_vector(node.get("center"), f"{path}.center", errors)
-        rad = _number(node.get("radius"), f"{path}.radius", errors,
-                      minimum=0.0, strict_min=True)
+        rad = _scalar(node.get("radius"), f"{path}.radius", errors, real)
         if c is None or rad is None:
             return None
         _check_length(c, space, f"{path}.center", errors)
@@ -361,8 +345,7 @@ def _parse_model(node, path, errors, s, base_dir):
     if node is None:
         return None
     kind = node["kind"]
-    cstab = _number(node.get("cstab"), f"{path}.cstab", errors,
-                    minimum=0.0, strict_min=True)
+    cstab = _scalar(node.get("cstab"), f"{path}.cstab", errors, real)
     if kind == "diagonal":
         sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors)
         if sigma is None:
@@ -373,9 +356,8 @@ def _parse_model(node, path, errors, s, base_dir):
         if mat is None:
             return None
         return LinearModel(mat, s=s, cstab=cstab)
-    eps = _number(node.get("eps"), f"{path}.eps", errors, minimum=0.0)
-    lhat = _number(node.get("lhat"), f"{path}.lhat", errors, minimum=0.0,
-                   strict_min=True)
+    eps = _scalar(node.get("eps"), f"{path}.eps", errors, _nonnegative)
+    lhat = _scalar(node.get("lhat"), f"{path}.lhat", errors, real)
     if mat is None or eps is None:
         return None
     try:
@@ -405,12 +387,10 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
         errors.append(f"{path}: expected a mapping")
         return None
     node = _read(node, _READS["levels[i]"], context, path, errors)
-    eta = _number(node.get("eta"), f"{path}.eta", errors, minimum=0.0)
-    C = _number(node.get("C"), f"{path}.C", errors, minimum=0.0,
-                strict_min=True)
-    L = _number(node.get("L"), f"{path}.L", errors, minimum=0.0)
-    Lhat = _number(node.get("Lhat"), f"{path}.Lhat", errors, minimum=0.0,
-                   strict_min=True)
+    eta, C, L, Lhat = (
+        _scalar(node.get(key), f"{path}.{key}", errors, rule)
+        for key, rule in (("eta", _nonnegative), ("C", real),
+                          ("L", _nonnegative), ("Lhat", real)))
     model_node = node.get("model")
     if isinstance(model_node, dict):
         # The node may be shared with other levels through a YAML alias,
@@ -453,11 +433,10 @@ def _parse_example_schedule(node, space, errors):
     the generator's refusals are errors at the parameter they name."""
     node = _read(node, _READS["schedule"], "the schedule", "schedule",
                  errors)
-    lam, tau, eta_hat = (
-        _number(node.get(key), f"schedule.{key}", errors, minimum=0.0,
-                strict_min=True) for key in ("lam", "tau", "etaHat"))
-    max_levels = _integer(node.get("maxLevels", 64), "schedule.maxLevels",
-                          errors, None, 1)
+    lam, tau, eta_hat = (_scalar(node.get(key), f"schedule.{key}", errors,
+                                 real) for key in ("lam", "tau", "etaHat"))
+    max_levels = _scalar(node.get("maxLevels"), "schedule.maxLevels", errors,
+                         integer, 64)
     if space is None or None in (lam, tau, eta_hat, max_levels):
         return None
     try:
@@ -488,7 +467,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         raw = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar Python cannot construct, such as an int of
+        # more than sys.get_int_max_str_digits() digits or a bad date.
         raise SchemaError([f"config: invalid YAML: {exc}"])
     if not isinstance(raw, dict):
         raise SchemaError(["config: top level must be a mapping"])
@@ -506,23 +487,19 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             errors.append(f"output.{key}: expected a file name")
     ds = _read(top.get("dataSpace"), _READS["dataSpace"], "the data space",
                "dataSpace", errors)
-    s = _number(ds.get("s"), "dataSpace.s", errors, default=2.0,
-                minimum=1.0, strict_min=True)
-    eta = _number(sol.get("eta"), "solver.eta", errors, default=0.0,
-                  minimum=0.0)
-    eta_hat = _number(sol.get("etaHat"), "solver.etaHat", errors,
-                      minimum=0.0, strict_min=True)
-    max_iter = _integer(sol.get("maxIterations"), "solver.maxIterations",
-                        errors, 10 ** 6, 1)
-    seed = _integer(sol.get("seed"), "solver.seed", errors, 0, 0)
+    s = _scalar(ds.get("s"), "dataSpace.s", errors, exponent, 2.0)
+    eta = _scalar(sol.get("eta"), "solver.eta", errors, _nonnegative, 0.0)
+    eta_hat = _scalar(sol.get("etaHat"), "solver.etaHat", errors, real)
+    max_iter = _scalar(sol.get("maxIterations"), "solver.maxIterations",
+                       errors, integer, 10 ** 6)
+    seed = _scalar(sol.get("seed"), "solver.seed", errors, _seed, 0)
     reference = _finite_vector(diag.get("referenceSolution"),
                                "diagnostics.referenceSolution", errors)
     check_theorems = diag.get("checkTheorems", False)
     if not isinstance(check_theorems, bool):
         errors.append("diagnostics.checkTheorems: expected a boolean")
         check_theorems = False
-    epsilon = _number(top.get("epsilon"), "epsilon", errors, default=1.0,
-                      minimum=0.0, strict_min=True)
+    epsilon = _scalar(top.get("epsilon"), "epsilon", errors, real, 1.0)
 
     space = _parse_space(top.get("space"), errors)
     x0 = _finite_vector(top.get("x0"), "x0", errors)
@@ -840,7 +817,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(args.quiet, f"I/O error: {exc}", 4)
     errors: list[str] = []
-    seed = _integer(args.seed, "--seed", errors, None, 0)
+    seed = _scalar(args.seed, "--seed", errors, _seed)
     try:
         cfg = parse_config(text, base_dir=os.path.dirname(
             os.path.abspath(args.config)))

@@ -107,38 +107,42 @@ _FLOAT64 = np.dtype(float)
 _REAL = (int, float, np.integer, np.floating)
 
 
-def _number(value, kind):
-    """value, taken out of a 0-d array, if it is of a type of ``kind``;
-    None for anything else, bool included."""
+def _number(value, kind, convert):
+    """``convert(value)``, value taken out of a 0-d array, if it is of a
+    type of ``kind``; None for anything else, bool included, and for an
+    int beyond the float range that ``float`` cannot convert."""
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value[()]
     if isinstance(value, bool) or not isinstance(value, kind):
         return None
-    return value
+    try:
+        return convert(value)
+    except OverflowError:
+        return None
 
 
 def real(name, value, positive=True, error=ValueError):
     """A stated real as a float, finite and positive, or nonnegative."""
-    v = _number(value, _REAL)
+    v = _number(value, _REAL, float)
     if v is not None and (0.0 < v if positive else 0.0 <= v) and v < np.inf:
-        return float(v)
+        return v
     raise error(f"{name} = {value!r} must be "
                 f"{'positive' if positive else 'nonnegative'} and finite")
 
 
 def integer(name, value):
     """A stated integer as an int >= 1."""
-    v = _number(value, (int, np.integer))
+    v = _number(value, (int, np.integer), int)
     if v is not None and v >= 1:
-        return int(v)
+        return v
     raise ValueError(f"{name} = {value!r} must be an integer >= 1")
 
 
 def exponent(name, value):
     """A stated exponent as a float in (1, inf)."""
-    v = _number(value, _REAL)
+    v = _number(value, _REAL, float)
     if v is not None and 1.0 < v < np.inf:
-        return float(v)
+        return v
     raise ValueError(f"{name} = {value!r} must lie in (1, inf)")
 
 

@@ -264,11 +264,14 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
         raise TauOutOfRange(
             f"tau = {tau} outside the admissible interval (0, {tau_max})")
 
+    def eta(a):
+        return lam * math.exp(-a) / (a + 2.0)
+
+    # Lazily: the selection stops at the final level, whatever max_levels.
     epsilon = 1.0
-    etas = [lam * math.exp(-a) / (a + 2.0) for a in range(max_levels)]
-    final = select_final_level(etas, epsilon, eta_hat)
+    final = select_final_level(map(eta, range(max_levels)), epsilon, eta_hat)
     levels = [
-        Level(eta=etas[a], C=2.0 * math.exp(a), L=tau * math.exp(-a),
+        Level(eta=eta(a), C=2.0 * math.exp(a), L=tau * math.exp(-a),
               Lhat=(a + 1.0) * math.exp(-a))
         for a in range(final + 1)
     ]

@@ -182,11 +182,8 @@ class Ball(ConvexSet):
         if gap <= self.radius:
             return x
         if space.r == 2.0:
-            # Where ||x - c|| overflows, so does the ||x|| that the gauge-p
-            # search reads; the shrink scales every point it is given.
-            with np.errstate(over="ignore" if gap == np.inf else None):
-                return _gauge_p_projection(
-                    space, lambda z: self._shrink(space, z), x)
+            return _gauge_p_projection(
+                space, lambda z: self._shrink(space, z), x)
         if gap == np.inf:
             raise NonConvergence(
                 "||x - center|| overflows, so the search for the multiplier "
@@ -247,11 +244,19 @@ class CoordinateSubspace(ConvexSet):
         xs[self.support] = x[self.support]
         if space.p == space.r:
             return xs
-        ns = float(norm(space, xs))
+        with np.errstate(over="ignore"):
+            ns, nx = float(norm(space, xs)), float(norm(space, x))
         if ns == 0.0:
             return xs
-        ratio = ns / float(norm(space, x))
-        return _finite(ratio ** ((space.r - space.p) / (space.p - 1.0)) * xs)
+        e = (space.r - space.p) / (space.p - 1.0)
+        if nx < np.inf:
+            return _finite((ns / nx) ** e * xs)
+        # ||x|| overflows.  The ratio does not change when x is scaled,
+        # and at max |x_i| = 1 ||x|| is in range; _log_ratio rescales an
+        # x_S whose norm then underflows.
+        m = float(np.max(np.abs(x)))
+        return _finite(math.exp(e * _log_ratio(
+            space, xs / m, float(norm(space, x / m)))) * xs)
 
     def __repr__(self):
         return f"CoordinateSubspace({list(self.support)})"
@@ -276,12 +281,20 @@ def _gauge_p_projection(space, project_r, x):
     y0 = project_r(x)
     if p == r:
         return y0
-    nx = float(norm(space, x))
+    with np.errstate(over="ignore"):
+        nx = float(norm(space, x))
     if nx == 0.0:
         # At the origin the projection is the set's minimum-norm point,
         # the same for every gauge.
         return y0
-    n0 = float(norm(space, y0))
+    # The search reads only norms relative to ||x||, which do not change
+    # when every point is divided by one m.  Where ||x|| overflows,
+    # m = max |x_i| brings it into range.
+    m = None
+    if nx == math.inf:
+        m = float(np.max(np.abs(x)))
+        nx = float(norm(space, x / m))
+    n0 = float(norm(space, y0 if m is None else y0 / m))
     if n0 == 0.0 or n0 == nx:
         # n0 = 0: J_r(x), and with it J_p(x), lies in the normal cone at 0.
         # n0 = ||x||: alpha = 1 is the fixed point.
@@ -290,7 +303,7 @@ def _gauge_p_projection(space, project_r, x):
 
     def g(t):
         y = project_r(math.exp(beta * t) * x)
-        return _log_ratio(space, y, nx) - t, y
+        return _log_ratio(space, y if m is None else y / m, nx) - t, y
 
     # The walk goes toward the root, the sign of g0.  Only a rescaling
     # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.

@@ -1,5 +1,6 @@
 """Tests of config parsing and the command-line front-end."""
 
+import copy
 import os
 
 import numpy as np
@@ -118,6 +119,20 @@ x0: [0.0, 0.0, 0.0, 0.0]
         assert main(["run", path]) == 3
         assert "config error: config: invalid YAML" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize("scalar", ["1" + "0" * 5000, "2020-13-45"],
+                             ids=["5001-digit-int", "bad-date"])
+    def test_unconstructible_scalar_exits_three(self, tmp_path, monkeypatch,
+                                                capsys, loader, scalar):
+        # The constructor's ValueError ended in a traceback.
+        use_loader(monkeypatch, loader)
+        path = write(tmp_path, "bad.yaml", MINIMAL_SINGLE.replace(
+            "etaHat: 1.0e-8", f"etaHat: {scalar}"))
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: invalid YAML: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config", ["example", "minimal", "quadratic",
                                         "multilevel", "schedule"])
@@ -513,6 +528,114 @@ def test_negative_seed_flag_exits_three(tmp_path, capsys):
     assert summary["seed"] == 5
 
 
+# An int that no float holds: float() of it raised OverflowError.
+HUGE = 10 ** 400
+
+# A single-mode config that states every scalar the mode reads.
+SCALAR_SINGLE = {
+    "mode": "single",
+    "space": {"dim": 2, "r": 1.5, "p": 2.0, "Cp": 0.45, "Gq": 2.2},
+    "dataSpace": {"s": 2.0},
+    "model": {"kind": "quadratic", "eps": 0.05, "cstab": 0.5, "lhat": 3.5,
+              "matrix": [[2.0, 0.0], [0.0, 3.0]]},
+    "set": {"kind": "ball", "center": [0.0, 0.0], "radius": 10.0},
+    "data": {"ydelta": [1.0, 1.0]},
+    "x0": [0.0, 0.0],
+    "solver": {"eta": 0.0, "etaHat": 1e-6, "maxIterations": 50},
+}
+
+# Every scalar key of a config, its input rule, and the mode that reads it.
+SCALAR_KEYS = [
+    *[(key, rule, "single") for key, rule in [
+        ("space.dim", "integer"), ("space.r", "exponent"),
+        ("space.p", "exponent"), ("space.Cp", "positive"),
+        ("space.Gq", "positive"), ("dataSpace.s", "exponent"),
+        ("solver.eta", "nonnegative"), ("solver.etaHat", "positive"),
+        ("solver.maxIterations", "integer"), ("set.radius", "positive"),
+        ("model.cstab", "positive"), ("model.lhat", "positive"),
+        ("model.eps", "nonnegative")]],
+    *[(key, rule, "multilevel") for key, rule in [
+        ("epsilon", "positive"), ("levels[1].eta", "nonnegative"),
+        ("levels[1].C", "positive"), ("levels[1].L", "nonnegative"),
+        ("levels[1].Lhat", "positive")]],
+    *[(f"schedule.{key}", rule, "example-schedule") for key, rule in [
+        ("lam", "positive"), ("tau", "positive"), ("etaHat", "positive"),
+        ("maxLevels", "integer")]],
+]
+SCALAR_OUT_OF_RANGE = {"positive": 0.0, "nonnegative": -1.0, "integer": 0,
+                       "exponent": 1.0}
+
+
+def scalar_cases():
+    """(path, mode, value) for every scalar key and every value its rule
+    refuses.  An integer rule takes HUGE: it is an int >= 1."""
+    for path, rule, mode in SCALAR_KEYS:
+        values = {"nan": float("nan"), "inf": float("inf"),
+                  "-inf": float("-inf"),
+                  "out-of-range": SCALAR_OUT_OF_RANGE[rule], "true": True,
+                  "string": "1", "list": [1.0], "huge-int": HUGE}
+        if rule == "integer":
+            del values["huge-int"]
+        for value_id, value in values.items():
+            yield pytest.param(path, mode, value, id=f"{path}-{value_id}")
+
+
+def put(doc, path, value):
+    """Set the value at a dotted config path, ``levels[i]`` included."""
+    *heads, last = path.split(".")
+    node = doc
+    for head in heads:
+        name, _, index = head.partition("[")
+        node = node[name] if not index else node[name][int(index[:-1])]
+    node[last] = value
+
+
+@pytest.mark.parametrize("path, mode, value", scalar_cases())
+def test_every_config_number_follows_its_input_rule(tmp_path, capsys, path,
+                                                    mode, value):
+    # The rules of projsd.errors check every config number: one error
+    # line in their wording, exit 3, no output written.
+    if mode == "single":
+        doc = dict(copy.deepcopy(SCALAR_SINGLE), output={
+            "tracePath": str(tmp_path / "trace.csv"),
+            "summaryPath": str(tmp_path / "summary.yaml")})
+    else:
+        doc = mode_doc(tmp_path, mode)
+        if mode == "example-schedule":
+            doc["schedule"]["maxLevels"] = 64
+    parse_config(yaml.safe_dump(doc))
+    put(doc, path, value)
+    config = write(tmp_path, "scalar.cfg", yaml.safe_dump(doc))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["run", config]) == 3
+    out, err = capsys.readouterr()
+    key = path.rpartition(".")[2]
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"config error: {path}: {key} = {value!r} "
+                               "must "), err
+    assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("message, overrides", [
+    ("x0: expected a list of numbers", {"x0": [HUGE, 0.0]}),
+    ("data.ydelta: expected a list of numbers",
+     {"data": {"ydelta": [1.0, HUGE]}}),
+    ("model.matrix: expected rows of numbers",
+     {"model": {"kind": "linear", "matrix": [[2.0, 0.0], [0.0, HUGE]]}}),
+    ("set.upper: expected a list of numbers",
+     {"set": {"kind": "box", "lower": [0.0, 0.0], "upper": [HUGE, 1.0]}}),
+], ids=["x0", "ydelta", "matrix", "box-upper"])
+def test_int_beyond_float_range_in_a_vector(tmp_path, capsys, message,
+                                            overrides):
+    # np.asarray(..., dtype=float) raised OverflowError: a traceback.
+    path = single_config(tmp_path, **overrides)
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 class TestParseTimeInputContract:
     """Bad input is rejected while parsing, with exit code 3 and the path
     of the offending field, before any solver work."""
@@ -549,7 +672,8 @@ class TestParseTimeInputContract:
         model = {"kind": "quadratic", "eps": 0.1, "cstab": 1.0, "lhat": 3.0,
                  "matrix": [[2.0, 0.0], [0.0, 3.0]], key: np.inf}
         err = self.run_bad(tmp_path, capsys,
-                           f"model.{key}: expected a finite", model=model,
+                           f"model.{key}: {key} = inf must be positive and "
+                           "finite", model=model,
                            diagnostics={"referenceSolution": [0.0, 0.0],
                                         "checkTheorems": True})
         assert err.count("config error") == 1, err
@@ -617,17 +741,17 @@ class TestParseTimeInputContract:
         pytest.param("set.center:",
                      {"set": {"kind": "ball", "center": [np.inf, 0.0],
                               "radius": 1.0}}, id="ball-center"),
-        pytest.param("set.radius: expected a finite number",
+        pytest.param("set.radius: radius = inf must be positive and finite",
                      {"set": {"kind": "ball", "center": [0.0, 0.0],
                               "radius": np.inf}}, id="ball-radius"),
-        pytest.param("dataSpace.s: expected a finite number",
+        pytest.param("dataSpace.s: s = inf must lie in (1, inf)",
                      {"dataSpace": {"s": np.inf}}, id="scalar"),
-        pytest.param("model.eps: expected a finite number",
+        pytest.param("model.eps: eps = inf must be nonnegative and finite",
                      {"model": {"kind": "quadratic", "eps": np.inf,
                                 "cstab": 1.0, "matrix": [[2.0, 0.0],
                                                          [0.0, 3.0]]}},
                      id="model-eps"),
-        pytest.param("model.cstab: expected a finite number",
+        pytest.param("model.cstab: cstab = inf must be positive and finite",
                      {"model": {"kind": "quadratic", "eps": 0.1,
                                 "cstab": np.inf, "matrix": [[2.0, 0.0],
                                                             [0.0, 3.0]]}},
@@ -638,10 +762,10 @@ class TestParseTimeInputContract:
         self.run_bad(tmp_path, capsys, message, **overrides)
 
     @pytest.mark.parametrize("message, overrides", [
-        pytest.param("solver.eta: must be >= 0.0",
+        pytest.param("solver.eta: eta = -1.0 must be nonnegative and finite",
                      {"solver": {"eta": -1.0, "etaHat": 1.0e-8}},
                      id="solver-eta"),
-        pytest.param("set.radius: must be > 0.0",
+        pytest.param("set.radius: radius = -1.0 must be positive and finite",
                      {"set": {"kind": "ball", "center": [0.0, 0.0],
                               "radius": -1.0}}, id="ball-radius"),
     ])
@@ -984,7 +1108,8 @@ class TestParseTimeInputContract:
                   if line.startswith("config error: ")]
         assert errors == [
             "config error: data: single mode needs it",
-            "config error: solver.etaHat: must be > 0.0",
+            "config error: solver.etaHat: etaHat = -1.0 must be positive and "
+            "finite",
             "config error: x0: expected 2 entries (space.dim), got 3"], errors
 
     @pytest.mark.parametrize("section, node", [

@@ -147,3 +147,15 @@ def test_each_stated_scalar_follows_its_rule(store, prefix, rule, required,
         stored = store(value)
         if stored is not None:
             assert type(stored) is kind and stored == good
+
+
+@pytest.mark.parametrize("store, prefix",
+                         [f[1:3] for f in FIELDS if f[3] != "integer"],
+                         ids=[f[0] for f in FIELDS if f[3] != "integer"])
+def test_int_beyond_float_range_is_refused(store, prefix):
+    # float() of such an int raised OverflowError, which no caller that
+    # handles the rules' ValueError caught.
+    for value in (10 ** 400, -10 ** 400):
+        message = f"^{re.escape(f'{prefix} = {value!r} ')}"
+        with pytest.raises(ValueError, match=message):
+            store(value)

@@ -1,6 +1,7 @@
 """Tests of the multi-level driver and the example schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ class TestExampleSchedule:
         transitions, final = validate_schedule(space, sched)
         assert final == len(sched.levels) - 1
         assert all(ok for *_, ok in transitions)
+
+    def test_cost_does_not_grow_with_max_levels(self):
+        # All max_levels values of eta were computed before the final
+        # level was selected: 2.56 s and 32 MB at max_levels = 10**6.
+        space = lp_space(2)
+        kwargs = dict(lam=0.1, tau=0.5 * hilbert_tau_bound(0.1),
+                      space=space, eta_hat=1e-3)
+        few = example_schedule(max_levels=64, **kwargs)
+        tracemalloc.start()
+        try:
+            many = example_schedule(max_levels=10 ** 6, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert len(many.levels) == len(few.levels) == 6
+        assert [vars(lv) for lv in many.levels] == \
+            [vars(lv) for lv in few.levels]
 
 
 def diagonal_schedule(eta_hat=5e-3):

@@ -546,6 +546,34 @@ class TestExactProjections:
             bregman_project(space, Ball([1.0, -2.0], 0.5),
                             np.array([1e200, 1e200]))
 
+    # (r, p, size) with |size|**r beyond the float range: ||x|| overflowed
+    # in a RuntimeWarning ("overflow encountered in power").
+    OVERFLOWING_NORM = pytest.mark.parametrize(
+        "r, p, size", [(1.5, 2.0, 1e250), (3.0, 4.0, 1e110)],
+        ids=["r1.5-p2", "r3-p4"])
+
+    @OVERFLOWING_NORM
+    def test_box_point_whose_norm_overflows_projects(self, r, p, size):
+        # The box's corner, as for points a hundred orders smaller.
+        space = lp_space(2, r=r, p=p, Cp=0.3, Gq=2.0)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        x = np.array([size, 0.5 * size])
+        np.testing.assert_array_equal(bregman_project(space, box, x),
+                                      [1.0, 1.0])
+        np.testing.assert_array_equal(bregman_project(space, box, x / 1e30),
+                                      [1.0, 1.0])
+
+    @OVERFLOWING_NORM
+    def test_subspace_point_whose_norm_overflows_projects(self, r, p, size):
+        # The subspace projection is 1-homogeneous.
+        space = lp_space(2, r=r, p=p, Cp=0.3, Gq=2.0)
+        sub = CoordinateSubspace([0])
+        x = np.array([size, 0.5 * size])
+        y = bregman_project(space, sub, x)
+        np.testing.assert_allclose(
+            y, 1e100 * bregman_project(space, sub, x / 1e100), rtol=1e-14)
+        assert y[1] == 0.0 and y[0] > size
+
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
                              ids=["2x4", "1x4", "4x1", "scalar"])
     @pytest.mark.parametrize("kind", ["wholespace", "box", "ball",
