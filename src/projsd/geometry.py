@@ -6,9 +6,11 @@ sampling-based certification of the two norm comparison constants ``Cp``
 and ``Gq``.
 
 A space has one constructor, ``SpaceGeometry`` (also ``lp_space``).  It
-works out the gauge ``p = max(r, 2)`` and, for the unweighted spaces of
-``DEFAULT_CONSTANTS``, the certified ``Cp`` and ``Gq``; any other space
-states both.
+works out the gauge ``p = max(r, 2)`` and, for an ``(r, p)`` of
+``DEFAULT_CONSTANTS`` and any positive weights, the certified ``Cp`` and
+``Gq``; a space with any other ``(r, p)`` states both.  Unit weights are
+stored as ``weights = None``, so an unweighted space holds no array of
+size ``dim``.
 
 All operations are pure and accept batches: arrays of shape ``(..., dim)``
 are mapped elementwise over the leading axes.  The numbers a space is
@@ -17,7 +19,7 @@ built from follow the input rules of README ("Input rules").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,10 +37,14 @@ __all__ = [
 ]
 
 
-#: Sampling-certified norm comparison constants for unweighted l^r with the
-#: default gauge p = max(r, 2).  The values carry a safety margin below
-#: (resp. above) the empirical infimum (resp. supremum) of the two Bregman
-#: vs. norm ratios over a large adversarial sample; see tests.
+#: Sampling-certified norm comparison constants for l^r with the default
+#: gauge p = max(r, 2).  The values carry a safety margin below (resp.
+#: above) the empirical infimum (resp. supremum) of the two Bregman vs.
+#: norm ratios over a large adversarial sample; see tests.  They hold for
+#: any positive weights: x -> w**(1/r) x is a linear isometry from l^r(w)
+#: onto l^r that carries the norm, J_p and the Bregman distance along, and
+#: its adjoint does the same for the dual, so both ratios range over the
+#: same numbers as in the unweighted space.
 DEFAULT_CONSTANTS: dict[tuple[float, float], tuple[float, float]] = {
     (2.0, 2.0): (1.0, 1.0),
     (1.5, 2.0): (0.45, 2.2),
@@ -62,12 +68,13 @@ class SpaceGeometry:
         so that the space is p-convex and its dual q-smooth.  The
         conjugate ``q`` is always derived from ``p``.
     weights : array or None
-        Positive weight per coordinate; defaults to all ones.
+        Positive weight per coordinate.  None: unit weights, which is also
+        what the space stores when every given weight is 1.
     Cp, Gq : float or None
         Constants of the lower Bregman-to-norm comparison and of the upper
-        (dual) one.  With unit weights and an
-        ``(r, p)`` of ``DEFAULT_CONSTANTS`` a missing one is its
-        certified value; any other space needs both (ValueError).
+        (dual) one.  For an ``(r, p)`` of ``DEFAULT_CONSTANTS`` a missing
+        one is its certified value, whatever the weights; any other
+        ``(r, p)`` needs both (ValueError).
     """
 
     dim: int
@@ -76,37 +83,37 @@ class SpaceGeometry:
     weights: np.ndarray | None = None
     Cp: float | None = None
     Gq: float | None = None
-    _unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = integer("dim", self.dim)
         r = exponent("r", self.r)
         p = max(r, 2.0) if self.p is None else exponent("p", self.p)
         w = self.weights
-        w = np.ones(dim) if w is None else np.asarray(w, dtype=float)
-        if w.shape != (dim,):
-            raise DimensionMismatch(
-                f"weights have shape {w.shape}, expected ({dim},)")
-        if not np.all((w > 0) & np.isfinite(w)):
-            raise ValueError("all weights must be positive and finite")
-        w = w.copy()
-        w.flags.writeable = False
-        unit = bool(np.all(w == 1.0))
+        if w is not None:
+            w = np.array(w, dtype=float)     # a copy the caller cannot change
+            if w.shape != (dim,):
+                raise DimensionMismatch(
+                    f"weights have shape {w.shape}, expected ({dim},)")
+            if not np.all((w > 0) & np.isfinite(w)):
+                raise ValueError("all weights must be positive and finite")
+            w.flags.writeable = False
+            if np.all(w == 1.0):
+                w = None
         cp, gq = self.Cp, self.Gq
         if cp is None or gq is None:
-            if not unit or (r, p) not in DEFAULT_CONSTANTS:
+            if (r, p) not in DEFAULT_CONSTANTS:
                 raise ValueError(
                     "no certified default constants for this configuration; "
                     "pass Cp and Gq explicitly")
             cp_d, gq_d = DEFAULT_CONSTANTS[(r, p)]
             cp, gq = cp_d if cp is None else cp, gq_d if gq is None else gq
         cp, gq = real("Cp", cp), real("Gq", gq)
-        if unit and r == p == 2.0 and (cp != 1.0 or gq != 1.0):
+        if w is None and r == p == 2.0 and (cp != 1.0 or gq != 1.0):
             raise ValueError(
                 "the Hilbert configuration (r=2, p=2, unit weights) "
                 "forces Cp = Gq = 1")
         for name, value in (("dim", dim), ("r", r), ("p", p), ("weights", w),
-                            ("Cp", cp), ("Gq", gq), ("_unit_weights", unit)):
+                            ("Cp", cp), ("Gq", gq)):
             object.__setattr__(self, name, value)
 
     @property
@@ -126,7 +133,8 @@ class SpaceGeometry:
             dim=self.dim,
             r=rp,
             p=self.q,
-            weights=self.weights ** (1.0 - rp),
+            weights=None if self.weights is None
+            else self.weights ** (1.0 - rp),
             Cp=self.Gq,
             Gq=self.Cp,
         )
@@ -165,7 +173,7 @@ def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x."""
     r = space.r
     powers = x * x if r == 2.0 else np.abs(x) ** r
-    if not space._unit_weights:
+    if space.weights is not None:
         powers = space.weights * powers
     return np.add.reduce(powers, axis=-1) ** (1.0 / r)
 
@@ -173,11 +181,11 @@ def _norm(space: SpaceGeometry, x: np.ndarray):
 def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     """The duality mapping of a checked x.  ``nrm = ||x||`` is computed
     here when not given, and only when p != r."""
-    if space.r == 2.0 and space._unit_weights:
+    if space.r == 2.0 and space.weights is None:
         phi = x + 0.0
     else:
         phi = np.abs(x) ** (space.r - 1.0)
-        if not space._unit_weights:
+        if space.weights is not None:
             phi = space.weights * phi
         phi *= np.sign(x)
     if space.r == space.p:
@@ -256,7 +264,9 @@ def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,
     exceed it) and ``gq_bound`` the sampled supremum of the dual ratio
     ``q * breg* / ||x* - xt*||**q`` (a configured ``Gq`` must not fall
     below it).  Both ratios are scale invariant, so unit-scale samples
-    suffice.
+    suffice.  A pair so close that its Bregman distance is below 1e-8 of
+    ``||x||**p + ||xt||**p`` is skipped: there the distance is mostly the
+    rounding of its three terms, and the ratio with it.
     """
     rng = np.random.default_rng(seed)
 
@@ -269,7 +279,8 @@ def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,
         xt[:half] = x[:half] * rng.uniform(-2.0, 2.0, (half, 1))
         breg = bregman_distance(sp, x, xt)
         gap = norm(sp, x - xt)
-        keep = gap > 1e-12
+        size = norm(sp, x) ** sp.p + norm(sp, xt) ** sp.p
+        keep = breg > 1e-8 * size
         return sp.p * breg[keep] / gap[keep] ** sp.p
 
     cp_bound = float(np.min(ratios(space)))

@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (LambdaTooSmall, NoSuchLevel, TauOutOfRange,
-                     TransitionInvalid, integer, real)
+from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel,
+                     TauOutOfRange, TransitionInvalid, integer, real)
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
@@ -156,11 +156,17 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
 
     Returns ``(transitions, final_index)`` where transitions is a list of
     ``(n, lhs, rhs, ok)``.  Raises TransitionInvalid if any pair fails or
-    the schedule does not end exactly at the selected final level.
+    the schedule does not end exactly at the selected final level, and
+    EtaTooLarge, with the level's index in its message, if a level past
+    the first has ``8 * ctilde * eta >= 1``.
     """
     transitions = []
     for n, (lv, nxt) in enumerate(zip(schedule.levels, schedule.levels[1:])):
-        lhs, rhs, ok = validate_transition(space, lv, nxt, schedule.epsilon)
+        try:
+            lhs, rhs, ok = validate_transition(space, lv, nxt,
+                                               schedule.epsilon)
+        except EtaTooLarge as exc:
+            raise EtaTooLarge(f"level {n + 1}: {exc}") from None
         transitions.append((n, lhs, rhs, ok))
     final = select_final_level(schedule.etas, schedule.epsilon,
                                schedule.eta_hat)

@@ -306,14 +306,15 @@ def _gauge_p_projection(space, project_r, x):
         return _log_ratio(space, y if m is None else y / m, nx) - t, y
 
     # The walk goes toward the root, the sign of g0.  Only a rescaling
-    # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.
-    # One that underflows to 0 is the origin case, where P_r(0) projects
-    # every point that small, to rounding.
+    # that overflows bounds it: e**(beta t), e**(beta t) x and the r-th
+    # powers of its entries, which the norms sum, stay finite.  One that
+    # underflows to 0 is the origin case, where P_r(0) projects every
+    # point that small, to rounding.
     g0 = _log(n0 / nx)
     limit = math.inf
     if beta * g0 > 0.0:
         log_max = max(math.log(float(np.max(np.abs(x)))), 0.0)
-        limit = max(_EXP_MAX - log_max, 0.0) / abs(beta)
+        limit = max(_EXP_MAX / r - log_max, 0.0) / abs(beta)
     try:
         return _finite(
             _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
@@ -509,7 +510,10 @@ def _newton_step(space, c, x, y, sigma, tau, beta, g1, g2):
     D_i is 0 or infinite, and ``d log ||v|| = sum_i w_i phi(v_i) dv_i /
     ||v||**r``.  The sigma-derivatives carry the factor ``1 + lam``.
     """
-    r, w = space.r, space.weights
+    # Unit weights are an array of ones here: np.dot against it rounds
+    # differently from np.add.reduce.
+    r = space.r
+    w = np.ones(x.shape) if space.weights is None else space.weights
     lam = math.expm1(sigma)
     z = math.exp(tau) * x
     gap = y - c

@@ -41,7 +41,7 @@ class TestParseConfig:
         assert cfg.space.r == 2.0
         assert cfg.max_iterations == 10 ** 6
         assert cfg.eta == 0.0
-        np.testing.assert_array_equal(cfg.space.weights, [1.0, 1.0])
+        assert cfg.space.weights is None       # unit weights
 
     def test_unknown_keys_rejected(self):
         text = MINIMAL_SINGLE + "\nbogus: 1\n"
@@ -400,6 +400,25 @@ class TestExecuteMultilevel:
         assert checked == plain
         assert all("theoremChecks" not in lv for lv in plain["perLevel"])
 
+    @pytest.mark.parametrize("mode", ["multilevel", "validate"])
+    def test_eta_too_large_names_its_level(self, tmp_path, capsys, mode):
+        # With level 1's C at 50, 8 * ctilde * eta = 3.6 >= 1, and the
+        # message did not say at which level.
+        with open(EXAMPLE) as fh:
+            doc = yaml.safe_load(fh)
+        doc["levels"][1]["C"] = 50.0
+        if mode == "validate":
+            doc["mode"] = "validate"
+            del doc["x0"]
+            for lv in doc["levels"]:
+                del lv["reference"]
+        path = write(tmp_path, "eta.yaml", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        # Validate mode prints its verdict on stdout, run mode on stderr.
+        out, err = capsys.readouterr()
+        assert (out + err).startswith(
+            "schedule invalid: level 1: 8 * ctilde * eta = ")
+
     def test_diagonal_and_dense_models_give_the_same_bytes(self, tmp_path):
         outputs = []
         for dense in (False, True):
@@ -514,6 +533,27 @@ def test_output_path_must_be_a_file_name(tmp_path, capsys, mode, key, value):
     assert capsys.readouterr().err == \
         f"config error: output.{key}: expected a file name\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("dim", [10 ** 12, 10 ** 400], ids=["1e12", "1e400"])
+def test_huge_dim_builds_no_array(tmp_path, capsys, dim):
+    # An unweighted space allocated np.ones(dim) while parsing: 10**12
+    # ended in numpy's _ArrayMemoryError traceback (exit 1), and 10**400
+    # was refused in numpy's words.  Validate mode reads no vector.
+    doc = {"mode": "validate", "space": {"dim": dim},
+           "solver": {"etaHat": 0.05},
+           "levels": [{"eta": 0.01, "C": 1.0, "L": 0.0, "Lhat": 1.0}]}
+    path = write(tmp_path, "dim.cfg", yaml.safe_dump(doc))
+    assert main(["run", path]) == 0
+    assert capsys.readouterr() == ("schedule valid\n", "")
+
+
+def test_huge_dim_single_mode_reports_the_vectors(tmp_path, capsys):
+    path = write(tmp_path, "dim.cfg", MINIMAL_SINGLE.replace(
+        "space: {dim: 2}", "space: {dim: 1000000000000}"))
+    assert main(["run", path]) == 3
+    assert "config error: x0: expected 1000000000000 entries (space.dim), " \
+        "got 2\n" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exits_three(tmp_path, capsys):

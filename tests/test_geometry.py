@@ -1,5 +1,7 @@
 """Tests of norms, duality mappings, and Bregman distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,12 @@ class TestConstruction:
         assert space.Cp <= cp_bound + 1e-6
         assert space.Gq >= gq_bound - 1e-6
 
+    # The last three are weighted: weights do not make an (r, p) certified.
     @pytest.mark.parametrize("kwargs", [
         {"r": 2.5}, {"r": 3.0, "p": 2.0}, {"r": 2.0, "p": 3.0},
-        {"weights": [1.0, 2.0, 3.0]},
-        {"weights": [1.0, 2.0, 3.0], "Cp": 1.0},
-        {"r": 1.5, "weights": [0.5, 1.0, 1.0], "Gq": 2.2}])
+        {"r": 2.5, "weights": [1.0, 2.0, 3.0]},
+        {"r": 2.5, "weights": [1.0, 2.0, 3.0], "Cp": 1.0},
+        {"r": 3.0, "p": 2.0, "weights": [0.5, 1.0, 1.0], "Gq": 2.2}])
     def test_uncertified_space_needs_both_constants(self, kwargs):
         with pytest.raises(ValueError, match="pass Cp and Gq explicitly"):
             SpaceGeometry(3, **kwargs)
@@ -105,9 +108,58 @@ class TestConstruction:
         assert SpaceGeometry(dim=np.int64(3)).dim == 3
 
     def test_weights_are_immutable(self):
-        space = lp_space(3)
+        space = lp_space(3, weights=[1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             space.weights[0] = 2.0
+
+    def test_unit_weights_are_none(self):
+        # Unit weights, left out or given as ones, are stored as None, so an
+        # unweighted space holds no array of size dim.
+        assert lp_space(3).weights is None
+        assert lp_space(3, r=1.5, weights=np.ones(3)).weights is None
+        assert lp_space(3).dual().weights is None
+        assert lp_space(3, weights=[1.0, 1.0, 2.0]).weights is not None
+
+    @pytest.mark.parametrize("r,p", GEOMETRIES)
+    def test_weighted_space_gets_the_certified_defaults(self, r, p):
+        # Cp and Gq do not depend on the weights: x -> w**(1/r) x is a
+        # linear isometry onto unweighted l^r that carries the Bregman
+        # distance along.  Weights log-uniform in [0.01, 100].
+        rng = np.random.default_rng(23)
+        for dim in (2, 4, 7):
+            weights = 10.0 ** rng.uniform(-2.0, 2.0, dim)
+            space = SpaceGeometry(dim, r, weights=weights)
+            assert (space.p, space.Cp, space.Gq) == \
+                (p, *DEFAULT_CONSTANTS[(r, p)])
+            cp_bound, gq_bound = certify_constants(space, n_samples=20_000,
+                                                   seed=dim)
+            assert space.Cp <= cp_bound + 1e-6
+            assert space.Gq >= gq_bound - 1e-6
+        # A stated constant wins, and the other one is still derived.
+        cp, gq = DEFAULT_CONSTANTS[(r, p)]
+        w = [0.5, 2.0, 30.0]
+        space = SpaceGeometry(3, r, weights=w, Cp=0.5 * cp)
+        assert (space.Cp, space.Gq) == (0.5 * cp, gq)
+        space = SpaceGeometry(3, r, weights=w, Gq=2.0 * gq)
+        assert (space.Cp, space.Gq) == (cp, 2.0 * gq)
+        with pytest.raises(ValueError, match="pass Cp and Gq explicitly"):
+            SpaceGeometry(3, r, p=p + 0.5, weights=w)
+
+    @pytest.mark.parametrize("dim", [10 ** 12, 10 ** 400],
+                             ids=["1e12", "1e400"])
+    def test_huge_dim_allocates_nothing(self, dim):
+        # An unweighted space of dim 10**12 allocated np.ones(dim), and
+        # numpy refused 10**400.
+        tracemalloc.start()
+        try:
+            space = SpaceGeometry(dim, r=1.5)
+            dual = space.dual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.dim == dual.dim == dim
+        assert space.weights is None and dual.weights is None
+        assert peak < 2 ** 20
 
     def test_dim_check(self):
         space = lp_space(3)
@@ -176,9 +228,14 @@ class TestDualityMap:
         np.testing.assert_allclose(back, x, atol=1e-10)
 
 
+def weights_of(space):
+    """The weight array of the space, ones for unit weights (None)."""
+    return np.ones(space.dim) if space.weights is None else space.weights
+
+
 def general_norm(space, x):
     """``(sum_i w_i |x_i|**r) ** (1/r)`` as written."""
-    return np.sum(space.weights * np.abs(x) ** space.r,
+    return np.sum(weights_of(space) * np.abs(x) ** space.r,
                   axis=-1) ** (1.0 / space.r)
 
 
@@ -189,7 +246,7 @@ def general_duality_map(space, x):
     scale = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
     scale = np.where(nrm > 0.0, scale, 0.0)
     return scale[..., np.newaxis] * (
-        space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x))
+        weights_of(space) * np.abs(x) ** (space.r - 1.0) * np.sign(x))
 
 
 # Each kernel shortcut, and the general path as a control.
@@ -270,7 +327,7 @@ class TestSpecialisedKernels:
         assert norm(space, x) == 0.0
         np.testing.assert_array_equal(
             duality_map(space, x),
-            space.weights * np.abs(x) ** (space.r - 1.0) * np.sign(x))
+            weights_of(space) * np.abs(x) ** (space.r - 1.0) * np.sign(x))
 
     @pytest.mark.parametrize("name,norms", [
         ("hilbert", 0), ("weighted-l2", 0), ("r3", 0), ("weighted-r3", 0),
@@ -289,15 +346,18 @@ class TestSpecialisedKernels:
         assert len(calls) == norms
 
     def test_hilbert_flag(self):
-        # The kernel takes its Hilbert shortcuts from r, p and unit weights.
+        # The kernel takes its Hilbert shortcuts from r, p and unit weights,
+        # which a space stores as None.
         for space in (KERNEL_SPACES["hilbert"],
                       KERNEL_SPACES["hilbert"].dual()):
-            assert (space.r, space.p, space._unit_weights) == (2.0, 2.0, True)
+            assert (space.r, space.p, space.weights) == (2.0, 2.0, None)
         weighted = KERNEL_SPACES["weighted-l2"]
         for space in (weighted, weighted.dual()):
-            assert (space.r, space.p, space._unit_weights) == (2.0, 2.0, False)
+            assert (space.r, space.p) == (2.0, 2.0)
+            assert space.weights is not None
         for space in (KERNEL_SPACES["r3"], KERNEL_SPACES["r3"].dual()):
-            assert space.r != 2.0 and space.p != 2.0 and space._unit_weights
+            assert space.r != 2.0 and space.p != 2.0
+            assert space.weights is None
 
 
 class TestBregmanDistance:

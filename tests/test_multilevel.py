@@ -105,6 +105,17 @@ class TestTransitions:
         with pytest.raises(TransitionInvalid):
             validate_schedule(space, sched)
 
+    def test_eta_too_large_names_its_level(self):
+        # The message gave 8 * ctilde * eta and eta, but not the level.
+        space = lp_space(2)
+        levels = [Level(eta=0.1, C=1.0, L=0.0, Lhat=1.0),
+                  Level(eta=0.05, C=1.0, L=0.0, Lhat=1.0),
+                  Level(eta=0.01, C=50.0, L=1.0, Lhat=1.0)]
+        sched = Schedule(levels=levels, epsilon=1.0, eta_hat=0.05)
+        with pytest.raises(EtaTooLarge,
+                           match=r"^level 2: 8 \* ctilde \* eta = .* >= 1"):
+            validate_schedule(space, sched)
+
     def test_validate_schedule_rejects_overlong_schedule(self):
         space = lp_space(2)
         levels = [Level(eta=0.01, C=1.0, L=0.0, Lhat=1.0),

@@ -38,8 +38,9 @@ def spaces(draw):
     dim = draw(st.integers(1, 6))
     weights = draw(st.lists(st.floats(0.25, 4.0), min_size=dim,
                             max_size=dim))
-    # The properties below read no comparison constant, so any positive
-    # pair serves.
+    # Only an unshipped (r, p), as most drawn pairs are, lacks default
+    # constants; the properties below read none, so any positive pair
+    # serves.
     return SpaceGeometry(dim=dim, r=draw(exponents), p=draw(exponents),
                          weights=np.array(weights), Cp=1.0, Gq=1.0)
 

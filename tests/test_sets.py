@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,12 +276,12 @@ def members_near(cset, space, rng, y, n):
     return np.vstack([far, near])
 
 
-def assert_exact_projection(space, cset, x, rng):
-    """Membership, brute-force minimality, the three-point law at 1e-12
-    relative, and idempotence."""
+def assert_exact_projection(space, cset, x, rng, n=200):
+    """Membership, brute-force minimality over 2n members, the three-point
+    law at 1e-12 relative, and idempotence."""
     y = bregman_project(space, cset, x)
     assert member(space, cset, y, tol=1e-12)
-    zs = members_near(cset, space, rng, y, 200)
+    zs = members_near(cset, space, rng, y, n)
     n_z = len(zs)
     d_x_y = float(bregman_distance(space, x, y))
     d_x_z = bregman_distance(space, np.repeat(x[None], n_z, 0), zs)
@@ -545,6 +546,32 @@ class TestExactProjections:
         with pytest.raises(NonConvergence):
             bregman_project(space, Ball([1.0, -2.0], 0.5),
                             np.array([1e200, 1e200]))
+
+    def test_nested_ball_searches_raise_no_overflow_warning(self):
+        # The nested searches' doubling walk bounded e**(beta t) x but not
+        # its r-th powers, which ||z - c|| sums: 27 of 200 such points
+        # raised "overflow encountered in power" (here beta = -11).  Each
+        # point now projects or raises NonConvergence, without a warning:
+        # 151 project, and each of the others caps a coordinate solve.
+        space = lp_space(4, r=1.25, p=4.0, Cp=0.1, Gq=10.0)
+        rng = np.random.default_rng(20)
+        cases = [(Ball([-0.755, 1.689, -0.287, 1.574], 1.96),
+                  np.array([0.0, -1.531e17, -1.793e17, 8.846e16]))]
+        for _ in range(199):
+            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-30.0, 30.0)
+            x[rng.integers(4)] = 0.0
+            cases.append((Ball(rng.uniform(-2.0, 2.0, 4),
+                               rng.uniform(0.5, 2.0)), x))
+        projected = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ball, x in cases:
+                try:
+                    assert_exact_projection(space, ball, x, rng, n=10)
+                    projected += 1
+                except NonConvergence:
+                    pass
+        assert projected >= 150
 
     # (r, p, size) with |size|**r beyond the float range: ||x|| overflowed
     # in a RuntimeWarning ("overflow encountered in power").
