@@ -265,8 +265,8 @@ def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,
     ``q * breg* / ||x* - xt*||**q`` (a configured ``Gq`` must not fall
     below it).  Both ratios are scale invariant, so unit-scale samples
     suffice.  A pair so close that its Bregman distance is below 1e-8 of
-    ``||x||**p + ||xt||**p`` is skipped: there the distance is mostly the
-    rounding of its three terms, and the ratio with it.
+    ``||x||**p + ||xt||**p`` is skipped: the rounding of its three terms,
+    each about 1e-16 of that sum, would move the ratio by more than 1e-8.
     """
     rng = np.random.default_rng(seed)
 

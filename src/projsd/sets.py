@@ -211,7 +211,9 @@ class Ball(ConvexSet):
                                 z if y is None else y)
             return y
 
-        return _gauge_p_projection(space, project_r, x)
+        # project_r takes the norm of the rescaled point itself, so the walk
+        # keeps the r-th powers of its entries finite, not only the entries.
+        return _gauge_p_projection(space, project_r, x, _EXP_MAX / space.r)
 
     def __repr__(self):
         return f"Ball(center={self.center!r}, radius={self.radius})"
@@ -262,7 +264,7 @@ class CoordinateSubspace(ConvexSet):
         return f"CoordinateSubspace({list(self.support)})"
 
 
-def _gauge_p_projection(space, project_r, x):
+def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     """``P_p(x) = P_r(alpha * x)`` with ``alpha = e**(beta t)``, where
     ``t = log(s / ||x||)`` is the root of
     ``g(t) = log(||P_r(alpha x)|| / ||x||) - t``.
@@ -275,7 +277,8 @@ def _gauge_p_projection(space, project_r, x):
     set is a cone) when beta < 0, gamma = 0 (exact where P_r is constant
     along the ray) when beta > 0.  For gamma in [0, 1] the root lies
     beyond it, so the walk does not overshoot the root to where powers of
-    the rescaled point overflow or underflow.
+    the rescaled point overflow or underflow.  No trial takes an entry of
+    ``e**(beta t) x`` past ``e**exp_max``.
     """
     r, p = space.r, space.p
     y0 = project_r(x)
@@ -306,15 +309,14 @@ def _gauge_p_projection(space, project_r, x):
         return _log_ratio(space, y if m is None else y / m, nx) - t, y
 
     # The walk goes toward the root, the sign of g0.  Only a rescaling
-    # that overflows bounds it: e**(beta t), e**(beta t) x and the r-th
-    # powers of its entries, which the norms sum, stay finite.  One that
-    # underflows to 0 is the origin case, where P_r(0) projects every
-    # point that small, to rounding.
+    # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.
+    # One that underflows to 0 is the origin case, where P_r(0) projects
+    # every point that small, to rounding.
     g0 = _log(n0 / nx)
     limit = math.inf
     if beta * g0 > 0.0:
         log_max = max(math.log(float(np.max(np.abs(x)))), 0.0)
-        limit = max(_EXP_MAX / r - log_max, 0.0) / abs(beta)
+        limit = max(exp_max - log_max, 0.0) / abs(beta)
     try:
         return _finite(
             _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])

@@ -426,6 +426,19 @@ class TestCertifyConstants:
         assert cp_bound == pytest.approx(1.0, rel=1e-6)
         assert gq_bound == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("r", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    def test_refutes_the_hilbert_pair_off_hilbert(self, r, weighted):
+        # Skipping the pairs whose Bregman distance is rounding must leave
+        # the falsifier able to refute Cp = Gq = 1, which lp_space(4, r=1.5)
+        # once stated.
+        weights = [0.01, 0.3, 5.0, 100.0, 1.0, 2.0] if weighted else None
+        space = lp_space(6, r=r, weights=weights)
+        cp_bound, gq_bound = certify_constants(space, n_samples=20_000,
+                                               seed=0)
+        assert cp_bound < 0.9 and gq_bound > 1.1
+
 
 class TestDualCache:
     def test_dual_is_built_once(self):

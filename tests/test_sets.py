@@ -601,6 +601,18 @@ class TestExactProjections:
             y, 1e100 * bregman_project(space, sub, x / 1e100), rtol=1e-14)
         assert y[1] == 0.0 and y[0] > size
 
+    @pytest.mark.parametrize("r, p, x, y", [
+        (1.5, 2.0, [1e120, 1e-100], [1.0, 1.0]),
+        (3.0, 4.0, [1e100, 1e-100], [1.0, 1e-50])], ids=["r1.5-p2", "r3-p4"])
+    def test_box_root_beyond_the_range_of_r_th_powers(self, r, p, x, y):
+        # The root rescales x by about 1e120 (1e50): the r-th powers of the
+        # rescaled point overflow, its entries do not, and the clamp takes
+        # no norm of it, so the walk must reach the root.
+        space = lp_space(2, r=r, p=p, Cp=0.3, Gq=2.0)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        np.testing.assert_allclose(bregman_project(space, box, np.array(x)),
+                                   y, rtol=1e-12)
+
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
                              ids=["2x4", "1x4", "4x1", "scalar"])
     @pytest.mark.parametrize("kind", ["wholespace", "box", "ball",
