@@ -52,7 +52,7 @@ from .geometry import SpaceGeometry, lp_space
 from .models import (DiagonalLinearModel, LinearModel, NoisyData,
                      QuadraticModel)
 from .multilevel import (Level, Schedule, example_schedule, run_multi_level,
-                         validate_schedule, validate_transition)
+                         validate_schedule)
 from .sets import Ball, Box, CoordinateSubspace, WholeSpace
 from .solver import SolverConfig, run_algorithm1
 
@@ -716,19 +716,14 @@ def _run_validate(cfg: RunConfig, quiet: bool) -> int:
     schedule = cfg.schedule
     valid, reason, final = True, "valid", None
     try:
-        final = validate_schedule(cfg.space, schedule)[1]
+        transitions, final = validate_schedule(cfg.space, schedule)
     except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
-        valid, reason = False, str(exc)
+        valid, reason, transitions = False, str(exc), exc.transitions
     # Every pair is listed, also the ones after a failing pair.
-    pairs = []
-    for n, (lv, nxt) in enumerate(zip(schedule.levels, schedule.levels[1:])):
-        try:
-            lhs, rhs, ok = validate_transition(cfg.space, lv, nxt,
-                                               schedule.epsilon)
-            pairs.append({"level": n, "lhs": float(lhs), "rhs": float(rhs),
-                          "ok": bool(ok)})
-        except EtaTooLarge:
-            pairs.append({"level": n, "ok": False})
+    pairs = [{"level": n, "ok": False} if lhs is None else
+             {"level": n, "lhs": float(lhs), "rhs": float(rhs),
+              "ok": bool(ok)}
+             for n, lhs, rhs, ok in transitions]
     summary = {
         "mode": "validate",
         "valid": valid,

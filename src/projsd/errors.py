@@ -6,9 +6,8 @@ import numpy as np
 
 __all__ = [
     "ProjSDError", "DimensionMismatch", "NonConvergence", "NonFiniteInput",
-    "EtaTooLarge", "NonpositiveU", "ZeroGradient",
-    "NonFiniteStep",
-    "MissingStabilityConstant", "StepIdentityViolated",
+    "EtaTooLarge", "NonpositiveU", "ZeroGradient", "NonFiniteStep",
+    "MissingStabilityConstant",
     "NoSuchLevel", "TransitionInvalid", "TauOutOfRange", "LambdaTooSmall",
     "SchemaError",
 ]
@@ -60,18 +59,14 @@ class ZeroGradient(ProjSDError):
 
 class NonFiniteStep(ProjSDError):
     """The residual norm r_k or the gradient norm t_k of a step is NaN or
-    +-inf, e.g. because the model returned a non-finite value."""
+    +-inf, e.g. because the model returned a non-finite value, or a scalar
+    of the step size (a power of r_k, t_k or u_k) leaves the float range."""
 
 
 class MissingStabilityConstant(ProjSDError, ValueError):
     """A nonlinear model does not state a constant the analysis reads: its
     conditional stability constant ``cstab`` (on entry to every run) or,
     for the convergence radius, its derivative bound ``lhat``."""
-
-
-class StepIdentityViolated(ProjSDError):
-    """The two algebraic identities behind the step size failed to hold to
-    round-off; the geometry constants are corrupt."""
 
 
 class NoSuchLevel(ProjSDError):

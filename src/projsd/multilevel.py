@@ -155,28 +155,38 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
     """All neighbor-pair transition checks plus the final-level selection.
 
     Returns ``(transitions, final_index)`` where transitions is a list of
-    ``(n, lhs, rhs, ok)``.  Raises TransitionInvalid if any pair fails or
-    the schedule does not end exactly at the selected final level, and
-    EtaTooLarge, with the level's index in its message, if a level past
-    the first has ``8 * ctilde * eta >= 1``.
+    ``(n, lhs, rhs, ok)`` over every pair.  Raises EtaTooLarge, with the
+    level's index in its message, if a level past the first has
+    ``8 * ctilde * eta >= 1``; then NoSuchLevel from the selection; then
+    TransitionInvalid if any pair fails or the schedule does not end
+    exactly at the selected final level.  The raised error carries the
+    list as ``transitions``, where a pair whose next level raised
+    EtaTooLarge is ``(n, None, None, False)``.
     """
-    transitions = []
+    transitions, too_large = [], None
     for n, (lv, nxt) in enumerate(zip(schedule.levels, schedule.levels[1:])):
         try:
-            lhs, rhs, ok = validate_transition(space, lv, nxt,
-                                               schedule.epsilon)
+            transitions.append(
+                (n, *validate_transition(space, lv, nxt, schedule.epsilon)))
         except EtaTooLarge as exc:
-            raise EtaTooLarge(f"level {n + 1}: {exc}") from None
-        transitions.append((n, lhs, rhs, ok))
-    final = select_final_level(schedule.etas, schedule.epsilon,
-                               schedule.eta_hat)
-    bad = [n for n, _, _, ok in transitions if not ok]
-    if bad:
-        raise TransitionInvalid(f"transition check failed at levels {bad}")
-    if final != len(schedule.levels) - 1:
-        raise TransitionInvalid(
-            f"schedule has {len(schedule.levels)} levels but the "
-            f"discrepancy target is first met at level {final}")
+            transitions.append((n, None, None, False))
+            too_large = too_large or EtaTooLarge(f"level {n + 1}: {exc}")
+    try:
+        if too_large is not None:
+            raise too_large
+        final = select_final_level(schedule.etas, schedule.epsilon,
+                                   schedule.eta_hat)
+        bad = [n for n, _, _, ok in transitions if not ok]
+        if bad:
+            raise TransitionInvalid(
+                f"transition check failed at levels {bad}")
+        if final != len(schedule.levels) - 1:
+            raise TransitionInvalid(
+                f"schedule has {len(schedule.levels)} levels but the "
+                f"discrepancy target is first met at level {final}")
+    except (EtaTooLarge, NoSuchLevel, TransitionInvalid) as exc:
+        exc.transitions = transitions
+        raise
     return transitions, final
 
 

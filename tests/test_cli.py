@@ -490,6 +490,34 @@ class TestValidateAndExampleSchedule:
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path, "--quiet"]) == 3
 
+    def test_validate_lists_every_pair_after_eta_too_large(self, tmp_path):
+        # Level 1's 8 ctilde eta is 8, so pair 0 has no lhs or rhs; pair 1
+        # is still evaluated and listed.
+        doc = {
+            "mode": "validate",
+            "space": {"dim": 2},
+            "epsilon": 1.0,
+            "levels": [
+                {"eta": 1.0, "C": 1.0, "L": 0.5, "Lhat": 1.0},
+                {"eta": 0.01, "C": 1.0, "L": 100.0, "Lhat": 1.0},
+                {"eta": 0.001, "C": 1.0, "L": 0.5, "Lhat": 1.0},
+            ],
+            "solver": {"etaHat": 0.005},
+            "output": {"summaryPath": str(tmp_path / "v.yaml")},
+        }
+        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        assert main(["run", path, "--quiet"]) == 3
+        summary = yaml.safe_load((tmp_path / "v.yaml").read_text())
+        assert not summary["valid"]
+        assert summary["reason"].startswith(
+            "level 1: 8 * ctilde * eta = 8.0 >= 1")
+        assert summary["finalLevel"] is None
+        pair0, pair1 = summary["transitions"]
+        assert pair0 == {"level": 0, "ok": False}
+        assert pair1["level"] == 1 and pair1["ok"]
+        assert pair1["lhs"] == pytest.approx(0.04)
+        assert 0.04 < pair1["rhs"] < 3.0
+
 
 def mode_doc(tmp_path, mode):
     """A runnable config document of `mode`, with every output key the
@@ -1227,13 +1255,29 @@ class TestParseTimeInputContract:
         assert not (tmp_path / "ml.csv").exists()
 
 
-def test_step_identity_violation_exits_two(tmp_path, monkeypatch, capsys):
-    # A negative tolerance makes the round-off check fail on any step.
+def test_solver_abort_in_single_mode_exits_two(tmp_path, monkeypatch,
+                                                capsys):
+    # The projection of the second step fails: the run exits 2 with the
+    # error on stderr, keeps the old trace and writes no summary.
     import projsd.solver
-    monkeypatch.setattr(projsd.solver, "_SELF_CHECK_TOL", -1.0)
+    real = projsd.solver.bregman_project
+    calls = []
+
+    def failing(space, cset, x):
+        calls.append(1)
+        if len(calls) == 3:     # the start's projection, then two steps
+            raise NonConvergence("bounded search ran out of steps")
+        return real(space, cset, x)
+
+    monkeypatch.setattr(projsd.solver, "bregman_project", failing)
     path = single_config(tmp_path)
+    (tmp_path / "trace.csv").write_text("old trace\n")
     assert main(["run", path]) == 2
-    assert "solver abort: step-size identities" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "solver abort: bounded search ran out of steps\n"
+    assert len(calls) == 3
+    assert (tmp_path / "trace.csv").read_text() == "old trace\n"
+    assert not (tmp_path / "summary.yaml").exists()
 
 
 class TestStepFailureInSummary:
@@ -1258,6 +1302,24 @@ class TestStepFailureInSummary:
         summary = self.summary(tmp_path)
         assert summary["stopReason"] == "StepDegenerate"
         assert summary["failure"] == "NonFiniteStep: r_0 = nan is not finite"
+
+    @pytest.mark.parametrize("matrix, ydelta", [(1.0, 1e30), (1e-120, 1.0)])
+    def test_overflowing_step_scalars(self, tmp_path, capsys, matrix,
+                                      ydelta):
+        # r_0**12 and then (Gq t_0**(4/3))**-3 left the float range: an
+        # OverflowError traceback, exit 1.
+        path = single_config(tmp_path, space={"dim": 1, "r": 4.0},
+                             model={"kind": "linear", "matrix": [[matrix]]},
+                             data={"ydelta": [ydelta]}, x0=[0.0],
+                             solver={"etaHat": 0.5})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr() == (
+            f"StepDegenerate at k=0, residual {ydelta:.6e}\n", "")
+        summary = self.summary(tmp_path)
+        assert summary["stopReason"] == "StepDegenerate"
+        assert summary["failure"].startswith(
+            "NonFiniteStep: the scalars of step 0 leave the float range "
+            f"(residual {ydelta!r}, t_0 = ")
 
     def test_single_mode(self, tmp_path):
         # A^T R_0 = 0 while the residual is sqrt(2).

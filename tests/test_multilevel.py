@@ -125,6 +125,32 @@ class TestTransitions:
         with pytest.raises(TransitionInvalid):
             validate_schedule(space, sched)
 
+    @pytest.mark.parametrize("l1, eta_hat, error, message", [
+        (100.0, 1e-6, EtaTooLarge, "level 1: 8 * ctilde * eta = "),
+        (0.5, 1e-6, NoSuchLevel, "no level with "),
+        (0.5, 0.01, TransitionInvalid, "transition check failed at "
+                                       "levels [2]"),
+    ], ids=["eta-too-large", "no-such-level", "transition-invalid"])
+    def test_every_pair_is_evaluated_and_carried(self, l1, eta_hat, error,
+                                                 message):
+        # Level 1 raises EtaTooLarge at L = 100, pair 2 fails, and the
+        # target is not met at eta_hat = 1e-6: the error of the highest
+        # precedence is raised, and it carries every pair.
+        space = lp_space(2)
+        levels = [Level(eta=0.1, C=1.0, L=0.5, Lhat=1.0),
+                  Level(eta=0.01, C=1.0, L=l1, Lhat=1.0),
+                  Level(eta=10.0, C=1.0, L=0.0, Lhat=1.0),
+                  Level(eta=0.001, C=1.0, L=0.5, Lhat=1.0)]
+        sched = Schedule(levels=levels, epsilon=1.0, eta_hat=eta_hat)
+        with pytest.raises(error) as exc:
+            validate_schedule(space, sched)
+        assert str(exc.value).startswith(message)
+        pairs = [(n, *validate_transition(space, a, b, 1.0))
+                 if n or l1 != 100.0 else (0, None, None, False)
+                 for n, (a, b) in enumerate(zip(levels, levels[1:]))]
+        assert exc.value.transitions == pairs
+        assert [ok for *_, ok in pairs] == [l1 != 100.0, True, False]
+
 
 class TestExampleSchedule:
     def test_guards(self):
