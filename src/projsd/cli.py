@@ -2,12 +2,12 @@
 
 Parses a YAML run configuration, constructs the geometry, model, set or
 level schedule, executes a single-level or multi-level run (or validates
-a schedule without running), and writes a per-iteration CSV trace plus a
-YAML summary.  All file writes are atomic (temp file + rename).  The
-trace is streamed: the run hands each iteration to the library's
-``on_iteration`` hook, which writes its row to the temp file, and the
-file is renamed into place when the run ends, so a run holds one
-iteration at a time.  Under ``diagnostics.checkTheorems`` the summary's
+the levels of a schedule without running), and writes a per-iteration
+CSV trace plus a YAML summary.  All file writes are atomic (temp file +
+rename).  The trace is streamed: the run hands each iteration to the
+library's ``on_iteration`` hook, which writes its row to the temp file,
+and the file is renamed into place when the run ends, so a run holds
+one iteration at a time.  Under ``diagnostics.checkTheorems`` the summary's
 ``theoremChecks`` (top level in single mode, in each ``perLevel`` entry
 in multilevel mode) are the tallies of the run's ``RunReport``.  The
 solver is deterministic, so an identical config produces byte-identical
@@ -22,12 +22,13 @@ needs, are validation failures.  So is other input that cannot run
 (a number that breaks its input rule of README ("Input rules"),
 mismatched lengths, set parameters that do not fit ``space.dim``,
 non-finite vector entries other than open box bounds, a nonlinear
-model without ``cstab``, or without
-``lhat`` under ``checkTheorems``, ``checkTheorems`` without a reference
-for every run, example-schedule parameters the generator refuses, an
-output path that is not a file name, a negative ``--seed``).  All of it
-is found while parsing, before anything runs.  A level's index in the
-trace and the summary is its position in ``levels``.
+model without ``cstab``, or without ``lhat`` under ``checkTheorems``,
+``checkTheorems`` without a reference for every run, example-schedule
+parameters the generator refuses (an ``etaHat`` that no level with float
+constants reaches too), an output path that is not a file name, a
+negative ``--seed``).  All of it is found while parsing, before
+anything runs.  A level's index in the trace and the summary is its
+position in ``levels``.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def _table(spec, name="{}"):
 
 # The keys each config mapping reads, per context: the mode for the top
 # level and for solver, diagnostics, output and levels[i]; the kind for
-# model and set.  A validate config with a schedule reads what
-# example-schedule mode reads, but for output.schedulePath.
+# model and set.
 _READS = {
     "config": _table({
         "single mode": "mode space! dataSpace model! set! data! x0! solver! "
@@ -92,24 +92,20 @@ _READS = {
                            "solver! diagnostics output",
         "validate mode": "mode space! dataSpace levels! epsilon solver! "
                          "diagnostics output",
-        "validate mode with a schedule": "mode space! schedule! solver "
-                                         "diagnostics output",
         "example-schedule mode": "mode space! schedule! solver diagnostics "
                                  "output"}),
     "solver": _table({
         "single mode": "eta etaHat! maxIterations seed",
         "multilevel mode": "etaHat! maxIterations seed",
-        "validate mode": "etaHat!", "validate mode with a schedule": "",
-        "example-schedule mode": ""}),
+        "validate mode": "etaHat!", "example-schedule mode": ""}),
     "diagnostics": _table({
         "single mode": "referenceSolution checkTheorems",
         "multilevel mode": "checkTheorems", "validate mode": "",
-        "validate mode with a schedule": "", "example-schedule mode": ""}),
+        "example-schedule mode": ""}),
     "output": _table({
         "single mode": "tracePath summaryPath",
         "multilevel mode": "tracePath summaryPath",
         "validate mode": "summaryPath",
-        "validate mode with a schedule": "summaryPath",
         "example-schedule mode": "schedulePath summaryPath"}),
     "levels[i]": _table({
         "multilevel mode": "eta! C! L! Lhat! model! set! data! reference",
@@ -125,7 +121,7 @@ _READS = {
     "space": _table({"the space": "dim! r p weights Cp Gq"}),
     "dataSpace": _table({"the data space": "s"}),
     "data": _table({"the data": "ydelta|ydeltaFile"}),
-    "schedule": _table({"the schedule": "lam! tau! etaHat! maxLevels"}),
+    "schedule": _table({"the schedule": "lam! tau! etaHat!"}),
 }
 # Level model keys refused: the run sets them from the level's C and Lhat.
 _LEVEL_MODEL_CONSTANTS = {"cstab": "C", "lhat": "Lhat"}
@@ -435,16 +431,14 @@ def _parse_example_schedule(node, space, errors):
                  errors)
     lam, tau, eta_hat = (_scalar(node.get(key), f"schedule.{key}", errors,
                                  real) for key in ("lam", "tau", "etaHat"))
-    max_levels = _scalar(node.get("maxLevels"), "schedule.maxLevels", errors,
-                         integer, 64)
-    if space is None or None in (lam, tau, eta_hat, max_levels):
+    if space is None or None in (lam, tau, eta_hat):
         return None
     try:
         return example_schedule(lam=lam, tau=tau, space=space,
-                                eta_hat=eta_hat, max_levels=max_levels)
+                                eta_hat=eta_hat)
     except (LambdaTooSmall, TauOutOfRange, NoSuchLevel) as exc:
         key = {LambdaTooSmall: "lam", TauOutOfRange: "tau"}.get(
-            type(exc), "maxLevels")
+            type(exc), "etaHat")
         errors.append(f"schedule.{key}: {exc}")
         return None
 
@@ -477,8 +471,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if mode not in _MODES:
         raise SchemaError([f"mode: expected one of {sorted(_MODES)}"])
     context = f"{mode} mode"
-    if mode == "validate" and raw.get("schedule") is not None:
-        context += " with a schedule"
     top = _read(raw, _READS["config"], context, "", errors)
     sol, diag, out = (_read(top.get(key), _READS[key], context, key, errors)
                       for key in ("solver", "diagnostics", "output"))
@@ -544,7 +536,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     schedule = _parse_example_schedule(top.get("schedule"), space, errors)
     if errors:
         raise SchemaError(errors)
-    if levels:  # multilevel mode, or validate mode with levels
+    if levels:  # multilevel or validate mode
         schedule = Schedule(levels=levels, epsilon=epsilon, eta_hat=eta_hat)
     return RunConfig(mode=mode, space=space, cset=cset, model=model,
                      data=data, x0=x0, levels=levels, epsilon=epsilon,

@@ -45,6 +45,10 @@ class ForwardModel:
     nonlinear run raises MissingStabilityConstant on entry without
     ``cstab``, and, with a diagnostic reference, without ``lhat``.
 
+    ``in_dim``, when the model states it (every shipped model does), is
+    the length of an input: a run on a space of another dimension raises
+    DimensionMismatch on entry.
+
     Output shapes: for one iterate ``x`` of shape ``(d,)``, ``eval(x)``
     returns shape ``(out_dim,)`` and ``apply_adjoint(x, ystar)`` shape
     ``(d,)``.  ``run_algorithm1`` checks both on every call and raises
@@ -53,6 +57,7 @@ class ForwardModel:
     """
 
     out_dim: int
+    in_dim: int | None = None
     s: float = 2.0
     lip: float = 0.0
     lhat: float | None = None

@@ -15,13 +15,14 @@ input rules of README ("Input rules").
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel,
-                     TauOutOfRange, TransitionInvalid, integer, real)
+                     TauOutOfRange, TransitionInvalid, real)
 from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
@@ -197,9 +198,10 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
 
     Each level runs the single-level iteration with its own discrepancy
     threshold ``(3 + eps) * eta_n`` and hands the stopped iterate to the
-    next level as its start.  The sets are nested, so the hand-off is
-    feasible; the level's run projects its start like every iterate and
-    records its start-radius check in its report.
+    next level as its start, the last to ``eta_hat`` itself: the run
+    stops DiscrepancyMet or as the first level that stops otherwise.  The
+    sets are nested, so the hand-off is feasible; the level's run projects
+    its start like every iterate and records its start-radius check.
 
     ``on_iteration(n, state)`` receives every executed step of level n
     as it completes (see ``run_algorithm1``); with a hook the level
@@ -234,15 +236,12 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         if report.stop_reason != "DiscrepancyMet":
             stop_reason = report.stop_reason
             break
-    else:
-        if not report.final_residual <= schedule.eta_hat:
-            stop_reason = "TargetResidualMissed"
     return MultiLevelReport(per_level=per_level, x_final=x,
                             stop_reason=stop_reason)
 
 
 def example_schedule(lam: float, tau: float, space: SpaceGeometry,
-                     eta_hat: float, max_levels: int = 64) -> Schedule:
+                     eta_hat: float) -> Schedule:
     """Closed-form exponential schedule with provably valid transitions.
 
     Constant models per level index ``a``::
@@ -256,7 +255,7 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     must satisfy ``0 < tau < (Cp/p)**(3/p) / (16 * lam * (4 e + 1))``; the
     transition inequality then holds at every level.  The schedule stops
     at the first level whose discrepancy threshold ``4 * eta_a`` is at or
-    below ``eta_hat``.
+    below ``eta_hat``, among the 710 levels whose C_a is a float.
 
     Raises
     ------
@@ -266,10 +265,9 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     TauOutOfRange
         If ``tau`` violates its admissibility bound.
     NoSuchLevel
-        If ``max_levels`` levels do not reach the target residual.
+        If no level with float constants reaches the target residual.
     """
     lam, eta_hat = real("lam", lam), real("eta_hat", eta_hat)
-    max_levels = integer("max_levels", max_levels)
     if lam < 100.0 * eta_hat:
         raise LambdaTooSmall(
             f"lam = {lam} < 100 * eta_hat = {100 * eta_hat}")
@@ -283,9 +281,9 @@ def example_schedule(lam: float, tau: float, space: SpaceGeometry,
     def eta(a):
         return lam * math.exp(-a) / (a + 2.0)
 
-    # Lazily: the selection stops at the final level, whatever max_levels.
-    epsilon = 1.0
-    final = select_final_level(map(eta, range(max_levels)), epsilon, eta_hat)
+    # a < log(max / 2) + 1: the levels whose C_a = 2 e**a is a float.
+    epsilon, a_end = 1.0, int(math.log(sys.float_info.max / 2.0)) + 1
+    final = select_final_level(map(eta, range(a_end)), epsilon, eta_hat)
     levels = [
         Level(eta=eta(a), C=2.0 * math.exp(a), L=tau * math.exp(-a),
               Lhat=(a + 1.0) * math.exp(-a))

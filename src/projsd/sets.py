@@ -224,7 +224,9 @@ class CoordinateSubspace(ConvexSet):
 
     def __init__(self, support):
         support = list(support)
-        if not all(float(i).is_integer() for i in support):
+        # float(True) is 1.0, an integer: a bool is refused on its own.
+        if not all(not isinstance(i, (bool, np.bool_))
+                   and float(i).is_integer() for i in support):
             raise ValueError(f"support indices {support} must be integers")
         self.support = np.array(sorted(set(int(i) for i in support)))
         if self.support.size == 0:
@@ -265,7 +267,8 @@ class CoordinateSubspace(ConvexSet):
 
 
 def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
-    """``P_p(x) = P_r(alpha * x)`` with ``alpha = e**(beta t)``, where
+    """For p != r (at p = r, P_p is P_r),
+    ``P_p(x) = P_r(alpha * x)`` with ``alpha = e**(beta t)``, where
     ``t = log(s / ||x||)`` is the root of
     ``g(t) = log(||P_r(alpha x)|| / ||x||) - t``.
 
@@ -282,8 +285,6 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     """
     r, p = space.r, space.p
     y0 = project_r(x)
-    if p == r:
-        return y0
     with np.errstate(over="ignore"):
         nx = float(norm(space, x))
     if nx == 0.0:

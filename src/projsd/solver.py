@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EtaTooLarge, MissingStabilityConstant, NonFiniteStep,
-                     NonpositiveU, ZeroGradient, integer, real, vector)
+from .errors import (DimensionMismatch, EtaTooLarge,
+                     MissingStabilityConstant, NonFiniteStep, NonpositiveU,
+                     ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
 from .models import ForwardModel, NoisyData, data_space
 from .sets import ConvexSet, bregman_project
@@ -111,8 +112,16 @@ def _curvature_weight(space: SpaceGeometry, lip: float) -> float:
 
 
 def _ctilde(space: SpaceGeometry, lip: float, cstab: float) -> float:
-    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``."""
-    return _curvature_weight(space, lip) * cstab ** 2
+    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``: 0 when
+    L = 0, whatever C, and inf only when the product leaves the float
+    range."""
+    if lip == 0.0:
+        return 0.0
+    weight = _curvature_weight(space, lip)
+    try:
+        return weight * cstab ** 2
+    except OverflowError:  # C**2 does, the product may not
+        return weight * cstab * cstab
 
 
 def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
@@ -135,7 +144,9 @@ def _u_roots(ctilde: float, eta: float):
     """The roots ``(1 -+ sqrt(1 - 8 ctilde eta)) / (2 ctilde)`` of u and
     the radius bracket, for ``ctilde > 0``.  Raises EtaTooLarge unless
     ``8 * ctilde * eta < 1``; otherwise u <= 0 at every residual."""
-    disc = 1.0 - 8.0 * ctilde * eta
+    # At eta = 0 the product is 0 for every ctilde, an infinite one too,
+    # where the float product is NaN.
+    disc = 1.0 - 8.0 * ctilde * eta if eta else 1.0
     if disc <= 0.0:
         raise EtaTooLarge(
             f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
@@ -156,7 +167,9 @@ def convergence_radius(space: SpaceGeometry, lhat: float | None,
                        ctilde: float, eta: float) -> float:
     """Radius ``(Cp/p) (bracket / lhat)**p`` of the Bregman ball of
     admissible starting points; infinite when ``ctilde == 0`` (F linear),
-    where every start is admissible and ``lhat`` is not read.
+    where every start is admissible and ``lhat`` is not read, and when
+    the radius leaves the float range, where every start is admissible
+    too.
 
     Raises
     ------
@@ -171,8 +184,11 @@ def convergence_radius(space: SpaceGeometry, lhat: float | None,
         raise MissingStabilityConstant(
             "a nonlinear model needs a derivative bound lhat for its "
             "convergence radius")
-    return (space.Cp / space.p) \
-        * (_radius_bracket(ctilde, eta) / lhat) ** space.p
+    bracket = _radius_bracket(ctilde, eta)
+    try:
+        return (space.Cp / space.p) * (bracket / lhat) ** space.p
+    except OverflowError:
+        return math.inf
 
 
 def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
@@ -275,7 +291,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     Raises
     ------
     DimensionMismatch
-        If ``x0`` or the diagnostic reference is not of shape
+        If the model states an ``in_dim`` other than ``space.dim``, if
+        ``x0`` or the diagnostic reference is not of shape
         ``(space.dim,)``, if ``data.ydelta`` is not of shape
         ``(model.out_dim,)``, or if a call of ``model.eval`` or
         ``model.apply_adjoint`` returns an array of another shape than
@@ -288,6 +305,9 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
+    if model.in_dim is not None and model.in_dim != space.dim:
+        raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
+                                f"the space has dimension {space.dim}")
     x_shape, y_shape = (space.dim,), (model.out_dim,)
     x0 = vector(x0, x_shape, "x0")
     ydelta = vector(data.ydelta, y_shape, "ydelta")
@@ -322,55 +342,61 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     # runs unchecked; only the model's outputs are checked.
     q_over_p = space.q / space.p
     k = 0
-    while True:
-        Rk = vector(model.eval(x), y_shape, "model.eval(x)") - ydelta
-        rk = float(_norm(y_space, Rk))
-        if rk <= eta_hat:
-            report.stop_reason = "DiscrepancyMet"
-            break
-        if not math.isfinite(rk):
-            report.stop_reason = "StepDegenerate"
-            report.failure = NonFiniteStep(f"r_{k} = {rk} is not finite")
-            break
-        if k >= max_iterations:
-            report.stop_reason = "MaxIterations"
-            break
+    # A non-finite r_k, t_k, step scalar or projected point stops the run
+    # typed, so numpy's overflow warnings, errors under warnings-as-errors,
+    # are off for the loop; once per run, not per step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            Rk = vector(model.eval(x), y_shape, "model.eval(x)") - ydelta
+            rk = float(_norm(y_space, Rk))
+            if rk <= eta_hat:
+                report.stop_reason = "DiscrepancyMet"
+                break
+            if not math.isfinite(rk):
+                report.stop_reason = "StepDegenerate"
+                report.failure = NonFiniteStep(
+                    f"r_{k} = {rk} is not finite")
+                break
+            if k >= max_iterations:
+                report.stop_reason = "MaxIterations"
+                break
 
-        Tk = vector(model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
-                    x_shape, "model.apply_adjoint(x, ystar)")
-        tk = float(_norm(dual, Tk))
-        try:
-            that, uk, vk, wk, muk, gain = rule(k, rk, tk)
-        except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
-            report.stop_reason = "StepDegenerate"
-            report.failure = exc
-            break
-        if ref is None:
-            xstar = _duality_map(space, x)
-        xtilde = _duality_map(dual, xstar - muk * Tk)
-        x_next = bregman_project(space, cset, xtilde)
+            Tk = vector(
+                model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
+                x_shape, "model.apply_adjoint(x, ystar)")
+            tk = float(_norm(dual, Tk))
+            try:
+                that, uk, vk, wk, muk, gain = rule(k, rk, tk)
+            except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
+                report.stop_reason = "StepDegenerate"
+                report.failure = exc
+                break
+            if ref is None:
+                xstar = _duality_map(space, x)
+            xtilde = _duality_map(dual, xstar - muk * Tk)
+            x_next = bregman_project(space, cset, xtilde)
 
-        breg_k, radius_ok = breg, None
-        if ref is not None:
-            breg, xstar = _bregman_to_ref(space, x_next, ref, ref_np)
-            descent = wk * breg_k ** (2.0 / space.p) - vk
-            radius_ok = breg_k < rho
-            if not radius_ok:
-                report.radius_violations += 1
-            if not breg <= breg_k + descent + 1e-10:
-                report.monotonicity_violations += 1
-            if not descent < 0.0:
-                report.strict_bound_violations += 1
+            breg_k, radius_ok = breg, None
+            if ref is not None:
+                breg, xstar = _bregman_to_ref(space, x_next, ref, ref_np)
+                descent = wk * breg_k ** (2.0 / space.p) - vk
+                radius_ok = breg_k < rho
+                if not radius_ok:
+                    report.radius_violations += 1
+                if not breg <= breg_k + descent + 1e-10:
+                    report.monotonicity_violations += 1
+                if not descent < 0.0:
+                    report.strict_bound_violations += 1
 
-        # The strict-descent amount of the step is the gain with 1/p in
-        # place of 1/q.
-        report.descent_sum += q_over_p * gain
-        emit(IterationState(
-            k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
-            vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
-            radius_ok=radius_ok))
-        x = x_next
-        k += 1
+            # The strict-descent amount of the step is the gain with 1/p in
+            # place of 1/q.
+            report.descent_sum += q_over_p * gain
+            emit(IterationState(
+                k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
+                vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
+                radius_ok=radius_ok))
+            x = x_next
+            k += 1
 
     report.stopped_at_k = k
     report.final_residual = rk

@@ -455,26 +455,28 @@ class TestValidateAndExampleSchedule:
         assert all(t["lhs"] < t["rhs"] for t in summary["transitions"])
 
     def test_validate_closed_form(self, tmp_path):
-        import math
-        lam = 0.1
-        tau = 0.5 * (0.5 ** 1.5) / (16.0 * lam * (4.0 * math.e + 1.0))
-        doc = {
-            "mode": "validate",
-            "space": {"dim": 4},
-            "schedule": {"lam": lam, "tau": tau, "etaHat": 1e-3},
-            "output": {"summaryPath": str(tmp_path / "v.yaml")},
-        }
-        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
+        # The target needs 90 levels; a cap of 64 levels refused it.
+        path = self.schedule_config(tmp_path, lam=1.0, eta_hat=1e-40)
         assert main(["run", path, "--quiet"]) == 0
+        assert main(["run", str(tmp_path / "gen.yaml"), "--summary",
+                     str(tmp_path / "vs.yaml"), "--quiet"]) == 0
+        summary = yaml.safe_load((tmp_path / "vs.yaml").read_text())
+        assert summary["valid"] and summary["finalLevel"] == 89
+        assert len(summary["etas"]) == 90
+        assert all(t["ok"] for t in summary["transitions"])
 
-    def test_validate_bad_tau_exits_three(self, tmp_path):
-        doc = {
-            "mode": "validate",
-            "space": {"dim": 4},
-            "schedule": {"lam": 0.1, "tau": 100.0, "etaHat": 1e-3},
-        }
+    def test_validate_bad_tau_exits_three(self, tmp_path, capsys):
+        # The closed-form levels at tau = 100, which the generator refuses
+        # (TauOutOfRange), fail validation too.
+        assert main(["run", self.schedule_config(tmp_path), "--quiet"]) == 0
+        doc = yaml.safe_load((tmp_path / "gen.yaml").read_text())
+        tau = doc["levels"][0]["L"]  # L_a = tau * exp(-a)
+        for lv in doc["levels"]:
+            lv["L"] *= 100.0 / tau
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
-        assert main(["run", path, "--quiet"]) == 3
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().out.startswith(
+            "schedule invalid: level 1: 8 * ctilde * eta = ")
 
     def test_validate_invalid_levels_exits_three(self, tmp_path):
         doc = {
@@ -534,19 +536,17 @@ def mode_doc(tmp_path, mode):
         return doc
     doc["mode"] = "validate"
     del doc["output"]["schedulePath"]
-    if mode == "validate":
-        del doc["schedule"]
-        doc.update(epsilon=1.0, solver={"etaHat": 0.05}, levels=[
-            {"eta": 0.1, "C": 1.0, "L": 0.0, "Lhat": 1.0},
-            {"eta": 0.01, "C": 2.0, "L": 0.0, "Lhat": 1.0}])
+    del doc["schedule"]
+    doc.update(epsilon=1.0, solver={"etaHat": 0.05}, levels=[
+        {"eta": 0.1, "C": 1.0, "L": 0.0, "Lhat": 1.0},
+        {"eta": 0.01, "C": 2.0, "L": 0.0, "Lhat": 1.0}])
     return doc
 
 
 @pytest.mark.parametrize("mode, key", [
     ("single", "tracePath"), ("single", "summaryPath"),
     ("multilevel", "tracePath"), ("multilevel", "summaryPath"),
-    ("validate", "summaryPath"), ("validate with a schedule", "summaryPath"),
-    ("example-schedule", "schedulePath"),
+    ("validate", "summaryPath"), ("example-schedule", "schedulePath"),
     ("example-schedule", "summaryPath")])
 @pytest.mark.parametrize("value", [5, True, ["x"], {"a": "b"}],
                          ids=["int", "bool", "list", "mapping"])
@@ -627,8 +627,7 @@ SCALAR_KEYS = [
         ("levels[1].C", "positive"), ("levels[1].L", "nonnegative"),
         ("levels[1].Lhat", "positive")]],
     *[(f"schedule.{key}", rule, "example-schedule") for key, rule in [
-        ("lam", "positive"), ("tau", "positive"), ("etaHat", "positive"),
-        ("maxLevels", "integer")]],
+        ("lam", "positive"), ("tau", "positive"), ("etaHat", "positive")]],
 ]
 SCALAR_OUT_OF_RANGE = {"positive": 0.0, "nonnegative": -1.0, "integer": 0,
                        "exponent": 1.0}
@@ -669,8 +668,6 @@ def test_every_config_number_follows_its_input_rule(tmp_path, capsys, path,
             "summaryPath": str(tmp_path / "summary.yaml")})
     else:
         doc = mode_doc(tmp_path, mode)
-        if mode == "example-schedule":
-            doc["schedule"]["maxLevels"] = 64
     parse_config(yaml.safe_dump(doc))
     put(doc, path, value)
     config = write(tmp_path, "scalar.cfg", yaml.safe_dump(doc))
@@ -997,8 +994,7 @@ class TestParseTimeInputContract:
         ("referenceSolution", [0.0, 0.0])])
     def test_modes_without_a_run_refuse_diagnostics(self, tmp_path, capsys,
                                                     mode, key, value):
-        doc = self.mode_config(tmp_path, {"validate": "validate-schedule"}
-                               .get(mode, mode))
+        doc = self.mode_config(tmp_path, mode)
         doc["diagnostics"] = {key: value}
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path]) == 3
@@ -1026,8 +1022,7 @@ class TestParseTimeInputContract:
 
     @staticmethod
     def mode_config(tmp_path, base):
-        """A config that runs to exit 0 in one mode; validate-schedule is
-        validate mode with a schedule in place of levels."""
+        """A config that runs to exit 0 in one mode."""
         if base == "single":
             return yaml.safe_load(MINIMAL_SINGLE)
         if base == "multilevel":
@@ -1039,11 +1034,7 @@ class TestParseTimeInputContract:
                     "levels": [{"eta": 0.01, "C": 1.0, "L": 0.0,
                                 "Lhat": 1.0}]}
         TestValidateAndExampleSchedule().schedule_config(tmp_path)
-        doc = yaml.safe_load((tmp_path / "ex.yaml").read_text())
-        if base == "validate-schedule":
-            doc["mode"] = "validate"
-            del doc["output"]["schedulePath"]
-        return doc
+        return yaml.safe_load((tmp_path / "ex.yaml").read_text())
 
     @pytest.mark.parametrize("base, key", [
         ("single", "epsilon"), ("single", "levels"), ("single", "schedule"),
@@ -1051,14 +1042,10 @@ class TestParseTimeInputContract:
         ("multilevel", "data"), ("multilevel", "model"),
         ("multilevel", "schedule"), ("multilevel", "set"),
         ("multilevel", "solver.eta"), ("multilevel", "output.schedulePath"),
-        ("validate", "data"), ("validate", "model"), ("validate", "set"),
-        ("validate", "x0"), ("validate", "solver.eta"),
+        ("validate", "data"), ("validate", "model"), ("validate", "schedule"),
+        ("validate", "set"), ("validate", "x0"), ("validate", "solver.eta"),
         ("validate", "solver.maxIterations"), ("validate", "solver.seed"),
         ("validate", "output.tracePath"), ("validate", "output.schedulePath"),
-        ("validate-schedule", "epsilon"),
-        ("validate-schedule", "solver.etaHat"),
-        ("validate-schedule", "dataSpace"), ("validate-schedule", "x0"),
-        ("validate-schedule", "output.schedulePath"),
         ("example-schedule", "data"), ("example-schedule", "dataSpace"),
         ("example-schedule", "epsilon"), ("example-schedule", "levels"),
         ("example-schedule", "model"), ("example-schedule", "set"),
@@ -1090,20 +1077,23 @@ class TestParseTimeInputContract:
         assert f"config error: {key}: " in err and "does not read it" in err
         assert err.count("config error") == 1, err
 
-    def test_validate_reads_levels_or_a_schedule(self, tmp_path, capsys):
-        # With both, validate mode checked the schedule, ignored the
-        # levels and exited 0 ("schedule valid").
-        doc = self.mode_config(tmp_path, "validate-schedule")
-        doc["levels"] = [{"eta": 0.01, "C": 1.0, "L": 0.0, "Lhat": 1.0}]
+    def test_validate_reads_levels_only(self, tmp_path, capsys):
+        # Validate mode also read a schedule section in place of levels,
+        # which validated what example-schedule mode writes.  That config
+        # is refused while parsing; the one example-schedule mode wrote
+        # validates.
+        doc = self.mode_config(tmp_path, "example-schedule")
+        doc["mode"] = "validate"
+        del doc["output"]["schedulePath"]
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path]) == 3
-        err = capsys.readouterr().err
-        assert "config error: levels: validate mode with a schedule does " \
-            "not read it" in err
-        assert err.count("config error") == 1, err
-        del doc["levels"]
-        path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
-        assert main(["run", path, "--quiet"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: schedule: validate mode does not read it",
+            "config error: levels: validate mode needs it",
+            "config error: solver: validate mode needs it"]
+        assert not (tmp_path / "gs.yaml").exists()
+        assert main(["run", str(tmp_path / "ex.yaml"), "--quiet"]) == 0
+        assert main(["run", str(tmp_path / "gen.yaml"), "--quiet"]) == 0
 
     def test_validate_needs_space(self, tmp_path, capsys):
         # Without a space, validate mode with levels ended in a traceback.
@@ -1191,15 +1181,15 @@ class TestParseTimeInputContract:
                            **{section: node})
         assert err.count("config error") == 1, err
 
-    @pytest.mark.parametrize("mode", ["validate", "example-schedule"])
+    @pytest.mark.parametrize("mode", ["example-schedule"])
     @pytest.mark.parametrize("key, value", [
-        ("lam", 0.05), ("tau", 100.0), ("maxLevels", 2)])
+        ("lam", 0.05), ("tau", 100.0), ("etaHat", 5e-324)])
     def test_schedule_parameters_refused_while_parsing(self, tmp_path, capsys,
                                                        mode, key, value):
         # The generator's refusals name the parameter, and no output is
-        # written.
-        doc = self.mode_config(tmp_path, {"validate": "validate-schedule"}
-                               .get(mode, mode))
+        # written.  No level whose constants are floats reaches an etaHat
+        # of 5e-324; C_a = 2 e**a overflowed in a traceback (exit 1).
+        doc = self.mode_config(tmp_path, mode)
         doc["schedule"][key] = value
         path = write(tmp_path, "v.cfg", yaml.safe_dump(doc))
         assert main(["run", path]) == 3
@@ -1321,6 +1311,19 @@ class TestStepFailureInSummary:
             "NonFiniteStep: the scalars of step 0 leave the float range "
             f"(residual {ydelta!r}, t_0 = ")
 
+    def test_overflowing_norms(self, tmp_path, capsys):
+        # t_0 overflowed in numpy's power: under python -W error a
+        # RuntimeWarning traceback, exit 1.
+        path = single_config(tmp_path, space={"dim": 1, "r": 1.5},
+                             model={"kind": "linear", "matrix": [[3e119]]},
+                             data={"ydelta": [0.01]}, x0=[1.0],
+                             solver={"etaHat": 0.001})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr() == (
+            "StepDegenerate at k=0, residual 3.000000e+119\n", "")
+        assert self.summary(tmp_path)["failure"] == \
+            "NonFiniteStep: t_0 = inf is not finite (residual 3e+119)"
+
     def test_single_mode(self, tmp_path):
         # A^T R_0 = 0 while the residual is sqrt(2).
         path = single_config(tmp_path,
@@ -1352,6 +1355,77 @@ class TestStepFailureInSummary:
         assert main(["run", path, "--quiet"]) == 0
         summary = self.summary(tmp_path, "ml.yaml")
         assert all("failure" not in lv for lv in summary["perLevel"])
+
+
+class TestConstantsBeyondTheFloatRange:
+    """A C**2 or a radius beyond the float range ended in an
+    OverflowError traceback, exit 1, in every mode that reads it."""
+
+    @pytest.mark.parametrize("L, code, out", [
+        (0.1, 3, "schedule invalid: level 1: 8 * ctilde * eta = inf >= 1 "
+                 "at eta = 0.01\n"),
+        (0.0, 0, "schedule valid\n")], ids=["nonlinear", "linear"])
+    def test_validate_mode(self, tmp_path, capsys, L, code, out):
+        path = write(tmp_path, "v.cfg", yaml.safe_dump({
+            "mode": "validate", "space": {"dim": 2},
+            "solver": {"etaHat": 0.05},
+            "levels": [{"eta": 0.1, "C": 1.0, "L": L, "Lhat": 1.0},
+                       {"eta": 0.01, "C": 1e200, "L": L, "Lhat": 1.0}]}))
+        assert main(["run", path]) == code
+        assert capsys.readouterr() == (out, "")
+
+    def test_multilevel_mode(self, tmp_path, capsys):
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][1].update(C=1e200, L=0.1)
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith(
+            "schedule invalid: level 1: 8 * ctilde * eta = inf >= 1 ")
+
+    def test_single_mode_ctilde(self, tmp_path):
+        # At eta = 0 both roots of u are 0: the start lies outside the
+        # radius.
+        path = single_config(tmp_path, model={
+            "kind": "quadratic", "matrix": [[2.0, 0.0], [0.0, 3.0]],
+            "eps": 0.05, "cstab": 1e200})
+        assert main(["run", path, "--quiet"]) == 2
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert summary["stopReason"] == "StepDegenerate"
+        assert summary["failure"].startswith("NonpositiveU: u_0 = -inf <= 0")
+
+    def test_single_mode_radius(self, tmp_path):
+        path = single_config(tmp_path, **dict(
+            QUADRATIC_FLAGS_FAIL, set={"kind": "wholespace"},
+            model=dict(QUADRATIC_FLAGS_FAIL["model"], lhat=1e-200)))
+        assert main(["run", path, "--quiet"]) == 0
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert summary["rho"] == np.inf
+        assert summary["theoremChecks"]["radiusOkAll"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"space": {"dim": 2, "weights": [1.0, 2.0, 3.0]}},
+     "space: weights have shape (3,), expected (2,)"),
+    ({"space": {"dim": 2, "r": 2.5}},
+     "space: no certified default constants "),
+    ({"space": {"dim": 2, "Cp": 0.5}},
+     "space: the Hilbert configuration (r=2, p=2, unit weights) forces "
+     "Cp = Gq = 1"),
+    ({"model": {"kind": "quadratic", "matrix": [[2.0, 0.0]], "eps": 0.1,
+                "cstab": 1.0}},
+     "model: quadratic model needs a square matrix"),
+], ids=["weights-length", "no-certified-constants", "hilbert-Cp",
+        "quadratic-not-square"])
+def test_constructor_refusals_while_parsing(tmp_path, capsys, overrides,
+                                            message):
+    # Each key passed its own rule; the library's constructor refuses the
+    # combination, in one line.
+    path = single_config(tmp_path, **overrides)
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1, err
 
 
 def test_summaries_match_the_pure_python_emitter(tmp_path, monkeypatch):

@@ -18,8 +18,7 @@ def schedule_field(name):
     that keyword."""
     stored = {"lam": lambda s: 2.0 * s.levels[0].eta,
               "tau": lambda s: s.levels[0].L,
-              "eta_hat": lambda s: s.eta_hat,
-              "max_levels": lambda s: None}[name]
+              "eta_hat": lambda s: s.eta_hat}[name]
 
     def build(value):
         kwargs = dict(lam=200.0, tau=1e-6, space=lp_space(2), eta_hat=1.0)
@@ -114,8 +113,6 @@ FIELDS = [
     ("example-tau", schedule_field("tau"), "tau", "positive", True, 2e-6),
     ("example-eta_hat", schedule_field("eta_hat"), "eta_hat", "positive",
      True, 2),
-    ("example-max_levels", schedule_field("max_levels"), "max_levels",
-     "integer", True, 64),
     ("ball-radius", attribute(lambda v: Ball([1.0, -2.0], v), "radius"),
      "radius", "positive", True, 2),
 ]
@@ -145,8 +142,7 @@ def test_each_stated_scalar_follows_its_rule(store, prefix, rule, required,
             forms += [int(good), np.int64(good)]
     for value in forms:
         stored = store(value)
-        if stored is not None:
-            assert type(stored) is kind and stored == good
+        assert type(stored) is kind and stored == good
 
 
 @pytest.mark.parametrize("store, prefix",

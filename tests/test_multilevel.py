@@ -1,7 +1,6 @@
 """Tests of the multi-level driver and the example schedule."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,28 @@ class TestLevel:
         space = lp_space(2)
         lv = Level(eta=0.1, C=2.0, L=0.0, Lhat=1.0)
         assert lv.rho(space) == math.inf
+
+    def test_ctilde_where_c_squared_leaves_the_float_range(self):
+        # C**2 ended in an OverflowError.  c-tilde is inf only where the
+        # product itself leaves the float range, 0 whenever L = 0, and
+        # keeps its bits where C**2 is a float.
+        space = lp_space(2)
+        weight = 0.5 * (space.Cp / space.p) ** (-2.0 / space.p)
+        assert Level(eta=0.0, C=1e200, L=0.1, Lhat=1.0).ctilde(space) \
+            == math.inf
+        assert Level(eta=0.0, C=1e200, L=0.0, Lhat=1.0).ctilde(space) == 0.0
+        assert Level(eta=0.0, C=1e160, L=1e-100, Lhat=1.0).ctilde(space) \
+            == weight * 1e-100 * 1e160 * 1e160
+        assert Level(eta=0.0, C=1e150, L=1e-100, Lhat=1.0).ctilde(space) \
+            == weight * 1e-100 * 1e150 ** 2
+
+    def test_rho_beyond_the_float_range_is_infinite(self):
+        # (bracket / Lhat)**p ended in an OverflowError.
+        space = lp_space(2)
+        assert Level(eta=0.0, C=1.0, L=1.0, Lhat=1e-200).rho(space) \
+            == math.inf
+        assert Level(eta=0.0, C=1.0, L=1.0, Lhat=1e-100).rho(space) \
+            == pytest.approx(0.5e200, rel=1e-12)
 
     def test_rho_matches_single_level_at_zero_eta(self):
         space = lp_space(2)
@@ -125,6 +146,23 @@ class TestTransitions:
         with pytest.raises(TransitionInvalid):
             validate_schedule(space, sched)
 
+    def test_constants_beyond_the_float_range(self):
+        # c-tilde = (1/2) L C**2 with C = 1e200 ended in an OverflowError.
+        # It is inf, so 8 * ctilde * eta >= 1; with L = 0 the levels are
+        # linear and valid whatever C.
+        space = lp_space(2)
+
+        def schedule(C, L):
+            return Schedule(levels=[Level(eta=0.1, C=1.0, L=L, Lhat=1.0),
+                                    Level(eta=0.01, C=C, L=L, Lhat=1.0)],
+                            epsilon=1.0, eta_hat=0.05)
+        with pytest.raises(EtaTooLarge,
+                           match=r"^level 1: 8 \* ctilde \* eta = inf >= 1"):
+            validate_schedule(space, schedule(1e200, 0.1))
+        for C in (1e100, 1e200):
+            transitions, final = validate_schedule(space, schedule(C, 0.0))
+            assert final == 1 and transitions[0][3]
+
     @pytest.mark.parametrize("l1, eta_hat, error, message", [
         (100.0, 1e-6, EtaTooLarge, "level 1: 8 * ctilde * eta = "),
         (0.5, 1e-6, NoSuchLevel, "no level with "),
@@ -191,23 +229,31 @@ class TestExampleSchedule:
         assert final == len(sched.levels) - 1
         assert all(ok for *_, ok in transitions)
 
-    def test_cost_does_not_grow_with_max_levels(self):
-        # All max_levels values of eta were computed before the final
-        # level was selected: 2.56 s and 32 MB at max_levels = 10**6.
-        space = lp_space(2)
-        kwargs = dict(lam=0.1, tau=0.5 * hilbert_tau_bound(0.1),
-                      space=space, eta_hat=1e-3)
-        few = example_schedule(max_levels=64, **kwargs)
-        tracemalloc.start()
-        try:
-            many = example_schedule(max_levels=10 ** 6, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-        assert len(many.levels) == len(few.levels) == 6
-        assert [vars(lv) for lv in many.levels] == \
-            [vars(lv) for lv in few.levels]
+
+    def test_ninety_levels(self):
+        # A target that needs more than 64 levels: a cap of 64 refused it.
+        space = lp_space(4)
+        sched = example_schedule(lam=1.0, tau=0.001, space=space,
+                                 eta_hat=1e-40)
+        assert len(sched.levels) == 90
+        transitions, final = validate_schedule(space, sched)
+        assert final == 89 and all(ok for *_, ok in transitions)
+
+    def test_levels_end_where_the_constants_leave_the_float_range(self):
+        # C_a = 2 e**a is a float up to a = 709.  A target first met there
+        # gives 710 levels, which validate (C**2 overflowed in c-tilde);
+        # a smaller target meets no level (2 * exp(710) overflowed).
+        space = lp_space(4)
+        eta_hat = 4.0 * (1.0 * math.exp(-709) / 711.0)
+        sched = example_schedule(lam=1.0, tau=0.001, space=space,
+                                 eta_hat=eta_hat)
+        assert len(sched.levels) == 710
+        assert sched.levels[-1].C == 2.0 * math.exp(709)
+        assert validate_schedule(space, sched)[1] == 709
+        for smaller in (math.nextafter(eta_hat, 0.0), 5e-324):
+            with pytest.raises(NoSuchLevel, match=r" in 710 levels$"):
+                example_schedule(lam=1.0, tau=0.001, space=space,
+                                 eta_hat=smaller)
 
 
 def diagonal_schedule(eta_hat=5e-3):
@@ -298,6 +344,13 @@ class TestRunMultiLevel:
         report = run_multi_level(space, sched, np.zeros(space.dim))
         for (idx, _, _, rep), lv in zip(report.per_level, sched.levels):
             assert member(space, lv.cset, rep.x_final, tol=1e-8)
+
+    def test_level_beyond_the_float_range_is_refused(self):
+        # C = 1e200 ended in an OverflowError before any level ran.
+        space, sched = diagonal_schedule()
+        sched.levels[1].C, sched.levels[1].L = 1e200, 0.1
+        with pytest.raises(EtaTooLarge, match=r"^level 1: .* = inf >= 1"):
+            run_multi_level(space, sched, np.zeros(space.dim))
 
     def test_constants_only_levels_cannot_run(self):
         space = lp_space(2)

@@ -81,6 +81,10 @@ class TestSetBasics:
                 CoordinateSubspace(support)
         assert CoordinateSubspace([2.0, np.int64(0)]).support.tolist() \
             == [0, 2]
+        # float(True) is 1.0: [True] became the support [1].
+        for support in ([True], [0, np.True_], [False]):
+            with pytest.raises(ValueError, match="must be integers"):
+                CoordinateSubspace(support)
 
     @pytest.mark.parametrize("length", [1, 2])
     @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])

@@ -9,9 +9,10 @@ import pytest
 import projsd.geometry as geometry_module
 import projsd.solver as solver_module
 from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
-                    EtaTooLarge, LinearModel,
+                    EtaTooLarge, ForwardModel, LinearModel,
                     MissingStabilityConstant, NoisyData, NonFiniteInput,
-                    NonFiniteStep, ProjSDError, QuadraticModel, SolverConfig,
+                    NonFiniteStep, NonpositiveU, ProjSDError,
+                    QuadraticModel, SolverConfig,
                     SpaceGeometry, WholeSpace, bregman_distance,
                     bregman_project, compute_ctilde, convergence_radius,
                     data_space, duality_map, inverse_duality_map, lp_space,
@@ -75,6 +76,23 @@ class TestConvergenceRadius:
         ctilde = 0.5 * (space.Cp / space.p) ** (-2.0 / space.p)
         rho = convergence_radius(space, lhat=1.0, ctilde=ctilde, eta=0.0)
         assert rho == pytest.approx(0.5, rel=1e-12)
+
+    def test_radius_beyond_the_float_range_is_infinite(self):
+        # (bracket / lhat)**p ended in an OverflowError.  Every start lies
+        # inside such a radius, as for a linear F.
+        space = lp_space(2)
+        ctilde = 0.5 * (space.Cp / space.p) ** (-2.0 / space.p)
+        assert convergence_radius(space, lhat=1e-200, ctilde=ctilde,
+                                  eta=0.0) == math.inf
+        assert convergence_radius(space, lhat=1e-100, ctilde=ctilde,
+                                  eta=0.0) == pytest.approx(0.5e200,
+                                                            rel=1e-12)
+
+    def test_infinite_ctilde_at_zero_eta(self):
+        # 8 * ctilde * eta is 0 < 1 and both roots of u are 0: no start
+        # is admissible.
+        assert convergence_radius(lp_space(2), lhat=1.0, ctilde=math.inf,
+                                  eta=0.0) == 0.0
 
     def test_zero_eta_product_form(self):
         # At eta = 0 the radius collapses to (Cp/p)^3 (Lhat L C^2 / 2)^-p.
@@ -234,6 +252,37 @@ class TestRunBehaviour:
         assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))
 
 
+class TestConstantsBeyondTheFloatRange:
+    """cstab**2 in c-tilde and the power of the radius ended in an
+    OverflowError; both runs end typed."""
+
+    def test_ctilde(self):
+        space = lp_space(2)
+        model = QuadraticModel(np.diag([2.0, 3.0]), eps=0.05, cstab=1e200)
+        assert compute_ctilde(space, model) == math.inf
+        data = NoisyData([1.0, 1.0], 0.0)
+        report = run_algorithm1(space, WholeSpace(), model, data,
+                                np.zeros(2),
+                                SolverConfig(eta=0.0, eta_hat=1e-6))
+        assert report.stop_reason == "StepDegenerate"
+        assert isinstance(report.failure, NonpositiveU)
+        with pytest.raises(EtaTooLarge, match=r"= inf >= 1"):
+            run_algorithm1(space, WholeSpace(), model, data, np.zeros(2),
+                           SolverConfig(eta=1e-3, eta_hat=1e-2))
+
+    def test_radius(self):
+        model = QuadraticModel(np.diag([2.0, 3.0]), eps=0.05, cstab=0.5,
+                               lhat=1e-200)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-6,
+                           diagnostic_reference=[0.45, 0.3])
+        report = run_algorithm1(lp_space(2), WholeSpace(), model,
+                                NoisyData([1.0, 1.0], 0.0), np.zeros(2),
+                                cfg)
+        assert report.rho == math.inf and report.start_radius_ok
+        assert report.radius_violations == 0
+        assert report.stop_reason == "DiscrepancyMet"
+
+
 class TestTypedErrors:
     def test_missing_cstab_is_typed(self):
         model = QuadraticModel(np.eye(2), eps=0.1)
@@ -278,6 +327,30 @@ class TestTypedErrors:
         with pytest.raises(EtaTooLarge):
             run_algorithm1(lp_space(2), WholeSpace(), model,
                            NoisyData([1.0, 1.0], 0.2), np.zeros(2), cfg)
+
+    def test_model_input_length_checked_on_entry(self):
+        # numpy's matmul ValueError ended the first eval.
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=5)
+        with pytest.raises(DimensionMismatch, match="^the model takes 3 "
+                           "inputs, the space has dimension 2$"):
+            run_algorithm1(lp_space(2), WholeSpace(),
+                           LinearModel(np.ones((2, 3))),
+                           NoisyData([1.0, 1.0], 0.0), np.zeros(2), cfg)
+
+    def test_model_without_in_dim_runs(self):
+        class Doubling(ForwardModel):
+            out_dim = 2
+
+            def eval(self, x):
+                return 2.0 * x
+
+            def apply_adjoint(self, x, ystar):
+                return 2.0 * ystar
+
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8)
+        report = run_algorithm1(lp_space(2), WholeSpace(), Doubling(),
+                                NoisyData([1.0, 1.0], 0.0), np.zeros(2), cfg)
+        assert report.stop_reason == "DiscrepancyMet"
 
     @pytest.mark.parametrize("ydelta", [[1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]]])
     def test_ydelta_shape_must_match_outputs(self, ydelta):
@@ -541,6 +614,27 @@ class TestNonFiniteStep:
         assert isinstance(report.failure, NonFiniteStep)
         assert str(report.failure).startswith(
             "the scalars of step 0 leave the float range (residual ")
+
+    def test_overflowing_norms_stop_typed(self):
+        # t_0 overflows in numpy's power, a RuntimeWarning that the test
+        # settings, as CI's -W error runs, turn into an untyped error.
+        report = run_algorithm1(lp_space(1, r=1.5), WholeSpace(),
+                                LinearModel([[3e119]]),
+                                NoisyData([0.01], 0.0), [1.0],
+                                SolverConfig(eta=0.0, eta_hat=0.001))
+        assert report.stop_reason == "StepDegenerate"
+        assert str(report.failure).startswith("t_0 = inf is not finite")
+
+    def test_numpy_error_state_is_restored(self):
+        # The run ignores numpy's overflow warnings only inside its loop,
+        # also when the loop raises.
+        before = np.geterr()
+        model = WrongShape(np.eye(2), "eval", (3,))
+        with pytest.raises(DimensionMismatch):
+            run_algorithm1(lp_space(2), WholeSpace(), model,
+                           NoisyData([1.0, 1.0], 0.0), np.zeros(2),
+                           SolverConfig(eta=0.0, eta_hat=1e-8))
+        assert np.geterr() == before
 
     def test_rule_checks_every_returned_scalar(self):
         # At r = p = 2 every power of r_k = 1e100, t_k = 1e-100 is finite,
