@@ -141,11 +141,17 @@ def exponent(name, value):
     raise ValueError(f"{name} = {value!r} must lie in (1, inf)")
 
 
+def floats(value):
+    """``np.asarray(value, dtype=float)``.  A float64 ndarray is its own
+    ``np.asarray``, so it skips the call."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        return value
+    return np.asarray(value, dtype=float)
+
+
 def vector(value, shape, what):
-    """``value`` as a float array of exactly ``shape``, one vector's.  A
-    float64 ndarray is its own ``np.asarray``, so it skips the call."""
-    if not (type(value) is np.ndarray and value.dtype is _FLOAT64):
-        value = np.asarray(value, dtype=float)
+    """``floats(value)``, of exactly ``shape``, one vector's."""
+    value = floats(value)
     if value.shape != shape:
         raise DimensionMismatch(
             f"{what} has shape {value.shape}, expected {shape}: one vector "

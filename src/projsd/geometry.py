@@ -19,6 +19,7 @@ built from follow the input rules of README ("Input rules").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,6 +140,13 @@ class SpaceGeometry:
             Gq=self.Cp,
         )
 
+    @cached_property
+    def _kernels(self):
+        """``(phi, scale)`` of the duality mapping, resolved once per
+        space: ``phi(x) = w |x|**(r-1) sign(x)`` and ``scale(n) =
+        n**(p-r)`` for a norm n > 0, None when p = r."""
+        return _duality_kernels(self)
+
     def check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
@@ -156,7 +164,16 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 # pairwise sum that ``np.sum`` runs, without its wrapper.
 #
 # The homes take shortcuts where the exponents allow, each giving the bits
-# of the general formula:
+# of the general formula, and a space resolves them once (``_kernels``):
+# - Powers: for the exponents 1, 2, 0.5 and -1, numpy's power of an
+#   array (a 0-d one too) runs a copy, a square, a square root or a
+#   reciprocal, each correctly rounded.  The tables below run that
+#   operation directly; on a float, where numpy's power of a scalar runs
+#   C's pow and may round differently, the bits are those of the 0-d
+#   array.  They serve |x|**(r-1) (r = 1.5: sqrt), the scale
+#   ``||x||**(p-r)`` (the data space (2, 3): 1, (2, 4): 2; l^1.5 with
+#   p = 2: 0.5; its dual l^3 with p = 2: -1) and the coordinate solve of
+#   the ball.  Any other exponent runs numpy's power.
 # - r = 2: ``x * x`` is the square that numpy runs for ``|x| ** 2.0``, and
 #   unit weights skip the multiply by 1.0.
 # - r = p: the scale ``||x||**(p-r)`` is 1.0, so the duality mapping needs
@@ -168,6 +185,51 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 #   array that turns -0.0 into +0.0, as ``np.sign(-0.0) = +0.0`` does.
 #   The data space has r = s = 2 unless a model states another s, and
 #   the gauge of X, so the case runs on every step also when p != 2.
+# - r = 3 with unit weights: ``|x|**2.0 sign(x)`` is ``(x + 0.0) *
+#   |x|``, the same square with its sign, and +0.0 at -0.0 as above.
+
+_ARRAY_POWERS = {1.0: lambda a: a, 2.0: np.square, 0.5: np.sqrt}
+_FLOAT_POWERS = {1.0: float, 2.0: lambda n: n * n, 0.5: math.sqrt,
+                 -1.0: lambda n: 1.0 / n}
+
+
+def _array_power(e):
+    """``a -> a ** e`` on a float array the caller owns; for e = 1 it
+    returns a itself."""
+    return _ARRAY_POWERS.get(e) or (lambda a: a ** e)
+
+
+def _float_power(e):
+    """``n -> float(np.asarray(n) ** e)`` on a float n."""
+    return _FLOAT_POWERS.get(e) or (lambda n: float(np.asarray(n) ** e))
+
+
+def _phi_unit_l2(x):
+    return x + 0.0
+
+
+def _phi_unit_l3(x):
+    return (x + 0.0) * np.abs(x)
+
+
+def _duality_kernels(space: SpaceGeometry):
+    """``(phi, scale)`` of ``SpaceGeometry._kernels``."""
+    r, w = space.r, space.weights
+    if w is None and r == 2.0:
+        phi = _phi_unit_l2
+    elif w is None and r == 3.0:
+        phi = _phi_unit_l3
+    else:
+        power = _array_power(r - 1.0)
+
+        def phi(x):
+            a = power(np.abs(x))
+            if w is not None:
+                a = w * a
+            a *= np.sign(x)
+            return a
+    return phi, None if space.p == r else _float_power(space.p - r)
+
 
 def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x."""
@@ -181,30 +243,23 @@ def _norm(space: SpaceGeometry, x: np.ndarray):
 def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     """The duality mapping of a checked x.  ``nrm = ||x||`` is computed
     here when not given, and only when p != r."""
-    if space.r == 2.0 and space.weights is None:
-        phi = x + 0.0
-    else:
-        phi = np.abs(x) ** (space.r - 1.0)
-        if space.weights is not None:
-            phi = space.weights * phi
-        phi *= np.sign(x)
-    if space.r == space.p:
-        return phi
+    phi, scale = space._kernels
+    jx = phi(x)
+    if scale is None:
+        return jx
     if nrm is None:
         nrm = _norm(space, x)
     # 0**(p-r) is an indeterminate 0*inf shape when p < r; the only
     # norm-consistent value at the origin is 0.
     if x.ndim == 1:
         # One vector: the batch branch's operations without np.where, whose
-        # cost on 0-d operands exceeds the rest at small dim.  The power
-        # stays a 0-d array operation: numpy's scalar power may round
-        # differently.
+        # cost on 0-d operands exceeds the rest at small dim.
         if not nrm > 0.0:
-            return 0.0 * phi
-        return float(np.asarray(nrm) ** (space.p - space.r)) * phi
-    scale = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
-    scale = np.where(nrm > 0.0, scale, 0.0)
-    return scale[..., np.newaxis] * phi
+            return 0.0 * jx
+        return scale(nrm) * jx
+    s = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
+    s = np.where(nrm > 0.0, s, 0.0)
+    return s[..., np.newaxis] * jx
 
 
 def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, np_xt):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import exponent, real
+from .errors import exponent, floats, real
 from .geometry import SpaceGeometry
 
 __all__ = [
@@ -98,10 +98,10 @@ class LinearModel(ForwardModel):
         self.cstab = None if cstab is None else real("cstab", cstab)
 
     def eval(self, x):
-        return np.asarray(x, dtype=float) @ self.matrix.T
+        return floats(x) @ self.matrix.T
 
     def apply_adjoint(self, x, ystar):
-        return np.asarray(ystar, dtype=float) @ self.matrix
+        return floats(ystar) @ self.matrix
 
 
 class DiagonalLinearModel(LinearModel):
@@ -178,12 +178,11 @@ class QuadraticModel(ForwardModel):
         self.lhat = None if lhat is None else real("lhat", lhat)
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
+        x = floats(x)
         return x @ self.matrix.T + self.eps * x ** 2
 
     def apply_adjoint(self, x, ystar):
-        x = np.asarray(x, dtype=float)
-        ystar = np.asarray(ystar, dtype=float)
+        x, ystar = floats(x), floats(ystar)
         return ystar @ self.matrix + 2.0 * self.eps * x * ystar
 
 

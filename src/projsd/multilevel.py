@@ -124,13 +124,15 @@ def validate_transition(space: SpaceGeometry, level_n: Level,
 
     Returns ``(lhs, rhs, ok)`` where ``lhs = (3 + eps) * eta_n`` and
     ``rhs`` is the next level's admissible-start budget; ``ok`` requires
-    strict inequality.
+    strict inequality.  A next level with an infinite bracket (F linear)
+    has an infinite budget, also where ``Lhat * C`` overflows.
     """
     eta1 = level_next.eta
     bracket = _radius_bracket(level_next.ctilde(space), eta1)
     lhs = _level_threshold(epsilon, level_n.eta)
-    rhs = (space.Cp / space.p) ** (1.0 / space.p) \
-        / (level_next.Lhat * level_next.C) * bracket - eta1
+    rhs = math.inf if bracket == math.inf else (
+        (space.Cp / space.p) ** (1.0 / space.p)
+        / (level_next.Lhat * level_next.C) * bracket - eta1)
     return lhs, rhs, lhs < rhs
 
 

@@ -27,7 +27,10 @@ one shared scalar root finds ``s`` when ``p != r``:
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
   coordinate solves ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)``,
   ``phi(t) = |t|**(r-1) sign(t)``, by Newton's method inside a bisection
-  bracket.  With p != r that nests the search for lam inside the search
+  bracket.  Its powers take the exact shortcuts of ``geometry`` (at
+  r = 3 a square, a square root and no power for the slope ratio; at
+  r = 1.5 a square root and a square), which give numpy's bits for the
+  power.  With p != r that nests the search for lam inside the search
   for s, so an off-centre ball first runs one joint Newton search in
   ``(log(1 + lam), log(alpha))``: one coordinate solve per trial, and a
   2x2 Jacobian from implicit differentiation of the coordinate
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonConvergence, NonFiniteInput, real,
                      vector)
-from .geometry import SpaceGeometry, bregman_distance, norm
+from .geometry import SpaceGeometry, _array_power, bregman_distance, norm
 
 __all__ = [
     "ConvexSet",
@@ -520,15 +523,16 @@ def _newton_step(space, c, x, y, sigma, tau, beta, g1, g2):
     lam = math.expm1(sigma)
     z = math.exp(tau) * x
     gap = y - c
+    slope_pow, phi_pow = _array_power(r - 2.0), _array_power(r - 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_y, abs_gap = np.abs(y), np.abs(gap)
-        d = (r - 1.0) * (abs_y ** (r - 2.0) + lam * abs_gap ** (r - 2.0))
+        d = (r - 1.0) * (slope_pow(abs_y) + lam * slope_pow(abs_gap))
         inv_d = np.where((d > 0.0) & (d < np.inf), 1.0 / d, 0.0)
-        pow_y, pow_gap = abs_y ** (r - 1.0), abs_gap ** (r - 1.0)
-        dy_lam = -np.copysign(pow_gap, gap) * inv_d
-        dy_tau = ((r - 1.0) * np.copysign(np.abs(z) ** (r - 1.0), z)
-                  * inv_d)
-        a_gap = w * np.copysign(pow_gap, gap) / np.dot(w, pow_gap * abs_gap)
+        pow_y, pow_gap = phi_pow(abs_y), phi_pow(abs_gap)
+        phi_gap = np.copysign(pow_gap, gap)
+        dy_lam = -phi_gap * inv_d
+        dy_tau = (r - 1.0) * np.copysign(phi_pow(np.abs(z)), z) * inv_d
+        a_gap = w * phi_gap / np.dot(w, pow_gap * abs_gap)
         a_y = w * np.copysign(pow_y, y) / np.dot(w, pow_y * abs_y)
         j11 = (1.0 + lam) * np.dot(a_gap, dy_lam)
         j12 = np.dot(a_gap, dy_tau)
@@ -567,19 +571,22 @@ def _solve_coordinates(z, c, lam, r, y):
     must be within a few ulps of its end nearer 0, which never holds for
     a bracket around 0.
     """
-    abs_b = np.abs(z) ** (r - 1.0)
+    phi_pow = _array_power(r - 1.0)
+    inv_pow = _array_power(1.0 / (r - 1.0))
+    slope_pow = _array_power(r - 2.0)
+    abs_b = phi_pow(np.abs(z))
     b = np.copysign(abs_b, z)
     lo, hi = np.minimum(z, c), np.maximum(z, c)
-    y = np.clip(y, lo, hi)
+    y = np.minimum(np.maximum(y, lo), hi)
     done = np.zeros(y.shape, dtype=bool)
-    f_prev = np.full_like(y, np.inf)     # finite after a Newton step only
+    f_prev = np.full(y.shape, np.inf)    # finite after a Newton step only
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             gap = y - c
             abs_y, abs_gap = np.abs(y), np.abs(gap)
-            pow_y, pow_gap = abs_y ** (r - 1.0), abs_gap ** (r - 1.0)
-            f = (np.copysign(pow_y, y) + lam * np.copysign(pow_gap, gap)
-                 - b)
+            pow_y, pow_gap = phi_pow(abs_y), phi_pow(abs_gap)
+            phi_y, phi_gap = np.copysign(pow_y, y), np.copysign(pow_gap, gap)
+            f = phi_y + lam * phi_gap - b
             abs_f = np.abs(f)
             # Floored at the smallest normal number: in subnormals the
             # relative tolerance underflows to 0.
@@ -591,20 +598,19 @@ def _solve_coordinates(z, c, lam, r, y):
                 4.0 * _EPS * np.maximum(lo, -hi), _TINY)
             done |= ((abs_f <= 4.0 * _EPS * (pow_y + lam * pow_gap + abs_b))
                      | (hi - lo <= width))
-            if np.all(done):
+            if done.all():
                 return y
             lo = np.where(f < 0.0, y, lo)
             hi = np.where(f > 0.0, y, hi)
             # Newton in w = phi(y) where the phi(y) term has the larger
             # slope, else in v = phi(y - c); q is the ratio of the slopes.
-            q = (abs_y / abs_gap) ** (r - 2.0) / lam
+            q = slope_pow(abs_y / abs_gap) / lam
             in_w = q >= 1.0
             ratio = np.where(in_w, 1.0 / q, q)
-            u = np.where(in_w,
-                         np.copysign(pow_y, y) - f / (1.0 + ratio),
-                         np.copysign(pow_gap, gap) - f / (lam * (1.0 + ratio)))
+            u = np.where(in_w, phi_y - f / (1.0 + ratio),
+                         phi_gap - f / (lam * (1.0 + ratio)))
             newton = (np.where(in_w, 0.0, c)
-                      + np.copysign(np.abs(u) ** (1.0 / (r - 1.0)), u))
+                      + np.copysign(inv_pow(np.abs(u)), u))
             halved = abs_f <= 0.5 * f_prev
             short = np.abs(newton - y) < tol
             final = short & halved & (f_prev < np.inf)
@@ -626,9 +632,6 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
     exact for every exponent pair and any positive weights; with r = p = 2
     it is the metric projection of the weighted Euclidean norm.
 
-    x is finite when ``<x, x>`` is; only when that sum is not finite, as
-    for entries near 1e200, is every entry tested.
-
     Raises
     ------
     DimensionMismatch
@@ -643,6 +646,16 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
     """
     x = vector(x, (space.dim,), "x")
     cset._check_fits(space)
+    return _project_finite(space, cset, x)
+
+
+def _project_finite(space: SpaceGeometry, cset: ConvexSet, x):
+    """``cset._project(space, x)`` for an x of shape ``(space.dim,)`` on a
+    set that fits the space, after the test that x is finite: the
+    projection of ``bregman_project`` without its shape checks, which a
+    run makes once, on its start.  x is finite when ``<x, x>`` is; only
+    when that sum is not finite, as for entries near 1e200, is every entry
+    tested.  Raises NonFiniteInput if x holds NaN or +-inf."""
     if not (math.isfinite(np.vdot(x, x))
             or np.logical_and.reduce(np.isfinite(x), axis=None)):
         raise NonFiniteInput("cannot project a vector holding NaN or inf")

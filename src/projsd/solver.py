@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, EtaTooLarge,
                      ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
 from .models import ForwardModel, NoisyData, data_space
-from .sets import ConvexSet, bregman_project
+from .sets import ConvexSet, _project_finite, bregman_project
 
 __all__ = [
     "SolverConfig",
@@ -145,11 +145,12 @@ def _u_roots(ctilde: float, eta: float):
     the radius bracket, for ``ctilde > 0``.  Raises EtaTooLarge unless
     ``8 * ctilde * eta < 1``; otherwise u <= 0 at every residual."""
     # At eta = 0 the product is 0 for every ctilde, an infinite one too,
-    # where the float product is NaN.
-    disc = 1.0 - 8.0 * ctilde * eta if eta else 1.0
+    # where the float product is NaN.  The factor 8 comes last: it is
+    # exact, and 8 * ctilde alone can overflow where the product is small.
+    disc = 1.0 - 8.0 * (ctilde * eta) if eta else 1.0
     if disc <= 0.0:
         raise EtaTooLarge(
-            f"8 * ctilde * eta = {8 * ctilde * eta} >= 1 at eta = {eta}")
+            f"8 * ctilde * eta = {8.0 * (ctilde * eta)} >= 1 at eta = {eta}")
     sq = math.sqrt(disc)
     return (1.0 - sq) / (2.0 * ctilde), (1.0 + sq) / (2.0 * ctilde)
 
@@ -338,8 +339,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         else on_iteration
     # Each step carries x with J_p(x) when the diagnostics of the step
     # before computed it (xstar), and otherwise computes J_p(x) once.  The
-    # loop's own arrays have the shapes of the space, so the geometry
-    # runs unchecked; only the model's outputs are checked.
+    # loop's own arrays have the shapes of the space, so the geometry and
+    # the projection run unchecked, the set fitting the space since the
+    # start's projection; only the model's outputs and the finiteness of
+    # each point to project are checked.
     q_over_p = space.q / space.p
     k = 0
     # A non-finite r_k, t_k, step scalar or projected point stops the run
@@ -374,7 +377,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             if ref is None:
                 xstar = _duality_map(space, x)
             xtilde = _duality_map(dual, xstar - muk * Tk)
-            x_next = bregman_project(space, cset, xtilde)
+            x_next = _project_finite(space, cset, xtilde)
 
             breg_k, radius_ok = breg, None
             if ref is not None:
@@ -391,10 +394,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             # The strict-descent amount of the step is the gain with 1/p in
             # place of 1/q.
             report.descent_sum += q_over_p * gain
-            emit(IterationState(
-                k=k, x=x, xtilde=xtilde, rk=rk, tk=tk, that_k=that, uk=uk,
-                vk=vk, wk=wk, muk=muk, bregman_to_ref=breg_k,
-                radius_ok=radius_ok))
+            emit(IterationState(k, x, xtilde, rk, tk, that, uk, vk, wk, muk,
+                                breg_k, radius_ok))
             x = x_next
             k += 1
 

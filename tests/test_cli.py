@@ -8,9 +8,9 @@ import pytest
 import yaml
 
 import projsd.cli as cli_module
-from projsd import (LinearModel, NonConvergence, Schedule, SchemaError,
-                    SolverConfig, bregman_distance, run_algorithm1,
-                    run_multi_level)
+from projsd import (CoordinateSubspace, LinearModel, NonConvergence,
+                    Schedule, SchemaError, SolverConfig, WholeSpace,
+                    bregman_distance, run_algorithm1, run_multi_level)
 from projsd.cli import TRACE_HEADER, main, parse_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
@@ -18,6 +18,8 @@ EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
 SINGLE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                               "quadratic_single.yaml")
 BALL_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE), "offcentre_ball.yaml")
+BALL_L3_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
+                               "offcentre_ball_l3.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -330,6 +332,29 @@ class TestExecuteSingle:
         assert outputs[0] == outputs[1]
         assert yaml.safe_load(outputs[0][1])["stoppedAtK"] == 42
         assert found == [True] * 80
+
+    def test_offcentre_ball_l3_example(self, tmp_path, monkeypatch):
+        # The committed off-centre ball example at r = p = 3 runs to exit 0
+        # with repeatable bytes, and the search for the multiplier
+        # projects 28 of its 76 steps.
+        import projsd.sets
+        search = projsd.sets._ball_search
+        calls = []
+
+        def recording(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(projsd.sets, "_ball_search", recording)
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", BALL_L3_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert yaml.safe_load(outputs[0][1])["stoppedAtK"] == 76
+        assert len(calls) == 2 * 28
 
 
 class TestExecuteMultilevel:
@@ -1249,17 +1274,16 @@ def test_solver_abort_in_single_mode_exits_two(tmp_path, monkeypatch,
                                                 capsys):
     # The projection of the second step fails: the run exits 2 with the
     # error on stderr, keeps the old trace and writes no summary.
-    import projsd.solver
-    real = projsd.solver.bregman_project
+    real = WholeSpace._project
     calls = []
 
-    def failing(space, cset, x):
+    def failing(self, space, x):
         calls.append(1)
         if len(calls) == 3:     # the start's projection, then two steps
             raise NonConvergence("bounded search ran out of steps")
-        return real(space, cset, x)
+        return real(self, space, x)
 
-    monkeypatch.setattr(projsd.solver, "bregman_project", failing)
+    monkeypatch.setattr(WholeSpace, "_project", failing)
     path = single_config(tmp_path)
     (tmp_path / "trace.csv").write_text("old trace\n")
     assert main(["run", path]) == 2
@@ -1654,18 +1678,17 @@ class TestStreamedOutputs:
         # The third level's projection fails after two levels streamed
         # their rows: the trace at the path keeps its old content, and no
         # temp file stays behind.
-        import projsd.solver
-        real = projsd.solver.bregman_project
+        real = CoordinateSubspace._project
         calls = []
 
-        def failing(space, cset, x):
-            if len(cset.support) == 6:
+        def failing(self, space, x):
+            if len(self.support) == 6:
                 calls.append(1)
                 if len(calls) == 3:
                     raise NonConvergence("bounded search ran out of steps")
-            return real(space, cset, x)
+            return real(self, space, x)
 
-        monkeypatch.setattr(projsd.solver, "bregman_project", failing)
+        monkeypatch.setattr(CoordinateSubspace, "_project", failing)
         path = TestExecuteMultilevel().make_config(tmp_path)
         (tmp_path / "ml.csv").write_text("old trace\n")
         assert main(["run", path]) == 2

@@ -258,10 +258,18 @@ KERNEL_SPACES = {
     "weighted-r3": lp_space(4, r=3.0, weights=[0.5, 2.0, 1.0, 3.0],
                             Cp=0.1, Gq=10.0),
     "r1.5-p2": lp_space(4, r=1.5),
+    "weighted-r1.5-p2": lp_space(4, r=1.5, weights=[0.5, 2.0, 1.0, 3.0]),
+    "r4": lp_space(4, r=4.0),
+    # The duals of the shipped spaces: p - r = -1 on l^3 with p = 2, and
+    # r - 1 = 0.5 on l^1.5 with p = r.
+    "r3-p2": lp_space(4, r=1.5).dual(),
+    "r1.5": lp_space(4, r=3.0).dual(),
+    "r1.33": lp_space(4, r=4.0).dual(),
     # The data space of every model: r = 2, unit weights and the gauge
-    # of X.
+    # of X, so p - r = 1 for X = l^3 and 2 for X = l^4.
     "l2-p1.5": lp_space(4, r=2.0, p=1.5, Cp=0.1, Gq=10.0),
     "l2-p3": lp_space(4, r=2.0, p=3.0, Cp=0.1, Gq=10.0),
+    "l2-p4": lp_space(4, r=2.0, p=4.0, Cp=0.1, Gq=10.0),
 }
 
 # Signed zeros, subnormals next to normal entries, entries whose powers
@@ -282,10 +290,10 @@ KERNEL_INPUTS = np.concatenate([[
 
 
 class TestSpecialisedKernels:
-    """The r = 2 and r = p shortcuts of the duality map and the r = 2
-    norm give the bits of the general formulas.  The reference iteration
-    of the solver tests runs through the same code, so only these tests
-    compare against the formulas themselves."""
+    """The shortcuts of the duality map (r = 2, r = 3, r = p and the exact
+    powers) and the r = 2 norm give the bits of the general formulas.
+    The reference iteration of the solver tests runs through the same
+    code, so only these tests compare against the formulas themselves."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
     def test_norm_matches_general_formula(self, name):

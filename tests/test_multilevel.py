@@ -110,6 +110,33 @@ class TestTransitions:
         assert ok and math.isinf(rhs)
         assert lhs == pytest.approx(0.4)
 
+    def test_linear_next_level_passes_where_lhat_c_overflows(self):
+        # Lhat * C = inf made the budget 0 * inf = NaN, which failed.
+        space = lp_space(2)
+        a = Level(eta=0.1, C=1.0, L=0.0, Lhat=1.0)
+        b = Level(eta=0.01, C=1e200, L=0.0, Lhat=1e200)
+        lhs, rhs, ok = validate_transition(space, a, b, 1.0)
+        assert ok and rhs == math.inf
+        assert lhs == pytest.approx(0.4)
+
+    def test_huge_ctilde_with_a_small_product(self):
+        # 8 * ctilde overflowed before the product with eta was formed:
+        # EtaTooLarge said "8 * ctilde * eta = inf" where it is 1/16.
+        # Powers of two make c-tilde = L C**2 = 2**1023 and each product
+        # exact.
+        space = lp_space(2)
+        a = Level(eta=0.1, C=1.0, L=0.0, Lhat=1.0)
+        b = Level(eta=2.0 ** -1030, C=2.0 ** 500, L=2.0 ** 23, Lhat=1.0)
+        assert b.ctilde(space) == 2.0 ** 1023
+        lhs, rhs, ok = validate_transition(space, a, b, 1.0)
+        assert math.isfinite(rhs) and not ok
+        assert b.rho(space) < math.inf
+        # Where the product is 1 or more, the message prints it.
+        c = Level(eta=2.0 ** -1023, C=2.0 ** 500, L=2.0 ** 23, Lhat=1.0)
+        with pytest.raises(EtaTooLarge,
+                           match=r"^8 \* ctilde \* eta = 8\.0 >= 1 "):
+            validate_transition(space, a, c, 1.0)
+
     def test_failing_transition(self):
         space = lp_space(2)
         # Huge eta on the coarse level cannot be absorbed downstream.
