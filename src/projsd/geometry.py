@@ -117,9 +117,10 @@ class SpaceGeometry:
                             ("Cp", cp), ("Gq", gq)):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def q(self) -> float:
-        """Conjugate exponent of the gauge, 1/p + 1/q = 1."""
+        """Conjugate exponent of the gauge, 1/p + 1/q = 1.  Worked out
+        once per space."""
         return self.p / (self.p - 1.0)
 
     def dual(self) -> "SpaceGeometry":
@@ -162,6 +163,14 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 # the pieces its caller already holds (``||x||``, ``J_p(x)``); the public
 # functions check their input and delegate.  ``np.add.reduce`` is the
 # pairwise sum that ``np.sum`` runs, without its wrapper.
+#
+# One vector's norm and one pair's Bregman distance are worked out in
+# floats: their scalar steps cost less on a float than on an np.float64
+# or a 0-d array.  A float's power runs C's pow, the routine of numpy's
+# scalar power, so the bits are those of numpy's scalars.  Where the
+# power leaves the float range, a float's raises OverflowError and
+# numpy's gives inf; ``||x||**p`` takes inf there.  The root ``** (1/r)``
+# cannot overflow, as r > 1.  Batches run in numpy.
 #
 # The homes take shortcuts where the exponents allow, each giving the bits
 # of the general formula, and a space resolves them once (``_kernels``):
@@ -232,11 +241,13 @@ def _duality_kernels(space: SpaceGeometry):
 
 
 def _norm(space: SpaceGeometry, x: np.ndarray):
-    """The norm of a checked x."""
+    """The norm of a checked x; a float for one vector."""
     r = space.r
     powers = x * x if r == 2.0 else np.abs(x) ** r
     if space.weights is not None:
         powers = space.weights * powers
+    if x.ndim == 1:
+        return float(np.add.reduce(powers)) ** (1.0 / r)
     return np.add.reduce(powers, axis=-1) ** (1.0 / r)
 
 
@@ -262,21 +273,30 @@ def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     return s[..., np.newaxis] * jx
 
 
-def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, np_xt):
+def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, nrm_xt):
     """The Bregman distance from x to a checked xt, given ``nrm = ||x||``,
-    ``jx = J_p(x)`` and ``np_xt = ||xt||**p``."""
-    np_x = nrm ** space.p
-    val = np_xt / space.p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
+    ``jx = J_p(x)`` and ``nrm_xt = ||xt||``; a float for one pair."""
+    p = space.p
+    try:
+        np_x = nrm ** p
+    except OverflowError:
+        np_x = math.inf
+    try:
+        np_xt = nrm_xt ** p
+    except OverflowError:
+        np_xt = math.inf
+    if jx.ndim == xt.ndim == 1:
+        # One pair: the batch branch in floats and without np.where.
+        val = np_xt / p + np_x / space.q - float(np.add.reduce(jx * xt))
+        return 0.0 if -1e-9 * (1.0 + np_x + np_xt) < val < 0.0 else val
+    val = np_xt / p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
     floor = -1e-9 * (1.0 + np_x + np_xt)
-    if val.ndim == 0:
-        # One pair: the batch branch without np.where, as in _duality_map,
-        # and the same 0-d array result.
-        return np.asarray(0.0 if floor < val < 0.0 else val)
     return np.where((val < 0.0) & (val > floor), 0.0, val)
 
 
 def norm(space: SpaceGeometry, x: np.ndarray):
-    """Weighted l^r norm, ``(sum_i w_i |x_i|**r) ** (1/r)``."""
+    """Weighted l^r norm, ``(sum_i w_i |x_i|**r) ** (1/r)``: a float for
+    one vector, an array over the leading axes of a batch."""
     return _norm(space, space.check_dim(x))
 
 
@@ -301,13 +321,14 @@ def bregman_distance(space: SpaceGeometry, x: np.ndarray, xt: np.ndarray):
 
     The duality mapping is evaluated at the *first* argument:
     ``(1/p)||xt||**p + (1/q)||x||**p - <J_p(x), xt>``.  Nonnegative, zero
-    exactly at ``x == xt``; tiny negative round-off is clipped to 0.
+    exactly at ``x == xt``; tiny negative round-off is clipped to 0.  A
+    float for one pair, an array over the leading axes of a batch.
     """
     x = space.check_dim(x)
     xt = space.check_dim(xt)
     nrm = _norm(space, x)
     return _bregman_distance(space, nrm, _duality_map(space, x, nrm), xt,
-                             _norm(space, xt) ** space.p)
+                             _norm(space, xt))
 
 
 def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,

@@ -161,8 +161,9 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
     ``(n, lhs, rhs, ok)`` over every pair.  Raises EtaTooLarge, with the
     level's index in its message, if a level past the first has
     ``8 * ctilde * eta >= 1``; then NoSuchLevel from the selection; then
-    TransitionInvalid if any pair fails or the schedule does not end
-    exactly at the selected final level.  The raised error carries the
+    TransitionInvalid if any pair fails, with each failing pair's n, lhs
+    and rhs in its message, or if the schedule does not end exactly at
+    the selected final level.  The raised error carries the
     list as ``transitions``, where a pair whose next level raised
     EtaTooLarge is ``(n, None, None, False)``.
     """
@@ -179,10 +180,12 @@ def validate_schedule(space: SpaceGeometry, schedule: Schedule):
             raise too_large
         final = select_final_level(schedule.etas, schedule.epsilon,
                                    schedule.eta_hat)
-        bad = [n for n, _, _, ok in transitions if not ok]
+        bad = [(n, lhs, rhs) for n, lhs, rhs, ok in transitions if not ok]
         if bad:
             raise TransitionInvalid(
-                f"transition check failed at levels {bad}")
+                f"transition check failed at levels {[n for n, *_ in bad]}: "
+                + "; ".join(f"level {n}: lhs {lhs} is not below rhs {rhs}"
+                            for n, lhs, rhs in bad))
         if final != len(schedule.levels) - 1:
             raise TransitionInvalid(
                 f"schedule has {len(schedule.levels)} levels but the "

@@ -260,11 +260,11 @@ def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     return rule
 
 
-def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_np):
-    """``(breg(x, ref), J_p(x))`` given ``ref_np = ||ref||**p``."""
+def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_nrm):
+    """``(breg(x, ref), J_p(x))`` given ``ref_nrm = ||ref||``."""
     nrm = _norm(space, x)
     xstar = _duality_map(space, x, nrm)
-    return float(_bregman_distance(space, nrm, xstar, ref, ref_np)), xstar
+    return _bregman_distance(space, nrm, xstar, ref, ref_nrm), xstar
 
 
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
@@ -322,36 +322,42 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
     rule = step_rule(space, model, ctilde, eta)
     ref = config.diagnostic_reference
-    rho = breg = start_radius_ok = ref_np = xstar = None
+    rho = breg = start_radius_ok = ref_nrm = xstar = None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
-        ref_np = _norm(space, ref) ** space.p
         rho = convergence_radius(space, model.lhat, ctilde, eta)
-        breg, xstar = _bregman_to_ref(space, x, ref, ref_np)
-        start_radius_ok = breg < rho
 
-    report = RunReport(stopped_at_k=0, final_residual=math.nan,
-                       x_final=x, stop_reason="MaxIterations",
-                       projected_start=projected_start, rho=rho,
-                       start_radius_ok=start_radius_ok)
-
-    emit = report.iterations.append if on_iteration is None \
-        else on_iteration
     # Each step carries x with J_p(x) when the diagnostics of the step
     # before computed it (xstar), and otherwise computes J_p(x) once.  The
     # loop's own arrays have the shapes of the space, so the geometry and
     # the projection run unchecked, the set fitting the space since the
     # start's projection; only the model's outputs and the finiteness of
     # each point to project are checked.
-    q_over_p = space.q / space.p
+    # In Hilbert space J*_q is x -> x + 0.0: a fresh array, with -0.0
+    # turned into +0.0.  The dual update J_p(x) - mu_k T_k is fresh, and
+    # J_p(x) holds no -0.0, so neither does the update: +0.0 - (+-0.0) is
+    # +0.0 when rounding to nearest.  There the map is skipped.
+    hilbert = space.weights is None and space.r == space.p == 2.0
+    q_over_p, two_over_p = space.q / space.p, 2.0 / space.p
     k = 0
-    # A non-finite r_k, t_k, step scalar or projected point stops the run
-    # typed, so numpy's overflow warnings, errors under warnings-as-errors,
-    # are off for the loop; once per run, not per step.
+    # A non-finite norm, r_k, t_k, step scalar or projected point ends in a
+    # typed stop, so numpy's overflow warnings, errors under
+    # warnings-as-errors, are off from the start's diagnostics on; once
+    # per run, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
+        if ref is not None:
+            ref_nrm = _norm(space, ref)
+            breg, xstar = _bregman_to_ref(space, x, ref, ref_nrm)
+            start_radius_ok = breg < rho
+        report = RunReport(stopped_at_k=0, final_residual=math.nan,
+                           x_final=x, stop_reason="MaxIterations",
+                           projected_start=projected_start, rho=rho,
+                           start_radius_ok=start_radius_ok)
+        emit = report.iterations.append if on_iteration is None \
+            else on_iteration
         while True:
             Rk = vector(model.eval(x), y_shape, "model.eval(x)") - ydelta
-            rk = float(_norm(y_space, Rk))
+            rk = _norm(y_space, Rk)
             if rk <= eta_hat:
                 report.stop_reason = "DiscrepancyMet"
                 break
@@ -367,7 +373,7 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
             Tk = vector(
                 model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
                 x_shape, "model.apply_adjoint(x, ystar)")
-            tk = float(_norm(dual, Tk))
+            tk = _norm(dual, Tk)
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
             except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
@@ -376,13 +382,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                 break
             if ref is None:
                 xstar = _duality_map(space, x)
-            xtilde = _duality_map(dual, xstar - muk * Tk)
+            xtilde = xstar - muk * Tk
+            if not hilbert:
+                xtilde = _duality_map(dual, xtilde)
             x_next = _project_finite(space, cset, xtilde)
 
             breg_k, radius_ok = breg, None
             if ref is not None:
-                breg, xstar = _bregman_to_ref(space, x_next, ref, ref_np)
-                descent = wk * breg_k ** (2.0 / space.p) - vk
+                breg, xstar = _bregman_to_ref(space, x_next, ref, ref_nrm)
+                descent = wk * breg_k ** two_over_p - vk
                 radius_ok = breg_k < rho
                 if not radius_ok:
                     report.radius_violations += 1

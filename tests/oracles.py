@@ -4,11 +4,15 @@
 definition, so a test of a projection never trusts the projection to
 decide where its own output lies.  ``adjoint_gap`` checks a model's
 adjoint against a central difference of its evaluation.
+``general_norm`` and ``general_bregman`` write the norm and the Bregman
+distance out as numpy formulas; for one vector they run on numpy
+scalars, whose bits the library's float path must reproduce.
 """
 
 import numpy as np
 
-from projsd import Ball, Box, CoordinateSubspace, WholeSpace, norm
+from projsd import (Ball, Box, CoordinateSubspace, WholeSpace, duality_map,
+                    norm)
 
 
 def member(space, cset, x, tol=1e-10):
@@ -45,3 +49,27 @@ def adjoint_gap(model, x, h, ystar, step=1e-3):
     fd = (model.eval(x + step * h) - model.eval(x - step * h)) / (2.0 * step)
     return abs(float(np.dot(fd, ystar))
                - float(np.dot(h, model.apply_adjoint(x, ystar))))
+
+
+
+def weights_of(space):
+    """The weight array of the space, ones for unit weights (None)."""
+    return np.ones(space.dim) if space.weights is None else space.weights
+
+
+def general_norm(space, x):
+    """``(sum_i w_i |x_i|**r) ** (1/r)`` as written."""
+    return np.sum(weights_of(space) * np.abs(x) ** space.r,
+                  axis=-1) ** (1.0 / space.r)
+
+
+def general_bregman(space, x, xt):
+    """``(1/p)||xt||**p + (1/q)||x||**p - <J_p(x), xt>`` as written, with
+    round-off below 0 and above ``-1e-9 (1 + ||x||**p + ||xt||**p)``
+    clipped to 0; on ``np.float64`` scalars for one pair."""
+    np_x = general_norm(space, x) ** space.p
+    np_xt = general_norm(space, xt) ** space.p
+    val = np_xt / space.p + np_x / space.q - np.sum(
+        duality_map(space, x) * xt, axis=-1)
+    floor = -1e-9 * (1.0 + np_x + np_xt)
+    return np.where((val < 0.0) & (val > floor), 0.0, val)

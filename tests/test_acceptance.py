@@ -7,6 +7,7 @@ well under a minute on one core.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
                     bregman_project, convergence_radius, duality_map,
                     example_schedule, inverse_duality_map, lp_space, norm,
                     run_algorithm1, run_multi_level, select_final_level,
-                    validate_schedule)
+                    validate_schedule, validate_transition)
 from projsd.cli import main as cli_main
 from projsd.cli import parse_config
 
@@ -383,7 +384,11 @@ def test_criterion_10_nonlinear_multilevel(eps, ks, single_k):
 def test_criterion_10_transition_fails_at_stronger_nonlinearity():
     """At eps = 1e-3 the coupling from level 6 into level 7 fails."""
     space, sched = nonlinear_schedule(1e-3)
-    with pytest.raises(TransitionInvalid, match=r"at levels \[6\]$"):
+    lhs, rhs, _ = validate_transition(space, *sched.levels[6:8],
+                                      sched.epsilon)
+    with pytest.raises(TransitionInvalid, match=re.escape(
+            f"at levels [6]: level 6: lhs {lhs} is not below rhs {rhs}")
+            + "$"):
         run_multi_level(space, sched, np.zeros(space.dim))
     print("PASS criterion 10: eps = 1e-3 fails the transition at level 6")
 

@@ -8,9 +8,10 @@ import pytest
 import yaml
 
 import projsd.cli as cli_module
-from projsd import (CoordinateSubspace, LinearModel, NonConvergence,
+from projsd import (CoordinateSubspace, Level, LinearModel, NonConvergence,
                     Schedule, SchemaError, SolverConfig, WholeSpace,
-                    bregman_distance, run_algorithm1, run_multi_level)
+                    bregman_distance, lp_space, run_algorithm1,
+                    run_multi_level, validate_transition)
 from projsd.cli import TRACE_HEADER, main, parse_config
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
@@ -443,6 +444,42 @@ class TestExecuteMultilevel:
         out, err = capsys.readouterr()
         assert (out + err).startswith(
             "schedule invalid: level 1: 8 * ctilde * eta = ")
+
+    @pytest.mark.parametrize("mode", ["multilevel", "validate"])
+    def test_invalid_transition_says_by_how_much(self, tmp_path, capsys,
+                                                 mode):
+        # With every L three times its value, pairs 5 and 6 fail; the
+        # message named them without their lhs and rhs.
+        with open(EXAMPLE) as fh:
+            doc = yaml.safe_load(fh)
+        for lv in doc["levels"]:
+            lv["L"] *= 3.0
+        doc["output"] = {"summaryPath": str(tmp_path / "s.yaml")}
+        if mode == "validate":
+            doc["mode"] = "validate"
+            del doc["x0"]
+            for lv in doc["levels"]:
+                del lv["reference"]
+        path = write(tmp_path, "bad.yaml", yaml.safe_dump(doc))
+        space = lp_space(doc["space"]["dim"])
+        levels = [Level(lv["eta"], lv["C"], lv["L"], lv["Lhat"])
+                  for lv in doc["levels"]]
+        pairs = [(n, *validate_transition(space, a, b, doc["epsilon"]))
+                 for n, (a, b) in enumerate(zip(levels, levels[1:]))]
+        assert [n for n, *_, ok in pairs if not ok] == [5, 6]
+        reason = "transition check failed at levels [5, 6]: " + "; ".join(
+            f"level {n}: lhs {lhs} is not below rhs {rhs}"
+            for n, lhs, rhs, _ in pairs[5:])
+        assert main(["run", path]) == 3
+        out, err = capsys.readouterr()
+        # Validate mode prints its verdict on stdout, run mode on stderr.
+        assert out + err == f"schedule invalid: {reason}\n"
+        if mode == "validate":
+            summary = yaml.safe_load((tmp_path / "s.yaml").read_text())
+            assert summary["reason"] == reason
+            assert [(t["level"], t["lhs"], t["rhs"])
+                    for t in summary["transitions"][5:]] == \
+                [p[:3] for p in pairs[5:]]
 
     def test_diagonal_and_dense_models_give_the_same_bytes(self, tmp_path):
         outputs = []
@@ -1347,6 +1384,41 @@ class TestStepFailureInSummary:
             "StepDegenerate at k=0, residual 3.000000e+119\n", "")
         assert self.summary(tmp_path)["failure"] == \
             "NonFiniteStep: t_0 = inf is not finite (residual 3e+119)"
+
+    @pytest.mark.parametrize("x0", [[1e200, 0.0], [1e250, 1.0]],
+                             ids=["pth-power", "rth-power"])
+    @pytest.mark.parametrize("mode", ["single", "multilevel"])
+    def test_overflowing_start_with_reference(self, tmp_path, capsys, mode,
+                                              x0):
+        # ||x_0||**p overflowed in the start's Bregman distance to the
+        # reference, before the first step: under python -W error a
+        # RuntimeWarning traceback, exit 1.
+        common = {"space": {"dim": 2, "r": 1.5}, "x0": x0,
+                  "solver": {"etaHat": 0.5}}
+        problem = {"model": {"kind": "linear",
+                             "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                   "set": {"kind": "wholespace"},
+                   "data": {"ydelta": [1.0, 1.0]}}
+        if mode == "single":
+            path = single_config(
+                tmp_path, **problem, **common,
+                diagnostics={"referenceSolution": [1.0, 1.0],
+                             "checkTheorems": True})
+        else:
+            level = {"eta": 0.0, "C": 1.0, "L": 0.0, "Lhat": 1.0,
+                     "reference": [1.0, 1.0], **problem}
+            path = write(tmp_path, "ml.yaml", yaml.safe_dump({
+                "mode": "multilevel", "epsilon": 1.0, "levels": [level],
+                "diagnostics": {"checkTheorems": True},
+                "output": {"summaryPath": str(tmp_path / "summary.yaml")},
+                **common}))
+        assert main(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr() == ("", "")
+        summary = self.summary(tmp_path)
+        assert summary["stopReason"] == "StepDegenerate"
+        entry = summary if mode == "single" else summary["perLevel"][0]
+        assert entry["failure"] == "NonFiniteStep: r_0 = inf is not finite"
+        assert entry["theoremChecks"]["radiusOkAll"] is False
 
     def test_single_mode(self, tmp_path):
         # A^T R_0 = 0 while the residual is sqrt(2).

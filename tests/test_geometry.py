@@ -1,9 +1,11 @@
 """Tests of norms, duality mappings, and Bregman distances."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import general_bregman, general_norm, weights_of
 
 import projsd.geometry as geometry_module
 from projsd import (DEFAULT_CONSTANTS, DimensionMismatch, SpaceGeometry,
@@ -228,17 +230,6 @@ class TestDualityMap:
         np.testing.assert_allclose(back, x, atol=1e-10)
 
 
-def weights_of(space):
-    """The weight array of the space, ones for unit weights (None)."""
-    return np.ones(space.dim) if space.weights is None else space.weights
-
-
-def general_norm(space, x):
-    """``(sum_i w_i |x_i|**r) ** (1/r)`` as written."""
-    return np.sum(weights_of(space) * np.abs(x) ** space.r,
-                  axis=-1) ** (1.0 / space.r)
-
-
 def general_duality_map(space, x):
     """``||x||**(p-r) w |x|**(r-1) sign(x)`` as written, with every x of
     norm 0 mapped to 0."""
@@ -304,7 +295,9 @@ class TestSpecialisedKernels:
             expected = general_norm(space, KERNEL_INPUTS)
             assert norm(space, KERNEL_INPUTS).tobytes() == expected.tobytes()
             for x in KERNEL_INPUTS:
-                assert norm(space, x).tobytes() == \
+                one = norm(space, x)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == \
                     general_norm(space, x).tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
@@ -370,24 +363,42 @@ class TestSpecialisedKernels:
 
 class TestBregmanDistance:
     def test_one_pair_keeps_the_formula_type_and_clipping(self):
-        # The single-pair branch against the formula with np.where, on the
-        # same pieces: value, 0-d array type and the clipping of round-off
-        # below 0 (x == xt).
+        # The single-pair branch, in floats, against the formula on numpy
+        # scalars with np.where: the value, as a float, and the clipping of
+        # round-off below 0 (x == xt).  Also every ordered pair of
+        # KERNEL_INPUTS rows: signed zeros, subnormals and entries whose
+        # powers overflow, where both give inf or nan alike; numpy warns
+        # where its array powers overflow, so both run as the solver runs
+        # them, with those warnings off.
         rng = np.random.default_rng(7)
         for space in KERNEL_SPACES.values():
             x = rng.standard_normal((6, space.dim))
             xt = rng.standard_normal((6, space.dim))
             xt[:3] = x[:3] * np.array([[1.0], [1.0 + 1e-15], [-1.0]])
-            for xi, xti in zip(x, xt):
-                np_x = norm(space, xi) ** space.p
-                np_xt = norm(space, xti) ** space.p
-                val = np_xt / space.p + np_x / space.q - np.add.reduce(
-                    duality_map(space, xi) * xti, axis=-1)
-                floor = -1e-9 * (1.0 + np_x + np_xt)
-                expected = np.where((val < 0.0) & (val > floor), 0.0, val)
-                one = bregman_distance(space, xi, xti)
-                assert type(one) is type(expected)
-                assert one.tobytes() == expected.tobytes()
+            pairs = list(zip(x, xt)) + [(a, b) for a in KERNEL_INPUTS
+                                        for b in KERNEL_INPUTS]
+            with np.errstate(over="ignore", under="ignore",
+                             invalid="ignore"):
+                for xi, xti in pairs:
+                    expected = general_bregman(space, xi, xti)
+                    one = bregman_distance(space, xi, xti)
+                    assert type(one) is float
+                    assert np.float64(one).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name,big", [
+        ("r1.5-p2", 1e200), ("weighted-r1.5-p2", 1e200),
+        ("l2-p3", 1e120), ("l2-p4", 1e100)])
+    def test_overflowing_pth_power_is_inf(self, name, big):
+        # r < p: ||x|| is finite where its p-th power is not.  A float
+        # power raises OverflowError there; the distance is inf, as with
+        # numpy's power, and nothing warns.
+        space = KERNEL_SPACES[name]
+        x, ones = np.array([big, 0.0, -0.0, 5e-324]), np.ones(4)
+        assert math.isfinite(norm(space, x))
+        with pytest.raises(OverflowError):
+            norm(space, x) ** space.p
+        assert bregman_distance(space, x, ones) == math.inf
+        assert bregman_distance(space, ones, x) == math.inf
 
     def test_hilbert_is_half_squared_distance(self):
         space = lp_space(4)

@@ -6,17 +6,19 @@ import re
 import numpy as np
 import pytest
 
+from oracles import general_bregman, general_norm
+
 import projsd.geometry as geometry_module
 import projsd.solver as solver_module
 from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
-                    EtaTooLarge, ForwardModel, LinearModel,
+                    EtaTooLarge, ForwardModel, Level, LinearModel,
                     MissingStabilityConstant, NoisyData, NonFiniteInput,
                     NonFiniteStep, NonpositiveU, ProjSDError,
-                    QuadraticModel, SolverConfig,
+                    QuadraticModel, Schedule, SolverConfig,
                     SpaceGeometry, WholeSpace, bregman_distance,
                     bregman_project, compute_ctilde, convergence_radius,
                     data_space, duality_map, inverse_duality_map, lp_space,
-                    norm, run_algorithm1, step_rule)
+                    norm, run_algorithm1, run_multi_level, step_rule)
 
 
 def spd_matrix(dim, seed):
@@ -411,10 +413,11 @@ class WrongShape(LinearModel):
 
 
 def reference_iteration(space, cset, model, data, x0, cfg):
-    """The step written out plainly through the public geometry and
-    projection functions, with every norm and duality image computed
-    afresh.  Returns ``[(x, xtilde, rk, tk, muk, bregman_to_ref)]`` and
-    the last iterate."""
+    """The step written out plainly through the public duality maps and
+    projection, with every norm and duality image computed afresh, the
+    inverse map also in Hilbert space, and the norms and Bregman distances
+    on numpy scalars (``oracles``).  Returns ``[(x, xtilde, rk, tk, muk,
+    bregman_to_ref)]`` and the last iterate."""
     x = bregman_project(space, cset, x0)
     y_space = data_space(model, space.p)
     rule = step_rule(space, model, compute_ctilde(space, model), cfg.eta)
@@ -422,14 +425,14 @@ def reference_iteration(space, cset, model, data, x0, cfg):
     states = []
     for k in range(cfg.max_iterations):
         R = model.eval(x) - data.ydelta
-        rk = float(norm(y_space, R))
+        rk = float(general_norm(y_space, R))
         if rk <= cfg.eta_hat:
             break
         T = model.apply_adjoint(x, duality_map(y_space, R))
-        tk = float(norm(space.dual(), T))
+        tk = float(general_norm(space.dual(), T))
         muk = rule(k, rk, tk)[4]
         xtilde = inverse_duality_map(space, duality_map(space, x) - muk * T)
-        breg = None if ref is None else float(bregman_distance(space, x, ref))
+        breg = None if ref is None else float(general_bregman(space, x, ref))
         states.append((x, xtilde, rk, tk, muk, breg))
         x = bregman_project(space, cset, xtilde)
     return states, x
@@ -443,13 +446,20 @@ KERNEL_SETS = {
 }
 
 
-def kernel_problem(quadratic):
+def kernel_problem(quadratic, blind=False):
+    """Model, truth and data of the kernel tests; a blind model's matrix
+    does not see coordinate 2, so the gradient there is zero at x_2 = 0."""
     rng = np.random.default_rng(21)
     if quadratic:
         A = np.diag([2.0, 2.5, 3.0, 3.5])
+    else:
+        A = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    if blind:
+        A[:, 2] = 0.0
+    if quadratic:
         model = QuadraticModel(A, eps=0.01, cstab=0.5, lhat=3.52)
     else:
-        model = LinearModel(np.eye(4) + 0.3 * rng.standard_normal((4, 4)))
+        model = LinearModel(A)
     truth = np.array([0.4, -0.2, 0.5, 0.1])
     ydelta = model.eval(truth) + 1e-3 * rng.standard_normal(4)
     return model, truth, ydelta
@@ -464,7 +474,8 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_exact_equality(self, r, p, kind, with_ref, quadratic):
-        self.check(lp_space(4, r=r, p=p), kind, with_ref, quadratic)
+        self.check(lp_space(4, r=r, p=p), KERNEL_SETS[kind], with_ref,
+                   quadratic)
 
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
@@ -473,14 +484,36 @@ class TestKernelMatchesReference:
         # r = p = 2 with weights: the r = 2 norm and the r = p duality
         # map without the Hilbert identity.
         space = lp_space(4, weights=[0.5, 2.0, 1.0, 3.0], Cp=1.0, Gq=1.0)
-        self.check(space, kind, with_ref, quadratic)
+        self.check(space, KERNEL_SETS[kind], with_ref, quadratic)
 
-    def check(self, space, kind, with_ref, quadratic):
-        model, truth, ydelta = kernel_problem(quadratic)
-        cset = KERNEL_SETS[kind]
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("kind", ["wholespace", "box"])
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_exact_equality_hilbert_signed_zeros(self, kind, with_ref,
+                                                quadratic):
+        # The loop skips the Hilbert inverse map x -> x + 0.0, which only
+        # turns -0.0 into +0.0.  Iterates hold -0.0 (the start, and a box
+        # clamp to its -0.0 bounds) where the update keeps a zero (the
+        # blind coordinate 2), and x-tilde must hold +0.0 there.
+        cset = WholeSpace() if kind == "wholespace" else Box(
+            [-0.0, -1.0, -0.0, -1.0], [1.0, 0.3, 1.0, -0.0])
+        x0 = np.array([-0.0, 0.8, -0.0, -0.0])
+        report = self.check(lp_space(4), cset, with_ref, quadratic, x0,
+                            blind=True)
+        kept = [(st.x == 0.0) & np.signbit(st.x) & (st.xtilde == 0.0)
+                for st in report.iterations]
+        assert any(k.any() for k in kept)
+        assert not any(np.signbit(st.xtilde[st.xtilde == 0.0]).any()
+                       for st in report.iterations)
+
+    def check(self, space, cset, with_ref, quadratic,
+              x0=(0.9, 0.8, -0.7, 0.6), blind=False):
+        """Compare the run from x0 (outside every set but X) with
+        ``reference_iteration``; return the report."""
+        model, truth, ydelta = kernel_problem(quadratic, blind)
         cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
                            diagnostic_reference=truth if with_ref else None)
-        x0 = np.array([0.9, 0.8, -0.7, 0.6])  # outside every set but X
+        x0 = np.array(x0)
         data = NoisyData(ydelta, 0.0)
         report = run_algorithm1(space, cset, model, data, x0, cfg)
         states, x_last = reference_iteration(space, cset, model, data, x0,
@@ -494,14 +527,15 @@ class TestKernelMatchesReference:
             assert (st.rk, st.tk, st.muk) == (rk, tk, muk)
             assert st.bregman_to_ref == breg
         assert report.x_final.tobytes() == x_last.tobytes()
+        return report
 
 
 def test_norm_of_reference_once_and_three_duality_maps_per_step(
         monkeypatch):
     """With a reference, ||ref|| is computed once per run and each step
     evaluates at most three duality maps: J_y(R_k), J*_q of the dual
-    update and J_p(x_{k+1}), which the next step reuses."""
-    space = lp_space(3, r=3.0)
+    update and J_p(x_{k+1}), which the next step reuses.  In Hilbert space
+    J*_q is the identity, and the step evaluates at most two."""
     model = LinearModel(np.diag([2.0, 3.0, 4.0]))
     ref = np.array([0.5, 1.0 / 3.0, 0.25])
     data = NoisyData(model.eval(ref), 0.0)
@@ -523,12 +557,16 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
         monkeypatch.setattr(module, "_duality_map", counting_map)
     cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=20,
                        diagnostic_reference=ref)
-    report = run_algorithm1(space, WholeSpace(), model, data,
-                            np.full(3, 0.1), cfg)
-    assert report.stopped_at_k == 20
-    assert len(ref_norms) == 1
-    # One more for J_p(x_0), computed with the start's Bregman distance.
-    assert len(duality_maps) <= 3 * 20 + 1
+    for r, maps_per_step in ((3.0, 3), (2.0, 2)):
+        ref_norms.clear()
+        duality_maps.clear()
+        report = run_algorithm1(lp_space(3, r=r), WholeSpace(), model, data,
+                                np.full(3, 0.1), cfg)
+        assert report.stopped_at_k == 20
+        assert len(ref_norms) == 1
+        # One more for J_p(x_0), computed with the start's Bregman
+        # distance.
+        assert len(duality_maps) <= maps_per_step * 20 + 1
 
 
 def test_start_just_outside_is_projected():
@@ -624,6 +662,27 @@ class TestNonFiniteStep:
                                 SolverConfig(eta=0.0, eta_hat=0.001))
         assert report.stop_reason == "StepDegenerate"
         assert str(report.failure).startswith("t_0 = inf is not finite")
+
+    @pytest.mark.parametrize("x0", [[1e200, 0.0], [1e250, 1.0]],
+                             ids=["pth-power", "rth-power"])
+    def test_overflowing_start_with_reference_stops_typed(self, x0):
+        # ||x_0||**p (and at 1e250 also |x_0|**r) leaves the float range
+        # in the start's Bregman distance to the reference, which runs
+        # before the first step: numpy's warning was an untyped error
+        # under the test settings, as under CI's -W error runs.
+        space, model = lp_space(2, r=1.5), LinearModel(np.eye(2))
+        data, ref = NoisyData([1.0, 1.0], 0.0), np.ones(2)
+        single = run_algorithm1(space, WholeSpace(), model, data, x0,
+                                SolverConfig(eta=0.0, eta_hat=0.5,
+                                             diagnostic_reference=ref))
+        level = Level(eta=0.0, C=1.0, L=0.0, Lhat=1.0, cset=WholeSpace(),
+                      model=model, data=data, reference=ref)
+        multi = run_multi_level(space, Schedule([level], 1.0, 0.5), x0)
+        for report in (single, multi.per_level[0][3]):
+            assert report.stop_reason == "StepDegenerate"
+            assert report.stopped_at_k == 0
+            assert report.start_radius_ok is False
+            assert str(report.failure) == "r_0 = inf is not finite"
 
     def test_numpy_error_state_is_restored(self):
         # The run ignores numpy's overflow warnings only inside its loop,
