@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, EtaTooLarge,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
-from .models import ForwardModel, NoisyData, data_space
+from .models import ForwardModel, NoisyData, _fused_products, data_space
 from .sets import ConvexSet, _project_finite, bregman_project
 
 __all__ = [
@@ -289,6 +289,12 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     numerator is not positive or whose step scalars leave the float range
     stops the run as StepDegenerate, with the error in ``report.failure``.
 
+    A ``LinearModel`` or ``QuadraticModel`` that runs its class's own
+    ``eval`` and ``apply_adjoint``, with a matrix above 1 MiB and a data
+    space whose duality map is elementwise (s = p), is not called: each
+    step reads its matrix once for F(x_k) - y and DF(x_k)* J(F(x_k) - y),
+    whose last bits then differ from those of ``apply_adjoint``.
+
     Raises
     ------
     DimensionMismatch
@@ -316,6 +322,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     projected_start = not np.array_equal(x, x0)
 
     y_space, dual = data_space(model, space.p), space.dual()
+    # The one pass needs J_y elementwise, without the norm r_k.
+    phi_y, scale_y = y_space._kernels
+    products = None if scale_y is not None \
+        else _fused_products(model, ydelta, phi_y)
     eta, eta_hat = config.eta, config.eta_hat
     max_iterations = config.max_iterations
     ctilde = compute_ctilde(space, model)
@@ -356,7 +366,11 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         emit = report.iterations.append if on_iteration is None \
             else on_iteration
         while True:
-            Rk = vector(model.eval(x), y_shape, "model.eval(x)") - ydelta
+            if products is None:
+                Rk, Tk = vector(model.eval(x), y_shape,
+                                "model.eval(x)") - ydelta, None
+            else:
+                Rk, Tk = products(x)
             rk = _norm(y_space, Rk)
             if rk <= eta_hat:
                 report.stop_reason = "DiscrepancyMet"
@@ -370,9 +384,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                 report.stop_reason = "MaxIterations"
                 break
 
-            Tk = vector(
-                model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
-                x_shape, "model.apply_adjoint(x, ystar)")
+            if Tk is None:
+                Tk = vector(
+                    model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
+                    x_shape, "model.apply_adjoint(x, ystar)")
             tk = _norm(dual, Tk)
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)

@@ -7,6 +7,8 @@ from oracles import adjoint_gap
 from projsd import (DiagonalLinearModel, LinearModel, NoisyData,
                     QuadraticModel, bregman_distance, data_space, lp_space,
                     norm)
+from projsd.models import (_fused_products, _row_block_products,
+                           _row_blocks)
 
 
 class TestLinearModel:
@@ -118,6 +120,23 @@ class TestDiagonalLinearModel:
                               dense.apply_adjoint(x, ystar))
         assert diag.matrix.tobytes() == dense.matrix.tobytes()
 
+    def test_matrix_built_on_first_read(self):
+        # The constructor built the d x d diag(sigma), 134 MB at d = 4096,
+        # which neither product reads.
+        model = DiagonalLinearModel(np.arange(1.0, 4097.0))
+        model.eval(np.ones(4096))
+        model.apply_adjoint(np.ones(4096), np.ones(4096))
+        assert "matrix" not in vars(model)
+        assert model.matrix.shape == (4096, 4096)
+        assert model.matrix is model.matrix
+        assert model.in_dim == model.out_dim == 4096
+
+    @pytest.mark.parametrize("sigma", [2.0, [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["scalar", "matrix"])
+    def test_sigma_is_one_vector(self, sigma):
+        with pytest.raises(ValueError, match="sigma has shape"):
+            DiagonalLinearModel(sigma)
+
 
 @pytest.mark.parametrize("s", [1.0, 0.5, -2.0, np.inf, np.nan])
 @pytest.mark.parametrize("make", [
@@ -190,6 +209,87 @@ class TestQuadraticModel:
         other = model.with_constants(lip=0.5, lhat=3.0, cstab=2.0)
         assert other.lip == 0.5 and other.lhat == 3.0 and other.cstab == 2.0
         assert model.lip == pytest.approx(0.2)
+
+
+def dense(kind, m, n, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    return LinearModel(A) if kind == "linear" \
+        else QuadraticModel(A, eps=0.3)
+
+
+class TestRowBlockProducts:
+    """One pass over the matrix by row blocks gives the residual and the
+    adjoint of its duality image.  A block holds 324 rows of 400 or 401
+    columns, 360 of 364 and 436 of 300."""
+
+    SHAPES = [
+        ("linear", 324, 400),   # exactly one block
+        ("linear", 328, 400),   # one block plus 4 rows
+        ("linear", 325, 400),   # one block plus 1 row, which joins it
+        ("linear", 700, 300),   # m != n, three blocks
+        ("linear", 401, 400),   # m not a multiple of 4
+        ("quadratic", 364, 364),
+        ("quadratic", 401, 401),
+        ("quadratic", 400, 400),
+    ]
+
+    @pytest.mark.parametrize("kind,m,n", SHAPES)
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_residual_bits_and_adjoint(self, kind, m, n, s):
+        # Every shape has fewer than 460 800 entries, below which OpenBLAS
+        # runs a matrix-vector product on one thread, so R keeps its bits
+        # on any core count.
+        model = dense(kind, m, n)
+        rng = np.random.default_rng(m + n)
+        x, ydelta = rng.standard_normal(n), rng.standard_normal(m)
+        phi = lp_space(m, r=s, p=s)._kernels[0]
+        eps = None if kind == "linear" else model.eps
+        R, T = _row_block_products(model.matrix, eps, ydelta, phi)(x)
+        assert np.array_equal(R, model.eval(x) - ydelta)
+        want = model.apply_adjoint(x, phi(R))
+        assert np.linalg.norm(T - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_row_blocks(self):
+        # 1 MiB holds 324 rows of 400 floats and 128 rows of 1024.
+        assert _row_blocks((401, 400)) == [slice(0, 324), slice(324, None)]
+        assert _row_blocks((1024, 1024)) == [
+            slice(i, i + 128 if i < 896 else None)
+            for i in range(0, 1024, 128)]
+        # A last block of one row joins the one before.
+        assert _row_blocks((325, 400)) == [slice(0, None)]
+        assert _row_blocks((649, 400)) == [slice(0, 324), slice(324, None)]
+        # Never fewer than 4 rows, also where one row exceeds the budget.
+        assert _row_blocks((8, 10 ** 6)) == [slice(0, 4), slice(4, None)]
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_taken_above_one_block_only(self, kind):
+        phi = lp_space(2)._kernels[0]
+        assert _fused_products(dense(kind, 400, 400), np.ones(400),
+                               phi) is not None
+        # 324 rows of 324 columns fit in one block (404 rows), and 361 of
+        # 361 make a block of 360 and a last row that joins it.
+        for d in (324, 361):
+            assert _fused_products(dense(kind, d, d), np.ones(d),
+                                   phi) is None
+
+    def test_overrides_keep_their_calls(self):
+        class Plain(LinearModel):
+            pass
+
+        class OwnEval(QuadraticModel):
+            def eval(self, x):
+                return super().eval(x)
+
+        phi = lp_space(2)._kernels[0]
+        A = np.eye(400)
+        assert _fused_products(Plain(A), np.ones(400), phi) is not None
+        for model in (OwnEval(A, eps=0.1),
+                      DiagonalLinearModel(np.ones(400))):
+            assert _fused_products(model, np.ones(400), phi) is None
+        model = LinearModel(A)
+        model.eval = lambda x: x
+        assert _fused_products(model, np.ones(400), phi) is None
 
 
 class TestNoisyData:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -784,3 +785,124 @@ def test_on_iteration_streams_the_history(with_ref, max_iterations):
         == (history.final_residual, history.descent_sum, history.rho,
             history.radius_violations, history.monotonicity_violations,
             history.strict_bound_violations)
+
+
+# A 400 x 400 matrix is above one 1 MiB block of 324 rows, so a built-in
+# model with it gives R_k and T_k from one pass over its matrix.
+BLOCKED_DIM = 400
+
+
+def blocked_problem():
+    """A smoothing-like 400 x 400 matrix, data with 1% noise and the
+    noise level."""
+    rng = np.random.default_rng(31)
+    d = BLOCKED_DIM
+    U, V = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    A = (U * (1.0 + np.arange(d)) ** -0.5) @ V.T
+    truth = rng.standard_normal(d)
+    clean = A @ truth
+    eta = 0.01 * float(np.linalg.norm(clean))
+    noise = rng.standard_normal(d)
+    return A, clean + eta * noise / np.linalg.norm(noise), eta
+
+
+class Delegate(ForwardModel):
+    """Exposes only ``eval`` and ``apply_adjoint`` of a model, so the run
+    calls both."""
+
+    def __init__(self, model):
+        self.model, self.out_dim = model, model.out_dim
+
+    def eval(self, x):
+        return self.model.eval(x)
+
+    def apply_adjoint(self, x, ystar):
+        return self.model.apply_adjoint(x, ystar)
+
+
+class TestOnePassProducts:
+    def test_matches_the_two_calls(self):
+        A, ydelta, eta = blocked_problem()
+        model = LinearModel(A)
+        cfg = SolverConfig(eta=eta, eta_hat=3.01 * eta)
+        one, two = (run_algorithm1(lp_space(BLOCKED_DIM), WholeSpace(), m,
+                                   NoisyData(ydelta, eta),
+                                   np.zeros(BLOCKED_DIM), cfg)
+                    for m in (model, Delegate(model)))
+        assert one.stop_reason == two.stop_reason == "DiscrepancyMet"
+        assert one.stopped_at_k == two.stopped_at_k > 50
+        # R_0 has the bits of eval(x_0) - y; T_0 sums by block.
+        first, other = one.iterations[0], two.iterations[0]
+        assert first.rk == other.rk
+        assert first.tk == pytest.approx(other.tk, rel=1e-13, abs=0.0)
+        # The iterates differ by ~1e-14 relative up to step 70 of 86; the
+        # steps after it grow that to 7e-9, as any change of rounding
+        # would.
+        assert np.linalg.norm(one.x_final - two.x_final) \
+            <= 1e-7 * np.linalg.norm(two.x_final)
+
+    @pytest.mark.parametrize("cls", [LinearModel, QuadraticModel])
+    def test_builtin_model_is_not_called(self, cls, monkeypatch):
+        # Replacing the class's own methods, as a tracer does, keeps the
+        # one pass: neither method runs.
+        calls = []
+        for name in ("eval", "apply_adjoint"):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *a, _m=method,
+                                _n=name: calls.append(_n) or _m(self, *a))
+        A, ydelta, _ = blocked_problem()
+        model = LinearModel(A) if cls is LinearModel \
+            else QuadraticModel(A, eps=1e-3, cstab=1.0)
+        report = run_algorithm1(lp_space(BLOCKED_DIM), WholeSpace(), model,
+                                NoisyData(ydelta, 0.0),
+                                np.zeros(BLOCKED_DIM),
+                                SolverConfig(eta=0.0, eta_hat=1e-12,
+                                             max_iterations=5))
+        assert report.stopped_at_k == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("cls", [LinearModel, QuadraticModel])
+    @pytest.mark.parametrize("name", ["eval", "apply_adjoint"])
+    def test_override_called_on_every_step(self, cls, name):
+        # A subclass that overrides either method, as WrongAdjoint of
+        # test_models does, is called through both on every step.
+        calls = []
+
+        class Counting(cls):
+            pass
+
+        def counted(self, *args):
+            calls.append(1)
+            return getattr(cls, name)(self, *args)
+
+        setattr(Counting, name, counted)
+        A, ydelta, _ = blocked_problem()
+        model = Counting(A) if cls is LinearModel \
+            else Counting(A, eps=1e-3, cstab=1.0)
+        report = run_algorithm1(lp_space(BLOCKED_DIM), WholeSpace(), model,
+                                NoisyData(ydelta, 0.0),
+                                np.zeros(BLOCKED_DIM),
+                                SolverConfig(eta=0.0, eta_hat=1e-12,
+                                             max_iterations=5))
+        assert report.stopped_at_k == 5
+        # eval at x_0, ..., x_5, the adjoint at x_0, ..., x_4.
+        assert len(calls) == (6 if name == "eval" else 5)
+
+    def test_overflowing_residual_stops_typed(self):
+        # The one pass applies the adjoint to the inf and NaN residual
+        # before the stop test, with no RuntimeWarning.
+        rng = np.random.default_rng(32)
+        model = LinearModel(1e300 * rng.standard_normal((BLOCKED_DIM,
+                                                         BLOCKED_DIM)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_algorithm1(lp_space(BLOCKED_DIM), WholeSpace(),
+                                    model,
+                                    NoisyData(np.ones(BLOCKED_DIM), 0.0),
+                                    np.ones(BLOCKED_DIM),
+                                    SolverConfig(eta=0.0, eta_hat=0.5))
+        assert report.stop_reason == "StepDegenerate"
+        assert report.stopped_at_k == 0
+        assert isinstance(report.failure, NonFiniteStep)
+        assert re.fullmatch(r"r_0 = (inf|nan) is not finite",
+                            str(report.failure))
