@@ -148,6 +148,14 @@ class SpaceGeometry:
         n**(p-r)`` for a norm n > 0, None when p = r."""
         return _duality_kernels(self)
 
+    @cached_property
+    def _vector_kernels(self):
+        """``(norm, duality_map)`` of one checked vector, resolved once per
+        space: ``norm(x)`` and ``duality_map(x, nrm=None)`` are those of
+        ``_norm`` and ``_duality_map``, without their branches on r, the
+        weights, the scale and ``ndim``."""
+        return _one_vector_kernels(self)
+
     def check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
@@ -173,7 +181,10 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 # cannot overflow, as r > 1.  Batches run in numpy.
 #
 # The homes take shortcuts where the exponents allow, each giving the bits
-# of the general formula, and a space resolves them once (``_kernels``):
+# of the general formula, and a space resolves them once: phi and the
+# scale (``_kernels``), and one vector's norm and duality map
+# (``_vector_kernels``), which ``_norm`` and ``_duality_map`` hand one
+# vector to and a run calls directly:
 # - Powers: for the exponents 1, 2, 0.5 and -1, numpy's power of an
 #   array (a 0-d one too) runs a copy, a square, a square root or a
 #   reciprocal, each correctly rounded.  The tables below run that
@@ -213,11 +224,14 @@ def _float_power(e):
     return _FLOAT_POWERS.get(e) or (lambda n: float(np.asarray(n) ** e))
 
 
-def _phi_unit_l2(x):
+# Each phi takes an nrm that it does not read, so that where p = r it is
+# also the one-vector duality map ``(x, nrm=None) -> J_p(x)``.
+
+def _phi_unit_l2(x, nrm=None):
     return x + 0.0
 
 
-def _phi_unit_l3(x):
+def _phi_unit_l3(x, nrm=None):
     return (x + 0.0) * np.abs(x)
 
 
@@ -231,7 +245,7 @@ def _duality_kernels(space: SpaceGeometry):
     else:
         power = _array_power(r - 1.0)
 
-        def phi(x):
+        def phi(x, nrm=None):
             a = power(np.abs(x))
             if w is not None:
                 a = w * a
@@ -240,20 +254,56 @@ def _duality_kernels(space: SpaceGeometry):
     return phi, None if space.p == r else _float_power(space.p - r)
 
 
+def _one_vector_kernels(space: SpaceGeometry):
+    """``(norm, duality_map)`` of ``SpaceGeometry._vector_kernels``: the
+    one-vector branches of ``_norm`` and ``_duality_map``, each resolved
+    into one function."""
+    r, w, root = space.r, space.weights, 1.0 / space.r
+    add = np.add.reduce
+    if r == 2.0 and w is None:
+        def norm(x):
+            return float(add(x * x)) ** root
+    elif r == 2.0:
+        def norm(x):
+            return float(add(w * (x * x))) ** root
+    elif w is None:
+        def norm(x):
+            return float(add(np.abs(x) ** r)) ** root
+    else:
+        def norm(x):
+            return float(add(w * np.abs(x) ** r)) ** root
+
+    phi, scale = space._kernels
+    if scale is None:
+        return norm, phi
+
+    def duality_map(x, nrm=None):
+        if nrm is None:
+            nrm = _norm(space, x)
+        # As in ``_duality_map``, the origin maps to 0.
+        if not nrm > 0.0:
+            return 0.0 * phi(x)
+        return scale(nrm) * phi(x)
+
+    return norm, duality_map
+
+
 def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x; a float for one vector."""
+    if x.ndim == 1:
+        return space._vector_kernels[0](x)
     r = space.r
     powers = x * x if r == 2.0 else np.abs(x) ** r
     if space.weights is not None:
         powers = space.weights * powers
-    if x.ndim == 1:
-        return float(np.add.reduce(powers)) ** (1.0 / r)
     return np.add.reduce(powers, axis=-1) ** (1.0 / r)
 
 
 def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     """The duality mapping of a checked x.  ``nrm = ||x||`` is computed
     here when not given, and only when p != r."""
+    if x.ndim == 1:
+        return space._vector_kernels[1](x, nrm)
     phi, scale = space._kernels
     jx = phi(x)
     if scale is None:
@@ -262,12 +312,6 @@ def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
         nrm = _norm(space, x)
     # 0**(p-r) is an indeterminate 0*inf shape when p < r; the only
     # norm-consistent value at the origin is 0.
-    if x.ndim == 1:
-        # One vector: the batch branch's operations without np.where, whose
-        # cost on 0-d operands exceeds the rest at small dim.
-        if not nrm > 0.0:
-            return 0.0 * jx
-        return scale(nrm) * jx
     s = np.where(nrm > 0.0, nrm, 1.0) ** (space.p - space.r)
     s = np.where(nrm > 0.0, s, 0.0)
     return s[..., np.newaxis] * jx

@@ -2,12 +2,15 @@
 
 Ships a linear model, a diagonal linear model with closed-form best
 approximations and stability constant, and a componentwise-quadratic
-model.  The iteration calls only the evaluation ``F(x)`` and the adjoint
-action ``DF(x)* y*``, except that it works out both of a dense built-in
-model above one 1 MiB block in one pass over the matrix
-(``_fused_products``).  The analysis constants are stated by the caller;
-nothing here estimates them.  Every stated number follows the input
-rules of README ("Input rules").
+model.  The iteration calls a custom model only through the evaluation
+``F(x)`` and the adjoint action ``DF(x)* y*``, and checks the shape of
+each output on every call.  It calls no built-in model that runs its
+class's own methods: ``_step_products`` resolves the run's residual and
+adjoint once, with the model's own numpy operations and one check of its
+matrix or sigma, and works out both of a dense model above one 1 MiB
+block in one pass over the matrix.  The analysis constants are stated
+by the caller; nothing here estimates them.  Every stated number follows
+the input rules of README ("Input rules").
 
 Evaluation is batch friendly: all maps act on the last axis of their
 input arrays.
@@ -15,11 +18,11 @@ input arrays.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import exponent, floats, real
+from .errors import DimensionMismatch, exponent, floats, real, vector
 from .geometry import SpaceGeometry
 
 __all__ = [
@@ -55,9 +58,9 @@ class ForwardModel:
 
     Output shapes: for one iterate ``x`` of shape ``(d,)``, ``eval(x)``
     returns shape ``(out_dim,)`` and ``apply_adjoint(x, ystar)`` shape
-    ``(d,)``.  ``run_algorithm1`` checks both on every call and raises
-    DimensionMismatch, naming the method and the shape, for any other
-    shape, a scalar or ``(1,)`` included.
+    ``(d,)``.  ``run_algorithm1`` checks both on every call of a custom
+    model and raises DimensionMismatch, naming the method and the shape,
+    for any other shape, a scalar or ``(1,)`` included.
     """
 
     out_dim: int
@@ -220,9 +223,12 @@ def _row_blocks(shape):
 
 
 def _row_block_products(matrix, eps, ydelta, phi):
-    """``x -> (R, T)`` with ``R = A x + eps x**2 - ydelta`` (no square
-    term when ``eps`` is None) and ``T = DF(x)* phi(R)``, for an
-    elementwise ``phi``, in one pass over ``A`` by ``_row_blocks``.
+    """``(residual, adjoint)`` of ``_step_products`` for a dense model:
+    ``residual(x) = A x + eps x**2 - ydelta`` (no square term when ``eps``
+    is None) works out ``T = DF(x)* phi(R)`` with R, for an elementwise
+    ``phi``, in one pass over ``A`` by ``_row_blocks``, and
+    ``adjoint(x, jy)`` returns that T: the run calls it with the x and
+    the ``phi(R)`` of the last residual, which it does not read.
 
     Each block A_b gives R_b and adds ``phi(R_b) @ A_b`` to T while A_b
     is still in cache; the term ``2 eps x phi(R)`` comes once at the end.
@@ -233,8 +239,10 @@ def _row_block_products(matrix, eps, ydelta, phi):
     """
     blocks = [(matrix[b], b) for b in _row_blocks(matrix.shape)]
     m, n = matrix.shape
+    T = None
 
-    def products(x):
+    def residual(x):
+        nonlocal T
         R, T = np.empty(m), np.zeros(n)
         square = None if eps is None else eps * x ** 2
         for Ab, b in blocks:
@@ -246,31 +254,107 @@ def _row_block_products(matrix, eps, ydelta, phi):
             T += phi(Rb) @ Ab
         if eps is not None:
             T += 2.0 * eps * x * phi(R)
-        return R, T
+        return R
 
-    return products
+    def adjoint(x, jy):
+        return T
+
+    return residual, adjoint
 
 
-def _fused_products(model, ydelta, phi):
-    """``_row_block_products`` of a model that runs the ``eval`` and
-    ``apply_adjoint`` of ``LinearModel`` or of ``QuadraticModel``, not
-    overrides, and whose matrix spans more than one block; None for any
-    other model (``DiagonalLinearModel``, a user subclass that overrides
-    either method), which the run calls instead."""
-    def runs_own(cls):
-        return all(getattr(getattr(model, name), "__func__", None)
-                   is getattr(cls, name) for name in ("eval",
-                                                      "apply_adjoint"))
+def _builtin_kind(model):
+    """``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel``
+    when the model runs that class's own ``eval`` and ``apply_adjoint``;
+    None for any other model, a subclass or an instance that overrides
+    either method included.  A method replaced on the class itself, as a
+    tracer installs its wrappers, counts as the class's own."""
+    for cls in (LinearModel, DiagonalLinearModel, QuadraticModel):
+        if all(getattr(getattr(model, name), "__func__", None)
+               is getattr(cls, name) for name in ("eval", "apply_adjoint")):
+            return cls
+    return None
 
-    if runs_own(LinearModel):
-        eps = None
-    elif runs_own(QuadraticModel):
-        eps = model.eps
-    else:
-        return None
-    if len(_row_blocks(model.matrix.shape)) == 1:
-        return None
-    return _row_block_products(model.matrix, eps, ydelta, phi)
+
+def _step_products(model, ydelta, y_space, dim):
+    """The run's ``residual(x) = F(x) - ydelta`` and ``adjoint(x, jy) =
+    DF(x)* jy``, resolved once per run on a space of dimension ``dim``,
+    with ``ydelta`` of shape ``(model.out_dim,)``.
+
+    A built-in model (``_builtin_kind``) is not called: the two run its
+    numpy operations, in its order, and its ``matrix`` or ``sigma`` is
+    checked once, here, against the run's shapes.  A dense one whose
+    matrix spans more than one block, with an elementwise duality map of
+    the data space (``y_space._kernels`` scale None, s = p), takes the
+    one pass of ``_row_block_products``.  Every other model is called
+    through ``eval`` and ``apply_adjoint``, with the shape of each output
+    checked on every call.
+
+    Raises
+    ------
+    DimensionMismatch
+        If a built-in model's ``matrix`` or ``sigma`` does not fit the
+        run's shapes (it was assigned after construction).
+    """
+    kind = _builtin_kind(model)
+    if kind is None:
+        y_shape, x_shape = ydelta.shape, (dim,)
+        evaluate, apply_adjoint = model.eval, model.apply_adjoint
+
+        def residual(x):
+            return vector(evaluate(x), y_shape, "model.eval(x)") - ydelta
+
+        def adjoint(x, jy):
+            return vector(apply_adjoint(x, jy), x_shape,
+                          "model.apply_adjoint(x, ystar)")
+
+        return residual, adjoint
+
+    # A diagonal or quadratic F maps R^dim to R^dim.
+    m = ydelta.shape[0]
+    out = m if kind is LinearModel else dim
+    name, want = ("sigma", (dim,)) if kind is DiagonalLinearModel \
+        else ("matrix", (out, dim))
+    shape = np.shape(getattr(model, name))
+    if shape != want or m != out:
+        raise DimensionMismatch(
+            f"model.{name} has shape {shape}, with data of shape ({m},); "
+            f"a run on dimension {dim} needs {want}, with data of shape "
+            f"({out},)")
+
+    if kind is DiagonalLinearModel:
+        sigma = model.sigma
+
+        def residual(x):
+            return sigma * x - ydelta
+
+        def adjoint(x, jy):
+            return jy * sigma
+
+        return residual, adjoint
+
+    matrix = model.matrix
+    eps = model.eps if kind is QuadraticModel else None
+    phi, scale = y_space._kernels
+    if scale is None and len(_row_blocks(matrix.shape)) > 1:
+        return _row_block_products(matrix, eps, ydelta, phi)
+    at = matrix.T
+    if eps is None:
+        def residual(x):
+            return x @ at - ydelta
+
+        def adjoint(x, jy):
+            return jy @ matrix
+
+        return residual, adjoint
+    two_eps = 2.0 * eps
+
+    def residual(x):
+        return x @ at + eps * x ** 2 - ydelta
+
+    def adjoint(x, jy):
+        return jy @ matrix + two_eps * x * jy
+
+    return residual, adjoint
 
 
 class NoisyData:
@@ -287,6 +371,13 @@ class NoisyData:
 def data_space(model: ForwardModel, p: float = 2.0) -> SpaceGeometry:
     """The data space l^s of the model, unweighted, with the gauge ``p``
     of X, so that the duality mapping on the data has the same form.  The
-    run reads its norm and duality map, never its constants, stated as 1."""
-    return SpaceGeometry(dim=model.out_dim, r=model.s, p=p, Cp=1.0, Gq=1.0)
+    run reads its norm and duality map, never its constants, stated as 1.
+    Equal dimensions and exponents give the same space, whose kernels
+    are then resolved once, not once per run."""
+    return _data_space(model.out_dim, model.s, p)
+
+
+@lru_cache(maxsize=64)
+def _data_space(dim, s, p):
+    return SpaceGeometry(dim=dim, r=s, p=p, Cp=1.0, Gq=1.0)
 

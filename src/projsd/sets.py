@@ -192,8 +192,8 @@ class Ball(ConvexSet):
                 "||x - center|| overflows, so the search for the multiplier "
                 "cannot start")
         if space.p == space.r:
-            return _ball_search(space, self.center, self.radius, x, 0.0,
-                                x)[1]
+            return _ball_search(space, self.center, self.radius, x, gap,
+                                0.0, x)[1]
         # Away from the origin, one joint search first; the nested searches
         # below take what it cannot solve.
         nx = float(norm(space, x))
@@ -208,9 +208,10 @@ class Ball(ConvexSet):
 
         def project_r(z):
             nonlocal s, y
-            if float(norm(space, z - self.center)) <= self.radius:
+            dist = float(norm(space, z - self.center))
+            if dist <= self.radius:
                 return z
-            s, y = _ball_search(space, self.center, self.radius, z, s,
+            s, y = _ball_search(space, self.center, self.radius, z, dist, s,
                                 z if y is None else y)
             return y
 
@@ -415,9 +416,10 @@ def _root(g, g0, y0, t, limit):
     return (lo, y_lo) if abs(g_lo) <= abs(g_hi) else (hi, y_hi)
 
 
-def _ball_search(space, c, radius, z, s, y):
+def _ball_search(space, c, radius, z, dist, s, y):
     """Gauge-r projection of z onto the ball ``||y - c|| <= radius`` for z
-    outside it, started from ``s = log(1 + lam)`` and the point y.
+    outside it, at ``dist = ||z - c||``, started from
+    ``s = log(1 + lam)`` and the point y.
 
     Returns ``(s, y)``.  The root is that of
     ``log(||y(lam) - c|| / radius)``, which decreases in lam.  In s it is
@@ -426,7 +428,7 @@ def _ball_search(space, c, radius, z, s, y):
     r = 2.
     """
     r = space.r
-    g0 = _log(float(norm(space, z - c)) / radius)
+    g0 = _log(dist / radius)
     if not g0 > 0.0:
         return 0.0, z                # on the sphere to rounding
 

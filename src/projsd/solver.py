@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (DimensionMismatch, EtaTooLarge,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, integer, real, vector)
-from .geometry import SpaceGeometry, _bregman_distance, _duality_map, _norm
-from .models import ForwardModel, NoisyData, _fused_products, data_space
+from .geometry import SpaceGeometry, _bregman_distance, _norm
+from .models import ForwardModel, NoisyData, _step_products, data_space
 from .sets import ConvexSet, _project_finite, bregman_project
 
 __all__ = [
@@ -261,9 +261,11 @@ def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
 
 
 def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_nrm):
-    """``(breg(x, ref), J_p(x))`` given ``ref_nrm = ||ref||``."""
-    nrm = _norm(space, x)
-    xstar = _duality_map(space, x, nrm)
+    """``(breg(x, ref), J_p(x))`` of one vector x, given ``ref_nrm =
+    ||ref||``."""
+    norm, duality_map = space._vector_kernels
+    nrm = norm(x)
+    xstar = duality_map(x, nrm)
     return _bregman_distance(space, nrm, xstar, ref, ref_nrm), xstar
 
 
@@ -289,11 +291,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     numerator is not positive or whose step scalars leave the float range
     stops the run as StepDegenerate, with the error in ``report.failure``.
 
-    A ``LinearModel`` or ``QuadraticModel`` that runs its class's own
-    ``eval`` and ``apply_adjoint``, with a matrix above 1 MiB and a data
-    space whose duality map is elementwise (s = p), is not called: each
-    step reads its matrix once for F(x_k) - y and DF(x_k)* J(F(x_k) - y),
-    whose last bits then differ from those of ``apply_adjoint``.
+    A ``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel``
+    that runs its class's own ``eval`` and ``apply_adjoint`` is not
+    called: the run works out F(x_k) - y and DF(x_k)* J(F(x_k) - y) with
+    the model's own numpy operations, and checks its matrix or sigma once,
+    on entry.  A dense one with a matrix above 1 MiB and a data space whose
+    duality map is elementwise (s = p) reads its matrix once per step for
+    both, whose last bits then differ from those of ``apply_adjoint``.
+    Any other model is called through ``eval`` and ``apply_adjoint``, and
+    the shape of each output is checked on every call.
 
     Raises
     ------
@@ -301,9 +307,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         If the model states an ``in_dim`` other than ``space.dim``, if
         ``x0`` or the diagnostic reference is not of shape
         ``(space.dim,)``, if ``data.ydelta`` is not of shape
-        ``(model.out_dim,)``, or if a call of ``model.eval`` or
-        ``model.apply_adjoint`` returns an array of another shape than
-        ``(model.out_dim,)`` or ``(space.dim,)``.
+        ``(model.out_dim,)``, if a built-in model's ``matrix`` or
+        ``sigma`` does not fit these shapes, or if a call of
+        ``model.eval`` or ``model.apply_adjoint`` returns an array of
+        another shape than ``(model.out_dim,)`` or ``(space.dim,)``.
     NonFiniteInput
         On entry, if ``x0`` holds NaN or +-inf.
     MissingStabilityConstant
@@ -318,14 +325,14 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     x_shape, y_shape = (space.dim,), (model.out_dim,)
     x0 = vector(x0, x_shape, "x0")
     ydelta = vector(data.ydelta, y_shape, "ydelta")
+    y_space, dual = data_space(model, space.p), space.dual()
+    residual, adjoint = _step_products(model, ydelta, y_space, space.dim)
     x = bregman_project(space, cset, x0)
     projected_start = not np.array_equal(x, x0)
 
-    y_space, dual = data_space(model, space.p), space.dual()
-    # The one pass needs J_y elementwise, without the norm r_k.
-    phi_y, scale_y = y_space._kernels
-    products = None if scale_y is not None \
-        else _fused_products(model, ydelta, phi_y)
+    norm_y, duality_map_y = y_space._vector_kernels
+    norm_dual, duality_map_dual = dual._vector_kernels
+    duality_map_x = space._vector_kernels[1]
     eta, eta_hat = config.eta, config.eta_hat
     max_iterations = config.max_iterations
     ctilde = compute_ctilde(space, model)
@@ -341,8 +348,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     # before computed it (xstar), and otherwise computes J_p(x) once.  The
     # loop's own arrays have the shapes of the space, so the geometry and
     # the projection run unchecked, the set fitting the space since the
-    # start's projection; only the model's outputs and the finiteness of
-    # each point to project are checked.
+    # start's projection; only a called model's outputs and the finiteness
+    # of each point to project are checked.
     # In Hilbert space J*_q is x -> x + 0.0: a fresh array, with -0.0
     # turned into +0.0.  The dual update J_p(x) - mu_k T_k is fresh, and
     # J_p(x) holds no -0.0, so neither does the update: +0.0 - (+-0.0) is
@@ -366,12 +373,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         emit = report.iterations.append if on_iteration is None \
             else on_iteration
         while True:
-            if products is None:
-                Rk, Tk = vector(model.eval(x), y_shape,
-                                "model.eval(x)") - ydelta, None
-            else:
-                Rk, Tk = products(x)
-            rk = _norm(y_space, Rk)
+            Rk = residual(x)
+            rk = norm_y(Rk)
             if rk <= eta_hat:
                 report.stop_reason = "DiscrepancyMet"
                 break
@@ -384,11 +387,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                 report.stop_reason = "MaxIterations"
                 break
 
-            if Tk is None:
-                Tk = vector(
-                    model.apply_adjoint(x, _duality_map(y_space, Rk, rk)),
-                    x_shape, "model.apply_adjoint(x, ystar)")
-            tk = _norm(dual, Tk)
+            Tk = adjoint(x, duality_map_y(Rk, rk))
+            tk = norm_dual(Tk)
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
             except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
@@ -396,10 +396,10 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                 report.failure = exc
                 break
             if ref is None:
-                xstar = _duality_map(space, x)
+                xstar = duality_map_x(x)
             xtilde = xstar - muk * Tk
             if not hilbert:
-                xtilde = _duality_map(dual, xtilde)
+                xtilde = duality_map_dual(xtilde)
             x_next = _project_finite(space, cset, xtilde)
 
             breg_k, radius_ok = breg, None

@@ -21,6 +21,8 @@ SINGLE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
 BALL_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE), "offcentre_ball.yaml")
 BALL_L3_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                                "offcentre_ball_l3.yaml")
+SUBSPACE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
+                                "subspace_linear_l3.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -356,6 +358,41 @@ class TestExecuteSingle:
         assert outputs[0] == outputs[1]
         assert yaml.safe_load(outputs[0][1])["stoppedAtK"] == 76
         assert len(calls) == 2 * 28
+
+    def test_subspace_linear_l3_example(self, tmp_path, monkeypatch):
+        # The committed dense linear example on a coordinate subspace at
+        # r = p = 3 runs to exit 0 with repeatable bytes and every theorem
+        # check holding.  The projection truncates the start and each of
+        # the 188 steps, and the model, a built-in one, is not called.
+        import projsd.sets
+        truncate = projsd.sets.CoordinateSubspace._project
+        calls = []
+
+        def recording(self, space, x):
+            calls.append(1)
+            return truncate(self, space, x)
+
+        def not_called(*args):
+            raise AssertionError("a built-in model was called")
+
+        monkeypatch.setattr(projsd.sets.CoordinateSubspace, "_project",
+                            recording)
+        for name in ("eval", "apply_adjoint"):
+            monkeypatch.setattr(LinearModel, name, not_called)
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", SUBSPACE_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        summary = yaml.safe_load(outputs[0][1])
+        assert summary["stopReason"] == "DiscrepancyMet"
+        assert summary["stoppedAtK"] == 188
+        assert summary["theoremChecks"] == {
+            "iterations": 188, "monotonicityViolations": 0,
+            "radiusOkAll": True, "strictBoundOkAll": True}
+        assert len(calls) == 2 * (188 + 1)
 
 
 class TestExecuteMultilevel:
@@ -1338,18 +1375,15 @@ class TestStepFailureInSummary:
     def summary(self, tmp_path, name="summary.yaml"):
         return yaml.safe_load((tmp_path / name).read_text())
 
-    def test_non_finite_residual(self, tmp_path, monkeypatch):
-        # A model output holding NaN stops the step typed, before the
-        # projection would reject the NaN update.
-        real_eval = LinearModel.eval
-
-        def spoiled(model, x):
-            v = real_eval(model, x).copy()
-            v[0] = np.nan
-            return v
-
-        monkeypatch.setattr(LinearModel, "eval", spoiled)
-        assert main(["run", single_config(tmp_path), "--quiet"]) == 2
+    def test_non_finite_residual(self, tmp_path):
+        # F(x_0) = -1e308 * 1e200 + 1e200**2 is -inf + inf, NaN: the step
+        # stops typed, before the projection would reject the NaN update.
+        path = single_config(tmp_path, space={"dim": 1},
+                             model={"kind": "quadratic",
+                                    "matrix": [[-1e308]], "eps": 1.0,
+                                    "cstab": 1.0},
+                             data={"ydelta": [1.0]}, x0=[1e200])
+        assert main(["run", path, "--quiet"]) == 2
         summary = self.summary(tmp_path)
         assert summary["stopReason"] == "StepDegenerate"
         assert summary["failure"] == "NonFiniteStep: r_0 = nan is not finite"

@@ -7,8 +7,9 @@ from oracles import adjoint_gap
 from projsd import (DiagonalLinearModel, LinearModel, NoisyData,
                     QuadraticModel, bregman_distance, data_space, lp_space,
                     norm)
-from projsd.models import (_fused_products, _row_block_products,
-                           _row_blocks)
+import projsd.models as models_module
+from projsd.models import (_builtin_kind, _row_block_products, _row_blocks,
+                           _step_products)
 
 
 class TestLinearModel:
@@ -245,7 +246,10 @@ class TestRowBlockProducts:
         x, ydelta = rng.standard_normal(n), rng.standard_normal(m)
         phi = lp_space(m, r=s, p=s)._kernels[0]
         eps = None if kind == "linear" else model.eps
-        R, T = _row_block_products(model.matrix, eps, ydelta, phi)(x)
+        residual, adjoint = _row_block_products(model.matrix, eps, ydelta,
+                                                phi)
+        R = residual(x)
+        T = adjoint(x, phi(R))
         assert np.array_equal(R, model.eval(x) - ydelta)
         want = model.apply_adjoint(x, phi(R))
         assert np.linalg.norm(T - want) <= 1e-13 * np.linalg.norm(want)
@@ -263,15 +267,24 @@ class TestRowBlockProducts:
         assert _row_blocks((8, 10 ** 6)) == [slice(0, 4), slice(4, None)]
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
-    def test_taken_above_one_block_only(self, kind):
-        phi = lp_space(2)._kernels[0]
-        assert _fused_products(dense(kind, 400, 400), np.ones(400),
-                               phi) is not None
+    def test_taken_above_one_block_only(self, kind, monkeypatch):
+        taken = []
+
+        def recording(*args):
+            taken.append(1)
+            return _row_block_products(*args)
+
+        monkeypatch.setattr(models_module, "_row_block_products", recording)
         # 324 rows of 324 columns fit in one block (404 rows), and 361 of
         # 361 make a block of 360 and a last row that joins it.
-        for d in (324, 361):
-            assert _fused_products(dense(kind, d, d), np.ones(d),
-                                   phi) is None
+        for d, blocks in ((400, 1), (324, 0), (361, 0)):
+            taken.clear()
+            _step_products(dense(kind, d, d), np.ones(d), lp_space(d), d)
+            assert len(taken) == blocks
+        # Nor where J_y needs the norm of the residual (s = 2, p = 3).
+        _step_products(dense(kind, 400, 400), np.ones(400),
+                       lp_space(400, p=3.0, Cp=1.0, Gq=1.0), 400)
+        assert len(taken) == 0
 
     def test_overrides_keep_their_calls(self):
         class Plain(LinearModel):
@@ -281,15 +294,15 @@ class TestRowBlockProducts:
             def eval(self, x):
                 return super().eval(x)
 
-        phi = lp_space(2)._kernels[0]
-        A = np.eye(400)
-        assert _fused_products(Plain(A), np.ones(400), phi) is not None
-        for model in (OwnEval(A, eps=0.1),
-                      DiagonalLinearModel(np.ones(400))):
-            assert _fused_products(model, np.ones(400), phi) is None
+        A = np.eye(4)
+        assert _builtin_kind(Plain(A)) is LinearModel
+        assert _builtin_kind(QuadraticModel(A, eps=0.1)) is QuadraticModel
+        assert _builtin_kind(DiagonalLinearModel(np.ones(4))) \
+            is DiagonalLinearModel
+        assert _builtin_kind(OwnEval(A, eps=0.1)) is None
         model = LinearModel(A)
         model.eval = lambda x: x
-        assert _fused_products(model, np.ones(400), phi) is None
+        assert _builtin_kind(model) is None
 
 
 class TestNoisyData:

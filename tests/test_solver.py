@@ -11,11 +11,11 @@ from oracles import general_bregman, general_norm
 
 import projsd.geometry as geometry_module
 import projsd.solver as solver_module
-from projsd import (Ball, Box, CoordinateSubspace, DimensionMismatch,
-                    EtaTooLarge, ForwardModel, Level, LinearModel,
-                    MissingStabilityConstant, NoisyData, NonFiniteInput,
-                    NonFiniteStep, NonpositiveU, ProjSDError,
-                    QuadraticModel, Schedule, SolverConfig,
+from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
+                    DimensionMismatch, EtaTooLarge, ForwardModel, Level,
+                    LinearModel, MissingStabilityConstant, NoisyData,
+                    NonFiniteInput, NonFiniteStep, NonpositiveU,
+                    ProjSDError, QuadraticModel, Schedule, SolverConfig,
                     SpaceGeometry, WholeSpace, bregman_distance,
                     bregman_project, compute_ctilde, convergence_radius,
                     data_space, duality_map, inverse_duality_map, lp_space,
@@ -534,40 +534,47 @@ class TestKernelMatchesReference:
 def test_norm_of_reference_once_and_three_duality_maps_per_step(
         monkeypatch):
     """With a reference, ||ref|| is computed once per run and each step
-    evaluates at most three duality maps: J_y(R_k), J*_q of the dual
-    update and J_p(x_{k+1}), which the next step reuses.  In Hilbert space
-    J*_q is the identity, and the step evaluates at most two."""
+    evaluates three duality maps: J_y(R_k), J*_q of the dual update and
+    J_p(x_{k+1}), which the next step reuses.  In Hilbert space J*_q is
+    the identity, and the step evaluates two."""
     model = LinearModel(np.diag([2.0, 3.0, 4.0]))
     ref = np.array([0.5, 1.0 / 3.0, 0.25])
     data = NoisyData(model.eval(ref), 0.0)
     ref_norms, duality_maps = [], []
     real_norm = geometry_module._norm
-    real_map = geometry_module._duality_map
 
     def counting_norm(sp, x):
         if x.shape == ref.shape and np.array_equal(x, ref):
             ref_norms.append(1)
         return real_norm(sp, x)
 
-    def counting_map(*args):
-        duality_maps.append(1)
-        return real_map(*args)
+    def counting(vector_map):
+        def counting_map(*args):
+            duality_maps.append(1)
+            return vector_map(*args)
+        return counting_map
 
     for module in (geometry_module, solver_module):
         monkeypatch.setattr(module, "_norm", counting_norm)
-        monkeypatch.setattr(module, "_duality_map", counting_map)
     cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=20,
                        diagnostic_reference=ref)
     for r, maps_per_step in ((3.0, 3), (2.0, 2)):
+        space = lp_space(3, r=r)
+        # The run takes the duality maps that each of its spaces resolves
+        # once, the data space's included.
+        for sp in (space, space.dual(), data_space(model, space.p)):
+            vector_norm, vector_map = sp._vector_kernels
+            monkeypatch.setitem(sp.__dict__, "_vector_kernels",
+                                (vector_norm, counting(vector_map)))
         ref_norms.clear()
         duality_maps.clear()
-        report = run_algorithm1(lp_space(3, r=r), WholeSpace(), model, data,
+        report = run_algorithm1(space, WholeSpace(), model, data,
                                 np.full(3, 0.1), cfg)
         assert report.stopped_at_k == 20
         assert len(ref_norms) == 1
         # One more for J_p(x_0), computed with the start's Bregman
         # distance.
-        assert len(duality_maps) <= maps_per_step * 20 + 1
+        assert len(duality_maps) == maps_per_step * 20 + 1
 
 
 def test_start_just_outside_is_projected():
@@ -807,17 +814,45 @@ def blocked_problem():
 
 
 class Delegate(ForwardModel):
-    """Exposes only ``eval`` and ``apply_adjoint`` of a model, so the run
-    calls both."""
+    """Exposes only ``eval`` and ``apply_adjoint`` of a model, with its
+    dimensions and constants, so the run calls both."""
 
     def __init__(self, model):
         self.model, self.out_dim = model, model.out_dim
+        self.in_dim, self.s, self.lip = model.in_dim, model.s, model.lip
+        self.lhat, self.cstab = model.lhat, model.cstab
 
     def eval(self, x):
         return self.model.eval(x)
 
     def apply_adjoint(self, x, ystar):
         return self.model.apply_adjoint(x, ystar)
+
+
+def builtin_problem(kind):
+    """A built-in model of ``kind`` (linear, diagonal or quadratic) on
+    R^4, within one block, with data and the truth behind them.  The
+    quadratic term is large enough that the rounding of each of its
+    products shows in the adjoint."""
+    rng = np.random.default_rng(23)
+    if kind == "linear":
+        model = LinearModel(np.eye(4) + 0.3 * rng.standard_normal((4, 4)))
+    elif kind == "diagonal":
+        model = DiagonalLinearModel([2.0, 0.7, 1.5, 1.2])
+    else:
+        model = QuadraticModel(np.diag([1.0, 0.8, 1.2, 0.9]), eps=0.3,
+                               cstab=0.5, lhat=2.0)
+    truth = np.array([0.4, -0.2, 0.5, 0.1])
+    return model, truth, model.eval(truth) + 1e-3 * rng.standard_normal(4)
+
+
+def state_bytes(report):
+    """K, the stop reason, x_K and every state's arrays and scalars."""
+    return (report.stopped_at_k, report.stop_reason, report.x_final.tobytes(),
+            [(st.x.tobytes(), st.xtilde.tobytes(),
+              repr((st.k, st.rk, st.tk, st.that_k, st.uk, st.vk, st.wk,
+                    st.muk, st.bregman_to_ref, st.radius_ok)))
+             for st in report.iterations])
 
 
 class TestOnePassProducts:
@@ -856,6 +891,26 @@ class TestOnePassProducts:
         report = run_algorithm1(lp_space(BLOCKED_DIM), WholeSpace(), model,
                                 NoisyData(ydelta, 0.0),
                                 np.zeros(BLOCKED_DIM),
+                                SolverConfig(eta=0.0, eta_hat=1e-12,
+                                             max_iterations=5))
+        assert report.stopped_at_k == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("model_kind", ["linear", "diagonal",
+                                            "quadratic"])
+    def test_one_block_builtin_model_is_not_called(self, model_kind,
+                                                   monkeypatch):
+        # Within one block too, where the run uses the model's own
+        # products, a method replaced on the class is not called.
+        model, _, ydelta = builtin_problem(model_kind)
+        cls = type(model)
+        calls = []
+        for name in ("eval", "apply_adjoint"):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *a, _m=method,
+                                _n=name: calls.append(_n) or _m(self, *a))
+        report = run_algorithm1(lp_space(4), WholeSpace(), model,
+                                NoisyData(ydelta, 0.0), np.zeros(4),
                                 SolverConfig(eta=0.0, eta_hat=1e-12,
                                              max_iterations=5))
         assert report.stopped_at_k == 5
@@ -906,3 +961,53 @@ class TestOnePassProducts:
         assert isinstance(report.failure, NonFiniteStep)
         assert re.fullmatch(r"r_0 = (inf|nan) is not finite",
                             str(report.failure))
+
+
+class TestResolvedProducts:
+    """A built-in model's products, run with its own numpy operations,
+    against the same model called through ``eval`` and
+    ``apply_adjoint``."""
+
+    @pytest.mark.parametrize("weights", [None, [0.5, 2.0, 1.0, 3.0]],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("r,p", [(2.0, 2.0), (1.5, 2.0), (3.0, 3.0),
+                                     (4.0, 4.0)])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
+    @pytest.mark.parametrize("model_kind", ["linear", "diagonal",
+                                            "quadratic"])
+    def test_matches_the_checked_calls(self, model_kind, kind, r, p,
+                                       weights):
+        model, truth, ydelta = builtin_problem(model_kind)
+        space = lp_space(4, r=r, p=p, weights=weights)
+        for ref in (None, truth):
+            cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
+                               diagnostic_reference=ref)
+            own, called = (
+                state_bytes(run_algorithm1(space, KERNEL_SETS[kind], m,
+                                           NoisyData(ydelta, 0.0),
+                                           np.array([0.9, 0.8, -0.7, 0.6]),
+                                           cfg))
+                for m in (model, Delegate(model)))
+            assert own[0] > 0
+            assert own == called
+
+    @pytest.mark.parametrize("model_kind,name,shape", [
+        ("linear", "matrix", (5, 4)), ("linear", "matrix", (4, 3)),
+        ("diagonal", "sigma", (5,)), ("quadratic", "matrix", (3, 3))])
+    def test_reassigned_parameter_raises_on_entry(self, model_kind, name,
+                                                  shape):
+        # Assigned after construction: a (5, 4) matrix raised
+        # DimensionMismatch from the check of eval's output, the others
+        # numpy's ValueError from the first product.
+        model, _, ydelta = builtin_problem(model_kind)
+        setattr(model, name, np.ones(shape))
+        steps = []
+        with pytest.raises(DimensionMismatch,
+                           match=rf"model\.{name} has shape "
+                                 rf"{re.escape(str(shape))}"):
+            run_algorithm1(lp_space(4), WholeSpace(), model,
+                           NoisyData(ydelta, 0.0), np.zeros(4),
+                           SolverConfig(eta=0.0, eta_hat=1e-12,
+                                        max_iterations=5),
+                           on_iteration=steps.append)
+        assert steps == []
