@@ -49,6 +49,7 @@ import yaml
 from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel, ProjSDError,
                      SchemaError, TauOutOfRange, TransitionInvalid, exponent,
                      integer, real)
+from .errors import seed as _seed
 from .geometry import SpaceGeometry, lp_space
 from .models import (DiagonalLinearModel, LinearModel, NoisyData,
                      QuadraticModel)
@@ -111,8 +112,8 @@ _READS = {
         "multilevel mode": "eta! C! L! Lhat! model! set! data! reference",
         "validate mode": "eta! C! L! Lhat! model set data"}),
     "model": _table({
-        "linear": "kind matrix|matrixFile cstab",
-        "diagonal": "kind sigma! cstab",
+        "linear": "kind matrix|matrixFile",
+        "diagonal": "kind sigma!",
         "quadratic": "kind matrix|matrixFile eps! cstab lhat"},
         "a {} model"),
     "set": _table({"wholespace": "kind", "box": "kind lower! upper!",
@@ -178,13 +179,6 @@ def _read_kind(node, table, path, errors):
 
 
 _nonnegative = partial(real, positive=False)
-
-
-def _seed(name, value):
-    """The rule of a seed, which is metadata: an int >= 0."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise ValueError("expected a nonnegative integer")
 
 
 def _scalar(node, path, errors, rule, default=None):
@@ -341,18 +335,18 @@ def _parse_model(node, path, errors, s, base_dir):
     if node is None:
         return None
     kind = node["kind"]
-    cstab = _scalar(node.get("cstab"), f"{path}.cstab", errors, real)
     if kind == "diagonal":
         sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors)
         if sigma is None:
             return None
-        return DiagonalLinearModel(sigma, s=s, cstab=cstab)
+        return DiagonalLinearModel(sigma, s=s)
     mat = _matrix_from(node, path, errors, base_dir)
     if kind == "linear":
         if mat is None:
             return None
-        return LinearModel(mat, s=s, cstab=cstab)
+        return LinearModel(mat, s=s)
     eps = _scalar(node.get("eps"), f"{path}.eps", errors, _nonnegative)
+    cstab = _scalar(node.get("cstab"), f"{path}.cstab", errors, real)
     lhat = _scalar(node.get("lhat"), f"{path}.lhat", errors, real)
     if mat is None or eps is None:
         return None
@@ -366,11 +360,11 @@ def _parse_model(node, path, errors, s, base_dir):
 def _parse_data(node, path, errors, base_dir, eta):
     """Data with the noise level `eta` that the run uses."""
     node = _read(node, _READS["data"], "the data", path, errors)
-    ydelta = node.get("ydelta")
+    field, ydelta = f"{path}.ydelta", node.get("ydelta")
     if "ydeltaFile" in node:
-        ydelta = _load_csv(node["ydeltaFile"], f"{path}.ydeltaFile", errors,
-                           base_dir, 1)
-    arr = _finite_vector(ydelta, f"{path}.ydelta", errors)
+        field = f"{path}.ydeltaFile"
+        ydelta = _load_csv(node["ydeltaFile"], field, errors, base_dir, 1)
+    arr = _finite_vector(ydelta, field, errors)
     if arr is None or eta is None:
         return None
     return NoisyData(arr, eta)

@@ -25,10 +25,11 @@ class NonConvergence(ProjSDError):
     """A bounded search inside a Bregman projection ran out of steps.
 
     Every bracket expansion and scalar root search in ``projsd.sets``
-    stops after a fixed number of steps, about twice the most that any
-    tested finite input has needed.  This is raised when a search reaches
-    that cap, when its root lies where its rescaling would overflow, or
-    when the norm of the projection would leave the floating-point range.
+    stops after a fixed number of steps, twice what random inputs of
+    moderate size need.  This is raised when a search reaches that cap,
+    which finite inputs far from a ball can do (see ``sets._MAX_STEPS``),
+    when its root lies where its rescaling would overflow, or when the
+    norm of the projection would leave the floating-point range.
     """
 
 
@@ -125,12 +126,17 @@ def real(name, value, positive=True, error=ValueError):
                 f"{'positive' if positive else 'nonnegative'} and finite")
 
 
-def integer(name, value):
-    """A stated integer as an int >= 1."""
+def integer(name, value, least=1):
+    """A stated integer as an int >= ``least``."""
     v = _number(value, (int, np.integer), int)
-    if v is not None and v >= 1:
+    if v is not None and v >= least:
         return v
-    raise ValueError(f"{name} = {value!r} must be an integer >= 1")
+    raise ValueError(f"{name} = {value!r} must be an integer >= {least}")
+
+
+def seed(name, value):
+    """A stated seed as an int >= 0."""
+    return integer(name, value, least=0)
 
 
 def exponent(name, value):

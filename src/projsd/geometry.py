@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, exponent, integer, real
+from .errors import seed as _seed
 
 __all__ = [
     "SpaceGeometry",
@@ -387,8 +388,11 @@ def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,
     suffice.  A pair so close that its Bregman distance is below 1e-8 of
     ``||x||**p + ||xt||**p`` is skipped: the rounding of its three terms,
     each about 1e-16 of that sum, would move the ratio by more than 1e-8.
+    ``n_samples`` and ``seed`` follow the input rules of README ("Input
+    rules"): an integer >= 1, and one >= 0.
     """
-    rng = np.random.default_rng(seed)
+    n_samples = integer("n_samples", n_samples)
+    rng = np.random.default_rng(_seed("seed", seed))
 
     def ratios(sp):
         """``p * breg / ||x - xt||**p`` over fresh sample pairs of `sp`."""

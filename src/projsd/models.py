@@ -39,18 +39,21 @@ class ForwardModel:
     """Interface of the forward operator F.
 
     Subclasses provide the evaluation ``F(x)`` and the adjoint action
-    ``DF(x)* y*``, together with the constants entering the convergence
+    ``DF(x)* y*``, the data-space norm exponent ``s`` (data live in l^s),
+    and the constants that ``run_algorithm1`` reads in the convergence
     analysis:
 
-    - ``lhat``: bound on the operator norm of DF over the domain ball,
     - ``lip``: Lipschitz constant of ``x -> DF(x)``,
-    - ``cstab``: conditional stability constant on the working set,
-    - ``s``: the data-space norm exponent (data live in l^s).
+    - ``lhat``: bound on the operator norm of DF over the domain ball,
+    - ``cstab``: conditional stability constant on the working set.
 
     ``cstab`` and ``lhat`` are stated by the caller, never derived; None
-    means not stated.  A linear model (``lip == 0``) needs neither.  A
-    nonlinear run raises MissingStabilityConstant on entry without
-    ``cstab``, and, with a diagnostic reference, without ``lhat``.
+    means not stated.  A linear model (``lip == 0``) needs neither, and
+    the shipped linear models state neither.  A nonlinear run raises
+    MissingStabilityConstant on entry without ``cstab``, and, with a
+    diagnostic reference, without ``lhat``.  ``run_multi_level`` reads
+    none of the three: a level's run takes the level's ``L``, ``Lhat``
+    and ``C``.
 
     ``in_dim``, when the model states it (every shipped model does), is
     the length of an input: a run on a space of another dimension raises
@@ -76,33 +79,15 @@ class ForwardModel:
     def apply_adjoint(self, x: np.ndarray, ystar: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def with_constants(self, lip=None, lhat=None, cstab=None):
-        """Shallow copy with overridden analysis constants.
-
-        Used by the multi-level driver, where each level carries its own
-        certified constants for the restricted operator.
-        """
-        import copy
-        m = copy.copy(self)
-        if lip is not None:
-            m.lip = real("lip", lip, positive=False)
-        if lhat is not None:
-            m.lhat = real("lhat", lhat)
-        if cstab is not None:
-            m.cstab = real("cstab", cstab)
-        return m
-
 
 class LinearModel(ForwardModel):
     """F(x) = A x.  The derivative is constant, so lip = 0."""
 
-    def __init__(self, matrix, s=2.0, cstab=None):
+    def __init__(self, matrix, s=2.0):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.out_dim = self.matrix.shape[0]
         self.in_dim = self.matrix.shape[1]
         self.s = exponent("data exponent s", s)
-        self.lip = 0.0
-        self.cstab = None if cstab is None else real("cstab", cstab)
 
     def eval(self, x):
         return floats(x) @ self.matrix.T
@@ -120,7 +105,7 @@ class DiagonalLinearModel(LinearModel):
     guarantee checkable without trusting a sampler.
     """
 
-    def __init__(self, sigma, s=2.0, cstab=None):
+    def __init__(self, sigma, s=2.0):
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 1:
             raise ValueError(f"sigma has shape {sigma.shape}, expected one "
@@ -128,8 +113,6 @@ class DiagonalLinearModel(LinearModel):
         self.sigma = sigma
         self.out_dim = self.in_dim = sigma.size
         self.s = exponent("data exponent s", s)
-        self.lip = 0.0
-        self.cstab = None if cstab is None else real("cstab", cstab)
 
     @cached_property
     def matrix(self):

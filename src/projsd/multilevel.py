@@ -27,7 +27,7 @@ from .geometry import SpaceGeometry
 from .models import ForwardModel, NoisyData
 from .sets import ConvexSet
 from .solver import (RunReport, SolverConfig, _ctilde, _radius_bracket,
-                     convergence_radius, run_algorithm1)
+                     _run, convergence_radius)
 
 __all__ = [
     "Level",
@@ -201,12 +201,15 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
                     on_iteration=None) -> MultiLevelReport:
     """Run the schedule level by level.
 
-    Each level runs the single-level iteration with its own discrepancy
-    threshold ``(3 + eps) * eta_n`` and hands the stopped iterate to the
-    next level as its start, the last to ``eta_hat`` itself: the run
-    stops DiscrepancyMet or as the first level that stops otherwise.  The
-    sets are nested, so the hand-off is feasible; the level's run projects
-    its start like every iterate and records its start-radius check.
+    Each level runs the single-level iteration on its own constants
+    ``C``, ``L`` and ``Lhat``, which the run reads in place of those its
+    model states, and leaves the model unchanged.  It runs to its own
+    discrepancy threshold ``(3 + eps) * eta_n`` and hands the stopped
+    iterate to the next level as its start, the last to ``eta_hat``
+    itself: the run stops DiscrepancyMet or as the first level that stops
+    otherwise.  The sets are nested, so the hand-off is feasible; the
+    level's run projects its start like every iterate and records its
+    start-radius check.
 
     ``on_iteration(n, state)`` receives every executed step of level n
     as it completes (see ``run_algorithm1``); with a hook the level
@@ -222,7 +225,6 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     per_level: list[tuple[int, int, float, RunReport]] = []
     stop_reason = "DiscrepancyMet"
     for n, lv in enumerate(schedule.levels):
-        model = lv.model.with_constants(lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
         # Final level: the selection rule guarantees (3+eps)*eta_N <=
         # eta_hat, so stopping at the target residual is at least as
         # strict a result and stays well defined when eta_N == 0.
@@ -231,10 +233,9 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         config = SolverConfig(eta=lv.eta, eta_hat=threshold,
                               max_iterations=max_iterations_per_level,
                               diagnostic_reference=lv.reference)
-        report = run_algorithm1(
-            space, lv.cset, model, lv.data, x, config,
-            on_iteration=None if on_iteration is None
-            else partial(on_iteration, n))
+        report = _run(space, lv.cset, lv.model, lv.data, x, config,
+                      None if on_iteration is None
+                      else partial(on_iteration, n), lv.L, lv.Lhat, lv.C)
         per_level.append((n, report.stopped_at_k,
                           report.final_residual, report))
         x = report.x_final

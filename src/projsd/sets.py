@@ -67,11 +67,16 @@ __all__ = [
 # Step cap of every bracket expansion and scalar search.  A bisection
 # needs ~60 halvings from its first bracket down to rounding, and on
 # random sets, exponents r in [1.1, 6] and inputs of size 1e-4 to 1e5
-# the searches stay below 100 steps.  The cap is reached by a joint-search
-# trial at a multiplier near exp(700) on a ball whose centre has a zero
-# entry: its coordinate solve bisects toward a root below the subnormals
-# until the cap raises NonConvergence, which the joint search counts as a
-# missed trial.
+# the searches stay below 100 steps.  The cap is reached in two known
+# cases.  A joint-search trial at a multiplier near exp(700) on a ball
+# whose centre has a zero entry bisects, in its coordinate solve, toward
+# a root below the subnormals; the joint search counts the NonConvergence
+# as a missed trial.  And far from a ball, the nested searches' coordinate
+# solve can exhaust the cap before its bracket closes to a few ulps: in
+# lp_space(4, r=1.25, p=4.0), 49 of the 200 seeded points of
+# test_nested_ball_searches_raise_no_overflow_warning raise
+# NonConvergence so, all at max |x_i| >= 2.1e15, while other points up
+# to 8.3e17 project.
 _MAX_STEPS = 200
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)

@@ -111,12 +111,16 @@ def _curvature_weight(space: SpaceGeometry, lip: float) -> float:
     return 0.5 * (space.Cp / space.p) ** (-2.0 / space.p) * lip
 
 
-def _ctilde(space: SpaceGeometry, lip: float, cstab: float) -> float:
+def _ctilde(space: SpaceGeometry, lip: float, cstab: float | None) -> float:
     """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``: 0 when
     L = 0, whatever C, and inf only when the product leaves the float
-    range."""
+    range.  Raises MissingStabilityConstant if L > 0 and C is None (not
+    stated)."""
     if lip == 0.0:
         return 0.0
+    if cstab is None:
+        raise MissingStabilityConstant(
+            "a nonlinear model needs a stability constant")
     weight = _curvature_weight(space, lip)
     try:
         return weight * cstab ** 2
@@ -125,18 +129,14 @@ def _ctilde(space: SpaceGeometry, lip: float, cstab: float) -> float:
 
 
 def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
-    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2``.
+    """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2`` of the
+    model's ``lip`` and ``cstab``.
 
     Raises
     ------
     MissingStabilityConstant
         If the model is nonlinear and carries no ``cstab``.
     """
-    if model.lip == 0.0:
-        return 0.0
-    if model.cstab is None:
-        raise MissingStabilityConstant(
-            "a nonlinear model needs a stability constant")
     return _ctilde(space, model.lip, model.cstab)
 
 
@@ -192,11 +192,11 @@ def convergence_radius(space: SpaceGeometry, lhat: float | None,
         return math.inf
 
 
-def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
-              eta: float):
+def step_rule(space: SpaceGeometry, lip: float, ctilde: float, eta: float):
     """Posterior step-size rule of a run, with its constants (exponents,
-    curvature weight, roots of u) computed once; ``ctilde`` is the run's
-    ``compute_ctilde(space, model)``.
+    curvature weight, roots of u) computed once; ``lip`` is the run's
+    derivative Lipschitz constant L and ``ctilde`` its curvature-stability
+    product (``compute_ctilde``).
 
     Returns ``rule(k, rk, tk)``, which maps the residual and gradient
     norms of iteration ``k`` to ``(that_k, u_k, v_k, w_k, mu_k, gain)``,
@@ -221,7 +221,7 @@ def step_rule(space: SpaceGeometry, model: ForwardModel, ctilde: float,
     pm1 = p - 1.0  # equals 1 / (q - 1)
     neg_pm1, r_exp, mu_exp = -pm1, p * p - p, pm1 * pm1
     inv_q = 1.0 / q
-    weight = _curvature_weight(space, model.lip)
+    weight = _curvature_weight(space, lip)
     if ctilde != 0.0:
         lo, hi = _u_roots(ctilde, eta)
         # Factored form from the two roots; better conditioned near them.
@@ -273,7 +273,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
                    model: ForwardModel, data: NoisyData, x0,
                    config: SolverConfig, on_iteration=None) -> RunReport:
     """Run the projected steepest descent iteration to the discrepancy
-    threshold.
+    threshold, with the model's constants: its ``lip`` (L), ``lhat``
+    (Lhat) and ``cstab`` (C).
 
     Each executed step is handed as an ``IterationState`` to
     ``on_iteration``, in order, as soon as it is complete; the hook holds
@@ -319,6 +320,15 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
+    return _run(space, cset, model, data, x0, config, on_iteration,
+                model.lip, model.lhat, model.cstab)
+
+
+def _run(space, cset, model, data, x0, config, on_iteration, lip, lhat,
+         cstab) -> RunReport:
+    """``run_algorithm1`` on the constants L = ``lip``, Lhat = ``lhat``
+    and C = ``cstab``, the only ones the run reads: ``model`` gives it no
+    more than its products, dimensions and data exponent."""
     if model.in_dim is not None and model.in_dim != space.dim:
         raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
                                 f"the space has dimension {space.dim}")
@@ -335,14 +345,14 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     duality_map_x = space._vector_kernels[1]
     eta, eta_hat = config.eta, config.eta_hat
     max_iterations = config.max_iterations
-    ctilde = compute_ctilde(space, model)
+    ctilde = _ctilde(space, lip, cstab)
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
-    rule = step_rule(space, model, ctilde, eta)
+    rule = step_rule(space, lip, ctilde, eta)
     ref = config.diagnostic_reference
     rho = breg = start_radius_ok = ref_nrm = xstar = None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
-        rho = convergence_radius(space, model.lhat, ctilde, eta)
+        rho = convergence_radius(space, lhat, ctilde, eta)
 
     # Each step carries x with J_p(x) when the diagnostics of the step
     # before computed it (xstar), and otherwise computes J_p(x) once.  The

@@ -318,8 +318,8 @@ def nonlinear_schedule(eps):
     x_i = 0.8 exp(-0.3 i) truncated to that support, and its constants
     are true bounds for this separable model on the box:
     C_m = 1 / min_{i<m} (sigma_i - 2 eps), L = 2 eps and
-    Lhat = max_i (sigma_i + 2 eps).  The model states no constant; the
-    run sets each level's on it."""
+    Lhat = max_i (sigma_i + 2 eps).  The model states no constant; each
+    level's run reads the level's."""
     d = 8
     i = np.arange(d)
     sigma = np.exp(-i / 2.0)
@@ -359,9 +359,11 @@ def test_criterion_10_nonlinear_multilevel(eps, ks, single_k):
     assert sum(rep.monotonicity_violations
                for *_, rep in report.per_level) == 0
 
-    # The single-level run on the finest box, with its constants.
+    # The single-level run on the finest box, with its constants: the
+    # model's L = 2 eps is the level's.
     lv = sched.levels[-1]
-    model = lv.model.with_constants(lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
+    model = QuadraticModel(lv.model.matrix, eps, cstab=lv.C, lhat=lv.Lhat)
+    assert model.lip == lv.L
     cfg = SolverConfig(eta=lv.eta, eta_hat=sched.eta_hat,
                        diagnostic_reference=lv.reference)
     single = run_algorithm1(space, lv.cset, model, lv.data,
@@ -379,6 +381,42 @@ def test_criterion_10_nonlinear_multilevel(eps, ks, single_k):
         assert single.start_radius_ok is False
     print(f"PASS criterion 10: eps = {eps}: multi-level K={ks}; "
           f"single-level {single.stop_reason} at k={single.stopped_at_k}")
+
+
+def test_level_runs_read_the_level_constants():
+    """Each level's run reads the level's C, L and Lhat, not the constants
+    its model states, and leaves the model unchanged: with a model that
+    states cstab = lhat = 99 the schedule runs as with one that states
+    none."""
+    space, plain = nonlinear_schedule(5e-4)
+    _, stating = nonlinear_schedule(5e-4)
+    base = stating.levels[0].model
+    model = QuadraticModel(base.matrix, base.eps, cstab=99.0, lhat=99.0)
+    for lv in stating.levels:
+        lv.model = model
+
+    def fields(m):
+        return {key: val.tobytes() if isinstance(val, np.ndarray) else val
+                for key, val in vars(m).items()}
+
+    runs = []
+    for sched in (plain, stating):
+        model = sched.levels[0].model
+        assert all(lv.model is model for lv in sched.levels)
+        before = fields(model)
+        states = []
+        report = run_multi_level(
+            space, sched, np.zeros(space.dim),
+            on_iteration=lambda n, st: states.append(
+                (n, st.k, st.x.tobytes(), st.xtilde.tobytes())))
+        assert fields(model) == before
+        for lv, (*_, rep) in zip(sched.levels, report.per_level):
+            assert rep.rho == lv.rho(space)
+        runs.append((report.stop_reason, states,
+                     [(n, k, rep.stop_reason, rep.x_final.tobytes())
+                      for n, k, _, rep in report.per_level]))
+    assert runs[0] == runs[1]
+    assert [k for _, k, *_ in runs[0][2]] == [0, 1, 0, 2, 4, 4, 9, 99]
 
 
 def test_criterion_10_transition_fails_at_stronger_nonlinearity():

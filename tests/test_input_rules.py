@@ -1,6 +1,6 @@
-"""Every stated scalar of the library goes through one of the three input
-rules of ``projsd.errors``: a finite real that is positive or
-nonnegative, an integer >= 1, or an exponent in (1, inf)."""
+"""Every stated scalar of the library goes through one of the input rules
+of ``projsd.errors``: a finite real that is positive or nonnegative, an
+integer >= 1, a seed (an integer >= 0), or an exponent in (1, inf)."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import pytest
 
 from projsd import (Ball, DiagonalLinearModel, Level, LinearModel, NoisyData,
                     QuadraticModel, Schedule, SolverConfig, SpaceGeometry,
-                    example_schedule, lp_space)
+                    certify_constants, example_schedule, lp_space)
 
 
 def schedule_field(name):
@@ -38,7 +38,20 @@ def keyword(cls, base, name):
     return attribute(lambda value: cls(**dict(base, **{name: value})), name)
 
 
-QUADRATIC = QuadraticModel(np.eye(2), eps=0.1)
+def certified(name):
+    """``certify_constants`` with the keyword ``name`` replaced.  It stores
+    nothing, so this returns the int the value stands for, once the value
+    has given the bounds of that int."""
+    def run(value):
+        space, base = lp_space(2, r=1.5), dict(n_samples=50, seed=0)
+        bounds = certify_constants(space, **dict(base, **{name: value}))
+        taken = int(value)
+        base[name] = taken
+        assert bounds == certify_constants(space, **base)
+        return taken
+    return run
+
+
 LEVEL = dict(eta=0.01, C=1.0, L=0.5, Lhat=1.0)
 SPACE = dict(dim=2, r=1.5)
 
@@ -57,15 +70,9 @@ FIELDS = [
      False, 2),
     ("linear-s", attribute(lambda v: LinearModel(np.eye(2), s=v), "s"),
      "data exponent s", "exponent", True, 3),
-    ("linear-cstab",
-     attribute(lambda v: LinearModel(np.eye(2), cstab=v), "cstab"),
-     "cstab", "positive", False, 2),
     ("diagonal-s",
      attribute(lambda v: DiagonalLinearModel([1.0, 2.0], s=v), "s"),
      "data exponent s", "exponent", True, 3),
-    ("diagonal-cstab",
-     attribute(lambda v: DiagonalLinearModel([1.0, 2.0], cstab=v), "cstab"),
-     "cstab", "positive", False, 2),
     ("quadratic-eps",
      attribute(lambda v: QuadraticModel(np.eye(2), eps=v), "eps"),
      "eps", "nonnegative", True, 1),
@@ -78,15 +85,6 @@ FIELDS = [
     ("quadratic-lhat",
      attribute(lambda v: QuadraticModel(np.eye(2), eps=0.1, lhat=v),
                "lhat"), "lhat", "positive", False, 2),
-    ("with_constants-lip",
-     attribute(lambda v: QUADRATIC.with_constants(lip=v), "lip"), "lip",
-     "nonnegative", False, 1),
-    ("with_constants-lhat",
-     attribute(lambda v: QUADRATIC.with_constants(lhat=v), "lhat"), "lhat",
-     "positive", False, 2),
-    ("with_constants-cstab",
-     attribute(lambda v: QUADRATIC.with_constants(cstab=v), "cstab"),
-     "cstab", "positive", False, 2),
     ("data-eta", attribute(lambda v: NoisyData([1.0], v), "eta"), "eta",
      "nonnegative", True, 1),
     ("config-eta", keyword(SolverConfig, dict(eta=0.1, eta_hat=10.0), "eta"),
@@ -115,10 +113,14 @@ FIELDS = [
      True, 2),
     ("ball-radius", attribute(lambda v: Ball([1.0, -2.0], v), "radius"),
      "radius", "positive", True, 2),
+    ("certify-n_samples", certified("n_samples"), "n_samples", "integer",
+     True, 40),
+    ("certify-seed", certified("seed"), "seed", "seed", True, 3),
 ]
 
 OUT_OF_RANGE = {"positive": [0.0, -1.0], "nonnegative": [-1.0],
-                "integer": [0, -1, 2.5, 3.0], "exponent": [1.0, 0.5]}
+                "integer": [0, -1, 2.5, 3.0], "seed": [-1, 2.5, 3.0],
+                "exponent": [1.0, 0.5]}
 
 
 @pytest.mark.parametrize("store, prefix, rule, required, good",
@@ -133,7 +135,7 @@ def test_each_stated_scalar_follows_its_rule(store, prefix, rule, required,
         message = f"^{re.escape(f'{prefix} = {value!r} ')}"
         with pytest.raises(ValueError, match=message):
             store(value)
-    if rule == "integer":
+    if rule in ("integer", "seed"):
         kind, forms = int, [good, np.int64(good), np.array(good)]
     else:
         kind = float
@@ -145,9 +147,11 @@ def test_each_stated_scalar_follows_its_rule(store, prefix, rule, required,
         assert type(stored) is kind and stored == good
 
 
-@pytest.mark.parametrize("store, prefix",
-                         [f[1:3] for f in FIELDS if f[3] != "integer"],
-                         ids=[f[0] for f in FIELDS if f[3] != "integer"])
+REALS = [f for f in FIELDS if f[3] not in ("integer", "seed")]
+
+
+@pytest.mark.parametrize("store, prefix", [f[1:3] for f in REALS],
+                         ids=[f[0] for f in REALS])
 def test_int_beyond_float_range_is_refused(store, prefix):
     # float() of such an int raised OverflowError, which no caller that
     # handles the rules' ValueError caught.

@@ -32,15 +32,29 @@ class TestLinearModel:
         np.testing.assert_allclose(model.eval(xs), xs)
 
     @pytest.mark.parametrize("make", [
-        lambda cstab: LinearModel(np.eye(2), cstab=cstab),
-        lambda cstab: DiagonalLinearModel([1.0, 2.0], cstab=cstab)],
+        lambda **kw: LinearModel(np.eye(2), **kw),
+        lambda **kw: DiagonalLinearModel([1.0, 2.0], **kw)],
         ids=["linear", "diagonal"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan, "x"])
     def test_linear_cstab_positive_and_finite(self, make, value):
-        # Both linear models stored any cstab, -1.0 and 'x' included.
-        with pytest.raises(ValueError):
-            make(value)
-        assert make(2).cstab == 2.0 and make(None).cstab is None
+        # Both linear models once stored any cstab, -1.0 and 'x' included.
+        # A run never reads one, so each is now refused as a keyword.
+        with pytest.raises(TypeError, match="cstab"):
+            make(cstab=value)
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: LinearModel(np.eye(2), **kw),
+        lambda **kw: DiagonalLinearModel([1.0, 2.0], **kw)],
+        ids=["linear", "diagonal"])
+    def test_linear_models_state_no_cstab(self, make):
+        # A run never reads the C of a linear model (c-tilde is 0 at L = 0,
+        # whatever C), so neither linear model takes or stores one, nor
+        # repeats the class's lip = 0.
+        with pytest.raises(TypeError, match="cstab"):
+            make(cstab=2.0)
+        model = make()
+        assert not {"cstab", "lhat", "lip"} & set(vars(model))
+        assert model.cstab is None and model.lip == 0.0
 
 
 class TestDiagonalLinearModel:
@@ -192,24 +206,6 @@ class TestQuadraticModel:
         with pytest.raises(ValueError, match=f"{key} = "):
             QuadraticModel(np.eye(2), eps=0.1, **{key: value})
 
-    @pytest.mark.parametrize("key", ["lhat", "cstab"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
-    def test_with_constants_positive_and_finite(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} = "):
-            DiagonalLinearModel([1.0, 2.0]).with_constants(**{key: value})
-
-    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
-    def test_with_constants_lip_nonnegative_and_finite(self, value):
-        # lip = -1 ran with c-tilde = -1; lip = nan ended in NonFiniteInput
-        # from the projection.
-        with pytest.raises(ValueError, match="lip = "):
-            QuadraticModel(np.eye(2), eps=0.1).with_constants(lip=value)
-
-    def test_with_constants_copy(self):
-        model = QuadraticModel(np.eye(2), eps=0.1)
-        other = model.with_constants(lip=0.5, lhat=3.0, cstab=2.0)
-        assert other.lip == 0.5 and other.lhat == 3.0 and other.cstab == 2.0
-        assert model.lip == pytest.approx(0.2)
 
 
 def dense(kind, m, n, seed=0):

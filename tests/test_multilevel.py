@@ -7,8 +7,9 @@ import pytest
 from oracles import member
 
 from projsd import (CoordinateSubspace, DiagonalLinearModel, EtaTooLarge,
-                    LambdaTooSmall, Level, NoisyData, NoSuchLevel, Schedule,
-                    TauOutOfRange, TransitionInvalid, compute_ctilde,
+                    ForwardModel, LambdaTooSmall, Level, NoisyData,
+                    NoSuchLevel, Schedule, TauOutOfRange, TransitionInvalid,
+                    compute_ctilde,
                     convergence_radius, example_schedule, lp_space,
                     run_multi_level, select_final_level, validate_schedule,
                     validate_transition)
@@ -346,13 +347,13 @@ class TestRunMultiLevel:
         for lv in sched.levels:
             lv.C = c
         thresholds = []
-        run = projsd.multilevel.run_algorithm1
+        run = projsd.multilevel._run
 
-        def recording(space, cset, model, data, x, config, **kwargs):
+        def recording(space, cset, model, data, x, config, *args):
             thresholds.append(config.eta_hat)
-            return run(space, cset, model, data, x, config, **kwargs)
+            return run(space, cset, model, data, x, config, *args)
 
-        monkeypatch.setattr(projsd.multilevel, "run_algorithm1", recording)
+        monkeypatch.setattr(projsd.multilevel, "_run", recording)
         seen = set()
         report = run_multi_level(space, sched, np.zeros(space.dim),
                                  on_iteration=lambda n, st: seen.add(n))
@@ -365,6 +366,29 @@ class TestRunMultiLevel:
         transitions, final = validate_schedule(space, sched)
         assert [n for n, *_ in transitions] == list(range(n_levels - 1))
         assert final == n_levels - 1
+
+    def test_linear_level_with_positive_L_runs_with_its_ctilde(self):
+        # The run reads the level's L, not the linear model's lip = 0, so
+        # c-tilde > 0: a finite radius, and other steps than at L = 0.
+        def run(L):
+            space, sched = diagonal_schedule()
+            levels = sched.levels[:2]
+            for lv in levels:
+                lv.L = L
+            sched = Schedule(levels=levels, epsilon=1.0,
+                             eta_hat=4.0 * levels[-1].eta)
+            return space, sched, run_multi_level(space, sched,
+                                                 np.zeros(space.dim))
+
+        space, sched, report = run(1e-4)
+        assert report.stop_reason == "DiscrepancyMet"
+        for lv, (*_, rep) in zip(sched.levels, report.per_level):
+            assert lv.ctilde(space) > 0.0
+            assert rep.rho == lv.rho(space) < math.inf
+        _, _, linear = run(0.0)
+        assert [rep.rho for *_, rep in linear.per_level] == [math.inf] * 2
+        assert [k for _, k, _, _ in report.per_level] \
+            != [k for _, k, _, _ in linear.per_level]
 
     def test_handoff_stays_feasible(self):
         space, sched = diagonal_schedule()
@@ -410,8 +434,8 @@ class TestOneHomeFormulas:
         for _ in range(200):
             space = random_space(rng)
             lv = random_level(rng, space)
-            model = DiagonalLinearModel([1.0, 1.0]).with_constants(
-                lip=lv.L, lhat=lv.Lhat, cstab=lv.C)
+            model = ForwardModel()
+            model.lip, model.lhat, model.cstab = lv.L, lv.Lhat, lv.C
             ctilde = compute_ctilde(space, model)
             assert lv.ctilde(space) == ctilde
             assert lv.rho(space) == convergence_radius(

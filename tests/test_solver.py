@@ -158,8 +158,8 @@ class TestRunBehaviour:
 
     def test_ctilde_computed_once_per_run(self, monkeypatch):
         calls = []
-        real = solver_module.compute_ctilde
-        monkeypatch.setattr(solver_module, "compute_ctilde",
+        real = solver_module._ctilde
+        monkeypatch.setattr(solver_module, "_ctilde",
                             lambda *args: calls.append(args) or real(*args))
         space = lp_space(3)
         model = QuadraticModel(np.eye(3), eps=0.01, cstab=1.0)
@@ -421,7 +421,8 @@ def reference_iteration(space, cset, model, data, x0, cfg):
     bregman_to_ref)]`` and the last iterate."""
     x = bregman_project(space, cset, x0)
     y_space = data_space(model, space.p)
-    rule = step_rule(space, model, compute_ctilde(space, model), cfg.eta)
+    rule = step_rule(space, model.lip, compute_ctilde(space, model),
+                     cfg.eta)
     ref = cfg.diagnostic_reference
     states = []
     for k in range(cfg.max_iterations):
@@ -706,7 +707,7 @@ class TestNonFiniteStep:
     def test_rule_checks_every_returned_scalar(self):
         # At r = p = 2 every power of r_k = 1e100, t_k = 1e-100 is finite,
         # but their product pref = t_k**-2 r_k r_k**2 overflows to inf.
-        rule = step_rule(lp_space(1), LinearModel([[1.0]]), 0.0, 0.0)
+        rule = step_rule(lp_space(1), 0.0, 0.0, 0.0)
         assert all(map(math.isfinite, rule(0, 1e50, 1e-50)))
         with pytest.raises(NonFiniteStep, match="scalars of step 3"):
             rule(3, 1e100, 1e-100)
@@ -745,7 +746,7 @@ def test_step_size_identities(nonlinear):
             model, ctilde = LinearModel([[1.0]]), 0.0
             eta = rng.uniform(0.0, 1.0)
             rk = eta + 10.0 ** rng.uniform(-3.0, 2.0)
-        that, uk, _, _, muk, gain = step_rule(space, model, ctilde,
+        that, uk, _, _, muk, gain = step_rule(space, model.lip, ctilde,
                                               eta)(0, rk, tk)
         assert that == gq * tk ** q and uk > 0.0
         assert muk * rk ** (p - 1.0) == pytest.approx(
