@@ -19,9 +19,9 @@ failure, 4 I/O error.  Every mapping of the config is read through one
 table, ``_READS``, which lists the keys each mode (or model or set kind)
 reads and requires; a key the run would not read, and a missing key it
 needs, are validation failures.  So is other input that cannot run
-(a number that breaks its input rule of README ("Input rules"),
-mismatched lengths, set parameters that do not fit ``space.dim``,
-non-finite vector entries other than open box bounds, a nonlinear
+(a number that breaks its input rule of README ("Input rules"), an
+array that breaks the one array rule of ``_array``, mismatched lengths,
+set parameters that do not fit ``space.dim``, a nonlinear
 model without ``cstab``, or without ``lhat`` under ``checkTheorems``,
 ``checkTheorems`` without a reference for every run, example-schedule
 parameters the generator refuses (an ``etaHat`` that no level with float
@@ -194,83 +194,64 @@ def _scalar(node, path, errors, rule, default=None):
         return default
 
 
-def _vector(node, path, errors):
-    if node is None:
+def _array(node, key, path, errors, ndim=1, space=None, finite=True,
+           base_dir="."):
+    """The array at `key` of the mapping `node` with `ndim` dimensions:
+    its inline list, or the numbers of the sidecar CSV file that
+    ``key + "File"`` names, relative to the config's directory.  Finite
+    unless `finite` is false, and with ``space.dim`` entries where a
+    `space` is given; a one-row matrix may be written flat.  None when it
+    is absent or, with the error recorded at the key it came from,
+    refused."""
+    prefix = f"{path}." if path else ""
+    if key + "File" in node:
+        field, fname = f"{prefix}{key}File", node[key + "File"]
+        if not isinstance(fname, str):
+            errors.append(f"{field}: expected a file name")
+            return None
+        full = os.path.join(base_dir, fname)
+        try:
+            arr = np.loadtxt(full, delimiter=",", ndmin=ndim)
+        except OSError as exc:
+            errors.append(f"{field}: cannot read {full}: {exc}")
+            return None
+        except ValueError as exc:
+            errors.append(f"{field}: bad CSV in {full}: {exc}")
+            return None
+    elif key in node:
+        field = prefix + key
+        try:
+            arr = np.asarray(node[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            what = "rows" if ndim == 2 else "a list"
+            errors.append(f"{field}: expected {what} of numbers")
+            return None
+        if ndim == 2:
+            arr = np.atleast_2d(arr)
+    else:
         return None
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        errors.append(f"{path}: expected a list of numbers")
-        return None
-    if arr.ndim != 1:
-        errors.append(f"{path}: expected a flat list of numbers")
-        return None
-    return arr
+    if arr.ndim != ndim:
+        message = "rows of numbers" if ndim == 2 else "a flat list of numbers"
+    elif finite and not np.all(np.isfinite(arr)):
+        message = "finite numbers"
+    elif space is not None and arr.shape != (space.dim,):
+        message = f"{space.dim} entries (space.dim), got {arr.size}"
+    else:
+        return arr
+    errors.append(f"{field}: expected {message}")
+    return None
 
 
-def _finite_vector(node, path, errors):
-    arr = _vector(node, path, errors)
-    if arr is not None and not np.all(np.isfinite(arr)):
-        errors.append(f"{path}: expected finite numbers")
-        return None
-    return arr
-
-
-def _check_length(arr, space, path, errors):
-    if arr is not None and space is not None and arr.shape != (space.dim,):
-        errors.append(f"{path}: expected {space.dim} entries (space.dim), "
-                      f"got {arr.size}")
-
-
-def _check_problem(space, model, data, path, errors):
-    """`model` must act on `space` and match the length of `data`."""
+def _check_problem(space, model, ydelta, path, errors):
+    """`model` must act on `space` and match the length of `ydelta`."""
     if model is None:
         return
     if space is not None and model.in_dim != space.dim:
         errors.append(f"{path}model: takes {model.in_dim} inputs, "
                       f"space.dim is {space.dim}")
-    if data is not None and data.ydelta.shape != (model.out_dim,):
-        errors.append(f"{path}data: ydelta has {data.ydelta.size} entries, "
+    if ydelta is not None and ydelta.shape != (model.out_dim,):
+        errors.append(f"{path}data: ydelta has {ydelta.size} entries, "
                       f"the model has {model.out_dim} outputs")
-
-
-def _load_csv(fname, field, errors, base_dir, ndmin):
-    """The numbers of the sidecar CSV file `fname` names, relative to the
-    config's directory; None, with the error recorded, when it cannot be
-    read."""
-    if not isinstance(fname, str):
-        errors.append(f"{field}: expected a file name")
-        return None
-    full = fname if os.path.isabs(fname) else os.path.join(base_dir, fname)
-    try:
-        return np.loadtxt(full, delimiter=",", ndmin=ndmin)
-    except OSError as exc:
-        errors.append(f"{field}: cannot read {full}: {exc}")
-    except ValueError as exc:
-        errors.append(f"{field}: bad CSV in {full}: {exc}")
-    return None
-
-
-def _matrix_from(node, path, errors, base_dir):
-    """Inline list-of-rows or a sidecar CSV referenced by matrixFile."""
-    if "matrix" in node:
-        field = f"{path}.matrix"
-        try:
-            arr = np.atleast_2d(np.asarray(node["matrix"], dtype=float))
-        except (TypeError, ValueError, OverflowError):
-            errors.append(f"{field}: expected rows of numbers")
-            return None
-    elif "matrixFile" in node:
-        field = f"{path}.matrixFile"
-        arr = _load_csv(node["matrixFile"], field, errors, base_dir, 2)
-        if arr is None:
-            return None
-    else:
-        return None
-    if not np.all(np.isfinite(arr)):
-        errors.append(f"{field}: expected finite numbers")
-        return None
-    return arr
 
 
 def _parse_space(node, errors):
@@ -279,7 +260,7 @@ def _parse_space(node, errors):
     dim = _scalar(node.get("dim"), "space.dim", errors, integer)
     r = _scalar(node.get("r"), "space.r", errors, exponent, 2.0)
     p = _scalar(node.get("p"), "space.p", errors, exponent)
-    weights = _finite_vector(node.get("weights"), "space.weights", errors)
+    weights = _array(node, "weights", "space", errors)
     cp = _scalar(node.get("Cp"), "space.Cp", errors, real)
     gq = _scalar(node.get("Gq"), "space.Gq", errors, real)
     if dim is None or len(errors) > before:
@@ -299,23 +280,20 @@ def _parse_set(node, path, errors, space):
     if kind == "wholespace":
         return WholeSpace()
     if kind == "box":
-        lo = _vector(node.get("lower"), f"{path}.lower", errors)
-        hi = _vector(node.get("upper"), f"{path}.upper", errors)
+        lo, hi = (_array(node, key, path, errors, space=space, finite=False)
+                  for key in ("lower", "upper"))
         if lo is None or hi is None:
             return None
-        _check_length(lo, space, f"{path}.lower", errors)
-        _check_length(hi, space, f"{path}.upper", errors)
         try:
             return Box(lo, hi)
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
             return None
     if kind == "ball":
-        c = _finite_vector(node.get("center"), f"{path}.center", errors)
+        c = _array(node, "center", path, errors, space=space)
         rad = _scalar(node.get("radius"), f"{path}.radius", errors, real)
         if c is None or rad is None:
             return None
-        _check_length(c, space, f"{path}.center", errors)
         return Ball(c, rad)
     sup = node.get("support")
     if sup is None:
@@ -336,11 +314,11 @@ def _parse_model(node, path, errors, s, base_dir):
         return None
     kind = node["kind"]
     if kind == "diagonal":
-        sigma = _finite_vector(node.get("sigma"), f"{path}.sigma", errors)
+        sigma = _array(node, "sigma", path, errors)
         if sigma is None:
             return None
         return DiagonalLinearModel(sigma, s=s)
-    mat = _matrix_from(node, path, errors, base_dir)
+    mat = _array(node, "matrix", path, errors, ndim=2, base_dir=base_dir)
     if kind == "linear":
         if mat is None:
             return None
@@ -357,17 +335,10 @@ def _parse_model(node, path, errors, s, base_dir):
         return None
 
 
-def _parse_data(node, path, errors, base_dir, eta):
-    """Data with the noise level `eta` that the run uses."""
+def _parse_data(node, path, errors, base_dir):
+    """The data's ``ydelta``."""
     node = _read(node, _READS["data"], "the data", path, errors)
-    field, ydelta = f"{path}.ydelta", node.get("ydelta")
-    if "ydeltaFile" in node:
-        field = f"{path}.ydeltaFile"
-        ydelta = _load_csv(node["ydeltaFile"], field, errors, base_dir, 1)
-    arr = _finite_vector(ydelta, field, errors)
-    if arr is None or eta is None:
-        return None
-    return NoisyData(arr, eta)
+    return _array(node, "ydelta", path, errors, base_dir=base_dir)
 
 
 def _parse_level(node, idx, context, errors, s, base_dir, space,
@@ -393,18 +364,16 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
                       if key not in _LEVEL_MODEL_CONSTANTS}
     cset = _parse_set(node.get("set"), f"{path}.set", errors, space)
     model = _parse_model(model_node, f"{path}.model", errors, s, base_dir)
-    data = _parse_data(node.get("data"), f"{path}.data", errors, base_dir,
-                       eta)
-    ref = _finite_vector(node.get("reference"), f"{path}.reference", errors)
+    ydelta = _parse_data(node.get("data"), f"{path}.data", errors, base_dir)
+    ref = _array(node, "reference", path, errors, space=space)
     if check_theorems and "reference" not in node:
         errors.append(f"{path}.reference: checkTheorems needs a reference "
                       "on every level")
-    _check_problem(space, model, data, f"{path}.", errors)
-    _check_length(ref, space, f"{path}.reference", errors)
+    _check_problem(space, model, ydelta, f"{path}.", errors)
     if eta is None or C is None or L is None or Lhat is None:
         return None
     return Level(eta=eta, C=C, L=L, Lhat=Lhat, cset=cset, model=model,
-                 data=data, reference=ref)
+                 ydelta=ydelta, reference=ref)
 
 
 def _check_nesting(levels, errors):
@@ -479,8 +448,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     max_iter = _scalar(sol.get("maxIterations"), "solver.maxIterations",
                        errors, integer, 10 ** 6)
     seed = _scalar(sol.get("seed"), "solver.seed", errors, _seed, 0)
-    reference = _finite_vector(diag.get("referenceSolution"),
-                               "diagnostics.referenceSolution", errors)
     check_theorems = diag.get("checkTheorems", False)
     if not isinstance(check_theorems, bool):
         errors.append("diagnostics.checkTheorems: expected a boolean")
@@ -488,13 +455,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     epsilon = _scalar(top.get("epsilon"), "epsilon", errors, real, 1.0)
 
     space = _parse_space(top.get("space"), errors)
-    x0 = _finite_vector(top.get("x0"), "x0", errors)
-    _check_length(x0, space, "x0", errors)
+    x0 = _array(top, "x0", "", errors, space=space)
     cset = _parse_set(top.get("set"), "set", errors, space)
     model = _parse_model(top.get("model"), "model", errors, s, base_dir)
-    data = _parse_data(top.get("data"), "data", errors, base_dir, eta)
-    _check_length(reference, space, "diagnostics.referenceSolution", errors)
-    _check_problem(space, model, data, "", errors)
+    ydelta = _parse_data(top.get("data"), "data", errors, base_dir)
+    reference = _array(diag, "referenceSolution", "diagnostics", errors,
+                       space=space)
+    _check_problem(space, model, ydelta, "", errors)
     # A constant the node holds but that was rejected has its error.
     if model is not None and model.lip != 0.0:
         if top["model"].get("cstab") is None:
@@ -532,6 +499,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise SchemaError(errors)
     if levels:  # multilevel or validate mode
         schedule = Schedule(levels=levels, epsilon=epsilon, eta_hat=eta_hat)
+    data = None if ydelta is None else NoisyData(ydelta, eta)
     return RunConfig(mode=mode, space=space, cset=cset, model=model,
                      data=data, x0=x0, levels=levels, epsilon=epsilon,
                      eta=eta, eta_hat=eta_hat, max_iterations=max_iter,

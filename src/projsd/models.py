@@ -175,9 +175,13 @@ class QuadraticModel(ForwardModel):
         self.in_dim = self.matrix.shape[1]
         self.eps = real("eps", eps, positive=False)
         self.s = exponent("data exponent s", s)
-        self.lip = 2.0 * self.eps
         self.cstab = None if cstab is None else real("cstab", cstab)
         self.lhat = None if lhat is None else real("lhat", lhat)
+
+    @property
+    def lip(self):
+        """L = 2 eps, read from ``eps``: a reassigned ``eps`` moves it."""
+        return 2.0 * self.eps
 
     def eval(self, x):
         x = floats(x)

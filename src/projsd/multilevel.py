@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (EtaTooLarge, LambdaTooSmall, NoSuchLevel,
                      TauOutOfRange, TransitionInvalid, real)
 from .geometry import SpaceGeometry
-from .models import ForwardModel, NoisyData
+from .models import ForwardModel
 from .sets import ConvexSet
 from .solver import (RunReport, SolverConfig, _ctilde, _radius_bracket,
                      _run, convergence_radius)
@@ -43,11 +43,13 @@ __all__ = [
 
 @dataclass
 class Level:
-    """One level of the schedule: the restricted operator, its set, and
-    the certified constants of the restriction.
+    """One level of the schedule: the restricted operator, its set, its
+    data ``ydelta`` with the approximation error ``eta``, and the
+    certified constants of the restriction.
 
-    ``cset`` and ``model`` may be None for validation-only schedules
-    (closed-form constant models with no concrete operator attached).
+    ``cset``, ``model`` and ``ydelta`` may be None for validation-only
+    schedules (closed-form constant models with no concrete operator
+    attached).
     ``reference`` is the level's best approximating solution when known;
     it enables the starting-radius diagnostics.
     """
@@ -58,7 +60,7 @@ class Level:
     Lhat: float
     cset: ConvexSet | None = None
     model: ForwardModel | None = None
-    data: NoisyData | None = None
+    ydelta: np.ndarray | None = None
     reference: np.ndarray | None = None
 
     def __post_init__(self):
@@ -217,9 +219,9 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     """
     validate_schedule(space, schedule)
     for n, lv in enumerate(schedule.levels):
-        if lv.cset is None or lv.model is None or lv.data is None:
+        if lv.cset is None or lv.model is None or lv.ydelta is None:
             raise TransitionInvalid(
-                f"level {n} has no concrete set/model/data to run")
+                f"level {n} has no concrete set/model/ydelta to run")
 
     x = x00
     per_level: list[tuple[int, int, float, RunReport]] = []
@@ -233,7 +235,7 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
         config = SolverConfig(eta=lv.eta, eta_hat=threshold,
                               max_iterations=max_iterations_per_level,
                               diagnostic_reference=lv.reference)
-        report = _run(space, lv.cset, lv.model, lv.data, x, config,
+        report = _run(space, lv.cset, lv.model, lv.ydelta, x, config,
                       None if on_iteration is None
                       else partial(on_iteration, n), lv.L, lv.Lhat, lv.C)
         per_level.append((n, report.stopped_at_k,

@@ -320,21 +320,22 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
-    return _run(space, cset, model, data, x0, config, on_iteration,
+    return _run(space, cset, model, data.ydelta, x0, config, on_iteration,
                 model.lip, model.lhat, model.cstab)
 
 
-def _run(space, cset, model, data, x0, config, on_iteration, lip, lhat,
+def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
          cstab) -> RunReport:
-    """``run_algorithm1`` on the constants L = ``lip``, Lhat = ``lhat``
-    and C = ``cstab``, the only ones the run reads: ``model`` gives it no
-    more than its products, dimensions and data exponent."""
+    """``run_algorithm1`` on the data ``ydelta`` and the constants
+    L = ``lip``, Lhat = ``lhat`` and C = ``cstab``, the only ones the run
+    reads: ``model`` gives it no more than its products, dimensions and
+    data exponent."""
     if model.in_dim is not None and model.in_dim != space.dim:
         raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
                                 f"the space has dimension {space.dim}")
     x_shape, y_shape = (space.dim,), (model.out_dim,)
     x0 = vector(x0, x_shape, "x0")
-    ydelta = vector(data.ydelta, y_shape, "ydelta")
+    ydelta = vector(ydelta, y_shape, "ydelta")
     y_space, dual = data_space(model, space.p), space.dual()
     residual, adjoint = _step_products(model, ydelta, y_space, space.dim)
     x = bregman_project(space, cset, x0)

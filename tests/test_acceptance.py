@@ -247,7 +247,7 @@ def test_criterion_7_end_to_end_multilevel():
         levels.append(Level(
             eta=eta, C=model.subspace_stability_constant(sup),
             L=0.0, Lhat=1.0, cset=CoordinateSubspace(sup), model=model,
-            data=NoisyData(ydelta, eta), reference=zdag))
+            ydelta=ydelta, reference=zdag))
     sched = Schedule(levels=levels, epsilon=1.0, eta_hat=eta_hat)
     report = run_multi_level(space, sched, np.zeros(dim))
     assert report.stop_reason == "DiscrepancyMet"
@@ -337,7 +337,7 @@ def nonlinear_schedule(eps):
             C=float(1.0 / np.min(sigma[:m] - 2.0 * eps)), L=2.0 * eps,
             Lhat=float(np.max(sigma + 2.0 * eps)),
             cset=Box(np.where(inside, -1.0, 0.0), np.where(inside, 1.0, 0.0)),
-            model=model, data=NoisyData(ydelta, eta), reference=ref))
+            model=model, ydelta=ydelta, reference=ref))
     return lp_space(d), Schedule(levels=levels, epsilon=1.0,
                                  eta_hat=4.0 * levels[-1].eta)
 
@@ -366,7 +366,8 @@ def test_criterion_10_nonlinear_multilevel(eps, ks, single_k):
     assert model.lip == lv.L
     cfg = SolverConfig(eta=lv.eta, eta_hat=sched.eta_hat,
                        diagnostic_reference=lv.reference)
-    single = run_algorithm1(space, lv.cset, model, lv.data,
+    single = run_algorithm1(space, lv.cset, model,
+                            NoisyData(lv.ydelta, lv.eta),
                             np.zeros(space.dim), cfg)
     if single_k is not None:
         assert single.stop_reason == "DiscrepancyMet"
@@ -443,7 +444,7 @@ def test_criterion_11_nonlinear_example_config(tmp_path):
         assert (got.eta, got.C, got.L, got.Lhat) \
             == (want.eta, want.C, want.L, want.Lhat)
         assert np.array_equal(got.reference, want.reference)
-        assert np.array_equal(got.data.ydelta, want.data.ydelta)
+        assert np.array_equal(got.ydelta, want.ydelta)
         assert np.array_equal(got.cset.lower, want.cset.lower)
         assert np.array_equal(got.cset.upper, want.cset.upper)
 

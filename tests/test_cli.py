@@ -1840,3 +1840,99 @@ class TestStreamedOutputs:
         summary = yaml.safe_load((tmp_path / "ml.yaml").read_text())
         assert sum(lv["K"] for lv in summary["perLevel"]) == 4607
         assert full < 1.5 * short, (full, short)
+
+
+# A 3-D matrix whose first two dimensions fit the 2-D space of
+# MINIMAL_SINGLE; np.atleast_2d leaves it 3-D.
+MATRIX_3D = [[[2.0], [0.0]], [[0.0], [3.0]]]
+
+
+class TestErrorPathsExitCleanly:
+    """Each failure exits with its documented code and one message, no
+    traceback, and writes no output."""
+
+    def run_bad(self, tmp_path, capsys, path, code=3, args=()):
+        assert main(["run", path, *args]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "trace.csv").exists()
+        assert len(err.splitlines()) == 1, err
+        return err
+
+    @pytest.mark.parametrize("section, node", [
+        ("data", {"ydeltaFile": "missing.csv"}),
+        ("model", {"kind": "linear", "matrixFile": "missing.csv"})])
+    def test_missing_sidecar_file(self, tmp_path, capsys, section, node):
+        key = next(k for k in node if k.endswith("File"))
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, **{section: node}))
+        missing = tmp_path / "missing.csv"
+        assert err.startswith(f"config error: {section}.{key}: cannot read "
+                              f"{missing}: "), err
+
+    @pytest.mark.parametrize("section, node", [
+        ("data", {"ydeltaFile": "bad.csv"}),
+        ("model", {"kind": "linear", "matrixFile": "bad.csv"})])
+    def test_sidecar_file_not_numbers(self, tmp_path, capsys, section, node):
+        (tmp_path / "bad.csv").write_text("a,b\nc,d\n")
+        key = next(k for k in node if k.endswith("File"))
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, **{section: node}))
+        assert err.startswith(f"config error: {section}.{key}: bad CSV in "
+                              f"{tmp_path / 'bad.csv'}: "), err
+
+    @pytest.mark.parametrize("message, overrides", [
+        ("diagnostics.checkTheorems: expected a boolean",
+         {"diagnostics": {"checkTheorems": "yes"}}),
+        ("solver: expected a mapping", {"solver": 3}),
+    ], ids=["check-theorems", "solver"])
+    def test_section_of_the_wrong_type(self, tmp_path, capsys, message,
+                                       overrides):
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, **overrides))
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("levels", [[], 3], ids=["empty", "number"])
+    def test_levels_not_a_nonempty_list(self, tmp_path, capsys, levels):
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"] = levels
+        write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        err = self.run_bad(tmp_path, capsys, path)
+        assert err == "config error: levels: expected a nonempty list\n"
+        assert not (tmp_path / "ml.csv").exists()
+
+    def test_top_level_list(self, tmp_path, capsys):
+        err = self.run_bad(tmp_path, capsys,
+                           write(tmp_path, "list.cfg", "- 1\n- 2\n"))
+        assert err == "config error: config: top level must be a mapping\n"
+
+    def test_summary_into_a_missing_directory(self, tmp_path, capsys):
+        path = single_config(tmp_path)
+        summary = str(tmp_path / "nodir" / "summary.yaml")
+        assert main(["run", path, "--summary", summary]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("I/O error: "), err
+        assert not (tmp_path / "nodir").exists()
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "linear", "matrix": MATRIX_3D},
+        {"kind": "quadratic", "eps": 0.1, "cstab": 1.0,
+         "matrix": MATRIX_3D}], ids=["linear", "quadratic"])
+    def test_3d_matrix_refused_while_parsing(self, tmp_path, capsys, model):
+        # Parsing took it, and the run ended in a solver abort (exit 2).
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, model=model))
+        assert err == "config error: model.matrix: expected rows of numbers\n"
+
+    def test_3d_level_matrix_refused_while_parsing(self, tmp_path, capsys):
+        path = TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        sigma = doc["levels"][1]["model"]["sigma"]
+        doc["levels"][1]["model"] = {
+            "kind": "linear", "matrix": np.diag(sigma)[:, :, None].tolist()}
+        write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        err = self.run_bad(tmp_path, capsys, path)
+        assert err == ("config error: levels[1].model.matrix: expected rows "
+                       "of numbers\n")
+        assert not (tmp_path / "ml.csv").exists()

@@ -7,8 +7,8 @@ import pytest
 from oracles import member
 
 from projsd import (CoordinateSubspace, DiagonalLinearModel, EtaTooLarge,
-                    ForwardModel, LambdaTooSmall, Level, NoisyData,
-                    NoSuchLevel, Schedule, TauOutOfRange, TransitionInvalid,
+                    ForwardModel, LambdaTooSmall, Level, NoSuchLevel,
+                    Schedule, TauOutOfRange, TransitionInvalid,
                     compute_ctilde,
                     convergence_radius, example_schedule, lp_space,
                     run_multi_level, select_final_level, validate_schedule,
@@ -297,7 +297,7 @@ def diagonal_schedule(eta_hat=5e-3):
         levels.append(Level(
             eta=eta, C=model.subspace_stability_constant(sup),
             L=0.0, Lhat=1.0, cset=CoordinateSubspace(sup), model=model,
-            data=NoisyData(ydelta, eta), reference=zdag))
+            ydelta=ydelta, reference=zdag))
     return space, Schedule(levels=levels, epsilon=1.0, eta_hat=eta_hat)
 
 

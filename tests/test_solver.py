@@ -170,6 +170,26 @@ class TestRunBehaviour:
         assert report.stopped_at_k == 5
         assert len(calls) == 1
 
+    def test_reassigned_eps_runs_as_built(self):
+        # lip was stored when the model was built: after eps = 0.05 the
+        # run took the products of eps = 0.05 with the ctilde and step
+        # sizes of L = 2 * 0.01.
+        A = np.diag([2.0, 2.5, 3.0, 3.5])
+        truth = np.array([0.4, -0.2, 0.5, 0.1])
+        reassigned = QuadraticModel(A, eps=0.01, cstab=0.5)
+        reassigned.eps = 0.05
+        built = QuadraticModel(A, eps=0.05, cstab=0.5)
+        assert reassigned.lip == built.lip == 0.1
+        data = NoisyData(built.eval(truth), 1e-3)
+        cfg = SolverConfig(eta=1e-3, eta_hat=4e-3)
+        got, want = (
+            run_algorithm1(lp_space(4), Box(-np.ones(4), np.ones(4)), model,
+                           data, np.zeros(4), cfg)
+            for model in (reassigned, built))
+        assert want.stop_reason == "DiscrepancyMet"
+        assert (got.stopped_at_k, got.stop_reason, got.x_final.tobytes()) \
+            == (want.stopped_at_k, want.stop_reason, want.x_final.tobytes())
+
     def test_infeasible_start_is_projected(self):
         space = lp_space(2)
         model = LinearModel(np.eye(2))
@@ -685,7 +705,7 @@ class TestNonFiniteStep:
                                 SolverConfig(eta=0.0, eta_hat=0.5,
                                              diagnostic_reference=ref))
         level = Level(eta=0.0, C=1.0, L=0.0, Lhat=1.0, cset=WholeSpace(),
-                      model=model, data=data, reference=ref)
+                      model=model, ydelta=data.ydelta, reference=ref)
         multi = run_multi_level(space, Schedule([level], 1.0, 0.5), x0)
         for report in (single, multi.per_level[0][3]):
             assert report.stop_reason == "StepDegenerate"
