@@ -3,42 +3,45 @@
 Parses a YAML run configuration, constructs the geometry, model, set or
 level schedule, executes a single-level or multi-level run (or validates
 the levels of a schedule without running), and writes a per-iteration
-CSV trace plus a YAML summary.  All file writes are atomic (temp file +
-rename).  The trace is streamed: the run hands each iteration to the
+CSV trace plus a YAML summary.  `execute` opens every output (trace,
+summary, schedule) before the run, as a temp file beside its path, and
+renames each over its path when the run returns; a run that raises
+leaves none.  The trace is streamed: the run hands each iteration to the
 library's ``on_iteration`` hook, which writes its row to the temp file,
-and the file is renamed into place when the run ends, so a run holds
-one iteration at a time.  Under ``diagnostics.checkTheorems`` the summary's
-``theoremChecks`` (top level in single mode, in each ``perLevel`` entry
-in multilevel mode) are the tallies of the run's ``RunReport``.  The
-solver is deterministic, so an identical config produces byte-identical
-files; ``solver.seed`` (or ``--seed``) is metadata echoed into the
-summary and feeds no randomness.
+so a run holds one iteration at a time.  Under
+``diagnostics.checkTheorems`` the summary's ``theoremChecks`` (top level
+in single mode, in each ``perLevel`` entry in multilevel mode) are the
+tallies of the run's ``RunReport``.  The solver is deterministic, so an
+identical config produces byte-identical files; ``solver.seed`` (or
+``--seed``) is metadata echoed into the summary and feeds no randomness.
 
 Exit codes: 0 success / valid schedule, 2 solver abort, 3 validation
-failure, 4 I/O error.  Every mapping of the config is read through one
-table, ``_READS``, which lists the keys each mode (or model or set kind)
-reads and requires; a key the run would not read, and a missing key it
-needs, are validation failures.  So is other input that cannot run
-(a number that breaks its input rule of README ("Input rules"), an
-array that breaks the one array rule of ``_array``, mismatched lengths,
-set parameters that do not fit ``space.dim``, a nonlinear
-model without ``cstab``, or without ``lhat`` under ``checkTheorems``,
+failure, 4 I/O error (an output that cannot be opened fails before the
+run).  Every mapping of the config is read through one table,
+``_READS``, which lists the keys each mode (or model or set kind) reads
+and requires; a key the run would not read, and a missing key it needs,
+are validation failures.  So is other input that cannot run (a number
+that breaks its input rule of README ("Input rules"), an array that
+breaks the one array rule of ``_array``, mismatched lengths, set
+parameters that do not fit ``space.dim``, a nonlinear model without
+``cstab``, or without ``lhat`` under ``checkTheorems``,
 ``checkTheorems`` without a reference for every run, example-schedule
 parameters the generator refuses (an ``etaHat`` that no level with float
-constants reaches too), an output path that is not a file name, a
-negative ``--seed``).  All of it is found while parsing, before
-anything runs.  A level's index in the trace and the summary is its
-position in ``levels``.
+constants reaches too), an output path that is not a file name, two of
+the config and the outputs on one file, a negative ``--seed``).  All of
+it is found while parsing, before anything runs.  A level's index in the
+trace and the summary is its position in ``levels``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
+import errno
 import os
 import sys
 import tempfile
+import warnings
 from collections import namedtuple
 from functools import partial
 from types import SimpleNamespace
@@ -198,11 +201,11 @@ def _array(node, key, path, errors, ndim=1, space=None, finite=True,
            base_dir="."):
     """The array at `key` of the mapping `node` with `ndim` dimensions:
     its inline list, or the numbers of the sidecar CSV file that
-    ``key + "File"`` names, relative to the config's directory.  Finite
-    unless `finite` is false, and with ``space.dim`` entries where a
-    `space` is given; a one-row matrix may be written flat.  None when it
-    is absent or, with the error recorded at the key it came from,
-    refused."""
+    ``key + "File"`` names, relative to the config's directory, which
+    must hold at least one number.  Finite unless `finite` is false, and
+    with ``space.dim`` entries where a `space` is given; a one-row matrix
+    may be written flat.  None when it is absent or, with the error
+    recorded at the key it came from, refused."""
     prefix = f"{path}." if path else ""
     if key + "File" in node:
         field, fname = f"{prefix}{key}File", node[key + "File"]
@@ -211,7 +214,11 @@ def _array(node, key, path, errors, ndim=1, space=None, finite=True,
             return None
         full = os.path.join(base_dir, fname)
         try:
-            arr = np.loadtxt(full, delimiter=",", ndmin=ndim)
+            with warnings.catch_warnings():
+                # A file without numbers is refused below.
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data")
+                arr = np.loadtxt(full, delimiter=",", ndmin=ndim)
         except OSError as exc:
             errors.append(f"{field}: cannot read {full}: {exc}")
             return None
@@ -230,7 +237,9 @@ def _array(node, key, path, errors, ndim=1, space=None, finite=True,
             arr = np.atleast_2d(arr)
     else:
         return None
-    if arr.ndim != ndim:
+    if key + "File" in node and not arr.size:
+        message = f"numbers in {full}"
+    elif arr.ndim != ndim:
         message = "rows of numbers" if ndim == 2 else "a flat list of numbers"
     elif finite and not np.all(np.isfinite(arr)):
         message = "finite numbers"
@@ -517,25 +526,43 @@ def _fail(quiet: bool, message: str, code: int) -> int:
     return code
 
 
-@contextlib.contextmanager
-def _atomic_file(path: str):
-    """A text file open for writing at a temp path beside `path`, renamed
-    over `path` when the block ends and removed if it raises."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-projsd-")
+def _open_beside(path):
+    """``(file, temp path)``: a text file open for writing at a temp path
+    beside `path`.  An OSError, also for a `path` that is a directory,
+    names `path`, not the temp file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                path)
     try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-projsd-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return os.fdopen(fd, "w"), tmp
+
+
+@contextlib.contextmanager
+def _outputs(cfg):
+    """The run's outputs, opened before it runs: a dict from each of
+    `cfg`'s ``trace_path``, ``summary_path`` and ``schedule_path`` that is
+    set to a file open at a temp path beside it.  When the block ends
+    every file is renamed over its path; if it raises, all are removed."""
+    opened = {}
+    try:
+        for key in ("trace_path", "summary_path", "schedule_path"):
+            if getattr(cfg, key):
+                opened[key] = _open_beside(getattr(cfg, key))
+        yield {key: fh for key, (fh, _) in opened.items()}
+        for fh, _ in opened.values():
+            fh.close()
+        for key, (_, tmp) in opened.items():
+            os.replace(tmp, getattr(cfg, key))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for fh, tmp in opened.values():
+            fh.close()
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def _atomic_write(path: str, content: str):
-    with _atomic_file(path) as fh:
-        fh.write(content)
 
 
 # One trace row; %s renders a float as repr() does.
@@ -543,25 +570,22 @@ _TRACE_ROW = "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
 _FLAG = {None: "", True: "true", False: "false"}
 
 
-@contextlib.contextmanager
-def _trace_writer(path):
-    """An observer ``(level, state)`` that streams one CSV row per
-    iteration to `path`, renamed into place when the block ends (see
-    `_atomic_file`); without a path it writes nothing."""
-    if not path:
-        yield lambda level, st: None
-        return
-    with _atomic_file(path) as fh:
-        fh.write(TRACE_HEADER + "\n")
-        write = fh.write
+def _row_writer(fh):
+    """An observer ``(level, state)`` that writes one CSV row per
+    iteration to `fh`, after the header; without a file it writes
+    nothing."""
+    if fh is None:
+        return lambda level, st: None
+    fh.write(TRACE_HEADER + "\n")
+    write = fh.write
 
-        def row(level, st):
-            breg = st.bregman_to_ref
-            write(_TRACE_ROW % (level, st.k, st.rk, st.tk, st.that_k, st.uk,
-                                st.vk, st.wk, st.muk,
-                                "" if breg is None else breg,
-                                _FLAG[st.radius_ok]))
-        yield row
+    def row(level, st):
+        breg = st.bregman_to_ref
+        write(_TRACE_ROW % (level, st.k, st.rk, st.tk, st.that_k, st.uk,
+                            st.vk, st.wk, st.muk,
+                            "" if breg is None else breg,
+                            _FLAG[st.radius_ok]))
+    return row
 
 
 def _dump(doc) -> str:
@@ -571,10 +595,6 @@ def _dump(doc) -> str:
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     return yaml.dump(doc, Dumper=dumper, sort_keys=True,
                      default_flow_style=False)
-
-
-def _write_summary(path, summary):
-    _atomic_write(path, _dump(summary))
 
 
 def _theorem_checks(report):
@@ -598,49 +618,33 @@ def _add_failure(entry, report):
                             f"{report.failure}")
 
 
-def _run_single(cfg: RunConfig, quiet: bool) -> int:
+# Each run mode takes the config and the trace's row writer and returns
+# its exit code, its summary and its console message.
+
+def _run_single(cfg: RunConfig, row):
     solver_cfg = SolverConfig(eta=cfg.eta, eta_hat=cfg.eta_hat,
                               max_iterations=cfg.max_iterations,
                               diagnostic_reference=cfg.reference)
-    try:
-        with _trace_writer(cfg.trace_path) as write_row:
-            report = run_algorithm1(cfg.space, cfg.cset, cfg.model,
-                                    cfg.data, cfg.x0, solver_cfg,
-                                    on_iteration=partial(write_row, 0))
-    except ProjSDError as exc:
-        return _fail(quiet, f"solver abort: {exc}", 2)
-    summary = {
-        "mode": "single",
-        "stopReason": report.stop_reason,
-        "stoppedAtK": report.stopped_at_k,
-        "finalResidual": float(report.final_residual),
-        "projectedStart": report.projected_start,
-        "seed": cfg.seed,
-    }
+    report = run_algorithm1(cfg.space, cfg.cset, cfg.model, cfg.data,
+                            cfg.x0, solver_cfg, on_iteration=partial(row, 0))
+    summary = {"mode": "single", "stopReason": report.stop_reason,
+               "stoppedAtK": report.stopped_at_k,
+               "finalResidual": float(report.final_residual),
+               "projectedStart": report.projected_start, "seed": cfg.seed}
     _add_failure(summary, report)
     if report.rho is not None:
         summary["rho"] = float(report.rho)
     if cfg.check_theorems:
         summary["theoremChecks"] = _theorem_checks(report)
-    if cfg.summary_path:
-        _write_summary(cfg.summary_path, summary)
-    if not quiet:
-        print(f"{report.stop_reason} at k={report.stopped_at_k}, "
-              f"residual {report.final_residual:.6e}")
-    return 0 if report.stop_reason == "DiscrepancyMet" else 2
+    return (0 if report.stop_reason == "DiscrepancyMet" else 2, summary,
+            f"{report.stop_reason} at k={report.stopped_at_k}, "
+            f"residual {report.final_residual:.6e}")
 
 
-def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
-    try:
-        with _trace_writer(cfg.trace_path) as write_row:
-            report = run_multi_level(
-                cfg.space, cfg.schedule, cfg.x0,
-                max_iterations_per_level=cfg.max_iterations,
-                on_iteration=write_row)
-    except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
-        return _fail(quiet, f"schedule invalid: {exc}", 3)
-    except ProjSDError as exc:
-        return _fail(quiet, f"solver abort: {exc}", 2)
+def _run_multilevel(cfg: RunConfig, row):
+    report = run_multi_level(cfg.space, cfg.schedule, cfg.x0,
+                             max_iterations_per_level=cfg.max_iterations,
+                             on_iteration=row)
     per_level = []
     for idx, k, res, rep in report.per_level:
         entry = {"level": idx, "K": k, "finalResidual": float(res),
@@ -649,48 +653,41 @@ def _run_multilevel(cfg: RunConfig, quiet: bool) -> int:
         if cfg.check_theorems:
             entry["theoremChecks"] = _theorem_checks(rep)
         per_level.append(entry)
-    summary = {
-        "mode": "multilevel",
-        "stopReason": report.stop_reason,
-        "finalResidual": float(report.final_residual),
-        "perLevel": per_level,
-        "seed": cfg.seed,
-    }
-    if cfg.summary_path:
-        _write_summary(cfg.summary_path, summary)
-    ok = report.stop_reason == "DiscrepancyMet"
-    if not quiet:
-        print(f"{report.stop_reason}: final residual "
-              f"{report.final_residual:.6e} over "
-              f"{len(report.per_level)} levels")
-    return 0 if ok else 2
+    summary = {"mode": "multilevel", "stopReason": report.stop_reason,
+               "finalResidual": float(report.final_residual),
+               "perLevel": per_level, "seed": cfg.seed}
+    return (0 if report.stop_reason == "DiscrepancyMet" else 2, summary,
+            f"{report.stop_reason}: final residual "
+            f"{report.final_residual:.6e} over {len(report.per_level)} "
+            "levels")
 
 
-def _run_validate(cfg: RunConfig, quiet: bool) -> int:
-    schedule = cfg.schedule
-    valid, reason, final = True, "valid", None
+_SCHEDULE_ERRORS = (TransitionInvalid, NoSuchLevel, EtaTooLarge)
+
+
+def _checked(space, schedule):
+    """``(transitions, final level, None)`` of `validate_schedule`, or
+    ``(transitions, None, message)`` of the error it raised."""
     try:
-        transitions, final = validate_schedule(cfg.space, schedule)
-    except (TransitionInvalid, NoSuchLevel, EtaTooLarge) as exc:
-        valid, reason, transitions = False, str(exc), exc.transitions
+        return (*validate_schedule(space, schedule), None)
+    except _SCHEDULE_ERRORS as exc:
+        return exc.transitions, None, str(exc)
+
+
+def _run_validate(cfg: RunConfig, row):
+    transitions, final, error = _checked(cfg.space, cfg.schedule)
     # Every pair is listed, also the ones after a failing pair.
     pairs = [{"level": n, "ok": False} if lhs is None else
              {"level": n, "lhs": float(lhs), "rhs": float(rhs),
               "ok": bool(ok)}
              for n, lhs, rhs, ok in transitions]
-    summary = {
-        "mode": "validate",
-        "valid": valid,
-        "reason": reason,
-        "transitions": pairs,
-        "finalLevel": final,
-        "etas": [float(e) for e in schedule.etas],
-    }
-    if cfg.summary_path:
-        _write_summary(cfg.summary_path, summary)
-    if not quiet:
-        print("schedule valid" if valid else f"schedule invalid: {reason}")
-    return 0 if valid else 3
+    summary = {"mode": "validate", "valid": error is None,
+               "reason": error or "valid", "transitions": pairs,
+               "finalLevel": final,
+               "etas": [float(e) for e in cfg.schedule.etas]}
+    if error is None:
+        return 0, summary, "schedule valid"
+    return 3, summary, f"schedule invalid: {error}"
 
 
 def serialize_schedule(schedule: Schedule, space: SpaceGeometry) -> str:
@@ -711,37 +708,66 @@ def serialize_schedule(schedule: Schedule, space: SpaceGeometry) -> str:
     return _dump(doc)
 
 
-def _run_example_schedule(cfg: RunConfig, quiet: bool) -> int:
+def _run_example_schedule(cfg: RunConfig, row):
+    """Without a ``schedulePath`` its message is the schedule itself;
+    `execute` writes the file."""
     schedule = cfg.schedule
-    text = serialize_schedule(schedule, cfg.space)
+    summary = {"mode": "example-schedule", "levels": len(schedule.levels),
+               "etas": [float(e) for e in schedule.etas]}
     if cfg.schedule_path:
-        _atomic_write(cfg.schedule_path, text)
-    elif not quiet:
-        sys.stdout.write(text)
-    if cfg.summary_path:
-        _write_summary(cfg.summary_path, {
-            "mode": "example-schedule",
-            "levels": len(schedule.levels),
-            "etas": [float(e) for e in schedule.etas],
-        })
-    if not quiet and cfg.schedule_path:
-        print(f"wrote {len(schedule.levels)}-level schedule to "
-              f"{cfg.schedule_path}")
-    return 0
+        return 0, summary, (f"wrote {len(schedule.levels)}-level schedule "
+                            f"to {cfg.schedule_path}")
+    # print() gives back the document's final newline.
+    return 0, summary, serialize_schedule(schedule, cfg.space)[:-1]
+
+
+_RUNS = {"single": _run_single, "multilevel": _run_multilevel,
+         "validate": _run_validate, "example-schedule": _run_example_schedule}
 
 
 def execute(cfg: RunConfig, quiet: bool = False) -> int:
-    """Dispatch a parsed config; returns the process exit code."""
+    """Run a parsed config; returns the process exit code.
+
+    Every output is opened (see `_outputs`) before the mode runs, so a
+    path that cannot be written fails first (exit 4).  When the mode
+    returns, the schedule and the summary are written and every file is
+    renamed into place; if the run raised, none is.  A ProjSDError is a
+    solver abort (exit 2), or in multilevel mode a schedule error an
+    invalid schedule (exit 3)."""
     try:
-        if cfg.mode == "single":
-            return _run_single(cfg, quiet)
-        if cfg.mode == "multilevel":
-            return _run_multilevel(cfg, quiet)
-        if cfg.mode == "validate":
-            return _run_validate(cfg, quiet)
-        return _run_example_schedule(cfg, quiet)
+        with _outputs(cfg) as files:
+            code, summary, message = _RUNS[cfg.mode](
+                cfg, _row_writer(files.get("trace_path")))
+            if "schedule_path" in files:
+                files["schedule_path"].write(
+                    serialize_schedule(cfg.schedule, cfg.space))
+            if "summary_path" in files:
+                files["summary_path"].write(_dump(summary))
     except OSError as exc:
         return _fail(quiet, f"I/O error: {exc}", 4)
+    except ProjSDError as exc:
+        if cfg.mode == "multilevel" and isinstance(exc, _SCHEDULE_ERRORS):
+            return _fail(quiet, f"schedule invalid: {exc}", 3)
+        return _fail(quiet, f"solver abort: {exc}", 2)
+    if not quiet:
+        print(message)
+    return code
+
+
+def _check_one_file_each(args, cfg, errors):
+    """Of the config and the outputs, one that names the file of an
+    earlier one is an error at it, naming the earlier."""
+    seen = {}
+    for name, path in zip(
+            ("the config", "--trace" if args.trace else "output.tracePath",
+             "--summary" if args.summary else "output.summaryPath",
+             "output.schedulePath"),
+            (args.config, cfg.trace_path, cfg.summary_path,
+             cfg.schedule_path)):
+        real = path and os.path.realpath(path)
+        if real and real in seen:
+            errors.append(f"{name}: {path} is the same file as {seen[real]}")
+        seen.setdefault(real, name)
 
 
 def main(argv=None) -> int:
@@ -761,7 +787,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with io.open(args.config, "r") as fh:
+        with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
         return _fail(args.quiet, f"I/O error: {exc}", 4)
@@ -772,13 +798,15 @@ def main(argv=None) -> int:
             os.path.abspath(args.config)))
     except SchemaError as exc:
         errors[:0] = exc.errors
+    else:
+        # A mode that writes no trace ignores --trace.
+        if "tracePath" in _READS["output"][f"{cfg.mode} mode"].reads:
+            cfg.trace_path = args.trace or cfg.trace_path
+        cfg.summary_path = args.summary or cfg.summary_path
+        _check_one_file_each(args, cfg, errors)
     if errors:
         return _fail(args.quiet, "\n".join(f"config error: {msg}"
                                            for msg in errors), 3)
-    if args.trace:
-        cfg.trace_path = args.trace
-    if args.summary:
-        cfg.summary_path = args.summary
     if seed is not None:
         cfg.seed = seed
     return execute(cfg, quiet=args.quiet)

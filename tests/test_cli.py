@@ -1880,6 +1880,23 @@ class TestErrorPathsExitCleanly:
         assert err.startswith(f"config error: {section}.{key}: bad CSV in "
                               f"{tmp_path / 'bad.csv'}: "), err
 
+    @pytest.mark.parametrize("section, node", [
+        ("data", {"ydeltaFile": "empty.csv"}),
+        ("model", {"kind": "linear", "matrixFile": "empty.csv"})])
+    @pytest.mark.parametrize("text", ["", "# no numbers\n"],
+                             ids=["empty", "comment"])
+    def test_sidecar_file_without_numbers(self, tmp_path, capsys, section,
+                                          node, text):
+        # numpy's "input contained no data" warning ended in a traceback
+        # under -W error, and without it an empty matrix was reported as
+        # a model with 0 outputs.
+        (tmp_path / "empty.csv").write_text(text)
+        key = next(k for k in node if k.endswith("File"))
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, **{section: node}))
+        assert err == (f"config error: {section}.{key}: expected numbers in "
+                       f"{tmp_path / 'empty.csv'}\n")
+
     @pytest.mark.parametrize("message, overrides", [
         ("diagnostics.checkTheorems: expected a boolean",
          {"diagnostics": {"checkTheorems": "yes"}}),
@@ -1936,3 +1953,134 @@ class TestErrorPathsExitCleanly:
         assert err == ("config error: levels[1].model.matrix: expected rows "
                        "of numbers\n")
         assert not (tmp_path / "ml.csv").exists()
+
+
+class TestOutputsOpenedFirst:
+    """Every output is opened beside its target before the run and renamed
+    over it after: a target that cannot be written fails first, naming
+    the path as given, and leaves no file."""
+
+    @pytest.mark.parametrize("mode, key, flag", [
+        ("single", "summaryPath", "--summary"),
+        ("single", "tracePath", "--trace"),
+        ("multilevel", "summaryPath", "--summary"),
+        ("example-schedule", "schedulePath", None)])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_target_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, mode, key, flag, target):
+        # --summary into a missing directory exited 4 after the run,
+        # naming the temp file and leaving a fresh trace; a target that is
+        # a directory failed only at the rename.
+        ran = []
+        for name in ("run_algorithm1", "run_multi_level"):
+            monkeypatch.setattr(cli_module, name,
+                                lambda *a, **k: ran.append(1))
+        (tmp_path / "adir").mkdir()
+        given = str(tmp_path / ("nodir/out" if target == "missing-dir"
+                                else "adir"))
+        doc = mode_doc(tmp_path, mode)
+        args = []
+        if flag:
+            args = [flag, given]
+        else:
+            doc["output"][key] = given
+        path = write(tmp_path, "out.cfg", yaml.safe_dump(doc))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["run", path, *args]) == 4
+        out, err = capsys.readouterr()
+        reason = ("[Errno 2] No such file or directory"
+                  if target == "missing-dir" else "[Errno 21] Is a directory")
+        assert (out, err) == ("", f"I/O error: {reason}: {given!r}\n")
+        assert not ran
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "adir") == []
+
+    def test_solver_abort_leaves_no_output(self, tmp_path, capsys,
+                                           monkeypatch):
+        # A single-level run that raises after streaming two rows keeps
+        # no trace and writes no summary.
+        real = cli_module.run_algorithm1
+
+        def aborting(*args, on_iteration):
+            def row(st):
+                if st.k == 2:
+                    raise NonConvergence("bounded search ran out of steps")
+                on_iteration(st)
+            return real(*args, on_iteration=row)
+
+        monkeypatch.setattr(cli_module, "run_algorithm1", aborting)
+        path = single_config(tmp_path)
+        assert main(["run", path]) == 2
+        assert capsys.readouterr() == (
+            "", "solver abort: bounded search ran out of steps\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"solver": {"etaHat": 1e-8, "maxIterations": 5}}, "MaxIterations"),
+        ({"model": {"kind": "linear", "matrix": [[1.0, 0.0], [-1.0, 0.0]]}},
+         "StepDegenerate")])
+    def test_stopped_run_writes_trace_and_summary(self, tmp_path, overrides,
+                                                  reason):
+        path = single_config(tmp_path, **overrides)
+        assert main(["run", path, "--quiet"]) == 2
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert summary["stopReason"] == reason
+        trace = (tmp_path / "trace.csv").read_text().splitlines()
+        assert trace[0] == TRACE_HEADER
+        assert len(trace) == summary["stoppedAtK"] + 1
+        assert not [f for f in os.listdir(tmp_path)
+                    if f.startswith(".tmp-projsd-")]
+
+    def test_mode_without_a_trace_ignores_the_flag(self, tmp_path, capsys):
+        path = write(tmp_path, "v.cfg",
+                     yaml.safe_dump(mode_doc(tmp_path, "validate")))
+        trace = tmp_path / "t.csv"
+        assert main(["run", path, "--trace", str(trace)]) == 0
+        assert capsys.readouterr() == ("schedule valid\n", "")
+        assert not trace.exists()
+
+
+class TestOneFileEach:
+    """Two of the config and the outputs that name one file are refused
+    while parsing (exit 3), naming both, and nothing is written."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--trace", "{0}/x", "--summary", "{0}/x"],
+         "--summary: {0}/x is the same file as --trace"),
+        (["--summary", "{0}/cfg.yaml"],
+         "--summary: {0}/cfg.yaml is the same file as the config"),
+        (["--trace", "{0}/sub/../cfg.yaml"],
+         "--trace: {0}/sub/../cfg.yaml is the same file as the config"),
+        (["--summary", "{0}/trace.csv"],
+         "--summary: {0}/trace.csv is the same file as output.tracePath")],
+        ids=["trace-summary", "summary-config", "trace-config",
+             "summary-trace-key"])
+    def test_flags(self, tmp_path, capsys, args, message):
+        # --trace X --summary X exited 0 and X held only the summary;
+        # --summary <config> exited 0 and overwrote the config.
+        path = single_config(tmp_path)
+        config = (tmp_path / "cfg.yaml").read_text()
+        args = [a.format(tmp_path) for a in args]
+        assert main(["run", path, *args]) == 3
+        assert capsys.readouterr() == (
+            "", f"config error: {message.format(tmp_path)}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.yaml"]
+        assert (tmp_path / "cfg.yaml").read_text() == config
+
+    def test_config_keys(self, tmp_path, capsys):
+        doc = mode_doc(tmp_path, "example-schedule")
+        doc["output"]["summaryPath"] = doc["output"]["schedulePath"]
+        path = write(tmp_path, "ex.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: output.schedulePath: {tmp_path / 'gen.yaml'} "
+            "is the same file as output.summaryPath\n")
+        assert not (tmp_path / "gen.yaml").exists()
+
+    def test_symlink_to_an_output(self, tmp_path, capsys):
+        path = single_config(tmp_path)
+        os.symlink(tmp_path / "trace.csv", tmp_path / "link.csv")
+        assert main(["run", path, "--summary",
+                     str(tmp_path / "link.csv")]) == 3
+        assert "is the same file as output.tracePath" in \
+            capsys.readouterr().err
