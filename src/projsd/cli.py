@@ -201,7 +201,7 @@ def _array(node, key, path, errors, ndim=1, space=None, finite=True,
            base_dir="."):
     """The array at `key` of the mapping `node` with `ndim` dimensions:
     its inline list, or the numbers of the sidecar CSV file that
-    ``key + "File"`` names, relative to the config's directory, which
+    ``key + "File"`` names, relative to the config's directory; either
     must hold at least one number.  Finite unless `finite` is false, and
     with ``space.dim`` entries where a `space` is given; a one-row matrix
     may be written flat.  None when it is absent or, with the error
@@ -237,8 +237,8 @@ def _array(node, key, path, errors, ndim=1, space=None, finite=True,
             arr = np.atleast_2d(arr)
     else:
         return None
-    if key + "File" in node and not arr.size:
-        message = f"numbers in {full}"
+    if not arr.size:
+        message = f"numbers in {full}" if key + "File" in node else "numbers"
     elif arr.ndim != ndim:
         message = "rows of numbers" if ndim == 2 else "a flat list of numbers"
     elif finite and not np.all(np.isfinite(arr)):

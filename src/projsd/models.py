@@ -6,11 +6,12 @@ model.  The iteration calls a custom model only through the evaluation
 ``F(x)`` and the adjoint action ``DF(x)* y*``, and checks the shape of
 each output on every call.  It calls no built-in model that runs its
 class's own methods: ``_step_products`` resolves the run's residual and
-adjoint once, with the model's own numpy operations and one check of its
-matrix or sigma, and works out both of a dense model above one 1 MiB
-block in one pass over the matrix.  The analysis constants are stated
-by the caller; nothing here estimates them.  Every stated number follows
-the input rules of README ("Input rules").
+gradient once, with the model's own numpy operations, the data-space
+duality map folded in at s = 2 and one check of its matrix or sigma, and
+works out both of a dense model above one 1 MiB block in one pass over
+the matrix.  The analysis constants are stated by the caller; nothing
+here estimates them.  Every stated number follows the input rules of
+README ("Input rules").
 
 Evaluation is batch friendly: all maps act on the last axis of their
 input arrays.
@@ -210,12 +211,12 @@ def _row_blocks(shape):
 
 
 def _row_block_products(matrix, eps, ydelta, phi):
-    """``(residual, adjoint)`` of ``_step_products`` for a dense model:
+    """``(residual, gradient)`` of ``_step_products`` for a dense model:
     ``residual(x) = A x + eps x**2 - ydelta`` (no square term when ``eps``
     is None) works out ``T = DF(x)* phi(R)`` with R, for an elementwise
     ``phi``, in one pass over ``A`` by ``_row_blocks``, and
-    ``adjoint(x, jy)`` returns that T: the run calls it with the x and
-    the ``phi(R)`` of the last residual, which it does not read.
+    ``gradient(x, R, rk)`` returns that T: the run calls it with the x,
+    the R and the norm of the last residual, which it does not read.
 
     Each block A_b gives R_b and adds ``phi(R_b) @ A_b`` to T while A_b
     is still in cache; the term ``2 eps x phi(R)`` comes once at the end.
@@ -243,10 +244,10 @@ def _row_block_products(matrix, eps, ydelta, phi):
             T += 2.0 * eps * x * phi(R)
         return R
 
-    def adjoint(x, jy):
+    def gradient(x, R, rk):
         return T
 
-    return residual, adjoint
+    return residual, gradient
 
 
 def _builtin_kind(model):
@@ -263,18 +264,21 @@ def _builtin_kind(model):
 
 
 def _step_products(model, ydelta, y_space, dim):
-    """The run's ``residual(x) = F(x) - ydelta`` and ``adjoint(x, jy) =
-    DF(x)* jy``, resolved once per run on a space of dimension ``dim``,
-    with ``ydelta`` of shape ``(model.out_dim,)``.
+    """The run's ``residual(x) = F(x) - ydelta`` and its gradient
+    ``gradient(x, R, rk) = DF(x)* J_s(R)`` at the residual ``R`` of x,
+    whose norm is ``rk > 0``, resolved once per run on a space of
+    dimension ``dim``, with ``ydelta`` of shape ``(model.out_dim,)`` and
+    J_s the duality map of ``y_space``.
 
     A built-in model (``_builtin_kind``) is not called: the two run its
     numpy operations, in its order, and its ``matrix`` or ``sigma`` is
-    checked once, here, against the run's shapes.  A dense one whose
-    matrix spans more than one block, with an elementwise duality map of
-    the data space (``y_space._kernels`` scale None, s = p), takes the
-    one pass of ``_row_block_products``.  Every other model is called
-    through ``eval`` and ``apply_adjoint``, with the shape of each output
-    checked on every call.
+    checked once, here, against the run's shapes.  With s = 2 its gradient
+    folds J_s in (``_gradient``).  A dense one whose matrix spans more
+    than one block, with an elementwise duality map of the data space
+    (``y_space._kernels`` scale None, s = p), takes the one pass of
+    ``_row_block_products``.  Every other model is called through
+    ``eval`` and ``apply_adjoint``, with the shape of each output checked
+    on every call, and ``apply_adjoint`` receives J_s(R) itself.
 
     Raises
     ------
@@ -294,7 +298,7 @@ def _step_products(model, ydelta, y_space, dim):
             return vector(apply_adjoint(x, jy), x_shape,
                           "model.apply_adjoint(x, ystar)")
 
-        return residual, adjoint
+        return residual, _gradient(adjoint, y_space, fold=False)
 
     # A diagonal or quadratic F maps R^dim to R^dim.
     m = ydelta.shape[0]
@@ -317,7 +321,7 @@ def _step_products(model, ydelta, y_space, dim):
         def adjoint(x, jy):
             return jy * sigma
 
-        return residual, adjoint
+        return residual, _gradient(adjoint, y_space, model.s == 2.0)
 
     matrix = model.matrix
     eps = model.eps if kind is QuadraticModel else None
@@ -331,17 +335,41 @@ def _step_products(model, ydelta, y_space, dim):
 
         def adjoint(x, jy):
             return jy @ matrix
+    else:
+        two_eps = 2.0 * eps
 
-        return residual, adjoint
-    two_eps = 2.0 * eps
+        def residual(x):
+            return x @ at + eps * x ** 2 - ydelta
 
-    def residual(x):
-        return x @ at + eps * x ** 2 - ydelta
+        def adjoint(x, jy):
+            return jy @ matrix + two_eps * x * jy
 
-    def adjoint(x, jy):
-        return jy @ matrix + two_eps * x * jy
+    return residual, _gradient(adjoint, y_space, model.s == 2.0)
 
-    return residual, adjoint
+
+def _gradient(adjoint, y_space, fold):
+    """``gradient(x, R, rk) = adjoint(x, J_s(R))`` for a residual R of
+    norm ``rk > 0``.
+
+    With ``fold`` (a built-in model with s = 2) J_s is not called: at
+    s = 2 it is ``phi(R) = R + 0.0``, times ``scale(rk)`` when p != 2, and
+    rk > 0 wherever the run applies it, so the gradient takes R at p = 2
+    and ``scale(rk) * R`` otherwise.  Dropping ``+ 0.0`` can flip only the
+    sign of a zero entry of J_s, and so of the gradient T.  The run reads
+    T in ``||T||`` and in ``J_p(x) - mu_k T``, where J_p(x) holds no -0.0
+    and +0.0 - (+-0.0) is +0.0, so neither reading moves by a bit."""
+    jmap = y_space._vector_kernels[1]
+    scale = y_space._kernels[1]
+    if not fold:
+        def gradient(x, R, rk):
+            return adjoint(x, jmap(R, rk))
+    elif scale is None:
+        def gradient(x, R, rk):
+            return adjoint(x, R)
+    else:
+        def gradient(x, R, rk):
+            return adjoint(x, scale(rk) * R)
+    return gradient
 
 
 class NoisyData:

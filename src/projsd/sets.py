@@ -42,6 +42,13 @@ steps and raises ``NonConvergence`` if it has not converged by then.  No
 state survives a call, so equal inputs give bit-identical outputs.  A
 ball's radius and the point to project follow the input rules of README
 ("Input rules").
+
+A run resolves its projection once (``_projection``): the finiteness
+test of the point, then the set's P (``_projector``) with its branches on
+the space (p = r, a centred ball, r = 2) and its parameters bound, and
+every norm taken with the space's resolved one-vector norm.  The set
+keeps nothing of it: ``bregman_project`` resolves on every call, and a
+run on the set's next use, so an assigned parameter takes effect there.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonConvergence, NonFiniteInput, real,
                      vector)
-from .geometry import SpaceGeometry, _array_power, bregman_distance, norm
+from .geometry import SpaceGeometry, _array_power, bregman_distance
 
 __all__ = [
     "ConvexSet",
@@ -91,24 +98,27 @@ _THREE_POINT_TOL = 1e-10
 
 
 class ConvexSet:
-    """Base class.  Subclasses implement ``_project``, which maps a member
-    to itself as a new array, and ``_check_fits`` when the set has a
-    vector parameter."""
+    """Base class.  Subclasses implement ``_projector``, which resolves
+    the projection onto the set in one space, and ``_check_fits`` when the
+    set has a vector parameter."""
 
     def _check_fits(self, space: SpaceGeometry):
         """Raise DimensionMismatch unless every vector parameter of the set
         has the shape ``(space.dim,)``; a set with none always fits."""
 
-    def _project(self, space: SpaceGeometry, x):
-        """Bregman projection of x, any finite point of the space."""
+    def _projector(self, space: SpaceGeometry):
+        """``P(x)``, the Bregman projection of x, any finite point of the
+        space, onto the set as it is now: the branches on the space and
+        the set's parameters are bound once.  P maps a member to itself
+        as a new array."""
         raise NotImplementedError
 
 
 class WholeSpace(ConvexSet):
     """Z = X; the projection is the identity."""
 
-    def _project(self, space, x):
-        return x.copy()
+    def _projector(self, space):
+        return np.ndarray.copy
 
     def __repr__(self):
         return "WholeSpace()"
@@ -132,20 +142,25 @@ class Box(ConvexSet):
                              "upper = -inf")
 
     def _check_fits(self, space):
-        if self.lower.shape != (space.dim,):
+        lo, up = self.lower.shape, self.upper.shape
+        if lo != (space.dim,) or up != (space.dim,):
+            have = f"shape {lo}" if lo == up else f"shapes {lo} and {up}"
             raise DimensionMismatch(
-                f"Box lower and upper have shape {self.lower.shape}, the "
-                f"space needs ({space.dim},)")
+                f"Box lower and upper have {have}, the space needs "
+                f"({space.dim},)")
 
-    def _clamp(self, z):
-        """P_r: np.clip's bits, signed zeros included, without its
-        wrapper."""
-        return np.minimum(np.maximum(z, self.lower), self.upper)
+    def _projector(self, space):
+        lower, upper = self.lower, self.upper
+        maximum, minimum = np.maximum, np.minimum
 
-    def _project(self, space, x):
+        def clamp(z):
+            """P_r: np.clip's bits, signed zeros included, without its
+            wrapper."""
+            return minimum(maximum(z, lower), upper)
+
         if space.p == space.r:
-            return self._clamp(x)
-        return _gauge_p_projection(space, self._clamp, x)
+            return clamp
+        return lambda x: _gauge_p_projection(space, clamp, x)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -166,63 +181,71 @@ class Ball(ConvexSet):
                 f"Ball center has shape {self.center.shape}, the space "
                 f"needs ({space.dim},)")
 
-    def _shrink(self, space, z):
-        """Radial shrink of z onto the ball, toward the center; a z - c
-        whose norm overflows is first scaled to ``max |z_i - c_i| = 1``."""
-        d = z - self.center
-        with np.errstate(over="ignore"):
-            dist = float(norm(space, d))
-        if dist <= self.radius:
-            return z
-        if dist == np.inf:
-            d = d / np.max(np.abs(d))
-            dist = float(norm(space, d))
-        return self.center + (self.radius / dist) * d
+    def _projector(self, space):
+        center, radius = self.center, self.radius
+        r, p = space.r, space.p
+        norm = space._vector_kernels[0]
 
-    def _project(self, space, x):
-        x = x.copy()  # each path returns a point inside the ball as z itself
-        if not np.any(self.center) or space.r == space.p == 2.0:
+        def shrink(z):
+            """Radial shrink of z onto the ball, toward the center; a
+            z - c whose norm overflows is first scaled to
+            ``max |z_i - c_i| = 1``."""
+            d = z - center
+            with np.errstate(over="ignore"):
+                dist = norm(d)
+            if dist <= radius:
+                return z
+            if dist == np.inf:
+                d = d / np.max(np.abs(d))
+                dist = norm(d)
+            return center + (radius / dist) * d
+
+        if not np.any(center) or r == p == 2.0:
             # Centred: by symmetry the radial shrink is the projection for
             # every gauge.  At r = p = 2 it is the metric projection.
-            return self._shrink(space, x)
-        with np.errstate(over="ignore"):
-            gap = float(norm(space, x - self.center))
-        if gap <= self.radius:
-            return x
-        if space.r == 2.0:
-            return _gauge_p_projection(
-                space, lambda z: self._shrink(space, z), x)
-        if gap == np.inf:
-            raise NonConvergence(
-                "||x - center|| overflows, so the search for the multiplier "
-                "cannot start")
-        if space.p == space.r:
-            return _ball_search(space, self.center, self.radius, x, gap,
-                                0.0, x)[1]
-        # Away from the origin, one joint search first; the nested searches
-        # below take what it cannot solve.
-        nx = float(norm(space, x))
-        if nx > 0.0:
-            y = _joint_ball_search(space, self.center, self.radius, x, nx,
-                                   math.log(gap / self.radius))
-            if y is not None:
-                return _finite(y)
-        # Successive P_r solves of this call start from the last multiplier
-        # and point found; nothing outlives the call.
-        s, y = 0.0, None
+            return lambda x: shrink(x.copy())
 
-        def project_r(z):
-            nonlocal s, y
-            dist = float(norm(space, z - self.center))
-            if dist <= self.radius:
-                return z
-            s, y = _ball_search(space, self.center, self.radius, z, dist, s,
-                                z if y is None else y)
-            return y
+        def project(x):
+            x = x.copy()  # a point inside the ball is returned as itself
+            with np.errstate(over="ignore"):
+                gap = norm(x - center)
+            if gap <= radius:
+                return x
+            if r == 2.0:
+                return _gauge_p_projection(space, shrink, x)
+            if gap == np.inf:
+                raise NonConvergence(
+                    "||x - center|| overflows, so the search for the "
+                    "multiplier cannot start")
+            if p == r:
+                return _ball_search(space, center, radius, x, gap, 0.0, x)[1]
+            # Away from the origin, one joint search first; the nested
+            # searches below take what it cannot solve.
+            nx = norm(x)
+            if nx > 0.0:
+                y = _joint_ball_search(space, center, radius, x, nx,
+                                       math.log(gap / radius))
+                if y is not None:
+                    return _finite(y)
+            # Successive P_r solves of this call start from the last
+            # multiplier and point found; nothing outlives the call.
+            s, y = 0.0, None
 
-        # project_r takes the norm of the rescaled point itself, so the walk
-        # keeps the r-th powers of its entries finite, not only the entries.
-        return _gauge_p_projection(space, project_r, x, _EXP_MAX / space.r)
+            def project_r(z):
+                nonlocal s, y
+                dist = norm(z - center)
+                if dist <= radius:
+                    return z
+                s, y = _ball_search(space, center, radius, z, dist, s,
+                                    z if y is None else y)
+                return y
+
+            # project_r takes the norm of the rescaled point itself, so the
+            # walk keeps the r-th powers of its entries finite, not only
+            # the entries.
+            return _gauge_p_projection(space, project_r, x, _EXP_MAX / r)
+
+        return project
 
     def __repr__(self):
         return f"Ball(center={self.center!r}, radius={self.radius})"
@@ -249,27 +272,39 @@ class CoordinateSubspace(ConvexSet):
                 f"CoordinateSubspace support {self.support.tolist()} has "
                 f"an index >= {space.dim}, the space dimension")
 
-    def _project(self, space, x):
-        # P_r is the truncation x_S.  It is 1-homogeneous, so
-        # s = ||P_r(alpha x)|| = alpha ||x_S|| and the rescaling has the
-        # closed form alpha = (||x_S|| / ||x||) ** ((r - p) / (p - 1)).
-        xs = np.zeros(x.shape)
-        xs[self.support] = x[self.support]
+    def _projector(self, space):
+        # P_r is the truncation x_S: x on the support and +0.0 off it.  It
+        # is 1-homogeneous, so s = ||P_r(alpha x)|| = alpha ||x_S|| and the
+        # rescaling has the closed form
+        # alpha = (||x_S|| / ||x||) ** ((r - p) / (p - 1)).
+        off = np.setdiff1d(np.arange(space.dim), self.support)
+
+        def truncate(x):
+            xs = x.copy()
+            xs[off] = 0.0
+            return xs
+
         if space.p == space.r:
-            return xs
-        with np.errstate(over="ignore"):
-            ns, nx = float(norm(space, xs)), float(norm(space, x))
-        if ns == 0.0:
-            return xs
+            return truncate
+        norm = space._vector_kernels[0]
         e = (space.r - space.p) / (space.p - 1.0)
-        if nx < np.inf:
-            return _finite((ns / nx) ** e * xs)
-        # ||x|| overflows.  The ratio does not change when x is scaled,
-        # and at max |x_i| = 1 ||x|| is in range; _log_ratio rescales an
-        # x_S whose norm then underflows.
-        m = float(np.max(np.abs(x)))
-        return _finite(math.exp(e * _log_ratio(
-            space, xs / m, float(norm(space, x / m)))) * xs)
+
+        def project(x):
+            xs = truncate(x)
+            with np.errstate(over="ignore"):
+                ns, nx = norm(xs), norm(x)
+            if ns == 0.0:
+                return xs
+            if nx < np.inf:
+                return _finite((ns / nx) ** e * xs)
+            # ||x|| overflows.  The ratio does not change when x is scaled,
+            # and at max |x_i| = 1 ||x|| is in range; _log_ratio rescales
+            # an x_S whose norm then underflows.
+            m = float(np.max(np.abs(x)))
+            return _finite(math.exp(e * _log_ratio(space, xs / m,
+                                                   norm(x / m))) * xs)
+
+        return project
 
     def __repr__(self):
         return f"CoordinateSubspace({list(self.support)})"
@@ -293,9 +328,10 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     ``e**(beta t) x`` past ``e**exp_max``.
     """
     r, p = space.r, space.p
+    norm = space._vector_kernels[0]
     y0 = project_r(x)
     with np.errstate(over="ignore"):
-        nx = float(norm(space, x))
+        nx = norm(x)
     if nx == 0.0:
         # At the origin the projection is the set's minimum-norm point,
         # the same for every gauge.
@@ -306,8 +342,8 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     m = None
     if nx == math.inf:
         m = float(np.max(np.abs(x)))
-        nx = float(norm(space, x / m))
-    n0 = float(norm(space, y0 if m is None else y0 / m))
+        nx = norm(x / m)
+    n0 = norm(y0 if m is None else y0 / m)
     if n0 == 0.0 or n0 == nx:
         # n0 = 0: J_r(x), and with it J_p(x), lies in the normal cone at 0.
         # n0 = ||x||: alpha = 1 is the fixed point.
@@ -356,13 +392,14 @@ def _log_ratio(space, y, n):
     """``log(||y|| / n)``.  When ``sum_i w_i |y_i|**r`` leaves the normal
     range, ``||y||`` loses its precision or underflows to 0, so a y that
     tiny is first scaled to ``max |y_i| = 1``."""
-    ny = float(norm(space, y))
+    norm = space._vector_kernels[0]
+    ny = norm(y)
     if ny >= _TINY ** (1.0 / space.r):
         return _log(ny / n)
     m = float(np.max(np.abs(y)))
     if m == 0.0:
         return -math.inf
-    return math.log(m) + math.log(float(norm(space, y / m))) - math.log(n)
+    return math.log(m) + math.log(norm(y / m)) - math.log(n)
 
 
 def _root(g, g0, y0, t, limit):
@@ -432,7 +469,7 @@ def _ball_search(space, c, radius, z, dist, s, y):
     Without a start the first trial is ``(r - 1) * g(0)``, the root for
     r = 2.
     """
-    r = space.r
+    r, norm = space.r, space._vector_kernels[0]
     g0 = _log(dist / radius)
     if not g0 > 0.0:
         return 0.0, z                # on the sphere to rounding
@@ -440,7 +477,7 @@ def _ball_search(space, c, radius, z, dist, s, y):
     def g(s):
         nonlocal y
         y = _solve_coordinates(z, c, math.expm1(s), r, y)
-        return _log(float(norm(space, y - c)) / radius), y
+        return _log(norm(y - c) / radius), y
 
     return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0, _EXP_MAX)
 
@@ -464,7 +501,7 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
     second miss or ``_JOINT_TRIALS`` trials hands the projection to the
     nested searches.
     """
-    r = space.r
+    r, norm = space.r, space._vector_kernels[0]
     beta = (r - space.p) / (r - 1.0)
     # tau stays where alpha x and every power ||y||**r of a point between
     # it and c is finite.
@@ -495,7 +532,7 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
         except NonConvergence:
             y_new = None
         if y_new is not None:
-            h1 = _log(float(norm(space, y_new - c)) / radius)
+            h1 = _log(norm(y_new - c) / radius)
             h2 = _log_ratio(space, y_new, nx) - t_new / beta
             if max(abs(h1), abs(h2)) < err:
                 sigma, tau, y, g1, g2 = s_new, t_new, y_new, h1, h2
@@ -653,20 +690,29 @@ def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
     """
     x = vector(x, (space.dim,), "x")
     cset._check_fits(space)
-    return _project_finite(space, cset, x)
+    return _projection(space, cset)(x)
 
 
-def _project_finite(space: SpaceGeometry, cset: ConvexSet, x):
-    """``cset._project(space, x)`` for an x of shape ``(space.dim,)`` on a
-    set that fits the space, after the test that x is finite: the
-    projection of ``bregman_project`` without its shape checks, which a
-    run makes once, on its start.  x is finite when ``<x, x>`` is; only
-    when that sum is not finite, as for entries near 1e200, is every entry
-    tested.  Raises NonFiniteInput if x holds NaN or +-inf."""
-    if not (math.isfinite(np.vdot(x, x))
-            or np.logical_and.reduce(np.isfinite(x), axis=None)):
-        raise NonFiniteInput("cannot project a vector holding NaN or inf")
-    return cset._project(space, x)
+def _projection(space: SpaceGeometry, cset: ConvexSet):
+    """``project(x)``: the projection of ``bregman_project`` for an x of
+    shape ``(space.dim,)`` without its shape checks, on a set that fits
+    the space, resolved once: the set's P with its branches and parameters
+    bound (``_projector``) after the test that x is finite.  A run
+    resolves it once, after its start's projection has checked the shapes;
+    the set keeps nothing, so a parameter assigned later takes effect at
+    the next resolve.  x is finite when ``<x, x>`` is; only when that sum
+    is not finite, as for entries near 1e200, is every entry tested.
+    ``project`` raises NonFiniteInput if x holds NaN or +-inf."""
+    P = cset._projector(space)
+    vdot, isfinite = np.vdot, math.isfinite
+
+    def project(x):
+        if not (isfinite(vdot(x, x))
+                or np.logical_and.reduce(np.isfinite(x), axis=None)):
+            raise NonFiniteInput("cannot project a vector holding NaN or inf")
+        return P(x)
+
+    return project
 
 
 def check_total_nonexpansiveness(space: SpaceGeometry, cset: ConvexSet,

@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, EtaTooLarge,
                      ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_distance, _norm
 from .models import ForwardModel, NoisyData, _step_products, data_space
-from .sets import ConvexSet, _project_finite, bregman_project
+from .sets import ConvexSet, _projection, bregman_project
 
 __all__ = [
     "SolverConfig",
@@ -296,11 +296,16 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     that runs its class's own ``eval`` and ``apply_adjoint`` is not
     called: the run works out F(x_k) - y and DF(x_k)* J(F(x_k) - y) with
     the model's own numpy operations, and checks its matrix or sigma once,
-    on entry.  A dense one with a matrix above 1 MiB and a data space whose
-    duality map is elementwise (s = p) reads its matrix once per step for
-    both, whose last bits then differ from those of ``apply_adjoint``.
-    Any other model is called through ``eval`` and ``apply_adjoint``, and
-    the shape of each output is checked on every call.
+    on entry.  With s = 2 the data-space duality map J is folded into
+    that product, as R_k at p = 2 and ``r_k**(p-2) R_k`` otherwise, with
+    the same iterates, bit for bit.  A dense one with a matrix above 1 MiB
+    and a data space whose duality map is elementwise (s = p) reads its
+    matrix once per step for both, whose last bits then differ from those
+    of ``apply_adjoint``.  Any other model is called through ``eval`` and
+    ``apply_adjoint``, which receives J(F(x_k) - y), and the shape of each
+    output is checked on every call.  The projection onto the set is
+    resolved once per run, after the start's projection has checked the
+    set against the space.
 
     Raises
     ------
@@ -337,11 +342,12 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     x0 = vector(x0, x_shape, "x0")
     ydelta = vector(ydelta, y_shape, "ydelta")
     y_space, dual = data_space(model, space.p), space.dual()
-    residual, adjoint = _step_products(model, ydelta, y_space, space.dim)
+    residual, gradient = _step_products(model, ydelta, y_space, space.dim)
     x = bregman_project(space, cset, x0)
     projected_start = not np.array_equal(x, x0)
+    project = _projection(space, cset)
 
-    norm_y, duality_map_y = y_space._vector_kernels
+    norm_y = y_space._vector_kernels[0]
     norm_dual, duality_map_dual = dual._vector_kernels
     duality_map_x = space._vector_kernels[1]
     eta, eta_hat = config.eta, config.eta_hat
@@ -398,7 +404,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
                 report.stop_reason = "MaxIterations"
                 break
 
-            Tk = adjoint(x, duality_map_y(Rk, rk))
+            Tk = gradient(x, Rk, rk)
             tk = norm_dual(Tk)
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
@@ -411,7 +417,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
             xtilde = xstar - muk * Tk
             if not hilbert:
                 xtilde = duality_map_dual(xtilde)
-            x_next = _project_finite(space, cset, xtilde)
+            x_next = project(xtilde)
 
             breg_k, radius_ok = breg, None
             if ref is not None:

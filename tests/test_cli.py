@@ -365,17 +365,21 @@ class TestExecuteSingle:
         # check holding.  The projection truncates the start and each of
         # the 188 steps, and the model, a built-in one, is not called.
         import projsd.sets
-        truncate = projsd.sets.CoordinateSubspace._project
+        projector = projsd.sets.CoordinateSubspace._projector
         calls = []
 
-        def recording(self, space, x):
-            calls.append(1)
-            return truncate(self, space, x)
+        def recording(self, space):
+            truncate = projector(self, space)
+
+            def counted(x):
+                calls.append(1)
+                return truncate(x)
+            return counted
 
         def not_called(*args):
             raise AssertionError("a built-in model was called")
 
-        monkeypatch.setattr(projsd.sets.CoordinateSubspace, "_project",
+        monkeypatch.setattr(projsd.sets.CoordinateSubspace, "_projector",
                             recording)
         for name in ("eval", "apply_adjoint"):
             monkeypatch.setattr(LinearModel, name, not_called)
@@ -1362,16 +1366,20 @@ def test_solver_abort_in_single_mode_exits_two(tmp_path, monkeypatch,
                                                 capsys):
     # The projection of the second step fails: the run exits 2 with the
     # error on stderr, keeps the old trace and writes no summary.
-    real = WholeSpace._project
+    real = WholeSpace._projector
     calls = []
 
-    def failing(self, space, x):
-        calls.append(1)
-        if len(calls) == 3:     # the start's projection, then two steps
-            raise NonConvergence("bounded search ran out of steps")
-        return real(self, space, x)
+    def failing(self, space):
+        project = real(self, space)
 
-    monkeypatch.setattr(WholeSpace, "_project", failing)
+        def counted(x):
+            calls.append(1)
+            if len(calls) == 3:     # the start's projection, then two steps
+                raise NonConvergence("bounded search ran out of steps")
+            return project(x)
+        return counted
+
+    monkeypatch.setattr(WholeSpace, "_projector", failing)
     path = single_config(tmp_path)
     (tmp_path / "trace.csv").write_text("old trace\n")
     assert main(["run", path]) == 2
@@ -1798,17 +1806,22 @@ class TestStreamedOutputs:
         # The third level's projection fails after two levels streamed
         # their rows: the trace at the path keeps its old content, and no
         # temp file stays behind.
-        real = CoordinateSubspace._project
+        real = CoordinateSubspace._projector
         calls = []
 
-        def failing(self, space, x):
-            if len(self.support) == 6:
+        def failing(self, space):
+            project = real(self, space)
+            if len(self.support) != 6:
+                return project
+
+            def counted(x):
                 calls.append(1)
                 if len(calls) == 3:
                     raise NonConvergence("bounded search ran out of steps")
-            return real(self, space, x)
+                return project(x)
+            return counted
 
-        monkeypatch.setattr(CoordinateSubspace, "_project", failing)
+        monkeypatch.setattr(CoordinateSubspace, "_projector", failing)
         path = TestExecuteMultilevel().make_config(tmp_path)
         (tmp_path / "ml.csv").write_text("old trace\n")
         assert main(["run", path]) == 2
@@ -1896,6 +1909,25 @@ class TestErrorPathsExitCleanly:
                            single_config(tmp_path, **{section: node}))
         assert err == (f"config error: {section}.{key}: expected numbers in "
                        f"{tmp_path / 'empty.csv'}\n")
+
+    @pytest.mark.parametrize("section, node", [
+        ("model", {"kind": "linear", "matrix": []}),
+        ("model", {"kind": "linear", "matrix": [[]]}),
+        ("model", {"kind": "quadratic", "matrix": [], "eps": 0.1}),
+        ("model", {"kind": "diagonal", "sigma": []}),
+        ("data", {"ydelta": []}),
+        ("space", {"dim": 2, "weights": []})],
+        ids=["matrix", "matrix-row", "quadratic", "sigma", "ydelta",
+             "weights"])
+    def test_inline_array_without_numbers(self, tmp_path, capsys, section,
+                                          node):
+        # An empty matrix was read as (1, 0) and reported as a model with
+        # 0 inputs and 1 output, at model and at data, not at its key.
+        key = next(k for k in ("matrix", "sigma", "ydelta", "weights")
+                   if k in node)
+        err = self.run_bad(tmp_path, capsys,
+                           single_config(tmp_path, **{section: node}))
+        assert err == f"config error: {section}.{key}: expected numbers\n"
 
     @pytest.mark.parametrize("message, overrides", [
         ("diagnostics.checkTheorems: expected a boolean",

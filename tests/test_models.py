@@ -242,10 +242,10 @@ class TestRowBlockProducts:
         x, ydelta = rng.standard_normal(n), rng.standard_normal(m)
         phi = lp_space(m, r=s, p=s)._kernels[0]
         eps = None if kind == "linear" else model.eps
-        residual, adjoint = _row_block_products(model.matrix, eps, ydelta,
-                                                phi)
+        residual, gradient = _row_block_products(model.matrix, eps, ydelta,
+                                                 phi)
         R = residual(x)
-        T = adjoint(x, phi(R))
+        T = gradient(x, R, float(np.linalg.norm(R)))
         assert np.array_equal(R, model.eval(x) - ydelta)
         want = model.apply_adjoint(x, phi(R))
         assert np.linalg.norm(T - want) <= 1e-13 * np.linalg.norm(want)

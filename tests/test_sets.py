@@ -61,7 +61,7 @@ class TestSetBasics:
         keep = (lo <= hi) & (lo < np.inf) & (hi > -np.inf)
         z, lo, hi = z[keep], lo[keep], hi[keep]
         for r in (2.0, 3.0):
-            got = Box(lo, hi)._project(lp_space(z.size, r=r), z)
+            got = Box(lo, hi)._projector(lp_space(z.size, r=r))(z)
             assert got.tobytes() == np.clip(z, lo, hi).tobytes()
 
     def test_ball_validation(self):

@@ -487,6 +487,28 @@ def kernel_problem(quadratic, blind=False):
     return model, truth, ydelta
 
 
+#: Sets that keep the -0.0 at coordinate 2 of the start (0.5, 0.2, -0.0,
+#: 0.3), a point of the ball and of the box; the box pins coordinate 2 to
+#: -0.0, as its clamp maps every zero there to -0.0.
+SIGNED_ZERO_SETS = {
+    "wholespace": WholeSpace(),
+    "box": Box([-0.2, -1.0, -0.0, -1.0], [1.0, 0.3, -0.0, 1.0]),
+    "ball": Ball(np.array([0.2, -0.1, 0.0, 0.0]), 0.8),
+    "subspace": CoordinateSubspace([0, 2, 3]),
+}
+
+
+def signed_zero_problem():
+    """A diagonal model, its truth and data with y_2 = 0.0 exactly: at
+    x_2 = -0.0 the residual's entry 2 is -0.0."""
+    rng = np.random.default_rng(22)
+    model = DiagonalLinearModel([2.0, 2.5, 3.0, 3.5])
+    truth = np.array([0.4, -0.2, 0.0, 0.1])
+    noise = 1e-3 * rng.standard_normal(4)
+    noise[2] = 0.0
+    return model, truth, model.eval(truth) + noise
+
+
 class TestKernelMatchesReference:
     """run_algorithm1 reuses norms and duality images within and across
     steps; every iterate must equal the plain transcription bit for bit."""
@@ -497,7 +519,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_exact_equality(self, r, p, kind, with_ref, quadratic):
         self.check(lp_space(4, r=r, p=p), KERNEL_SETS[kind], with_ref,
-                   quadratic)
+                   kernel_problem(quadratic))
 
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize("kind", sorted(KERNEL_SETS))
@@ -506,7 +528,8 @@ class TestKernelMatchesReference:
         # r = p = 2 with weights: the r = 2 norm and the r = p duality
         # map without the Hilbert identity.
         space = lp_space(4, weights=[0.5, 2.0, 1.0, 3.0], Cp=1.0, Gq=1.0)
-        self.check(space, KERNEL_SETS[kind], with_ref, quadratic)
+        self.check(space, KERNEL_SETS[kind], with_ref,
+                   kernel_problem(quadratic))
 
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize("kind", ["wholespace", "box"])
@@ -520,19 +543,40 @@ class TestKernelMatchesReference:
         cset = WholeSpace() if kind == "wholespace" else Box(
             [-0.0, -1.0, -0.0, -1.0], [1.0, 0.3, 1.0, -0.0])
         x0 = np.array([-0.0, 0.8, -0.0, -0.0])
-        report = self.check(lp_space(4), cset, with_ref, quadratic, x0,
-                            blind=True)
+        report = self.check(lp_space(4), cset, with_ref,
+                            kernel_problem(quadratic, blind=True), x0)
         kept = [(st.x == 0.0) & np.signbit(st.x) & (st.xtilde == 0.0)
                 for st in report.iterations]
         assert any(k.any() for k in kept)
         assert not any(np.signbit(st.xtilde[st.xtilde == 0.0]).any()
                        for st in report.iterations)
 
-    def check(self, space, cset, with_ref, quadratic,
-              x0=(0.9, 0.8, -0.7, 0.6), blind=False):
-        """Compare the run from x0 (outside every set but X) with
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("kind", sorted(SIGNED_ZERO_SETS))
+    @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
+    def test_exact_equality_signed_zero_residual(self, r, p, kind,
+                                                 with_ref):
+        # A built-in model with s = 2 takes R_k (p = 2) or r_k**(p-2) R_k
+        # as J_y(R_k), without the + 0.0 of J_y, which turns -0.0 into
+        # +0.0.  The diagonal model maps the start's -0.0 at coordinate 2
+        # to F(x)_2 = -0.0, with y_2 = 0.0, so R_0 holds -0.0 there, and
+        # so does every R_k where the box pins coordinate 2 to -0.0.
+        report = self.check(lp_space(4, r=r, p=p), SIGNED_ZERO_SETS[kind],
+                            with_ref, signed_zero_problem(),
+                            (0.5, 0.2, -0.0, 0.3))
+        model, _, ydelta = signed_zero_problem()
+        held = [bool(np.signbit(R[R == 0.0]).any())
+                for R in (model.eval(st.x) - ydelta
+                          for st in report.iterations)]
+        assert held[0]
+        assert all(held) == (kind == "box")
+
+    def check(self, space, cset, with_ref, problem,
+              x0=(0.9, 0.8, -0.7, 0.6)):
+        """Compare the run of ``problem``, a model with its truth and
+        data, from x0 (by default outside every set but X) with
         ``reference_iteration``; return the report."""
-        model, truth, ydelta = kernel_problem(quadratic, blind)
+        model, truth, ydelta = problem
         cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
                            diagnostic_reference=truth if with_ref else None)
         x0 = np.array(x0)
@@ -556,8 +600,11 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
         monkeypatch):
     """With a reference, ||ref|| is computed once per run and each step
     evaluates three duality maps: J_y(R_k), J*_q of the dual update and
-    J_p(x_{k+1}), which the next step reuses.  In Hilbert space J*_q is
-    the identity, and the step evaluates two."""
+    J_p(x_{k+1}), which the next step reuses.  A built-in model with s = 2
+    folds J_y(R_k) into its gradient, so the step evaluates two; a model
+    called through ``apply_adjoint`` takes J_y(R_k) from the data space.
+    In Hilbert space J*_q is the identity, and the step evaluates one map
+    fewer."""
     model = LinearModel(np.diag([2.0, 3.0, 4.0]))
     ref = np.array([0.5, 1.0 / 3.0, 0.25])
     data = NoisyData(model.eval(ref), 0.0)
@@ -579,18 +626,21 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
         monkeypatch.setattr(module, "_norm", counting_norm)
     cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=20,
                        diagnostic_reference=ref)
-    for r, maps_per_step in ((3.0, 3), (2.0, 2)):
+    for r, called, maps_per_step in ((3.0, False, 2), (2.0, False, 1),
+                                     (3.0, True, 3), (2.0, True, 2)):
         space = lp_space(3, r=r)
-        # The run takes the duality maps that each of its spaces resolves
-        # once, the data space's included.
-        for sp in (space, space.dual(), data_space(model, space.p)):
-            vector_norm, vector_map = sp._vector_kernels
-            monkeypatch.setitem(sp.__dict__, "_vector_kernels",
-                                (vector_norm, counting(vector_map)))
         ref_norms.clear()
         duality_maps.clear()
-        report = run_algorithm1(space, WholeSpace(), model, data,
-                                np.full(3, 0.1), cfg)
+        with monkeypatch.context() as patch:
+            # The run takes the duality maps that each of its spaces
+            # resolves once, the data space's included.
+            for sp in (space, space.dual(), data_space(model, space.p)):
+                vector_norm, vector_map = sp._vector_kernels
+                patch.setitem(sp.__dict__, "_vector_kernels",
+                              (vector_norm, counting(vector_map)))
+            report = run_algorithm1(space, WholeSpace(),
+                                    Delegate(model) if called else model,
+                                    data, np.full(3, 0.1), cfg)
         assert report.stopped_at_k == 20
         assert len(ref_norms) == 1
         # One more for J_p(x_0), computed with the start's Bregman
@@ -1028,6 +1078,100 @@ class TestResolvedProducts:
                                  rf"{re.escape(str(shape))}"):
             run_algorithm1(lp_space(4), WholeSpace(), model,
                            NoisyData(ydelta, 0.0), np.zeros(4),
+                           SolverConfig(eta=0.0, eta_hat=1e-12,
+                                        max_iterations=5),
+                           on_iteration=steps.append)
+        assert steps == []
+
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_called_model_receives_the_data_duality_map(self, r):
+        # The fold of J_y is for built-in models only: apply_adjoint of a
+        # model called through it receives duality_map(y_space, R_k), byte
+        # for byte, with its +0.0 where R_k holds -0.0.
+        model, _, ydelta = signed_zero_problem()
+        space = lp_space(4, r=r)
+        y_space = data_space(model, space.p)
+        received = []
+
+        class Recording(Delegate):
+            def apply_adjoint(self, x, ystar):
+                received.append((x.copy(), ystar.copy()))
+                return super().apply_adjoint(x, ystar)
+
+        report = run_algorithm1(space, SIGNED_ZERO_SETS["box"],
+                                Recording(model), NoisyData(ydelta, 0.0),
+                                np.array([0.5, 0.2, -0.0, 0.3]),
+                                SolverConfig(eta=0.0, eta_hat=1e-12,
+                                             max_iterations=12))
+        assert report.stopped_at_k == len(received) == 12
+        for x, ystar in received:
+            R = model.eval(x) - ydelta
+            assert np.signbit(R[2]) and R[2] == 0.0
+            assert ystar.tobytes() == duality_map(y_space, R).tobytes()
+            assert not np.signbit(ystar[2])
+
+
+class TestProjectionResolvedPerRun:
+    """A run resolves the projection once and the set keeps nothing of
+    it: a parameter assigned between two runs, or before a
+    ``bregman_project`` call, projects with its new value, and one whose
+    shape does not fit raises DimensionMismatch on entry."""
+
+    @staticmethod
+    def set_and_values(kind):
+        """A set of ``kind``, new values for its parameters, and a set
+        built with those values."""
+        if kind == "box":
+            new = {"lower": np.full(4, -0.1), "upper": np.full(4, 0.2)}
+            return (Box([-0.2, -1.0, 0.1, -1.0], [1.0, 0.3, 1.0, 1.0]), new,
+                    Box(new["lower"], new["upper"]))
+        if kind == "ball":
+            new = {"center": np.array([-0.3, 0.1, 0.0, 0.2]), "radius": 0.25}
+            return (Ball(np.array([0.2, -0.1, 0.3, 0.0]), 0.6), new,
+                    Ball(new["center"], new["radius"]))
+        built = CoordinateSubspace([1, 3])
+        return CoordinateSubspace([0, 2, 3]), {"support": built.support}, \
+            built
+
+    @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
+    @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
+    def test_assigned_parameter_takes_effect(self, kind, r, p):
+        space = lp_space(4, r=r, p=p)
+        model, _, ydelta = kernel_problem(False)
+        x0 = np.array([0.9, 0.8, -0.7, 0.6])
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12)
+
+        def run(cset):
+            return state_bytes(run_algorithm1(space, cset, model,
+                                              NoisyData(ydelta, 0.0), x0,
+                                              cfg))
+
+        cset, new, built = self.set_and_values(kind)
+        first, projected = run(cset), bregman_project(space, cset, x0)
+        for name, value in new.items():
+            setattr(cset, name, value)
+        assert bregman_project(space, cset, x0).tobytes() == \
+            bregman_project(space, built, x0).tobytes() != projected.tobytes()
+        assert run(cset) == run(built) != first
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("box", "lower", np.zeros(3)), ("box", "upper", np.ones(5)),
+        ("ball", "center", np.zeros(3)),
+        ("subspace", "support", np.array([0, 4]))])
+    def test_assigned_shape_raises_on_entry(self, kind, name, value):
+        cset = self.set_and_values(kind)[0]
+        space = lp_space(4, r=3.0)
+        model, _, ydelta = kernel_problem(False)
+        x0 = np.array([0.9, 0.8, -0.7, 0.6])
+        run_algorithm1(space, cset, model, NoisyData(ydelta, 0.0), x0,
+                       SolverConfig(eta=0.0, eta_hat=1e-12,
+                                    max_iterations=2))
+        setattr(cset, name, value)
+        with pytest.raises(DimensionMismatch):
+            bregman_project(space, cset, x0)
+        steps = []
+        with pytest.raises(DimensionMismatch):
+            run_algorithm1(space, cset, model, NoisyData(ydelta, 0.0), x0,
                            SolverConfig(eta=0.0, eta_hat=1e-12,
                                         max_iterations=5),
                            on_iteration=steps.append)
