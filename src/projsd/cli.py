@@ -386,7 +386,8 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
 
 
 def _check_nesting(levels, errors):
-    """Coordinate-subspace levels must be nested coarse-to-fine."""
+    """Coordinate-subspace levels, and box levels, must be nested
+    coarse-to-fine: each inside the next one of its kind."""
     supports = [set(lv.cset.support.tolist()) for lv in levels
                 if isinstance(lv.cset, CoordinateSubspace)]
     for n in range(len(supports) - 1):
@@ -394,6 +395,15 @@ def _check_nesting(levels, errors):
             errors.append(
                 f"levels[{n}].set: subspace supports must be nested, "
                 f"support of level {n} is not contained in level {n + 1}")
+    boxes = [(n, lv.cset) for n, lv in enumerate(levels)
+             if isinstance(lv.cset, Box)]
+    for (n, inner), (m, outer) in zip(boxes, boxes[1:]):
+        if inner.lower.shape == outer.lower.shape and not (
+                np.all(outer.lower <= inner.lower)
+                and np.all(inner.upper <= outer.upper)):
+            errors.append(
+                f"levels[{n}].set: boxes must be nested, [lower, upper] of "
+                f"level {n} is not contained in level {m}")
 
 
 def _parse_example_schedule(node, space, errors):

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all solver components and the CLI, and
 the input rules of README ("Input rules"): each raises ValueError (a
-vector DimensionMismatch) that names the value it refuses."""
+vector DimensionMismatch) that names the value it refuses.  ``Fixed``
+and ``fixed_array`` keep what a constructor has checked from changing
+after it."""
 
 import numpy as np
 
@@ -65,9 +67,11 @@ class NonFiniteStep(ProjSDError):
 
 
 class MissingStabilityConstant(ProjSDError, ValueError):
-    """A nonlinear model does not state a constant the analysis reads: its
-    conditional stability constant ``cstab`` (on entry to every run) or,
-    for the convergence radius, its derivative bound ``lhat``."""
+    """A model does not state a constant the analysis reads: its
+    derivative Lipschitz constant ``lip`` (on entry to every run), and
+    for a nonlinear model its conditional stability constant ``cstab``
+    (on entry to every run) or, for the convergence radius, its
+    derivative bound ``lhat``."""
 
 
 class NoSuchLevel(ProjSDError):
@@ -163,3 +167,30 @@ def vector(value, shape, what):
             f"{what} has shape {value.shape}, expected {shape}: one vector "
             f"of shape {shape}")
     return value
+
+
+def fixed_array(value, dtype=float):
+    """A read-only copy of ``value`` as an array of ``dtype``: a later
+    write into the caller's array does not reach it, and a write into it
+    raises ValueError."""
+    value = np.array(value, dtype=dtype)
+    value.flags.writeable = False
+    return value
+
+
+class Fixed:
+    """A value fixed at construction, as a ``SpaceGeometry`` is.
+
+    The constructor checks each parameter once and stores it, an array as
+    a ``fixed_array``, with ``vars(self).update``, which does not pass
+    through ``__setattr__``.  Assigning or deleting any attribute
+    afterwards raises AttributeError naming the class and the attribute:
+    a new value means a new object.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is fixed at "
+                             "construction; a new value means a new object")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)

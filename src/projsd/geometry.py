@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, exponent, integer, real
+from .errors import DimensionMismatch, exponent, fixed_array, integer, real
 from .errors import seed as _seed
 
 __all__ = [
@@ -92,13 +92,12 @@ class SpaceGeometry:
         p = max(r, 2.0) if self.p is None else exponent("p", self.p)
         w = self.weights
         if w is not None:
-            w = np.array(w, dtype=float)     # a copy the caller cannot change
+            w = fixed_array(w)     # a copy that nothing can change
             if w.shape != (dim,):
                 raise DimensionMismatch(
                     f"weights have shape {w.shape}, expected ({dim},)")
             if not np.all((w > 0) & np.isfinite(w)):
                 raise ValueError("all weights must be positive and finite")
-            w.flags.writeable = False
             if np.all(w == 1.0):
                 w = None
         cp, gq = self.Cp, self.Gq

@@ -2,16 +2,20 @@
 
 Ships a linear model, a diagonal linear model with closed-form best
 approximations and stability constant, and a componentwise-quadratic
-model.  The iteration calls a custom model only through the evaluation
-``F(x)`` and the adjoint action ``DF(x)* y*``, and checks the shape of
-each output on every call.  It calls no built-in model that runs its
-class's own methods: ``_step_products`` resolves the run's residual and
-gradient once, with the model's own numpy operations, the data-space
-duality map folded in at s = 2 and one check of its matrix or sigma, and
-works out both of a dense model above one 1 MiB block in one pass over
-the matrix.  The analysis constants are stated by the caller; nothing
-here estimates them.  Every stated number follows the input rules of
-README ("Input rules").
+model.  The built-in models are fixed at construction, as a space is:
+each parameter is checked once and stored, an array as a read-only
+copy, and assigning any attribute raises AttributeError, so a new value
+means a new model.  The iteration calls a custom model only through the
+evaluation ``F(x)`` and the adjoint action ``DF(x)* y*``, and checks the
+shape of each output on every call.  It calls no built-in model that
+runs its class's own methods: ``_step_products`` resolves the run's
+residual and gradient once, with the model's own numpy operations and
+the data-space duality map folded in at s = 2, and works out both of a
+dense model above one 1 MiB block in one pass over the matrix.  The
+analysis constants are stated: the built-in models state their ``lip``,
+a custom model states its own, and the caller states ``cstab`` and
+``lhat``; nothing here estimates them.  Every stated number follows the
+input rules of README ("Input rules").
 
 Evaluation is batch friendly: all maps act on the last axis of their
 input arrays.
@@ -23,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, exponent, floats, real, vector
+from .errors import Fixed, exponent, fixed_array, floats, real, vector
 from .geometry import SpaceGeometry
 
 __all__ = [
@@ -37,7 +41,7 @@ __all__ = [
 
 
 class ForwardModel:
-    """Interface of the forward operator F.
+    """Interface of the forward operator F, open for user subclasses.
 
     Subclasses provide the evaluation ``F(x)`` and the adjoint action
     ``DF(x)* y*``, the data-space norm exponent ``s`` (data live in l^s),
@@ -48,13 +52,16 @@ class ForwardModel:
     - ``lhat``: bound on the operator norm of DF over the domain ball,
     - ``cstab``: conditional stability constant on the working set.
 
-    ``cstab`` and ``lhat`` are stated by the caller, never derived; None
-    means not stated.  A linear model (``lip == 0``) needs neither, and
-    the shipped linear models state neither.  A nonlinear run raises
-    MissingStabilityConstant on entry without ``cstab``, and, with a
-    diagnostic reference, without ``lhat``.  ``run_multi_level`` reads
-    none of the three: a level's run takes the level's ``L``, ``Lhat``
-    and ``C``.
+    All three are stated, never derived; None means not stated.  Every
+    model states ``lip``: a custom model sets it (0.0 for a linear F),
+    the shipped linear models state 0.0 and ``QuadraticModel`` 2 eps, and
+    ``run_algorithm1`` raises MissingStabilityConstant on entry, naming
+    ``lip``, for a model that states none.  A linear model (``lip == 0``)
+    needs neither of the others, and the shipped linear models state
+    neither.  A nonlinear run raises MissingStabilityConstant on entry
+    without ``cstab``, and, with a diagnostic reference, without
+    ``lhat``.  ``run_multi_level`` reads none of the three: a level's run
+    takes the level's ``L``, ``Lhat`` and ``C``.
 
     ``in_dim``, when the model states it (every shipped model does), is
     the length of an input: a run on a space of another dimension raises
@@ -70,7 +77,7 @@ class ForwardModel:
     out_dim: int
     in_dim: int | None = None
     s: float = 2.0
-    lip: float = 0.0
+    lip: float | None = None
     lhat: float | None = None
     cstab: float | None = None
 
@@ -81,14 +88,18 @@ class ForwardModel:
         raise NotImplementedError
 
 
-class LinearModel(ForwardModel):
+class LinearModel(Fixed, ForwardModel):
     """F(x) = A x.  The derivative is constant, so lip = 0."""
 
+    lip = 0.0
+
     def __init__(self, matrix, s=2.0):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.out_dim = self.matrix.shape[0]
-        self.in_dim = self.matrix.shape[1]
-        self.s = exponent("data exponent s", s)
+        matrix = np.atleast_2d(fixed_array(matrix))
+        if matrix.ndim != 2:
+            raise ValueError(f"matrix has shape {matrix.shape}, expected 2-D")
+        vars(self).update(matrix=matrix, out_dim=matrix.shape[0],
+                          in_dim=matrix.shape[1],
+                          s=exponent("data exponent s", s))
 
     def eval(self, x):
         return floats(x) @ self.matrix.T
@@ -107,19 +118,20 @@ class DiagonalLinearModel(LinearModel):
     """
 
     def __init__(self, sigma, s=2.0):
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = fixed_array(sigma)
         if sigma.ndim != 1:
             raise ValueError(f"sigma has shape {sigma.shape}, expected one "
                              "vector")
-        self.sigma = sigma
-        self.out_dim = self.in_dim = sigma.size
-        self.s = exponent("data exponent s", s)
+        vars(self).update(sigma=sigma, out_dim=sigma.size, in_dim=sigma.size,
+                          s=exponent("data exponent s", s))
 
     @cached_property
     def matrix(self):
-        """The dense ``diag(sigma)``, built on first read: the products
-        below never read it, so a run allocates O(d)."""
-        return np.diag(self.sigma)
+        """The dense ``diag(sigma)``, read-only, built on first read: the
+        products below never read it, so a run allocates O(d)."""
+        matrix = np.diag(self.sigma)
+        matrix.flags.writeable = False
+        return matrix
 
     # For finite input the products below equal the dense products with
     # ``matrix``, whose off-diagonal terms add zeros, bit for bit up to
@@ -159,30 +171,26 @@ class DiagonalLinearModel(LinearModel):
         return float(2.0 ** -0.5 / np.min(np.abs(self.sigma[idx])))
 
 
-class QuadraticModel(ForwardModel):
+class QuadraticModel(Fixed, ForwardModel):
     """F_i(x) = (A x)_i + eps * x_i**2.
 
-    The minimal model with a nonzero derivative Lipschitz constant:
-    lip = 2 eps in the Hilbert configuration.  The derivative bound
-    ``lhat`` >= ||A + 2 eps diag(x)|| over the domain depends on that
-    domain, so the caller states it (None: not stated).
+    The minimal model with a nonzero derivative Lipschitz constant: it
+    states lip = 2 eps, its value in the Hilbert configuration.  The
+    derivative bound ``lhat`` >= ||A + 2 eps diag(x)|| over the domain
+    depends on that domain, so the caller states it (None: not stated).
     """
 
     def __init__(self, matrix, eps, s=2.0, cstab=None, lhat=None):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if self.matrix.shape[0] != self.matrix.shape[1]:
+        matrix = np.atleast_2d(fixed_array(matrix))
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("quadratic model needs a square matrix")
-        self.out_dim = self.matrix.shape[0]
-        self.in_dim = self.matrix.shape[1]
-        self.eps = real("eps", eps, positive=False)
-        self.s = exponent("data exponent s", s)
-        self.cstab = None if cstab is None else real("cstab", cstab)
-        self.lhat = None if lhat is None else real("lhat", lhat)
-
-    @property
-    def lip(self):
-        """L = 2 eps, read from ``eps``: a reassigned ``eps`` moves it."""
-        return 2.0 * self.eps
+        eps = real("eps", eps, positive=False)
+        vars(self).update(matrix=matrix, out_dim=matrix.shape[0],
+                          in_dim=matrix.shape[1], eps=eps, lip=2.0 * eps,
+                          s=exponent("data exponent s", s),
+                          cstab=None if cstab is None
+                          else real("cstab", cstab),
+                          lhat=None if lhat is None else real("lhat", lhat))
 
     def eval(self, x):
         x = floats(x)
@@ -252,13 +260,14 @@ def _row_block_products(matrix, eps, ydelta, phi):
 
 def _builtin_kind(model):
     """``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel``
-    when the model runs that class's own ``eval`` and ``apply_adjoint``;
-    None for any other model, a subclass or an instance that overrides
-    either method included.  A method replaced on the class itself, as a
+    when the model's class runs that class's own ``eval`` and
+    ``apply_adjoint``; None for any other model, a subclass that overrides
+    either method included.  An instance of these classes is fixed, so it
+    cannot replace a method.  A method replaced on the class itself, as a
     tracer installs its wrappers, counts as the class's own."""
     for cls in (LinearModel, DiagonalLinearModel, QuadraticModel):
-        if all(getattr(getattr(model, name), "__func__", None)
-               is getattr(cls, name) for name in ("eval", "apply_adjoint")):
+        if all(getattr(type(model), name) is getattr(cls, name)
+               for name in ("eval", "apply_adjoint")):
             return cls
     return None
 
@@ -271,20 +280,14 @@ def _step_products(model, ydelta, y_space, dim):
     J_s the duality map of ``y_space``.
 
     A built-in model (``_builtin_kind``) is not called: the two run its
-    numpy operations, in its order, and its ``matrix`` or ``sigma`` is
-    checked once, here, against the run's shapes.  With s = 2 its gradient
-    folds J_s in (``_gradient``).  A dense one whose matrix spans more
-    than one block, with an elementwise duality map of the data space
-    (``y_space._kernels`` scale None, s = p), takes the one pass of
-    ``_row_block_products``.  Every other model is called through
+    numpy operations, in its order, on its fixed ``matrix`` or ``sigma``,
+    whose shapes the run has checked through ``in_dim`` and ``out_dim``.
+    With s = 2 its gradient folds J_s in (``_gradient``).  A dense one whose
+    matrix spans more than one block, with an elementwise duality map of
+    the data space (``y_space._kernels`` scale None, s = p), takes the one
+    pass of ``_row_block_products``.  Every other model is called through
     ``eval`` and ``apply_adjoint``, with the shape of each output checked
     on every call, and ``apply_adjoint`` receives J_s(R) itself.
-
-    Raises
-    ------
-    DimensionMismatch
-        If a built-in model's ``matrix`` or ``sigma`` does not fit the
-        run's shapes (it was assigned after construction).
     """
     kind = _builtin_kind(model)
     if kind is None:
@@ -299,18 +302,6 @@ def _step_products(model, ydelta, y_space, dim):
                           "model.apply_adjoint(x, ystar)")
 
         return residual, _gradient(adjoint, y_space, fold=False)
-
-    # A diagonal or quadratic F maps R^dim to R^dim.
-    m = ydelta.shape[0]
-    out = m if kind is LinearModel else dim
-    name, want = ("sigma", (dim,)) if kind is DiagonalLinearModel \
-        else ("matrix", (out, dim))
-    shape = np.shape(getattr(model, name))
-    if shape != want or m != out:
-        raise DimensionMismatch(
-            f"model.{name} has shape {shape}, with data of shape ({m},); "
-            f"a run on dimension {dim} needs {want}, with data of shape "
-            f"({out},)")
 
     if kind is DiagonalLinearModel:
         sigma = model.sigma

@@ -43,12 +43,14 @@ state survives a call, so equal inputs give bit-identical outputs.  A
 ball's radius and the point to project follow the input rules of README
 ("Input rules").
 
-A run resolves its projection once (``_projection``): the finiteness
-test of the point, then the set's P (``_projector``) with its branches on
-the space (p = r, a centred ball, r = 2) and its parameters bound, and
-every norm taken with the space's resolved one-vector norm.  The set
-keeps nothing of it: ``bregman_project`` resolves on every call, and a
-run on the set's next use, so an assigned parameter takes effect there.
+``Box``, ``Ball`` and ``CoordinateSubspace`` are fixed at construction,
+as a space is: each parameter is checked once and stored, an array as a
+read-only copy, and assigning any attribute raises AttributeError, so a
+new value means a new set.  A run resolves its projection once
+(``_projection``): the finiteness test of the point, then the set's P
+(``_projector``) with its branches on the space (p = r, a centred ball,
+r = 2) and its parameters bound, and every norm taken with the space's
+resolved one-vector norm.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonConvergence, NonFiniteInput, real,
-                     vector)
+from .errors import (DimensionMismatch, Fixed, NonConvergence, NonFiniteInput,
+                     fixed_array, real, vector)
 from .geometry import SpaceGeometry, _array_power, bregman_distance
 
 __all__ = [
@@ -98,9 +100,9 @@ _THREE_POINT_TOL = 1e-10
 
 
 class ConvexSet:
-    """Base class.  Subclasses implement ``_projector``, which resolves
-    the projection onto the set in one space, and ``_check_fits`` when the
-    set has a vector parameter."""
+    """Base class, open for user subclasses.  Subclasses implement
+    ``_projector``, which resolves the projection onto the set in one
+    space, and ``_check_fits`` when the set has a vector parameter."""
 
     def _check_fits(self, space: SpaceGeometry):
         """Raise DimensionMismatch unless every vector parameter of the set
@@ -108,9 +110,9 @@ class ConvexSet:
 
     def _projector(self, space: SpaceGeometry):
         """``P(x)``, the Bregman projection of x, any finite point of the
-        space, onto the set as it is now: the branches on the space and
-        the set's parameters are bound once.  P maps a member to itself
-        as a new array."""
+        space, onto the set: the branches on the space and the set's
+        parameters are bound once.  P maps a member to itself as a new
+        array."""
         raise NotImplementedError
 
 
@@ -124,13 +126,12 @@ class WholeSpace(ConvexSet):
         return "WholeSpace()"
 
 
-class Box(ConvexSet):
+class Box(Fixed, ConvexSet):
     """Coordinate box [lower_i, upper_i]; a bound of -inf (lower) or +inf
     (upper) leaves its side open."""
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
+        vars(self).update(lower=fixed_array(lower), upper=fixed_array(upper))
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower and upper must have the same shape")
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
@@ -142,12 +143,10 @@ class Box(ConvexSet):
                              "upper = -inf")
 
     def _check_fits(self, space):
-        lo, up = self.lower.shape, self.upper.shape
-        if lo != (space.dim,) or up != (space.dim,):
-            have = f"shape {lo}" if lo == up else f"shapes {lo} and {up}"
+        if self.lower.shape != (space.dim,):
             raise DimensionMismatch(
-                f"Box lower and upper have {have}, the space needs "
-                f"({space.dim},)")
+                f"Box lower and upper have shape {self.lower.shape}, the "
+                f"space needs ({space.dim},)")
 
     def _projector(self, space):
         lower, upper = self.lower, self.upper
@@ -166,12 +165,12 @@ class Box(ConvexSet):
         return f"Box({self.lower!r}, {self.upper!r})"
 
 
-class Ball(ConvexSet):
+class Ball(Fixed, ConvexSet):
     """Norm ball {y : ||y - center|| <= radius} in the space norm."""
 
     def __init__(self, center, radius):
-        self.radius = real("radius", radius)
-        self.center = np.asarray(center, dtype=float)
+        vars(self).update(radius=real("radius", radius),
+                          center=fixed_array(center))
         if not np.isfinite(self.center).all():
             raise ValueError("center must be finite")
 
@@ -251,7 +250,7 @@ class Ball(ConvexSet):
         return f"Ball(center={self.center!r}, radius={self.radius})"
 
 
-class CoordinateSubspace(ConvexSet):
+class CoordinateSubspace(Fixed, ConvexSet):
     """Span of a subset of coordinate axes."""
 
     def __init__(self, support):
@@ -260,7 +259,8 @@ class CoordinateSubspace(ConvexSet):
         if not all(not isinstance(i, (bool, np.bool_))
                    and float(i).is_integer() for i in support):
             raise ValueError(f"support indices {support} must be integers")
-        self.support = np.array(sorted(set(int(i) for i in support)))
+        vars(self).update(support=fixed_array(
+            sorted(set(int(i) for i in support)), int))
         if self.support.size == 0:
             raise ValueError("support must be nonempty")
         if np.any(self.support < 0):
@@ -698,10 +698,9 @@ def _projection(space: SpaceGeometry, cset: ConvexSet):
     shape ``(space.dim,)`` without its shape checks, on a set that fits
     the space, resolved once: the set's P with its branches and parameters
     bound (``_projector``) after the test that x is finite.  A run
-    resolves it once, after its start's projection has checked the shapes;
-    the set keeps nothing, so a parameter assigned later takes effect at
-    the next resolve.  x is finite when ``<x, x>`` is; only when that sum
-    is not finite, as for entries near 1e200, is every entry tested.
+    resolves it once, after its start's projection has checked the
+    shapes.  x is finite when ``<x, x>`` is; only when that sum is not
+    finite, as for entries near 1e200, is every entry tested.
     ``project`` raises NonFiniteInput if x holds NaN or +-inf."""
     P = cset._projector(space)
     vdot, isfinite = np.vdot, math.isfinite

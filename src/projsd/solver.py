@@ -128,6 +128,16 @@ def _ctilde(space: SpaceGeometry, lip: float, cstab: float | None) -> float:
         return weight * cstab * cstab
 
 
+def _lip(model: ForwardModel) -> float:
+    """The model's stated ``lip``.  Raises MissingStabilityConstant if it
+    states none: a model that did would otherwise run as a linear one."""
+    if model.lip is None:
+        raise MissingStabilityConstant(
+            "the model states no lip, the Lipschitz constant L of its "
+            "derivative; a linear model states lip = 0.0")
+    return model.lip
+
+
 def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
     """Curvature-stability product ``(1/2) (Cp/p)**(-2/p) L C**2`` of the
     model's ``lip`` and ``cstab``.
@@ -135,9 +145,10 @@ def compute_ctilde(space: SpaceGeometry, model: ForwardModel) -> float:
     Raises
     ------
     MissingStabilityConstant
-        If the model is nonlinear and carries no ``cstab``.
+        If the model states no ``lip``, or is nonlinear and carries no
+        ``cstab``.
     """
-    return _ctilde(space, model.lip, model.cstab)
+    return _ctilde(space, _lip(model), model.cstab)
 
 
 def _u_roots(ctilde: float, eta: float):
@@ -292,20 +303,19 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     numerator is not positive or whose step scalars leave the float range
     stops the run as StepDegenerate, with the error in ``report.failure``.
 
-    A ``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel``
-    that runs its class's own ``eval`` and ``apply_adjoint`` is not
-    called: the run works out F(x_k) - y and DF(x_k)* J(F(x_k) - y) with
-    the model's own numpy operations, and checks its matrix or sigma once,
-    on entry.  With s = 2 the data-space duality map J is folded into
-    that product, as R_k at p = 2 and ``r_k**(p-2) R_k`` otherwise, with
-    the same iterates, bit for bit.  A dense one with a matrix above 1 MiB
-    and a data space whose duality map is elementwise (s = p) reads its
-    matrix once per step for both, whose last bits then differ from those
+    A ``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel`` that
+    runs its class's own ``eval`` and ``apply_adjoint`` is not called: the
+    run works out F(x_k) - y and DF(x_k)* J(F(x_k) - y) with the model's
+    own numpy operations.  With s = 2 the data-space duality map J is folded
+    into that product, as R_k at p = 2 and ``r_k**(p-2) R_k`` otherwise,
+    with the same iterates, bit for bit.  A dense one with a matrix above
+    1 MiB and a data space whose duality map is elementwise (s = p) reads
+    its matrix once per step for both, whose last bits then differ from those
     of ``apply_adjoint``.  Any other model is called through ``eval`` and
     ``apply_adjoint``, which receives J(F(x_k) - y), and the shape of each
     output is checked on every call.  The projection onto the set is
-    resolved once per run, after the start's projection has checked the
-    set against the space.
+    resolved once per run, after the start's projection has checked the set
+    against the space.
 
     Raises
     ------
@@ -313,20 +323,20 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         If the model states an ``in_dim`` other than ``space.dim``, if
         ``x0`` or the diagnostic reference is not of shape
         ``(space.dim,)``, if ``data.ydelta`` is not of shape
-        ``(model.out_dim,)``, if a built-in model's ``matrix`` or
-        ``sigma`` does not fit these shapes, or if a call of
+        ``(model.out_dim,)``, or if a call of
         ``model.eval`` or ``model.apply_adjoint`` returns an array of
         another shape than ``(model.out_dim,)`` or ``(space.dim,)``.
     NonFiniteInput
         On entry, if ``x0`` holds NaN or +-inf.
     MissingStabilityConstant
-        On entry, if the model is nonlinear and carries no ``cstab``, or,
-        with a diagnostic reference, no ``lhat``.
+        On entry, if the model states no ``lip``, or is nonlinear and
+        carries no ``cstab``, or, with a diagnostic reference, no
+        ``lhat``.
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
     """
     return _run(space, cset, model, data.ydelta, x0, config, on_iteration,
-                model.lip, model.lhat, model.cstab)
+                _lip(model), model.lhat, model.cstab)
 
 
 def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,

@@ -105,6 +105,45 @@ x0: [0.0, 0.0, 0.0, 0.0]
             parse_config(text)
         assert any("nested" in m for m in exc.value.errors)
 
+    def test_non_nested_boxes_rejected(self, tmp_path, capsys):
+        # Level 1's box shrank inside level 0's; the config ran.
+        text = """
+mode: multilevel
+space: {dim: 2}
+epsilon: 1.0
+levels:
+  - {eta: 0.1, C: 1.0, L: 0.0, Lhat: 1.0,
+     set: {kind: box, lower: [-1.0, 0.0], upper: [1.0, 0.0]},
+     model: {kind: linear, matrix: [[1.0, 0.0], [0.0, 1.0]]},
+     data: {ydelta: [0.5, 0.5]}}
+  - {eta: 0.01, C: 2.0, L: 0.0, Lhat: 1.0,
+     set: {kind: box, lower: [-0.5, -1.0], upper: [1.0, 1.0]},
+     model: {kind: linear, matrix: [[1.0, 0.0], [0.0, 1.0]]},
+     data: {ydelta: [0.5, 0.5]}}
+solver: {etaHat: 0.05}
+x0: [0.0, 0.0]
+"""
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [
+            "levels[0].set: boxes must be nested, [lower, upper] of level 0 "
+            "is not contained in level 1"]
+        path = write(tmp_path, "shrinking.yaml", text)
+        assert main(["run", path]) == 3
+        assert "boxes must be nested" in capsys.readouterr().err
+        parse_config(text.replace("lower: [-0.5, -1.0]",
+                                  "lower: [-1.0, -1.0]"))
+        with open(EXAMPLE) as fh:
+            parse_config(fh.read())
+        # Without a space the box lengths are not checked; boxes of two
+        # lengths are not compared.
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text.replace("dim: 2", "dim: 0").replace(
+                "lower: [-0.5, -1.0], upper: [1.0, 1.0]",
+                "lower: [-0.5, -1.0, 0.0], upper: [1.0, 1.0, 0.0]"))
+        assert exc.value.errors == [
+            "space.dim: dim = 0 must be an integer >= 1"]
+
     def test_matrix_file_sidecar(self, tmp_path):
         np.savetxt(tmp_path / "A.csv", np.eye(2), delimiter=",")
         text = MINIMAL_SINGLE.replace(

@@ -5,8 +5,9 @@ import pytest
 from oracles import adjoint_gap
 
 from projsd import (DiagonalLinearModel, LinearModel, NoisyData,
-                    QuadraticModel, bregman_distance, data_space, lp_space,
-                    norm)
+                    QuadraticModel, SolverConfig, WholeSpace,
+                    bregman_distance, data_space, lp_space, norm,
+                    run_algorithm1)
 import projsd.models as models_module
 from projsd.models import (_builtin_kind, _row_block_products, _row_blocks,
                            _step_products)
@@ -208,6 +209,94 @@ class TestQuadraticModel:
 
 
 
+def fixed_model(kind, array=None):
+    """A built-in model of ``kind`` on R^4, built from the caller's
+    ``array`` (matrix or sigma) when given."""
+    if kind == "linear":
+        return LinearModel(np.diag([2.0, 2.5, 3.0, 3.5]) if array is None
+                           else array, s=2.0)
+    if kind == "diagonal":
+        return DiagonalLinearModel([2.0, 2.5, 3.0, 3.5] if array is None
+                                   else array, s=2.0)
+    return QuadraticModel(np.diag([2.0, 2.5, 3.0, 3.5]) if array is None
+                          else array, eps=0.05, s=2.0, cstab=1.5, lhat=4.0)
+
+
+def products(model):
+    """The bytes of ``F(x)`` and ``DF(x)* y`` at one x and y."""
+    x, y = np.array([0.4, -0.2, 0.5, 0.1]), np.array([1.0, -2.0, 0.5, 3.0])
+    return model.eval(x).tobytes(), model.apply_adjoint(x, y).tobytes()
+
+
+class TestFixedAtConstruction:
+    """A built-in model is fixed at construction, as a space is: its
+    parameters and constants are checked once and stored, its arrays as
+    read-only copies.  Assigning one skipped the checks: with
+    ``QuadraticModel.eps = -0.5`` (so L = -1) the run of
+    ``test_assigned_eps_does_not_reach_a_run`` stopped StepDegenerate at
+    k = 6, r_6 = inf, where the model as built meets the discrepancy."""
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("linear", "matrix", np.eye(4)), ("linear", "s", 3.0),
+        ("linear", "lip", 0.5), ("linear", "out_dim", 3),
+        ("diagonal", "sigma", np.ones(4)), ("diagonal", "matrix", np.eye(4)),
+        ("diagonal", "s", 3.0), ("diagonal", "in_dim", 3),
+        ("quadratic", "matrix", np.eye(4)), ("quadratic", "eps", -0.5),
+        ("quadratic", "s", 3.0), ("quadratic", "cstab", -1.0),
+        ("quadratic", "lhat", 0.0), ("quadratic", "lip", 0.0)])
+    def test_assigning_a_parameter_raises(self, kind, name, value):
+        model = fixed_model(kind)
+        built = products(model), model.s, model.lip, model.cstab, model.lhat
+        cls = type(model).__name__
+        with pytest.raises(AttributeError,
+                           match=rf"^{cls}\.{name} is fixed at construction"):
+            setattr(model, name, value)
+        with pytest.raises(AttributeError, match=rf"^{cls}\.{name} is fixed"):
+            delattr(model, name)
+        assert (products(model), model.s, model.lip, model.cstab,
+                model.lhat) == built
+
+    def test_assigned_eps_does_not_reach_a_run(self):
+        model = fixed_model("quadratic")
+        data = NoisyData(model.eval(np.array([0.4, -0.2, 0.5, 0.1])), 1e-3)
+        with pytest.raises(AttributeError, match="eps is fixed"):
+            model.eps = -0.5
+        report = run_algorithm1(lp_space(4), WholeSpace(), model, data,
+                                np.zeros(4),
+                                SolverConfig(eta=1e-3, eta_hat=4e-3))
+        assert (report.stop_reason, report.stopped_at_k) \
+            == ("DiscrepancyMet", 7)
+        assert model.lip == 2.0 * model.eps == 0.1
+
+    @pytest.mark.parametrize("kind,name", [
+        ("linear", "matrix"), ("diagonal", "sigma"), ("diagonal", "matrix"),
+        ("quadratic", "matrix")])
+    def test_stored_arrays_are_read_only(self, kind, name):
+        array = getattr(fixed_model(kind), name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["linear", "diagonal", "quadratic"])
+    def test_a_write_into_the_callers_array_does_not_reach_it(self, kind):
+        array = (np.array([2.0, 2.5, 3.0, 3.5]) if kind == "diagonal"
+                 else np.diag([2.0, 2.5, 3.0, 3.5]))
+        model = fixed_model(kind, array)
+        built = products(model)
+        array[0] = -7.0
+        assert products(model) == built
+
+    @pytest.mark.parametrize("make,match", [
+        (LinearModel, r"^matrix has shape \(2, 2, 2\), expected 2-D$"),
+        (lambda A: QuadraticModel(A, eps=0.1), "needs a square matrix")],
+        ids=["linear", "quadratic"])
+    def test_matrix_has_two_axes(self, make, match):
+        # A (2, 2, 2) matrix was taken, and a run raised DimensionMismatch
+        # for it on entry.
+        with pytest.raises(ValueError, match=match):
+            make(np.ones((2, 2, 2)))
+
+
 def dense(kind, m, n, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
@@ -296,9 +385,10 @@ class TestRowBlockProducts:
         assert _builtin_kind(DiagonalLinearModel(np.ones(4))) \
             is DiagonalLinearModel
         assert _builtin_kind(OwnEval(A, eps=0.1)) is None
-        model = LinearModel(A)
-        model.eval = lambda x: x
-        assert _builtin_kind(model) is None
+        # An instance cannot replace a method: a built-in model is fixed.
+        with pytest.raises(AttributeError,
+                           match=r"^LinearModel\.eval is fixed"):
+            LinearModel(A).eval = lambda x: x
 
 
 class TestNoisyData:

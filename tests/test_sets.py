@@ -123,6 +123,66 @@ class TestSetBasics:
         assert not member(space, subspace, [3.0, 0.1])
 
 
+def fixed_set(kind, *arrays):
+    """A set of ``kind`` in R^4 with the point it moves in l^2, built from
+    the caller's ``arrays`` when given."""
+    if kind == "box":
+        lower, upper = arrays or (-np.ones(4), np.ones(4))
+        return Box(lower, upper), np.array([3.0, 0.0, 0.0, 0.0])
+    if kind == "ball":
+        center, = arrays or (np.zeros(4),)
+        return Ball(center, 1.0), np.array([3.0, 0.0, 0.0, 0.0])
+    support, = arrays or (np.array([0, 1]),)
+    return CoordinateSubspace(support), np.array([1.0, 2.0, 3.0, 4.0])
+
+
+class TestFixedAtConstruction:
+    """A set is fixed at construction, as a space is: its parameters are
+    checked once and stored, its arrays as read-only copies.  Assigning
+    one skipped the checks: in l^2 on R^4, ``Ball.radius = -1.0``
+    projected (3, 0, 0, 0) to (-1, 0, 0, 0), ``Box.lower = (2, 2, 2, 2)``
+    on [-1, 1]^4 projected it to (1, 1, 1, 1), and ``support = [-1, 2]``
+    on the span of e_0 and e_1 projected (1, 2, 3, 4) to (0, 0, 3, 0),
+    all without an error."""
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("box", "lower", np.full(4, 2.0)), ("box", "upper", np.zeros(4)),
+        ("ball", "center", np.ones(4)), ("ball", "radius", -1.0),
+        ("subspace", "support", np.array([-1, 2]))])
+    def test_assigning_a_parameter_raises(self, kind, name, value):
+        space = lp_space(4)
+        cset, x = fixed_set(kind)
+        built = bregman_project(space, cset, x)
+        cls = type(cset).__name__
+        with pytest.raises(AttributeError,
+                           match=rf"^{cls}\.{name} is fixed at construction"):
+            setattr(cset, name, value)
+        with pytest.raises(AttributeError, match=rf"^{cls}\.{name} is fixed"):
+            delattr(cset, name)
+        assert bregman_project(space, cset, x).tobytes() == built.tobytes()
+        assert not np.array_equal(built, x)
+
+    @pytest.mark.parametrize("kind,name", [
+        ("box", "lower"), ("box", "upper"), ("ball", "center"),
+        ("subspace", "support")])
+    def test_stored_arrays_are_read_only(self, kind, name):
+        array = getattr(fixed_set(kind)[0], name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+    @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
+    def test_a_write_into_the_callers_array_does_not_reach_it(self, kind):
+        space = lp_space(4)
+        arrays = {"box": (-np.ones(4), np.ones(4)), "ball": (np.zeros(4),),
+                  "subspace": (np.array([0, 1]),)}[kind]
+        cset, x = fixed_set(kind, *arrays)
+        built = bregman_project(space, cset, x)
+        for array in arrays:
+            array[:2] = (3, 2)
+        assert bregman_project(space, cset, x).tobytes() == built.tobytes()
+
+
 class TestHilbertClosedForms:
     def test_box_clamp(self):
         space = lp_space(2)

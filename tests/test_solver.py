@@ -170,26 +170,6 @@ class TestRunBehaviour:
         assert report.stopped_at_k == 5
         assert len(calls) == 1
 
-    def test_reassigned_eps_runs_as_built(self):
-        # lip was stored when the model was built: after eps = 0.05 the
-        # run took the products of eps = 0.05 with the ctilde and step
-        # sizes of L = 2 * 0.01.
-        A = np.diag([2.0, 2.5, 3.0, 3.5])
-        truth = np.array([0.4, -0.2, 0.5, 0.1])
-        reassigned = QuadraticModel(A, eps=0.01, cstab=0.5)
-        reassigned.eps = 0.05
-        built = QuadraticModel(A, eps=0.05, cstab=0.5)
-        assert reassigned.lip == built.lip == 0.1
-        data = NoisyData(built.eval(truth), 1e-3)
-        cfg = SolverConfig(eta=1e-3, eta_hat=4e-3)
-        got, want = (
-            run_algorithm1(lp_space(4), Box(-np.ones(4), np.ones(4)), model,
-                           data, np.zeros(4), cfg)
-            for model in (reassigned, built))
-        assert want.stop_reason == "DiscrepancyMet"
-        assert (got.stopped_at_k, got.stop_reason, got.x_final.tobytes()) \
-            == (want.stopped_at_k, want.stop_reason, want.x_final.tobytes())
-
     def test_infeasible_start_is_projected(self):
         space = lp_space(2)
         model = LinearModel(np.eye(2))
@@ -362,7 +342,7 @@ class TestTypedErrors:
 
     def test_model_without_in_dim_runs(self):
         class Doubling(ForwardModel):
-            out_dim = 2
+            out_dim, lip = 2, 0.0
 
             def eval(self, x):
                 return 2.0 * x
@@ -374,6 +354,29 @@ class TestTypedErrors:
         report = run_algorithm1(lp_space(2), WholeSpace(), Doubling(),
                                 NoisyData([1.0, 1.0], 0.0), np.zeros(2), cfg)
         assert report.stop_reason == "DiscrepancyMet"
+
+    def test_model_must_state_its_lip(self):
+        # ForwardModel.lip defaulted to 0.0: this F(x) = 2x + x*x/2, which
+        # states no lip, ran with c-tilde = 0 and the linear step rule and
+        # stopped DiscrepancyMet at K = 3, and compute_ctilde gave 0.0.
+        class Curved(ForwardModel):
+            out_dim = 2
+
+            def eval(self, x):
+                return 2.0 * x + 0.5 * x * x
+
+            def apply_adjoint(self, x, ystar):
+                return (2.0 + x) * ystar
+
+        data = NoisyData(Curved().eval(np.array([0.5, -0.25])), 1e-3)
+        steps = []
+        with pytest.raises(MissingStabilityConstant, match="states no lip"):
+            run_algorithm1(lp_space(2), WholeSpace(), Curved(), data,
+                           np.zeros(2), SolverConfig(eta=1e-3, eta_hat=4e-3),
+                           on_iteration=steps.append)
+        assert steps == []
+        with pytest.raises(MissingStabilityConstant, match="states no lip"):
+            compute_ctilde(lp_space(2), Curved())
 
     @pytest.mark.parametrize("ydelta", [[1.0], [1.0, 1.0], [[1.0, 1.0, 1.0]]])
     def test_ydelta_shape_must_match_outputs(self, ydelta):
@@ -412,12 +415,28 @@ class TestTypedErrors:
         assert f"has shape {shape}, expected (3,)" in str(exc.value)
 
 
-class WrongShape(LinearModel):
+class Delegate(ForwardModel):
+    """Exposes only ``eval`` and ``apply_adjoint`` of a model, with its
+    dimensions and constants, so the run calls both."""
+
+    def __init__(self, model):
+        self.model, self.out_dim = model, model.out_dim
+        self.in_dim, self.s, self.lip = model.in_dim, model.s, model.lip
+        self.lhat, self.cstab = model.lhat, model.cstab
+
+    def eval(self, x):
+        return self.model.eval(x)
+
+    def apply_adjoint(self, x, ystar):
+        return self.model.apply_adjoint(x, ystar)
+
+
+class WrongShape(Delegate):
     """A linear model whose ``method`` returns its value reshaped to
     ``shape``, as a Python float for ``()``."""
 
     def __init__(self, matrix, method, shape):
-        super().__init__(matrix)
+        super().__init__(LinearModel(matrix))
         self.method, self.shape = method, shape
 
     def _reshape(self, v, method):
@@ -672,12 +691,12 @@ def test_nonfinite_start_is_rejected(kind):
                        np.array([np.nan, 0.0, 0.2, 0.1]), cfg)
 
 
-class NaNAfter(LinearModel):
+class NaNAfter(Delegate):
     """A linear model whose evaluation (or adjoint) puts NaN in its first
     entry from call number ``after`` on."""
 
     def __init__(self, matrix, after, adjoint=False):
-        super().__init__(matrix)
+        super().__init__(LinearModel(matrix))
         self.after, self.adjoint, self.calls = after, adjoint, 0
 
     def _spoil(self, v):
@@ -884,22 +903,6 @@ def blocked_problem():
     return A, clean + eta * noise / np.linalg.norm(noise), eta
 
 
-class Delegate(ForwardModel):
-    """Exposes only ``eval`` and ``apply_adjoint`` of a model, with its
-    dimensions and constants, so the run calls both."""
-
-    def __init__(self, model):
-        self.model, self.out_dim = model, model.out_dim
-        self.in_dim, self.s, self.lip = model.in_dim, model.s, model.lip
-        self.lhat, self.cstab = model.lhat, model.cstab
-
-    def eval(self, x):
-        return self.model.eval(x)
-
-    def apply_adjoint(self, x, ystar):
-        return self.model.apply_adjoint(x, ystar)
-
-
 def builtin_problem(kind):
     """A built-in model of ``kind`` (linear, diagonal or quadratic) on
     R^4, within one block, with data and the truth behind them.  The
@@ -1062,27 +1065,6 @@ class TestResolvedProducts:
             assert own[0] > 0
             assert own == called
 
-    @pytest.mark.parametrize("model_kind,name,shape", [
-        ("linear", "matrix", (5, 4)), ("linear", "matrix", (4, 3)),
-        ("diagonal", "sigma", (5,)), ("quadratic", "matrix", (3, 3))])
-    def test_reassigned_parameter_raises_on_entry(self, model_kind, name,
-                                                  shape):
-        # Assigned after construction: a (5, 4) matrix raised
-        # DimensionMismatch from the check of eval's output, the others
-        # numpy's ValueError from the first product.
-        model, _, ydelta = builtin_problem(model_kind)
-        setattr(model, name, np.ones(shape))
-        steps = []
-        with pytest.raises(DimensionMismatch,
-                           match=rf"model\.{name} has shape "
-                                 rf"{re.escape(str(shape))}"):
-            run_algorithm1(lp_space(4), WholeSpace(), model,
-                           NoisyData(ydelta, 0.0), np.zeros(4),
-                           SolverConfig(eta=0.0, eta_hat=1e-12,
-                                        max_iterations=5),
-                           on_iteration=steps.append)
-        assert steps == []
-
     @pytest.mark.parametrize("r", [2.0, 3.0])
     def test_called_model_receives_the_data_duality_map(self, r):
         # The fold of J_y is for built-in models only: apply_adjoint of a
@@ -1109,70 +1091,3 @@ class TestResolvedProducts:
             assert np.signbit(R[2]) and R[2] == 0.0
             assert ystar.tobytes() == duality_map(y_space, R).tobytes()
             assert not np.signbit(ystar[2])
-
-
-class TestProjectionResolvedPerRun:
-    """A run resolves the projection once and the set keeps nothing of
-    it: a parameter assigned between two runs, or before a
-    ``bregman_project`` call, projects with its new value, and one whose
-    shape does not fit raises DimensionMismatch on entry."""
-
-    @staticmethod
-    def set_and_values(kind):
-        """A set of ``kind``, new values for its parameters, and a set
-        built with those values."""
-        if kind == "box":
-            new = {"lower": np.full(4, -0.1), "upper": np.full(4, 0.2)}
-            return (Box([-0.2, -1.0, 0.1, -1.0], [1.0, 0.3, 1.0, 1.0]), new,
-                    Box(new["lower"], new["upper"]))
-        if kind == "ball":
-            new = {"center": np.array([-0.3, 0.1, 0.0, 0.2]), "radius": 0.25}
-            return (Ball(np.array([0.2, -0.1, 0.3, 0.0]), 0.6), new,
-                    Ball(new["center"], new["radius"]))
-        built = CoordinateSubspace([1, 3])
-        return CoordinateSubspace([0, 2, 3]), {"support": built.support}, \
-            built
-
-    @pytest.mark.parametrize("r,p", [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)])
-    @pytest.mark.parametrize("kind", ["box", "ball", "subspace"])
-    def test_assigned_parameter_takes_effect(self, kind, r, p):
-        space = lp_space(4, r=r, p=p)
-        model, _, ydelta = kernel_problem(False)
-        x0 = np.array([0.9, 0.8, -0.7, 0.6])
-        cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12)
-
-        def run(cset):
-            return state_bytes(run_algorithm1(space, cset, model,
-                                              NoisyData(ydelta, 0.0), x0,
-                                              cfg))
-
-        cset, new, built = self.set_and_values(kind)
-        first, projected = run(cset), bregman_project(space, cset, x0)
-        for name, value in new.items():
-            setattr(cset, name, value)
-        assert bregman_project(space, cset, x0).tobytes() == \
-            bregman_project(space, built, x0).tobytes() != projected.tobytes()
-        assert run(cset) == run(built) != first
-
-    @pytest.mark.parametrize("kind,name,value", [
-        ("box", "lower", np.zeros(3)), ("box", "upper", np.ones(5)),
-        ("ball", "center", np.zeros(3)),
-        ("subspace", "support", np.array([0, 4]))])
-    def test_assigned_shape_raises_on_entry(self, kind, name, value):
-        cset = self.set_and_values(kind)[0]
-        space = lp_space(4, r=3.0)
-        model, _, ydelta = kernel_problem(False)
-        x0 = np.array([0.9, 0.8, -0.7, 0.6])
-        run_algorithm1(space, cset, model, NoisyData(ydelta, 0.0), x0,
-                       SolverConfig(eta=0.0, eta_hat=1e-12,
-                                    max_iterations=2))
-        setattr(cset, name, value)
-        with pytest.raises(DimensionMismatch):
-            bregman_project(space, cset, x0)
-        steps = []
-        with pytest.raises(DimensionMismatch):
-            run_algorithm1(space, cset, model, NoisyData(ydelta, 0.0), x0,
-                           SolverConfig(eta=0.0, eta_hat=1e-12,
-                                        max_iterations=5),
-                           on_iteration=steps.append)
-        assert steps == []
