@@ -185,8 +185,16 @@ class Fixed:
     a ``fixed_array``, with ``vars(self).update``, which does not pass
     through ``__setattr__``.  Assigning or deleting any attribute
     afterwards raises AttributeError naming the class and the attribute:
-    a new value means a new object.
+    a new value means a new object.  A copy (``copy.deepcopy``, pickle)
+    is fixed as well: its arrays, which come back writable, are made
+    read-only before they are stored.
     """
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__}.{name} is fixed at "

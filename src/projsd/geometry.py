@@ -117,6 +117,12 @@ class SpaceGeometry:
                             ("Cp", cp), ("Gq", gq)):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        """A copy (``copy.deepcopy``, pickle) is built by the constructor,
+        so its weights are read-only and nothing resolved is carried."""
+        return type(self), (self.dim, self.r, self.p, self.weights, self.Cp,
+                            self.Gq)
+
     @cached_property
     def q(self) -> float:
         """Conjugate exponent of the gauge, 1/p + 1/q = 1.  Worked out

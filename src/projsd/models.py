@@ -202,7 +202,10 @@ class QuadraticModel(Fixed, ForwardModel):
 
 
 #: Bytes of one row block of ``_row_block_products``: a block this size
-#: stays in a 2 MiB L2 cache from its first read to its second.
+#: stays in a 2 MiB L2 cache from its first read to its second.  The pass
+#: walks the blocks in the reverse of the last pass's order, so it starts
+#: with the blocks still in cache, and sums T in row order, so its bits
+#: are those of the forward pass.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -226,28 +229,39 @@ def _row_block_products(matrix, eps, ydelta, phi):
     ``gradient(x, R, rk)`` returns that T: the run calls it with the x,
     the R and the norm of the last residual, which it does not read.
 
-    Each block A_b gives R_b and adds ``phi(R_b) @ A_b`` to T while A_b
-    is still in cache; the term ``2 eps x phi(R)`` comes once at the end.
-    OpenBLAS works out four rows of a product at a time, so blocks that
-    start at multiples of 4 give R the bits of one product with the whole
-    matrix, as long as that product runs on one thread.  T sums by block,
-    so its last bits differ from those of one product.
+    Each block A_b gives R_b and its term ``phi(R_b) @ A_b`` of T while
+    A_b is still in cache; the term ``2 eps x phi(R)`` comes once at the
+    end.  Each call walks the blocks in the reverse of the previous
+    call's order ("snake" order), so it starts with the blocks the last
+    call read most recently, which a least-recently-used cache smaller
+    than the matrix still holds.  T adds the block terms to zeros in row
+    order whatever the walk's order, so R and T have the bits of a
+    forward pass on every call.  OpenBLAS works out four rows of a product
+    at a time, so blocks that start at multiples of 4 give R the bits of
+    one product with the whole matrix, as long as that product runs on
+    one thread.  T sums by block, so its last bits differ from those of
+    one product.
     """
-    blocks = [(matrix[b], b) for b in _row_blocks(matrix.shape)]
+    blocks = [(i, matrix[b], b)
+              for i, b in enumerate(_row_blocks(matrix.shape))]
     m, n = matrix.shape
     T = None
 
     def residual(x):
         nonlocal T
-        R, T = np.empty(m), np.zeros(n)
+        R, terms = np.empty(m), [None] * len(blocks)
         square = None if eps is None else eps * x ** 2
-        for Ab, b in blocks:
+        for i, Ab, b in blocks:
             Rb = R[b]
             np.matmul(x, Ab.T, out=Rb)
             if eps is not None:
                 Rb += square[b]
             Rb -= ydelta[b]
-            T += phi(Rb) @ Ab
+            terms[i] = phi(Rb) @ Ab
+        blocks.reverse()
+        T = np.zeros(n)
+        for term in terms:
+            T += term
         if eps is not None:
             T += 2.0 * eps * x * phi(R)
         return R

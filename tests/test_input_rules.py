@@ -1,16 +1,21 @@
 """Every stated scalar of the library goes through one of the input rules
 of ``projsd.errors``: a finite real that is positive or nonnegative, an
-integer >= 1, a seed (an integer >= 0), or an exponent in (1, inf)."""
+integer >= 1, a seed (an integer >= 0), or an exponent in (1, inf).  What
+is built from checked input stays fixed, a copy of it too."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from projsd import (Ball, DiagonalLinearModel, Level, LinearModel, NoisyData,
-                    QuadraticModel, Schedule, SolverConfig, SpaceGeometry,
-                    certify_constants, example_schedule, lp_space)
+from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel, Level,
+                    LinearModel, NoisyData, QuadraticModel, Schedule,
+                    SolverConfig, SpaceGeometry, bregman_project,
+                    certify_constants, duality_map, example_schedule,
+                    lp_space, norm)
 
 
 def schedule_field(name):
@@ -159,3 +164,44 @@ def test_int_beyond_float_range_is_refused(store, prefix):
         message = f"^{re.escape(f'{prefix} = {value!r} ')}"
         with pytest.raises(ValueError, match=message):
             store(value)
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["deepcopy", "pickle"])
+def test_a_copy_stays_fixed(copy_of):
+    # A copy's arrays came back writable: the copy of Box([0, 0], [1, 1])
+    # took lower[0] = 5.0, above its upper bound, without an error.  A
+    # space whose duality map had been resolved could not be pickled.
+    space = lp_space(4, weights=[1.0, 2.0, 3.0, 4.0])
+    x, y = np.array([3.0, -0.5, 0.2, 1.0]), np.array([1.0, -2.0, 0.5, 3.0])
+    A = np.diag([2.0, 2.5, 3.0, 3.5]) + 0.1
+    diagonal = DiagonalLinearModel([2.0, 2.5, 3.0, 3.5])
+    diagonal.matrix  # built on first read, and copied with the model
+    duality_map(space, x)  # resolved on first use, and copied too
+
+    def projects(cset):
+        return bregman_project(space, cset, x).tobytes()
+
+    def evaluates(model):
+        return model.eval(x).tobytes(), model.apply_adjoint(x, y).tobytes()
+
+    def maps(geometry):
+        return (norm(geometry, x), duality_map(geometry, x).tobytes(),
+                geometry.dual().weights.tobytes())
+
+    for value, behaviour in [
+            (Box(-np.ones(4), np.ones(4)), projects),
+            (Ball(np.full(4, 0.5), 1.0), projects),
+            (CoordinateSubspace([0, 2]), projects),
+            (LinearModel(A), evaluates), (diagonal, evaluates),
+            (QuadraticModel(A, eps=0.05), evaluates), (space, maps)]:
+        copied = copy_of(value)
+        arrays = {name: array for name, array in vars(copied).items()
+                  if isinstance(array, np.ndarray)}
+        assert arrays
+        for name, array in arrays.items():
+            assert not array.flags.writeable, (type(value).__name__, name)
+            with pytest.raises(AttributeError):
+                setattr(copied, name, array)
+        assert behaviour(copied) == behaviour(value)

@@ -313,7 +313,7 @@ class TestRowBlockProducts:
         ("linear", 324, 400),   # exactly one block
         ("linear", 328, 400),   # one block plus 4 rows
         ("linear", 325, 400),   # one block plus 1 row, which joins it
-        ("linear", 700, 300),   # m != n, three blocks
+        ("linear", 700, 300),   # m != n, two blocks
         ("linear", 401, 400),   # m not a multiple of 4
         ("quadratic", 364, 364),
         ("quadratic", 401, 401),
@@ -338,6 +338,40 @@ class TestRowBlockProducts:
         assert np.array_equal(R, model.eval(x) - ydelta)
         want = model.apply_adjoint(x, phi(R))
         assert np.linalg.norm(T - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind,m,n", [
+        ("linear", 700, 300),       # two blocks
+        ("linear", 1000, 300),      # three blocks
+        ("quadratic", 401, 401),    # two blocks
+        ("quadratic", 700, 700)])   # four blocks
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_each_walk_has_the_forward_pass_bits(self, kind, m, n, s):
+        # Each call walks the blocks in the reverse of the last call's
+        # order.  Four calls run each order twice, and each gives the bits
+        # of a forward pass with T summed in row order.  With two blocks
+        # the order of the sum cannot move a bit (0 + a + b = 0 + b + a);
+        # with three or more it can.
+        model = dense(kind, m, n)
+        A = model.matrix
+        eps = None if kind == "linear" else model.eps
+        rng = np.random.default_rng(m + n)
+        ydelta = rng.standard_normal(m)
+        phi = lp_space(m, r=s, p=s)._kernels[0]
+        residual, gradient = _row_block_products(A, eps, ydelta, phi)
+        for x in rng.standard_normal((4, n)):
+            R, want = residual(x), np.zeros(n)
+            T = gradient(x, R, float(np.linalg.norm(R)))
+            forward = np.empty(m)
+            for b in _row_blocks(A.shape):
+                forward[b] = x @ A[b].T
+                if eps is not None:
+                    forward[b] += (eps * x ** 2)[b]
+                forward[b] -= ydelta[b]
+                want += phi(forward[b]) @ A[b]
+            if eps is not None:
+                want += 2.0 * eps * x * phi(forward)
+            assert R.tobytes() == forward.tobytes()
+            assert T.tobytes() == want.tobytes()
 
     def test_row_blocks(self):
         # 1 MiB holds 324 rows of 400 floats and 128 rows of 1024.
