@@ -385,22 +385,15 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
                  ydelta=ydelta, reference=ref)
 
 
-def _check_nesting(levels, errors):
-    """Coordinate-subspace levels, and box levels, must be nested
-    coarse-to-fine: each inside the next one of its kind."""
-    supports = [set(lv.cset.support.tolist()) for lv in levels
-                if isinstance(lv.cset, CoordinateSubspace)]
-    for n in range(len(supports) - 1):
-        if not supports[n] <= supports[n + 1]:
-            errors.append(
-                f"levels[{n}].set: subspace supports must be nested, "
-                f"support of level {n} is not contained in level {n + 1}")
-    boxes = [(n, lv.cset) for n, lv in enumerate(levels)
-             if isinstance(lv.cset, Box)]
-    for (n, inner), (m, outer) in zip(boxes, boxes[1:]):
-        if inner.lower.shape == outer.lower.shape and not (
-                np.all(outer.lower <= inner.lower)
-                and np.all(inner.upper <= outer.upper)):
+def _check_nesting(levels, dim, errors):
+    """Box and coordinate-subspace levels must be nested coarse-to-fine:
+    each inside the next level of either kind, by their bounds as boxes
+    in R^dim (a subspace is (-inf, inf) on its support and [0, 0] off
+    it)."""
+    coords = [(n, lv.cset._bounds(dim)) for n, lv in enumerate(levels)
+              if isinstance(lv.cset, (Box, CoordinateSubspace))]
+    for (n, (lo, hi)), (m, (outer_lo, outer_hi)) in zip(coords, coords[1:]):
+        if not (np.all(outer_lo <= lo) and np.all(hi <= outer_hi)):
             errors.append(
                 f"levels[{n}].set: boxes must be nested, [lower, upper] of "
                 f"level {n} is not contained in level {m}")
@@ -510,8 +503,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                                   space, check_theorems)
                 if lv is not None:
                     levels.append(lv)
-            if len(levels) == len(lv_raw):
-                _check_nesting(levels, errors)
+            # Without a space the bounds are not compared.
+            if space is not None and len(levels) == len(lv_raw):
+                _check_nesting(levels, space.dim, errors)
 
     schedule = _parse_example_schedule(top.get("schedule"), space, errors)
     if errors:

@@ -17,11 +17,18 @@ problem are those of the gauge-r problem at a rescaled point:
 
 Each set therefore implements only ``P_r``, whose objective
 ``(1/r) sum_i w_i |y_i|**r - <J_r(z), y>`` separates by coordinate, and
-one shared scalar root finds ``s`` when ``p != r``:
+when ``p != r`` one shared scalar root finds ``s`` unless the set is a
+cone:
 
 - ``Box``: ``P_r`` is the coordinate clamp, for any weights.
-- ``CoordinateSubspace``: ``P_r`` is truncation.  The subspace is a cone,
-  so ``s`` has a closed form as well.
+- ``CoordinateSubspace``: ``P_r`` is truncation.  A subspace is a box by
+  its bounds (``_bounds``): (-inf, inf) on its support, [0, 0] off it.
+  Both kinds rescale in one home, ``_coordinate_projector``.  On a cone
+  (every subspace, and every box whose bounds are all 0 or +-inf) P_r
+  is 1-homogeneous, so ``s`` has a closed form; any other box takes the
+  root.  Either reads the norm ratio exactly also where a norm or the
+  ratio underflows or overflows, so only a ``P_r(x)`` that is exactly 0
+  is not rescaled.
 - ``Ball``: a radial shrink when the center is 0 (for every gauge) or
   r = 2.  Otherwise the same root search finds the one multiplier
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
@@ -40,17 +47,17 @@ one shared scalar root finds ``s`` when ``p != r``:
 Every bracket expansion and scalar search stops after a fixed number of
 steps and raises ``NonConvergence`` if it has not converged by then.  No
 state survives a call, so equal inputs give bit-identical outputs.  A
-ball's radius and the point to project follow the input rules of README
-("Input rules").
+ball's radius, a subspace's support and the point to project follow the
+input rules of README ("Input rules").
 
 ``Box``, ``Ball`` and ``CoordinateSubspace`` are fixed at construction,
 as a space is: each parameter is checked once and stored, an array as a
 read-only copy, and assigning any attribute raises AttributeError, so a
 new value means a new set.  A run resolves its projection once
 (``_projection``): the finiteness test of the point, then the set's P
-(``_projector``) with its branches on the space (p = r, a centred ball,
-r = 2) and its parameters bound, and every norm taken with the space's
-resolved one-vector norm.
+(``_projector``) with its branches on the space and the set (p = r, a
+cone, a centred ball, r = 2) and its parameters bound, and every norm
+taken with the space's resolved one-vector norm.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, Fixed, NonConvergence, NonFiniteInput,
-                     fixed_array, real, vector)
+from .errors import (_REAL, DimensionMismatch, Fixed, NonConvergence,
+                     NonFiniteInput, _number, fixed_array, real, vector)
 from .geometry import SpaceGeometry, _array_power, bregman_distance
 
 __all__ = [
@@ -76,16 +83,18 @@ __all__ = [
 # Step cap of every bracket expansion and scalar search.  A bisection
 # needs ~60 halvings from its first bracket down to rounding, and on
 # random sets, exponents r in [1.1, 6] and inputs of size 1e-4 to 1e5
-# the searches stay below 100 steps.  The cap is reached in two known
-# cases.  A joint-search trial at a multiplier near exp(700) on a ball
+# the searches stay below 100 steps.  The cap is reached in one known
+# case: a joint-search trial at a multiplier near exp(700) on a ball
 # whose centre has a zero entry bisects, in its coordinate solve, toward
 # a root below the subnormals; the joint search counts the NonConvergence
-# as a missed trial.  And far from a ball, the nested searches' coordinate
-# solve can exhaust the cap before its bracket closes to a few ulps: in
-# lp_space(4, r=1.25, p=4.0), 49 of the 200 seeded points of
-# test_nested_ball_searches_raise_no_overflow_warning raise
-# NonConvergence so, all at max |x_i| >= 2.1e15, while other points up
-# to 8.3e17 project.
+# as a missed trial.  Far from a ball, the nested searches' coordinate
+# solve reached it too, where a multiplier of 1e35 and more puts the root
+# within rounding of c_i and the Newton point rounded onto c_i, outside
+# the open bracket; that point now moves one float toward z_i.  In
+# lp_space(4, r=1.25, p=4.0), 169 of the 200 seeded points of
+# test_nested_ball_searches_raise_no_overflow_warning project, and each
+# of the other 31 raises the outer search's NonConvergence at the end of
+# the float range (151 projected, and 49 capped a coordinate solve).
 _MAX_STEPS = 200
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -148,6 +157,10 @@ class Box(Fixed, ConvexSet):
                 f"Box lower and upper have shape {self.lower.shape}, the "
                 f"space needs ({space.dim},)")
 
+    def _bounds(self, dim):
+        """``(lower, upper)``, the box's own bounds."""
+        return self.lower, self.upper
+
     def _projector(self, space):
         lower, upper = self.lower, self.upper
         maximum, minimum = np.maximum, np.minimum
@@ -157,9 +170,7 @@ class Box(Fixed, ConvexSet):
             wrapper."""
             return minimum(maximum(z, lower), upper)
 
-        if space.p == space.r:
-            return clamp
-        return lambda x: _gauge_p_projection(space, clamp, x)
+        return _coordinate_projector(space, clamp, lower, upper)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -254,17 +265,17 @@ class CoordinateSubspace(Fixed, ConvexSet):
     """Span of a subset of coordinate axes."""
 
     def __init__(self, support):
-        support = list(support)
-        # float(True) is 1.0, an integer: a bool is refused on its own.
-        if not all(not isinstance(i, (bool, np.bool_))
-                   and float(i).is_integer() for i in support):
-            raise ValueError(f"support indices {support} must be integers")
-        vars(self).update(support=fixed_array(
-            sorted(set(int(i) for i in support)), int))
-        if self.support.size == 0:
+        # An index is an integral real below 2**63 (int64): a bool, a str,
+        # None or a list is not, and float(True) is 1.0, an integer.
+        items = list(support) if np.iterable(support) else [None]
+        if not all(v is not None and v.is_integer() and 0.0 <= v < 2.0 ** 63
+                   for v in [_number(i, _REAL, float) for i in items]):
+            raise ValueError(
+                f"support = {support!r} must be integers in [0, 2**63)")
+        if not items:
             raise ValueError("support must be nonempty")
-        if np.any(self.support < 0):
-            raise ValueError("support indices must be nonnegative")
+        vars(self).update(support=fixed_array(
+            sorted(set(int(i) for i in items)), int))
 
     def _check_fits(self, space):
         if self.support[-1] >= space.dim:
@@ -272,11 +283,14 @@ class CoordinateSubspace(Fixed, ConvexSet):
                 f"CoordinateSubspace support {self.support.tolist()} has "
                 f"an index >= {space.dim}, the space dimension")
 
+    def _bounds(self, dim):
+        """``(lower, upper)`` of the subspace as a box in R^dim: (-inf, inf)
+        on the support and [0, 0] off it."""
+        upper = np.where(np.isin(np.arange(dim), self.support), np.inf, 0.0)
+        return -upper, upper
+
     def _projector(self, space):
-        # P_r is the truncation x_S: x on the support and +0.0 off it.  It
-        # is 1-homogeneous, so s = ||P_r(alpha x)|| = alpha ||x_S|| and the
-        # rescaling has the closed form
-        # alpha = (||x_S|| / ||x||) ** ((r - p) / (p - 1)).
+        # P_r is the truncation x_S: x on the support and +0.0 off it.
         off = np.setdiff1d(np.arange(space.dim), self.support)
 
         def truncate(x):
@@ -284,30 +298,51 @@ class CoordinateSubspace(Fixed, ConvexSet):
             xs[off] = 0.0
             return xs
 
-        if space.p == space.r:
-            return truncate
-        norm = space._vector_kernels[0]
-        e = (space.r - space.p) / (space.p - 1.0)
-
-        def project(x):
-            xs = truncate(x)
-            with np.errstate(over="ignore"):
-                ns, nx = norm(xs), norm(x)
-            if ns == 0.0:
-                return xs
-            if nx < np.inf:
-                return _finite((ns / nx) ** e * xs)
-            # ||x|| overflows.  The ratio does not change when x is scaled,
-            # and at max |x_i| = 1 ||x|| is in range; _log_ratio rescales
-            # an x_S whose norm then underflows.
-            m = float(np.max(np.abs(x)))
-            return _finite(math.exp(e * _log_ratio(space, xs / m,
-                                                   norm(x / m))) * xs)
-
-        return project
+        return _coordinate_projector(space, truncate,
+                                     *self._bounds(space.dim))
 
     def __repr__(self):
-        return f"CoordinateSubspace({list(self.support)})"
+        return f"CoordinateSubspace({self.support.tolist()})"
+
+
+def _coordinate_projector(space, project_r, lower, upper):
+    """P of a coordinate set, a box in R^dim with these bounds, from its
+    P_r (clamp, truncation).
+
+    At p = r, P is P_r.  Where every bound is 0 or +-inf the set is a
+    cone and P_r is 1-homogeneous, so ``s = ||P_r(alpha x)|| = alpha
+    ||P_r(x)||`` and the rescaling has the closed form
+    ``alpha = (||P_r(x)|| / ||x||) ** ((r - p) / (p - 1))``; any other box
+    takes the root search of ``_gauge_p_projection``.  Where a norm, the
+    ratio or alpha leaves the normal range, both take the ratio from
+    ``_log_ratio``, so such a norm is never read as a P_r(x) of 0: only a
+    P_r(x) that is exactly 0, the origin case, is not rescaled.
+    """
+    if space.p == space.r:
+        return project_r
+    if not all(np.all((b == 0.0) | np.isinf(b)) for b in (lower, upper)):
+        return lambda x: _gauge_p_projection(space, project_r, x)
+    norm, e = space._vector_kernels[0], (space.r - space.p) / (space.p - 1.0)
+    # Below ratio_low, alpha = ratio**e would underflow (e > 1).
+    low, ratio_low = _TINY ** (1.0 / space.r), _TINY ** (1.0 / max(e, 1.0))
+
+    def project(x):
+        y = project_r(x)
+        with np.errstate(over="ignore"):
+            ny, nx = norm(y), norm(x)
+        # ny <= nx: P_r moves each coordinate toward 0.
+        if ny >= low and nx < math.inf and ny / nx >= ratio_low:
+            return _finite((ny / nx) ** e * y)
+        t = _log_ratio(space, y, x, nx)
+        if t == -math.inf:
+            return y
+        # alpha = 2**(k + f): ldexp scales by 2**k exactly, so alpha y is
+        # in range wherever the projection is, though alpha may not be.
+        k, f = divmod(e * t / math.log(2.0), 1.0)
+        with np.errstate(over="ignore"):
+            return _finite(np.ldexp(2.0 ** f * y, int(k)))
+
+    return project
 
 
 def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
@@ -327,38 +362,32 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     the rescaled point overflow or underflow.  No trial takes an entry of
     ``e**(beta t) x`` past ``e**exp_max``.
     """
-    r, p = space.r, space.p
-    norm = space._vector_kernels[0]
     y0 = project_r(x)
     with np.errstate(over="ignore"):
-        nx = norm(x)
-    if nx == 0.0:
+        nx = space._vector_kernels[0](x)
+    if nx == 0.0 and not np.any(x):
         # At the origin the projection is the set's minimum-norm point,
         # the same for every gauge.
         return y0
-    # The search reads only norms relative to ||x||, which do not change
-    # when every point is divided by one m.  Where ||x|| overflows,
-    # m = max |x_i| brings it into range.
-    m = None
-    if nx == math.inf:
-        m = float(np.max(np.abs(x)))
-        nx = norm(x / m)
-    n0 = norm(y0 if m is None else y0 / m)
-    if n0 == 0.0 or n0 == nx:
-        # n0 = 0: J_r(x), and with it J_p(x), lies in the normal cone at 0.
-        # n0 = ||x||: alpha = 1 is the fixed point.
+    g0 = _log_ratio(space, y0, x, nx)
+    if g0 == -math.inf or g0 == 0.0:
+        # P_r(x) = 0: J_r(x), and with it J_p(x), lies in the normal cone at
+        # 0.  ||P_r(x)|| = ||x||: alpha = 1 is the fixed point.
         return y0
-    beta = (r - p) / (r - 1.0)
+    beta = (space.r - space.p) / (space.r - 1.0)
 
     def g(t):
-        y = project_r(math.exp(beta * t) * x)
-        return _log_ratio(space, y if m is None else y / m, nx) - t, y
+        a = math.exp(beta * t)
+        y = project_r(a * x)
+        h = _log_ratio(space, y, x, nx)
+        # P_r(a x) = 0, y0 being nonzero, only where a x underflows: with
+        # a > 0 the walk has passed the root, and g takes that side's sign.
+        return (h - t if h > -math.inf or a == 0.0 else -g0 * math.inf), y
 
     # The walk goes toward the root, the sign of g0.  Only a rescaling
     # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.
     # One that underflows to 0 is the origin case, where P_r(0) projects
     # every point that small, to rounding.
-    g0 = _log(n0 / nx)
     limit = math.inf
     if beta * g0 > 0.0:
         log_max = max(math.log(float(np.max(np.abs(x)))), 0.0)
@@ -388,18 +417,29 @@ def _log(v):
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def _log_ratio(space, y, n):
-    """``log(||y|| / n)``.  When ``sum_i w_i |y_i|**r`` leaves the normal
-    range, ``||y||`` loses its precision or underflows to 0, so a y that
-    tiny is first scaled to ``max |y_i| = 1``."""
-    norm = space._vector_kernels[0]
-    ny = norm(y)
-    if ny >= _TINY ** (1.0 / space.r):
-        return _log(ny / n)
-    m = float(np.max(np.abs(y)))
-    if m == 0.0:
+def _log_ratio(space, y, x, nx):
+    """``log(||y|| / ||x||)`` for x != 0, from the norm kernel's
+    ``nx = ||x||``; -inf only at y = 0.  For every ordinary point it is
+    the log of the ratio of the kernel's norms.  Where a sum
+    ``sum_i w_i |v_i|**r`` leaves the normal range, the kernel's norm
+    loses its precision, underflows to 0 or overflows, and where the
+    ratio does, it underflows or overflows; then the norms are taken as
+    ``||v|| = m_v ||v / m_v||`` with ``m_v = max |v_i|``, and
+    ``log(m_y / m_x)`` is a difference of logs only where that ratio too
+    leaves the normal range.  Where ``||x||`` overflows, y is not summed
+    unscaled, so its powers do not overflow either."""
+    norm, low = space._vector_kernels[0], _TINY ** (1.0 / space.r)
+    if low <= nx < math.inf:
+        ny = norm(y)
+        if low <= ny < math.inf and _TINY <= ny / nx < math.inf:
+            return math.log(ny / nx)
+    my, mx = float(np.max(np.abs(y))), float(np.max(np.abs(x)))
+    if my == 0.0:
         return -math.inf
-    return math.log(m) + math.log(norm(y / m)) - math.log(n)
+    q = my / mx
+    log_q = (math.log(q) if _TINY <= q < math.inf
+             else math.log(my) - math.log(mx))
+    return math.log(norm(y / my) / norm(x / mx)) + log_q
 
 
 def _root(g, g0, y0, t, limit):
@@ -533,7 +573,7 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
             y_new = None
         if y_new is not None:
             h1 = _log(norm(y_new - c) / radius)
-            h2 = _log_ratio(space, y_new, nx) - t_new / beta
+            h2 = _log_ratio(space, y_new, x, nx) - t_new / beta
             if max(abs(h1), abs(h2)) < err:
                 sigma, tau, y, g1, g2 = s_new, t_new, y_new, h1, h2
                 err = max(abs(g1), abs(g2))
@@ -602,7 +642,10 @@ def _solve_coordinates(z, c, lam, r, y):
     larger slope and in ``v = phi(y - c_i)`` otherwise.  In that variable
     the dominant term is linear and the other one has at most its slope.
     A coordinate bisects its bracket whenever its step leaves the bracket
-    or two Newton steps in a row did not halve the residual.
+    or two Newton steps in a row did not halve the residual.  A Newton
+    point that rounds onto c_i, as where lam is so large that the root
+    lies within rounding of c_i, moves one float toward z_i, into the
+    open bracket.
 
     The tolerance is a few ulps of ``|y_i| + |y_i - c_i|``, which is what
     ``||y||`` and ``||y - c||`` need.  A coordinate is done when its
@@ -621,6 +664,7 @@ def _solve_coordinates(z, c, lam, r, y):
     abs_b = phi_pow(np.abs(z))
     b = np.copysign(abs_b, z)
     lo, hi = np.minimum(z, c), np.maximum(z, c)
+    toward_z = np.nextafter(c, z)
     y = np.minimum(np.maximum(y, lo), hi)
     done = np.zeros(y.shape, dtype=bool)
     f_prev = np.full(y.shape, np.inf)    # finite after a Newton step only
@@ -655,6 +699,7 @@ def _solve_coordinates(z, c, lam, r, y):
                          phi_gap - f / (lam * (1.0 + ratio)))
             newton = (np.where(in_w, 0.0, c)
                       + np.copysign(inv_pow(np.abs(u)), u))
+            newton = np.where(newton == c, toward_z, newton)
             halved = abs_f <= 0.5 * f_prev
             short = np.abs(newton - y) < tol
             final = short & halved & (f_prev < np.inf)

@@ -8,9 +8,9 @@ import pytest
 import yaml
 
 import projsd.cli as cli_module
-from projsd import (CoordinateSubspace, Level, LinearModel, NonConvergence,
-                    Schedule, SchemaError, SolverConfig, WholeSpace,
-                    bregman_distance, lp_space, run_algorithm1,
+from projsd import (Box, CoordinateSubspace, Level, LinearModel,
+                    NonConvergence, Schedule, SchemaError, SolverConfig,
+                    WholeSpace, bregman_distance, lp_space, run_algorithm1,
                     run_multi_level, validate_transition)
 from projsd.cli import TRACE_HEADER, main, parse_config
 
@@ -23,6 +23,8 @@ BALL_L3_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                                "offcentre_ball_l3.yaml")
 SUBSPACE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                                 "subspace_linear_l3.yaml")
+SUBSPACE_L15_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
+                                    "subspace_l15.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -143,6 +145,41 @@ x0: [0.0, 0.0]
                 "lower: [-0.5, -1.0, 0.0], upper: [1.0, 1.0, 0.0]"))
         assert exc.value.errors == [
             "space.dim: dim = 0 must be an integer >= 1"]
+
+    def test_subspace_and_box_levels_nest_by_one_rule(self, tmp_path,
+                                                      capsys):
+        # Level 0's subspace, the axis R x {0}, is not inside level 1's box;
+        # the config validated.  A box inside the next subspace passes.
+        text = """
+mode: multilevel
+space: {dim: 2}
+epsilon: 1.0
+levels:
+  - {eta: 0.1, C: 1.0, L: 0.0, Lhat: 1.0,
+     set: {kind: subspace, support: [0]},
+     model: {kind: linear, matrix: [[1.0, 0.0], [0.0, 1.0]]},
+     data: {ydelta: [0.5, 0.5]}}
+  - {eta: 0.01, C: 2.0, L: 0.0, Lhat: 1.0,
+     set: {kind: box, lower: [-1.0, -1.0], upper: [1.0, 1.0]},
+     model: {kind: linear, matrix: [[1.0, 0.0], [0.0, 1.0]]},
+     data: {ydelta: [0.5, 0.5]}}
+solver: {etaHat: 0.05}
+x0: [0.0, 0.0]
+"""
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [
+            "levels[0].set: boxes must be nested, [lower, upper] of level 0 "
+            "is not contained in level 1"]
+        path = write(tmp_path, "subspace-then-box.yaml", text)
+        assert main(["run", path]) == 3
+        assert "boxes must be nested" in capsys.readouterr().err
+        inside = (text.replace("subspace, support: [0]", "box, lower: "
+                               "[-1.0, 0.0], upper: [1.0, 0.0]")
+                  .replace("box, lower: [-1.0, -1.0], upper: [1.0, 1.0]",
+                           "subspace, support: [0]"))
+        levels = parse_config(inside).levels
+        assert [type(lv.cset) for lv in levels] == [Box, CoordinateSubspace]
 
     def test_matrix_file_sidecar(self, tmp_path):
         np.savetxt(tmp_path / "A.csv", np.eye(2), delimiter=",")
@@ -436,6 +473,48 @@ class TestExecuteSingle:
             "iterations": 188, "monotonicityViolations": 0,
             "radiusOkAll": True, "strictBoundOkAll": True}
         assert len(calls) == 2 * (188 + 1)
+
+    def test_subspace_l15_example(self, tmp_path, monkeypatch):
+        # The committed subspace example at r = 1.5, p = 2 runs to exit 0
+        # with repeatable bytes and every theorem check holding.  Each of
+        # its 7 steps leaves the subspace, so each projection rescales the
+        # truncation, in closed form: the root search is not called.
+        import projsd.sets
+        projector = projsd.sets.CoordinateSubspace._projector
+        rescaled = []
+
+        def recording(self, space):
+            project = projector(self, space)
+
+            def compared(x):
+                y = project(x)
+                truncated = np.where(np.isin(np.arange(x.size),
+                                             self.support), x, 0.0)
+                rescaled.append(not np.array_equal(y, truncated))
+                return y
+            return compared
+
+        def not_called(*args):
+            raise AssertionError("the root search was called")
+
+        monkeypatch.setattr(projsd.sets.CoordinateSubspace, "_projector",
+                            recording)
+        monkeypatch.setattr(projsd.sets, "_gauge_p_projection", not_called)
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", SUBSPACE_L15_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        summary = yaml.safe_load(outputs[0][1])
+        assert summary["stopReason"] == "DiscrepancyMet"
+        assert summary["stoppedAtK"] == 7
+        assert summary["theoremChecks"] == {
+            "iterations": 7, "monotonicityViolations": 0,
+            "radiusOkAll": True, "strictBoundOkAll": True}
+        # The start, 0, is a member; each step's point is rescaled.
+        assert rescaled == 2 * ([False] + [True] * 7)
 
 
 class TestExecuteMultilevel:
