@@ -569,26 +569,26 @@ def _outputs(cfg):
         raise
 
 
-# One trace row; %s renders a float as repr() does.
-_TRACE_ROW = "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
 _FLAG = {None: "", True: "true", False: "false"}
 
 
 def _row_writer(fh):
     """An observer ``(level, state)`` that writes one CSV row per
     iteration to `fh`, after the header; without a file it writes
-    nothing."""
+    nothing.  Each field is converted with ``!s``, ``str()``, which for a
+    float is ``repr()``, its shortest round-trip form, and for an
+    ``np.float64`` its own ``str()``, as ``%s`` formats both."""
     if fh is None:
         return lambda level, st: None
     fh.write(TRACE_HEADER + "\n")
     write = fh.write
+    flag = _FLAG
 
     def row(level, st):
         breg = st.bregman_to_ref
-        write(_TRACE_ROW % (level, st.k, st.rk, st.tk, st.that_k, st.uk,
-                            st.vk, st.wk, st.muk,
-                            "" if breg is None else breg,
-                            _FLAG[st.radius_ok]))
+        write(f"{level!s},{st.k!s},{st.rk!s},{st.tk!s},{st.that_k!s},"
+              f"{st.uk!s},{st.vk!s},{st.wk!s},{st.muk!s},"
+              f"{'' if breg is None else breg!s},{flag[st.radius_ok]}\n")
     return row
 
 

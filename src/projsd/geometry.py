@@ -190,7 +190,9 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 # of the general formula, and a space resolves them once: phi and the
 # scale (``_kernels``), and one vector's norm and duality map
 # (``_vector_kernels``), which ``_norm`` and ``_duality_map`` hand one
-# vector to and a run calls directly:
+# vector to and a run calls directly.  One pair's Bregman distance is
+# resolved once per reference (``_bregman_to``), which a run with a
+# diagnostic reference calls on every step:
 # - Powers: for the exponents 1, 2, 0.5 and -1, numpy's power of an
 #   array (a 0-d one too) runs a copy, a square, a square root or a
 #   reciprocal, each correctly rounded.  The tables below run that
@@ -323,25 +325,35 @@ def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     return s[..., np.newaxis] * jx
 
 
-def _bregman_distance(space: SpaceGeometry, nrm, jx, xt, nrm_xt):
-    """The Bregman distance from x to a checked xt, given ``nrm = ||x||``,
-    ``jx = J_p(x)`` and ``nrm_xt = ||xt||``; a float for one pair."""
-    p = space.p
+def _bregman_to(space: SpaceGeometry, ref: np.ndarray, ref_nrm: float):
+    """``to_ref(x) -> (breg(x, ref), J_p(x))`` of one checked vector x, for
+    one checked vector ``ref`` of norm ``ref_nrm``, resolved once per
+    reference: the space's one-vector norm and duality map, ``(1/p)
+    ||ref||**p`` and the sum are bound.  The one home of one pair's
+    Bregman distance."""
+    norm, duality_map = space._vector_kernels
+    add, p, q = np.add.reduce, space.p, space.q
     try:
-        np_x = nrm ** p
+        np_ref = ref_nrm ** p
     except OverflowError:
-        np_x = math.inf
-    try:
-        np_xt = nrm_xt ** p
-    except OverflowError:
-        np_xt = math.inf
-    if jx.ndim == xt.ndim == 1:
-        # One pair: the batch branch in floats and without np.where.
-        val = np_xt / p + np_x / space.q - float(np.add.reduce(jx * xt))
-        return 0.0 if -1e-9 * (1.0 + np_x + np_xt) < val < 0.0 else val
-    val = np_xt / p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
-    floor = -1e-9 * (1.0 + np_x + np_xt)
-    return np.where((val < 0.0) & (val > floor), 0.0, val)
+        np_ref = math.inf
+    ref_term = np_ref / p
+
+    def to_ref(x):
+        nrm = norm(x)
+        jx = duality_map(x, nrm)
+        try:
+            np_x = nrm ** p
+        except OverflowError:
+            np_x = math.inf
+        # The batch formula of ``bregman_distance`` in floats, and its clip
+        # of a tiny negative round-off to 0.
+        val = ref_term + np_x / q - float(add(jx * ref))
+        if val < 0.0 and -1e-9 * (1.0 + np_x + np_ref) < val:
+            return 0.0, jx
+        return val, jx
+
+    return to_ref
 
 
 def norm(space: SpaceGeometry, x: np.ndarray):
@@ -376,9 +388,23 @@ def bregman_distance(space: SpaceGeometry, x: np.ndarray, xt: np.ndarray):
     """
     x = space.check_dim(x)
     xt = space.check_dim(xt)
+    if x.ndim == xt.ndim == 1:
+        return _bregman_to(space, xt, _norm(space, xt))(x)[0]
+    p = space.p
     nrm = _norm(space, x)
-    return _bregman_distance(space, nrm, _duality_map(space, x, nrm), xt,
-                             _norm(space, xt))
+    jx = _duality_map(space, x, nrm)
+    # One of x and xt may be one vector, whose norm is a float.
+    try:
+        np_x = nrm ** p
+    except OverflowError:
+        np_x = math.inf
+    try:
+        np_xt = _norm(space, xt) ** p
+    except OverflowError:
+        np_xt = math.inf
+    val = np_xt / p + np_x / space.q - np.add.reduce(jx * xt, axis=-1)
+    floor = -1e-9 * (1.0 + np_x + np_xt)
+    return np.where((val < 0.0) & (val > floor), 0.0, val)
 
 
 def certify_constants(space: SpaceGeometry, n_samples: int = 10_000,

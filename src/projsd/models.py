@@ -323,7 +323,7 @@ def _step_products(model, ydelta, y_space, dim):
         def residual(x):
             return sigma * x - ydelta
 
-        def adjoint(x, jy):
+        def adjoint(x, jy, rk=None):
             return jy * sigma
 
         return residual, _gradient(adjoint, y_space, model.s == 2.0)
@@ -338,7 +338,7 @@ def _step_products(model, ydelta, y_space, dim):
         def residual(x):
             return x @ at - ydelta
 
-        def adjoint(x, jy):
+        def adjoint(x, jy, rk=None):
             return jy @ matrix
     else:
         two_eps = 2.0 * eps
@@ -346,7 +346,7 @@ def _step_products(model, ydelta, y_space, dim):
         def residual(x):
             return x @ at + eps * x ** 2 - ydelta
 
-        def adjoint(x, jy):
+        def adjoint(x, jy, rk=None):
             return jy @ matrix + two_eps * x * jy
 
     return residual, _gradient(adjoint, y_space, model.s == 2.0)
@@ -362,15 +362,16 @@ def _gradient(adjoint, y_space, fold):
     and ``scale(rk) * R`` otherwise.  Dropping ``+ 0.0`` can flip only the
     sign of a zero entry of J_s, and so of the gradient T.  The run reads
     T in ``||T||`` and in ``J_p(x) - mu_k T``, where J_p(x) holds no -0.0
-    and +0.0 - (+-0.0) is +0.0, so neither reading moves by a bit."""
+    and +0.0 - (+-0.0) is +0.0, so neither reading moves by a bit.  A
+    built-in model's adjoint takes an rk that it does not read, so at
+    s = p = 2 the adjoint itself is the gradient, one closure."""
     jmap = y_space._vector_kernels[1]
     scale = y_space._kernels[1]
     if not fold:
         def gradient(x, R, rk):
             return adjoint(x, jmap(R, rk))
     elif scale is None:
-        def gradient(x, R, rk):
-            return adjoint(x, R)
+        return adjoint
     else:
         def gradient(x, R, rk):
             return adjoint(x, scale(rk) * R)

@@ -292,6 +292,10 @@ class CoordinateSubspace(Fixed, ConvexSet):
     def _projector(self, space):
         # P_r is the truncation x_S: x on the support and +0.0 off it.
         off = np.setdiff1d(np.arange(space.dim), self.support)
+        if not off.size:
+            # The whole space: x_S is x, and on a cone with ||x_S|| = ||x||
+            # the rescaling is by 1.0, so P is a copy, -0.0 entries kept.
+            return np.ndarray.copy
 
         def truncate(x):
             xs = x.copy()
@@ -321,7 +325,8 @@ def _coordinate_projector(space, project_r, lower, upper):
     if space.p == space.r:
         return project_r
     if not all(np.all((b == 0.0) | np.isinf(b)) for b in (lower, upper)):
-        return lambda x: _gauge_p_projection(space, project_r, x)
+        return lambda x: _gauge_p_projection(space, project_r, x,
+                                             bounds=(lower, upper))
     norm, e = space._vector_kernels[0], (space.r - space.p) / (space.p - 1.0)
     # Below ratio_low, alpha = ratio**e would underflow (e > 1).
     low, ratio_low = _TINY ** (1.0 / space.r), _TINY ** (1.0 / max(e, 1.0))
@@ -345,7 +350,7 @@ def _coordinate_projector(space, project_r, lower, upper):
     return project
 
 
-def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
+def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX, bounds=None):
     """For p != r (at p = r, P_p is P_r),
     ``P_p(x) = P_r(alpha * x)`` with ``alpha = e**(beta t)``, where
     ``t = log(s / ||x||)`` is the root of
@@ -360,7 +365,10 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
     along the ray) when beta > 0.  For gamma in [0, 1] the root lies
     beyond it, so the walk does not overshoot the root to where powers of
     the rescaled point overflow or underflow.  No trial takes an entry of
-    ``e**(beta t) x`` past ``e**exp_max``.
+    ``e**(beta t) x`` past ``e**exp_max``, except, for a box with
+    ``bounds = (lower, upper)``, an entry whose bound on its own side (the
+    upper for x_i > 0, the lower for x_i < 0) is finite: the clamp pins it
+    at that bound, also where the rescaled entry overflows to inf.
     """
     y0 = project_r(x)
     with np.errstate(over="ignore"):
@@ -376,22 +384,37 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX):
         return y0
     beta = (space.r - space.p) / (space.r - 1.0)
 
+    # The walk goes toward the root, the sign of g0.  Only a rescaling
+    # that overflows bounds it: e**(beta t) stays finite, and so does
+    # e**(beta t) x_i for every entry that P_r does not pin at a finite
+    # bound.  One that underflows to 0 is the origin case, where P_r(0)
+    # projects every point that small, to rounding.  Away from the walk's
+    # growing side every trial has e**(beta t) <= 1.
+    limit, m_x = math.inf, 0.0
+    if beta * g0 > 0.0:
+        abs_x = np.abs(x)
+        m_x = m_free = float(np.max(abs_x))
+        if bounds is not None:
+            lower, upper = bounds
+            side = np.where(x > 0.0, upper, -lower)
+            m_free = float(np.max(abs_x, where=side == math.inf,
+                                  initial=0.0))
+        log_max = math.log(m_free) if m_free > 1.0 else 0.0
+        limit = max(exp_max - log_max, 0.0) / abs(beta)
+
     def g(t):
         a = math.exp(beta * t)
-        y = project_r(a * x)
+        if a * m_x < math.inf:
+            y = project_r(a * x)
+        else:
+            # Only entries that the clamp pins at a bound overflow.
+            with np.errstate(over="ignore"):
+                y = project_r(a * x)
         h = _log_ratio(space, y, x, nx)
         # P_r(a x) = 0, y0 being nonzero, only where a x underflows: with
         # a > 0 the walk has passed the root, and g takes that side's sign.
         return (h - t if h > -math.inf or a == 0.0 else -g0 * math.inf), y
 
-    # The walk goes toward the root, the sign of g0.  Only a rescaling
-    # that overflows bounds it: e**(beta t) and e**(beta t) x stay finite.
-    # One that underflows to 0 is the origin case, where P_r(0) projects
-    # every point that small, to rounding.
-    limit = math.inf
-    if beta * g0 > 0.0:
-        log_max = max(math.log(float(np.max(np.abs(x)))), 0.0)
-        limit = max(exp_max - log_max, 0.0) / abs(beta)
     try:
         return _finite(
             _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
@@ -748,6 +771,9 @@ def _projection(space: SpaceGeometry, cset: ConvexSet):
     finite, as for entries near 1e200, is every entry tested.
     ``project`` raises NonFiniteInput if x holds NaN or +-inf."""
     P = cset._projector(space)
+    # np.vdot, not ``x @ x``: a sum that overflows makes matmul raise
+    # numpy's overflow RuntimeWarning, an error under warnings-as-errors,
+    # where vdot returns inf without a warning.
     vdot, isfinite = np.vdot, math.isfinite
 
     def project(x):

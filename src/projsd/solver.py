@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, EtaTooLarge,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, integer, real, vector)
-from .geometry import SpaceGeometry, _bregman_distance, _norm
+from .geometry import SpaceGeometry, _bregman_to, _norm
 from .models import ForwardModel, NoisyData, _step_products, data_space
 from .sets import ConvexSet, _projection, bregman_project
 
@@ -238,8 +238,10 @@ def step_rule(space: SpaceGeometry, lip: float, ctilde: float, eta: float):
         # Factored form from the two roots; better conditioned near them.
         lo_shift, hi_shift = lo - eta, hi - eta
 
+    isfinite = math.isfinite
+
     def rule(k, rk, tk):
-        if not math.isfinite(tk):
+        if not isfinite(tk):
             raise NonFiniteStep(
                 f"t_{k} = {tk} is not finite (residual {rk})")
         if tk == 0.0:
@@ -259,25 +261,18 @@ def step_rule(space: SpaceGeometry, lip: float, ctilde: float, eta: float):
             pref = pref_u * rk_pow
             # Equals (Gq/q) mu_k**q t_k**q, as the tests check.
             gain = inv_q * that_pow * uk ** p * rk_pow
-            step = (that, uk, pref * (rk - eta) - gain, weight * pref,
-                    pref_u * rk ** mu_exp, gain)
-            if all(map(math.isfinite, step)):
-                return step
+            vk = pref * (rk - eta) - gain
+            wk = weight * pref
+            muk = pref_u * rk ** mu_exp
+            if (isfinite(that) and isfinite(uk) and isfinite(vk)
+                    and isfinite(wk) and isfinite(muk) and isfinite(gain)):
+                return that, uk, vk, wk, muk, gain
         except (OverflowError, ZeroDivisionError):
             pass  # a power overflowed, or 0.0 took a negative one
         raise NonFiniteStep(f"the scalars of step {k} leave the float range "
                             f"(residual {rk}, t_{k} = {tk})")
 
     return rule
-
-
-def _bregman_to_ref(space: SpaceGeometry, x, ref, ref_nrm):
-    """``(breg(x, ref), J_p(x))`` of one vector x, given ``ref_nrm =
-    ||ref||``."""
-    norm, duality_map = space._vector_kernels
-    nrm = norm(x)
-    xstar = duality_map(x, nrm)
-    return _bregman_distance(space, nrm, xstar, ref, ref_nrm), xstar
 
 
 def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
@@ -366,7 +361,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
     rule = step_rule(space, lip, ctilde, eta)
     ref = config.diagnostic_reference
-    rho = breg = start_radius_ok = ref_nrm = xstar = None
+    rho = breg = start_radius_ok = xstar = None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
         rho = convergence_radius(space, lhat, ctilde, eta)
@@ -383,15 +378,15 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     # +0.0 when rounding to nearest.  There the map is skipped.
     hilbert = space.weights is None and space.r == space.p == 2.0
     q_over_p, two_over_p = space.q / space.p, 2.0 / space.p
-    k = 0
+    k, descent_sum = 0, 0.0
     # A non-finite norm, r_k, t_k, step scalar or projected point ends in a
     # typed stop, so numpy's overflow warnings, errors under
     # warnings-as-errors, are off from the start's diagnostics on; once
     # per run, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
         if ref is not None:
-            ref_nrm = _norm(space, ref)
-            breg, xstar = _bregman_to_ref(space, x, ref, ref_nrm)
+            to_ref = _bregman_to(space, ref, _norm(space, ref))
+            breg, xstar = to_ref(x)
             start_radius_ok = breg < rho
         report = RunReport(stopped_at_k=0, final_residual=math.nan,
                            x_final=x, stop_reason="MaxIterations",
@@ -431,7 +426,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
 
             breg_k, radius_ok = breg, None
             if ref is not None:
-                breg, xstar = _bregman_to_ref(space, x_next, ref, ref_nrm)
+                breg, xstar = to_ref(x_next)
                 descent = wk * breg_k ** two_over_p - vk
                 radius_ok = breg_k < rho
                 if not radius_ok:
@@ -443,7 +438,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
 
             # The strict-descent amount of the step is the gain with 1/p in
             # place of 1/q.
-            report.descent_sum += q_over_p * gain
+            descent_sum += q_over_p * gain
             emit(IterationState(k, x, xtilde, rk, tk, that, uk, vk, wk, muk,
                                 breg_k, radius_ok))
             x = x_next
@@ -451,5 +446,6 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
 
     report.stopped_at_k = k
     report.final_residual = rk
+    report.descent_sum = descent_sum
     report.x_final = x
     return report

@@ -1,6 +1,7 @@
 """Tests of config parsing and the command-line front-end."""
 
 import copy
+import math
 import os
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 import yaml
 
 import projsd.cli as cli_module
-from projsd import (Box, CoordinateSubspace, Level, LinearModel,
-                    NonConvergence, Schedule, SchemaError, SolverConfig,
-                    WholeSpace, bregman_distance, lp_space, run_algorithm1,
+from projsd import (Box, CoordinateSubspace, DiagonalLinearModel,
+                    IterationState, Level, LinearModel, NonConvergence,
+                    Schedule, SchemaError, SolverConfig, WholeSpace,
+                    bregman_distance, lp_space, run_algorithm1,
                     run_multi_level, validate_transition)
 from projsd.cli import TRACE_HEADER, main, parse_config
 
@@ -25,6 +27,8 @@ SUBSPACE_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                                 "subspace_linear_l3.yaml")
 SUBSPACE_L15_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
                                     "subspace_l15.yaml")
+CRITERION7_EXAMPLE = os.path.join(os.path.dirname(EXAMPLE),
+                                  "criterion7_multilevel.yaml")
 
 MINIMAL_SINGLE = """
 mode: single
@@ -561,6 +565,45 @@ class TestExecuteMultilevel:
         lines = (tmp_path / "ml.csv").read_text().splitlines()
         levels_seen = {line.split(",")[0] for line in lines[1:]}
         assert levels_seen == {"0", "1", "2", "3"}
+
+    def test_criterion7_example(self, tmp_path):
+        # The committed criterion-7 schedule: its levels are those of
+        # DiagonalLinearModel(sigma) as its header says, it runs to exit 0
+        # with repeatable bytes, per-level K = [1, 18, 86, 4502] and one
+        # trace row per step, each with a Bregman distance, and every
+        # theorem check holds.  Its last subspace covers the space.
+        with open(CRITERION7_EXAMPLE) as fh:
+            cfg = parse_config(fh.read())
+        sigma = np.exp(-np.arange(8))
+        model = DiagonalLinearModel(sigma)
+        assert cfg.eta_hat == 5e-3 and cfg.check_theorems
+        for level, m in zip(cfg.levels, [2, 4, 6, 8], strict=True):
+            support = list(range(m))
+            ref, eta = model.best_subspace_solution(sigma, support)
+            assert (level.eta, level.C, level.L, level.Lhat) == (
+                eta, model.subspace_stability_constant(support), 0.0, 1.0)
+            assert level.cset.support.tolist() == support
+            assert np.array_equal(level.model.sigma, sigma)
+            assert np.array_equal(level.ydelta, sigma)
+            assert np.array_equal(level.reference, ref)
+        outputs = []
+        for n in range(2):
+            trace, summary = tmp_path / f"t{n}.csv", tmp_path / f"s{n}.yaml"
+            assert main(["run", CRITERION7_EXAMPLE, "--quiet", "--trace",
+                         str(trace), "--summary", str(summary)]) == 0
+            outputs.append((trace.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+        summary = yaml.safe_load(outputs[0][1])
+        ks = [lv["K"] for lv in summary["perLevel"]]
+        assert summary["stopReason"] == "DiscrepancyMet"
+        assert ks == [1, 18, 86, 4502]
+        assert all(lv["theoremChecks"] == {
+            "iterations": lv["K"], "monotonicityViolations": 0,
+            "radiusOkAll": True, "strictBoundOkAll": True}
+            for lv in summary["perLevel"])
+        rows = outputs[0][0].decode().splitlines()[1:]
+        assert len(rows) == sum(ks) == 4607
+        assert all(row.split(",")[9] for row in rows)
 
     def test_example_reads_check_theorems(self, tmp_path):
         # checkTheorems adds each level's theoremChecks to the summary and
@@ -1811,6 +1854,37 @@ class TestStreamedOutputs:
                 eta=cfg.eta, eta_hat=cfg.eta_hat,
                 max_iterations=cfg.max_iterations,
                 diagnostic_reference=cfg.reference))
+
+    def test_row_writer_writes_the_percent_format_bytes(self):
+        # Each row is the one that "%d,%d,%s,...,%s\n" % (...) wrote, the
+        # format of earlier versions: a float in its shortest round-trip
+        # form, an np.float64 as its str(), inf and nan as "inf" and
+        # "nan", no distance when there is none, and the radius flag as
+        # "", "true" or "false".
+        import io
+        flag = {None: "", True: "true", False: "false"}
+        values = [-0.0, 5e-324, 1e-5, 1e16, math.inf, math.nan,
+                  np.float64(0.1), -2.5e-310, 1.0 / 3.0]
+        states = []
+        for n in range(len(values)):
+            scalars = [values[(n + i) % len(values)] for i in range(8)]
+            for breg in (None, scalars[-1]):
+                for radius_ok in (None, True, False):
+                    states.append(IterationState(n, None, None, *scalars[:7],
+                                                 breg, radius_ok))
+        fh = io.StringIO()
+        row = cli_module._row_writer(fh)
+        expected = [TRACE_HEADER + "\n"]
+        for level, st in enumerate(states):
+            row(level, st)
+            expected.append(
+                "%d,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\n" % (
+                    level, st.k, st.rk, st.tk, st.that_k, st.uk, st.vk,
+                    st.wk, st.muk,
+                    "" if st.bregman_to_ref is None else st.bregman_to_ref,
+                    flag[st.radius_ok]))
+        assert fh.getvalue() == "".join(expected)
+        assert "0.1" in fh.getvalue().split("\n")[1].split(",")
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="linear"),

@@ -400,6 +400,53 @@ class TestBregmanDistance:
         assert bregman_distance(space, x, ones) == math.inf
         assert bregman_distance(space, ones, x) == math.inf
 
+    @pytest.mark.parametrize("space", [
+        *(lp_space(4, r=r, p=p) for r, p in DEFAULT_CONSTANTS),
+        lp_space(4, r=1.5, weights=[0.5, 2.0, 1.0, 3.0]),
+        lp_space(4, r=1.25, p=4.0, Cp=0.1, Gq=10.0)],
+        ids=lambda sp: f"r{sp.r:g}-p{sp.p:g}"
+                       + ("" if sp.weights is None else "-weighted"))
+    def test_kernel_to_a_reference_gives_the_pair_bits(self, space):
+        # The kernel a run resolves once per reference returns the bits of
+        # the public Bregman distance and duality map, and of the formula
+        # on numpy scalars: at random points, at 0 of each sign, at x =
+        # ref and within a few ulps of it, where round-off below 0 is
+        # clipped, and where ||x||**p or ||ref||**p overflows (a float
+        # power that raises at r < p, an inf norm at r = p), with numpy's
+        # overflow warnings off as in a run.
+        rng = np.random.default_rng(35)
+        refs = rng.standard_normal((4, space.dim))
+        refs[3] = 1e160 * refs[3]
+        clipped = 0
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for ref in refs:
+                near = ref * np.array([[1.0], [1.0 + 1e-15], [1.0 - 1e-15],
+                                       [1.0 + 3e-16]])
+                xs = np.concatenate([
+                    rng.standard_normal((6, space.dim)), near,
+                    [np.zeros(space.dim), -np.zeros(space.dim),
+                     1e160 * rng.standard_normal(space.dim)]])
+                to_ref = geometry_module._bregman_to(space, ref,
+                                                     norm(space, ref))
+                for x in xs:
+                    breg, jx = to_ref(x)
+                    assert type(breg) is float
+                    assert np.float64(breg).tobytes() \
+                        == np.float64(bregman_distance(space, x, ref)
+                                      ).tobytes() \
+                        == general_bregman(space, x, ref).tobytes()
+                    assert jx.tobytes() == duality_map(space, x).tobytes()
+                for x in near:
+                    unclipped = (general_norm(space, ref) ** space.p
+                                 / space.p
+                                 + general_norm(space, x) ** space.p
+                                 / space.q
+                                 - np.sum(duality_map(space, x) * ref))
+                    if unclipped < 0.0:
+                        assert to_ref(x)[0] == 0.0
+                        clipped += 1
+        assert clipped > 0
+
     def test_hilbert_is_half_squared_distance(self):
         space = lp_space(4)
         rng = np.random.default_rng(4)

@@ -277,6 +277,30 @@ class TestFixedAtConstruction:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_matrix_starts_on_a_cache_line(self, kind):
+        # Wherever the caller's matrix lies, the stored copy starts on a
+        # 64-byte line, so with 8k columns every row does, and the run's
+        # products keep their bits.
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((24, 24))
+        x, ydelta = rng.standard_normal((2, 24))
+        raw = np.empty(A.size + 8)
+        y_space = lp_space(24)
+        outputs = set()
+        for shift in range(8):
+            given = raw[shift:shift + A.size].reshape(A.shape)
+            given[...] = A
+            model = LinearModel(given) if kind == "linear" \
+                else QuadraticModel(given, eps=0.3)
+            assert model.matrix.ctypes.data % 64 == 0
+            assert not model.matrix.flags.writeable
+            residual, gradient = _step_products(model, ydelta, y_space, 24)
+            R = residual(x)
+            T = gradient(x, R, norm(y_space, R))
+            outputs.add((R.tobytes(), T.tobytes()))
+        assert len(outputs) == 1
+
     @pytest.mark.parametrize("kind", ["linear", "diagonal", "quadratic"])
     def test_a_write_into_the_callers_array_does_not_reach_it(self, kind):
         array = (np.array([2.0, 2.5, 3.0, 3.5]) if kind == "diagonal"

@@ -767,6 +767,50 @@ class TestExactProjections:
             rtol=1e-12, atol=0.0)
         assert y[0] > 1e10 * x[0]
 
+    @pytest.mark.parametrize("r, p", [(1.5, 2.0), (3.0, 4.0)],
+                             ids=["r1.5-p2", "r3-p4"])
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_root_search_walk_ignores_entries_pinned_at_a_bound(self, r, p,
+                                                                row):
+        # [0, 1e300] x [0, 0] is not a cone.  The root rescales x by 1e200
+        # (1e210) and more, so e**(beta t) x_1 overflows, but the clamp pins
+        # x_1 at its finite upper bound 0; only x_0, whose bound 1e300 the
+        # rescaled x_0 never reaches, bounds the walk.  The walk's limit
+        # read x_1 too, and the search raised NonConvergence ("root outside
+        # floating-point range") where the cone [0, inf] x [0, 0] projects.
+        space = lp_space(2, r=r, p=p, Cp=0.3, Gq=2.0)
+        x, v15, v34 = self.RANGE_ENDS[row]
+        x = np.array(x)
+        y = bregman_project(space, Box([0.0, 0.0], [1e300, 0.0]), x)
+        np.testing.assert_allclose(
+            y, bregman_project(space, Box([0.0, 0.0], [np.inf, 0.0]), x),
+            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(y, [v15 if r == 1.5 else v34, 0.0],
+                                   rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("r, p, weights", [
+        (2.0, 2.0, None), (3.0, 3.0, None), (1.5, 2.0, None),
+        (1.5, 2.0, [0.5, 2.0, 1.0]), (3.0, 4.0, None)])
+    def test_full_support_subspace_projects_by_a_copy(self, r, p, weights):
+        # A subspace that covers every coordinate is the whole space: its
+        # truncation is x, rescaled in closed form by 1.0 where p != r.
+        # Its projection is a fresh copy with the bits of that truncation
+        # and rescaling, a -0.0 entry included, also where ||x||
+        # underflows or overflows.
+        space = lp_space(3, r=r, p=p, weights=weights,
+                         **({} if (r, p) in DEFAULT_CONSTANTS
+                            else {"Cp": 0.3, "Gq": 2.0}))
+        cset = CoordinateSubspace([2, 0, 1])
+        rescaled = projsd.sets._coordinate_projector(
+            space, np.ndarray.copy, *cset._bounds(space.dim))
+        for x in ([-0.0, 1.5, -2.0], [0.0, -0.0, 0.0], [1e-200, -0.0, 3e-170],
+                  [1e300, -1e300, -0.0], [5e-324, 1.0, -0.0]):
+            x = np.array(x)
+            y = bregman_project(space, cset, x)
+            assert not np.shares_memory(y, x)
+            assert y.tobytes() == rescaled(x).tobytes() == x.tobytes()
+        assert cset._projector(space) is np.ndarray.copy
+
     def test_root_search_past_a_rescaling_that_underflows(self):
         # r = 4, p = 2: P(x) = (0, x_1 (x_1 / x_0)**2) = (0, 1e-280).  The
         # walk's third trial rescales x by e**-700, where P_r(alpha x) = 0;
