@@ -37,12 +37,15 @@ cone:
   bracket.  Its powers take the exact shortcuts of ``geometry`` (at
   r = 3 a square, a square root and no power for the slope ratio; at
   r = 1.5 a square root and a square), which give numpy's bits for the
-  power.  With p != r that nests the search for lam inside the search
-  for s, so an off-centre ball first runs one joint Newton search in
-  ``(log(1 + lam), log(alpha))``: one coordinate solve per trial, and a
-  2x2 Jacobian from implicit differentiation of the coordinate
-  equations.  When it misses twice in a row or runs out of trials, the
-  nested searches project the point from scratch, as if it had not run.
+  power.  The solve is resolved once per point z (``_coordinate_solver``):
+  a search for lam at a fixed z binds phi(z) and the floats next to the
+  centre once for all its trials.  With p != r that nests the search for
+  lam inside the search for s, so an off-centre ball first runs one
+  joint Newton search in ``(log(1 + lam), log(alpha))``: one coordinate
+  solve per trial, at a z that moves, and a 2x2 Jacobian from implicit
+  differentiation of the coordinate equations.  When it misses twice in
+  a row or runs out of trials, the nested searches project the point
+  from scratch, as if it had not run.
 
 Every bracket expansion and scalar search stops after a fixed number of
 steps and raises ``NonConvergence`` if it has not converged by then.  No
@@ -215,6 +218,8 @@ class Ball(Fixed, ConvexSet):
             # every gauge.  At r = p = 2 it is the metric projection.
             return lambda x: shrink(x.copy())
 
+        newton_step = _newton_step(space, center)
+
         def project(x):
             x = x.copy()  # a point inside the ball is returned as itself
             with np.errstate(over="ignore"):
@@ -234,7 +239,7 @@ class Ball(Fixed, ConvexSet):
             nx = norm(x)
             if nx > 0.0:
                 y = _joint_ball_search(space, center, radius, x, nx,
-                                       math.log(gap / radius))
+                                       math.log(gap / radius), newton_step)
                 if y is not None:
                     return _finite(y)
             # Successive P_r solves of this call start from the last
@@ -302,6 +307,8 @@ class CoordinateSubspace(Fixed, ConvexSet):
             xs[off] = 0.0
             return xs
 
+        if space.p == space.r:
+            return truncate          # P is P_r: no bounds needed
         return _coordinate_projector(space, truncate,
                                      *self._bounds(space.dim))
 
@@ -536,16 +543,18 @@ def _ball_search(space, c, radius, z, dist, s, y):
     g0 = _log(dist / radius)
     if not g0 > 0.0:
         return 0.0, z                # on the sphere to rounding
+    solve = _coordinate_solver(z, c, r)
 
     def g(s):
         nonlocal y
-        y = _solve_coordinates(z, c, math.expm1(s), r, y)
+        y = solve(math.expm1(s), y)
         return _log(norm(y - c) / radius), y
 
-    return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0, _EXP_MAX)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _root(g, g0, z, s if s > 0.0 else (r - 1.0) * g0, _EXP_MAX)
 
 
-def _joint_ball_search(space, c, radius, x, nx, g1):
+def _joint_ball_search(space, c, radius, x, nx, g1, newton_step):
     """Gauge-p projection of x onto the ball for p != r, r != 2, or None.
 
     x is nonzero and outside the ball by ``g1 = log(||x - c|| / radius)``.
@@ -562,7 +571,7 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
     stops when both residuals are within their rounding.  Far from the
     ball, with x near the origin, the Newton model is poor; None after a
     second miss or ``_JOINT_TRIALS`` trials hands the projection to the
-    nested searches.
+    nested searches.  ``newton_step`` is ``_newton_step(space, c)``.
     """
     r, norm = space.r, space._vector_kernels[0]
     beta = (r - space.p) / (r - 1.0)
@@ -575,7 +584,7 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
     err, step = g1, None
     for _ in range(min(_JOINT_TRIALS, _MAX_STEPS)):
         if step is None:
-            newton = _newton_step(space, c, x, y, sigma, tau, beta, g1, g2)
+            newton = newton_step(x, y, sigma, tau, g1, g2)
             if newton is None:
                 return None
             d_sigma, d_tau, e1, e2 = newton
@@ -589,9 +598,11 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
             step, halved = (d_sigma, d_tau), False
         s_new = min(max(sigma + step[0], 0.0), _EXP_MAX)
         t_new = min(max(tau + step[1], -_EXP_MAX), tau_max)
+        solve = _coordinate_solver(math.exp(t_new) * x, c, r)
         try:
-            y_new = _solve_coordinates(math.exp(t_new) * x, c,
-                                       math.expm1(s_new), r, y)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                y_new = solve(math.expm1(s_new), y)
         except NonConvergence:
             y_new = None
         if y_new is not None:
@@ -610,11 +621,12 @@ def _joint_ball_search(space, c, radius, x, nx, g1):
     return None
 
 
-def _newton_step(space, c, x, y, sigma, tau, beta, g1, g2):
-    """``(d sigma, d tau, e1, e2)``: the Newton step of the joint ball
-    search at a solved point y, and the changes of G1 and G2 that y's
-    tolerance in the coordinate solve allows; None where the Jacobian is
-    singular or not finite.
+def _newton_step(space, c):
+    """``step(x, y, sigma, tau, g1, g2)``: ``(d sigma, d tau, e1, e2)``,
+    the Newton step of the joint ball search at a solved point y, and the
+    changes of G1 and G2 that y's tolerance in the coordinate solve
+    allows; None where the Jacobian is singular or not finite.  The
+    weights, powers and beta are bound once.
 
     Differentiating ``phi(y_i) + lam phi(y_i - c_i) = phi(alpha x_i)``
     with ``D_i = (r - 1)(|y_i|**(r-2) + lam |y_i - c_i|**(r-2))`` gives
@@ -626,37 +638,52 @@ def _newton_step(space, c, x, y, sigma, tau, beta, g1, g2):
     # Unit weights are an array of ones here: np.dot against it rounds
     # differently from np.add.reduce.
     r = space.r
-    w = np.ones(x.shape) if space.weights is None else space.weights
-    lam = math.expm1(sigma)
-    z = math.exp(tau) * x
-    gap = y - c
+    w = np.ones(space.dim) if space.weights is None else space.weights
+    beta = (r - space.p) / (r - 1.0)
     slope_pow, phi_pow = _array_power(r - 2.0), _array_power(r - 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        abs_y, abs_gap = np.abs(y), np.abs(gap)
-        d = (r - 1.0) * (slope_pow(abs_y) + lam * slope_pow(abs_gap))
-        inv_d = np.where((d > 0.0) & (d < np.inf), 1.0 / d, 0.0)
-        pow_y, pow_gap = phi_pow(abs_y), phi_pow(abs_gap)
-        phi_gap = np.copysign(pow_gap, gap)
-        dy_lam = -phi_gap * inv_d
-        dy_tau = (r - 1.0) * np.copysign(phi_pow(np.abs(z)), z) * inv_d
-        a_gap = w * phi_gap / np.dot(w, pow_gap * abs_gap)
-        a_y = w * np.copysign(pow_y, y) / np.dot(w, pow_y * abs_y)
-        j11 = (1.0 + lam) * np.dot(a_gap, dy_lam)
-        j12 = np.dot(a_gap, dy_tau)
-        j21 = (1.0 + lam) * np.dot(a_y, dy_lam)
-        j22 = np.dot(a_y, dy_tau) - 1.0 / beta
-        det = j11 * j22 - j12 * j21
-        d_sigma = (g2 * j12 - g1 * j22) / det
-        d_tau = (g1 * j21 - g2 * j11) / det
-    if not (math.isfinite(d_sigma) and math.isfinite(d_tau)):
-        return None
-    tol = 4.0 * _EPS * (abs_y + abs_gap)
-    return (d_sigma, d_tau, float(np.dot(np.abs(a_gap), tol)),
-            float(np.dot(np.abs(a_y), tol)))
+
+    def step(x, y, sigma, tau, g1, g2):
+        lam = math.expm1(sigma)
+        z = math.exp(tau) * x
+        gap = y - c
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            abs_y, abs_gap = np.abs(y), np.abs(gap)
+            d = (r - 1.0) * (slope_pow(abs_y) + lam * slope_pow(abs_gap))
+            inv_d = np.where((d > 0.0) & (d < np.inf), 1.0 / d, 0.0)
+            pow_y, pow_gap = phi_pow(abs_y), phi_pow(abs_gap)
+            phi_gap = np.copysign(pow_gap, gap)
+            dy_lam = -phi_gap * inv_d
+            dy_tau = (r - 1.0) * np.copysign(phi_pow(np.abs(z)), z) * inv_d
+            a_gap = w * phi_gap / np.dot(w, pow_gap * abs_gap)
+            a_y = w * np.copysign(pow_y, y) / np.dot(w, pow_y * abs_y)
+            j11 = (1.0 + lam) * np.dot(a_gap, dy_lam)
+            j12 = np.dot(a_gap, dy_tau)
+            j21 = (1.0 + lam) * np.dot(a_y, dy_lam)
+            j22 = np.dot(a_y, dy_tau) - 1.0 / beta
+            det = j11 * j22 - j12 * j21
+            d_sigma = (g2 * j12 - g1 * j22) / det
+            d_tau = (g1 * j21 - g2 * j11) / det
+        if not (math.isfinite(d_sigma) and math.isfinite(d_tau)):
+            return None
+        tol = 4.0 * _EPS * (abs_y + abs_gap)
+        return (d_sigma, d_tau, float(np.dot(np.abs(a_gap), tol)),
+                float(np.dot(np.abs(a_y), tol)))
+
+    return step
 
 
-def _solve_coordinates(z, c, lam, r, y):
-    """Solve ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)`` for every i.
+# The scalar operands of the coordinate solve as read-only 0-d arrays: a
+# ufunc takes one faster than a Python float, with the same bits.  _FLOOR
+# is the floor of its tolerances, the smallest normal number.
+_ZERO, _HALF, _ONE, _INF, _FOUR_EPS, _FLOOR = (
+    fixed_array(v) for v in (0.0, 0.5, 1.0, math.inf, 4.0 * _EPS, _TINY))
+
+
+def _coordinate_solver(z, c, r):
+    """``solve(lam, y)``: solve ``phi(y_i) + lam * phi(y_i - c_i) =
+    phi(z_i)`` for every i, started from y, with what depends on z, c and
+    r alone resolved once: the powers, ``b = phi(z)`` and ``|b|`` and
+    ``nextafter(c, z)``.
 
     The left side increases in y_i, so the root lies between c_i and z_i.
     Vectorised Newton starts from y.  phi' is infinite (r < 2) or zero
@@ -680,18 +707,29 @@ def _solve_coordinates(z, c, lam, r, y):
     needs ``phi(y_i)`` also where the root is near 0; so there a bracket
     must be within a few ulps of its end nearer 0, which never holds for
     a bracket around 0.
+
+    ``solve`` runs each coordinate's elementwise operations in the order
+    of the formulas above, with each selection an ``np.copyto`` and each
+    scalar operand a 0-d array: the bits of one ``np.where`` per selection
+    and of Python-float operands, at about half their call cost.  It
+    returns a new array, raises NonConvergence after ``_MAX_STEPS``
+    passes, and expects the caller to ignore numpy's divide, overflow and
+    invalid warnings, which its slope ratios and unused branches raise.
     """
     phi_pow = _array_power(r - 1.0)
     inv_pow = _array_power(1.0 / (r - 1.0))
     slope_pow = _array_power(r - 2.0)
     abs_b = phi_pow(np.abs(z))
     b = np.copysign(abs_b, z)
-    lo, hi = np.minimum(z, c), np.maximum(z, c)
     toward_z = np.nextafter(c, z)
-    y = np.minimum(np.maximum(y, lo), hi)
-    done = np.zeros(y.shape, dtype=bool)
-    f_prev = np.full(y.shape, np.inf)    # finite after a Newton step only
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    n, steep_at_0 = z.size, r < 2.0
+
+    def solve(lam, y):
+        lam = np.array(lam)
+        lo, hi = np.minimum(z, c), np.maximum(z, c)
+        y = np.minimum(np.maximum(y, lo), hi)
+        done = np.zeros(n, dtype=bool)
+        f_prev = _INF    # finite after a Newton step only
         for _ in range(_MAX_STEPS):
             gap = y - c
             abs_y, abs_gap = np.abs(y), np.abs(gap)
@@ -701,38 +739,52 @@ def _solve_coordinates(z, c, lam, r, y):
             abs_f = np.abs(f)
             # Floored at the smallest normal number: in subnormals the
             # relative tolerance underflows to 0.
-            tol = np.maximum(4.0 * _EPS * (abs_y + abs_gap), _TINY)
+            tol = np.maximum(_FOUR_EPS * (abs_y + abs_gap), _FLOOR)
             # For r < 2, max(lo, -hi) is the distance of the bracket from
             # 0, negative around 0; as y lies in the bracket, a width
             # within a few ulps of it is also within tol.
-            width = tol if r >= 2.0 else np.maximum(
-                4.0 * _EPS * np.maximum(lo, -hi), _TINY)
-            done |= ((abs_f <= 4.0 * _EPS * (pow_y + lam * pow_gap + abs_b))
+            width = np.maximum(_FOUR_EPS * np.maximum(lo, -hi), _FLOOR) \
+                if steep_at_0 else tol
+            done |= ((abs_f <= _FOUR_EPS * (pow_y + lam * pow_gap + abs_b))
                      | (hi - lo <= width))
-            if done.all():
+            if np.count_nonzero(done) == n:
                 return y
-            lo = np.where(f < 0.0, y, lo)
-            hi = np.where(f > 0.0, y, hi)
+            np.copyto(lo, y, where=f < _ZERO)
+            np.copyto(hi, y, where=f > _ZERO)
             # Newton in w = phi(y) where the phi(y) term has the larger
-            # slope, else in v = phi(y - c); q is the ratio of the slopes.
+            # slope, else in v = phi(y - c); q is the ratio of the slopes,
+            # replaced by its reciprocal in w.
             q = slope_pow(abs_y / abs_gap) / lam
-            in_w = q >= 1.0
-            ratio = np.where(in_w, 1.0 / q, q)
-            u = np.where(in_w, phi_y - f / (1.0 + ratio),
-                         phi_gap - f / (lam * (1.0 + ratio)))
-            newton = (np.where(in_w, 0.0, c)
-                      + np.copysign(inv_pow(np.abs(u)), u))
-            newton = np.where(newton == c, toward_z, newton)
-            halved = abs_f <= 0.5 * f_prev
+            in_w = q >= _ONE
+            np.copyto(q, _ONE / q, where=in_w)
+            # u = phi_y - f / (1 + q) in w, phi_gap - f / (lam (1 + q)) in v.
+            q += _ONE
+            den = lam * q
+            np.copyto(den, q, where=in_w)
+            np.copyto(phi_gap, phi_y, where=in_w)
+            u = phi_gap - f / den
+            # The Newton point, where(in_w, 0.0, c) + phi^-1(u), with
+            # phi^-1(u) written over u.
+            np.copysign(inv_pow(np.abs(u)), u, u)
+            newton = c + u
+            np.copyto(newton, _ZERO + u, where=in_w)
+            np.copyto(newton, toward_z, where=newton == c)
+            halved = abs_f <= _HALF * f_prev
             short = np.abs(newton - y) < tol
-            final = short & halved & (f_prev < np.inf)
-            newton = np.where(short & ~final, y - np.copysign(tol, f), newton)
+            final = short & halved & (f_prev < _INF)
+            # short ^ final is short & ~final: final implies short.
+            np.copyto(newton, y - np.copysign(tol, f), where=short ^ final)
             ok = (newton > lo) & (newton < hi) & halved
-            y = np.where(done, y, np.where(ok | final, newton,
-                                           0.5 * (lo + hi)))
+            y_next = _HALF * (lo + hi)
+            np.copyto(y_next, newton, where=ok | final)
+            np.copyto(y_next, y, where=done)
+            y = y_next
             done |= final
-            f_prev = np.where(ok, abs_f, np.inf)
-    raise NonConvergence("coordinate solve exceeded the step cap")
+            np.copyto(abs_f, _INF, where=~ok)
+            f_prev = abs_f
+        raise NonConvergence("coordinate solve exceeded the step cap")
+
+    return solve
 
 
 def bregman_project(space: SpaceGeometry, cset: ConvexSet, x) -> np.ndarray:
@@ -766,9 +818,9 @@ def _projection(space: SpaceGeometry, cset: ConvexSet):
     shape ``(space.dim,)`` without its shape checks, on a set that fits
     the space, resolved once: the set's P with its branches and parameters
     bound (``_projector``) after the test that x is finite.  A run
-    resolves it once, after its start's projection has checked the
-    shapes.  x is finite when ``<x, x>`` is; only when that sum is not
-    finite, as for entries near 1e200, is every entry tested.
+    checks that the set fits the space, then resolves it once for its
+    start and every step.  x is finite when ``<x, x>`` is; only when that
+    sum is not finite, as for entries near 1e200, is every entry tested.
     ``project`` raises NonFiniteInput if x holds NaN or +-inf."""
     P = cset._projector(space)
     # np.vdot, not ``x @ x``: a sum that overflows makes matmul raise

@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, EtaTooLarge,
                      ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_to, _norm
 from .models import ForwardModel, NoisyData, _step_products, data_space
-from .sets import ConvexSet, _projection, bregman_project
+from .sets import ConvexSet, _projection
 
 __all__ = [
     "SolverConfig",
@@ -309,8 +309,8 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     of ``apply_adjoint``.  Any other model is called through ``eval`` and
     ``apply_adjoint``, which receives J(F(x_k) - y), and the shape of each
     output is checked on every call.  The projection onto the set is
-    resolved once per run, after the start's projection has checked the set
-    against the space.
+    resolved once per run, after the set has been checked against the
+    space, and projects the start and every step.
 
     Raises
     ------
@@ -348,9 +348,10 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     ydelta = vector(ydelta, y_shape, "ydelta")
     y_space, dual = data_space(model, space.p), space.dual()
     residual, gradient = _step_products(model, ydelta, y_space, space.dim)
-    x = bregman_project(space, cset, x0)
-    projected_start = not np.array_equal(x, x0)
+    cset._check_fits(space)
     project = _projection(space, cset)
+    x = project(x0)
+    projected_start = not np.array_equal(x, x0)
 
     norm_y = y_space._vector_kernels[0]
     norm_dual, duality_map_dual = dual._vector_kernels
@@ -370,8 +371,8 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     # before computed it (xstar), and otherwise computes J_p(x) once.  The
     # loop's own arrays have the shapes of the space, so the geometry and
     # the projection run unchecked, the set fitting the space since the
-    # start's projection; only a called model's outputs and the finiteness
-    # of each point to project are checked.
+    # check before the start's projection; only a called model's outputs
+    # and the finiteness of each point to project are checked.
     # In Hilbert space J*_q is x -> x + 0.0: a fresh array, with -0.0
     # turned into +0.0.  The dual update J_p(x) - mu_k T_k is fresh, and
     # J_p(x) holds no -0.0, so neither does the update: +0.0 - (+-0.0) is

@@ -785,6 +785,46 @@ class TestValidateAndExampleSchedule:
         assert 0.04 < pair1["rhs"] < 3.0
 
 
+# Stop reason and K of each committed example: one K for a single-level
+# run, the per-level K for a multilevel one, where every level stops with
+# the run's reason.  Unlike the trace and summary bytes, which CI compares
+# with the base commit's on one runner, these are expected to hold on any
+# platform, so a local run catches a drift too.
+EXAMPLE_STOPS = {
+    "box_l3.yaml": ("DiscrepancyMet", 116),
+    "criterion7_multilevel.yaml": ("DiscrepancyMet", [1, 18, 86, 4502]),
+    "nonlinear_multilevel.yaml": ("DiscrepancyMet",
+                                  [0, 1, 0, 2, 4, 4, 9, 99]),
+    "offcentre_ball.yaml": ("DiscrepancyMet", 42),
+    "offcentre_ball_l3.yaml": ("DiscrepancyMet", 76),
+    "quadratic_single.yaml": ("DiscrepancyMet", 3),
+    "subspace_l15.yaml": ("DiscrepancyMet", 7),
+    "subspace_linear_l3.yaml": ("DiscrepancyMet", 188),
+}
+
+
+def test_every_example_has_a_pinned_stop():
+    # A new example config needs its row in EXAMPLE_STOPS.
+    names = sorted(name for name in os.listdir(os.path.dirname(EXAMPLE))
+                   if name.endswith(".yaml"))
+    assert names == sorted(EXAMPLE_STOPS)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_STOPS))
+def test_example_stop_reason_and_k(tmp_path, name):
+    reason, k = EXAMPLE_STOPS[name]
+    summary = tmp_path / "summary.yaml"
+    assert main(["run", os.path.join(os.path.dirname(EXAMPLE), name),
+                 "--quiet", "--summary", str(summary)]) == 0
+    doc = yaml.safe_load(summary.read_text())
+    assert doc["stopReason"] == reason
+    if isinstance(k, list):
+        assert [(lv["stopReason"], lv["K"]) for lv in doc["perLevel"]] == \
+            [(reason, level_k) for level_k in k]
+    else:
+        assert doc["stoppedAtK"] == k
+
+
 def mode_doc(tmp_path, mode):
     """A runnable config document of `mode`, with every output key the
     mode reads."""

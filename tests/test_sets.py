@@ -1,6 +1,7 @@
 """Tests of convex sets and the Bregman projection."""
 
 import decimal
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import member
+from oracles import member, solve_coordinates
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
@@ -543,14 +544,19 @@ class TestExactProjections:
         # the joint search 3.7.
         space = lp_space(32, r=1.5, p=2.0)
         rng = np.random.default_rng(17)
-        solve = projsd.sets._solve_coordinates
+        resolve = projsd.sets._coordinate_solver
         calls = []
 
-        def counting(*args):
-            calls.append(1)
-            return solve(*args)
+        def counting_solver(*args):
+            solve = resolve(*args)
 
-        monkeypatch.setattr(projsd.sets, "_solve_coordinates", counting)
+            def counting(*args):
+                calls.append(1)
+                return solve(*args)
+            return counting
+
+        monkeypatch.setattr(projsd.sets, "_coordinate_solver",
+                            counting_solver)
         n = 20
         for _ in range(n):
             ball = Ball(0.3 * rng.standard_normal(32), 1.0)
@@ -699,7 +705,9 @@ class TestExactProjections:
         # NonConvergence at its step cap.
         z, c = np.array([1e60, -1e60]), np.array([1.0, -2.0])
         for r in (1.25, 1.5):
-            y = projsd.sets._solve_coordinates(z, c, 1e40, r, z)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                y = projsd.sets._coordinate_solver(z, c, r)(1e40, z)
             np.testing.assert_array_equal(y, np.nextafter(c, z))
 
     # (x, v at (1.5, 2), v at (3, 4)): with CoordinateSubspace([0]) in
@@ -916,6 +924,91 @@ class TestExactProjections:
             ratio = float(norm(space, expected)) / float(norm(space, x))
             expected = ratio ** ((r - p) / (p - 1.0)) * expected
         assert y.tobytes() == expected.tobytes()
+
+
+SOLVER_EXPONENTS = (1.1, 1.25, 1.5, 2.5, 3.0, 4.0, 6.0)
+
+
+def coordinate_systems(rng, count):
+    """``(r, z, c, lam, y, cap)``: seeded coordinate systems of 1 to 8
+    entries with a step cap, for the coordinate solve of a ball.
+
+    Centres have exact zero entries; one case in twenty has subnormal
+    entries of z and one in twenty entries near 1e300, whose powers
+    overflow.  lam is 0, e**700 - 1, near it, 1e40 or anything between
+    1e-8 and 1e8, and the warm start is z, c, a point inside the bracket
+    between them or one outside it.  One case in five has a cap of 1 to
+    5 passes, so the solve raises at it where it needs more."""
+    for i in range(count):
+        r = SOLVER_EXPONENTS[i % len(SOLVER_EXPONENTS)]
+        n = int(rng.integers(1, 9))
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        c[rng.random(n) < 0.3] = 0.0
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+        some = rng.random(n) < 0.4
+        if i % 20 == 1:
+            z[some] = np.copysign(10.0 ** rng.uniform(-323.5, -308.0, n),
+                                  z)[some]
+        elif i % 20 == 2:
+            z[some] = (rng.uniform(0.1, 1.7, n) * np.copysign(1e300, z))[some]
+        z[rng.random(n) < 0.05] = 0.0
+        lam = [0.0, math.expm1(700.0), math.expm1(rng.uniform(690.0, 700.0)),
+               1e40, 10.0 ** rng.uniform(-8.0, 8.0)][int(rng.integers(5))]
+        lo, hi = np.minimum(z, c), np.maximum(z, c)
+        y = [z.copy(), c.copy(), lo + rng.random(n) * (hi - lo),
+             np.where(rng.random(n) < 0.5, lo - 1.0 - rng.random(n) * (hi - lo),
+                      hi + 1.0 + rng.random(n) * (hi - lo))][i % 4]
+        cap = int(rng.integers(1, 6)) if i % 5 == 4 else 200
+        yield r, z, c, lam, y, cap
+
+
+class TestCoordinateSolver:
+    @staticmethod
+    def outcome(solve):
+        """The bytes of the solved point, or the NonConvergence message."""
+        try:
+            return solve().tobytes()
+        except NonConvergence as exc:
+            return str(exc)
+
+    def test_matches_the_reference_solve_bit_for_bit(self, monkeypatch):
+        # Each system gives the reference's bytes or its raise.
+        rng = np.random.default_rng(36)
+        returned, capped, raised = 0, 0, 0
+        with np.errstate(all="ignore"):
+            for r, z, c, lam, y, cap in coordinate_systems(rng, 2100):
+                monkeypatch.setattr(projsd.sets, "_MAX_STEPS", cap)
+                got = self.outcome(
+                    lambda: projsd.sets._coordinate_solver(z, c, r)(lam, y))
+                assert got == self.outcome(
+                    lambda: solve_coordinates(z, c, lam, r, y, cap)), \
+                    (r, z, c, lam, y, cap)
+                if isinstance(got, bytes):
+                    returned += 1
+                elif cap < 200:
+                    capped += 1
+                else:
+                    raised += 1
+        assert returned >= 1500 and capped >= 200 and raised >= 40
+
+    def test_one_solver_serves_many_multipliers(self):
+        # A solver resolved once for (z, c, r) solves at every lam and warm
+        # start as one resolved for that call alone does, and returns a new
+        # array each time.
+        rng = np.random.default_rng(37)
+        z = 10.0 * rng.standard_normal(24)
+        c = rng.standard_normal(24)
+        c[::5] = 0.0
+        with np.errstate(all="ignore"):
+            for r in SOLVER_EXPONENTS:
+                solve = projsd.sets._coordinate_solver(z, c, r)
+                y = z
+                for lam in 10.0 ** np.arange(-4.0, 5.0):
+                    got = solve(lam, y)
+                    assert got is not y and not np.shares_memory(got, z)
+                    assert got.tobytes() == solve_coordinates(
+                        z, c, lam, r, y).tobytes()
+                    y = got
 
 
 def test_import_loads_no_scipy():
