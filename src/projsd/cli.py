@@ -386,12 +386,12 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
 
 
 def _check_nesting(levels, dim, errors):
-    """Box and coordinate-subspace levels must be nested coarse-to-fine:
-    each inside the next level of either kind, by their bounds as boxes
-    in R^dim (a subspace is (-inf, inf) on its support and [0, 0] off
-    it)."""
+    """Box, coordinate-subspace and whole-space levels must be nested
+    coarse-to-fine: each inside the next level of these kinds, by their
+    bounds as boxes in R^dim (a subspace is (-inf, inf) on its support and
+    [0, 0] off it, the whole space (-inf, inf) everywhere)."""
     coords = [(n, lv.cset._bounds(dim)) for n, lv in enumerate(levels)
-              if isinstance(lv.cset, (Box, CoordinateSubspace))]
+              if isinstance(lv.cset, (WholeSpace, Box, CoordinateSubspace))]
     for (n, (lo, hi)), (m, (outer_lo, outer_hi)) in zip(coords, coords[1:]):
         if not (np.all(outer_lo <= lo) and np.all(hi <= outer_hi)):
             errors.append(

@@ -209,9 +209,10 @@ def run_multi_level(space: SpaceGeometry, schedule: Schedule, x00,
     discrepancy threshold ``(3 + eps) * eta_n`` and hands the stopped
     iterate to the next level as its start, the last to ``eta_hat``
     itself: the run stops DiscrepancyMet or as the first level that stops
-    otherwise.  The sets are nested, so the hand-off is feasible; the
-    level's run projects its start like every iterate and records its
-    start-radius check.
+    otherwise.  The hand-off is feasible where each set lies inside the
+    next, which this function does not check (the CLI checks it for box,
+    subspace and whole-space levels); the level's run projects its start
+    like every iterate and records its start-radius check.
 
     ``on_iteration(n, state)`` receives every executed step of level n
     as it completes (see ``run_algorithm1``); with a hook the level

@@ -20,12 +20,13 @@ Each set therefore implements only ``P_r``, whose objective
 when ``p != r`` one shared scalar root finds ``s`` unless the set is a
 cone:
 
-- ``Box``: ``P_r`` is the coordinate clamp, for any weights.
-- ``CoordinateSubspace``: ``P_r`` is truncation.  A subspace is a box by
-  its bounds (``_bounds``): (-inf, inf) on its support, [0, 0] off it.
-  Both kinds rescale in one home, ``_coordinate_projector``.  On a cone
-  (every subspace, and every box whose bounds are all 0 or +-inf) P_r
-  is 1-homogeneous, so ``s`` has a closed form; any other box takes the
+- ``Box`` and ``CoordinateSubspace``: each is a box by its bounds
+  (``_bounds``); a subspace's are (-inf, inf) on its support and +0.0 on
+  both sides off it.  One projector from the bounds serves both
+  (``_coordinate_projector``): ``P_r`` is the coordinate clamp, for any
+  weights, and a set with no finite bound projects by a copy.  On a cone
+  (every subspace, and every box whose bounds are all 0 or +-inf) P_r is
+  1-homogeneous, so ``s`` has a closed form; any other box takes the
   root.  Either reads the norm ratio exactly also where a norm or the
   ratio underflows or overflows, so only a ``P_r(x)`` that is exactly 0
   is not rescaled.
@@ -131,6 +132,12 @@ class ConvexSet:
 class WholeSpace(ConvexSet):
     """Z = X; the projection is the identity."""
 
+    def _bounds(self, dim):
+        """``(lower, upper)`` of R^dim as a box: -inf and inf, scalars that
+        broadcast over every coordinate, so no array of size dim is
+        built."""
+        return -math.inf, math.inf
+
     def _projector(self, space):
         return np.ndarray.copy
 
@@ -138,7 +145,15 @@ class WholeSpace(ConvexSet):
         return "WholeSpace()"
 
 
-class Box(Fixed, ConvexSet):
+class _CoordinateSet(ConvexSet):
+    """A set that is a box by its bounds, ``_bounds(dim)``: its projection
+    is that of the box (``_coordinate_projector``)."""
+
+    def _projector(self, space):
+        return _coordinate_projector(space, *self._bounds(space.dim))
+
+
+class Box(Fixed, _CoordinateSet):
     """Coordinate box [lower_i, upper_i]; a bound of -inf (lower) or +inf
     (upper) leaves its side open."""
 
@@ -163,17 +178,6 @@ class Box(Fixed, ConvexSet):
     def _bounds(self, dim):
         """``(lower, upper)``, the box's own bounds."""
         return self.lower, self.upper
-
-    def _projector(self, space):
-        lower, upper = self.lower, self.upper
-        maximum, minimum = np.maximum, np.minimum
-
-        def clamp(z):
-            """P_r: np.clip's bits, signed zeros included, without its
-            wrapper."""
-            return minimum(maximum(z, lower), upper)
-
-        return _coordinate_projector(space, clamp, lower, upper)
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -218,7 +222,9 @@ class Ball(Fixed, ConvexSet):
             # every gauge.  At r = p = 2 it is the metric projection.
             return lambda x: shrink(x.copy())
 
-        newton_step = _newton_step(space, center)
+        # Only the joint search, at r != 2 and p != r, takes Newton steps.
+        newton_step = (_newton_step(space, center) if r != 2.0 and p != r
+                       else None)
 
         def project(x):
             x = x.copy()  # a point inside the ball is returned as itself
@@ -266,7 +272,7 @@ class Ball(Fixed, ConvexSet):
         return f"Ball(center={self.center!r}, radius={self.radius})"
 
 
-class CoordinateSubspace(Fixed, ConvexSet):
+class CoordinateSubspace(Fixed, _CoordinateSet):
     """Span of a subset of coordinate axes."""
 
     def __init__(self, support):
@@ -290,48 +296,41 @@ class CoordinateSubspace(Fixed, ConvexSet):
 
     def _bounds(self, dim):
         """``(lower, upper)`` of the subspace as a box in R^dim: (-inf, inf)
-        on the support and [0, 0] off it."""
-        upper = np.where(np.isin(np.arange(dim), self.support), np.inf, 0.0)
-        return -upper, upper
-
-    def _projector(self, space):
-        # P_r is the truncation x_S: x on the support and +0.0 off it.
-        off = np.setdiff1d(np.arange(space.dim), self.support)
-        if not off.size:
-            # The whole space: x_S is x, and on a cone with ||x_S|| = ||x||
-            # the rescaling is by 1.0, so P is a copy, -0.0 entries kept.
-            return np.ndarray.copy
-
-        def truncate(x):
-            xs = x.copy()
-            xs[off] = 0.0
-            return xs
-
-        if space.p == space.r:
-            return truncate          # P is P_r: no bounds needed
-        return _coordinate_projector(space, truncate,
-                                     *self._bounds(space.dim))
+        on the support and +0.0 on both sides off it, so that the clamp
+        takes every nonzero entry there to +0.0."""
+        on = np.isin(np.arange(dim), self.support)
+        return np.where(on, -np.inf, 0.0), np.where(on, np.inf, 0.0)
 
     def __repr__(self):
         return f"CoordinateSubspace({self.support.tolist()})"
 
 
-def _coordinate_projector(space, project_r, lower, upper):
-    """P of a coordinate set, a box in R^dim with these bounds, from its
-    P_r (clamp, truncation).
+def _coordinate_projector(space, lower, upper):
+    """P of the box in R^dim with these bounds.
 
-    At p = r, P is P_r.  Where every bound is 0 or +-inf the set is a
-    cone and P_r is 1-homogeneous, so ``s = ||P_r(alpha x)|| = alpha
-    ||P_r(x)||`` and the rescaling has the closed form
-    ``alpha = (||P_r(x)|| / ||x||) ** ((r - p) / (p - 1))``; any other box
-    takes the root search of ``_gauge_p_projection``.  Where a norm, the
-    ratio or alpha leaves the normal range, both take the ratio from
-    ``_log_ratio``, so such a norm is never read as a P_r(x) of 0: only a
-    P_r(x) that is exactly 0, the origin case, is not rescaled.
+    P_r is the clamp ``minimum(maximum(z, lower), upper)``: np.clip's bits,
+    signed zeros included, without its wrapper.  A box with no finite
+    bound is the whole space, where the clamp and its rescaling by 1.0
+    keep every bit of x, so P is a copy.  At p = r, P is P_r.  Where every
+    finite bound is 0 the set is a cone and P_r is 1-homogeneous, so
+    ``s = ||P_r(alpha x)|| = alpha ||P_r(x)||`` and the rescaling has the
+    closed form ``alpha = (||P_r(x)|| / ||x||) ** ((r - p) / (p - 1))``;
+    any other box takes the root search of ``_gauge_p_projection``.  Where
+    a norm, the ratio or alpha leaves the normal range, both take the
+    ratio from ``_log_ratio``, so such a norm is never read as a P_r(x) of
+    0: only a P_r(x) that is exactly 0, the origin case, is not rescaled.
     """
+    finite = np.concatenate([b[np.isfinite(b)] for b in (lower, upper)])
+    if not finite.size:
+        return np.ndarray.copy
+    maximum, minimum = np.maximum, np.minimum
+
+    def project_r(z):
+        return minimum(maximum(z, lower), upper)
+
     if space.p == space.r:
         return project_r
-    if not all(np.all((b == 0.0) | np.isinf(b)) for b in (lower, upper)):
+    if np.any(finite):
         return lambda x: _gauge_p_projection(space, project_r, x,
                                              bounds=(lower, upper))
     norm, e = space._vector_kernels[0], (space.r - space.p) / (space.p - 1.0)
@@ -378,61 +377,64 @@ def _gauge_p_projection(space, project_r, x, exp_max=_EXP_MAX, bounds=None):
     at that bound, also where the rescaled entry overflows to inf.
     """
     y0 = project_r(x)
+    # Overflow is expected, and ignored, in the whole search: in ||x||, in
+    # the r-th powers of a trial point, where _log_ratio then takes its
+    # norm scaled, and in an entry of alpha x that the clamp pins at a
+    # finite bound.
     with np.errstate(over="ignore"):
         nx = space._vector_kernels[0](x)
-    if nx == 0.0 and not np.any(x):
-        # At the origin the projection is the set's minimum-norm point,
-        # the same for every gauge.
-        return y0
-    g0 = _log_ratio(space, y0, x, nx)
-    if g0 == -math.inf or g0 == 0.0:
-        # P_r(x) = 0: J_r(x), and with it J_p(x), lies in the normal cone at
-        # 0.  ||P_r(x)|| = ||x||: alpha = 1 is the fixed point.
-        return y0
-    beta = (space.r - space.p) / (space.r - 1.0)
-
-    # The walk goes toward the root, the sign of g0.  Only a rescaling
-    # that overflows bounds it: e**(beta t) stays finite, and so does
-    # e**(beta t) x_i for every entry that P_r does not pin at a finite
-    # bound.  One that underflows to 0 is the origin case, where P_r(0)
-    # projects every point that small, to rounding.  Away from the walk's
-    # growing side every trial has e**(beta t) <= 1.
-    limit, m_x = math.inf, 0.0
-    if beta * g0 > 0.0:
-        abs_x = np.abs(x)
-        m_x = m_free = float(np.max(abs_x))
-        if bounds is not None:
-            lower, upper = bounds
-            side = np.where(x > 0.0, upper, -lower)
-            m_free = float(np.max(abs_x, where=side == math.inf,
-                                  initial=0.0))
-        log_max = math.log(m_free) if m_free > 1.0 else 0.0
-        limit = max(exp_max - log_max, 0.0) / abs(beta)
-
-    def g(t):
-        a = math.exp(beta * t)
-        if a * m_x < math.inf:
-            y = project_r(a * x)
-        else:
-            # Only entries that the clamp pins at a bound overflow.
-            with np.errstate(over="ignore"):
-                y = project_r(a * x)
-        h = _log_ratio(space, y, x, nx)
-        # P_r(a x) = 0, y0 being nonzero, only where a x underflows: with
-        # a > 0 the walk has passed the root, and g takes that side's sign.
-        return (h - t if h > -math.inf or a == 0.0 else -g0 * math.inf), y
-
-    try:
-        return _finite(
-            _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
-    except NonConvergence:
-        # P_r can be constant along the ray from x on, as a box's clamp is
-        # once every moving coordinate sits at a bound.  Then g(t) = g0 - t
-        # and P_p(x) = y0, even when the root lies beyond exp's range.
-        if 0.0 < limit < math.inf and np.array_equal(
-                g(math.copysign(limit, g0))[1], y0):
+        if nx == 0.0 and not np.any(x):
+            # At the origin the projection is the set's minimum-norm point,
+            # the same for every gauge.
             return y0
-        raise
+        g0 = _log_ratio(space, y0, x, nx)
+        if g0 == -math.inf or g0 == 0.0:
+            # P_r(x) = 0: J_r(x), and with it J_p(x), lies in the normal
+            # cone at 0.  ||P_r(x)|| = ||x||: alpha = 1 is the fixed point.
+            return y0
+        beta = (space.r - space.p) / (space.r - 1.0)
+
+        # The walk goes toward the root, the sign of g0.  Only a rescaling
+        # that overflows bounds it: e**(beta t) stays finite, and so does
+        # e**(beta t) x_i for every entry that P_r does not pin at a finite
+        # bound.  One that underflows to 0 is the origin case, where P_r(0)
+        # projects every point that small, to rounding.  Away from the
+        # walk's growing side every trial has e**(beta t) <= 1.
+        limit = math.inf
+        if beta * g0 > 0.0:
+            abs_x = np.abs(x)
+            if bounds is None:
+                m_free = float(np.max(abs_x))
+            else:
+                lower, upper = bounds
+                side = np.where(x > 0.0, upper, -lower)
+                m_free = float(np.max(abs_x, where=side == math.inf,
+                                      initial=0.0))
+            log_max = math.log(m_free) if m_free > 1.0 else 0.0
+            limit = max(exp_max - log_max, 0.0) / abs(beta)
+
+        def g(t):
+            a = math.exp(beta * t)
+            y = project_r(a * x)
+            h = _log_ratio(space, y, x, nx)
+            # P_r(a x) = 0, y0 being nonzero, only where a x underflows:
+            # with a > 0 the walk has passed the root, and g takes that
+            # side's sign.
+            return (h - t if h > -math.inf or a == 0.0
+                    else -g0 * math.inf), y
+
+        try:
+            return _finite(
+                _root(g, g0, y0, g0 / (1.0 - min(beta, 0.0)), limit)[1])
+        except NonConvergence:
+            # P_r can be constant along the ray from x on, as a box's clamp
+            # is once every moving coordinate sits at a bound.  Then
+            # g(t) = g0 - t and P_p(x) = y0, even when the root lies beyond
+            # exp's range.
+            if 0.0 < limit < math.inf and np.array_equal(
+                    g(math.copysign(limit, g0))[1], y0):
+                return y0
+            raise
 
 
 def _finite(y):

@@ -10,7 +10,12 @@ scalars, whose bits the library's float path must reproduce.
 ``solve_coordinates`` is the coordinate solve of an off-centre ball
 projection as it was first written, one ``np.where`` per selection: the
 reference whose bits and raises the resolved solver must reproduce.
+``subspace_projection`` is the projection onto a coordinate subspace as
+a truncation, rescaled where p != r: the reference for the bits of a
+subspace's clamp.
 """
+
+import math
 
 import numpy as np
 
@@ -136,3 +141,36 @@ def solve_coordinates(z, c, lam, r, y, max_steps=200):
             done |= final
             f_prev = np.where(ok, abs_f, np.inf)
     raise NonConvergence("coordinate solve exceeded the step cap")
+
+
+def subspace_projection(space, support, x):
+    """Projection of x onto the span of the axes in `support`: the
+    truncation x_S, x on the support and +0.0 off it, and where p != r,
+    ``alpha x_S`` with ``alpha = (||x_S|| / ||x||) ** e``,
+    ``e = (r - p) / (p - 1)``, in the space's norm.
+
+    Where a norm, the ratio or alpha leaves the normal range, alpha is
+    ``2**f 2**k`` from ``e log(||x_S|| / ||x||) / log 2 = k + f`` and
+    ldexp applies 2**k exactly; where a norm leaves it, ``||v||`` is
+    ``m ||v / m||`` with ``m = max |v_i|``, and ``log(m_S / m)`` is a
+    difference of logs where that ratio underflows.
+    """
+    r, p = space.r, space.p
+    xs = np.zeros(x.shape)
+    xs[support] = x[support]
+    if p == r or not np.any(xs):
+        return xs
+    e, low = (r - p) / (p - 1.0), _TINY ** (1.0 / r)
+    with np.errstate(over="ignore"):
+        ns, nx = norm(space, xs), norm(space, x)
+    if low <= ns and nx < math.inf and ns / nx >= _TINY ** (1.0 / max(e, 1.0)):
+        return (ns / nx) ** e * xs
+    if low <= ns and nx < math.inf and ns / nx >= _TINY:
+        t = math.log(ns / nx)
+    else:
+        ms, mx = float(np.max(np.abs(xs))), float(np.max(np.abs(x)))
+        t = math.log(norm(space, xs / ms) / norm(space, x / mx)) + (
+            math.log(ms / mx) if ms / mx >= _TINY
+            else math.log(ms) - math.log(mx))
+    k, f = divmod(e * t / math.log(2.0), 1.0)
+    return np.ldexp(2.0 ** f * xs, int(k))

@@ -185,6 +185,55 @@ x0: [0.0, 0.0]
         levels = parse_config(inside).levels
         assert [type(lv.cset) for lv in levels] == [Box, CoordinateSubspace]
 
+    @pytest.mark.parametrize("mode", ["multilevel", "validate"])
+    @pytest.mark.parametrize("inner", ["box", "subspace"])
+    def test_whole_space_levels_nest_by_the_same_rule(self, tmp_path,
+                                                      capsys, mode, inner):
+        # R^2 lies inside no box or subspace, yet a whole-space level before
+        # one parsed.  A box or subspace before a whole-space level passes.
+        sets = {"wholespace": {"kind": "wholespace"},
+                "box": {"kind": "box", "lower": [-1.0, -1.0],
+                        "upper": [1.0, 1.0]},
+                "subspace": {"kind": "subspace", "support": [0]}}
+
+        def doc(kinds):
+            levels = [{"eta": eta, "C": C, "L": 0.0, "Lhat": 1.0,
+                       "set": sets[kind],
+                       "model": {"kind": "linear",
+                                 "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                       "data": {"ydelta": [0.5, 0.5]}}
+                      for kind, eta, C in zip(kinds, (0.1, 0.01), (1.0, 2.0))]
+            return yaml.safe_dump(
+                {"mode": mode, "space": {"dim": 2}, "epsilon": 1.0,
+                 "levels": levels, "solver": {"etaHat": 0.05},
+                 **({"x0": [0.0, 0.0]} if mode == "multilevel" else {})})
+
+        text = doc(["wholespace", inner])
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [
+            "levels[0].set: boxes must be nested, [lower, upper] of level 0 "
+            "is not contained in level 1"]
+        assert main(["run", write(tmp_path, "whole-first.yaml", text)]) == 3
+        assert capsys.readouterr().err == \
+            f"config error: {exc.value.errors[0]}\n"
+        levels = parse_config(doc([inner, "wholespace"])).levels
+        assert isinstance(levels[1].cset, WholeSpace)
+
+    def test_whole_space_levels_of_a_huge_space_build_no_array(self,
+                                                               tmp_path,
+                                                               capsys):
+        # The whole space's bounds are scalars: nesting two whole-space
+        # levels of R^(10**12) allocates nothing of that size.
+        levels = [{"eta": eta, "C": C, "L": 0.0, "Lhat": 1.0,
+                   "set": {"kind": "wholespace"}}
+                  for eta, C in ((0.1, 1.0), (0.01, 2.0))]
+        path = write(tmp_path, "huge.yaml", yaml.safe_dump(
+            {"mode": "validate", "space": {"dim": 10 ** 12}, "epsilon": 1.0,
+             "solver": {"etaHat": 0.05}, "levels": levels}))
+        assert main(["run", path]) == 0
+        assert capsys.readouterr() == ("schedule valid\n", "")
+
     def test_matrix_file_sidecar(self, tmp_path):
         np.savetxt(tmp_path / "A.csv", np.eye(2), delimiter=",")
         text = MINIMAL_SINGLE.replace(

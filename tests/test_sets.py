@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import member, solve_coordinates
+from oracles import member, solve_coordinates, subspace_projection
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
@@ -800,24 +800,60 @@ class TestExactProjections:
         (2.0, 2.0, None), (3.0, 3.0, None), (1.5, 2.0, None),
         (1.5, 2.0, [0.5, 2.0, 1.0]), (3.0, 4.0, None)])
     def test_full_support_subspace_projects_by_a_copy(self, r, p, weights):
-        # A subspace that covers every coordinate is the whole space: its
-        # truncation is x, rescaled in closed form by 1.0 where p != r.
-        # Its projection is a fresh copy with the bits of that truncation
-        # and rescaling, a -0.0 entry included, also where ||x||
-        # underflows or overflows.
+        # A subspace that covers every coordinate is the whole space: it has
+        # no finite bound, and its truncation is x, rescaled in closed form
+        # by 1.0 where p != r.  Its projection is a fresh copy with the
+        # bits of that truncation and rescaling, a -0.0 entry included,
+        # also where ||x|| underflows or overflows.
         space = lp_space(3, r=r, p=p, weights=weights,
                          **({} if (r, p) in DEFAULT_CONSTANTS
                             else {"Cp": 0.3, "Gq": 2.0}))
         cset = CoordinateSubspace([2, 0, 1])
         rescaled = projsd.sets._coordinate_projector(
-            space, np.ndarray.copy, *cset._bounds(space.dim))
+            space, *cset._bounds(space.dim))
         for x in ([-0.0, 1.5, -2.0], [0.0, -0.0, 0.0], [1e-200, -0.0, 3e-170],
                   [1e300, -1e300, -0.0], [5e-324, 1.0, -0.0]):
             x = np.array(x)
             y = bregman_project(space, cset, x)
             assert not np.shares_memory(y, x)
-            assert y.tobytes() == rescaled(x).tobytes() == x.tobytes()
+            assert y.tobytes() == rescaled(x).tobytes() == x.tobytes() \
+                == subspace_projection(space, cset.support, x).tobytes()
         assert cset._projector(space) is np.ndarray.copy
+
+    @pytest.mark.parametrize("support", [[1, 3, 4], [0, 1, 2, 3, 4, 5]],
+                             ids=["partial", "full"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("r, p", sorted(DEFAULT_CONSTANTS) + [(1.25, 4.0)])
+    def test_subspace_clamp_has_the_truncation_bits(self, r, p, weighted,
+                                                    support):
+        # A subspace projects by the clamp to its bounds, (-inf, inf) on the
+        # support and +0.0 on both sides off it.  That is the truncation
+        # x_S, rescaled where p != r, bit for bit: entries of 1e-300 to
+        # 1e300 in one point or spread over the points, whose norms leave
+        # the float range, a -0.0 on the support, and a support holding
+        # only signed zeros.  Every entry off the support is nonzero, and
+        # each projects to +0.0.
+        d = 6
+        rng = np.random.default_rng(38)
+        weights = rng.uniform(0.25, 4.0, d) if weighted else None
+        space = lp_space(d, r=r, p=p, weights=weights,
+                         **({} if (r, p) in DEFAULT_CONSTANTS
+                            else {"Cp": 0.3, "Gq": 2.0}))
+        cset = CoordinateSubspace(support)
+        off = np.setdiff1d(np.arange(d), support)
+        for n in range(200):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0, 1 if n % 2 else d)
+            x = rng.standard_normal(d) * scale
+            x[rng.choice(support)] = -0.0
+            if n % 10 == 0:
+                x[support] = np.copysign(0.0,
+                                         rng.standard_normal(len(support)))
+            y = bregman_project(space, cset, x)
+            assert y.tobytes() == subspace_projection(space, support,
+                                                      x).tobytes(), x
+            assert np.all(x[off] != 0.0) and not np.signbit(y[off]).any()
+            assert not np.any(y[off])
 
     def test_root_search_past_a_rescaling_that_underflows(self):
         # r = 4, p = 2: P(x) = (0, x_1 (x_1 / x_0)**2) = (0, 1e-280).  The
@@ -890,6 +926,25 @@ class TestExactProjections:
         box = Box([-1.0, -1.0], [1.0, 1.0])
         np.testing.assert_allclose(bregman_project(space, box, np.array(x)),
                                    y, rtol=1e-12)
+
+    @pytest.mark.parametrize("r, lower, upper, x, y", [
+        (1.5, [-np.inf, 1e300], [np.inf, 1e301], [1.0, 1.0],
+         [2.0 ** (2.0 / 3.0) * 1e-300, 1e300]),
+        (1.25, [-np.inf, -0.01], [np.inf, 0.01], [10.0, -1e238],
+         [10.0 ** 0.25 * 1e238 ** 0.75, -0.01])], ids=["start", "walk"])
+    def test_box_trial_whose_r_th_powers_overflow_raises_no_warning(
+            self, r, lower, upper, x, y):
+        # p = 2.  ||x|| is finite, but the r-th powers of a point of the
+        # search overflow: P_r(x), pinned at the bound 1e300, or a trial of
+        # the walk, which rescales the free x_0 to 1e300 and more.  Its
+        # norm raised numpy's overflow RuntimeWarning, an error under
+        # warnings-as-errors; the search takes that norm scaled.  At the
+        # root, alpha = ||x|| / ||y|| ("start") and alpha = (||x|| /
+        # ||y||)**3 ("walk"), with ||y|| = y_1 (y_0) to rounding.
+        space = lp_space(2, r=r, p=2.0, Cp=0.3, Gq=2.0)
+        np.testing.assert_allclose(
+            bregman_project(space, Box(lower, upper), np.array(x)), y,
+            rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1), ()],
                              ids=["2x4", "1x4", "4x1", "scalar"])
