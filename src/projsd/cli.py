@@ -20,10 +20,14 @@ failure, 4 I/O error (an output that cannot be opened fails before the
 run).  Every mapping of the config is read through one table,
 ``_READS``, which lists the keys each mode (or model or set kind) reads
 and requires; a key the run would not read, and a missing key it needs,
-are validation failures.  So is other input that cannot run (a number
-that breaks its input rule of README ("Input rules"), an array that
-breaks the one array rule of ``_array``, mismatched lengths, set
-parameters that do not fit ``space.dim``, a nonlinear model without
+are validation failures.  The space, each set and each model is built
+by its constructor (``_MAKERS``), whose keywords are the keys its node
+reads, each read by one reader (``_KEY_READS``); what the constructor
+refuses is a validation failure at the node.  So is other input that
+cannot run (a number that breaks its input rule of README ("Input
+rules"), an array that breaks the one array rule of ``_array``,
+mismatched lengths, set parameters that do not fit ``space.dim``, sets
+of the levels that are not nested, a nonlinear model without
 ``cstab``, or without ``lhat`` under ``checkTheorems``,
 ``checkTheorems`` without a reference for every run, example-schedule
 parameters the generator refuses (an ``etaHat`` that no level with float
@@ -58,7 +62,8 @@ from .models import (DiagonalLinearModel, LinearModel, NoisyData,
                      QuadraticModel)
 from .multilevel import (Level, Schedule, example_schedule, run_multi_level,
                          validate_schedule)
-from .sets import Ball, Box, CoordinateSubspace, WholeSpace
+from .sets import (Ball, Box, ConvexSet, CoordinateSubspace, WholeSpace,
+                   _unnested)
 from .solver import SolverConfig, run_algorithm1
 
 __all__ = ["main", "parse_config", "execute"]
@@ -68,12 +73,14 @@ TRACE_HEADER = ("level,k,r_k,t_k,tHat_k,u_k,v_k,w_k,mu_k,"
 
 _MODES = ("single", "multilevel", "validate", "example-schedule")
 
-_Context = namedtuple("_Context", "name reads required pairs")
+_Context = namedtuple("_Context", "name reads required pairs keys")
 
 
 def _table(spec, name="{}"):
     """Compile ``{context: "key key! a|b ..."}``: ``!`` marks a required
-    key and ``a|b`` a pair of which exactly one is required."""
+    key and ``a|b`` a pair of which exactly one is required.  ``keys``
+    lists the keys in their written order, a pair by its first and
+    ``kind`` left out."""
     table = {}
     for context, keys in spec.items():
         words = keys.split()
@@ -81,7 +88,9 @@ def _table(spec, name="{}"):
             name.format(context),
             frozenset(k for w in words for k in w.rstrip("!").split("|")),
             tuple(w[:-1] for w in words if w.endswith("!")),
-            tuple(tuple(w.split("|")) for w in words if "|" in w))
+            tuple(tuple(w.split("|")) for w in words if "|" in w),
+            tuple(w.rstrip("!").split("|")[0] for w in words
+                  if w != "kind"))
     return table
 
 
@@ -169,18 +178,6 @@ def _read(node, table, context, path, errors):
     return out
 
 
-def _read_kind(node, table, path, errors):
-    """`node` read in the context its ``kind`` names; None when it is
-    absent or, with the error recorded, when its kind names none."""
-    if node is None:
-        return None
-    kind = node.get("kind") if isinstance(node, dict) else None
-    if isinstance(kind, str) and kind in table:
-        return _read(node, table, kind, path, errors)
-    errors.append(f"{path}.kind: expected one of {', '.join(table)}")
-    return None
-
-
 _nonnegative = partial(real, positive=False)
 
 
@@ -263,85 +260,80 @@ def _check_problem(space, model, ydelta, path, errors):
                       f"the model has {model.out_dim} outputs")
 
 
-def _parse_space(node, errors):
-    before = len(errors)
-    node = _read(node, _READS["space"], "the space", "space", errors)
-    dim = _scalar(node.get("dim"), "space.dim", errors, integer)
-    r = _scalar(node.get("r"), "space.r", errors, exponent, 2.0)
-    p = _scalar(node.get("p"), "space.p", errors, exponent)
-    weights = _array(node, "weights", "space", errors)
-    cp = _scalar(node.get("Cp"), "space.Cp", errors, real)
-    gq = _scalar(node.get("Gq"), "space.Gq", errors, real)
-    if dim is None or len(errors) > before:
+def _scalar_key(rule):
+    """The read of a key's number: `_scalar` as `rule`."""
+    return lambda node, key, path, errors, space, base_dir: _scalar(
+        node.get(key), f"{path}.{key}", errors, rule)
+
+
+def _array_key(fits=False, **options):
+    """The read of a key's array: `_array` with these options, and with
+    ``space.dim`` entries where it `fits` the space."""
+    return lambda node, key, path, errors, space, base_dir: _array(
+        node, key, path, errors, space=space if fits else None,
+        base_dir=base_dir, **options)
+
+
+# How a space, set or model node reads each key, the constructor keyword
+# it passes.  A support is passed as written: CoordinateSubspace applies
+# the support rule.
+_KEY_READS = {
+    "dim": _scalar_key(integer), "r": _scalar_key(exponent),
+    "p": _scalar_key(exponent), "weights": _array_key(),
+    "Cp": _scalar_key(real), "Gq": _scalar_key(real),
+    "lower": _array_key(fits=True, finite=False),
+    "upper": _array_key(fits=True, finite=False),
+    "center": _array_key(fits=True), "radius": _scalar_key(real),
+    "support": lambda node, key, *_: node.get(key),
+    "matrix": _array_key(ndim=2), "sigma": _array_key(),
+    "eps": _scalar_key(_nonnegative), "cstab": _scalar_key(real),
+    "lhat": _scalar_key(real),
+}
+# The constructor of the space and of each set and model kind.
+_MAKERS = {"the space": lp_space, "wholespace": WholeSpace, "box": Box,
+           "ball": Ball, "subspace": CoordinateSubspace,
+           "linear": LinearModel, "diagonal": DiagonalLinearModel,
+           "quadratic": QuadraticModel}
+
+
+def _build(node, table, context, path, errors, space=None, base_dir=".",
+           **given):
+    """What `node`, read as `context` of `table` (`_read`), states: the
+    value ``_MAKERS[context]`` builds from `given` and from each key the
+    context reads, in the table's order, as ``_KEY_READS`` reads it; a
+    set must also fit `space`.  None when a key was refused or a needed
+    key is absent, or, with the error recorded at `path`, when the
+    constructor refuses them."""
+    node = _read(node, table, context, path, errors)
+    ctx, before = table[context], len(errors)
+    for key in ctx.keys:
+        value = _KEY_READS[key](node, key, path, errors, space, base_dir)
+        if value is not None:
+            given[key] = value
+    if len(errors) > before or not all(
+            k in given for k in (*ctx.required, *(a for a, _ in ctx.pairs))):
         return None
     try:
-        return lp_space(dim, r=r, p=p, weights=weights, Cp=cp, Gq=gq)
+        made = _MAKERS[context](**given)
+        if space is not None and isinstance(made, ConvexSet):
+            made._check_fits(space)
     except (ValueError, ProjSDError) as exc:
-        errors.append(f"space: {exc}")
-        return None
-
-
-def _parse_set(node, path, errors, space):
-    node = _read_kind(node, _READS["set"], path, errors)
-    if node is None:
-        return None
-    kind = node["kind"]
-    if kind == "wholespace":
-        return WholeSpace()
-    if kind == "box":
-        lo, hi = (_array(node, key, path, errors, space=space, finite=False)
-                  for key in ("lower", "upper"))
-        if lo is None or hi is None:
-            return None
-        try:
-            return Box(lo, hi)
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-            return None
-    if kind == "ball":
-        c = _array(node, "center", path, errors, space=space)
-        rad = _scalar(node.get("radius"), f"{path}.radius", errors, real)
-        if c is None or rad is None:
-            return None
-        return Ball(c, rad)
-    sup = node.get("support")
-    if sup is None:
-        return None
-    dim = float("inf") if space is None else space.dim
-    if not isinstance(sup, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool)
-            and 0 <= i < dim for i in sup) or not sup:
-        errors.append(f"{path}.support: expected a nonempty list of "
-                      "integers in [0, space.dim)")
-        return None
-    return CoordinateSubspace(sup)
-
-
-def _parse_model(node, path, errors, s, base_dir):
-    node = _read_kind(node, _READS["model"], path, errors)
-    if node is None:
-        return None
-    kind = node["kind"]
-    if kind == "diagonal":
-        sigma = _array(node, "sigma", path, errors)
-        if sigma is None:
-            return None
-        return DiagonalLinearModel(sigma, s=s)
-    mat = _array(node, "matrix", path, errors, ndim=2, base_dir=base_dir)
-    if kind == "linear":
-        if mat is None:
-            return None
-        return LinearModel(mat, s=s)
-    eps = _scalar(node.get("eps"), f"{path}.eps", errors, _nonnegative)
-    cstab = _scalar(node.get("cstab"), f"{path}.cstab", errors, real)
-    lhat = _scalar(node.get("lhat"), f"{path}.lhat", errors, real)
-    if mat is None or eps is None:
-        return None
-    try:
-        return QuadraticModel(mat, eps, s=s, cstab=cstab, lhat=lhat)
-    except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
+    return made
+
+
+def _build_kind(node, table, path, errors, **options):
+    """`_build` in the context that the ``kind`` of `node` names; None
+    when the node is absent or, with the error recorded, when its kind
+    names none."""
+    if node is None:
+        return None
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if isinstance(kind, str) and kind in table:
+        return _build(node, table, kind, path, errors, **options)
+    errors.append(f"{path}.kind: expected one of {', '.join(table)}")
+    return None
 
 
 def _parse_data(node, path, errors, base_dir):
@@ -371,8 +363,10 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
                               f"its C, L and Lhat; set {path}.{home}")
         model_node = {key: val for key, val in model_node.items()
                       if key not in _LEVEL_MODEL_CONSTANTS}
-    cset = _parse_set(node.get("set"), f"{path}.set", errors, space)
-    model = _parse_model(model_node, f"{path}.model", errors, s, base_dir)
+    cset = _build_kind(node.get("set"), _READS["set"], f"{path}.set",
+                       errors, space=space)
+    model = _build_kind(model_node, _READS["model"], f"{path}.model",
+                        errors, base_dir=base_dir, s=s)
     ydelta = _parse_data(node.get("data"), f"{path}.data", errors, base_dir)
     ref = _array(node, "reference", path, errors, space=space)
     if check_theorems and "reference" not in node:
@@ -386,17 +380,11 @@ def _parse_level(node, idx, context, errors, s, base_dir, space,
 
 
 def _check_nesting(levels, dim, errors):
-    """Box, coordinate-subspace and whole-space levels must be nested
-    coarse-to-fine: each inside the next level of these kinds, by their
-    bounds as boxes in R^dim (a subspace is (-inf, inf) on its support and
-    [0, 0] off it, the whole space (-inf, inf) everywhere)."""
-    coords = [(n, lv.cset._bounds(dim)) for n, lv in enumerate(levels)
-              if isinstance(lv.cset, (WholeSpace, Box, CoordinateSubspace))]
-    for (n, (lo, hi)), (m, (outer_lo, outer_hi)) in zip(coords, coords[1:]):
-        if not (np.all(outer_lo <= lo) and np.all(hi <= outer_hi)):
-            errors.append(
-                f"levels[{n}].set: boxes must be nested, [lower, upper] of "
-                f"level {n} is not contained in level {m}")
+    """The levels' coordinate sets must be nested coarse-to-fine
+    (`sets._unnested`)."""
+    for n, m in _unnested([lv.cset for lv in levels], dim):
+        errors.append(f"levels[{n}].set: boxes must be nested, [lower, "
+                      f"upper] of level {n} is not contained in level {m}")
 
 
 def _parse_example_schedule(node, space, errors):
@@ -466,10 +454,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         check_theorems = False
     epsilon = _scalar(top.get("epsilon"), "epsilon", errors, real, 1.0)
 
-    space = _parse_space(top.get("space"), errors)
+    space = _build(top.get("space"), _READS["space"], "the space", "space",
+                   errors)
     x0 = _array(top, "x0", "", errors, space=space)
-    cset = _parse_set(top.get("set"), "set", errors, space)
-    model = _parse_model(top.get("model"), "model", errors, s, base_dir)
+    cset = _build_kind(top.get("set"), _READS["set"], "set", errors,
+                       space=space)
+    model = _build_kind(top.get("model"), _READS["model"], "model", errors,
+                        base_dir=base_dir, s=s)
     ydelta = _parse_data(top.get("data"), "data", errors, base_dir)
     reference = _array(diag, "referenceSolution", "diagnostics", errors,
                        space=space)

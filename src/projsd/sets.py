@@ -20,16 +20,17 @@ Each set therefore implements only ``P_r``, whose objective
 when ``p != r`` one shared scalar root finds ``s`` unless the set is a
 cone:
 
-- ``Box`` and ``CoordinateSubspace``: each is a box by its bounds
-  (``_bounds``); a subspace's are (-inf, inf) on its support and +0.0 on
-  both sides off it.  One projector from the bounds serves both
-  (``_coordinate_projector``): ``P_r`` is the coordinate clamp, for any
-  weights, and a set with no finite bound projects by a copy.  On a cone
-  (every subspace, and every box whose bounds are all 0 or +-inf) P_r is
-  1-homogeneous, so ``s`` has a closed form; any other box takes the
-  root.  Either reads the norm ratio exactly also where a norm or the
-  ratio underflows or overflows, so only a ``P_r(x)`` that is exactly 0
-  is not rescaled.
+- ``Box``, ``CoordinateSubspace`` and ``WholeSpace``: each is a box by
+  its bounds (``_bounds``); a subspace's are (-inf, inf) on its support
+  and +0.0 on both sides off it, the whole space's -inf and inf.  By
+  their bounds they nest (``_unnested``), and one projector from the
+  bounds serves all three (``_coordinate_projector``): ``P_r`` is the
+  coordinate clamp, for any weights, and a set with no finite bound
+  projects by a copy.  On a cone (every subspace, and every box whose
+  bounds are all 0 or +-inf) P_r is 1-homogeneous, so ``s`` has a closed
+  form; any other box takes the root.  Either reads the norm ratio
+  exactly also where a norm or the ratio underflows or overflows, so
+  only a ``P_r(x)`` that is exactly 0 is not rescaled.
 - ``Ball``: a radial shrink when the center is 0 (for every gauge) or
   r = 2.  Otherwise the same root search finds the one multiplier
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
@@ -129,7 +130,26 @@ class ConvexSet:
         raise NotImplementedError
 
 
-class WholeSpace(ConvexSet):
+class _CoordinateSet(ConvexSet):
+    """A set that is a box by its bounds, ``_bounds(dim)``: its projection
+    is that of the box (``_coordinate_projector``)."""
+
+    def _projector(self, space):
+        return _coordinate_projector(space, *self._bounds(space.dim))
+
+
+def _unnested(csets, dim):
+    """``(n, m)`` for each coordinate set ``csets[n]`` that, as a box by
+    its bounds in R^dim, is not inside the next coordinate set of the
+    list, ``csets[m]``; the other entries are skipped."""
+    coords = [(n, c._bounds(dim)) for n, c in enumerate(csets)
+              if isinstance(c, _CoordinateSet)]
+    return [(n, m) for (n, (lo, hi)), (m, (outer_lo, outer_hi))
+            in zip(coords, coords[1:])
+            if not (np.all(outer_lo <= lo) and np.all(hi <= outer_hi))]
+
+
+class WholeSpace(_CoordinateSet):
     """Z = X; the projection is the identity."""
 
     def _bounds(self, dim):
@@ -138,19 +158,8 @@ class WholeSpace(ConvexSet):
         built."""
         return -math.inf, math.inf
 
-    def _projector(self, space):
-        return np.ndarray.copy
-
     def __repr__(self):
         return "WholeSpace()"
-
-
-class _CoordinateSet(ConvexSet):
-    """A set that is a box by its bounds, ``_bounds(dim)``: its projection
-    is that of the box (``_coordinate_projector``)."""
-
-    def _projector(self, space):
-        return _coordinate_projector(space, *self._bounds(space.dim))
 
 
 class Box(Fixed, _CoordinateSet):
@@ -306,7 +315,8 @@ class CoordinateSubspace(Fixed, _CoordinateSet):
 
 
 def _coordinate_projector(space, lower, upper):
-    """P of the box in R^dim with these bounds.
+    """P of the box in R^dim with these bounds, arrays of shape (dim,) or
+    scalars that broadcast over it.
 
     P_r is the clamp ``minimum(maximum(z, lower), upper)``: np.clip's bits,
     signed zeros included, without its wrapper.  A box with no finite
@@ -320,7 +330,8 @@ def _coordinate_projector(space, lower, upper):
     ratio from ``_log_ratio``, so such a norm is never read as a P_r(x) of
     0: only a P_r(x) that is exactly 0, the origin case, is not rescaled.
     """
-    finite = np.concatenate([b[np.isfinite(b)] for b in (lower, upper)])
+    finite = np.concatenate([np.asarray(b)[np.isfinite(b)]
+                             for b in (lower, upper)])
     if not finite.size:
         return np.ndarray.copy
     maximum, minimum = np.maximum, np.minimum

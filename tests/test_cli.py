@@ -1,8 +1,10 @@
 """Tests of config parsing and the command-line front-end."""
 
 import copy
+import inspect
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -1588,7 +1590,11 @@ class TestParseTimeInputContract:
         ({"kind": "subspace", "support": [0, 5]}, "support"),
     ])
     def test_set_parameters_fit_space(self, tmp_path, capsys, cset, field):
-        self.run_bad(tmp_path, capsys, f"set.{field}:", set=cset)
+        # The subspace's fit is the library's check, recorded at the set.
+        message = f"set.{field}:" if field != "support" else (
+            "set: CoordinateSubspace support [0, 5] has an index >= 2, the "
+            "space dimension\n")
+        self.run_bad(tmp_path, capsys, message, set=cset)
 
     def test_level_set_fits_space(self, tmp_path, capsys):
         TestExecuteMultilevel().make_config(tmp_path)
@@ -1596,8 +1602,9 @@ class TestParseTimeInputContract:
         doc["levels"][3]["set"]["support"] = list(range(9))
         path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
         assert main(["run", path]) == 3
-        assert "config error: levels[3].set.support:" \
-            in capsys.readouterr().err
+        assert ("config error: levels[3].set: CoordinateSubspace support "
+                "[0, 1, 2, 3, 4, 5, 6, 7, 8] has an index >= 8, the space "
+                "dimension\n") in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["multilevel", "validate"])
     @pytest.mark.parametrize("eta_hat", [-1.0, 0.0])
@@ -2397,3 +2404,99 @@ class TestOneFileEach:
                      str(tmp_path / "link.csv")]) == 3
         assert "is the same file as output.tracePath" in \
             capsys.readouterr().err
+
+
+class TestNodesAreConstructorCalls:
+    """A space, set or model node is a call of its kind's constructor:
+    each key it reads is a keyword of that constructor, read by one
+    reader, and every refusal is recorded at its key or at the node."""
+
+    NODES = [("space", "the space"),
+             *(("set", kind) for kind in cli_module._READS["set"]),
+             *(("model", kind) for kind in cli_module._READS["model"])]
+
+    @pytest.mark.parametrize("table, context", NODES)
+    def test_keys_are_constructor_keywords(self, table, context):
+        reads = cli_module._READS[table][context].reads
+        keys = {k for k in reads if k != "kind" and not k.endswith("File")}
+        params = inspect.signature(cli_module._MAKERS[context]).parameters
+        assert keys <= set(params)
+        assert keys <= set(cli_module._KEY_READS)
+
+    def test_quadratic_refusals_keep_their_order(self):
+        text = MINIMAL_SINGLE.replace(
+            "kind: linear",
+            "kind: quadratic\n  eps: -1.0\n  cstab: 0.0").replace(
+            "[[2.0, 0.0], [0.0, 3.0]]", "[[2.0, x], [0.0, 3.0]]")
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [
+            "model.matrix: expected rows of numbers",
+            "model.eps: eps = -1.0 must be nonnegative and finite",
+            "model.cstab: cstab = 0.0 must be positive and finite"]
+
+    def test_integral_float_support_runs_as_its_int(self, tmp_path):
+        # The library's support rule takes an integral float; the CLI
+        # refused [1.0] under a rule of its own.
+        outputs = []
+        for support in ([1], [1.0]):
+            path = single_config(tmp_path,
+                                 set={"kind": "subspace", "support": support},
+                                 data={"ydelta": [0.0, 1.0]})
+            assert main(["run", path, "--quiet"]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("trace.csv", "summary.yaml")])
+        assert outputs[0] == outputs[1]
+
+
+EXAMPLES = sorted(os.path.join(os.path.dirname(EXAMPLE), name)
+                  for name in os.listdir(os.path.dirname(EXAMPLE))
+                  if name.endswith(".yaml"))
+
+
+def _key_paths(node):
+    """``(parent, key)`` of every key of the mappings in `node`, through
+    lists; a node shared by YAML aliases is walked once."""
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            if isinstance(node, dict):
+                yield node, key
+            stack.append(value)
+
+
+@pytest.mark.parametrize("example", EXAMPLES,
+                         ids=[os.path.basename(p) for p in EXAMPLES])
+def test_one_changed_key_parses_or_is_refused(example, monkeypatch):
+    # Each key of a committed example, deleted or set to a value of the
+    # wrong kind, either parses or raises SchemaError, never another
+    # exception.  The changed document is handed to the parser as YAML
+    # would load it, without its text: loading is most of a parse.
+    with open(example) as fh:
+        text = fh.read()
+    doc = yaml.safe_load(text)
+    monkeypatch.setattr(cli_module, "yaml", types.SimpleNamespace(
+        load=lambda text, Loader: doc, SafeLoader=None,
+        YAMLError=yaml.YAMLError))
+    base_dir = os.path.dirname(example)
+    for parent, key in list(_key_paths(doc)):
+        items = list(parent.items())
+        for change in ["delete", None, "x", -1, [], [[1]], True]:
+            if change == "delete":
+                del parent[key]
+            else:
+                parent[key] = change
+            try:
+                parse_config(text, base_dir=base_dir)
+            except SchemaError:
+                pass
+            parent.clear()
+            parent.update(items)
+    # The parser read the nodes and changed none.
+    assert doc == yaml.safe_load(text)

@@ -820,6 +820,31 @@ class TestExactProjections:
                 == subspace_projection(space, cset.support, x).tobytes()
         assert cset._projector(space) is np.ndarray.copy
 
+    def test_coordinate_sets_nest_by_their_bounds(self):
+        # Each box, subspace and whole space must lie inside the next one
+        # of these kinds; other entries, a ball or no set, are skipped.
+        box = Box([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        sets = [CoordinateSubspace([0]), None, box, Ball([0.0] * 3, 1.0),
+                CoordinateSubspace([0, 1]), WholeSpace()]
+        assert projsd.sets._unnested(sets, 3) == [(0, 2)]
+        assert projsd.sets._unnested(sets[2:], 3) == []
+        assert projsd.sets._unnested([WholeSpace(), box, Ball([0.0] * 3,
+                                                              1.0)], 3) \
+            == [(0, 1)]
+
+    @pytest.mark.parametrize("r, p", [(2.0, 2.0), (1.5, 2.0), (3.0, 4.0)])
+    def test_whole_space_projects_by_the_copy_of_its_bounds(self, r, p):
+        # The whole space is a coordinate set whose scalar bounds -inf and
+        # inf are not finite, so its projection is the same copy.
+        space = lp_space(3, r=r, p=p,
+                         **({} if (r, p) in DEFAULT_CONSTANTS
+                            else {"Cp": 0.3, "Gq": 2.0}))
+        assert WholeSpace()._bounds(space.dim) == (-math.inf, math.inf)
+        assert WholeSpace()._projector(space) is np.ndarray.copy
+        x = np.array([-0.0, 1e300, -5e-324])
+        y = bregman_project(space, WholeSpace(), x)
+        assert y.tobytes() == x.tobytes() and not np.shares_memory(y, x)
+
     @pytest.mark.parametrize("support", [[1, 3, 4], [0, 1, 2, 3, 4, 5]],
                              ids=["partial", "full"])
     @pytest.mark.parametrize("weighted", [False, True],
