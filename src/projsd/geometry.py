@@ -155,6 +155,13 @@ class SpaceGeometry:
         return _duality_kernels(self)
 
     @cached_property
+    def _norm_powers(self):
+        """``(powers, root)`` of the norm, resolved once per space:
+        ``powers(x, out=None)`` is ``w |x|**r``, written into ``out`` when
+        given, and ``||x|| = float(sum of powers(x)) ** root``."""
+        return _norm_power_kernel(self)
+
+    @cached_property
     def _vector_kernels(self):
         """``(norm, duality_map)`` of one checked vector, resolved once per
         space: ``norm(x)`` and ``duality_map(x, nrm=None)`` are those of
@@ -188,11 +195,13 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 #
 # The homes take shortcuts where the exponents allow, each giving the bits
 # of the general formula, and a space resolves them once: phi and the
-# scale (``_kernels``), and one vector's norm and duality map
-# (``_vector_kernels``), which ``_norm`` and ``_duality_map`` hand one
-# vector to and a run calls directly.  One pair's Bregman distance is
-# resolved once per reference (``_bregman_to``), which a run with a
-# diagnostic reference calls on every step:
+# scale (``_kernels``), the summands of the norm (``_norm_powers``), and
+# one vector's norm and duality map (``_vector_kernels``), which ``_norm``
+# and ``_duality_map`` hand one vector to and a run calls directly.  One
+# pair's Bregman distance is resolved once per reference: finished from
+# its two sums (``_bregman_finish``), which a run with a diagnostic
+# reference takes on every step together with other sums, or from one
+# vector (``_bregman_to``):
 # - Powers: for the exponents 1, 2, 0.5 and -1, numpy's power of an
 #   array (a 0-d one too) runs a copy, a square, a square root or a
 #   reciprocal, each correctly rounded.  The tables below run that
@@ -262,24 +271,37 @@ def _duality_kernels(space: SpaceGeometry):
     return phi, None if space.p == r else _float_power(space.p - r)
 
 
+def _norm_power_kernel(space: SpaceGeometry):
+    """``(powers, root)`` of ``SpaceGeometry._norm_powers``: the one home
+    of the summands of the norm, for one vector and for a batch.  With an
+    ``out`` of x's shape every ufunc writes there, so a caller that sums
+    several rows of one buffer at once allocates nothing."""
+    r, w = space.r, space.weights
+    multiply, absolute, power = np.multiply, np.absolute, np.power
+    if r == 2.0 and w is None:
+        def powers(x, out=None):
+            return multiply(x, x, out)
+    elif r == 2.0:
+        def powers(x, out=None):
+            return multiply(w, multiply(x, x, out), out)
+    elif w is None:
+        def powers(x, out=None):
+            return power(absolute(x, out), r, out)
+    else:
+        def powers(x, out=None):
+            return multiply(w, power(absolute(x, out), r, out), out)
+    return powers, 1.0 / r
+
+
 def _one_vector_kernels(space: SpaceGeometry):
     """``(norm, duality_map)`` of ``SpaceGeometry._vector_kernels``: the
     one-vector branches of ``_norm`` and ``_duality_map``, each resolved
     into one function."""
-    r, w, root = space.r, space.weights, 1.0 / space.r
+    powers, root = space._norm_powers
     add = np.add.reduce
-    if r == 2.0 and w is None:
-        def norm(x):
-            return float(add(x * x)) ** root
-    elif r == 2.0:
-        def norm(x):
-            return float(add(w * (x * x))) ** root
-    elif w is None:
-        def norm(x):
-            return float(add(np.abs(x) ** r)) ** root
-    else:
-        def norm(x):
-            return float(add(w * np.abs(x) ** r)) ** root
+
+    def norm(x):
+        return float(add(powers(x))) ** root
 
     phi, scale = space._kernels
     if scale is None:
@@ -300,11 +322,8 @@ def _norm(space: SpaceGeometry, x: np.ndarray):
     """The norm of a checked x; a float for one vector."""
     if x.ndim == 1:
         return space._vector_kernels[0](x)
-    r = space.r
-    powers = x * x if r == 2.0 else np.abs(x) ** r
-    if space.weights is not None:
-        powers = space.weights * powers
-    return np.add.reduce(powers, axis=-1) ** (1.0 / r)
+    powers, root = space._norm_powers
+    return np.add.reduce(powers(x), axis=-1) ** root
 
 
 def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
@@ -325,33 +344,47 @@ def _duality_map(space: SpaceGeometry, x: np.ndarray, nrm=None):
     return s[..., np.newaxis] * jx
 
 
-def _bregman_to(space: SpaceGeometry, ref: np.ndarray, ref_nrm: float):
-    """``to_ref(x) -> (breg(x, ref), J_p(x))`` of one checked vector x, for
-    one checked vector ``ref`` of norm ``ref_nrm``, resolved once per
-    reference: the space's one-vector norm and duality map, ``(1/p)
-    ||ref||**p`` and the sum are bound.  The one home of one pair's
-    Bregman distance."""
-    norm, duality_map = space._vector_kernels
-    add, p, q = np.add.reduce, space.p, space.q
+def _bregman_finish(space: SpaceGeometry, ref_nrm: float):
+    """``finish(nrm, inner) -> breg(x, ref)`` from the two sums of one
+    vector x, ``nrm = ||x||`` and ``inner = <J_p(x), ref>``, for a
+    reference of norm ``ref_nrm``, resolved once per reference with
+    ``(1/p) ||ref||**p`` bound.  The one home of one pair's Bregman
+    distance, so that a caller that takes the two sums together with
+    others finishes it as ``_bregman_to`` does."""
+    p, q = space.p, space.q
     try:
         np_ref = ref_nrm ** p
     except OverflowError:
         np_ref = math.inf
     ref_term = np_ref / p
 
-    def to_ref(x):
-        nrm = norm(x)
-        jx = duality_map(x, nrm)
+    def finish(nrm, inner):
         try:
             np_x = nrm ** p
         except OverflowError:
             np_x = math.inf
         # The batch formula of ``bregman_distance`` in floats, and its clip
         # of a tiny negative round-off to 0.
-        val = ref_term + np_x / q - float(add(jx * ref))
+        val = ref_term + np_x / q - inner
         if val < 0.0 and -1e-9 * (1.0 + np_x + np_ref) < val:
-            return 0.0, jx
-        return val, jx
+            return 0.0
+        return val
+
+    return finish
+
+
+def _bregman_to(space: SpaceGeometry, ref: np.ndarray, ref_nrm: float):
+    """``to_ref(x) -> (breg(x, ref), J_p(x))`` of one checked vector x, for
+    one checked vector ``ref`` of norm ``ref_nrm``, resolved once per
+    reference: the space's one-vector norm and duality map take the two
+    sums of x, and ``_bregman_finish`` finishes them."""
+    norm, duality_map = space._vector_kernels
+    add, finish = np.add.reduce, _bregman_finish(space, ref_nrm)
+
+    def to_ref(x):
+        nrm = norm(x)
+        jx = duality_map(x, nrm)
+        return finish(nrm, float(add(jx * ref))), jx
 
     return to_ref
 

@@ -32,7 +32,9 @@ cone:
   exactly also where a norm or the ratio underflows or overflows, so
   only a ``P_r(x)`` that is exactly 0 is not rescaled.
 - ``Ball``: a radial shrink when the center is 0 (for every gauge) or
-  r = 2.  Otherwise the same root search finds the one multiplier
+  r = 2.  The origin outside an off-centre ball projects to the ball's
+  point of least norm, ``c (1 - R / ||c||)``, with no search.  Otherwise
+  the same root search finds the one multiplier
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
   coordinate solves ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)``,
   ``phi(t) = |t|**(r-1) sign(t)``, by Newton's method inside a bisection
@@ -68,6 +70,7 @@ taken with the space's resolved one-vector norm.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -247,6 +250,13 @@ class Ball(Fixed, ConvexSet):
                 raise NonConvergence(
                     "||x - center|| overflows, so the search for the "
                     "multiplier cannot start")
+            if not x.any():
+                # At the origin the objective is (1/p) ||y||**p, so P is the
+                # point of the ball of least norm, c (1 - R / ||c||) for
+                # every gauge and weighting: ||y|| >= ||c|| - R on the ball,
+                # with equality there, and only there by strict convexity.
+                # Here gap = ||0 - c|| = ||c||.
+                return center * (1.0 - radius / gap)
             if p == r:
                 return _ball_search(space, center, radius, x, gap, 0.0, x)[1]
             # Away from the origin, one joint search first; the nested
@@ -286,8 +296,10 @@ class CoordinateSubspace(Fixed, _CoordinateSet):
 
     def __init__(self, support):
         # An index is an integral real below 2**63 (int64): a bool, a str,
-        # None or a list is not, and float(True) is 1.0, an integer.
-        items = list(support) if np.iterable(support) else [None]
+        # None or a list is not, and float(True) is 1.0, an integer.  A
+        # mapping is not a list of indices, though it iterates its keys.
+        items = (list(support) if np.iterable(support)
+                 and not isinstance(support, Mapping) else [None])
         if not all(v is not None and v.is_integer() and 0.0 <= v < 2.0 ** 63
                    for v in [_number(i, _REAL, float) for i in items]):
             raise ValueError(

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, EtaTooLarge,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, integer, real, vector)
-from .geometry import SpaceGeometry, _bregman_to, _norm
+from .geometry import SpaceGeometry, _bregman_finish, _bregman_to, _norm
 from .models import ForwardModel, NoisyData, _step_products, data_space
 from .sets import ConvexSet, _projection
 
@@ -293,10 +293,14 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     moved it.  With a diagnostic reference each state additionally carries
     the Bregman distance to the reference and the radius invariance flag,
     and the report counts the steps that break the radius invariance and
-    the two per-step descent inequalities.  A step whose residual or
-    gradient norm is not finite, whose gradient vanishes, whose step
-    numerator is not positive or whose step scalars leave the float range
-    stops the run as StepDegenerate, with the error in ``report.failure``.
+    the two per-step descent inequalities.  Such a diagnosed step reduces
+    its gradient norm and its Bregman sums together, in one reduction, and
+    its monotonicity check completes with the next distance: in the next
+    step, or at the stop, which takes that distance alone.  A step whose
+    residual or gradient norm is not finite, whose gradient vanishes,
+    whose step numerator is not positive or whose step scalars leave the
+    float range stops the run as StepDegenerate, with the error in
+    ``report.failure``.
 
     A ``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel`` that
     runs its class's own ``eval`` and ``apply_adjoint`` is not called: the
@@ -339,7 +343,15 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     """``run_algorithm1`` on the data ``ydelta`` and the constants
     L = ``lip``, Lhat = ``lhat`` and C = ``cstab``, the only ones the run
     reads: ``model`` gives it no more than its products, dimensions and
-    data exponent."""
+    data exponent.
+
+    With a reference, step k takes the distance of x_k right after its
+    gradient: the powers of T_k, the powers of x_k and, at p = r,
+    J_p(x_k) ref are rows of one buffer that one ``np.add.reduce`` sums,
+    each row with the bits of its own sum.  That distance completes the
+    start's radius check (k = 0) or the monotonicity check of step k - 1;
+    a run that stops before step K's sums takes the distance of x_K alone
+    for the same check."""
     if model.in_dim is not None and model.in_dim != space.dim:
         raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
                                 f"the space has dimension {space.dim}")
@@ -362,17 +374,16 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
     rule = step_rule(space, lip, ctilde, eta)
     ref = config.diagnostic_reference
-    rho = breg = start_radius_ok = xstar = None
+    rho = breg = bound = xstar = None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
         rho = convergence_radius(space, lhat, ctilde, eta)
 
-    # Each step carries x with J_p(x) when the diagnostics of the step
-    # before computed it (xstar), and otherwise computes J_p(x) once.  The
-    # loop's own arrays have the shapes of the space, so the geometry and
-    # the projection run unchecked, the set fitting the space since the
-    # check before the start's projection; only a called model's outputs
-    # and the finiteness of each point to project are checked.
+    # Each step carries x with J_p(x), computed once (xstar).  The loop's
+    # own arrays have the shapes of the space, so the geometry and the
+    # projection run unchecked, the set fitting the space since the check
+    # before the start's projection; only a called model's outputs and the
+    # finiteness of each point to project are checked.
     # In Hilbert space J*_q is x -> x + 0.0: a fresh array, with -0.0
     # turned into +0.0.  The dual update J_p(x) - mu_k T_k is fresh, and
     # J_p(x) holds no -0.0, so neither does the update: +0.0 - (+-0.0) is
@@ -382,17 +393,26 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     k, descent_sum = 0, 0.0
     # A non-finite norm, r_k, t_k, step scalar or projected point ends in a
     # typed stop, so numpy's overflow warnings, errors under
-    # warnings-as-errors, are off from the start's diagnostics on; once
-    # per run, not per step.
+    # warnings-as-errors, are off from the reference's norm on; once per
+    # run, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
         if ref is not None:
-            to_ref = _bregman_to(space, ref, _norm(space, ref))
-            breg, xstar = to_ref(x)
-            start_radius_ok = breg < rho
+            ref_nrm = _norm(space, ref)
+            to_ref = _bregman_to(space, ref, ref_nrm)
+            finish = _bregman_finish(space, ref_nrm)
+            t_powers, t_root = dual._norm_powers
+            x_powers, x_root = space._norm_powers
+            # The rows a diagnosed step sums in one reduction: at p != r,
+            # J_p(x_k) needs ||x_k|| first, so <J_p(x_k), ref> is summed
+            # alone and the buffer has two rows.
+            paired = space.p == space.r
+            rows = np.empty((3 if paired else 2, space.dim))
+            t_row, x_row = rows[0], rows[1]
+            j_row = rows[2] if paired else None
+            add, multiply = np.add.reduce, np.multiply
         report = RunReport(stopped_at_k=0, final_residual=math.nan,
                            x_final=x, stop_reason="MaxIterations",
-                           projected_start=projected_start, rho=rho,
-                           start_radius_ok=start_radius_ok)
+                           projected_start=projected_start, rho=rho)
         emit = report.iterations.append if on_iteration is None \
             else on_iteration
         while True:
@@ -411,7 +431,29 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
                 break
 
             Tk = gradient(x, Rk, rk)
-            tk = norm_dual(Tk)
+            if ref is None:
+                tk = norm_dual(Tk)
+            else:
+                t_powers(Tk, t_row)
+                x_powers(x, x_row)
+                if paired:
+                    xstar = duality_map_x(x)
+                    multiply(xstar, ref, j_row)
+                    t_sum, x_sum, inner = add(rows, 1).tolist()
+                    nrm = x_sum ** x_root
+                else:
+                    t_sum, x_sum = add(rows, 1).tolist()
+                    nrm = x_sum ** x_root
+                    xstar = duality_map_x(x, nrm)
+                    inner = float(add(xstar * ref))
+                tk = t_sum ** t_root
+                breg = finish(nrm, inner)
+                # The distance of x_k completes the start's radius check
+                # or the monotonicity check of step k - 1.
+                if k == 0:
+                    report.start_radius_ok = breg < rho
+                elif not breg <= bound:
+                    report.monotonicity_violations += 1
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
             except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
@@ -425,25 +467,33 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
                 xtilde = duality_map_dual(xtilde)
             x_next = project(xtilde)
 
-            breg_k, radius_ok = breg, None
+            radius_ok = None
             if ref is not None:
-                breg, xstar = to_ref(x_next)
-                descent = wk * breg_k ** two_over_p - vk
-                radius_ok = breg_k < rho
+                descent = wk * breg ** two_over_p - vk
+                radius_ok = breg < rho
                 if not radius_ok:
                     report.radius_violations += 1
-                if not breg <= breg_k + descent + 1e-10:
-                    report.monotonicity_violations += 1
                 if not descent < 0.0:
                     report.strict_bound_violations += 1
+                bound = breg + descent + 1e-10
 
             # The strict-descent amount of the step is the gain with 1/p in
             # place of 1/q.
             descent_sum += q_over_p * gain
             emit(IterationState(k, x, xtilde, rk, tk, that, uk, vk, wk, muk,
-                                breg_k, radius_ok))
+                                breg, radius_ok))
             x = x_next
             k += 1
+            breg = None
+
+        if ref is not None and breg is None:
+            # The run stopped before the sums of step k: the distance of
+            # x_k alone completes the same check.
+            breg = to_ref(x)[0]
+            if k == 0:
+                report.start_radius_ok = breg < rho
+            elif not breg <= bound:
+                report.monotonicity_violations += 1
 
     report.stopped_at_k = k
     report.final_residual = rk

@@ -843,6 +843,7 @@ class TestValidateAndExampleSchedule:
 # platform, so a local run catches a drift too.
 EXAMPLE_STOPS = {
     "box_l3.yaml": ("DiscrepancyMet", 116),
+    "box_l3_weighted.yaml": ("DiscrepancyMet", 189),
     "criterion7_multilevel.yaml": ("DiscrepancyMet", [1, 18, 86, 4502]),
     "nonlinear_multilevel.yaml": ("DiscrepancyMet",
                                   [0, 1, 0, 2, 4, 4, 9, 99]),
@@ -2447,6 +2448,22 @@ class TestNodesAreConstructorCalls:
             outputs.append([(tmp_path / name).read_bytes()
                             for name in ("trace.csv", "summary.yaml")])
         assert outputs[0] == outputs[1]
+
+    def test_mapping_support_is_refused(self, tmp_path, capsys):
+        # A YAML mapping read as its keys ran {0: 1} as the support [0].
+        refusal = "support = {0: 1} must be integers in [0, 2**63)\n"
+        path = single_config(tmp_path,
+                             set={"kind": "subspace", "support": {0: 1}},
+                             data={"ydelta": [0.0, 1.0]})
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == f"config error: set: {refusal}"
+        TestExecuteMultilevel().make_config(tmp_path)
+        doc = yaml.safe_load((tmp_path / "ml.yaml.cfg").read_text())
+        doc["levels"][0]["set"]["support"] = {0: 1}
+        path = write(tmp_path, "ml.yaml.cfg", yaml.safe_dump(doc))
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err \
+            == f"config error: levels[0].set: {refusal}"
 
 
 EXAMPLES = sorted(os.path.join(os.path.dirname(EXAMPLE), name)

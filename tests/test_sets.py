@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -97,6 +98,16 @@ class TestSetBasics:
         # 3, [None] and [[0]] ended in a TypeError, "ab" in "could not
         # convert string to float", and [2**70] and [1e300] in an
         # OverflowError.
+        with pytest.raises(ValueError,
+                           match=r"^support = .* must be integers in "
+                                 r"\[0, 2\*\*63\)$"):
+            CoordinateSubspace(support)
+
+    @pytest.mark.parametrize("support", [
+        {0: 1}, {}, types.MappingProxyType({1: 0, 2: 0})],
+        ids=["dict", "empty-dict", "mapping-proxy"])
+    def test_mapping_support_is_refused(self, support):
+        # A mapping iterates its keys, so {0: 1} was the support [0].
         with pytest.raises(ValueError,
                            match=r"^support = .* must be integers in "
                                  r"\[0, 2\*\*63\)$"):
@@ -404,6 +415,32 @@ class TestExactProjections:
         for geometry, cset, x in EXACT_HARD_CASES:
             if geometry == (r, p, weights):
                 assert_exact_projection(space, cset, np.array(x), rng)
+
+    @pytest.mark.parametrize("r,p,weights", [
+        g for g in EXACT_GEOMETRIES if g[0] != 2.0])
+    def test_origin_projects_to_the_least_norm_point(self, r, p, weights,
+                                                     monkeypatch):
+        # The objective at x = 0 is (1/p) ||y||**p, so P(0) is the point
+        # c (1 - R / ||c||) of the ball nearest the origin in every norm,
+        # found with no search; a search took it before.
+        space = exact_space(r, p, weights)
+        rng = np.random.default_rng(39)
+        center = np.array([0.6, -0.4, 0.0, 0.9])
+        radius = 0.25 * norm(space, center)
+        ball = Ball(center, radius)
+        least = center * (1.0 - radius / norm(space, center))
+
+        def no_search(*args):
+            raise AssertionError("the origin took a search")
+
+        for origin in (np.zeros(4), -np.zeros(4)):
+            with monkeypatch.context() as patch:
+                for name in ("_ball_search", "_joint_ball_search",
+                             "_gauge_p_projection"):
+                    patch.setattr(projsd.sets, name, no_search)
+                y = bregman_project(space, ball, origin)
+            assert y.tobytes() == least.tobytes()
+            assert_exact_projection(space, ball, origin, rng)
 
     def test_weighted_l2_closed_forms(self):
         # r = p = 2 with weights is the weighted Euclidean metric

@@ -884,6 +884,92 @@ def test_on_iteration_streams_the_history(with_ref, max_iterations):
             history.strict_bound_violations)
 
 
+class TestFusedDiagnostics:
+    """A diagnosed step sums the powers of T_k, the powers of x_k and, at
+    p = r, J_p(x_k) ref in one reduction over the rows of one buffer, and
+    completes the monotonicity check of step k - 1 with the distance of
+    x_k, or with the one the stop takes alone."""
+
+    @pytest.mark.parametrize("dim", [9, 129, 1025])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("r", [2.0, 3.0, 1.5])
+    def test_streamed_sums_match_the_oracles(self, r, weighted, dim):
+        # Past 8 and 128 entries numpy's pairwise sum unrolls and splits
+        # its blocks; each row of the buffer must still sum as the one
+        # vector does.  r = 1.5 has p = 2 != r.
+        rng = np.random.default_rng(dim)
+        weights = rng.uniform(0.25, 4.0, dim) if weighted else None
+        space = lp_space(dim, r=r, weights=weights)
+        model = Delegate(DiagonalLinearModel(rng.uniform(0.5, 2.0, dim)))
+        truth = rng.standard_normal(dim)
+        ydelta = model.eval(truth) + 1e-3 * rng.standard_normal(dim)
+        ref = truth + 0.1 * rng.standard_normal(dim)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=8,
+                           diagnostic_reference=ref)
+        states = []
+        report = run_algorithm1(space, WholeSpace(), model,
+                                NoisyData(ydelta, 0.0), np.zeros(dim), cfg,
+                                on_iteration=states.append)
+        assert report.stop_reason == "MaxIterations" and len(states) == 8
+        y_space, dual = data_space(model, space.p), space.dual()
+        for st in states:
+            T = model.apply_adjoint(
+                st.x, duality_map(y_space, model.eval(st.x) - ydelta))
+            assert np.float64(st.tk).tobytes() \
+                == general_norm(dual, T).tobytes()
+            assert np.float64(st.bregman_to_ref).tobytes() \
+                == general_bregman(space, st.x, ref).tobytes()
+
+    @pytest.mark.parametrize("stop", [
+        "K=0", "MaxIterations", "StepDegenerate-rule", "nonfinite-residual"])
+    def test_tallies_recomputed_from_the_states(self, stop):
+        # The reference is the start, not the solution, so the distance to
+        # it rises and the monotonicity check fails on every step.
+        space = lp_space(4, r=3.0)
+        model, truth, ydelta = kernel_problem(quadratic=True)
+        ref = np.array([0.9, 0.8, -0.7, 0.6])
+        x0, max_iterations = ref, 10 ** 4
+        if stop == "K=0":
+            x0 = truth
+        elif stop == "MaxIterations":
+            max_iterations = 6
+        else:
+            model = NaNAfter(np.diag([2.0, 2.5, 3.0, 3.5]), after=3,
+                             adjoint=stop == "StepDegenerate-rule")
+            ydelta = model.model.eval(truth)
+        eta = 1e-3
+        cfg = SolverConfig(eta=eta, eta_hat=3.5 * eta,
+                           max_iterations=max_iterations,
+                           diagnostic_reference=ref)
+        states = []
+        report = run_algorithm1(space, WholeSpace(), model,
+                                NoisyData(ydelta, eta), x0, cfg,
+                                on_iteration=states.append)
+        assert report.stop_reason == {
+            "K=0": "DiscrepancyMet", "MaxIterations": "MaxIterations"}.get(
+                stop, "StepDegenerate")
+        assert len(states) == report.stopped_at_k \
+            == {"K=0": 0, "MaxIterations": 6}.get(stop, 3)
+        # The step after the last state has the distance of x_K.
+        bregs = [st.bregman_to_ref for st in states] + [
+            bregman_distance(space, report.x_final, ref)]
+        descents = [st.wk * st.bregman_to_ref ** (2.0 / space.p) - st.vk
+                    for st in states]
+        rho = report.rho
+        assert [st.radius_ok for st in states] == [b < rho for b in bregs[:-1]]
+        tallies = (sum(not b < rho for b in bregs[:-1]),
+                   sum(not b1 <= b0 + d + 1e-10
+                       for b0, b1, d in zip(bregs, bregs[1:], descents)),
+                   sum(not d < 0.0 for d in descents),
+                   bregs[0] < rho)
+        assert tallies == (report.radius_violations,
+                           report.monotonicity_violations,
+                           report.strict_bound_violations,
+                           report.start_radius_ok)
+        assert tallies[1] == len(states)
+
+
 # A 400 x 400 matrix is above one 1 MiB block of 324 rows, so a built-in
 # model with it gives R_k and T_k from one pass over its matrix.
 BLOCKED_DIM = 400
