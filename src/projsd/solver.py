@@ -20,7 +20,8 @@ from .errors import (DimensionMismatch, EtaTooLarge,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, integer, real, vector)
 from .geometry import SpaceGeometry, _bregman_finish, _bregman_to, _norm
-from .models import ForwardModel, NoisyData, _step_products, data_space
+from .models import (ForwardModel, NoisyData, _builtin_kind, _step_products,
+                     data_space)
 from .sets import ConvexSet, _projection
 
 __all__ = [
@@ -296,7 +297,12 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     the two per-step descent inequalities.  Such a diagnosed step reduces
     its gradient norm and its Bregman sums together, in one reduction, and
     its monotonicity check completes with the next distance: in the next
-    step, or at the stop, which takes that distance alone.  A step whose
+    step, or at the stop.  For a built-in model (below) whose data space
+    has s = p and as many entries as x, the same reduction gives the
+    residual norm, so the step works out its gradient first and the stop
+    takes the distance from the step's sums; any other run takes the
+    residual norm alone, before the gradient, and a stop takes the
+    distance alone.  A step whose
     residual or gradient norm is not finite, whose gradient vanishes,
     whose step numerator is not positive or whose step scalars leave the
     float range stops the run as StepDegenerate, with the error in
@@ -333,7 +339,13 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
         ``lhat``.
     EtaTooLarge
         On entry, if the model is nonlinear and ``8 * ctilde * eta >= 1``.
+    ValueError
+        On entry, if ``data.eta`` differs from ``config.eta``, the eta the
+        run reads.
     """
+    if data.eta != config.eta:
+        raise ValueError(f"data.eta = {data.eta} differs from config.eta = "
+                         f"{config.eta}, the eta the run reads")
     return _run(space, cset, model, data.ydelta, x0, config, on_iteration,
                 _lip(model), model.lhat, model.cstab)
 
@@ -349,9 +361,14 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     gradient: the powers of T_k, the powers of x_k and, at p = r,
     J_p(x_k) ref are rows of one buffer that one ``np.add.reduce`` sums,
     each row with the bits of its own sum.  That distance completes the
-    start's radius check (k = 0) or the monotonicity check of step k - 1;
-    a run that stops before step K's sums takes the distance of x_K alone
-    for the same check."""
+    start's radius check (k = 0) or the monotonicity check of step k - 1.
+    Where the model is built-in (``models._builtin_kind``), the data-space
+    duality map needs no norm (s = p) and R_k has ``space.dim`` entries,
+    the gradient reads neither r_k nor user code: T_k comes right after
+    R_k, the powers of R_k are the buffer's last row, and the stops of
+    step k read the r_k of its sums, with the distance of x_K at hand.
+    Any other run takes r_k alone and stops before step K's sums, so it
+    takes the distance of x_K alone for the same check."""
     if model.in_dim is not None and model.in_dim != space.dim:
         raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
                                 f"the space has dimension {space.dim}")
@@ -378,6 +395,10 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
         rho = convergence_radius(space, lhat, ctilde, eta)
+    # Whether a diagnosed step takes r_k from its sums (see above).
+    fold = (ref is not None and y_space._kernels[1] is None
+            and _builtin_kind(model) is not None
+            and model.out_dim == space.dim)
 
     # Each step carries x with J_p(x), computed once (xstar).  The loop's
     # own arrays have the shapes of the space, so the geometry and the
@@ -390,6 +411,7 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     # +0.0 when rounding to nearest.  There the map is skipped.
     hilbert = space.weights is None and space.r == space.p == 2.0
     q_over_p, two_over_p = space.q / space.p, 2.0 / space.p
+    isfinite = math.isfinite
     k, descent_sum = 0, 0.0
     # A non-finite norm, r_k, t_k, step scalar or projected point ends in a
     # typed stop, so numpy's overflow warnings, errors under
@@ -402,13 +424,16 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
             finish = _bregman_finish(space, ref_nrm)
             t_powers, t_root = dual._norm_powers
             x_powers, x_root = space._norm_powers
-            # The rows a diagnosed step sums in one reduction: at p != r,
-            # J_p(x_k) needs ||x_k|| first, so <J_p(x_k), ref> is summed
-            # alone and the buffer has two rows.
+            r_powers, r_root = y_space._norm_powers
+            # The rows a diagnosed step sums in one reduction: the powers
+            # of T_k and of x_k, at p = r J_p(x_k) ref (at p != r, J_p(x_k)
+            # needs ||x_k|| first, so <J_p(x_k), ref> is summed alone),
+            # and, where the step folds r_k in, the powers of R_k last.
             paired = space.p == space.r
-            rows = np.empty((3 if paired else 2, space.dim))
+            rows = np.empty((2 + paired + fold, space.dim))
             t_row, x_row = rows[0], rows[1]
             j_row = rows[2] if paired else None
+            r_row = rows[-1] if fold else None
             add, multiply = np.add.reduce, np.multiply
         report = RunReport(stopped_at_k=0, final_residual=math.nan,
                            x_final=x, stop_reason="MaxIterations",
@@ -417,18 +442,12 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
             else on_iteration
         while True:
             Rk = residual(x)
-            rk = norm_y(Rk)
-            if rk <= eta_hat:
-                report.stop_reason = "DiscrepancyMet"
-                break
-            if not math.isfinite(rk):
-                report.stop_reason = "StepDegenerate"
-                report.failure = NonFiniteStep(
-                    f"r_{k} = {rk} is not finite")
-                break
-            if k >= max_iterations:
-                report.stop_reason = "MaxIterations"
-                break
+            if fold:
+                rk = None  # from the step's sums; the gradient reads none
+            else:
+                rk = norm_y(Rk)
+                if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
+                    break
 
             Tk = gradient(x, Rk, rk)
             if ref is None:
@@ -436,17 +455,19 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
             else:
                 t_powers(Tk, t_row)
                 x_powers(x, x_row)
+                if fold:
+                    r_powers(Rk, r_row)
                 if paired:
                     xstar = duality_map_x(x)
                     multiply(xstar, ref, j_row)
-                    t_sum, x_sum, inner = add(rows, 1).tolist()
-                    nrm = x_sum ** x_root
+                    sums = add(rows, 1).tolist()
+                    nrm, inner = sums[1] ** x_root, sums[2]
                 else:
-                    t_sum, x_sum = add(rows, 1).tolist()
-                    nrm = x_sum ** x_root
+                    sums = add(rows, 1).tolist()
+                    nrm = sums[1] ** x_root
                     xstar = duality_map_x(x, nrm)
                     inner = float(add(xstar * ref))
-                tk = t_sum ** t_root
+                tk = sums[0] ** t_root
                 breg = finish(nrm, inner)
                 # The distance of x_k completes the start's radius check
                 # or the monotonicity check of step k - 1.
@@ -454,6 +475,11 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
                     report.start_radius_ok = breg < rho
                 elif not breg <= bound:
                     report.monotonicity_violations += 1
+                if fold:
+                    rk = sums[-1] ** r_root
+                    if (rk <= eta_hat or not isfinite(rk)
+                            or k >= max_iterations):
+                        break
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
             except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
@@ -495,6 +521,14 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
             elif not breg <= bound:
                 report.monotonicity_violations += 1
 
+    if report.failure is None:
+        # The loop broke at one of the three stops of r_k and k, tested in
+        # this order; MaxIterations is the report's default.
+        if rk <= eta_hat:
+            report.stop_reason = "DiscrepancyMet"
+        elif not isfinite(rk):
+            report.stop_reason = "StepDegenerate"
+            report.failure = NonFiniteStep(f"r_{k} = {rk} is not finite")
     report.stopped_at_k = k
     report.final_residual = rk
     report.descent_sum = descent_sum

@@ -16,10 +16,12 @@ from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
                     LinearModel, MissingStabilityConstant, NoisyData,
                     NonFiniteInput, NonFiniteStep, NonpositiveU,
                     ProjSDError, QuadraticModel, Schedule, SolverConfig,
-                    SpaceGeometry, WholeSpace, bregman_distance,
-                    bregman_project, compute_ctilde, convergence_radius,
-                    data_space, duality_map, inverse_duality_map, lp_space,
-                    norm, run_algorithm1, run_multi_level, step_rule)
+                    SpaceGeometry, WholeSpace, ZeroGradient,
+                    bregman_distance, bregman_project, compute_ctilde,
+                    convergence_radius, data_space, duality_map,
+                    inverse_duality_map, lp_space, norm, run_algorithm1,
+                    run_multi_level, step_rule)
+from projsd.models import _step_products
 
 
 def spd_matrix(dim, seed):
@@ -270,7 +272,8 @@ class TestConstantsBeyondTheFloatRange:
         assert report.stop_reason == "StepDegenerate"
         assert isinstance(report.failure, NonpositiveU)
         with pytest.raises(EtaTooLarge, match=r"= inf >= 1"):
-            run_algorithm1(space, WholeSpace(), model, data, np.zeros(2),
+            run_algorithm1(space, WholeSpace(), model,
+                           NoisyData([1.0, 1.0], 1e-3), np.zeros(2),
                            SolverConfig(eta=1e-3, eta_hat=1e-2))
 
     def test_radius(self):
@@ -287,6 +290,20 @@ class TestConstantsBeyondTheFloatRange:
 
 
 class TestTypedErrors:
+    @pytest.mark.parametrize("data_eta,config_eta", [(0.0, 1e-3),
+                                                     (1e-3, 0.0),
+                                                     (1e-3, 2e-3)])
+    def test_data_eta_must_equal_config_eta(self, data_eta, config_eta):
+        # The run reads the config's eta; data with another one is refused
+        # on entry, naming both, rather than run on the config's.
+        with pytest.raises(ValueError) as exc:
+            run_algorithm1(lp_space(2), WholeSpace(), LinearModel(np.eye(2)),
+                           NoisyData([1.0, 1.0], data_eta), np.zeros(2),
+                           SolverConfig(eta=config_eta, eta_hat=1e-2))
+        assert str(exc.value) == (
+            f"data.eta = {data_eta} differs from config.eta = {config_eta}, "
+            "the eta the run reads")
+
     def test_missing_cstab_is_typed(self):
         model = QuadraticModel(np.eye(2), eps=0.1)
         with pytest.raises(MissingStabilityConstant) as exc:
@@ -662,8 +679,10 @@ def test_norm_of_reference_once_and_three_duality_maps_per_step(
                                     data, np.full(3, 0.1), cfg)
         assert report.stopped_at_k == 20
         assert len(ref_norms) == 1
-        # One more for J_p(x_0), computed with the start's Bregman
-        # distance.
+        # One more for J_p(x_K), computed with the stop's Bregman
+        # distance: from the stop step's sums where the step folds r_K
+        # in (a built-in model, here at r = 2), else by ``_bregman_to``
+        # alone.
         assert len(duality_maps) == maps_per_step * 20 + 1
 
 
@@ -951,23 +970,204 @@ class TestFusedDiagnostics:
                 stop, "StepDegenerate")
         assert len(states) == report.stopped_at_k \
             == {"K=0": 0, "MaxIterations": 6}.get(stop, 3)
-        # The step after the last state has the distance of x_K.
-        bregs = [st.bregman_to_ref for st in states] + [
-            bregman_distance(space, report.x_final, ref)]
-        descents = [st.wk * st.bregman_to_ref ** (2.0 / space.p) - st.vk
-                    for st in states]
-        rho = report.rho
-        assert [st.radius_ok for st in states] == [b < rho for b in bregs[:-1]]
-        tallies = (sum(not b < rho for b in bregs[:-1]),
-                   sum(not b1 <= b0 + d + 1e-10
-                       for b0, b1, d in zip(bregs, bregs[1:], descents)),
-                   sum(not d < 0.0 for d in descents),
-                   bregs[0] < rho)
-        assert tallies == (report.radius_violations,
-                           report.monotonicity_violations,
-                           report.strict_bound_violations,
-                           report.start_radius_ok)
-        assert tallies[1] == len(states)
+        assert_tallies_from_the_states(space, report, states, ref)
+
+    @pytest.mark.parametrize("stop", [
+        "K=0", "MaxIterations", "StepDegenerate-rule", "nonfinite-residual"])
+    def test_folded_tallies_recomputed_from_the_states(self, stop,
+                                                       monkeypatch):
+        # The same four stops with built-in models at r = 2, whose steps
+        # take r_k from their sums, with the origin as the reference and
+        # the start: the quadratic model above (K = 0 from the truth,
+        # MaxIterations at K = 6), and on R^2 two diagonal ones.
+        # sigma = (1, 0) steps to x_1 = 2 and the box clamps it to 1, where
+        # R_1 = (0, -1) and T_1 = 0 (ZeroGradient at K = 1);
+        # sigma = (1e306, 1) steps to x_1 = 1e4, whose F(x_1) overflows
+        # (r_1 = inf).
+        space = lp_space(4)
+        model, truth, ydelta = kernel_problem(quadratic=True)
+        cset, ref = WholeSpace(), np.zeros(4)
+        x0, max_iterations = ref, 10 ** 4
+        if stop == "K=0":
+            x0 = truth
+        elif stop == "MaxIterations":
+            max_iterations = 6
+        else:
+            space, ref = lp_space(2), np.zeros(2)
+            x0 = ref
+            if stop == "StepDegenerate-rule":
+                model, ydelta = DiagonalLinearModel([1.0, 0.0]), [1.0, 1.0]
+                cset = Box([-1.0, -1.0], [1.0, 1.0])
+            else:
+                model = DiagonalLinearModel([1e306, 1.0])
+                ydelta = [-1e-300, -1e5]
+        norms = count_data_norms(monkeypatch, model, space)
+        eta = 1e-3
+        cfg = SolverConfig(eta=eta, eta_hat=3.5 * eta,
+                           max_iterations=max_iterations,
+                           diagnostic_reference=ref)
+        states = []
+        report = run_algorithm1(space, cset, model, NoisyData(ydelta, eta),
+                                x0, cfg, on_iteration=states.append)
+        assert norms == []
+        assert report.stop_reason == {
+            "K=0": "DiscrepancyMet", "MaxIterations": "MaxIterations"}.get(
+                stop, "StepDegenerate")
+        assert len(states) == report.stopped_at_k \
+            == {"K=0": 0, "MaxIterations": 6}.get(stop, 1)
+        if stop == "StepDegenerate-rule":
+            assert isinstance(report.failure, ZeroGradient)
+        elif stop == "nonfinite-residual":
+            assert str(report.failure) == "r_1 = inf is not finite"
+        assert_tallies_from_the_states(space, report, states, ref)
+
+    @pytest.mark.parametrize("dim", [9, 129, 1025])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("r", [2.0, 1.5, 3.0])
+    @pytest.mark.parametrize("model_kind", ["diagonal", "linear",
+                                            "quadratic"])
+    def test_builtin_sums_match_the_oracles(self, model_kind, r, weighted,
+                                            dim, monkeypatch):
+        # The oracle checks above on the built-in models themselves, whose
+        # steps at p = s = 2 (r = 2 and r = 1.5) take r_k from their sums
+        # and at r = 3 (p = 3 != s) take it alone, at x_0, ..., x_8.  R_k
+        # and T_k are worked out by the run's own products, so that a dense
+        # model at d = 1025, above one block, is checked on its own bits.
+        # Within one block those products have the bits of the model's
+        # eval and apply_adjoint, so the states are also those of the same
+        # model behind Delegate, which takes r_k alone.
+        rng = np.random.default_rng(dim)
+        weights = rng.uniform(0.25, 4.0, dim) if weighted else None
+        space = lp_space(dim, r=r, weights=weights)
+        if model_kind == "diagonal":
+            model = DiagonalLinearModel(rng.uniform(0.5, 2.0, dim))
+        else:
+            noise = rng.standard_normal((dim, dim))
+            A = np.eye(dim) + noise / (4.0 * dim ** 0.5)
+            model = LinearModel(A) if model_kind == "linear" \
+                else QuadraticModel(A, eps=1e-3, cstab=1.0, lhat=2.0)
+        truth = rng.standard_normal(dim)
+        ydelta = model.eval(truth) + 1e-3 * rng.standard_normal(dim)
+        ref = truth + 0.1 * rng.standard_normal(dim)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-300, max_iterations=8,
+                           diagnostic_reference=ref)
+        norms = count_data_norms(monkeypatch, model, space)
+        report = run_algorithm1(space, WholeSpace(), model,
+                                NoisyData(ydelta, 0.0), np.zeros(dim), cfg)
+        assert report.stop_reason == "MaxIterations"
+        assert len(norms) == (0 if r != 3.0 else 9)
+        if model_kind == "diagonal" or dim < 1025:
+            assert state_bytes(report) == state_bytes(run_algorithm1(
+                space, WholeSpace(), Delegate(model), NoisyData(ydelta, 0.0),
+                np.zeros(dim), cfg))
+        y_space, dual = data_space(model, space.p), space.dual()
+        residual, gradient = _step_products(model, ydelta, y_space, dim)
+        assert len(report.iterations) == 8
+        for st in report.iterations:
+            R = residual(st.x)
+            T = gradient(st.x, R, st.rk)
+            assert np.float64(st.rk).tobytes() \
+                == general_norm(y_space, R).tobytes()
+            assert np.float64(st.tk).tobytes() \
+                == general_norm(dual, T).tobytes()
+            assert np.float64(st.bregman_to_ref).tobytes() \
+                == general_bregman(space, st.x, ref).tobytes()
+        assert np.float64(report.final_residual).tobytes() \
+            == general_norm(y_space, residual(report.x_final)).tobytes()
+
+    @pytest.mark.parametrize("out_dim", [3, 6])
+    def test_nonsquare_builtin_model_takes_its_residual_alone(
+            self, out_dim, monkeypatch):
+        # R_k of a non-square model does not fit a row of the buffer: the
+        # step takes r_k alone, at x_0, ..., x_K, with the bits of the
+        # called model's and of the oracle.
+        rng = np.random.default_rng(out_dim)
+        model = LinearModel(np.eye(out_dim, 4)
+                            + 0.3 * rng.standard_normal((out_dim, 4)))
+        space = lp_space(4)
+        ydelta = model.eval(rng.standard_normal(4))
+        y_space = data_space(model, space.p)
+        norms = count_data_norms(monkeypatch, model, space)
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-12, max_iterations=12,
+                           diagnostic_reference=np.ones(4))
+        reports = []
+        for m in (model, Delegate(model)):
+            norms.clear()
+            reports.append(run_algorithm1(space, WholeSpace(), m,
+                                          NoisyData(ydelta, 0.0),
+                                          np.zeros(4), cfg))
+            assert len(norms) == reports[-1].stopped_at_k + 1
+        own, called = reports
+        assert own.stopped_at_k == 12
+        assert state_bytes(own) == state_bytes(called)
+        for st in own.iterations:
+            assert np.float64(st.rk).tobytes() == general_norm(
+                y_space, model.eval(st.x) - ydelta).tobytes()
+
+    def test_overflowing_residual_in_the_folded_step_stops_typed(
+            self, monkeypatch):
+        # R_0 overflows; the step still takes T_0 and the sums, inf and NaN
+        # among them, before its stop test, with no RuntimeWarning, and the
+        # start's radius check reads the distance from those sums.
+        rng = np.random.default_rng(32)
+        model = LinearModel(1e300 * rng.standard_normal((4, 4)))
+        space, ref = lp_space(4), np.ones(4)
+        norms = count_data_norms(monkeypatch, model, space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_algorithm1(space, WholeSpace(), model,
+                                    NoisyData(np.ones(4), 0.0),
+                                    np.full(4, 2.0),
+                                    SolverConfig(eta=0.0, eta_hat=0.5,
+                                                 diagnostic_reference=ref))
+        assert norms == []
+        assert report.stop_reason == "StepDegenerate"
+        assert report.stopped_at_k == 0
+        assert isinstance(report.failure, NonFiniteStep)
+        assert re.fullmatch(r"r_0 = (inf|nan) is not finite",
+                            str(report.failure))
+        assert report.start_radius_ok is True
+
+
+def assert_tallies_from_the_states(space, report, states, ref):
+    """The report's theorem tallies recomputed from the streamed states
+    and the distance of x_K, with the monotonicity check failing on every
+    step."""
+    # The step after the last state has the distance of x_K.
+    bregs = [st.bregman_to_ref for st in states] + [
+        bregman_distance(space, report.x_final, ref)]
+    descents = [st.wk * st.bregman_to_ref ** (2.0 / space.p) - st.vk
+                for st in states]
+    rho = report.rho
+    assert [st.radius_ok for st in states] == [b < rho for b in bregs[:-1]]
+    tallies = (sum(not b < rho for b in bregs[:-1]),
+               sum(not b1 <= b0 + d + 1e-10
+                   for b0, b1, d in zip(bregs, bregs[1:], descents)),
+               sum(not d < 0.0 for d in descents),
+               bregs[0] < rho)
+    assert tallies == (report.radius_violations,
+                       report.monotonicity_violations,
+                       report.strict_bound_violations,
+                       report.start_radius_ok)
+    assert tallies[1] == len(states)
+
+
+def count_data_norms(monkeypatch, model, space):
+    """Count the calls of the one-vector norm of the model's data space
+    in a run on ``space``: none where each step takes r_k from its sums."""
+    y_space = data_space(model, space.p)
+    vector_norm, vector_map = y_space._vector_kernels
+    calls = []
+
+    def counting_norm(x):
+        calls.append(1)
+        return vector_norm(x)
+
+    monkeypatch.setitem(y_space.__dict__, "_vector_kernels",
+                        (counting_norm, vector_map))
+    return calls
+
 
 
 # A 400 x 400 matrix is above one 1 MiB block of 324 rows, so a built-in
