@@ -37,12 +37,14 @@ cone:
   the same root search finds the one multiplier
   ``lam >= 0`` that sets ``||y - c|| = R``, and for each ``lam`` every
   coordinate solves ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)``,
-  ``phi(t) = |t|**(r-1) sign(t)``, by Newton's method inside a bisection
-  bracket.  Its powers take the exact shortcuts of ``geometry`` (at
-  r = 3 a square, a square root and no power for the slope ratio; at
-  r = 1.5 a square root and a square), which give numpy's bits for the
-  power.  The solve is resolved once per point z (``_coordinate_solver``):
-  a search for lam at a fixed z binds phi(z) and the floats next to the
+  ``phi(t) = |t|**(r-1) sign(t)``.  At r = 3 and r = 1.5 that equation
+  is a piecewise quadratic, solved in closed form to a few ulps of
+  ``|y_i| + |y_i - c_i|``, with each coordinate scaled by a power of two
+  so that subnormal entries and entries near 1e300 keep their root.  At
+  every other r it is solved by Newton's method inside a bisection
+  bracket, whose powers take the exact shortcuts of ``geometry``.  The
+  solve is resolved once per point z (``_coordinate_solver``): a search
+  for lam at a fixed z binds phi(z) and what else depends on z and the
   centre once for all its trials.  With p != r that nests the search for
   lam inside the search for s, so an off-centre ball first runs one
   joint Newton search in ``(log(1 + lam), log(alpha))``: one coordinate
@@ -92,9 +94,10 @@ __all__ = [
 # needs ~60 halvings from its first bracket down to rounding, and on
 # random sets, exponents r in [1.1, 6] and inputs of size 1e-4 to 1e5
 # the searches stay below 100 steps.  The cap is reached in one known
-# case: a joint-search trial at a multiplier near exp(700) on a ball
-# whose centre has a zero entry bisects, in its coordinate solve, toward
-# a root below the subnormals; the joint search counts the NonConvergence
+# case, at an r outside {1.5, 3}, whose coordinate solve is Newton's: a
+# joint-search trial at a multiplier near exp(700) on a ball whose
+# centre has a zero entry bisects, in its coordinate solve, toward a
+# root below the subnormals; the joint search counts the NonConvergence
 # as a missed trial.  Far from a ball, the nested searches' coordinate
 # solve reached it too, where a multiplier of 1e35 and more puts the root
 # within rounding of c_i and the Newton point rounded onto c_i, outside
@@ -706,11 +709,124 @@ _ZERO, _HALF, _ONE, _INF, _FOUR_EPS, _FLOOR = (
 
 def _coordinate_solver(z, c, r):
     """``solve(lam, y)``: solve ``phi(y_i) + lam * phi(y_i - c_i) =
-    phi(z_i)`` for every i, started from y, with what depends on z, c and
-    r alone resolved once: the powers, ``b = phi(z)`` and ``|b|`` and
-    ``nextafter(c, z)``.
+    phi(z_i)`` for every i, for a multiplier ``0 <= lam <= e**700``, with
+    what depends on z, c and r alone resolved once.  The left side
+    increases in y_i, so the root lies between c_i and z_i.
 
-    The left side increases in y_i, so the root lies between c_i and z_i.
+    At r = 3 and r = 1.5 the equation is a piecewise quadratic, which
+    ``_closed_form_solver`` solves exactly, up to rounding, and the warm
+    start y is not read; at every other r, ``_newton_solver`` iterates
+    from y.  ``solve`` returns a new array and expects the caller to
+    ignore numpy's divide, overflow and invalid warnings."""
+    if r in (1.5, 3.0):
+        return _closed_form_solver(z, c, r)
+    return _newton_solver(z, c, r)
+
+
+def _closed_form_solver(z, c, r):
+    """``solve(lam, y)`` of ``_coordinate_solver`` at r = 3 or r = 1.5 in
+    closed form: the root of the quadratic that holds between the
+    breakpoints, from ``_quadratic_root``, within a few ulps of
+    ``|y_i| + |y_i - c_i|``.
+
+    At r = 3, ``phi(t) = t|t|``, and the equation is that of
+    ``_quadratic_root`` with ``b = phi(z)``.  At r = 1.5, ``w = phi(y)``
+    and ``v = phi(y - c)`` satisfy ``w + lam v = phi(z)`` and, as phi
+    inverts ``t|t|``, ``w|w| - v|v| = c``.  So for lam >= 1, w solves the
+    r = 3 equation with ``(lam, c, b) -> (lam**-2, phi(z), c)``, and for
+    lam < 1, ``u = w - phi(z) = -lam v`` solves it with ``(lam**2,
+    -phi(z), lam**2 c)``; either multiplier is at most 1.  Then
+    ``y = w|w|``.
+
+    The equation is homogeneous, ``y(2**k z, 2**k c) = 2**k y(z, c)``, so
+    each coordinate is first scaled by a power of two, which keeps its
+    bits wherever the unscaled solve stays in range.  At r = 3 it takes
+    ``max(|z_i|, |c_i|)`` into [1/2, 1), where ``lam c_i**2`` stays below
+    e**700.  At r = 1.5 an even power, under which square roots scale
+    exactly, takes it into [2**1000, 2**1002): there
+    ``lam**-2 phi(z_i)**2``, formed from 1 / lam, stays normal for every
+    lam up to e**700, as a root near ``z_i / lam**2`` at a zero centre
+    entry needs, and no term passes 2**1004.  lam = 0 returns z, and
+    every result is clipped to the closed bracket between c_i and z_i.
+    """
+    e = np.frexp(np.maximum(np.abs(z), np.abs(c)))[1]
+    if r == 1.5:
+        e += (e & 1) - 1002
+    zs, cs = np.ldexp(z, -e), np.ldexp(c, -e)
+    lo, hi = np.minimum(z, c), np.maximum(z, c)
+    if r == 3.0:
+        # Signs flipped so that the quadratic's centre is >= 0.
+        sign = np.copysign(1.0, cs)
+        c_q, b_q = sign * cs, sign * zs * np.abs(zs)
+        above = b_q >= c_q * c_q
+
+        def root(lam):
+            lc = lam * c_q
+            return sign * _quadratic_root(lam, lc, lc * c_q, b_q, above)
+    else:
+        # phi(z) = sign * c_q.
+        sign = np.copysign(1.0, zs)
+        c_q, b_q = np.sqrt(np.abs(zs)), sign * cs
+        above = b_q >= c_q * c_q
+
+        def root(lam):
+            if lam >= 1.0:
+                mu = 1.0 / lam
+                mc = mu * c_q
+                w = _quadratic_root(mu * mu, mu * mc, mc * mc, b_q, above)
+            else:
+                sq = lam * lam
+                lc, b_u = sq * c_q, -sq * b_q
+                w = c_q - _quadratic_root(sq, lc, lc * c_q, b_u,
+                                          b_u >= c_q * c_q)
+            return sign * w * np.abs(w)
+
+    def solve(lam, y):
+        if lam == 0.0:
+            return z.copy()
+        return np.minimum(np.maximum(np.ldexp(root(lam), e), lo), hi)
+
+    return solve
+
+
+def _quadratic_root(lam, lc, lcc, b, above):
+    """The root y of ``y|y| + lam (y - c)|y - c| = b`` for ``c >= 0`` and
+    ``lam >= 0``, from ``lc = lam c``, ``lcc = lam c**2`` and
+    ``above = b >= c**2``.
+
+    The left side increases in y, and its values at the breakpoints c and
+    0 are c**2 and ``-lam c**2``, so they pick the quadratic:
+
+    - ``b >= c**2``: y >= c, ``y = (lam c + sqrt((1 + lam) b - lam c**2))
+      / (1 + lam)``;
+    - ``-lam c**2 <= b < c**2``: 0 <= y < c, ``y = (lam c**2 + b) /
+      (lam c + sqrt(lam c**2 + (1 - lam) b))``;
+    - ``b < -lam c**2``: y < 0, ``y = (lam c**2 + b) /
+      (lam c + sqrt(-(1 + lam) b - lam c**2))``.
+
+    Each adds terms of one sign, so only a discriminant cancels, and only
+    where the square root is dominated by ``lam c``.  A discriminant that
+    rounds below 0 is taken as 0.  Where the denominator is 0 (lam c and
+    the discriminant underflow), the numerator is 0 to rounding, and so
+    is y."""
+    below = b < -lcc
+    one_plus = 1.0 + lam
+    coef = np.where(above, one_plus, np.where(below, -one_plus, 1.0 - lam))
+    t = lc + np.sqrt(np.maximum(
+        coef * b + np.where(above | below, -lcc, lcc), 0.0))
+    num = np.where(above, t, lcc + b)
+    den = np.where(above, one_plus, t)
+    np.copyto(den, 1.0, where=den == 0.0)
+    return num / den
+
+
+def _newton_solver(z, c, r):
+    """``solve(lam, y)`` of ``_coordinate_solver`` by Newton's method,
+    which serves every r but 1.5 and 3 (it solves those too): solve
+    ``phi(y_i) + lam * phi(y_i - c_i) = phi(z_i)`` for every i, started
+    from y, with what depends on z, c and r alone resolved once: the
+    powers, ``b = phi(z)`` and ``|b|`` and ``nextafter(c, z)``.
+
     Vectorised Newton starts from y.  phi' is infinite (r < 2) or zero
     (r > 2) at 0 and at c_i, where Newton in y cycles or crawls; so each
     step is taken in ``w = phi(y)`` where the ``phi(y)`` term has the

@@ -9,12 +9,16 @@ distance out as numpy formulas; for one vector they run on numpy
 scalars, whose bits the library's float path must reproduce.
 ``solve_coordinates`` is the coordinate solve of an off-centre ball
 projection as it was first written, one ``np.where`` per selection: the
-reference whose bits and raises the resolved solver must reproduce.
+reference whose bits and raises the Newton solver must reproduce.
+``brackets_root`` decides in exact decimal arithmetic whether an
+interval holds the root of one coordinate equation at r = 3 or r = 1.5,
+the reference for the closed-form solve's error.
 ``subspace_projection`` is the projection onto a coordinate subspace as
 a truncation, rescaled where p != r: the reference for the bits of a
 subspace's clamp.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -141,6 +145,35 @@ def solve_coordinates(z, c, lam, r, y, max_steps=200):
             done |= final
             f_prev = np.where(ok, abs_f, np.inf)
     raise NonConvergence("coordinate solve exceeded the step cap")
+
+
+# 120 digits and an exponent range far beyond the floats': every power of
+# a float, every product with a multiplier up to e**700 and every sum of
+# two such terms below is exact or within 1e-100 of its value.
+_DECIMAL = decimal.Context(prec=120, Emax=10**6, Emin=-10**6)
+
+
+def brackets_root(z, c, lam, r, lo, hi):
+    """Whether ``[lo, hi]`` holds the root y of ``phi(y) + lam
+    phi(y - c) = phi(z)``, ``phi(t) = |t|**(r-1) sign(t)`` at r = 3 or
+    r = 1.5, for floats z, c, lam, lo <= hi: the left side, which
+    increases in y, minus phi(z) is <= 0 at lo and >= 0 at hi, evaluated
+    from the floats' exact values."""
+    ctx, D = _DECIMAL, decimal.Decimal
+
+    def phi(t):
+        if r == 3.0:
+            return ctx.multiply(t, abs(t))
+        root = ctx.sqrt(abs(t))
+        return root if t >= 0 else -root
+
+    def f(t):
+        t = D(t)
+        return ctx.subtract(
+            ctx.add(phi(t), ctx.multiply(D(lam), phi(ctx.subtract(t, D(c))))),
+            phi(D(z)))
+
+    return f(lo) <= 0 <= f(hi)
 
 
 def subspace_projection(space, support, x):

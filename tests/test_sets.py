@@ -10,7 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import member, solve_coordinates, subspace_projection
+from oracles import (brackets_root, member, solve_coordinates,
+                     subspace_projection)
 
 import projsd.sets
 from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
@@ -20,6 +21,8 @@ from projsd import (DEFAULT_CONSTANTS, Ball, Box, CoordinateSubspace,
 
 GEOMETRIES = [(2.0, 2.0), (3.0, 3.0), (1.5, 2.0)]
 D = decimal.Decimal
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 def make_sets(dim):
@@ -744,7 +747,7 @@ class TestExactProjections:
         for r in (1.25, 1.5):
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                y = projsd.sets._coordinate_solver(z, c, r)(1e40, z)
+                y = projsd.sets._newton_solver(z, c, r)(1e40, z)
             np.testing.assert_array_equal(y, np.nextafter(c, z))
 
     # (x, v at (1.5, 2), v at (3, 4)): with CoordinateSubspace([0]) in
@@ -1096,7 +1099,7 @@ class TestCoordinateSolver:
             for r, z, c, lam, y, cap in coordinate_systems(rng, 2100):
                 monkeypatch.setattr(projsd.sets, "_MAX_STEPS", cap)
                 got = self.outcome(
-                    lambda: projsd.sets._coordinate_solver(z, c, r)(lam, y))
+                    lambda: projsd.sets._newton_solver(z, c, r)(lam, y))
                 assert got == self.outcome(
                     lambda: solve_coordinates(z, c, lam, r, y, cap)), \
                     (r, z, c, lam, y, cap)
@@ -1118,7 +1121,7 @@ class TestCoordinateSolver:
         c[::5] = 0.0
         with np.errstate(all="ignore"):
             for r in SOLVER_EXPONENTS:
-                solve = projsd.sets._coordinate_solver(z, c, r)
+                solve = projsd.sets._newton_solver(z, c, r)
                 y = z
                 for lam in 10.0 ** np.arange(-4.0, 5.0):
                     got = solve(lam, y)
@@ -1126,6 +1129,75 @@ class TestCoordinateSolver:
                     assert got.tobytes() == solve_coordinates(
                         z, c, lam, r, y).tobytes()
                     y = got
+
+    @staticmethod
+    def assert_brackets_the_root(y, z, c, lam, r, k=4.0):
+        """y is finite, inside the bracket between c and z, and within
+        ``k eps (|y_i| + |y_i - c_i|)`` of each exact root, floored at the
+        smallest normal number, as the Newton solve's tolerance is."""
+        assert np.isfinite(y).all()
+        assert np.all((np.minimum(z, c) <= y) & (y <= np.maximum(z, c)))
+        tol = np.maximum(k * EPS * (np.abs(y) + np.abs(y - c)), TINY)
+        for i in range(z.size):
+            assert brackets_root(z[i], c[i], lam, r, y[i] - tol[i],
+                                 y[i] + tol[i]), (r, z[i], c[i], lam, y[i])
+
+    def test_closed_form_brackets_the_root(self):
+        # At r = 1.5 and r = 3 the solve is in closed form, on the same
+        # systems: each y_i lies within 4 eps (|y_i| + |y_i - c_i|) of the
+        # exact root (measured: 3 eps at r = 1.5, 1 eps at r = 3), also at
+        # subnormal, ~1e300 and zero centre entries, at lam = 0, 1e40 and
+        # e**700 - 1, and where the Newton solve raises at its cap.
+        # Where that solve returns at lam <= 1e40, y_i is within
+        # 9 eps (|y_i| + |y_i - c_i|) of its point (8.5 at lam = 0, where
+        # the closed form returns z exactly, and at most 4.5 elsewhere).
+        # Near lam = e**700 its residual can overflow to inf, which passes
+        # its rounding test, so there it returns points that are no root.
+        rng = np.random.default_rng(36)
+        compared, raised = 0, 0
+        entries = {"subnormal": 0, "huge": 0, "zero centre": 0}
+        with np.errstate(all="ignore"):
+            for r, z, c, lam, y, cap in coordinate_systems(rng, 2100):
+                if r not in (1.5, 3.0):
+                    continue
+                got = projsd.sets._coordinate_solver(z, c, r)(lam, y)
+                self.assert_brackets_the_root(got, z, c, lam, r)
+                if lam == 0.0:
+                    assert got.tobytes() == z.tobytes()
+                entries["subnormal"] += np.count_nonzero(
+                    (z != 0.0) & (np.abs(z) < TINY))
+                entries["huge"] += np.count_nonzero(np.abs(z) > 1e299)
+                entries["zero centre"] += np.count_nonzero(c == 0.0)
+                try:
+                    ref = solve_coordinates(z, c, lam, r, y, cap)
+                except NonConvergence:
+                    raised += 1
+                    continue
+                if lam <= 1e40:
+                    tol = np.maximum(EPS * (np.abs(ref) + np.abs(ref - c)),
+                                     TINY)
+                    assert np.all(np.abs(got - ref) <= 9.0 * tol), \
+                        (r, z, c, lam)
+                    compared += 1
+        assert compared >= 280 and raised >= 80
+        assert min(entries.values()) >= 50, entries
+
+    @pytest.mark.parametrize("r", [1.5, 3.0])
+    def test_zero_centre_entry_at_a_huge_multiplier(self, r):
+        # A joint-search trial at a multiplier near e**700 on a ball whose
+        # centre has a zero entry: the Newton solve bisected that entry
+        # toward a root below the subnormals until its step cap raised
+        # NonConvergence, on 13 of these 300 systems at r = 3 and 2 at
+        # r = 1.5.  The closed form solves each.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            c = rng.standard_normal(6) * 10.0 ** rng.uniform(-1.0, 3.0)
+            c[rng.integers(6)] = 0.0
+            z = rng.standard_normal(6) * 10.0 ** rng.uniform(-12.0, 5.0)
+            lam = math.expm1(rng.uniform(600.0, 700.0))
+            with np.errstate(all="ignore"):
+                y = projsd.sets._coordinate_solver(z, c, r)(lam, z)
+            self.assert_brackets_the_root(y, z, c, lam, r)
 
 
 def test_import_loads_no_scipy():
