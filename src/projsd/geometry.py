@@ -201,7 +201,9 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 # pair's Bregman distance is resolved once per reference: finished from
 # its two sums (``_bregman_finish``), which a run with a diagnostic
 # reference takes on every step together with other sums, or from one
-# vector (``_bregman_to``):
+# vector (``_bregman_to``).  A run's dual update J*_q(J_p(x) - mu T) is
+# resolved once per run (``_dual_update``), with or without the J_p(x)
+# its caller holds:
 # - Powers: for the exponents 1, 2, 0.5 and -1, numpy's power of an
 #   array (a 0-d one too) runs a copy, a square, a square root or a
 #   reciprocal, each correctly rounded.  The tables below run that
@@ -224,6 +226,8 @@ lp_space = SpaceGeometry  # the same constructor, by its shorter name
 #   the gauge of X, so the case runs on every step also when p != 2.
 # - r = 3 with unit weights: ``|x|**2.0 sign(x)`` is ``(x + 0.0) *
 #   |x|``, the same square with its sign, and +0.0 at -0.0 as above.
+#   Where only J*_q reads it, in the dual update at r = p = 3, ``x |x|``
+#   serves: J*_q is ``sqrt(|v|) sign(v)``, which maps -0.0 to +0.0.
 
 _ARRAY_POWERS = {1.0: lambda a: a, 2.0: np.square, 0.5: np.sqrt}
 _FLOAT_POWERS = {1.0: float, 2.0: lambda n: n * n, 0.5: math.sqrt,
@@ -277,13 +281,14 @@ def _norm_power_kernel(space: SpaceGeometry):
     ``out`` of x's shape every ufunc writes there, so a caller that sums
     several rows of one buffer at once allocates nothing."""
     r, w = space.r, space.weights
-    multiply, absolute, power = np.multiply, np.absolute, np.power
+    multiply, absolute, power, square = (np.multiply, np.absolute, np.power,
+                                         np.square)
     if r == 2.0 and w is None:
-        def powers(x, out=None):
-            return multiply(x, x, out)
+        # The ufunc itself, with no Python layer; it runs x * x.
+        powers = square
     elif r == 2.0:
         def powers(x, out=None):
-            return multiply(w, multiply(x, x, out), out)
+            return multiply(w, square(x, out), out)
     elif w is None:
         def powers(x, out=None):
             return power(absolute(x, out), r, out)
@@ -316,6 +321,55 @@ def _one_vector_kernels(space: SpaceGeometry):
         return scale(nrm) * phi(x)
 
     return norm, duality_map
+
+
+def _dual_update(space: SpaceGeometry, held: bool):
+    """``update(v, mu, T) = J*_q(J_p(x) - mu T)``, the dual step of one
+    checked vector x, resolved once per run.  With ``held`` the caller
+    holds ``v = J_p(x)``, a fresh array that the update writes over;
+    without, v is x, which it only reads.  Each update returns a new
+    array, or v.
+
+    In Hilbert space J*_q is x -> x + 0.0, a fresh array with -0.0 turned
+    into +0.0.  The update is fresh, and J_p(x) holds no -0.0, so neither
+    does the update: +0.0 - (+-0.0) is +0.0 when rounding to nearest.
+    There J*_q is skipped, and without ``held`` the update is
+    ``(x + 0.0) - mu T``.  Without ``held``, at unit-weight r = p = 3, it
+    runs in place: J_p(x) is ``x |x|``, without the ``+ 0.0`` of
+    ``_phi_unit_l3``, which can differ from it only in the sign of a zero
+    entry, and J*_q, ``sqrt(|v|) sign(v)``, maps +-0.0 to +0.0, as
+    ``np.sign(-0.0)`` is +0.0, so no bit moves."""
+    multiply, subtract = np.multiply, np.subtract
+    jp, unit = space._vector_kernels[1], space.weights is None
+    if unit and space.r == space.p == 3.0 and not held:
+        absolute, sign, sqrt = np.absolute, np.sign, np.sqrt
+        buf = np.empty(space.dim)
+
+        def update(x, mu, T):
+            a = multiply(x, absolute(x, buf), buf)
+            b = multiply(mu, T)
+            subtract(a, b, a)
+            sqrt(absolute(a, b), b)
+            return multiply(b, sign(a, a), b)
+        return update
+    if unit and space.r == space.p == 2.0:
+        if held:
+            def update(xstar, mu, T):
+                return subtract(xstar, multiply(mu, T), xstar)
+        else:
+            def update(x, mu, T):
+                xstar = x + 0.0
+                return subtract(xstar, multiply(mu, T), xstar)
+        return update
+    jq = space.dual()._vector_kernels[1]
+    if held:
+        def update(xstar, mu, T):
+            return jq(subtract(xstar, multiply(mu, T), xstar))
+    else:
+        def update(x, mu, T):
+            xstar = jp(x)
+            return jq(subtract(xstar, multiply(mu, T), xstar))
+    return update
 
 
 def _norm(space: SpaceGeometry, x: np.ndarray):

@@ -840,11 +840,13 @@ def _newton_solver(z, c, r):
 
     The tolerance is a few ulps of ``|y_i| + |y_i - c_i|``, which is what
     ``||y||`` and ``||y - c||`` need.  A coordinate is done when its
-    residual is at rounding level, its bracket is within the tolerance,
-    or a second Newton step in a row halves the residual and moves it by
-    less than the tolerance.  A step that short without that evidence is
-    lengthened to the tolerance, so that it crosses the root and closes
-    the bracket.  For r < 2, phi is infinitely steep at 0, and ``J_r(y)``
+    residual is at rounding level of a finite scale, its bracket is
+    within the tolerance, or a second Newton step in a row halves the
+    residual and moves it by less than the tolerance.  The scale
+    ``|phi(y_i)| + lam |phi(y_i - c_i)| + |phi(z_i)|`` can overflow near
+    lam = e**700, and a residual within rounding of inf proves nothing.
+    A step that short without that evidence is lengthened to the
+    tolerance, so that it crosses the root and closes the bracket.  For r < 2, phi is infinitely steep at 0, and ``J_r(y)``
     needs ``phi(y_i)`` also where the root is near 0; so there a bracket
     must be within a few ulps of its end nearer 0, which never holds for
     a bracket around 0.
@@ -886,7 +888,10 @@ def _newton_solver(z, c, r):
             # within a few ulps of it is also within tol.
             width = np.maximum(_FOUR_EPS * np.maximum(lo, -hi), _FLOOR) \
                 if steep_at_0 else tol
-            done |= ((abs_f <= _FOUR_EPS * (pow_y + lam * pow_gap + abs_b))
+            # The residual is at rounding level only where its scale is
+            # finite: near lam = e**700 it overflows, and inf <= inf.
+            scale = pow_y + lam * pow_gap + abs_b
+            done |= (((abs_f <= _FOUR_EPS * scale) & (scale < _INF))
                      | (hi - lo <= width))
             if np.count_nonzero(done) == n:
                 return y

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EtaTooLarge,
+from .errors import (DimensionMismatch, EtaTooLarge, Fixed,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
-                     ZeroGradient, integer, real, vector)
-from .geometry import SpaceGeometry, _bregman_finish, _bregman_to, _norm
+                     ZeroGradient, fixed_array, integer, real, vector)
+from .geometry import (SpaceGeometry, _bregman_finish, _bregman_to,
+                       _dual_update, _norm)
 from .models import (ForwardModel, NoisyData, _builtin_kind, _step_products,
                      data_space)
 from .sets import ConvexSet, _projection
@@ -35,27 +36,28 @@ __all__ = [
 ]
 
 
-@dataclass
-class SolverConfig:
-    """Run parameters of the single-level iteration.
+class SolverConfig(Fixed):
+    """Run parameters of the single-level iteration, fixed at construction
+    (``errors.Fixed``): each is checked once and stored, the reference as
+    a read-only copy, and assigning or deleting one raises AttributeError.
 
     ``eta_hat``, the discrepancy threshold, must exceed ``3 * eta``
     (ValueError).  ``diagnostic_reference`` enables per-iteration
     Bregman-distance bookkeeping against a known solution.
     """
 
-    eta: float
-    eta_hat: float
-    max_iterations: int = 10 ** 6
-    diagnostic_reference: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.eta = real("eta", self.eta, positive=False)
-        self.eta_hat = real("eta_hat", self.eta_hat)
-        if not self.eta_hat > 3.0 * self.eta:
+    def __init__(self, eta, eta_hat, max_iterations=10 ** 6,
+                 diagnostic_reference=None):
+        eta = real("eta", eta, positive=False)
+        eta_hat = real("eta_hat", eta_hat)
+        if not eta_hat > 3.0 * eta:
             raise ValueError("discrepancy threshold must satisfy "
                              "eta_hat > 3 * eta")
-        self.max_iterations = integer("max_iterations", self.max_iterations)
+        vars(self).update(
+            eta=eta, eta_hat=eta_hat,
+            max_iterations=integer("max_iterations", max_iterations),
+            diagnostic_reference=None if diagnostic_reference is None
+            else fixed_array(diagnostic_reference))
 
 
 @dataclass(slots=True)
@@ -302,11 +304,19 @@ def run_algorithm1(space: SpaceGeometry, cset: ConvexSet,
     residual norm, so the step works out its gradient first and the stop
     takes the distance from the step's sums; any other run takes the
     residual norm alone, before the gradient, and a stop takes the
-    distance alone.  A step whose
-    residual or gradient norm is not finite, whose gradient vanishes,
-    whose step numerator is not positive or whose step scalars leave the
-    float range stops the run as StepDegenerate, with the error in
-    ``report.failure``.
+    distance alone.  A step whose residual or gradient norm is not
+    finite, whose gradient vanishes, whose step numerator is not positive
+    or whose step scalars leave the float range stops the run as
+    StepDegenerate, with the error in ``report.failure``.
+
+    What differs between runs (a reference or none, the fold of the
+    residual norm, the space of the dual update) is resolved once, before
+    the first step, so every step runs the same straight line (``_run``).
+    The dual update J*_q(J_p(x_k) - mu_k T_k) has one home,
+    ``geometry._dual_update``: with a reference it takes the J_p(x_k) of
+    the step's sums, in Hilbert space it skips J*_q, and at unit-weight
+    r = p = 3 without a reference it runs fused and in place, with the
+    bits of the two maps.
 
     A ``LinearModel``, ``DiagonalLinearModel`` or ``QuadraticModel`` that
     runs its class's own ``eval`` and ``apply_adjoint`` is not called: the
@@ -357,152 +367,64 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     reads: ``model`` gives it no more than its products, dimensions and
     data exponent.
 
-    With a reference, step k takes the distance of x_k right after its
-    gradient: the powers of T_k, the powers of x_k and, at p = r,
-    J_p(x_k) ref are rows of one buffer that one ``np.add.reduce`` sums,
-    each row with the bits of its own sum.  That distance completes the
-    start's radius check (k = 0) or the monotonicity check of step k - 1.
-    Where the model is built-in (``models._builtin_kind``), the data-space
-    duality map needs no norm (s = p) and R_k has ``space.dim`` entries,
-    the gradient reads neither r_k nor user code: T_k comes right after
-    R_k, the powers of R_k are the buffer's last row, and the stops of
-    step k read the r_k of its sums, with the distance of x_K at hand.
-    Any other run takes r_k alone and stops before step K's sums, so it
-    takes the distance of x_K alone for the same check."""
+    The two stages that differ between runs are resolved once, before the
+    loop, which calls them in a straight line: ``measure`` (``_measure``:
+    r_k, T_k and t_k, and with a reference the distance of x_k and its
+    tallies) and ``update`` (``geometry._dual_update``: the dual step
+    J*_q(J_p(x_k) - mu_k T_k), which takes the J_p(x_k) that a diagnosed
+    ``measure`` holds).  The loop branches only where the run stops: at
+    r_k and k, or at the step rule."""
     if model.in_dim is not None and model.in_dim != space.dim:
         raise DimensionMismatch(f"the model takes {model.in_dim} inputs, "
                                 f"the space has dimension {space.dim}")
     x_shape, y_shape = (space.dim,), (model.out_dim,)
     x0 = vector(x0, x_shape, "x0")
     ydelta = vector(ydelta, y_shape, "ydelta")
-    y_space, dual = data_space(model, space.p), space.dual()
-    residual, gradient = _step_products(model, ydelta, y_space, space.dim)
+    y_space = data_space(model, space.p)
+    products = _step_products(model, ydelta, y_space, space.dim)
     cset._check_fits(space)
     project = _projection(space, cset)
     x = project(x0)
-    projected_start = not np.array_equal(x, x0)
-
-    norm_y = y_space._vector_kernels[0]
-    norm_dual, duality_map_dual = dual._vector_kernels
-    duality_map_x = space._vector_kernels[1]
     eta, eta_hat = config.eta, config.eta_hat
-    max_iterations = config.max_iterations
     ctilde = _ctilde(space, lip, cstab)
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
     rule = step_rule(space, lip, ctilde, eta)
     ref = config.diagnostic_reference
-    rho = breg = bound = xstar = None
+    rho = None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
         rho = convergence_radius(space, lhat, ctilde, eta)
-    # Whether a diagnosed step takes r_k from its sums (see above).
-    fold = (ref is not None and y_space._kernels[1] is None
-            and _builtin_kind(model) is not None
-            and model.out_dim == space.dim)
-
-    # Each step carries x with J_p(x), computed once (xstar).  The loop's
-    # own arrays have the shapes of the space, so the geometry and the
-    # projection run unchecked, the set fitting the space since the check
-    # before the start's projection; only a called model's outputs and the
-    # finiteness of each point to project are checked.
-    # In Hilbert space J*_q is x -> x + 0.0: a fresh array, with -0.0
-    # turned into +0.0.  The dual update J_p(x) - mu_k T_k is fresh, and
-    # J_p(x) holds no -0.0, so neither does the update: +0.0 - (+-0.0) is
-    # +0.0 when rounding to nearest.  There the map is skipped.
-    hilbert = space.weights is None and space.r == space.p == 2.0
-    q_over_p, two_over_p = space.q / space.p, 2.0 / space.p
-    isfinite = math.isfinite
-    k, descent_sum = 0, 0.0
-    # A non-finite norm, r_k, t_k, step scalar or projected point ends in a
-    # typed stop, so numpy's overflow warnings, errors under
+    report = RunReport(stopped_at_k=0, final_residual=math.nan,
+                       x_final=x, stop_reason="MaxIterations",
+                       projected_start=not np.array_equal(x, x0), rho=rho)
+    emit = report.iterations.append if on_iteration is None \
+        else on_iteration
+    # The loop's own arrays have the shapes of the space, so the geometry
+    # and the projection run unchecked, the set fitting the space since
+    # the check before the start's projection; only a called model's
+    # outputs and the finiteness of each point to project are checked.
+    # A non-finite norm, r_k, t_k, step scalar or projected point ends in
+    # a typed stop, so numpy's overflow warnings, errors under
     # warnings-as-errors, are off from the reference's norm on; once per
     # run, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
-        if ref is not None:
-            ref_nrm = _norm(space, ref)
-            to_ref = _bregman_to(space, ref, ref_nrm)
-            finish = _bregman_finish(space, ref_nrm)
-            t_powers, t_root = dual._norm_powers
-            x_powers, x_root = space._norm_powers
-            r_powers, r_root = y_space._norm_powers
-            # The rows a diagnosed step sums in one reduction: the powers
-            # of T_k and of x_k, at p = r J_p(x_k) ref (at p != r, J_p(x_k)
-            # needs ||x_k|| first, so <J_p(x_k), ref> is summed alone),
-            # and, where the step folds r_k in, the powers of R_k last.
-            paired = space.p == space.r
-            rows = np.empty((2 + paired + fold, space.dim))
-            t_row, x_row = rows[0], rows[1]
-            j_row = rows[2] if paired else None
-            r_row = rows[-1] if fold else None
-            add, multiply = np.add.reduce, np.multiply
-        report = RunReport(stopped_at_k=0, final_residual=math.nan,
-                           x_final=x, stop_reason="MaxIterations",
-                           projected_start=projected_start, rho=rho)
-        emit = report.iterations.append if on_iteration is None \
-            else on_iteration
+        measure = _measure(space, y_space, model, *products, ref, report,
+                           eta_hat, config.max_iterations)
+        update = _dual_update(space, held=ref is not None)
+        q_over_p = space.q / space.p
+        k, descent_sum, wk, vk = 0, 0.0, None, None
         while True:
-            Rk = residual(x)
-            if fold:
-                rk = None  # from the step's sums; the gradient reads none
-            else:
-                rk = norm_y(Rk)
-                if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
-                    break
-
-            Tk = gradient(x, Rk, rk)
-            if ref is None:
-                tk = norm_dual(Tk)
-            else:
-                t_powers(Tk, t_row)
-                x_powers(x, x_row)
-                if fold:
-                    r_powers(Rk, r_row)
-                if paired:
-                    xstar = duality_map_x(x)
-                    multiply(xstar, ref, j_row)
-                    sums = add(rows, 1).tolist()
-                    nrm, inner = sums[1] ** x_root, sums[2]
-                else:
-                    sums = add(rows, 1).tolist()
-                    nrm = sums[1] ** x_root
-                    xstar = duality_map_x(x, nrm)
-                    inner = float(add(xstar * ref))
-                tk = sums[0] ** t_root
-                breg = finish(nrm, inner)
-                # The distance of x_k completes the start's radius check
-                # or the monotonicity check of step k - 1.
-                if k == 0:
-                    report.start_radius_ok = breg < rho
-                elif not breg <= bound:
-                    report.monotonicity_violations += 1
-                if fold:
-                    rk = sums[-1] ** r_root
-                    if (rk <= eta_hat or not isfinite(rk)
-                            or k >= max_iterations):
-                        break
+            rk, tk, Tk, v, breg, radius_ok = measure(x, k, wk, vk)
+            if Tk is None:
+                break
             try:
                 that, uk, vk, wk, muk, gain = rule(k, rk, tk)
             except (NonFiniteStep, ZeroGradient, NonpositiveU) as exc:
                 report.stop_reason = "StepDegenerate"
                 report.failure = exc
                 break
-            if ref is None:
-                xstar = duality_map_x(x)
-            xtilde = xstar - muk * Tk
-            if not hilbert:
-                xtilde = duality_map_dual(xtilde)
+            xtilde = update(v, muk, Tk)
             x_next = project(xtilde)
-
-            radius_ok = None
-            if ref is not None:
-                descent = wk * breg ** two_over_p - vk
-                radius_ok = breg < rho
-                if not radius_ok:
-                    report.radius_violations += 1
-                if not descent < 0.0:
-                    report.strict_bound_violations += 1
-                bound = breg + descent + 1e-10
-
             # The strict-descent amount of the step is the gain with 1/p in
             # place of 1/q.
             descent_sum += q_over_p * gain
@@ -510,23 +432,13 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
                                 breg, radius_ok))
             x = x_next
             k += 1
-            breg = None
-
-        if ref is not None and breg is None:
-            # The run stopped before the sums of step k: the distance of
-            # x_k alone completes the same check.
-            breg = to_ref(x)[0]
-            if k == 0:
-                report.start_radius_ok = breg < rho
-            elif not breg <= bound:
-                report.monotonicity_violations += 1
 
     if report.failure is None:
         # The loop broke at one of the three stops of r_k and k, tested in
         # this order; MaxIterations is the report's default.
         if rk <= eta_hat:
             report.stop_reason = "DiscrepancyMet"
-        elif not isfinite(rk):
+        elif not math.isfinite(rk):
             report.stop_reason = "StepDegenerate"
             report.failure = NonFiniteStep(f"r_{k} = {rk} is not finite")
     report.stopped_at_k = k
@@ -534,3 +446,109 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     report.descent_sum = descent_sum
     report.x_final = x
     return report
+
+
+def _measure(space, y_space, model, residual, gradient, ref, report,
+             eta_hat, max_iterations):
+    """``measure(x, k, wk, vk)``, the sums of step k, resolved once per run
+    on the products ``residual`` and ``gradient`` of ``_step_products``.
+    It returns ``(rk, tk, Tk, v, breg, radius_ok)``, with Tk None where the
+    run stops at r_k or k: r_k, t_k, T_k, the v that the update reads
+    (``geometry._dual_update``), the distance of x_k to the reference and
+    whether it lies inside the radius ``report.rho``.
+
+    Without a reference v is x, the last two are None, and wk and vk are
+    not read.  With one, v is J_p(x_k), the theorem checks are tallied in
+    ``report``, and step k takes the distance of x_k right after its
+    gradient: the powers of T_k, the powers of x_k and, at p = r,
+    J_p(x_k) ref are rows of one buffer that one ``np.add.reduce`` sums,
+    each row with the bits of its own sum.  That distance completes the
+    start's radius check (k = 0) or the monotonicity check of step k - 1,
+    whose radius flag and descent bound the call for step k first tallies
+    from its distance and its ``wk`` and ``vk``.  Where the model is
+    built-in (``models._builtin_kind``), the data-space duality map needs
+    no norm (s = p) and R_k has ``space.dim`` entries, the gradient reads
+    neither r_k nor user code: T_k comes right after R_k, the powers of
+    R_k are the buffer's last row, and the stops of step k read the r_k of
+    its sums, with the distance of x_K at hand.  Any other run takes r_k
+    alone and stops before step K's sums, so it takes the distance of x_K
+    alone for the same check."""
+    norm_y, isfinite = y_space._vector_kernels[0], math.isfinite
+    if ref is None:
+        norm_dual = space.dual()._vector_kernels[0]
+
+        def measure(x, k, wk, vk):
+            Rk = residual(x)
+            rk = norm_y(Rk)
+            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
+                return rk, None, None, None, None, None
+            Tk = gradient(x, Rk, rk)
+            return rk, norm_dual(Tk), Tk, x, None, None
+        return measure
+
+    fold = (y_space._kernels[1] is None and model.out_dim == space.dim
+            and _builtin_kind(model) is not None)
+    jp, ref_nrm = space._vector_kernels[1], _norm(space, ref)
+    to_ref, finish = (_bregman_to(space, ref, ref_nrm),
+                      _bregman_finish(space, ref_nrm))
+    t_powers, t_root = space.dual()._norm_powers
+    x_powers, x_root = space._norm_powers
+    r_powers, r_root = y_space._norm_powers
+    # The rows a step sums in one reduction: the powers of T_k and of x_k,
+    # at p = r J_p(x_k) ref (at p != r, J_p(x_k) needs ||x_k|| first, so
+    # <J_p(x_k), ref> is summed alone), and with ``fold`` the powers of R_k
+    # last.  A row that the run does not have is never written.
+    paired = space.p == space.r
+    rows = np.empty((2 + paired + fold, space.dim))
+    t_row, x_row, j_row, r_row = rows[0], rows[1], rows[-1 - fold], rows[-1]
+    add, multiply = np.add.reduce, np.multiply
+    rho, two_over_p = report.rho, 2.0 / space.p
+    breg = radius_ok = bound = None
+
+    def check(k, breg):
+        if k == 0:
+            report.start_radius_ok = breg < rho
+        elif not breg <= bound:
+            report.monotonicity_violations += 1
+
+    def measure(x, k, wk, vk):
+        nonlocal breg, radius_ok, bound
+        if k:
+            if not radius_ok:
+                report.radius_violations += 1
+            descent = wk * breg ** two_over_p - vk
+            if not descent < 0.0:
+                report.strict_bound_violations += 1
+            bound = breg + descent + 1e-10
+        Rk = residual(x)
+        rk = None  # with ``fold``, from the step's sums
+        if not fold:
+            rk = norm_y(Rk)
+            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
+                check(k, to_ref(x)[0])
+                return rk, None, None, None, None, None
+        Tk = gradient(x, Rk, rk)
+        t_powers(Tk, t_row)
+        x_powers(x, x_row)
+        if fold:
+            r_powers(Rk, r_row)
+        if paired:
+            xstar = jp(x)
+            multiply(xstar, ref, j_row)
+            sums = add(rows, 1).tolist()
+            nrm, inner = sums[1] ** x_root, sums[2]
+        else:
+            sums = add(rows, 1).tolist()
+            nrm = sums[1] ** x_root
+            xstar = jp(x, nrm)
+            inner = float(add(xstar * ref))
+        breg = finish(nrm, inner)
+        check(k, breg)
+        if fold:
+            rk = sums[-1] ** r_root
+            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
+                return rk, None, None, None, None, None
+        radius_ok = breg < rho
+        return rk, sums[0] ** t_root, Tk, xstar, breg, radius_ok
+
+    return measure

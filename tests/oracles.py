@@ -121,7 +121,8 @@ def solve_coordinates(z, c, lam, r, y, max_steps=200):
             tol = np.maximum(4.0 * _EPS * (abs_y + abs_gap), _TINY)
             width = tol if r >= 2.0 else np.maximum(
                 4.0 * _EPS * np.maximum(lo, -hi), _TINY)
-            done |= ((abs_f <= 4.0 * _EPS * (pow_y + lam * pow_gap + abs_b))
+            scale = pow_y + lam * pow_gap + abs_b
+            done |= (((abs_f <= 4.0 * _EPS * scale) & (scale < np.inf))
                      | (hi - lo <= width))
             if done.all():
                 return y
@@ -155,17 +156,20 @@ _DECIMAL = decimal.Context(prec=120, Emax=10**6, Emin=-10**6)
 
 def brackets_root(z, c, lam, r, lo, hi):
     """Whether ``[lo, hi]`` holds the root y of ``phi(y) + lam
-    phi(y - c) = phi(z)``, ``phi(t) = |t|**(r-1) sign(t)`` at r = 3 or
-    r = 1.5, for floats z, c, lam, lo <= hi: the left side, which
-    increases in y, minus phi(z) is <= 0 at lo and >= 0 at hi, evaluated
-    from the floats' exact values."""
+    phi(y - c) = phi(z)``, ``phi(t) = |t|**(r-1) sign(t)``, for floats z,
+    c, lam, r > 1 and lo <= hi: the left side, which increases in y, minus
+    phi(z) is <= 0 at lo and >= 0 at hi, evaluated from the floats' exact
+    values.  At r = 3 and r = 1.5 phi is a product or a square root; at
+    any other r a power with the exponent r - 1, correctly rounded to the
+    context's 120 digits."""
     ctx, D = _DECIMAL, decimal.Decimal
+    e_phi = ctx.subtract(D(r), 1)
 
     def phi(t):
         if r == 3.0:
             return ctx.multiply(t, abs(t))
-        root = ctx.sqrt(abs(t))
-        return root if t >= 0 else -root
+        mag = ctx.sqrt(abs(t)) if r == 1.5 else ctx.power(abs(t), e_phi)
+        return mag if t >= 0 else -mag
 
     def f(t):
         t = D(t)

@@ -361,6 +361,76 @@ class TestSpecialisedKernels:
             assert space.weights is None
 
 
+class TestDualUpdate:
+    """``geometry._dual_update`` against the formula it resolves,
+    ``inverse_duality_map(space, duality_map(space, x) - mu * T)``, byte
+    for byte: the fused update at unit-weight r = p = 3 without a held
+    J_p(x), the Hilbert update, which skips J*_q, and the general one,
+    each with and without the J_p(x) of the caller."""
+
+    PAIRS = sorted(DEFAULT_CONSTANTS) + [(1.25, 4.0)]
+
+    @staticmethod
+    def vectors(rng, d):
+        """x and T with +-0.0 at the same entries, subnormal entries,
+        entries near 1e154, where J_p overflows at r = 3 (and beyond 1e103
+        at r = 4), and moderate ones."""
+        x, T = (rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+                for _ in range(2))
+        kind = rng.integers(4, size=d)
+        signs = rng.choice([-1.0, 1.0], size=(2, d))
+        x[kind == 0], T[kind == 0] = (signs[:, kind == 0] * 0.0)
+        tiny = 10.0 ** rng.uniform(-323.5, -308.0, (2, d))
+        x[kind == 1] = (signs[0] * tiny[0])[kind == 1]
+        T[kind == 1] = (signs[1] * tiny[1])[kind == 1]
+        x[kind == 2] = (signs[0] * rng.uniform(0.5, 2.0, d)
+                        * 1e154)[kind == 2]
+        return x, T
+
+    @pytest.mark.parametrize("held", [False, True], ids=["x", "held"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unit", "weighted"])
+    @pytest.mark.parametrize("r,p", PAIRS)
+    @pytest.mark.parametrize("d", [1, 9, 129])
+    def test_matches_the_formula_bit_for_bit(self, d, r, p, weighted, held):
+        rng = np.random.default_rng(int(10 * r + p + d))
+        constants = {} if (r, p) in DEFAULT_CONSTANTS \
+            else {"Cp": 0.3, "Gq": 2.0}
+        space = lp_space(d, r=r, p=p, **constants,
+                         weights=rng.uniform(0.25, 4.0, d) if weighted
+                         else None)
+        update = geometry_module._dual_update(space, held)
+        zeros = 0
+        with np.errstate(all="ignore"):
+            for _ in range(12):
+                x, T = self.vectors(rng, d)
+                zeros += np.count_nonzero(x == 0.0)
+                x_bytes, T_bytes = x.tobytes(), T.tobytes()
+                # mu T overflows at mu = 1e300 on the entries beyond 1e8.
+                for mu in (0.0, 0.37, 1e300):
+                    expected = inverse_duality_map(
+                        space, duality_map(space, x) - mu * T)
+                    v = duality_map(space, x) if held else x
+                    got = update(v, mu, T)
+                    assert got.tobytes() == expected.tobytes(), (x, T, mu)
+                    assert (x.tobytes(), T.tobytes()) == (x_bytes, T_bytes)
+                    assert not np.shares_memory(got, x)
+        assert zeros > 0 or d == 1
+
+    def test_fused_update_drops_only_the_sign_of_a_zero(self):
+        # At unit-weight r = p = 3 the update takes J_p(x) = x |x|, which
+        # at x = -0.0 is -0.0 where duality_map gives +0.0; J*_q maps both
+        # to +0.0.
+        space = lp_space(3, r=3.0)
+        x, T = np.array([-0.0, -0.0, 2.0]), np.array([0.0, -0.0, 1.0])
+        assert np.signbit(x * np.abs(x)).tolist() == [True, True, False]
+        assert not np.signbit(duality_map(space, x)).any()
+        got = geometry_module._dual_update(space, held=False)(x, 0.5, T)
+        assert got.tobytes() == inverse_duality_map(
+            space, duality_map(space, x) - 0.5 * T).tobytes()
+        assert not np.signbit(got).any()
+
+
 class TestBregmanDistance:
     def test_one_pair_keeps_the_formula_type_and_clipping(self):
         # The single-pair branch, in floats, against the formula on numpy

@@ -461,6 +461,27 @@ class TestNoisyData:
         assert data.eta == 0.5
         np.testing.assert_allclose(data.ydelta, [1.0, 2.0])
 
+    @pytest.mark.parametrize("name,value", [("ydelta", np.zeros(2)),
+                                            ("eta", 2.0)])
+    def test_assigning_or_deleting_a_field_raises(self, name, value):
+        # Data are fixed at construction, as the models are: an eta
+        # assigned after its check was read by the run unchecked.
+        data = NoisyData([1.0, 2.0], 0.5)
+        for change in (lambda: setattr(data, name, value),
+                       lambda: delattr(data, name)):
+            with pytest.raises(AttributeError,
+                               match=rf"^NoisyData\.{name} is fixed at "):
+                change()
+        assert (data.ydelta.tolist(), data.eta) == ([1.0, 2.0], 0.5)
+
+    def test_ydelta_is_a_read_only_copy(self):
+        ydelta = np.array([1.0, 2.0])
+        data = NoisyData(ydelta, 0.5)
+        ydelta[0] = -7.0
+        assert data.ydelta.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            data.ydelta[0] = 3.0
+
 
 class TestDataNorm:
     def test_lr_norms(self):

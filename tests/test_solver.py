@@ -1,6 +1,8 @@
 """Tests of the single-level projected steepest descent iteration."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -21,7 +23,7 @@ from projsd import (Ball, Box, CoordinateSubspace, DiagonalLinearModel,
                     convergence_radius, data_space, duality_map,
                     inverse_duality_map, lp_space, norm, run_algorithm1,
                     run_multi_level, step_rule)
-from projsd.models import _step_products
+from projsd.models import _row_blocks, _step_products
 
 
 def spd_matrix(dim, seed):
@@ -61,6 +63,47 @@ class TestSolverConfig:
         # eta = nan was refused only as a threshold below 3 * eta.
         with pytest.raises(ValueError, match=f"^{field} = "):
             SolverConfig(eta=eta, eta_hat=eta_hat)
+
+
+    @pytest.mark.parametrize("name,value", [
+        ("eta", 0.2), ("eta_hat", 0.2), ("max_iterations", -3),
+        ("diagnostic_reference", None)])
+    def test_assigning_or_deleting_a_field_raises(self, name, value):
+        # A config is fixed at construction.  Changed after its checks it
+        # still ran: eta_hat = 2 eta to DiscrepancyMet, below the 3 eta
+        # the theorem needs, and max_iterations = -3 to MaxIterations at
+        # K = 0.
+        cfg = SolverConfig(eta=0.1, eta_hat=0.301, max_iterations=5,
+                           diagnostic_reference=[1.0, 2.0])
+        for change in (lambda: setattr(cfg, name, value),
+                       lambda: delattr(cfg, name)):
+            with pytest.raises(AttributeError,
+                               match=rf"^SolverConfig\.{name} is fixed at "):
+                change()
+        assert (cfg.eta, cfg.eta_hat, cfg.max_iterations,
+                cfg.diagnostic_reference.tolist()) == (0.1, 0.301, 5,
+                                                       [1.0, 2.0])
+
+    def test_reference_is_a_read_only_copy(self):
+        ref = np.array([1.0, 2.0])
+        cfg = SolverConfig(eta=0.1, eta_hat=0.301, diagnostic_reference=ref)
+        ref[0] = -7.0
+        assert cfg.diagnostic_reference.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.diagnostic_reference[0] = 3.0
+        assert SolverConfig(eta=0.1, eta_hat=0.301).diagnostic_reference \
+            is None
+
+    def test_a_copy_is_fixed(self):
+        cfg = SolverConfig(eta=0.1, eta_hat=0.301, max_iterations=5,
+                           diagnostic_reference=[1.0, 2.0])
+        for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert (twin.eta, twin.eta_hat, twin.max_iterations) \
+                == (0.1, 0.301, 5)
+            assert twin.diagnostic_reference.tolist() == [1.0, 2.0]
+            assert not twin.diagnostic_reference.flags.writeable
+            with pytest.raises(AttributeError, match="is fixed"):
+                twin.eta_hat = 0.2
 
 
 class TestConvergenceRadius:
@@ -331,7 +374,7 @@ class TestTypedErrors:
         with pytest.raises(MissingStabilityConstant, match="lhat"):
             run_algorithm1(lp_space(2), WholeSpace(), model, data,
                            np.zeros(2), cfg)
-        cfg.diagnostic_reference = None
+        cfg = SolverConfig(eta=0.0, eta_hat=1e-8, max_iterations=5)
         assert run_algorithm1(lp_space(2), WholeSpace(), model, data,
                               np.zeros(2), cfg).stop_reason \
             == "DiscrepancyMet"
@@ -1350,6 +1393,33 @@ class TestResolvedProducts:
                 for m in (model, Delegate(model)))
             assert own[0] > 0
             assert own == called
+
+    @pytest.mark.parametrize("kind,shape", [
+        ("linear", (7, 5)), ("linear", (5, 7)), ("linear", (361, 361)),
+        ("quadratic", (9, 9)), ("quadratic", (361, 361))])
+    def test_dense_products_match_the_calls_bit_for_bit(self, kind, shape):
+        # The built-in dense residual and gradient run np.dot, with
+        # R -= ydelta in place, where eval and apply_adjoint run @: the
+        # same bytes, on non-square models and at d = 361, the largest
+        # square matrix of one 1 MiB block (its last row joins the 360
+        # before it), whose products BLAS threads.
+        rng = np.random.default_rng(shape[0] + shape[1])
+        A = rng.standard_normal(shape)
+        assert len(_row_blocks(shape)) == 1
+        for s, p in ((2.0, 2.0), (2.0, 3.0), (3.0, 3.0)):
+            model = LinearModel(A, s=s) if kind == "linear" \
+                else QuadraticModel(A, eps=0.3, s=s)
+            y_space = data_space(model, p)
+            ydelta = rng.standard_normal(shape[0])
+            own, called = (_step_products(m, ydelta, y_space, shape[1])
+                           for m in (model, Delegate(model)))
+            for _ in range(3):
+                x = rng.standard_normal(shape[1])
+                R = own[0](x)
+                assert R.tobytes() == called[0](x).tobytes()
+                rk = norm(y_space, R)
+                assert own[1](x, R, rk).tobytes() \
+                    == called[1](x, R, rk).tobytes()
 
     @pytest.mark.parametrize("r", [2.0, 3.0])
     def test_called_model_receives_the_data_duality_map(self, r):
