@@ -213,3 +213,25 @@ class Fixed:
 
     def __delattr__(self, name):
         self.__setattr__(name, None)
+
+
+class FixedRecord(Fixed):
+    """A ``Fixed`` value that compares and prints by its fields, as a
+    dataclass does: two are equal where their classes are the same and
+    each field is (an array field by ``np.array_equal``, so a reference
+    compares by its entries), and the repr lists the fields in the order
+    the constructor stored them.  Like a dataclass with ``eq``, it is not
+    hashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(),
+                       vars(other).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"

@@ -842,11 +842,12 @@ def _newton_solver(z, c, r):
     ``||y||`` and ``||y - c||`` need.  A coordinate is done when its
     residual is at rounding level of a finite scale, its bracket is
     within the tolerance, or a second Newton step in a row halves the
-    residual and moves it by less than the tolerance.  The scale
+    residual and moves it by less than the tolerance.  A step that short
+    without that evidence is lengthened to the tolerance, so that it
+    crosses the root and closes the bracket.  The scale
     ``|phi(y_i)| + lam |phi(y_i - c_i)| + |phi(z_i)|`` can overflow near
     lam = e**700, and a residual within rounding of inf proves nothing.
-    A step that short without that evidence is lengthened to the
-    tolerance, so that it crosses the root and closes the bracket.  For r < 2, phi is infinitely steep at 0, and ``J_r(y)``
+    For r < 2, phi is infinitely steep at 0, and ``J_r(y)``
     needs ``phi(y_i)`` also where the root is near 0; so there a bracket
     must be within a few ulps of its end nearer 0, which never holds for
     a bracket around 0.

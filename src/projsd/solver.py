@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EtaTooLarge, Fixed,
+from .errors import (DimensionMismatch, EtaTooLarge, FixedRecord,
                      MissingStabilityConstant, NonFiniteStep, NonpositiveU,
                      ZeroGradient, fixed_array, integer, real, vector)
 from .geometry import (SpaceGeometry, _bregman_finish, _bregman_to,
@@ -36,10 +36,12 @@ __all__ = [
 ]
 
 
-class SolverConfig(Fixed):
+class SolverConfig(FixedRecord):
     """Run parameters of the single-level iteration, fixed at construction
-    (``errors.Fixed``): each is checked once and stored, the reference as
-    a read-only copy, and assigning or deleting one raises AttributeError.
+    (``errors.FixedRecord``): each is checked once and stored, the
+    reference as a read-only copy, and assigning or deleting one raises
+    AttributeError.  Two configs are equal where their fields are, and the
+    repr lists the four fields, as a dataclass's does.
 
     ``eta_hat``, the discrepancy threshold, must exceed ``3 * eta``
     (ValueError).  ``diagnostic_reference`` enables per-iteration
@@ -389,16 +391,14 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     ctilde = _ctilde(space, lip, cstab)
     # Raises EtaTooLarge unless ctilde == 0 or 8 ctilde eta < 1.
     rule = step_rule(space, lip, ctilde, eta)
-    ref = config.diagnostic_reference
-    rho = None
+    ref, rho = config.diagnostic_reference, None
     if ref is not None:
         ref = vector(ref, x_shape, "diagnostic_reference")
         rho = convergence_radius(space, lhat, ctilde, eta)
     report = RunReport(stopped_at_k=0, final_residual=math.nan,
                        x_final=x, stop_reason="MaxIterations",
                        projected_start=not np.array_equal(x, x0), rho=rho)
-    emit = report.iterations.append if on_iteration is None \
-        else on_iteration
+    emit = report.iterations.append if on_iteration is None else on_iteration
     # The loop's own arrays have the shapes of the space, so the geometry
     # and the projection run unchecked, the set fitting the space since
     # the check before the start's projection; only a called model's
@@ -474,14 +474,19 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
     alone and stops before step K's sums, so it takes the distance of x_K
     alone for the same check."""
     norm_y, isfinite = y_space._vector_kernels[0], math.isfinite
+    stopped = None, None, None, None, None
+
+    def stops(rk, k):
+        return rk <= eta_hat or not isfinite(rk) or k >= max_iterations
+
     if ref is None:
         norm_dual = space.dual()._vector_kernels[0]
 
         def measure(x, k, wk, vk):
             Rk = residual(x)
             rk = norm_y(Rk)
-            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
-                return rk, None, None, None, None, None
+            if stops(rk, k):
+                return rk, *stopped
             Tk = gradient(x, Rk, rk)
             return rk, norm_dual(Tk), Tk, x, None, None
         return measure
@@ -521,12 +526,10 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
                 report.strict_bound_violations += 1
             bound = breg + descent + 1e-10
         Rk = residual(x)
-        rk = None  # with ``fold``, from the step's sums
-        if not fold:
-            rk = norm_y(Rk)
-            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
-                check(k, to_ref(x)[0])
-                return rk, None, None, None, None, None
+        rk = None if fold else norm_y(Rk)  # with fold, from the step's sums
+        if not fold and stops(rk, k):
+            check(k, to_ref(x)[0])
+            return rk, *stopped
         Tk = gradient(x, Rk, rk)
         t_powers(Tk, t_row)
         x_powers(x, x_row)
@@ -546,8 +549,8 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
         check(k, breg)
         if fold:
             rk = sums[-1] ** r_root
-            if rk <= eta_hat or not isfinite(rk) or k >= max_iterations:
-                return rk, None, None, None, None, None
+            if stops(rk, k):
+                return rk, *stopped
         radius_ok = breg < rho
         return rk, sums[0] ** t_root, Tk, xstar, breg, radius_ok
 

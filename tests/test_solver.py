@@ -64,7 +64,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"^{field} = "):
             SolverConfig(eta=eta, eta_hat=eta_hat)
 
-
     @pytest.mark.parametrize("name,value", [
         ("eta", 0.2), ("eta_hat", 0.2), ("max_iterations", -3),
         ("diagnostic_reference", None)])
@@ -94,10 +93,30 @@ class TestSolverConfig:
         assert SolverConfig(eta=0.1, eta_hat=0.301).diagnostic_reference \
             is None
 
+    def test_configs_compare_and_print_by_their_fields(self):
+        # As a dataclass's: equal fields give equal configs, a reference
+        # compared by its entries, and the repr lists the four fields.
+        def config(eta_hat=0.301, ref=(1.0, 2.0)):
+            return SolverConfig(eta=0.1, eta_hat=eta_hat, max_iterations=5,
+                                diagnostic_reference=ref)
+
+        cfg = config()
+        assert cfg == config(ref=np.array([1.0, 2.0]))
+        assert cfg != config(ref=[1.0, 3.0])
+        assert cfg != config(ref=None)
+        assert cfg != config(eta_hat=0.302)
+        assert config(ref=None) == config(ref=None)
+        assert repr(SolverConfig(eta=0.1, eta_hat=0.301)) == (
+            "SolverConfig(eta=0.1, eta_hat=0.301, max_iterations=1000000, "
+            "diagnostic_reference=None)")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cfg)
+
     def test_a_copy_is_fixed(self):
         cfg = SolverConfig(eta=0.1, eta_hat=0.301, max_iterations=5,
                            diagnostic_reference=[1.0, 2.0])
         for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg
             assert (twin.eta, twin.eta_hat, twin.max_iterations) \
                 == (0.1, 0.301, 5)
             assert twin.diagnostic_reference.tolist() == [1.0, 2.0]

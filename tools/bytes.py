@@ -1,12 +1,12 @@
 """Byte digests of the benchmark's solver cases.
 
-    python tools/bytes.py digest OUT [SEED]
+    python tools/bytes.py digest OUT
 
 ``digest`` builds the ``banach_projected`` and ``hilbert_dense`` cases of
-the checkout that holds this script (its ``perfbench/problems.py``) at one
-seed, 7 unless SEED is given, imports ``projsd`` from ``src`` in the
-working directory, solves each case once and writes one line per case to
-OUT: the workload, the case's label, K and the sha256 of the bytes of
+the checkout that holds this script (its ``perfbench/problems.py``) at
+the one seed ``SEED`` = 7, imports ``projsd`` from ``src`` in the working
+directory, solves each case once and writes one line per case to OUT:
+the workload, the case's label, K and the sha256 of the bytes of
 ``x_final``.  Run from two checkouts with the same script, the two files
 are equal exactly when every case keeps its K and the bits of its result,
 so ``cmp`` of the two compares a change's solver with its base commit's
@@ -20,10 +20,10 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("banach_projected", "hilbert_dense")
-DEFAULT_SEED = 7
+SEED = 7
 
 
-def digest(out_path, seed):
+def digest(out_path):
     src = os.path.join(os.getcwd(), "src")
     if not os.path.isfile(os.path.join(src, "projsd", "__init__.py")):
         sys.exit(f"bytes: no src/projsd in {os.getcwd()}")
@@ -35,7 +35,7 @@ def digest(out_path, seed):
                  f"{src}")
     with open(out_path, "w") as out, tempfile.TemporaryDirectory() as work:
         for workload in WORKLOADS:
-            for case in problems.WORKLOADS[workload](seed, work):
+            for case in problems.WORKLOADS[workload](SEED, work):
                 report = case.solve()
                 sha = hashlib.sha256(report.x_final.tobytes()).hexdigest()
                 print(workload, case.label, report.stopped_at_k, sha,
@@ -43,8 +43,8 @@ def digest(out_path, seed):
 
 
 def main(argv):
-    if argv[:1] == ["digest"] and len(argv) in (2, 3):
-        digest(argv[1], int(argv[2]) if len(argv) == 3 else DEFAULT_SEED)
+    if argv[:1] == ["digest"] and len(argv) == 2:
+        digest(argv[1])
     else:
         sys.exit(__doc__.split("\n\n")[1])
     return 0
