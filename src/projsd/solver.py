@@ -448,6 +448,10 @@ def _run(space, cset, model, ydelta, x0, config, on_iteration, lip, lhat,
     return report
 
 
+# What ``measure`` returns after r_k where the run stops at r_k or k.
+_STOPPED = None, None, None, None, None
+
+
 def _measure(space, y_space, model, residual, gradient, ref, report,
              eta_hat, max_iterations):
     """``measure(x, k, wk, vk)``, the sums of step k, resolved once per run
@@ -474,7 +478,6 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
     alone and stops before step K's sums, so it takes the distance of x_K
     alone for the same check."""
     norm_y, isfinite = y_space._vector_kernels[0], math.isfinite
-    stopped = None, None, None, None, None
 
     def stops(rk, k):
         return rk <= eta_hat or not isfinite(rk) or k >= max_iterations
@@ -486,7 +489,7 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
             Rk = residual(x)
             rk = norm_y(Rk)
             if stops(rk, k):
-                return rk, *stopped
+                return rk, *_STOPPED
             Tk = gradient(x, Rk, rk)
             return rk, norm_dual(Tk), Tk, x, None, None
         return measure
@@ -529,7 +532,7 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
         rk = None if fold else norm_y(Rk)  # with fold, from the step's sums
         if not fold and stops(rk, k):
             check(k, to_ref(x)[0])
-            return rk, *stopped
+            return rk, *_STOPPED
         Tk = gradient(x, Rk, rk)
         t_powers(Tk, t_row)
         x_powers(x, x_row)
@@ -550,7 +553,7 @@ def _measure(space, y_space, model, residual, gradient, ref, report,
         if fold:
             rk = sums[-1] ** r_root
             if stops(rk, k):
-                return rk, *stopped
+                return rk, *_STOPPED
         radius_ok = breg < rho
         return rk, sums[0] ** t_root, Tk, xstar, breg, radius_ok
 
